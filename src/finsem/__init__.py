@@ -52,7 +52,6 @@ from .order import (
     down_closure,
     downsets,
     enumerate_structure_maps,
-    lattice_element_iso,
     make_poset,
     powerset_lattice,
     right_adjoint,

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: wp, run, laws, enumerate, transpose, certify.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure, 2 usage error (bad arguments, unreadable
+files, malformed input), always with a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .effects import (
     unit_interval_effect_algebra,
     validate_effect_algebra,
 )
-from .errors import FinsemError
+from .errors import FinsemError, ParseError
 from .jsonio import (
     atom_token,
     element_to_json,
@@ -28,7 +29,15 @@ from .jsonio import (
     poset_to_json,
 )
 from .monads import FAMILIES, LensPair
-from .order import FinPoset, FinSet, MonotoneMap, all_posets, powerset_lattice, upsets
+from .order import (
+    FinPoset,
+    FinSet,
+    MonotoneMap,
+    all_posets,
+    make_poset,
+    powerset_lattice,
+    upsets,
+)
 from .transformers import REGISTRY, THREE, expectation_round_trip
 from .triangle import KleisliArrow, bind_apply, certify_full_faithful, check_monad_laws
 
@@ -47,14 +56,6 @@ def _emit(payload, fmt, table_rows=None, table_header=None):
         _print_table(table_rows or [[json.dumps(payload, sort_keys=True)]], table_header)
 
 
-def _value_str(v):
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, Fraction):
-        return format_rat(v)
-    return str(v)
-
-
 def _json_value(v):
     if isinstance(v, bool):
         return 1 if v else 0
@@ -66,9 +67,13 @@ def _json_value(v):
 # -- wp ---------------------------------------------------------------------------
 
 
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def cmd_wp(args):
-    source = open(args.program, encoding="utf-8").read()
-    program = gcl.parse(source)
+    program = gcl.parse(_read(args.program))
     flavor = args.flavor
     if flavor is None:
         flavor = "expectation" if args.mode == "dist" else "demonic"
@@ -90,14 +95,13 @@ def cmd_wp(args):
         "states": [space.render(s) for s in states],
         "wp": {space.render(s): _json_value(table[s]) for s in states},
     }
-    rows = [(space.render(s), _value_str(table[s])) for s in states]
+    rows = [(space.render(s), str(_json_value(table[s]))) for s in states]
     _emit(payload, args.format, rows, ("state", "wp"))
     return 0
 
 
 def cmd_run(args):
-    source = open(args.program, encoding="utf-8").read()
-    program = gcl.parse(source)
+    program = gcl.parse(_read(args.program))
     arrow = gcl.denote(program, args.mode, state_cap=args.state_cap)
     space = gcl.StateSpace(program.decls)
     states = space.states(args.state_cap)
@@ -186,7 +190,7 @@ def cmd_enumerate(args):
         from .order import discrete
 
         obj = discrete(obj)
-    if family.base == "set" and isinstance(obj, FinPoset):
+    if family.base == "set":
         obj = obj.carrier
     try:
         elements = family.elements(obj)
@@ -209,21 +213,11 @@ def cmd_enumerate(args):
 # -- transpose -----------------------------------------------------------------------
 
 
-def _atoms_from_json(items):
-    return FinSet(items)
-
-
 def _poset_from_json(data):
-    from .order import make_poset
-
     return make_poset(
         [tuple(e) if isinstance(e, list) else e for e in data["elements"]],
         [tuple(c) for c in data.get("covers", [])],
     )
-
-
-def _subset_from_json(items):
-    return frozenset(items)
 
 
 def cmd_transpose(args):
@@ -231,11 +225,25 @@ def cmd_transpose(args):
     if corr is None:
         print(f"unknown correspondence {args.correspondence!r}", file=sys.stderr)
         return 2
-    data = json.loads(open(args.input, encoding="utf-8").read()
-                      if args.input != "-" else sys.stdin.read())
-    direction = data.get("direction", "forward")
+    if corr.family is None and corr.id != "three":
+        print(f"transpose is not wired for {corr.id}", file=sys.stderr)
+        return 2
     try:
-        payload = _transpose_dispatch(corr, direction, data)
+        data = json.loads(sys.stdin.read() if args.input == "-" else _read(args.input))
+    except json.JSONDecodeError as exc:
+        print(f"transpose payload is not JSON: {exc}", file=sys.stderr)
+        return 2
+    if not isinstance(data, dict):
+        print("transpose payload must be a JSON object", file=sys.stderr)
+        return 2
+    try:
+        payload = _transpose_dispatch(corr, data.get("direction", "forward"), data)
+    except KeyError as exc:
+        print(f"transpose payload is missing {exc.args[0]!r}", file=sys.stderr)
+        return 2
+    except ParseError as exc:
+        print(f"transpose payload: {exc}", file=sys.stderr)
+        return 2
     except FinsemError as exc:
         print(f"transpose failed: {exc}", file=sys.stderr)
         return 1
@@ -244,7 +252,6 @@ def cmd_transpose(args):
 
 
 def _transpose_dispatch(corr, direction, data):
-    from .monads import DIST, DOWNSET, FILTER, HOARE, MONOTONE_NEIGHBOURHOOD, POWERSET, SMYTH
     from .effects import Distribution, FuzzyPredicate
     from .transformers import (
         expectation_computation,
@@ -274,9 +281,9 @@ def _transpose_dispatch(corr, direction, data):
         }
 
     if corr.id == "expectation":
-        dom = _atoms_from_json([_maybe_int(a) for a in data["dom"]])
-        cod = _atoms_from_json([_maybe_int(a) for a in data["cod"]])
-        arrow = KleisliArrow.from_dict(DIST, dom, cod, {
+        dom = FinSet(map(_maybe_int, data["dom"]))
+        cod = FinSet(map(_maybe_int, data["cod"]))
+        arrow = KleisliArrow.from_dict(corr.family, dom, cod, {
             _maybe_int(x): Distribution(cod, tuple(
                 (_maybe_int(y), parse_rat(w)) for y, w in row.items()))
             for x, row in data["arrow"].items()
@@ -291,30 +298,19 @@ def _transpose_dispatch(corr, direction, data):
             "round_trip": back == arrow,
         }
 
-    # arrow-style correspondences between finite carriers
-    set_families = {"box": POWERSET, "filter": FILTER,
-                    "monotone-nbhd": MONOTONE_NEIGHBOURHOOD}
-    poset_families = {"diamond": DOWNSET, "hoare": HOARE, "smyth": SMYTH}
-    if corr.id in set_families:
-        dom = _atoms_from_json([_maybe_int(a) for a in data["dom"]])
-        cod = _atoms_from_json([_maybe_int(a) for a in data["cod"]])
-        x_obj, y_obj = dom, cod
-        family = set_families[corr.id]
-        pred_dom = powerset_lattice(cod)
-        pred_cod = powerset_lattice(dom)
-    elif corr.id in poset_families:
-        dom = _poset_from_json(data["dom"])
-        cod = _poset_from_json(data["cod"])
-        x_obj, y_obj = dom, cod
-        family = poset_families[corr.id]
-        pred_dom = upsets(cod)
-        pred_cod = upsets(dom)
+    # arrow-style correspondences between finite sets or finite posets
+    family = corr.family
+    if family.base == "set":
+        x_obj = FinSet(map(_maybe_int, data["dom"]))
+        y_obj = FinSet(map(_maybe_int, data["cod"]))
+        pred_dom, pred_cod = powerset_lattice(y_obj), powerset_lattice(x_obj)
     else:
-        raise FinsemError(f"transpose is not wired for {corr.id}")
+        x_obj, y_obj = _poset_from_json(data["dom"]), _poset_from_json(data["cod"])
+        pred_dom, pred_cod = upsets(y_obj), upsets(x_obj)
 
     if direction == "forward":
         mapping = {
-            _maybe_int(x): _element_from_json(family, y_obj, v)
+            _maybe_int(x): _element_from_json(family, v)
             for x, v in data["arrow"].items()
         }
         arrow = KleisliArrow.from_dict(family, x_obj, y_obj, mapping)
@@ -333,7 +329,7 @@ def _transpose_dispatch(corr, direction, data):
     arrow = corr.backward(m, x_obj, y_obj)
     return {
         "arrow": {atom_token(x): element_to_json(arrow(x))
-                  for x in arrow.dom_carrier().elements},
+                  for x in arrow.dom.carrier.elements},
         "round_trip": corr.forward(arrow, x_obj, y_obj) == m,
     }
 
@@ -358,7 +354,7 @@ def _subset_from_json_atoms(items):
     return frozenset(_maybe_int(a) for a in items)
 
 
-def _element_from_json(family, obj, value):
+def _element_from_json(family, value):
     if family.name in ("filter", "monotone-neighbourhood", "neighbourhood",
                        "ultrafilter"):
         return frozenset(_subset_from_json_atoms(v) for v in value)
@@ -375,13 +371,16 @@ def cmd_certify(args):
     if corr is None:
         print(f"unknown correspondence {args.correspondence!r}", file=sys.stderr)
         return 2
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        print(f"--sizes takes one or two integers such as 2,2, not {args.sizes!r}",
+              file=sys.stderr)
+        return 2
     if len(sizes) == 1:
         sizes = sizes * 2
     n, m = sizes[:2]
-    if corr.id in ("box", "filter", "monotone-nbhd"):
-        cases = [(FinSet(range(n)), FinSet(range(m)))]
-    elif corr.id == "three":
+    if corr.id == "three":
         cases = [(p, None) for p in all_posets(n) if len(p) >= 1]
     elif corr.id == "expectation":
         rep = expectation_round_trip(FinSet(range(n)), FinSet(range(m)),
@@ -394,6 +393,8 @@ def cmd_certify(args):
         }
         _emit(payload, args.format)
         return 0 if rep.ok else 1
+    elif corr.family is not None and corr.family.base == "set":
+        cases = [(FinSet(range(n)), FinSet(range(m)))]
     else:
         posets_n = [p for p in all_posets(n) if len(p) >= 1]
         posets_m = [p for p in all_posets(m) if len(p) >= 1]
@@ -498,8 +499,8 @@ def cli_main(argv=None):
         return 2
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except FinsemError as exc:
         print(f"error: {exc}", file=sys.stderr)

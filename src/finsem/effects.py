@@ -16,6 +16,7 @@ from typing import Callable, Optional
 from .errors import (
     CarrierMismatch,
     NotNormalized,
+    ParseError,
     ScalarOutOfRange,
 )
 from .order import FinSet, atom_key
@@ -49,10 +50,14 @@ UNDEFINED = _Undefined()
 def parse_rat(text):
     """Parse "num/den" or a bare integer string into an exact rational."""
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, slash, den = text.partition("/")
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ParseError(f"bad rational {text!r}; write num/den", 1, 1) from None
+    if den == 0:
+        raise ParseError(f"zero denominator in {text!r}", 1, 1)
+    return Fraction(num, den)
 
 
 def format_rat(q):
@@ -138,11 +143,6 @@ def pred_scalar(r, p):
     r = Fraction(r)
     _check_unit_interval(r, "scalar")
     return FuzzyPredicate(p.carrier, tuple(r * v for v in p.values))
-
-
-def pred_join(p, q):
-    _same_carrier(p, q)
-    return FuzzyPredicate(p.carrier, tuple(max(a, b) for a, b in zip(p.values, q.values)))
 
 
 def pred_meet(p, q):
@@ -238,12 +238,18 @@ class EffectAlgebraReport:
         return "\n".join(lines)
 
 
-def validate_effect_algebra(inst, assoc_budget=250_000, seed=0):
+# validate_effect_algebra checks every associativity triple up to this many,
+# and beyond it samples this many triples with this seed.
+ASSOC_BUDGET = 250_000
+ASSOC_SEED = 0
+
+
+def validate_effect_algebra(inst):
     """Check every effect-algebra axiom on the instance's probe set.
 
     Failures are reported as data, one row per axiom, with a counterexample.
     Associativity triples are sampled (seeded) when the full cube exceeds
-    assoc_budget; the report row records which mode ran.
+    ASSOC_BUDGET; the report row records which mode ran.
     """
     elems = tuple(inst.elements)
     one = inst.one
@@ -262,16 +268,16 @@ def validate_effect_algebra(inst, assoc_budget=250_000, seed=0):
 
     # associativity, partial in both directions
     total = len(elems) ** 3
-    if total <= assoc_budget:
+    if total <= ASSOC_BUDGET:
         triples = itertools.product(elems, repeat=3)
         mode = "exhaustive"
     else:
-        rng = random.Random(seed)
+        rng = random.Random(ASSOC_SEED)
         triples = (
             (rng.choice(elems), rng.choice(elems), rng.choice(elems))
-            for _ in range(assoc_budget)
+            for _ in range(ASSOC_BUDGET)
         )
-        mode = f"sampled seed={seed}"
+        mode = f"sampled seed={ASSOC_SEED}"
     ok, wit = True, None
     for x, y, z in triples:
         yz = inst.ovee(y, z)
@@ -429,6 +435,35 @@ def fuzzy_predicate_effect_algebra(carrier, max_den):
 # -- finite distributions ---------------------------------------------------------
 
 
+def checked_weights(carrier, weights, error):
+    """Probability weights in canonical form, or ``error`` if they are not.
+
+    Every atom must lie in the carrier and every weight be nonnegative; zero
+    weights are dropped, the rest sorted by atom and required to sum to 1.
+    """
+    items = []
+    for atom, w in weights:
+        carrier.require(atom)
+        w = Fraction(w)
+        if w < 0:
+            raise error(f"negative weight {w} at {atom!r}")
+        if w:
+            items.append((atom, w))
+    items.sort(key=lambda kv: atom_key(kv[0]))
+    if sum((w for _, w in items), ZERO) != ONE:
+        raise error("weights do not sum to 1")
+    return tuple(items)
+
+
+def pushforward(weights, kernel):
+    """The weights of sum_a w(a) . kernel(a): each atom's mass spread over its image."""
+    out = {}
+    for a, w in weights:
+        for b, v in kernel(a).weights:
+            out[b] = out.get(b, ZERO) + w * v
+    return tuple(out.items())
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Finite-support rational probability weights, summing exactly to 1."""
@@ -437,18 +472,9 @@ class Distribution:
     weights: tuple  # sorted (atom, weight) pairs, nonzero weights only
 
     def __post_init__(self):
-        items = []
-        for atom, w in self.weights:
-            self.carrier.require(atom)
-            w = Fraction(w)
-            if w < 0:
-                raise NotNormalized(f"negative weight {w} at {atom!r}")
-            if w:
-                items.append((atom, w))
-        items.sort(key=lambda kv: atom_key(kv[0]))
-        if sum((w for _, w in items), ZERO) != ONE:
-            raise NotNormalized("weights do not sum to 1")
-        object.__setattr__(self, "weights", tuple(items))
+        object.__setattr__(
+            self, "weights", checked_weights(self.carrier, self.weights, NotNormalized)
+        )
 
     @classmethod
     def from_dict(cls, carrier, mapping):
@@ -486,12 +512,7 @@ def dist_bind(f, omega):
     cods = {f(a).carrier for a in omega.support}
     if len(cods) != 1:
         raise CarrierMismatch("kernel images live on different carriers")
-    cod = cods.pop()
-    out = {}
-    for a, w in omega.weights:
-        for b, v in f(a).weights:
-            out[b] = out.get(b, ZERO) + w * v
-    return Distribution(cod, tuple(out.items()))
+    return Distribution(cods.pop(), pushforward(omega.weights, f))
 
 
 def iter_distributions(carrier, max_den):

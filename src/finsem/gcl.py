@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .effects import ONE, ZERO, Distribution
+from .effects import ONE, ZERO, Distribution, pushforward
 from .errors import (
     ModeMismatch,
     ParseError,
@@ -29,6 +29,10 @@ from .order import FinSet
 from .triangle import KleisliArrow
 
 DEFAULT_STATE_CAP = 512
+# random boolean posts that check_roundtrip adds when given a seed
+RANDOM_POSTS = 3
+# statement nesting depth bound of random_program
+MAX_PROGRAM_DEPTH = 5
 
 
 # -- syntax trees ------------------------------------------------------------------
@@ -321,9 +325,14 @@ class _Parser:
         num = self.parse_signed_int()
         if self.at("op", "/"):
             self.next()
-            den = int(self.expect("int").text)
-            return Fraction(num, den)
+            return Fraction(num, self.parse_denominator())
         return Fraction(num)
+
+    def parse_denominator(self):
+        tok = self.expect("int")
+        if int(tok.text) == 0:
+            self.fail("denominator must be nonzero", tok)
+        return int(tok.text)
 
     def _check_declared(self, name, tok):
         if self.declared is not None and name not in self.declared:
@@ -387,8 +396,7 @@ class _Parser:
             self.next()
             if self.at("op", "/"):
                 self.next()
-                den = int(self.expect("int").text)
-                return Lit(Fraction(int(tok.text), den))
+                return Lit(Fraction(int(tok.text), self.parse_denominator()))
             return Lit(int(tok.text))
         if self.at("kw", "true"):
             self.next()
@@ -470,7 +478,10 @@ class StateSpace:
             if "=" not in part:
                 raise RangeError(f"bad state component {part!r}")
             name, value = part.split("=", 1)
-            values[name.strip()] = int(value)
+            try:
+                values[name.strip()] = int(value)
+            except ValueError:
+                raise RangeError(f"bad state component {part!r}") from None
         missing = set(self.names) - set(values)
         if missing:
             raise RangeError(f"state is missing variables {sorted(missing)}")
@@ -540,6 +551,14 @@ def _as_number(v, what="value"):
     raise RangeError(f"{what} {v!r} is not numeric")
 
 
+def _branch(cond, space, states, then, orelse):
+    """The state table of an if: each state takes its row from the branch cond picks."""
+    return {
+        s: then[s] if _as_bool(eval_expr(cond, space.env(s))) else orelse[s]
+        for s in states
+    }
+
+
 # -- denotational semantics ----------------------------------------------------------
 
 
@@ -598,12 +617,9 @@ def _denote_pow(stmt, space, states):
             for s in states
         }
     if isinstance(stmt, If):
-        then = _denote_pow(stmt.then, space, states)
-        orelse = _denote_pow(stmt.orelse, space, states)
-        return {
-            s: then[s] if _as_bool(eval_expr(stmt.cond, space.env(s))) else orelse[s]
-            for s in states
-        }
+        return _branch(stmt.cond, space, states,
+                       _denote_pow(stmt.then, space, states),
+                       _denote_pow(stmt.orelse, space, states))
     if isinstance(stmt, Choose):
         left = _denote_pow(stmt.left, space, states)
         right = _denote_pow(stmt.right, space, states)
@@ -623,21 +639,14 @@ def _denote_dist(stmt, space, states, carrier):
         first = _denote_dist(stmt.first, space, states, carrier)
         second = _denote_dist(stmt.second, space, states, carrier)
 
-        def run(s):
-            out = {}
-            for t, w in first[s].weights:
-                for u, v in second[t].weights:
-                    out[u] = out.get(u, ZERO) + w * v
-            return Distribution(carrier, tuple(out.items()))
-
-        return {s: run(s) for s in states}
-    if isinstance(stmt, If):
-        then = _denote_dist(stmt.then, space, states, carrier)
-        orelse = _denote_dist(stmt.orelse, space, states, carrier)
         return {
-            s: then[s] if _as_bool(eval_expr(stmt.cond, space.env(s))) else orelse[s]
+            s: Distribution(carrier, pushforward(first[s].weights, second.__getitem__))
             for s in states
         }
+    if isinstance(stmt, If):
+        return _branch(stmt.cond, space, states,
+                       _denote_dist(stmt.then, space, states, carrier),
+                       _denote_dist(stmt.orelse, space, states, carrier))
     if isinstance(stmt, Prob):
         left = _denote_dist(stmt.left, space, states, carrier)
         right = _denote_dist(stmt.right, space, states, carrier)
@@ -706,12 +715,9 @@ def _wp_table(stmt, table, flavor, space, states):
         inner = _wp_table(stmt.second, table, flavor, space, states)
         return _wp_table(stmt.first, inner, flavor, space, states)
     if isinstance(stmt, If):
-        then = _wp_table(stmt.then, table, flavor, space, states)
-        orelse = _wp_table(stmt.orelse, table, flavor, space, states)
-        return {
-            s: then[s] if _as_bool(eval_expr(stmt.cond, space.env(s))) else orelse[s]
-            for s in states
-        }
+        return _branch(stmt.cond, space, states,
+                       _wp_table(stmt.then, table, flavor, space, states),
+                       _wp_table(stmt.orelse, table, flavor, space, states))
     if isinstance(stmt, Choose):
         left = _wp_table(stmt.left, table, flavor, space, states)
         right = _wp_table(stmt.right, table, flavor, space, states)
@@ -772,7 +778,7 @@ class WpCheck:
         return self.mismatches == 0
 
 
-def default_posts(space, flavor, rng=None, extra=3):
+def default_posts(space, flavor, rng=None):
     """Probe posts: constants, atomic comparisons, and a few random ones."""
     names = space.names
     posts = [Lit(True), Lit(False)]
@@ -780,7 +786,7 @@ def default_posts(space, flavor, rng=None, extra=3):
         posts.append(Bin("==", Var(d.name), Lit(d.lo)))
         posts.append(Bin("<=", Var(d.name), Lit((d.lo + d.hi) // 2)))
     if rng is not None:
-        for _ in range(extra):
+        for _ in range(RANDOM_POSTS):
             posts.append(random_bool_expr(rng, space.decls, depth=2))
     if flavor == "expectation":
         out = []
@@ -871,7 +877,7 @@ def random_stmt(rng, decls, mode, depth):
     return Assign(d.name, random_int_expr(rng, decls, 2))
 
 
-def random_program(rng, mode, max_depth=5):
+def random_program(rng, mode):
     decls = (VarDecl("x", 0, rng.randint(1, 7)), VarDecl("y", 0, rng.randint(1, 5)))
-    body = random_stmt(rng, decls, mode, rng.randint(1, max_depth))
+    body = random_stmt(rng, decls, mode, rng.randint(1, MAX_PROGRAM_DEPTH))
     return Program(decls, body)

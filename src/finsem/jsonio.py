@@ -41,20 +41,10 @@ def atom_token(value):
     return str(value)
 
 
-def finset_to_json(finset):
-    return {"elements": render_subset(finset.as_frozenset())}
-
-
 def poset_to_json(poset):
     return {
         "elements": [render_atom(x) for x in poset.elements],
         "covers": [[render_atom(a), render_atom(b)] for a, b in poset.cover_pairs()],
-    }
-
-
-def monotone_map_to_json(m):
-    return {
-        "map": {atom_token(x): render_atom(m(x)) for x in m.dom.elements},
     }
 
 
@@ -71,9 +61,7 @@ def element_to_json(value):
         return render_subset(value)
     if isinstance(value, tuple):
         return [element_to_json(v) for v in value]
-    if isinstance(value, Distribution):
-        return {atom_token(a): format_rat(w) for a, w in value.weights}
-    if isinstance(value, FiniteMeasure):
+    if isinstance(value, (Distribution, FiniteMeasure)):
         return {atom_token(a): format_rat(w) for a, w in value.weights}
     if isinstance(value, LensPair):
         return lens_to_json(value)

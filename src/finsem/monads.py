@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+
 from .effects import (
     ONE,
     ZERO,
     Distribution,
     FuzzyPredicate,
+    checked_weights,
     dist_bind,
     iter_distributions,
+    pushforward,
 )
 from .errors import (
     LensViolation,
@@ -28,7 +30,6 @@ from .errors import (
 from .order import (
     FinPoset,
     FinSet,
-    atom_key,
     upsets,
 )
 
@@ -39,6 +40,7 @@ class MonadFamily:
     name = "abstract"
     base = "set"  # "set" or "poset"
     cap = 4
+    enumerable = True  # False: law suites draw from probe_elements instead
 
     def check_object(self, obj):
         want = FinSet if self.base == "set" else FinPoset
@@ -82,14 +84,11 @@ class MonadFamily:
         ]
         return FinPoset(FinSet(elems), pairs)
 
-    def space_finset(self, obj):
-        return FinSet(self.elements(obj))
-
     def space_object(self, obj):
         """T(obj) as an object the family itself could act on again."""
         if self.base == "poset":
             return self.space_poset(obj)
-        return self.space_finset(obj)
+        return FinSet(self.elements(obj))
 
     def __repr__(self):
         return f"<monad {self.name}>"
@@ -115,14 +114,20 @@ class MonadInstance:
         return self.family.contains(self.obj, t)
 
 
-def _carrier_of(obj):
-    return obj.carrier if isinstance(obj, FinPoset) else obj
+class SubsetMonad(MonadFamily):
+    """Elements are subsets of the carrier; extension is the union of images."""
+
+    def extend(self, dom, cod, fn, t):
+        out = set()
+        for x in t:
+            out |= fn(x)
+        return frozenset(out)
 
 
 # -- plain and double powersets ---------------------------------------------------
 
 
-class PowersetMonad(MonadFamily):
+class PowersetMonad(SubsetMonad):
     """Nondeterminism: subsets of the carrier under direct image union."""
 
     name = "powerset"
@@ -140,37 +145,38 @@ class PowersetMonad(MonadFamily):
         obj.require(x)
         return frozenset({x})
 
-    def extend(self, dom, cod, fn, t):
-        out = set()
-        for x in t:
-            out |= fn(x)
-        return frozenset(out)
-
-
-def _family_of_subsets_ok(obj, t):
-    if not isinstance(t, frozenset):
-        return False
-    u = obj.as_frozenset()
-    return all(isinstance(a, frozenset) and a <= u for a in t)
-
 
 class NeighbourhoodMonad(MonadFamily):
-    """Double contravariant powerset: families of subsets, no conditions."""
+    """Double contravariant powerset: families of subsets, no conditions.
+
+    The subclasses keep the same extension and admit fewer families; each
+    states its condition once, in ``admits``.
+    """
 
     name = "neighbourhood"
     base = "set"
     cap = 3
+
+    def admits(self, obj, t):
+        return True
 
     def elements(self, obj):
         self.check_cap(obj)
         subs = tuple(obj.subsets())
         out = []
         for mask in range(1 << len(subs)):
-            out.append(frozenset(subs[i] for i in range(len(subs)) if mask >> i & 1))
+            t = frozenset(subs[i] for i in range(len(subs)) if mask >> i & 1)
+            if self.admits(obj, t):
+                out.append(t)
         return tuple(out)
 
     def contains(self, obj, t):
-        return _family_of_subsets_ok(obj, t)
+        u = obj.as_frozenset()
+        return (
+            isinstance(t, frozenset)
+            and all(isinstance(a, frozenset) and a <= u for a in t)
+            and self.admits(obj, t)
+        )
 
     def unit(self, obj, x):
         obj.require(x)
@@ -198,16 +204,8 @@ class MonotoneNeighbourhoodMonad(NeighbourhoodMonad):
             (a | {x}) in t for a in t for x in obj if x not in a
         )
 
-    def elements(self, obj):
-        self.check_cap(obj)
-        return tuple(
-            t
-            for t in NeighbourhoodMonad.elements(self, obj)
-            if self._is_upward_closed(obj, t)
-        )
-
-    def contains(self, obj, t):
-        return _family_of_subsets_ok(obj, t) and self._is_upward_closed(obj, t)
+    def admits(self, obj, t):
+        return self._is_upward_closed(obj, t)
 
 
 def _is_filter_family(obj, t):
@@ -226,16 +224,8 @@ class FilterMonad(MonotoneNeighbourhoodMonad):
     name = "filter"
     cap = 3
 
-    def elements(self, obj):
-        self.check_cap(obj)
-        return tuple(
-            t
-            for t in NeighbourhoodMonad.elements(self, obj)
-            if _is_filter_family(obj, t)
-        )
-
-    def contains(self, obj, t):
-        return _family_of_subsets_ok(obj, t) and _is_filter_family(obj, t)
+    def admits(self, obj, t):
+        return _is_filter_family(obj, t)
 
 
 class UltrafilterMonad(FilterMonad):
@@ -249,30 +239,16 @@ class UltrafilterMonad(FilterMonad):
         u = obj.as_frozenset()
         return all((s in t) != ((u - s) in t) for s in obj.subsets())
 
-    def elements(self, obj):
-        self.check_cap(obj)
-        # walk principal candidates first: on a finite carrier they are all of them,
-        # but verify honestly against the defining property
-        out = []
-        subs = tuple(obj.subsets())
-        for mask in range(1 << len(subs)):
-            t = frozenset(subs[i] for i in range(len(subs)) if mask >> i & 1)
-            if _is_filter_family(obj, t) and self._is_ultra(obj, t):
-                out.append(t)
-        return tuple(out)
-
-    def contains(self, obj, t):
-        return (
-            _family_of_subsets_ok(obj, t)
-            and _is_filter_family(obj, t)
-            and self._is_ultra(obj, t)
-        )
+    def admits(self, obj, t):
+        # on a finite carrier these are the principal filters, but the defining
+        # property is checked rather than assumed
+        return _is_filter_family(obj, t) and self._is_ultra(obj, t)
 
 
 # -- order-based power monads -----------------------------------------------------
 
 
-class DownsetMonad(MonadFamily):
+class DownsetMonad(SubsetMonad):
     """Downsets ordered by inclusion; extension is union of images."""
 
     name = "downset"
@@ -288,12 +264,6 @@ class DownsetMonad(MonadFamily):
 
     def unit(self, obj, x):
         return obj.down_set(x)
-
-    def extend(self, dom, cod, fn, t):
-        out = set()
-        for x in t:
-            out |= fn(x)
-        return frozenset(out)
 
     def leq(self, obj, s, t):
         return s <= t
@@ -312,7 +282,7 @@ class HoareMonad(DownsetMonad):
         return bool(t) and DownsetMonad.contains(self, obj, t)
 
 
-class SmythMonad(MonadFamily):
+class SmythMonad(SubsetMonad):
     """Nonempty upsets under reverse inclusion: demonic nondeterminism."""
 
     name = "smyth"
@@ -333,12 +303,6 @@ class SmythMonad(MonadFamily):
 
     def unit(self, obj, x):
         return obj.up_set(x)
-
-    def extend(self, dom, cod, fn, t):
-        out = set()
-        for x in t:
-            out |= fn(x)
-        return frozenset(out)
 
     def leq(self, obj, s, t):
         # the information order refines toward smaller saturated sets
@@ -436,18 +400,10 @@ class FiniteMeasure:
     weights: tuple  # sorted (atom, weight), nonzero only
 
     def __post_init__(self):
-        items = []
-        for a, w in self.weights:
-            self.atoms.require(a)
-            w = Fraction(w)
-            if w < 0:
-                raise StructureNotPreserved(f"negative mass {w} at {a!r}")
-            if w:
-                items.append((a, w))
-        items.sort(key=lambda kv: atom_key(kv[0]))
-        if sum((w for _, w in items), ZERO) != ONE:
-            raise StructureNotPreserved("measure is not a probability measure")
-        object.__setattr__(self, "weights", tuple(items))
+        object.__setattr__(
+            self, "weights",
+            checked_weights(self.atoms, self.weights, StructureNotPreserved),
+        )
 
     def __call__(self, measurable):
         measurable = frozenset(measurable)
@@ -475,11 +431,7 @@ class GiryFiniteMonad(MonadFamily):
         return FiniteMeasure(obj, ((x, ONE),))
 
     def extend(self, dom, cod, fn, t):
-        out = {}
-        for a, w in t.weights:
-            for b, v in fn(a).weights:
-                out[b] = out.get(b, ZERO) + w * v
-        return FiniteMeasure(cod, tuple(out.items()))
+        return FiniteMeasure(cod, pushforward(t.weights, fn))
 
     def probe_elements(self, obj, max_den=4):
         self.check_object(obj)
@@ -521,54 +473,45 @@ FAMILIES = {
 # -- cap-checked instance constructors ----------------------------------------------
 
 
-def powerset(x, cap=None):
-    POWERSET.check_cap(x, cap)
-    return MonadInstance(POWERSET, x)
+def _capped(family, obj):
+    family.check_cap(obj)
+    return MonadInstance(family, obj)
 
 
-def neighbourhood(x, cap=None):
-    NEIGHBOURHOOD.check_cap(x, cap)
-    return MonadInstance(NEIGHBOURHOOD, x)
+def powerset(x):
+    return _capped(POWERSET, x)
 
 
-def monotone_neighbourhood(x, cap=None):
-    MONOTONE_NEIGHBOURHOOD.check_cap(x, cap)
-    return MonadInstance(MONOTONE_NEIGHBOURHOOD, x)
+def neighbourhood(x):
+    return _capped(NEIGHBOURHOOD, x)
 
 
-def filter_monad(x, cap=None):
-    FILTER.check_cap(x, cap)
-    return MonadInstance(FILTER, x)
+def monotone_neighbourhood(x):
+    return _capped(MONOTONE_NEIGHBOURHOOD, x)
 
 
-def ultrafilter_monad(x, cap=None):
-    ULTRAFILTER.check_cap(x, cap)
-    return MonadInstance(ULTRAFILTER, x)
+def filter_monad(x):
+    return _capped(FILTER, x)
 
 
-def downset_monad(p, cap=None):
-    DOWNSET.check_cap(p, cap)
-    return MonadInstance(DOWNSET, p)
+def ultrafilter_monad(x):
+    return _capped(ULTRAFILTER, x)
 
 
-def hoare_monad(p, cap=None):
-    HOARE.check_cap(p, cap)
-    return MonadInstance(HOARE, p)
+def downset_monad(p):
+    return _capped(DOWNSET, p)
 
 
-def smyth_monad(p, cap=None):
-    SMYTH.check_cap(p, cap)
-    return MonadInstance(SMYTH, p)
+def hoare_monad(p):
+    return _capped(HOARE, p)
 
 
-def plotkin_monad(p, cap=None):
-    PLOTKIN.check_cap(p, cap)
-    return MonadInstance(PLOTKIN, p)
+def smyth_monad(p):
+    return _capped(SMYTH, p)
 
 
-def distribution_monad(x):
-    DIST.check_object(x)
-    return MonadInstance(DIST, x)
+def plotkin_monad(p):
+    return _capped(PLOTKIN, p)
 
 
 def giry_finite(atoms):
@@ -585,12 +528,17 @@ def _iter_two_valued_maps(subsets):
         yield frozenset(subsets[i] for i in range(len(subsets)) if mask >> i & 1)
 
 
-def boolean_algebra_maps_to_two(x, cap=4):
+# Largest carrier whose complete-Boolean-algebra maps are enumerated: every
+# candidate is checked against all 2^(2^n) families of subsets.
+COMPLETE_BA_CAP = 3
+
+
+def boolean_algebra_maps_to_two(x):
     """Maps from the powerset algebra to {0,1} preserving and/or/not/0/1.
 
     Returned as the families of accepted subsets (the preimages of 1).
     """
-    ULTRAFILTER.check_cap(x, cap)
+    ULTRAFILTER.check_cap(x)
     u = x.as_frozenset()
     subs = tuple(x.subsets())
     out = []
@@ -609,9 +557,9 @@ def boolean_algebra_maps_to_two(x, cap=4):
     return tuple(out)
 
 
-def complete_ba_maps_to_two(x, cap=3):
+def complete_ba_maps_to_two(x):
     """Maps preserving complement and arbitrary unions (all unions are finite here)."""
-    ULTRAFILTER.check_cap(x, cap)
+    ULTRAFILTER.check_cap(x, COMPLETE_BA_CAP)
     u = x.as_frozenset()
     subs = tuple(x.subsets())
     out = []
@@ -645,9 +593,9 @@ class CollapseReport:
         return self.map_count == self.size and self.matched
 
 
-def cba_collapse_check(x, cap=3):
+def cba_collapse_check(x):
     """Certify that complete-Boolean 0/1 maps are exactly the point evaluations."""
-    maps = complete_ba_maps_to_two(x, cap)
+    maps = complete_ba_maps_to_two(x)
     units = {NEIGHBOURHOOD.unit(x, a): a for a in x}
     matched = all(m in units for m in maps) and len(maps) == len(set(maps))
     return CollapseReport(
@@ -797,13 +745,14 @@ class Expectation:
         )
 
 
+def _integral(weights):
+    """p |-> the sum of p(a) * w over the weights: a finite expectation."""
+    return lambda p: sum((p(a) * w for a, w in weights), ZERO)
+
+
 def expectation_embed(omega):
     """Expected value against a distribution, as an effect-module functional."""
-
-    def fn(p):
-        return sum((p(x) * w for x, w in omega.weights), ZERO)
-
-    return Expectation(omega.carrier, fn)
+    return Expectation(omega.carrier, _integral(omega.weights))
 
 
 def expectation_unit(carrier, x):
@@ -829,11 +778,7 @@ def expectation_bind(carrier_out, kernel, h):
 
 def integration_functional(phi):
     """Integrate fuzzy predicates against a finite measure (a finite sum)."""
-
-    def fn(p):
-        return sum((p(a) * w for a, w in phi.weights), ZERO)
-
-    return Expectation(phi.atoms, fn)
+    return Expectation(phi.atoms, _integral(phi.weights))
 
 
 def measure_of_functional(i, atoms):

@@ -99,6 +99,11 @@ class FinSet:
     def as_frozenset(self):
         return self._members
 
+    @property
+    def carrier(self):
+        """A set is its own carrier, so every object answers ``.carrier``."""
+        return self
+
 
 class FinPoset:
     """Finite partial order; reflexivity/transitivity/antisymmetry are verified."""
@@ -282,9 +287,6 @@ class FinPoset:
             acc = self.meet(acc, x)
         return acc
 
-    def lower_covers(self, x):
-        return [a for (a, b) in self.cover_pairs() if b == x]
-
     def join_irreducibles(self):
         """Elements with exactly one lower cover (excludes the bottom)."""
         self.require_lattice()
@@ -400,11 +402,6 @@ def downsets(poset):
     return FinPoset(FinSet(fam), pairs)
 
 
-def open_sets(poset):
-    """Scott opens of a finite poset coincide with its upsets."""
-    return upsets(poset)
-
-
 # -- subsets with a declared kind ---------------------------------------------
 
 
@@ -418,11 +415,8 @@ class SubsetOf:
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
-        carrier = (
-            self.ambient.carrier if isinstance(self.ambient, FinPoset) else self.ambient
-        )
         for x in self.members:
-            carrier.require(x)
+            self.ambient.carrier.require(x)
         if self.kind not in ("plain", "upset", "downset"):
             raise ValueError(f"unknown subset kind {self.kind!r}")
         if self.kind != "plain":
@@ -629,15 +623,6 @@ def lattice_element_to_map(lattice, a, variant):
     if not _variant_ok(lattice, phi, variant):
         raise StructureNotPreserved(f"constructed map fails {variant}")
     return phi
-
-
-def lattice_element_iso(lattice, arg, variant, direction="to_element"):
-    """Dispatch both directions of the element/map isomorphism."""
-    if direction == "to_element":
-        return lattice_map_to_element(lattice, arg, variant)
-    if direction == "to_map":
-        return lattice_element_to_map(lattice, arg, variant)
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 # -- Plotkin algebras over a frame ---------------------------------------------
@@ -931,17 +916,16 @@ def poset_canonical_key(poset):
 
 
 @lru_cache(maxsize=None)
-def all_posets(max_size, up_to_iso=True):
-    """Posets with at most max_size elements (deduplicated up to iso by default)."""
+def all_posets(max_size):
+    """Posets with at most max_size elements, one per isomorphism class."""
     out = []
     seen = set()
     for n in range(max_size + 1):
         for p in iter_posets(n):
-            if up_to_iso:
-                key = poset_canonical_key(p)
-                if key in seen:
-                    continue
-                seen.add(key)
+            key = poset_canonical_key(p)
+            if key in seen:
+                continue
+            seen.add(key)
             out.append(p)
     return tuple(out)
 

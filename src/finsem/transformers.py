@@ -8,10 +8,9 @@ enumeration.  Side conditions of inputs and outputs are always verified.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .effects import ZERO, FuzzyPredicate
 from .errors import (
@@ -31,6 +30,7 @@ from .monads import (
     POWERSET,
     SMYTH,
     LensPair,
+    MonadFamily,
     all_lens_pairs,
 )
 from .order import (
@@ -44,7 +44,7 @@ from .order import (
     preserves_all_meets,
     upsets,
 )
-from .triangle import KleisliArrow
+from .triangle import KleisliArrow, iter_kleisli_arrows
 
 THREE = chain((0, 1, 2))
 BOT3, MID3, TOP3 = 0, 1, 2
@@ -154,10 +154,7 @@ def monotone_nbhd_backward(m, points):
 
 
 def monotone_nbhd_transformer(arrow):
-    m = monotone_nbhd_forward(
-        arrow.as_dict(), powerset_lattice(arrow.cod), arrow.dom
-    )
-    return m
+    return monotone_nbhd_forward(arrow.as_dict(), powerset_lattice(arrow.cod), arrow.dom)
 
 
 def monotone_nbhd_computation(m):
@@ -420,7 +417,8 @@ class Correspondence:
     """One transpose pair with enumerators for both of its sides.
 
     forward and backward uniformly take (value, dom_object, cod_object) so
-    callers can drive every correspondence the same way.
+    callers can drive every correspondence the same way.  family names the
+    monad whose Kleisli arrows are the computations, when they are arrows.
     """
 
     id: str
@@ -428,88 +426,75 @@ class Correspondence:
     backward: Callable
     iter_computations: Callable
     iter_transformers: Callable
-
-
-def _iter_powerset_arrows(family, x, y, budget):
-    elems = family.elements(y)
-    bound = max(len(elems), 1) ** len(x)
-    if bound > budget:
-        raise TooLarge(f"{bound} arrows exceed the budget")
-    for graph in itertools.product(elems, repeat=len(x)):
-        yield KleisliArrow(family, x, y, graph)
-
-
-def _iter_poset_arrows(family, p, q, budget):
-    space = family.space_poset(q)
-    maps = enumerate_structure_maps(p, space, "monotone", budget)
-    for m in maps:
-        yield KleisliArrow(family, p, q, m.graph)
-
-
-def _lattice_maps(dom_lattice, cod_lattice, selector, budget):
-    return enumerate_structure_maps(dom_lattice, cod_lattice, selector, budget)
+    family: Optional[MonadFamily] = None
 
 
 BOX = Correspondence(
     id="box",
     forward=lambda g, x, y: box_transformer(g),
     backward=lambda m, x, y: box_computation(m),
-    iter_computations=lambda x, y, budget: _iter_powerset_arrows(POWERSET, x, y, budget),
-    iter_transformers=lambda x, y, budget: _lattice_maps(
+    iter_computations=lambda x, y, budget: iter_kleisli_arrows(POWERSET, x, y, budget),
+    iter_transformers=lambda x, y, budget: enumerate_structure_maps(
         powerset_lattice(y), powerset_lattice(x), "meet-preserving", budget
     ),
+    family=POWERSET,
 )
 
 FILTER_CORR = Correspondence(
     id="filter",
     forward=lambda g, x, y: filter_transformer(g),
     backward=lambda m, x, y: filter_computation(m),
-    iter_computations=lambda x, y, budget: _iter_powerset_arrows(FILTER, x, y, budget),
-    iter_transformers=lambda x, y, budget: _lattice_maps(
+    iter_computations=lambda x, y, budget: iter_kleisli_arrows(FILTER, x, y, budget),
+    iter_transformers=lambda x, y, budget: enumerate_structure_maps(
         powerset_lattice(y), powerset_lattice(x), "meet+top", budget
     ),
+    family=FILTER,
 )
 
 MONOTONE_NBHD = Correspondence(
     id="monotone-nbhd",
     forward=lambda g, x, y: monotone_nbhd_transformer(g),
     backward=lambda m, x, y: monotone_nbhd_computation(m),
-    iter_computations=lambda x, y, budget: _iter_powerset_arrows(
+    iter_computations=lambda x, y, budget: iter_kleisli_arrows(
         MONOTONE_NEIGHBOURHOOD, x, y, budget
     ),
-    iter_transformers=lambda x, y, budget: _lattice_maps(
+    iter_transformers=lambda x, y, budget: enumerate_structure_maps(
         powerset_lattice(y), powerset_lattice(x), "monotone", budget
     ),
+    family=MONOTONE_NEIGHBOURHOOD,
 )
 
 DIAMOND = Correspondence(
     id="diamond",
     forward=lambda g, p, q: diamond_transformer(g),
     backward=diamond_computation,
-    iter_computations=lambda p, q, budget: _iter_poset_arrows(DOWNSET, p, q, budget),
-    iter_transformers=lambda p, q, budget: _lattice_maps(
+    iter_computations=lambda p, q, budget: iter_kleisli_arrows(DOWNSET, p, q, budget),
+    iter_transformers=lambda p, q, budget: enumerate_structure_maps(
         upsets(q), upsets(p), "join-preserving", budget
     ),
+    family=DOWNSET,
 )
 
 HOARE_CORR = Correspondence(
     id="hoare",
     forward=lambda g, p, q: hoare_pred(g),
     backward=hoare_computation,
-    iter_computations=lambda p, q, budget: _iter_poset_arrows(HOARE, p, q, budget),
-    iter_transformers=lambda p, q, budget: _lattice_maps(
+    iter_computations=lambda p, q, budget: iter_kleisli_arrows(HOARE, p, q, budget),
+    iter_transformers=lambda p, q, budget: enumerate_structure_maps(
         upsets(q), upsets(p), "join+top", budget
     ),
+    family=HOARE,
 )
 
 SMYTH_CORR = Correspondence(
     id="smyth",
     forward=lambda g, p, q: smyth_pred(g),
     backward=smyth_computation,
-    iter_computations=lambda p, q, budget: _iter_poset_arrows(SMYTH, p, q, budget),
-    iter_transformers=lambda p, q, budget: _lattice_maps(
+    iter_computations=lambda p, q, budget: iter_kleisli_arrows(SMYTH, p, q, budget),
+    iter_transformers=lambda p, q, budget: enumerate_structure_maps(
         upsets(q), upsets(p), "preframe+0", budget
     ),
+    family=SMYTH,
 )
 
 THREE_CORR = Correspondence(
@@ -560,6 +545,7 @@ EXPECTATION = Correspondence(
     backward=expectation_computation,
     iter_computations=_no_enumeration,
     iter_transformers=_no_enumeration,
+    family=DIST,
 )
 
 REGISTRY = {
@@ -629,7 +615,6 @@ def round_trip_report(corr, x, y, budget=300_000, sample=None, seed=0):
 def expectation_round_trip(x, y, instances=200, seed=0, max_den=6):
     """Seeded exact round trips for the probabilistic correspondence."""
     from .effects import random_distribution
-    from .monads import DIST as _DIST
 
     rng = random.Random(seed)
     checked = 0
@@ -637,7 +622,7 @@ def expectation_round_trip(x, y, instances=200, seed=0, max_den=6):
     witness = None
     for _ in range(instances):
         mapping = {a: random_distribution(y, rng, max_den) for a in x}
-        arrow = KleisliArrow.from_dict(_DIST, x, y, mapping)
+        arrow = KleisliArrow.from_dict(DIST, x, y, mapping)
         back = expectation_computation(expectation_pred(arrow), x, y)
         checked += 1
         if back != arrow:

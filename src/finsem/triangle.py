@@ -19,10 +19,14 @@ from .errors import (
     UnknownElement,
 )
 from .monads import MonadFamily
-from .order import FinPoset, enumerate_structure_maps
+from .order import enumerate_structure_maps
 
 DEFAULT_ARROW_BUDGET = 300_000
+# Law suites: composable arrow pairs checked exhaustively before sampling, the
+# draws per sampled case, and the draws allowed per sampled monotone arrow.
 DEFAULT_PAIR_BUDGET = 70_000
+LAW_SAMPLES = 400
+MAX_SAMPLE_TRIES = 100_000
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,7 @@ class KleisliArrow:
     def __post_init__(self):
         self.family.check_object(self.dom)
         self.family.check_object(self.cod)
-        elems = self.dom_carrier().elements
+        elems = self.dom.carrier.elements
         if len(self.graph) != len(elems):
             raise CarrierMismatch("arrow graph does not cover its domain")
         for t in self.graph:
@@ -60,28 +64,23 @@ class KleisliArrow:
                             f"arrow is not monotone at {x!r} <= {y!r}"
                         )
 
-    def dom_carrier(self):
-        return self.dom.carrier if isinstance(self.dom, FinPoset) else self.dom
-
     @classmethod
     def from_dict(cls, family, dom, cod, mapping):
-        carrier = dom.carrier if isinstance(dom, FinPoset) else dom
-        return cls(family, dom, cod, tuple(mapping[x] for x in carrier.elements))
+        return cls(family, dom, cod, tuple(mapping[x] for x in dom.carrier.elements))
 
     @classmethod
     def from_callable(cls, family, dom, cod, fn):
-        carrier = dom.carrier if isinstance(dom, FinPoset) else dom
-        return cls(family, dom, cod, tuple(fn(x) for x in carrier.elements))
+        return cls(family, dom, cod, tuple(fn(x) for x in dom.carrier.elements))
 
     @classmethod
     def unit_arrow(cls, family, obj):
         return cls.from_callable(family, obj, obj, lambda x: family.unit(obj, x))
 
     def __call__(self, x):
-        return self.graph[self.dom_carrier().index(x)]
+        return self.graph[self.dom.carrier.index(x)]
 
     def as_dict(self):
-        return dict(zip(self.dom_carrier().elements, self.graph))
+        return dict(zip(self.dom.carrier.elements, self.graph))
 
 
 def bind_apply(arrow, t):
@@ -161,7 +160,7 @@ def check_em_algebra(candidate):
     family = candidate.family
     carrier = candidate.carrier
     alpha = candidate.table()
-    base = carrier.carrier if isinstance(carrier, FinPoset) else carrier
+    base = carrier.carrier
     rows = []
 
     ok, wit = True, None
@@ -208,7 +207,7 @@ def check_em_algebra(candidate):
 
 
 def _structure_elements(family, obj, probe_max_den=4):
-    if getattr(family, "enumerable", True):
+    if family.enumerable:
         return family.elements(obj)
     return family.probe_elements(obj, probe_max_den)
 
@@ -216,8 +215,7 @@ def _structure_elements(family, obj, probe_max_den=4):
 def iter_kleisli_arrows(family, dom, cod, budget=DEFAULT_ARROW_BUDGET, probe_max_den=4):
     """All arrows dom -> T(cod), or all probe arrows for the probabilistic monads."""
     targets = _structure_elements(family, cod, probe_max_den)
-    carrier = dom.carrier if isinstance(dom, FinPoset) else dom
-    bound = max(len(targets), 1) ** len(carrier)
+    bound = max(len(targets), 1) ** len(dom)
     if bound > budget:
         raise TooLarge(f"{bound} candidate arrows exceed the budget {budget}")
     if family.base == "poset":
@@ -228,15 +226,14 @@ def iter_kleisli_arrows(family, dom, cod, budget=DEFAULT_ARROW_BUDGET, probe_max
         )
     return tuple(
         KleisliArrow(family, dom, cod, graph)
-        for graph in itertools.product(targets, repeat=len(carrier))
+        for graph in itertools.product(targets, repeat=len(dom))
     )
 
 
-def random_kleisli_arrow(family, dom, cod, rng, probe_max_den=4, max_tries=100_000):
+def random_kleisli_arrow(family, dom, cod, rng, probe_max_den=4):
     targets = _structure_elements(family, cod, probe_max_den)
-    carrier = dom.carrier if isinstance(dom, FinPoset) else dom
-    for _ in range(max_tries):
-        graph = tuple(rng.choice(targets) for _ in carrier.elements)
+    for _ in range(MAX_SAMPLE_TRIES):
+        graph = tuple(rng.choice(targets) for _ in dom.carrier.elements)
         try:
             return KleisliArrow(family, dom, cod, graph)
         except NotMonotone:
@@ -285,16 +282,7 @@ def _graph_extend(family, dom, cod, graph_by_elem, t):
     return family.extend(dom, cod, lambda x: graph_by_elem[x], t)
 
 
-def check_monad_laws(
-    family,
-    objects,
-    *,
-    arrow_budget=DEFAULT_ARROW_BUDGET,
-    pair_budget=DEFAULT_PAIR_BUDGET,
-    samples=400,
-    seed=20_240_401,
-    probe_max_den=4,
-):
+def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     """Exhaustive-or-sampled verification of the unit and associativity laws.
 
     Enumeration is exhaustive whenever the relevant arrow space fits in the
@@ -311,11 +299,11 @@ def check_monad_laws(
         if key not in arrow_lists:
             try:
                 arrow_lists[key] = ("exhaustive", iter_kleisli_arrows(
-                    family, dom, cod, arrow_budget, probe_max_den))
+                    family, dom, cod, DEFAULT_ARROW_BUDGET, probe_max_den))
             except TooLarge:
                 sample = tuple(
                     random_kleisli_arrow(family, dom, cod, rng, probe_max_den)
-                    for _ in range(samples)
+                    for _ in range(LAW_SAMPLES)
                 )
                 arrow_lists[key] = ("sampled", sample)
         return arrow_lists[key]
@@ -323,11 +311,10 @@ def check_monad_laws(
     # unit laws -----------------------------------------------------------
     for dom, cod in itertools.product(objects, repeat=2):
         mode, fs = arrows(dom, cod)
-        carrier = dom.carrier if isinstance(dom, FinPoset) else dom
         ok, wit, n = True, None, 0
         for f in fs:
             fd = f.as_dict()
-            for x in carrier:
+            for x in dom.carrier:
                 n += 1
                 if _graph_extend(family, dom, cod, fd, family.unit(dom, x)) != f(x):
                     ok, wit = False, f"f={fd!r} x={x!r}"
@@ -338,8 +325,7 @@ def check_monad_laws(
             (len(dom), len(cod)), "extend(f)(unit(x)) = f(x)", mode, n, ok, wit))
 
     for obj in objects:
-        eta = {x: family.unit(obj, x)
-               for x in (obj.carrier if isinstance(obj, FinPoset) else obj)}
+        eta = {x: family.unit(obj, x) for x in obj.carrier}
         ok, wit, n = True, None, 0
         for t in _structure_elements(family, obj, probe_max_den):
             n += 1
@@ -358,9 +344,9 @@ def check_monad_laws(
             continue
         total_pairs = len(gs) * len(hs)
         exhaustive = (
-            gmode == hmode == "exhaustive" and total_pairs <= pair_budget
+            gmode == hmode == "exhaustive" and total_pairs <= DEFAULT_PAIR_BUDGET
         )
-        mode = "exhaustive" if exhaustive else f"sampled({samples})"
+        mode = "exhaustive" if exhaustive else f"sampled({LAW_SAMPLES})"
         ok, wit, n = True, None, 0
         if exhaustive:
             tables_h = {}
@@ -374,11 +360,10 @@ def check_monad_laws(
             for g in gs:
                 gd = g.as_dict()
                 table_g = {t: _graph_extend(family, mid, right, gd, t) for t in ts}
-                mid_carrier = mid.carrier if isinstance(mid, FinPoset) else mid
                 for h in hs:
                     hd, th = tables_h[h.graph]
-                    comp = {x: th[gd[x]] for x in mid_carrier}
-                    key = tuple(comp[x] for x in mid_carrier.elements)
+                    comp = {x: th[gd[x]] for x in mid.carrier}
+                    key = tuple(comp[x] for x in mid.carrier.elements)
                     if key not in composite_tables:
                         composite_tables[key] = {
                             t: _graph_extend(family, mid, far, comp, t) for t in ts
@@ -398,14 +383,13 @@ def check_monad_laws(
                 if not ok:
                     break
         else:
-            for _ in range(samples):
+            for _ in range(LAW_SAMPLES):
                 g = gs[rng.randrange(len(gs))]
                 h = hs[rng.randrange(len(hs))]
                 gd, hd = g.as_dict(), h.as_dict()
-                mid_carrier = mid.carrier if isinstance(mid, FinPoset) else mid
                 comp = {
                     x: _graph_extend(family, right, far, hd, gd[x])
-                    for x in mid_carrier
+                    for x in mid.carrier
                 }
                 t = ts[rng.randrange(len(ts))]
                 n += 1

@@ -172,6 +172,38 @@ class TestTransposeCommand:
         assert code == 1
 
 
+CHAIN_AB = {"elements": ["a", "b"], "covers": [["a", "b"]]}
+CHAIN_CD = {"elements": ["c", "d"], "covers": [["c", "d"]]}
+SETS = {"dom": ["x1", "x2"], "cod": ["y1", "y2"]}
+SET_TRANSFORMER = {"{}": [], "{y1}": ["x1"], "{y2}": [], "{y1,y2}": ["x1", "x2"]}
+CHAIN_TRANSFORMER = {"{}": [], "{d}": ["b"], "{c,d}": ["a", "b"]}
+
+# correspondence -> (forward payload, expected transformer); box has its own test
+FORWARD_CASES = {
+    "filter": (dict(SETS, arrow={"x1": [["y1"], ["y1", "y2"]], "x2": [["y1", "y2"]]}),
+               SET_TRANSFORMER),
+    "monotone-nbhd": (dict(SETS, arrow={"x1": [["y1"], ["y2"], ["y1", "y2"]], "x2": []}),
+                      {"{}": [], "{y1}": ["x1"], "{y2}": ["x1"], "{y1,y2}": ["x1"]}),
+    "diamond": ({"dom": CHAIN_AB, "cod": CHAIN_CD, "arrow": {"a": ["c"], "b": ["c", "d"]}},
+                CHAIN_TRANSFORMER),
+    "hoare": ({"dom": CHAIN_AB, "cod": CHAIN_CD, "arrow": {"a": ["c"], "b": ["c", "d"]}},
+              CHAIN_TRANSFORMER),
+    "smyth": ({"dom": CHAIN_AB, "cod": CHAIN_CD, "arrow": {"a": ["c", "d"], "b": ["d"]}},
+              CHAIN_TRANSFORMER),
+}
+
+
+@pytest.mark.parametrize("corr", sorted(FORWARD_CASES))
+def test_arrow_forward_round_trip(capsys, tmp_path, corr):
+    payload, transformer = FORWARD_CASES[corr]
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(dict(payload, direction="forward")))
+    code, out, _ = run(capsys, ["transpose", "--correspondence", corr, "--input", str(f)])
+    assert code == 0
+    result = json.loads(out)
+    assert result == {"round_trip": True, "transformer": transformer}
+
+
 class TestCertifyCommand:
     def test_box_two_two(self, capsys):
         code, out, _ = run(capsys, ["certify", "--correspondence", "box",
@@ -204,3 +236,49 @@ class TestUsageErrors:
 
     def test_missing_file(self, capsys):
         assert cli_main(["wp", "/nonexistent/prog.gc"]) == 2
+
+
+def usage_error(capsys, argv):
+    """Run argv, demand exit 2 with one line on stderr, and return that line."""
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+class TestInputFailures:
+    def test_directory_as_program(self, capsys, tmp_path):
+        assert "cannot read" in usage_error(capsys, ["wp", str(tmp_path)])
+
+    def test_certify_sizes_not_integers(self, capsys):
+        assert "--sizes" in usage_error(
+            capsys, ["certify", "--correspondence", "box", "--sizes", "x"])
+
+    def test_transpose_payload_without_dom(self, capsys, tmp_path):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps({"direction": "forward", "cod": ["y1"], "arrow": {}}))
+        assert "'dom'" in usage_error(
+            capsys, ["transpose", "--correspondence", "box", "--input", str(f)])
+
+    def test_transpose_payload_not_json(self, capsys, tmp_path):
+        f = tmp_path / "in.json"
+        f.write_text("not json")
+        assert "JSON" in usage_error(
+            capsys, ["transpose", "--correspondence", "box", "--input", str(f)])
+
+    def test_transpose_plotkin_hom_not_wired(self, capsys, tmp_path):
+        f = tmp_path / "in.json"
+        f.write_text("{}")
+        assert "plotkin-hom" in usage_error(
+            capsys, ["transpose", "--correspondence", "plotkin-hom", "--input", str(f)])
+
+    @pytest.mark.parametrize("weight", ["1/0", "abc"])
+    def test_bad_initial_weight(self, capsys, prog_file, weight):
+        usage_error(capsys, ["run", "--mode", "dist", prog_file,
+                             "--init-dist", f"{{x=0: {weight}}}"])
+
+    def test_zero_denominator_in_program(self, capsys, tmp_path):
+        f = tmp_path / "prog.gc"
+        f.write_text("vars x in 0..1; body: prob 1/0 {x:=0}{x:=1};")
+        assert "1:30" in usage_error(capsys, ["wp", "--mode", "dist", str(f),
+                                              "--post", "[x == 0]"])

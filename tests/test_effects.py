@@ -28,7 +28,7 @@ from finsem.effects import (
     unit_interval_effect_algebra,
     validate_effect_algebra,
 )
-from finsem.errors import CarrierMismatch, NotNormalized, ScalarOutOfRange
+from finsem.errors import CarrierMismatch, NotNormalized, ParseError, ScalarOutOfRange
 from finsem.order import FinSet
 
 S2 = FinSet(["s0", "s1"])
@@ -39,6 +39,12 @@ def test_rat_wire_format():
     assert parse_rat("3") == 3
     assert format_rat(Fraction(1, 3)) == "1/3"
     assert format_rat(Fraction(2)) == "2/1"
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", "abc", "1/", "1/x", ""])
+def test_bad_rational_is_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_rat(text)
 
 
 def test_farey_grid():

@@ -39,6 +39,16 @@ class TestParser:
             gcl.parse("vars x in 0..1; body: x := ;")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("source, column", [
+        ("vars x in 0..1; body: prob 1/0 {x:=0}{x:=1};", 30),
+        ("vars x in 0..1; body: x := 1/0;", 30),
+        ("vars x in 0..1; body: skip; post: [x == 0] * 2/0;", 48),
+    ], ids=["prob", "assign", "post"])
+    def test_zero_denominator_is_parse_error(self, source, column):
+        with pytest.raises(ParseError) as err:
+            gcl.parse(source)
+        assert (err.value.line, err.value.column) == (1, column)
+
     def test_sequencing_and_if(self):
         prog = gcl.parse(
             "vars x in 0..3, y in 0..1;"
@@ -261,6 +271,11 @@ class TestRunAndStateSpace:
         assert space.render(s) == "x=1,y=2"
         with pytest.raises(RangeError):
             space.parse_state("x=5, y=0")
+
+    def test_parse_state_rejects_non_integer(self):
+        space = gcl.StateSpace((gcl.VarDecl("x", 0, 1),))
+        with pytest.raises(RangeError):
+            space.parse_state("x=a")
 
     def test_bind_apply_runs_program(self):
         prog = gcl.parse("vars x in 0..1; body: prob 1/2 {x:=0}{x:=1};")
