@@ -21,7 +21,7 @@ from .effects import (
     unit_interval_effect_algebra,
     validate_effect_algebra,
 )
-from .errors import FinsemError, ParseError
+from .errors import FinsemError
 from .jsonio import (
     atom_token,
     element_to_json,
@@ -39,7 +39,13 @@ from .order import (
     upsets,
 )
 from .transformers import REGISTRY, THREE, expectation_round_trip
-from .triangle import KleisliArrow, bind_apply, certify_full_faithful, check_monad_laws
+from .triangle import (
+    CertifyReport,
+    KleisliArrow,
+    bind_apply,
+    certify_full_faithful,
+    check_monad_laws,
+)
 
 
 def _print_table(rows, header=None):
@@ -68,8 +74,11 @@ def _json_value(v):
 
 
 def _read(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise FinsemError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def cmd_wp(args):
@@ -171,7 +180,7 @@ def cmd_laws(args):
         for inst in (powerset_effect_algebra(FinSet(range(2))),
                      unit_interval_effect_algebra(grid)):
             rep = validate_effect_algebra(inst)
-            print(rep.summary())
+            print(rep.listing())
             if not rep.ok:
                 failures += 1
     return 1 if failures else 0
@@ -237,13 +246,15 @@ def cmd_transpose(args):
         print("transpose payload must be a JSON object", file=sys.stderr)
         return 2
     try:
-        payload = _transpose_dispatch(corr, data.get("direction", "forward"), data)
+        transpose = _decode_transpose(corr, data.get("direction", "forward"), data)
     except KeyError as exc:
         print(f"transpose payload is missing {exc.args[0]!r}", file=sys.stderr)
         return 2
-    except ParseError as exc:
+    except (FinsemError, LookupError, TypeError, ValueError, AttributeError) as exc:
         print(f"transpose payload: {exc}", file=sys.stderr)
         return 2
+    try:
+        payload = transpose()
     except FinsemError as exc:
         print(f"transpose failed: {exc}", file=sys.stderr)
         return 1
@@ -251,7 +262,12 @@ def cmd_transpose(args):
     return 0 if payload.get("round_trip", True) else 1
 
 
-def _transpose_dispatch(corr, direction, data):
+def _decode_transpose(corr, direction, data):
+    """Build the payload's input objects and return the transpose to run on them.
+
+    A failure while building is bad input; the transposes' own failures, such
+    as a transformer breaking its side conditions, are failed checks.
+    """
     from .effects import Distribution, FuzzyPredicate
     from .transformers import (
         expectation_computation,
@@ -265,20 +281,25 @@ def _transpose_dispatch(corr, direction, data):
         if direction == "forward":
             m = MonotoneMap.from_dict(poset, THREE,
                                       {_maybe_int(k): v for k, v in data["map"].items()})
-            lens = three_forward(m)
-            back = three_backward(lens)
-            return {
-                "lens": {"outer": sorted(map(atom_token, lens.outer)),
-                         "inner": sorted(map(atom_token, lens.inner))},
-                "round_trip": back == m,
-            }
+
+            def transpose():
+                lens = three_forward(m)
+                return {
+                    "lens": {"outer": sorted(map(atom_token, lens.outer)),
+                             "inner": sorted(map(atom_token, lens.inner))},
+                    "round_trip": three_backward(lens) == m,
+                }
+            return transpose
         lens = LensPair(poset, _subset_from_json_atoms(data["outer"]),
                         _subset_from_json_atoms(data["inner"]))
-        m = three_backward(lens)
-        return {
-            "map": {atom_token(x): m(x) for x in poset.elements},
-            "round_trip": three_forward(m) == lens,
-        }
+
+        def transpose():
+            m = three_backward(lens)
+            return {
+                "map": {atom_token(x): m(x) for x in poset.elements},
+                "round_trip": three_forward(m) == lens,
+            }
+        return transpose
 
     if corr.id == "expectation":
         dom = FinSet(map(_maybe_int, data["dom"]))
@@ -288,15 +309,17 @@ def _transpose_dispatch(corr, direction, data):
                 (_maybe_int(y), parse_rat(w)) for y, w in row.items()))
             for x, row in data["arrow"].items()
         })
-        transform = expectation_pred(arrow)
         q = FuzzyPredicate.from_dict(cod, {
             _maybe_int(y): parse_rat(v) for y, v in data["predicate"].items()})
-        result = transform(q)
-        back = expectation_computation(transform, dom, cod)
-        return {
-            "transformed": {atom_token(x): format_rat(result(x)) for x in dom},
-            "round_trip": back == arrow,
-        }
+
+        def transpose():
+            transform = expectation_pred(arrow)
+            result = transform(q)
+            return {
+                "transformed": {atom_token(x): format_rat(result(x)) for x in dom},
+                "round_trip": expectation_computation(transform, dom, cod) == arrow,
+            }
+        return transpose
 
     # arrow-style correspondences between finite sets or finite posets
     family = corr.family
@@ -309,29 +332,32 @@ def _transpose_dispatch(corr, direction, data):
         pred_dom, pred_cod = upsets(y_obj), upsets(x_obj)
 
     if direction == "forward":
-        mapping = {
+        arrow = KleisliArrow.from_dict(family, x_obj, y_obj, {
             _maybe_int(x): _element_from_json(family, v)
             for x, v in data["arrow"].items()
-        }
-        arrow = KleisliArrow.from_dict(family, x_obj, y_obj, mapping)
-        m = corr.forward(arrow, x_obj, y_obj)
-        back = corr.backward(m, x_obj, y_obj)
-        return {
-            "transformer": {atom_token(k): sorted(map(atom_token, m(k)))
-                            for k in pred_dom.elements},
-            "round_trip": back == arrow,
-        }
-    table = {
+        })
+
+        def transpose():
+            m = corr.forward(arrow, x_obj, y_obj)
+            return {
+                "transformer": {atom_token(k): sorted(map(atom_token, m(k)))
+                                for k in pred_dom.elements},
+                "round_trip": corr.backward(m, x_obj, y_obj) == arrow,
+            }
+        return transpose
+    m = MonotoneMap.from_dict(pred_dom, pred_cod, {
         _subset_from_json_atoms(_parse_set_token(k)): _subset_from_json_atoms(v)
         for k, v in data["transformer"].items()
-    }
-    m = MonotoneMap.from_dict(pred_dom, pred_cod, table)
-    arrow = corr.backward(m, x_obj, y_obj)
-    return {
-        "arrow": {atom_token(x): element_to_json(arrow(x))
-                  for x in arrow.dom.carrier.elements},
-        "round_trip": corr.forward(arrow, x_obj, y_obj) == m,
-    }
+    })
+
+    def transpose():
+        arrow = corr.backward(m, x_obj, y_obj)
+        return {
+            "arrow": {atom_token(x): element_to_json(arrow(x))
+                      for x in arrow.dom.carrier.elements},
+            "round_trip": corr.forward(arrow, x_obj, y_obj) == m,
+        }
+    return transpose
 
 
 def _maybe_int(text):
@@ -372,7 +398,7 @@ def cmd_certify(args):
         print(f"unknown correspondence {args.correspondence!r}", file=sys.stderr)
         return 2
     try:
-        sizes = [int(s) for s in args.sizes.split(",")]
+        sizes = [count(s) for s in args.sizes.split(",")]
     except ValueError:
         print(f"--sizes takes one or two integers such as 2,2, not {args.sizes!r}",
               file=sys.stderr)
@@ -385,13 +411,8 @@ def cmd_certify(args):
     elif corr.id == "expectation":
         rep = expectation_round_trip(FinSet(range(n)), FinSet(range(m)),
                                      instances=args.instances, seed=args.seed)
-        payload = {
-            "correspondence": corr.id,
-            "kleisli_count": rep.checked,
-            "transformer_count": rep.checked,
-            "bijection": rep.ok,
-        }
-        _emit(payload, args.format)
+        _emit(CertifyReport(corr.id, rep.checked, rep.checked, rep.ok).to_json_dict(),
+              args.format)
         return 0 if rep.ok else 1
     elif corr.family is not None and corr.family.base == "set":
         cases = [(FinSet(range(n)), FinSet(range(m)))]
@@ -427,6 +448,14 @@ def cmd_certify(args):
 # -- argument parsing -------------------------------------------------------------------
 
 
+def count(text):
+    """A non-negative integer argument."""
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"{text} is negative")
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="finsem",
@@ -456,7 +485,7 @@ def build_parser():
 
     p = sub.add_parser("laws", help="run the monad/effect-algebra law suites")
     p.add_argument("--monad", default=None, help="one of: " + ", ".join(sorted(FAMILIES)))
-    p.add_argument("--max-size", type=int, default=3)
+    p.add_argument("--max-size", type=count, default=3)
     p.add_argument("--seed", type=int, default=20_240_401)
     p.add_argument("--effects", action="store_true",
                    help="also validate the stock effect algebras")
@@ -479,7 +508,7 @@ def build_parser():
     p = sub.add_parser("certify", help="full-and-faithfulness certification")
     p.add_argument("--correspondence", required=True)
     p.add_argument("--sizes", required=True, help="e.g. 2,2")
-    p.add_argument("--instances", type=int, default=200,
+    p.add_argument("--instances", type=count, default=200,
                    help="sampled instances for the expectation correspondence")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("table", "json"), default="json")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .check import Report, first_counterexample
 from .errors import (
     CarrierMismatch,
     NotNormalized,
@@ -213,31 +214,6 @@ class EffectAlgebraInstance:
         return self.orth(self.zero)
 
 
-@dataclass
-class LawRow:
-    law: str
-    ok: bool
-    witness: Optional[str] = None
-
-
-@dataclass
-class EffectAlgebraReport:
-    name: str
-    rows: list
-
-    @property
-    def ok(self):
-        return all(r.ok for r in self.rows)
-
-    def summary(self):
-        lines = [f"effect algebra {self.name}:"]
-        for r in self.rows:
-            mark = "ok " if r.ok else "FAIL"
-            extra = f"  [{r.witness}]" if r.witness else ""
-            lines.append(f"  {mark} {r.law}{extra}")
-        return "\n".join(lines)
-
-
 # validate_effect_algebra checks every associativity triple up to this many,
 # and beyond it samples this many triples with this seed.
 ASSOC_BUDGET = 250_000
@@ -247,28 +223,24 @@ ASSOC_SEED = 0
 def validate_effect_algebra(inst):
     """Check every effect-algebra axiom on the instance's probe set.
 
-    Failures are reported as data, one row per axiom, with a counterexample.
+    Failures are reported as data, one case per axiom, with a counterexample.
     Associativity triples are sampled (seeded) when the full cube exceeds
-    ASSOC_BUDGET; the report row records which mode ran.
+    ASSOC_BUDGET; the case's law and mode record which mode ran.
     """
     elems = tuple(inst.elements)
-    one = inst.one
-    rows = []
+    one, ovee, orth, zero, scalar = inst.one, inst.ovee, inst.orth, inst.zero, inst.scalar
+    pairs = tuple(itertools.combinations_with_replacement(elems, 2))
+    report = Report(f"effect algebra {inst.name}", ASSOC_SEED)
 
-    def row(law, ok, witness=None):
-        rows.append(LawRow(law, ok, witness))
+    def law(name, verdicts, mode="exhaustive"):
+        report.cases.append(first_counterexample(name, verdicts, mode))
 
     # commutativity: same definedness and same value
-    ok, wit = True, None
-    for x, y in itertools.combinations_with_replacement(elems, 2):
-        if inst.ovee(x, y) != inst.ovee(y, x):
-            ok, wit = False, f"x={x!r} y={y!r}"
-            break
-    row("ovee commutative", ok, wit)
+    law("ovee commutative", (None if ovee(x, y) == ovee(y, x) else f"x={x!r} y={y!r}"
+                             for x, y in pairs))
 
     # associativity, partial in both directions
-    total = len(elems) ** 3
-    if total <= ASSOC_BUDGET:
+    if len(elems) ** 3 <= ASSOC_BUDGET:
         triples = itertools.product(elems, repeat=3)
         mode = "exhaustive"
     else:
@@ -278,87 +250,40 @@ def validate_effect_algebra(inst):
             for _ in range(ASSOC_BUDGET)
         )
         mode = f"sampled seed={ASSOC_SEED}"
-    ok, wit = True, None
-    for x, y, z in triples:
-        yz = inst.ovee(y, z)
-        lhs = inst.ovee(x, yz) if yz is not None else None
-        xy = inst.ovee(x, y)
-        rhs = inst.ovee(xy, z) if xy is not None else None
-        if lhs != rhs:
-            ok, wit = False, f"x={x!r} y={y!r} z={z!r}"
-            break
-    row(f"ovee associative ({mode})", ok, wit)
 
-    # zero is a unit
-    ok, wit = True, None
-    for x in elems:
-        if inst.ovee(x, inst.zero) != x:
-            ok, wit = False, f"x={x!r}"
-            break
-    row("zero is a unit", ok, wit)
+    def associative(x, y, z):
+        yz, xy = ovee(y, z), ovee(x, y)
+        lhs = ovee(x, yz) if yz is not None else None
+        rhs = ovee(xy, z) if xy is not None else None
+        return lhs == rhs
 
-    # orthosupplement exists and is unique
-    ok, wit = True, None
-    for x in elems:
-        if inst.ovee(x, inst.orth(x)) != one:
-            ok, wit = False, f"x={x!r}"
-            break
-    row("x ovee orth(x) = 1", ok, wit)
+    law(f"ovee associative ({mode})", (None if associative(x, y, z)
+                                       else f"x={x!r} y={y!r} z={z!r}"
+                                       for x, y, z in triples), mode)
 
-    ok, wit = True, None
-    for x in elems:
-        for y in elems:
-            if inst.ovee(x, y) == one and y != inst.orth(x):
-                ok, wit = False, f"x={x!r} y={y!r}"
-                break
-        if not ok:
-            break
-    row("orthosupplement unique on probe", ok, wit)
+    # zero is a unit; the orthosupplement exists and is unique; zero-one law
+    law("zero is a unit", (None if ovee(x, zero) == x else f"x={x!r}" for x in elems))
+    law("x ovee orth(x) = 1", (None if ovee(x, orth(x)) == one else f"x={x!r}"
+                               for x in elems))
+    law("orthosupplement unique on probe", (
+        f"x={x!r} y={y!r}" if ovee(x, y) == one and y != orth(x) else None
+        for x in elems for y in elems))
+    law("x defined with 1 implies x = 0", (
+        f"x={x!r}" if ovee(x, one) is not None and x != zero else None for x in elems))
 
-    # zero-one law
-    ok, wit = True, None
-    for x in elems:
-        if inst.ovee(x, one) is not None and x != inst.zero:
-            ok, wit = False, f"x={x!r}"
-            break
-    row("x defined with 1 implies x = 0", ok, wit)
+    if scalar is not None:
+        grid = inst.scalar_grid
+        law("1 . x = x", (None if scalar(ONE, x) == x else f"x={x!r}" for x in elems))
+        law("(r+s) . x = r.x ovee s.x", (
+            None if scalar(r + s, x) == ovee(scalar(r, x), scalar(s, x))
+            else f"r={r} s={s} x={x!r}"
+            for r, s in itertools.product(grid, repeat=2) if r + s <= ONE for x in elems))
+        law("r . (x ovee y) = r.x ovee r.y", (
+            None if scalar(r, xy) == ovee(scalar(r, x), scalar(r, y))
+            else f"r={r} x={x!r} y={y!r}"
+            for r in grid for x, y in pairs if (xy := ovee(x, y)) is not None))
 
-    if inst.scalar is not None:
-        ok, wit = True, None
-        for x in elems:
-            if inst.scalar(ONE, x) != x:
-                ok, wit = False, f"x={x!r}"
-                break
-        row("1 . x = x", ok, wit)
-
-        ok, wit = True, None
-        for r, s in itertools.product(inst.scalar_grid, repeat=2):
-            if r + s > ONE:
-                continue
-            for x in elems:
-                lhs = inst.scalar(r + s, x)
-                rhs = inst.ovee(inst.scalar(r, x), inst.scalar(s, x))
-                if lhs != rhs:
-                    ok, wit = False, f"r={r} s={s} x={x!r}"
-                    break
-            if not ok:
-                break
-        row("(r+s) . x = r.x ovee s.x", ok, wit)
-
-        ok, wit = True, None
-        for r in inst.scalar_grid:
-            for x, y in itertools.combinations_with_replacement(elems, 2):
-                xy = inst.ovee(x, y)
-                if xy is None:
-                    continue
-                if inst.scalar(r, xy) != inst.ovee(inst.scalar(r, x), inst.scalar(r, y)):
-                    ok, wit = False, f"r={r} x={x!r} y={y!r}"
-                    break
-            if not ok:
-                break
-        row("r . (x ovee y) = r.x ovee r.y", ok, wit)
-
-    return EffectAlgebraReport(inst.name, rows)
+    return report
 
 
 # -- stock instances -----------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .check import Check
 from .effects import (
     ONE,
     ZERO,
@@ -581,29 +582,16 @@ def complete_ba_maps_to_two(x):
     return tuple(out)
 
 
-@dataclass
-class CollapseReport:
-    size: int
-    map_count: int
-    matched: bool
-    details: str
-
-    @property
-    def ok(self):
-        return self.map_count == self.size and self.matched
-
-
 def cba_collapse_check(x):
     """Certify that complete-Boolean 0/1 maps are exactly the point evaluations."""
     maps = complete_ba_maps_to_two(x)
-    units = {NEIGHBOURHOOD.unit(x, a): a for a in x}
-    matched = all(m in units for m in maps) and len(maps) == len(set(maps))
-    return CollapseReport(
-        size=len(x),
-        map_count=len(maps),
-        matched=matched and len(maps) == len(x),
-        details=f"{len(maps)} complete-BA maps on a {len(x)}-point carrier",
-    )
+    units = {NEIGHBOURHOOD.unit(x, a) for a in x}
+    # maps that are no point evaluation, points missed, and repeated maps
+    mismatches = len(set(maps) ^ units) + len(maps) - len(set(maps))
+    return Check("complete-BA 0/1 maps are the point evaluations", "exhaustive",
+                 len(maps), mismatches,
+                 f"{len(maps)} complete-BA maps on a {len(x)}-point carrier"
+                 if mismatches else None)
 
 
 # -- Smyth double representation ------------------------------------------------------

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .check import Check
 from .effects import ZERO, FuzzyPredicate
 from .errors import (
     Incomparable,
@@ -567,19 +568,6 @@ REGISTRY = {
 # -- round-trip drivers ----------------------------------------------------------------
 
 
-@dataclass
-class RoundTripReport:
-    correspondence: str
-    mode: str
-    checked: int
-    mismatches: int
-    witness: object = None
-
-    @property
-    def ok(self):
-        return self.mismatches == 0
-
-
 def round_trip_report(corr, x, y, budget=300_000, sample=None, seed=0):
     """Check both composites of a correspondence on enumerated inputs.
 
@@ -609,7 +597,7 @@ def round_trip_report(corr, x, y, budget=300_000, sample=None, seed=0):
         if corr.forward(corr.backward(t, x, y), x, y) != t:
             bad += 1
             witness = witness or ("transformer", t)
-    return RoundTripReport(corr.id, mode, checked, bad, witness)
+    return Check(f"{corr.id} round trip", mode, checked, bad, witness)
 
 
 def expectation_round_trip(x, y, instances=200, seed=0, max_den=6):
@@ -628,5 +616,5 @@ def expectation_round_trip(x, y, instances=200, seed=0, max_den=6):
         if back != arrow:
             bad += 1
             witness = witness or arrow
-    return RoundTripReport("expectation", f"sampled({instances}, seed={seed})",
-                           checked, bad, witness)
+    return Check("expectation round trip", f"sampled({instances}, seed={seed})",
+                 checked, bad, witness)

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from .check import Report, first_counterexample
 from .errors import (
     CarrierMismatch,
     MonadMismatch,
@@ -133,74 +134,38 @@ class EMAlgebraCandidate:
         )
 
 
-@dataclass
-class CheckRow:
-    law: str
-    ok: bool
-    witness: Optional[str] = None
-
-
-@dataclass
-class AlgebraReport:
-    rows: list
-
-    @property
-    def ok(self):
-        return all(r.ok for r in self.rows)
-
-    def summary(self):
-        return "\n".join(
-            f"  {'ok ' if r.ok else 'FAIL'} {r.law}" + (f"  [{r.witness}]" if r.witness else "")
-            for r in self.rows
-        )
-
-
 def check_em_algebra(candidate):
     """Verify the unit and multiplication laws of an algebra candidate."""
     family = candidate.family
     carrier = candidate.carrier
     alpha = candidate.table()
     base = carrier.carrier
-    rows = []
+    report = Report(f"algebra {family.name}")
 
-    ok, wit = True, None
-    for t, v in alpha.items():
-        if v not in base:
-            ok, wit = False, f"alpha({t!r}) leaves the carrier"
-            break
-    rows.append(CheckRow("alpha is a map into the carrier", ok, wit))
-    if not ok:
-        return AlgebraReport(rows)
+    def law(name, verdicts):
+        report.cases.append(first_counterexample(name, verdicts))
+        return report.cases[-1].ok
 
+    if not law("alpha is a map into the carrier", (
+            None if v in base else f"alpha({t!r}) leaves the carrier"
+            for t, v in alpha.items())):
+        return report
     if family.base == "poset":
-        ok, wit = True, None
-        for s in alpha:
-            for t in alpha:
-                if family.leq(carrier, s, t) and not carrier.leq(alpha[s], alpha[t]):
-                    ok, wit = False, f"s={s!r} t={t!r}"
-                    break
-            if not ok:
-                break
-        rows.append(CheckRow("alpha is monotone", ok, wit))
-
-    ok, wit = True, None
-    for x in base:
-        if alpha[family.unit(carrier, x)] != x:
-            ok, wit = False, f"x={x!r}"
-            break
-    rows.append(CheckRow("alpha . unit = id", ok, wit))
+        law("alpha is monotone", (
+            f"s={s!r} t={t!r}"
+            if family.leq(carrier, s, t) and not carrier.leq(alpha[s], alpha[t]) else None
+            for s in alpha for t in alpha))
+    law("alpha . unit = id", (None if alpha[family.unit(carrier, x)] == x else f"x={x!r}"
+                              for x in base))
 
     # alpha . T(alpha) = alpha . mu, over the doubly built structure
     inner = family.space_object(carrier)
     mu = multiplication(family, carrier)
-    ok, wit = True, None
-    for theta in family.elements(inner):
-        mapped = family.functor_map(inner, carrier, lambda t: alpha[t], theta)
-        if alpha[mapped] != alpha[mu[theta]]:
-            ok, wit = False, f"theta={theta!r}"
-            break
-    rows.append(CheckRow("alpha . T(alpha) = alpha . mu", ok, wit))
-    return AlgebraReport(rows)
+    law("alpha . T(alpha) = alpha . mu", (
+        None if alpha[family.functor_map(inner, carrier, alpha.__getitem__, theta)]
+        == alpha[mu[theta]] else f"theta={theta!r}"
+        for theta in family.elements(inner)))
+    return report
 
 
 # -- arrow enumeration ----------------------------------------------------------------
@@ -244,40 +209,6 @@ def random_kleisli_arrow(family, dom, cod, rng, probe_max_den=4):
 # -- monad law suite --------------------------------------------------------------------
 
 
-@dataclass
-class LawCase:
-    objects: tuple
-    law: str
-    mode: str
-    checked: int
-    ok: bool
-    witness: Optional[str] = None
-
-
-@dataclass
-class LawReport:
-    monad: str
-    seed: int
-    cases: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return all(c.ok for c in self.cases)
-
-    def checked_total(self):
-        return sum(c.checked for c in self.cases)
-
-    def summary(self):
-        lines = [f"monad {self.monad}: {'PASS' if self.ok else 'FAIL'} "
-                 f"({self.checked_total()} instances, seed {self.seed})"]
-        for c in self.cases:
-            if not c.ok:
-                lines.append(
-                    f"  FAIL {c.law} on {c.objects} [{c.mode}]: {c.witness}"
-                )
-        return "\n".join(lines)
-
-
 def _graph_extend(family, dom, cod, graph_by_elem, t):
     return family.extend(dom, cod, lambda x: graph_by_elem[x], t)
 
@@ -290,7 +221,7 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     sampled mode together with the seed.
     """
     rng = random.Random(seed)
-    report = LawReport(monad=family.name, seed=seed)
+    report = Report(f"monad {family.name}", seed)
 
     arrow_lists = {}
 
@@ -311,99 +242,80 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     # unit laws -----------------------------------------------------------
     for dom, cod in itertools.product(objects, repeat=2):
         mode, fs = arrows(dom, cod)
-        ok, wit, n = True, None, 0
-        for f in fs:
-            fd = f.as_dict()
-            for x in dom.carrier:
-                n += 1
-                if _graph_extend(family, dom, cod, fd, family.unit(dom, x)) != f(x):
-                    ok, wit = False, f"f={fd!r} x={x!r}"
-                    break
-            if not ok:
-                break
-        report.cases.append(LawCase(
-            (len(dom), len(cod)), "extend(f)(unit(x)) = f(x)", mode, n, ok, wit))
+        report.cases.append(first_counterexample("extend(f)(unit(x)) = f(x)", (
+            None if _graph_extend(family, dom, cod, fd, family.unit(dom, x)) == fd[x]
+            else f"f={fd!r} x={x!r}"
+            for f in fs for fd in [f.as_dict()] for x in dom.carrier),
+            mode, (len(dom), len(cod))))
 
     for obj in objects:
         eta = {x: family.unit(obj, x) for x in obj.carrier}
-        ok, wit, n = True, None, 0
-        for t in _structure_elements(family, obj, probe_max_den):
-            n += 1
-            if _graph_extend(family, obj, obj, eta, t) != t:
-                ok, wit = False, f"t={t!r}"
-                break
-        report.cases.append(LawCase(
-            (len(obj),), "extend(unit)(t) = t", "exhaustive", n, ok, wit))
+        report.cases.append(first_counterexample("extend(unit)(t) = t", (
+            None if _graph_extend(family, obj, obj, eta, t) == t else f"t={t!r}"
+            for t in _structure_elements(family, obj, probe_max_den)),
+            "exhaustive", (len(obj),)))
 
     # associativity ---------------------------------------------------------
+    def exhaustive_assoc(mid, right, far, gs, hs, ts):
+        tables_h = {}
+        for h in hs:
+            hd = h.as_dict()
+            tables_h[h.graph] = (hd, {
+                t: _graph_extend(family, right, far, hd, t)
+                for t in _structure_elements(family, right, probe_max_den)
+            })
+        composite_tables = {}
+        for g in gs:
+            gd = g.as_dict()
+            table_g = {t: _graph_extend(family, mid, right, gd, t) for t in ts}
+            for h in hs:
+                hd, th = tables_h[h.graph]
+                comp = {x: th[gd[x]] for x in mid.carrier}
+                key = tuple(comp[x] for x in mid.carrier.elements)
+                if key not in composite_tables:
+                    composite_tables[key] = {
+                        t: _graph_extend(family, mid, far, comp, t) for t in ts
+                    }
+                ctab = composite_tables[key]
+                for t in ts:
+                    mid_val = table_g[t]
+                    # the bind of a probe arrow can leave the probe set
+                    lhs = th[mid_val] if mid_val in th else _graph_extend(
+                        family, right, far, hd, mid_val)
+                    yield None if lhs == ctab[t] else f"g={gd!r} h={hd!r} t={t!r}"
+
+    def sampled_assoc(mid, right, far, gs, hs, ts):
+        for _ in range(LAW_SAMPLES):
+            g = gs[rng.randrange(len(gs))]
+            h = hs[rng.randrange(len(hs))]
+            gd, hd = g.as_dict(), h.as_dict()
+            comp = {
+                x: _graph_extend(family, right, far, hd, gd[x])
+                for x in mid.carrier
+            }
+            t = ts[rng.randrange(len(ts))]
+            lhs = _graph_extend(
+                family, right, far, hd,
+                _graph_extend(family, mid, right, gd, t),
+            )
+            yield None if lhs == _graph_extend(family, mid, far, comp, t) else (
+                f"g={gd!r} h={hd!r} t={t!r}")
+
     for mid, right, far in itertools.product(objects, repeat=3):
         gmode, gs = arrows(mid, right)
         hmode, hs = arrows(right, far)
         ts = _structure_elements(family, mid, probe_max_den)
         if not gs or not hs or not ts:
             continue
-        total_pairs = len(gs) * len(hs)
         exhaustive = (
-            gmode == hmode == "exhaustive" and total_pairs <= DEFAULT_PAIR_BUDGET
+            gmode == hmode == "exhaustive" and len(gs) * len(hs) <= DEFAULT_PAIR_BUDGET
         )
-        mode = "exhaustive" if exhaustive else f"sampled({LAW_SAMPLES})"
-        ok, wit, n = True, None, 0
-        if exhaustive:
-            tables_h = {}
-            for h in hs:
-                hd = h.as_dict()
-                tables_h[h.graph] = (hd, {
-                    t: _graph_extend(family, right, far, hd, t)
-                    for t in _structure_elements(family, right, probe_max_den)
-                })
-            composite_tables = {}
-            for g in gs:
-                gd = g.as_dict()
-                table_g = {t: _graph_extend(family, mid, right, gd, t) for t in ts}
-                for h in hs:
-                    hd, th = tables_h[h.graph]
-                    comp = {x: th[gd[x]] for x in mid.carrier}
-                    key = tuple(comp[x] for x in mid.carrier.elements)
-                    if key not in composite_tables:
-                        composite_tables[key] = {
-                            t: _graph_extend(family, mid, far, comp, t) for t in ts
-                        }
-                    ctab = composite_tables[key]
-                    for t in ts:
-                        n += 1
-                        mid_val = table_g[t]
-                        # the bind of a probe arrow can leave the probe set
-                        lhs = th[mid_val] if mid_val in th else _graph_extend(
-                            family, right, far, hd, mid_val)
-                        if lhs != ctab[t]:
-                            ok, wit = False, f"g={gd!r} h={hd!r} t={t!r}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        else:
-            for _ in range(LAW_SAMPLES):
-                g = gs[rng.randrange(len(gs))]
-                h = hs[rng.randrange(len(hs))]
-                gd, hd = g.as_dict(), h.as_dict()
-                comp = {
-                    x: _graph_extend(family, right, far, hd, gd[x])
-                    for x in mid.carrier
-                }
-                t = ts[rng.randrange(len(ts))]
-                n += 1
-                lhs = _graph_extend(
-                    family, right, far, hd,
-                    _graph_extend(family, mid, right, gd, t),
-                )
-                if lhs != _graph_extend(family, mid, far, comp, t):
-                    ok, wit = False, f"g={gd!r} h={hd!r} t={t!r}"
-                    break
-        report.cases.append(LawCase(
-            (len(mid), len(right), len(far)),
+        walk = exhaustive_assoc if exhaustive else sampled_assoc
+        report.cases.append(first_counterexample(
             "extend(h)(extend(g)(t)) = extend(h after g)(t)",
-            mode, n, ok, wit))
+            walk(mid, right, far, gs, hs, ts),
+            "exhaustive" if exhaustive else f"sampled({LAW_SAMPLES})",
+            (len(mid), len(right), len(far))))
 
     return report
 

@@ -81,6 +81,34 @@ class TestLawsCommand:
         assert code == 2
 
 
+LAWS_POWERSET_1_EFFECTS = """\
+monad powerset: PASS (27 instances, seed 20240401)
+effect algebra powerset(2):
+  ok  ovee commutative
+  ok  ovee associative (exhaustive)
+  ok  zero is a unit
+  ok  x ovee orth(x) = 1
+  ok  orthosupplement unique on probe
+  ok  x defined with 1 implies x = 0
+effect algebra unit-interval(13 probes):
+  ok  ovee commutative
+  ok  ovee associative (exhaustive)
+  ok  zero is a unit
+  ok  x ovee orth(x) = 1
+  ok  orthosupplement unique on probe
+  ok  x defined with 1 implies x = 0
+  ok  1 . x = x
+  ok  (r+s) . x = r.x ovee s.x
+  ok  r . (x ovee y) = r.x ovee r.y
+"""
+
+
+def test_laws_with_effects_golden(capsys):
+    code, out, err = run(capsys, ["laws", "--monad", "powerset", "--max-size", "1",
+                                  "--effects"])
+    assert (code, out, err) == (0, LAWS_POWERSET_1_EFFECTS, "")
+
+
 class TestEnumerateCommand:
     def test_poset_literal(self, capsys):
         code, out, _ = run(capsys, [
@@ -282,3 +310,25 @@ class TestInputFailures:
         f.write_text("vars x in 0..1; body: prob 1/0 {x:=0}{x:=1};")
         assert "1:30" in usage_error(capsys, ["wp", "--mode", "dist", str(f),
                                               "--post", "[x == 0]"])
+
+    @pytest.mark.parametrize("argv", [["wp"], ["run", "--init", "x=0"]])
+    def test_program_not_utf8(self, capsys, tmp_path, argv):
+        f = tmp_path / "bin.gc"
+        f.write_bytes(b"\xff\xfe")
+        assert "not UTF-8" in usage_error(capsys, argv + [str(f)])
+
+    @pytest.mark.parametrize("arrow", [["y"], {"x": ["z"]}], ids=["list", "outside-cod"])
+    def test_transpose_arrow_is_bad_input(self, capsys, tmp_path, arrow):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps({"dom": ["x"], "cod": ["y"], "arrow": arrow}))
+        assert "transpose payload" in usage_error(
+            capsys, ["transpose", "--correspondence", "box", "--input", str(f)])
+
+    @pytest.mark.parametrize("argv", [
+        ["laws", "--monad", "powerset", "--max-size", "-1"],
+        ["certify", "--correspondence", "box", "--sizes", "-1"],
+        ["certify", "--correspondence", "expectation", "--sizes", "2", "--instances", "-3"],
+    ], ids=["max-size", "sizes", "instances"])
+    def test_negative_count(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and argv[-1] in err and "Traceback" not in err

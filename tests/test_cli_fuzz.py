@@ -1,0 +1,129 @@
+"""Fuzzing the command line: every input ends in exit 0, 1 or 2, never a traceback.
+
+Runs cli_main in-process over generated transpose payloads (arbitrary JSON in
+each field, mixed with well-shaped values so that decoding gets deep) and
+over certify/laws argument vectors.  The settings are derandomized, so every
+run draws the same examples.
+"""
+
+import contextlib
+import io
+import json
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from finsem.cli import cli_main
+from finsem.monads import FAMILIES
+from finsem.transformers import REGISTRY
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150,
+                suppress_health_check=[HealthCheck.too_slow])
+
+ATOMS = st.sampled_from(["a", "b", "c", "x1", "y1", "0", "1"]) | st.integers(0, 2)
+ATOM_KEYS = ATOMS.map(str)
+RATIONALS = st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "3/2", "-1", "1/0", "x"])
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3) | ATOMS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3) | ATOM_KEYS, inner, max_size=3),
+    max_leaves=8,
+)
+SUBSETS = st.lists(ATOMS, max_size=3)
+POSETS = st.fixed_dictionaries(
+    {"elements": st.lists(ATOMS, max_size=3, unique=True)},
+    optional={"covers": st.lists(st.lists(ATOMS, min_size=2, max_size=2), max_size=3)})
+CARRIERS = st.lists(ATOMS, max_size=3, unique=True) | POSETS
+SET_TOKENS = SUBSETS.map(lambda s: "{" + ",".join(map(str, s)) + "}")
+
+# payload field -> well-shaped values for it
+FIELDS = {
+    "direction": st.sampled_from(["forward", "backward"]),
+    "dom": CARRIERS,
+    "cod": CARRIERS,
+    "poset": POSETS,
+    "arrow": st.dictionaries(ATOM_KEYS, SUBSETS | st.lists(SUBSETS, max_size=3)
+                             | st.dictionaries(ATOM_KEYS, RATIONALS, max_size=3),
+                             max_size=3),
+    "transformer": st.dictionaries(SET_TOKENS, SUBSETS, max_size=4),
+    "map": st.dictionaries(ATOM_KEYS, st.integers(-1, 3), max_size=3),
+    "outer": SUBSETS,
+    "inner": SUBSETS,
+    "predicate": st.dictionaries(ATOM_KEYS, RATIONALS, max_size=3),
+}
+CHAIN_AB = {"elements": ["a", "b"], "covers": [["a", "b"]]}
+CHAIN_CD = {"elements": ["c", "d"], "covers": [["c", "d"]]}
+SETS = {"dom": ["x1", "x2"], "cod": ["y1", "y2"]}
+# well-formed payloads, each of which the fuzzer perturbs in a field or two
+VALID = [
+    ("box", {"dom": ["x1"], "cod": ["y1"], "direction": "backward",  # fails its check
+             "transformer": {"{}": [], "{y1}": []}}),
+    ("box", dict(SETS, arrow={"x1": ["y1"], "x2": ["y1", "y2"]})),
+    ("box", dict(SETS, direction="backward", transformer={
+        "{}": [], "{y1}": ["x1"], "{y2}": [], "{y1,y2}": ["x1", "x2"]})),
+    ("filter", dict(SETS, arrow={"x1": [["y1"], ["y1", "y2"]], "x2": [["y1", "y2"]]})),
+    ("monotone-nbhd", dict(SETS, arrow={"x1": [["y1"], ["y1", "y2"]], "x2": []})),
+    ("diamond", {"dom": CHAIN_AB, "cod": CHAIN_CD, "arrow": {"a": ["c"], "b": ["c", "d"]}}),
+    ("hoare", {"dom": CHAIN_AB, "cod": CHAIN_CD, "direction": "backward",
+               "transformer": {"{}": [], "{d}": ["b"], "{c,d}": ["a", "b"]}}),
+    ("smyth", {"dom": CHAIN_AB, "cod": CHAIN_CD, "arrow": {"a": ["c", "d"], "b": ["d"]}}),
+    ("three", {"poset": CHAIN_AB, "map": {"a": 0, "b": 1}}),
+    ("three", {"poset": CHAIN_AB, "direction": "backward", "outer": ["b"], "inner": []}),
+    ("expectation", {"dom": ["a"], "cod": [0, 1], "arrow": {"a": {"0": "1/2", "1": "1/2"}},
+                     "predicate": {"0": "1/3", "1": "1"}}),
+]
+DROP = object()
+
+
+@st.composite
+def transpose_cases(draw):
+    corr, payload = draw(st.sampled_from(VALID))
+    payload = dict(payload)
+    for key in draw(st.lists(st.sampled_from(sorted(FIELDS)), max_size=2, unique=True)):
+        value = draw(st.just(DROP) | FIELDS[key] | ANY_JSON)
+        if value is DROP:
+            payload.pop(key, None)
+        else:
+            payload[key] = value
+    return corr, json.dumps(payload)
+
+
+def run_cli(argv, stdin=""):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO(stdin)):
+        code = cli_main(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@FUZZ
+@given(case=transpose_cases()
+       | st.tuples(st.sampled_from(sorted(REGISTRY)), ANY_JSON.map(json.dumps)))
+def test_transpose_payloads(case):
+    corr, payload = case
+    run_cli(["transpose", "--correspondence", corr, "--input", "-"], payload)
+
+
+COUNTS = st.sampled_from(["0", "1", "2", "-1", "-3", "x", "", "1.5"])
+SIZES = st.lists(COUNTS, min_size=1, max_size=3).map(",".join)
+
+
+@FUZZ
+@given(corr=st.sampled_from(sorted(REGISTRY)) | st.text(max_size=3), sizes=SIZES,
+       instances=COUNTS, seed=st.integers(-2, 2).map(str),
+       fmt=st.sampled_from(["json", "table", "xml"]))
+def test_certify_arguments(corr, sizes, instances, seed, fmt):
+    run_cli(["certify", "--correspondence", corr, "--sizes", sizes,
+             "--instances", instances, "--seed", seed, "--format", fmt])
+
+
+@FUZZ
+@given(monad=st.sampled_from(sorted(FAMILIES)) | st.text(max_size=3),
+       max_size=st.sampled_from(["0", "1", "-1", "x"]), seed=st.integers(-2, 2).map(str),
+       effects=st.booleans())
+def test_laws_arguments(monad, max_size, seed, effects):
+    run_cli(["laws", "--monad", monad, "--max-size", max_size, "--seed", seed]
+            + ["--effects"] * effects)

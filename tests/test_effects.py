@@ -129,7 +129,7 @@ class TestEffectAlgebraValidation:
 
     def test_truncated_total_fails_zero_one_only_where_expected(self):
         report = validate_effect_algebra(truncated_total_instance(farey_grid(4)))
-        rows = {r.law.split(" (")[0]: r for r in report.rows}
+        rows = {r.law.split(" (")[0]: r for r in report.cases}
         assert rows["ovee commutative"].ok
         assert rows["ovee associative"].ok
         assert rows["zero is a unit"].ok

@@ -105,7 +105,7 @@ class TestUltrafilterFamily:
     def test_cba_collapse(self, n):
         report = cba_collapse_check(FinSet(range(n)))
         assert report.ok
-        assert report.map_count == n
+        assert report.checked == n
 
     def test_complete_ba_maps_match_units(self):
         x = FinSet(range(2))

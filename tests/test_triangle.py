@@ -165,7 +165,7 @@ class TestEmAlgebras:
         cand = EMAlgebraCandidate.from_dict(DOWNSET, vee, alpha)
         report = check_em_algebra(cand)
         assert not report.ok
-        assert any(r.witness for r in report.rows if not r.ok)
+        assert any(r.witness for r in report.cases if not r.ok)
 
 
 class TestCertify:
@@ -207,3 +207,22 @@ class TestLawSuiteMachinery:
 
         report = check_monad_laws(Broken(), (FinSet([0, 1]),))
         assert not report.ok
+
+    def test_dropped_image_fails_with_witness(self):
+        class DropsLeast(type(POWERSET)):
+            name = "drops-least"
+
+            def extend(self, dom, cod, fn, t):
+                return super().extend(dom, cod, fn, sorted(t)[1:])
+
+        report = check_monad_laws(DropsLeast(), (FinSet([0, 1]),))
+        assert not report.ok
+        failing = [c for c in report.cases if not c.ok]
+        assert [c.witness for c in failing] == [
+            "f={0: frozenset(), 1: frozenset({0})} x=1", "t=frozenset({0})"]
+        assert report.summary().splitlines() == [
+            "monad drops-least: FAIL (1030 instances, seed 20240401)",
+            "  FAIL extend(f)(unit(x)) = f(x) on (2, 2) [exhaustive]: "
+            "f={0: frozenset(), 1: frozenset({0})} x=1",
+            "  FAIL extend(unit)(t) = t on (2,) [exhaustive]: t=frozenset({0})",
+        ]
