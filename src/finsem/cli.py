@@ -35,10 +35,8 @@ from .order import (
     MonotoneMap,
     all_posets,
     make_poset,
-    powerset_lattice,
-    upsets,
 )
-from .transformers import REGISTRY, THREE, expectation_round_trip
+from .transformers import REGISTRY, THREE, expectation_round_trip, predicate_lattice
 from .triangle import (
     CertifyReport,
     KleisliArrow,
@@ -158,7 +156,6 @@ def _law_objects(family, max_size):
 
 def cmd_laws(args):
     names = [args.monad] if args.monad else sorted(FAMILIES)
-    failures = 0
     reports = []
     for name in names:
         if name not in FAMILIES:
@@ -171,10 +168,14 @@ def cmd_laws(args):
             max_size = min(max_size, 2)
         objects = _law_objects(family, max_size)
         report = check_monad_laws(family, objects, seed=args.seed)
+        if not report.checked_total():
+            print(f"--max-size {args.max_size} leaves nothing to check for {name}",
+                  file=sys.stderr)
+            return 2
         reports.append(report)
+    for report in reports:
         print(report.summary())
-        if not report.ok:
-            failures += 1
+    failures = sum(not report.ok for report in reports)
     if args.effects:
         grid = farey_grid(6)
         for inst in (powerset_effect_algebra(FinSet(range(2))),
@@ -326,10 +327,10 @@ def _decode_transpose(corr, direction, data):
     if family.base == "set":
         x_obj = FinSet(map(_maybe_int, data["dom"]))
         y_obj = FinSet(map(_maybe_int, data["cod"]))
-        pred_dom, pred_cod = powerset_lattice(y_obj), powerset_lattice(x_obj)
     else:
         x_obj, y_obj = _poset_from_json(data["dom"]), _poset_from_json(data["cod"])
-        pred_dom, pred_cod = upsets(y_obj), upsets(x_obj)
+    pred_dom = predicate_lattice(family, y_obj)
+    pred_cod = predicate_lattice(family, x_obj)
 
     if direction == "forward":
         arrow = KleisliArrow.from_dict(family, x_obj, y_obj, {
@@ -399,18 +400,19 @@ def cmd_certify(args):
         return 2
     try:
         sizes = [count(s) for s in args.sizes.split(",")]
+        n, m = sizes * 2 if len(sizes) == 1 else sizes
     except ValueError:
         print(f"--sizes takes one or two integers such as 2,2, not {args.sizes!r}",
               file=sys.stderr)
         return 2
-    if len(sizes) == 1:
-        sizes = sizes * 2
-    n, m = sizes[:2]
     if corr.id == "three":
         cases = [(p, None) for p in all_posets(n) if len(p) >= 1]
     elif corr.id == "expectation":
         rep = expectation_round_trip(FinSet(range(n)), FinSet(range(m)),
                                      instances=args.instances, seed=args.seed)
+        if not rep.checked:
+            print("--instances 0 leaves nothing to check", file=sys.stderr)
+            return 2
         _emit(CertifyReport(corr.id, rep.checked, rep.checked, rep.ok).to_json_dict(),
               args.format)
         return 0 if rep.ok else 1
@@ -420,6 +422,10 @@ def cmd_certify(args):
         posets_n = [p for p in all_posets(n) if len(p) >= 1]
         posets_m = [p for p in all_posets(m) if len(p) >= 1]
         cases = [(p, q) for p in posets_n for q in posets_m]
+    if not cases:
+        print(f"--sizes {args.sizes} leaves nothing to check: "
+              f"{corr.id} needs posets of at least one point", file=sys.stderr)
+        return 2
     total_k = total_t = 0
     ok = True
     counterexample = None

@@ -389,6 +389,11 @@ def pushforward(weights, kernel):
     return tuple(out.items())
 
 
+def expectation(weights, value):
+    """The finite expectation sum_a w(a) * value(a) of value against the weights."""
+    return sum((value(a) * w for a, w in weights), ZERO)
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Finite-support rational probability weights, summing exactly to 1."""

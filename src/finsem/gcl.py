@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .effects import ONE, ZERO, Distribution, pushforward
+from .effects import ONE, ZERO, Distribution, expectation, pushforward
 from .errors import (
     ModeMismatch,
     ParseError,
@@ -33,6 +33,10 @@ DEFAULT_STATE_CAP = 512
 RANDOM_POSTS = 3
 # statement nesting depth bound of random_program
 MAX_PROGRAM_DEPTH = 5
+# The deepest a parsed program may nest (docs/grammar.ebnf, "Nesting").  The
+# parser recurses a few frames per bracket and the evaluators about one frame
+# per syntax-tree level, so the bound keeps both inside the recursion limit.
+MAX_NESTING = 100
 
 
 # -- syntax trees ------------------------------------------------------------------
@@ -186,11 +190,19 @@ def tokenize(source):
     return tokens
 
 
+# expression levels, loosest first: "!" is a prefix level of its own, a
+# comparison takes one operator, and the other levels fold to the left
+_COMPARISONS = ("==", "!=", "<=", ">=", "<", ">")
+_LEVELS = (("||",), ("&&",), ("!",), _COMPARISONS, ("+", "-"), ("*",))
+
+
 class _Parser:
     def __init__(self, tokens, declared=None):
         self.tokens = tokens
         self.pos = 0
         self.declared = declared
+        self.depth = 0  # brackets, blocks and prefix operators open here
+        self.peak = 0  # deepest level reached since the innermost chain began
 
     def peek(self):
         return self.tokens[self.pos]
@@ -214,6 +226,22 @@ class _Parser:
     def at(self, kind, text=None):
         tok = self.peek()
         return tok.kind == kind and (text is None or tok.text == text)
+
+    # nesting -------------------------------------------------------------------
+
+    def reach(self, level, tok):
+        if level > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", tok)
+        self.peak = max(self.peak, level)
+
+    def enter(self, tok):
+        """Open a bracket, block or prefix operator at tok; leave closes it."""
+        self.depth += 1
+        self.reach(self.depth, tok)
+
+    def leave(self, node):
+        self.depth -= 1
+        return node
 
     # program -----------------------------------------------------------------
 
@@ -258,22 +286,24 @@ class _Parser:
     # statements ----------------------------------------------------------------
 
     def parse_stmt_seq(self):
-        stmts = [self.parse_stmt()]
+        # ";" nests to the left: each statement after the first puts the
+        # ones before it one level deeper
+        outer, self.peak = self.peak, self.depth
+        out = self.parse_stmt()
         while self.at("op", ";"):
-            self.next()
+            tok = self.next()
             if self.at("kw", "post") or self.at("eof") or self.at("op", "}"):
                 break
-            stmts.append(self.parse_stmt())
-        out = stmts[0]
-        for s in stmts[1:]:
-            out = Seq(out, s)
+            out = Seq(out, self.parse_stmt())
+            self.reach(self.peak + 1, tok)
+        self.peak = max(outer, self.peak)
         return out
 
     def parse_block(self):
-        self.expect("op", "{")
+        self.enter(self.expect("op", "{"))
         body = self.parse_stmt_seq()
         self.expect("op", "}")
-        return body
+        return self.leave(body)
 
     def parse_stmt(self):
         tok = self.peek()
@@ -342,56 +372,34 @@ class _Parser:
 
     # expressions (precedence climbing) --------------------------------------------
 
-    def parse_expr(self):
-        return self.parse_or()
-
-    def parse_or(self):
-        left = self.parse_and()
-        while self.at("op", "||"):
+    def parse_expr(self, level=0):
+        """An expression built from the operators of _LEVELS[level:]."""
+        if level == len(_LEVELS):
+            return self.parse_atom()
+        ops = _LEVELS[level]
+        if ops == ("!",):
+            if not self.at("op", "!"):
+                return self.parse_expr(level + 1)
+            self.enter(self.next())
+            return self.leave(Unary("!", self.parse_expr(level)))
+        # a chain nests like a sequence: each operand after the first puts
+        # the ones before it one level deeper
+        outer, self.peak = self.peak, self.depth
+        left = self.parse_expr(level + 1)
+        while (tok := self.peek()).kind == "op" and tok.text in ops:
             self.next()
-            left = Bin("||", left, self.parse_and())
-        return left
-
-    def parse_and(self):
-        left = self.parse_not()
-        while self.at("op", "&&"):
-            self.next()
-            left = Bin("&&", left, self.parse_not())
-        return left
-
-    def parse_not(self):
-        if self.at("op", "!"):
-            self.next()
-            return Unary("!", self.parse_not())
-        return self.parse_cmp()
-
-    def parse_cmp(self):
-        left = self.parse_sum()
-        for op in ("==", "!=", "<=", ">=", "<", ">"):
-            if self.at("op", op):
-                self.next()
-                return Bin(op, left, self.parse_sum())
-        return left
-
-    def parse_sum(self):
-        left = self.parse_product()
-        while self.at("op", "+") or self.at("op", "-"):
-            op = self.next().text
-            left = Bin(op, left, self.parse_product())
-        return left
-
-    def parse_product(self):
-        left = self.parse_atom()
-        while self.at("op", "*"):
-            self.next()
-            left = Bin("*", left, self.parse_atom())
+            left = Bin(tok.text, left, self.parse_expr(level + 1))
+            self.reach(self.peak + 1, tok)
+            if ops is _COMPARISONS:
+                break
+        self.peak = max(outer, self.peak)
         return left
 
     def parse_atom(self):
         tok = self.peek()
         if self.at("op", "-"):
-            self.next()
-            return Unary("-", self.parse_atom())
+            self.enter(self.next())
+            return self.leave(Unary("-", self.parse_atom()))
         if tok.kind == "int":
             self.next()
             if self.at("op", "/"):
@@ -409,15 +417,15 @@ class _Parser:
             self._check_declared(tok.text, tok)
             return Var(tok.text)
         if self.at("op", "("):
-            self.next()
+            self.enter(self.next())
             inner = self.parse_expr()
             self.expect("op", ")")
-            return inner
+            return self.leave(inner)
         if self.at("op", "["):
-            self.next()
+            self.enter(self.next())
             inner = self.parse_expr()
             self.expect("op", "]")
-            return Iverson(inner)
+            return self.leave(Iverson(inner))
         self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
 
 
@@ -756,10 +764,7 @@ def transformer_wp(arrow, table, flavor):
         accept = frozenset(s for s, v in table.items() if v)
         return {s: bool(arrow(s) & accept) for s in states}
     if flavor == "expectation":
-        return {
-            s: sum((table[t] * w for t, w in arrow(s).weights), ZERO)
-            for s in states
-        }
+        return {s: expectation(arrow(s).weights, table.__getitem__) for s in states}
     raise ModeMismatch(f"unknown flavor {flavor!r}")
 
 

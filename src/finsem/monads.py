@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .check import Check
 from .effects import (
@@ -19,6 +20,7 @@ from .effects import (
     FuzzyPredicate,
     checked_weights,
     dist_bind,
+    expectation,
     iter_distributions,
     pushforward,
 )
@@ -733,14 +735,9 @@ class Expectation:
         )
 
 
-def _integral(weights):
-    """p |-> the sum of p(a) * w over the weights: a finite expectation."""
-    return lambda p: sum((p(a) * w for a, w in weights), ZERO)
-
-
 def expectation_embed(omega):
     """Expected value against a distribution, as an effect-module functional."""
-    return Expectation(omega.carrier, _integral(omega.weights))
+    return Expectation(omega.carrier, partial(expectation, omega.weights))
 
 
 def expectation_unit(carrier, x):
@@ -766,7 +763,7 @@ def expectation_bind(carrier_out, kernel, h):
 
 def integration_functional(phi):
     """Integrate fuzzy predicates against a finite measure (a finite sum)."""
-    return Expectation(phi.atoms, _integral(phi.weights))
+    return Expectation(phi.atoms, partial(expectation, phi.weights))
 
 
 def measure_of_functional(i, atoms):

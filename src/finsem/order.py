@@ -8,6 +8,7 @@ by exhaustive enumeration at construction time rather than trusted.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -289,25 +290,21 @@ class FinPoset:
 
     def join_irreducibles(self):
         """Elements with exactly one lower cover (excludes the bottom)."""
-        self.require_lattice()
-        if "join_irr" not in self._cache:
-            covers = self.cover_pairs()
-            self._cache["join_irr"] = tuple(
-                x for x in self.elements
-                if len([a for (a, b) in covers if b == x]) == 1
-            )
-        return self._cache["join_irr"]
+        return self._irreducibles("join_irr", 1)
 
     def meet_irreducibles(self):
         """Elements with exactly one upper cover (excludes the top)."""
+        return self._irreducibles("meet_irr", 0)
+
+    def _irreducibles(self, key, side):
+        """Elements standing at the given side of exactly one cover pair."""
         self.require_lattice()
-        if "meet_irr" not in self._cache:
+        if key not in self._cache:
             covers = self.cover_pairs()
-            self._cache["meet_irr"] = tuple(
-                x for x in self.elements
-                if len([b for (a, b) in covers if a == x]) == 1
+            self._cache[key] = tuple(
+                x for x in self.elements if sum(p[side] == x for p in covers) == 1
             )
-        return self._cache["meet_irr"]
+        return self._cache[key]
 
 
 def _require_small(poset, limit=MAX_POSET_SIZE):
@@ -374,9 +371,7 @@ def powerset_lattice(finset):
     if not isinstance(finset, FinSet):
         raise TypeError("powerset_lattice expects a FinSet")
     _require_small_set(finset)
-    subs = list(finset.subsets())
-    pairs = [(a, b) for a in subs for b in subs if a <= b]
-    return FinPoset(FinSet(subs), pairs)
+    return _inclusion_order(finset.subsets())
 
 
 def _require_small_set(finset, limit=MAX_POSET_SIZE):
@@ -386,20 +381,22 @@ def _require_small_set(finset, limit=MAX_POSET_SIZE):
         )
 
 
+def _inclusion_order(family):
+    """A family of subsets ordered by inclusion."""
+    fam = list(family)
+    return FinPoset(FinSet(fam), [(a, b) for a in fam for b in fam if a <= b])
+
+
 @lru_cache(maxsize=None)
 def upsets(poset):
     """The poset of all upsets ordered by inclusion (a complete lattice)."""
-    fam = list(poset.iter_upsets())
-    pairs = [(a, b) for a in fam for b in fam if a <= b]
-    return FinPoset(FinSet(fam), pairs)
+    return _inclusion_order(poset.iter_upsets())
 
 
 @lru_cache(maxsize=None)
 def downsets(poset):
     """The poset of all downsets ordered by inclusion."""
-    fam = list(poset.iter_downsets())
-    pairs = [(a, b) for a in fam for b in fam if a <= b]
-    return FinPoset(FinSet(fam), pairs)
+    return _inclusion_order(poset.iter_downsets())
 
 
 # -- subsets with a declared kind ---------------------------------------------
@@ -507,27 +504,42 @@ class MonotoneMap:
         return MonotoneMap.from_callable(other.dom, self.cod, lambda x: self(other(x)))
 
 
-def preserves_all_joins(m):
-    """All joins, including the empty one (bottom goes to bottom)."""
+# -- the two order-dual halves of a lattice -------------------------------------
+
+# Every join/meet construction below is written once against one half: the
+# binary operation, its unit (the empty case), the operation on any family,
+# the irreducibles that generate the lattice under it, and side(L, a), the
+# elements on the unit's side of a (below a for joins, above it for meets).
+_Half = namedtuple("_Half", "op unit big irreducibles side")
+_JOIN = _Half(FinPoset.join, FinPoset.bottom, FinPoset.bigjoin,
+              FinPoset.join_irreducibles, FinPoset.down_set)
+_MEET = _Half(FinPoset.meet, FinPoset.top, FinPoset.bigmeet,
+              FinPoset.meet_irreducibles, FinPoset.up_set)
+
+
+def _preserves(dom, cod, g, op):
+    """Does the graph g commute with the binary operation op?"""
+    return all(
+        g[op(dom, x, y)] == op(cod, g[x], g[y])
+        for x, y in itertools.combinations_with_replacement(dom.elements, 2)
+    )
+
+
+def _preserves_all(m, half):
     m.dom.require_lattice()
     m.cod.require_lattice()
-    if m(m.dom.bottom()) != m.cod.bottom():
-        return False
-    for x, y in itertools.combinations_with_replacement(m.dom.elements, 2):
-        if m(m.dom.join(x, y)) != m.cod.join(m(x), m(y)):
-            return False
-    return True
+    g = m.as_dict()
+    return (g[half.unit(m.dom)] == half.unit(m.cod)
+            and _preserves(m.dom, m.cod, g, half.op))
+
+
+def preserves_all_joins(m):
+    """All joins, including the empty one (bottom goes to bottom)."""
+    return _preserves_all(m, _JOIN)
 
 
 def preserves_all_meets(m):
-    m.dom.require_lattice()
-    m.cod.require_lattice()
-    if m(m.dom.top()) != m.cod.top():
-        return False
-    for x, y in itertools.combinations_with_replacement(m.dom.elements, 2):
-        if m(m.dom.meet(x, y)) != m.cod.meet(m(x), m(y)):
-            return False
-    return True
+    return _preserves_all(m, _MEET)
 
 
 def right_adjoint(m):
@@ -551,7 +563,21 @@ def right_adjoint(m):
 
 # -- the four lattice/2 element isomorphisms -----------------------------------
 
-LATTICE_ISO_VARIANTS = ("join_to_2", "join_to_op2", "meet_to_2", "meet_to_op2")
+# variant -> (the half its maps preserve, the value they give that half's unit
+# and every element on the unit's side of the classifying element)
+_LATTICE_ISO = {
+    "join_to_2": (_JOIN, 0),
+    "join_to_op2": (_JOIN, 1),
+    "meet_to_2": (_MEET, 1),
+    "meet_to_op2": (_MEET, 0),
+}
+LATTICE_ISO_VARIANTS = tuple(_LATTICE_ISO)
+
+
+def _iso_variant(variant):
+    if variant not in _LATTICE_ISO:
+        raise ValueError(f"unknown variant {variant!r}")
+    return _LATTICE_ISO[variant]
 
 
 def _check_two_valued(lattice, phi):
@@ -561,33 +587,12 @@ def _check_two_valued(lattice, phi):
 
 
 def _variant_ok(lattice, phi, variant):
-    bot, top = lattice.bottom(), lattice.top()
-    pairs = itertools.combinations_with_replacement(lattice.elements, 2)
-    if variant == "join_to_2":
-        if phi[bot] != 0:
-            return False
-        return all(
-            phi[lattice.join(x, y)] == max(phi[x], phi[y]) for x, y in pairs
-        )
-    if variant == "join_to_op2":
-        if phi[bot] != 1:
-            return False
-        return all(
-            phi[lattice.join(x, y)] == min(phi[x], phi[y]) for x, y in pairs
-        )
-    if variant == "meet_to_2":
-        if phi[top] != 1:
-            return False
-        return all(
-            phi[lattice.meet(x, y)] == min(phi[x], phi[y]) for x, y in pairs
-        )
-    if variant == "meet_to_op2":
-        if phi[top] != 0:
-            return False
-        return all(
-            phi[lattice.meet(x, y)] == max(phi[x], phi[y]) for x, y in pairs
-        )
-    raise ValueError(f"unknown variant {variant!r}")
+    half, value = _iso_variant(variant)
+    combine = max if value == 0 else min  # the operation on 2 whose unit is value
+    return phi[half.unit(lattice)] == value and all(
+        phi[half.op(lattice, x, y)] == combine(phi[x], phi[y])
+        for x, y in itertools.combinations_with_replacement(lattice.elements, 2)
+    )
 
 
 def lattice_map_to_element(lattice, phi, variant):
@@ -597,29 +602,17 @@ def lattice_map_to_element(lattice, phi, variant):
     _check_two_valued(lattice, phi)
     if not _variant_ok(lattice, phi, variant):
         raise StructureNotPreserved(f"map does not qualify for {variant}")
-    if variant == "join_to_2":
-        return lattice.bigjoin(x for x in lattice if phi[x] == 0)
-    if variant == "join_to_op2":
-        return lattice.bigjoin(x for x in lattice if phi[x] == 1)
-    if variant == "meet_to_2":
-        return lattice.bigmeet(x for x in lattice if phi[x] == 1)
-    return lattice.bigmeet(x for x in lattice if phi[x] == 0)
+    half, value = _LATTICE_ISO[variant]
+    return half.big(lattice, (x for x in lattice if phi[x] == value))
 
 
 def lattice_element_to_map(lattice, a, variant):
     """Inverse direction of lattice_map_to_element."""
     lattice.require_lattice()
     lattice.carrier.require(a)
-    if variant == "join_to_2":
-        phi = {x: 0 if lattice.leq(x, a) else 1 for x in lattice}
-    elif variant == "join_to_op2":
-        phi = {x: 1 if lattice.leq(x, a) else 0 for x in lattice}
-    elif variant == "meet_to_2":
-        phi = {x: 1 if lattice.leq(a, x) else 0 for x in lattice}
-    elif variant == "meet_to_op2":
-        phi = {x: 0 if lattice.leq(a, x) else 1 for x in lattice}
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    half, value = _iso_variant(variant)
+    side = half.side(lattice, a)
+    phi = {x: value if x in side else 1 - value for x in lattice}
     if not _variant_ok(lattice, phi, variant):
         raise StructureNotPreserved(f"constructed map fails {variant}")
     return phi
@@ -686,9 +679,14 @@ def _budget_check(bound, budget):
         raise TooLarge(f"candidate space of size {bound} exceeds budget {budget}")
 
 
-def _iter_monotone_graphs(dom, cod, fixed=None):
-    """Backtracking generator of monotone graphs dom -> cod as dicts."""
-    order = dom.linear_extension()
+def _iter_monotone_graphs(dom, cod, points, fixed=None):
+    """Backtracking generator of monotone assignments points -> cod as dicts.
+
+    The points are visited in a linear extension of dom; fixed pins some of
+    them to one value each.
+    """
+    order = [p for p in dom.linear_extension() if p in points]
+    fixed = fixed or {}
     assign = {}
 
     def rec(i):
@@ -697,74 +695,13 @@ def _iter_monotone_graphs(dom, cod, fixed=None):
             return
         p = order[i]
         lowers = [assign[q] for q in order[:i] if dom.leq(q, p)]
-        cands = [
-            c for c in cod.elements if all(cod.leq(l, c) for l in lowers)
-        ]
-        if fixed is not None and p in fixed:
-            cands = [c for c in cands if c == fixed[p]]
-        for c in cands:
-            assign[p] = c
-            yield from rec(i + 1)
-        assign.pop(p, None)
-
-    yield from rec(0)
-
-
-def _iter_generated_maps(dom, cod, generators, extend, verify):
-    """Monotone assignments on generators, extended and verified."""
-    gen_order = [g for g in dom.linear_extension() if g in generators]
-    assign = {}
-
-    def rec(i):
-        if i == len(gen_order):
-            yield dict(assign)
-            return
-        p = gen_order[i]
-        lowers = [assign[q] for q in gen_order[:i] if dom.leq(q, p)]
-        for c in cod.elements:
+        for c in (fixed[p],) if p in fixed else cod.elements:
             if all(cod.leq(l, c) for l in lowers):
                 assign[p] = c
                 yield from rec(i + 1)
         assign.pop(p, None)
 
-    for a in rec(0):
-        graph = extend(a)
-        if verify(graph):
-            yield graph
-
-
-def _join_extension(dom, cod, gens):
-    def extend(assign):
-        return {
-            x: cod.bigjoin(assign[j] for j in gens if dom.leq(j, x))
-            for x in dom.elements
-        }
-
-    return extend
-
-
-def _meet_extension(dom, cod, gens):
-    def extend(assign):
-        return {
-            x: cod.bigmeet(assign[m] for m in gens if dom.leq(x, m))
-            for x in dom.elements
-        }
-
-    return extend
-
-
-def _is_join_preserving_graph(dom, cod, g):
-    for x, y in itertools.combinations_with_replacement(dom.elements, 2):
-        if g[dom.join(x, y)] != cod.join(g[x], g[y]):
-            return False
-    return True
-
-
-def _is_meet_preserving_graph(dom, cod, g):
-    for x, y in itertools.combinations_with_replacement(dom.elements, 2):
-        if g[dom.meet(x, y)] != cod.meet(g[x], g[y]):
-            return False
-    return True
+    yield from rec(0)
 
 
 def _iter_plotkin_hom_graphs(dom_alg, cod_alg, budget):
@@ -777,27 +714,29 @@ def _iter_plotkin_hom_graphs(dom_alg, cod_alg, budget):
     frame = dom_alg.frame
     _budget_check(len(cod_alg.poset) ** len(frame), budget)
     fixed = {frame.bottom(): cod_alg.zero, frame.top(): cod_alg.one}
-    for d in _iter_monotone_graphs(frame, cod_alg.poset, fixed=fixed):
-        graph = {
-            (a, b): (d[a][0], d[b][1])
-            for (a, b) in dom_alg.poset.elements
-        }
-        ok = (
+    elems = dom_alg.poset.elements
+    for d in _iter_monotone_graphs(frame, cod_alg.poset, frame.carrier, fixed):
+        graph = {(a, b): (d[a][0], d[b][1]) for (a, b) in elems}
+        if (
             graph[dom_alg.zero] == cod_alg.zero
             and graph[dom_alg.one] == cod_alg.one
             and graph[dom_alg.mix] == cod_alg.mix
-        )
-        if ok:
-            elems = dom_alg.poset.elements
-            for s in elems:
-                for t in elems:
-                    if graph[dom_alg.amalg(s, t)] != cod_alg.amalg(graph[s], graph[t]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
+            and all(graph[dom_alg.amalg(s, t)] == cod_alg.amalg(graph[s], graph[t])
+                    for s in elems for t in elems)
+        ):
             yield graph
+
+
+# lattice selector -> (the half whose irreducibles generate its maps, whether
+# they also keep the dual half's unit, whether they also keep its operation)
+_LATTICE_SELECTORS = {
+    "join-preserving": (_JOIN, False, False),
+    "join+top": (_JOIN, True, False),
+    "frame": (_JOIN, True, True),
+    "meet-preserving": (_MEET, False, False),
+    "meet+top": (_MEET, False, False),
+    "preframe+0": (_MEET, True, False),
+}
 
 
 def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
@@ -827,41 +766,31 @@ def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
         _budget_check(max(len(cod), 1) ** len(dom), budget)
         return tuple(
             MonotoneMap.from_dict(dom, cod, g)
-            for g in _iter_monotone_graphs(dom, cod)
+            for g in _iter_monotone_graphs(dom, cod, dom.carrier)
         )
 
     dom.require_lattice()
     cod.require_lattice()
-
-    if selector in ("join-preserving", "join+top", "frame"):
-        gens = dom.join_irreducibles()
-        _budget_check(max(len(cod), 1) ** len(gens), budget)
-        extend = _join_extension(dom, cod, gens)
-        out = []
-        for g in _iter_generated_maps(
-            dom, cod, gens, extend, lambda g: _is_join_preserving_graph(dom, cod, g)
+    # a map preserving all of one half is the extension of its values on
+    # that half's irreducibles: each element goes to the big operation over
+    # the irreducibles on the unit's side of it
+    half, keeps_unit, keeps_op = _LATTICE_SELECTORS[selector]
+    dual = _MEET if half is _JOIN else _JOIN
+    gens = half.irreducibles(dom)
+    _budget_check(max(len(cod), 1) ** len(gens), budget)
+    out = []
+    for assign in _iter_monotone_graphs(dom, cod, gens):
+        g = {}
+        for x in dom.elements:
+            side = half.side(dom, x)
+            g[x] = half.big(cod, (assign[j] for j in gens if j in side))
+        if (
+            _preserves(dom, cod, g, half.op)
+            and (not keeps_unit or g[dual.unit(dom)] == dual.unit(cod))
+            and (not keeps_op or _preserves(dom, cod, g, dual.op))
         ):
-            if selector in ("join+top", "frame") and g[dom.top()] != cod.top():
-                continue
-            if selector == "frame" and not _is_meet_preserving_graph(dom, cod, g):
-                continue
             out.append(MonotoneMap.from_dict(dom, cod, g))
-        return tuple(out)
-
-    if selector in ("meet-preserving", "meet+top", "preframe+0"):
-        gens = dom.meet_irreducibles()
-        _budget_check(max(len(cod), 1) ** len(gens), budget)
-        extend = _meet_extension(dom, cod, gens)
-        out = []
-        for g in _iter_generated_maps(
-            dom, cod, gens, extend, lambda g: _is_meet_preserving_graph(dom, cod, g)
-        ):
-            if selector == "preframe+0" and g[dom.bottom()] != cod.bottom():
-                continue
-            out.append(MonotoneMap.from_dict(dom, cod, g))
-        return tuple(out)
-
-    raise AssertionError("unreachable")
+    return tuple(out)
 
 
 # -- poset inventories ------------------------------------------------------------

@@ -8,12 +8,13 @@ enumeration.  Side conditions of inputs and outputs are always verified.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .check import Check
-from .effects import ZERO, FuzzyPredicate
+from .effects import FuzzyPredicate, expectation
 from .errors import (
     Incomparable,
     NotJoinPreserving,
@@ -51,16 +52,27 @@ THREE = chain((0, 1, 2))
 BOT3, MID3, TOP3 = 0, 1, 2
 
 
+def predicate_lattice(family, obj):
+    """The predicates over an object of family: every subset of a set, every
+    upset (open) of a poset, ordered by inclusion."""
+    return upsets(obj) if family.base == "poset" else powerset_lattice(obj)
+
+
+def _lift(arrow, holds):
+    """The transformer v |-> {x : holds(arrow(x), v)} between predicate lattices."""
+    return MonotoneMap.from_callable(
+        predicate_lattice(arrow.family, arrow.cod),
+        predicate_lattice(arrow.family, arrow.dom),
+        lambda v: frozenset(x for x in arrow.dom if holds(arrow(x), v)),
+    )
+
+
 # -- box: nondeterminism against meet-preserving transformers -------------------------
 
 
 def box_transformer(arrow):
     """Demonic weakest preconditions of a powerset computation."""
-    px = powerset_lattice(arrow.dom)
-    py = powerset_lattice(arrow.cod)
-    m = MonotoneMap.from_callable(
-        py, px, lambda a: frozenset(x for x in arrow.dom if arrow(x) <= a)
-    )
+    m = _lift(arrow, operator.le)
     if not preserves_all_meets(m):
         raise StructureNotPreserved("box transpose lost meet preservation")
     return m
@@ -107,11 +119,7 @@ def box_computation(m):
 
 def filter_transformer(arrow):
     """Transformer of a filter computation: accept a set if the filter holds it."""
-    px = powerset_lattice(arrow.dom)
-    py = powerset_lattice(arrow.cod)
-    m = MonotoneMap.from_callable(
-        py, px, lambda a: frozenset(x for x in arrow.dom if a in arrow(x))
-    )
+    m = _lift(arrow, operator.contains)
     if not preserves_all_meets(m):
         raise StructureNotPreserved("filter transpose lost meet preservation")
     return m
@@ -170,11 +178,7 @@ def monotone_nbhd_computation(m):
 
 def diamond_transformer(arrow):
     """Possibility transformer of a downset computation: hit the target open."""
-    uy = upsets(arrow.cod)
-    ux = upsets(arrow.dom)
-    m = MonotoneMap.from_callable(
-        uy, ux, lambda v: frozenset(x for x in arrow.dom if arrow(x) & v)
-    )
+    m = _lift(arrow, operator.and_)
     if not preserves_all_joins(m):
         raise StructureNotPreserved("diamond transpose lost join preservation")
     return m
@@ -219,11 +223,7 @@ def _preserves_top(m):
 
 def hoare_pred(arrow):
     """Angelic transformer of a nonempty-downset computation."""
-    m = MonotoneMap.from_callable(
-        upsets(arrow.cod),
-        upsets(arrow.dom),
-        lambda v: frozenset(x for x in arrow.dom if arrow(x) & v),
-    )
+    m = _lift(arrow, operator.and_)
     if not (preserves_all_joins(m) and _preserves_top(m)):
         raise StructureNotPreserved("angelic transpose lost its structure")
     return m
@@ -243,11 +243,7 @@ def hoare_computation(m, dom_poset, cod_poset):
 
 def smyth_pred(arrow):
     """Demonic transformer of a saturated-set computation: guaranteed hit."""
-    m = MonotoneMap.from_callable(
-        upsets(arrow.cod),
-        upsets(arrow.dom),
-        lambda v: frozenset(x for x in arrow.dom if arrow(x) <= v),
-    )
+    m = _lift(arrow, operator.le)
     if not (preserves_all_meets(m) and m(frozenset()) == frozenset()):
         raise StructureNotPreserved("demonic transpose lost its structure")
     return m
@@ -387,11 +383,8 @@ def expectation_pred(arrow):
     def transform(q):
         if q.carrier != arrow.cod:
             raise SideConditionViolated("post-expectation lives on the wrong carrier")
-        values = tuple(
-            sum((q(y) * arrow(x)(y) for y in arrow(x).support), ZERO)
-            for x in arrow.dom.elements
-        )
-        return FuzzyPredicate(arrow.dom, values)
+        return FuzzyPredicate(arrow.dom, tuple(
+            expectation(arrow(x).weights, q) for x in arrow.dom.elements))
 
     return transform
 
@@ -430,73 +423,35 @@ class Correspondence:
     family: Optional[MonadFamily] = None
 
 
-BOX = Correspondence(
-    id="box",
-    forward=lambda g, x, y: box_transformer(g),
-    backward=lambda m, x, y: box_computation(m),
-    iter_computations=lambda x, y, budget: iter_kleisli_arrows(POWERSET, x, y, budget),
-    iter_transformers=lambda x, y, budget: enumerate_structure_maps(
-        powerset_lattice(y), powerset_lattice(x), "meet-preserving", budget
-    ),
-    family=POWERSET,
-)
+def _arrow_correspondence(id, family, selector, transformer, backward):
+    """Kleisli arrows of family against the selector maps between their
+    predicate lattices, with transformer as the forward transpose."""
+    return Correspondence(
+        id=id,
+        forward=lambda g, x, y: transformer(g),
+        backward=backward,
+        iter_computations=lambda x, y, budget: iter_kleisli_arrows(
+            family, x, y, budget),
+        iter_transformers=lambda x, y, budget: enumerate_structure_maps(
+            predicate_lattice(family, y), predicate_lattice(family, x), selector, budget
+        ),
+        family=family,
+    )
 
-FILTER_CORR = Correspondence(
-    id="filter",
-    forward=lambda g, x, y: filter_transformer(g),
-    backward=lambda m, x, y: filter_computation(m),
-    iter_computations=lambda x, y, budget: iter_kleisli_arrows(FILTER, x, y, budget),
-    iter_transformers=lambda x, y, budget: enumerate_structure_maps(
-        powerset_lattice(y), powerset_lattice(x), "meet+top", budget
-    ),
-    family=FILTER,
-)
 
-MONOTONE_NBHD = Correspondence(
-    id="monotone-nbhd",
-    forward=lambda g, x, y: monotone_nbhd_transformer(g),
-    backward=lambda m, x, y: monotone_nbhd_computation(m),
-    iter_computations=lambda x, y, budget: iter_kleisli_arrows(
-        MONOTONE_NEIGHBOURHOOD, x, y, budget
-    ),
-    iter_transformers=lambda x, y, budget: enumerate_structure_maps(
-        powerset_lattice(y), powerset_lattice(x), "monotone", budget
-    ),
-    family=MONOTONE_NEIGHBOURHOOD,
-)
-
-DIAMOND = Correspondence(
-    id="diamond",
-    forward=lambda g, p, q: diamond_transformer(g),
-    backward=diamond_computation,
-    iter_computations=lambda p, q, budget: iter_kleisli_arrows(DOWNSET, p, q, budget),
-    iter_transformers=lambda p, q, budget: enumerate_structure_maps(
-        upsets(q), upsets(p), "join-preserving", budget
-    ),
-    family=DOWNSET,
-)
-
-HOARE_CORR = Correspondence(
-    id="hoare",
-    forward=lambda g, p, q: hoare_pred(g),
-    backward=hoare_computation,
-    iter_computations=lambda p, q, budget: iter_kleisli_arrows(HOARE, p, q, budget),
-    iter_transformers=lambda p, q, budget: enumerate_structure_maps(
-        upsets(q), upsets(p), "join+top", budget
-    ),
-    family=HOARE,
-)
-
-SMYTH_CORR = Correspondence(
-    id="smyth",
-    forward=lambda g, p, q: smyth_pred(g),
-    backward=smyth_computation,
-    iter_computations=lambda p, q, budget: iter_kleisli_arrows(SMYTH, p, q, budget),
-    iter_transformers=lambda p, q, budget: enumerate_structure_maps(
-        upsets(q), upsets(p), "preframe+0", budget
-    ),
-    family=SMYTH,
-)
+BOX = _arrow_correspondence("box", POWERSET, "meet-preserving", box_transformer,
+                            lambda m, x, y: box_computation(m))
+FILTER_CORR = _arrow_correspondence("filter", FILTER, "meet+top", filter_transformer,
+                                    lambda m, x, y: filter_computation(m))
+MONOTONE_NBHD = _arrow_correspondence(
+    "monotone-nbhd", MONOTONE_NEIGHBOURHOOD, "monotone", monotone_nbhd_transformer,
+    lambda m, x, y: monotone_nbhd_computation(m))
+DIAMOND = _arrow_correspondence("diamond", DOWNSET, "join-preserving",
+                                diamond_transformer, diamond_computation)
+HOARE_CORR = _arrow_correspondence("hoare", HOARE, "join+top",
+                                   hoare_pred, hoare_computation)
+SMYTH_CORR = _arrow_correspondence("smyth", SMYTH, "preframe+0",
+                                   smyth_pred, smyth_computation)
 
 THREE_CORR = Correspondence(
     id="three",

@@ -332,3 +332,16 @@ class TestInputFailures:
     def test_negative_count(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and argv[-1] in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["laws", "--monad", "hoare", "--max-size", "0"],
+        ["laws", "--monad", "dist", "--max-size", "0"],
+        ["certify", "--correspondence", "diamond", "--sizes", "0"],
+        ["certify", "--correspondence", "three", "--sizes", "0"],
+        ["certify", "--correspondence", "expectation", "--sizes", "2", "--instances", "0"],
+        ["certify", "--correspondence", "box", "--sizes", "1,2,3"],
+    ], ids=["laws-hoare", "laws-dist", "certify-diamond", "certify-three",
+            "certify-expectation", "three-sizes"])
+    def test_nothing_to_check(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.count("\n") == 1

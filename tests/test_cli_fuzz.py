@@ -1,9 +1,11 @@
 """Fuzzing the command line: every input ends in exit 0, 1 or 2, never a traceback.
 
 Runs cli_main in-process over generated transpose payloads (arbitrary JSON in
-each field, mixed with well-shaped values so that decoding gets deep) and
-over certify/laws argument vectors.  The settings are derandomized, so every
-run draws the same examples.
+each field, mixed with well-shaped values so that decoding gets deep), over
+certify/laws argument vectors, over wp/run programs spliced from GCL tokens
+with their --post, --init and --init-dist strings, and over enumerate object
+literals.  The settings are derandomized, so every run draws the same
+examples.
 """
 
 import contextlib
@@ -11,6 +13,7 @@ import io
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -127,3 +130,94 @@ def test_certify_arguments(corr, sizes, instances, seed, fmt):
 def test_laws_arguments(monad, max_size, seed, effects):
     run_cli(["laws", "--monad", monad, "--max-size", max_size, "--seed", seed]
             + ["--effects"] * effects)
+
+
+GCL_TOKENS = st.sampled_from([
+    "vars", "x", "y", "z", "in", "0", "1", "2", "..", ",", ";", "body", ":", "post",
+    "skip", "abort", "if", "else", "choose", "[]", "prob", "1/2", "1/0", "{", "}",
+    "(", ")", "[", "]", ":=", "+", "-", "*", "/", "==", "!=", "<", "<=", "!", "&&",
+    "||", "true", "false", "@"])
+NOISE = st.lists(GCL_TOKENS, max_size=12).map(" ".join)
+
+
+def splice(draw, bases, noise):
+    """One of bases, unchanged or with a run of noise tokens spliced in."""
+    base = draw(st.sampled_from(bases))
+    if not draw(st.booleans()):
+        return base
+    cut = draw(st.integers(0, len(base)))
+    return f"{base[:cut]} {draw(noise)} {base[cut:]}"
+
+
+HEADER = "vars x in 0..2, y in 0..1; body: "
+PROGRAMS = [
+    HEADER + "x := x + 1; if (x == 2) { y := 1 } else { abort }; post: x <= y;",
+    "vars x in 0..1; body: prob 1/3 {x:=0}{x:=1}; post: [x == 0];",
+    "vars x in 0..1; body: choose {x:=0} [] {x:=1}; post: x == 0;",
+]
+
+
+@st.composite
+def program_texts(draw):
+    """A program, a header or nothing, perhaps with GCL tokens spliced in."""
+    return splice(draw, [*PROGRAMS, HEADER, ""], NOISE)
+
+
+@pytest.fixture(scope="module")
+def program_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "prog.gc"
+
+
+MODES = st.sampled_from(["pow", "dist"])
+FORMATS = st.sampled_from(["table", "json"])
+
+
+@FUZZ
+@given(program=program_texts(), mode=MODES, fmt=FORMATS,
+       flavor=st.none() | st.sampled_from(["demonic", "angelic", "expectation"]),
+       post=st.none() | NOISE
+       | st.sampled_from(["x == 0", "[x <= 1]", "1/2 * [y == 0]"]))
+def test_wp_inputs(program_file, program, mode, fmt, flavor, post):
+    program_file.write_text(program)
+    run_cli(["wp", str(program_file), "--mode", mode, "--format", fmt]
+            + [f"--flavor={flavor}"] * (flavor is not None)
+            + [f"--post={post}"] * (post is not None))
+
+
+@FUZZ
+@given(program=program_texts(), mode=MODES, fmt=FORMATS,
+       init=st.sampled_from(["x=0", "x=1,y=0", "x=9,y=0", "x=a", "y", ""])
+       | st.none() | st.text(max_size=4),
+       init_dist=st.none() | st.sampled_from(
+           ["{x=0: 1/2, x=1: 1/2}", "{x=0,y=1: 1}", "{x=0: 1/0}", "{x=0: 2}", "{}"])
+       | st.text(max_size=6))
+def test_run_inputs(program_file, program, mode, fmt, init, init_dist):
+    program_file.write_text(program)
+    run_cli(["run", str(program_file), "--mode", mode, "--format", fmt]
+            + [f"--init={init}"] * (init is not None)
+            + [f"--init-dist={init_dist}"] * (init_dist is not None))
+
+
+OBJECT_TOKENS = st.sampled_from(
+    ["poset", "set", "P", "{", "}", "elems", "covers", "a", "b", "c", "a<b", "b<c",
+     "c<a", "a<a", "a<", ";", "<"])
+OBJECTS = [
+    "poset P { elems a b c; covers a<b; }",
+    "poset P { elems a b; covers a<b b<a; }",
+    "set S { elems a b c; }",
+    "set S { elems; }",
+]
+
+
+@st.composite
+def object_literals(draw):
+    """An object literal, perhaps with literal tokens spliced in."""
+    noise = st.lists(OBJECT_TOKENS, max_size=8).map(" ".join)
+    return splice(draw, [*OBJECTS, ""], noise)
+
+
+@FUZZ
+@given(monad=st.sampled_from(sorted(FAMILIES)) | st.just("nope"),
+       obj=object_literals(), fmt=FORMATS)
+def test_enumerate_inputs(monad, obj, fmt):
+    run_cli(["enumerate", "--monad", monad, f"--object={obj}", "--format", fmt])

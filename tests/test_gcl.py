@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from finsem import gcl
+from finsem.cli import cli_main
 from finsem.errors import (
     ModeMismatch,
     ParseError,
@@ -59,6 +61,42 @@ class TestParser:
     def test_empty_range_rejected(self):
         with pytest.raises(RangeError):
             gcl.parse("vars x in 3..1; body: skip;")
+
+
+# program bodies nested n levels deep, one per shape that used to exhaust the
+# recursion limit in the parser or the evaluators
+NESTED = {
+    "sequence": lambda n: "; ".join(["x := 1"] * (n + 1)),
+    "sum": lambda n: "x := " + "+".join(["1"] * (n + 1)),
+    "parentheses": lambda n: "x := " + "(" * n + "1" + ")" * n,
+    "ifs": lambda n: "if x == 0 {" * n + "x := 1" + "}" * n,
+}
+# the sizes at which each shape was first seen to crash
+CRASHING = {"sequence": 3000, "sum": 2999, "parentheses": 3000, "ifs": 400}
+
+
+def nested_program(shape, n):
+    return f"vars x in 0..1; body: {NESTED[shape](n)}; post: x == 1;"
+
+
+class TestNesting:
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_bound_is_exact(self, shape):
+        prog = gcl.parse(nested_program(shape, gcl.MAX_NESTING))
+        assert gcl.check_roundtrip(prog, "demonic").ok
+        with pytest.raises(ParseError) as err:
+            gcl.parse(nested_program(shape, gcl.MAX_NESTING + 1))
+        assert "nesting deeper than" in str(err.value) and err.value.line == 1
+
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    @pytest.mark.parametrize("command", [["wp"], ["run", "--init", "x=0"]])
+    def test_deep_program_exits_2(self, capsys, tmp_path, shape, command):
+        f = tmp_path / "deep.gc"
+        f.write_text(nested_program(shape, CRASHING[shape]))
+        assert cli_main(command + [str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert re.fullmatch(r"error: 1:\d+: nesting deeper than 100 levels\n", err)
 
 
 class TestDenotation:

@@ -340,6 +340,50 @@ class TestEnumerateStructureMaps:
         assert {m.graph for m in maps} == set(slow)
 
 
+DIAMOND4 = make_poset("0abt", [("0", "a"), ("0", "b"), ("a", "t"), ("b", "t")])
+CHAIN3 = chain((0, 1, 2))
+# (dom, cod) -> selector -> every graph in enumeration order, each written as
+# its images over dom.elements; sampled round trips index into this order
+# and witnesses take its first failure
+ORDERED_MAPS = {
+    (DIAMOND4, CHAIN3): {
+        "monotone": ["0000", "0001", "0002", "0011", "0012", "0022", "0101", "0102",
+                     "0111", "0112", "0122", "0202", "0212", "0222", "1111", "1112",
+                     "1122", "1212", "1222", "2222"],
+        "join-preserving": ["0000", "0011", "0022", "0101", "0111", "0122", "0202",
+                            "0212", "0222"],
+        "meet-preserving": ["0002", "0012", "0022", "0102", "1112", "1122", "0202",
+                            "1212", "2222"],
+        "join+top": ["0022", "0122", "0202", "0212", "0222"],
+        "meet+top": ["0002", "0012", "0022", "0102", "1112", "1122", "0202", "1212",
+                     "2222"],
+        "frame": ["0022", "0202"],
+        "preframe+0": ["0002", "0012", "0022", "0102", "0202"],
+    },
+    (CHAIN3, DIAMOND4): {
+        "monotone": ["000", "00a", "00b", "00t", "0aa", "0at", "0bb", "0bt", "0tt",
+                     "aaa", "aat", "att", "bbb", "bbt", "btt", "ttt"],
+        "join-preserving": ["000", "00a", "00b", "00t", "0aa", "0at", "0bb", "0bt",
+                            "0tt"],
+        "meet-preserving": ["00t", "0at", "0bt", "0tt", "aat", "att", "bbt", "btt",
+                            "ttt"],
+        "join+top": ["00t", "0at", "0bt", "0tt"],
+        "meet+top": ["00t", "0at", "0bt", "0tt", "aat", "att", "bbt", "btt", "ttt"],
+        "frame": ["00t", "0at", "0bt", "0tt"],
+        "preframe+0": ["00t", "0at", "0bt", "0tt"],
+    },
+}
+
+
+@pytest.mark.parametrize("dom, cod", list(ORDERED_MAPS),
+                         ids=["diamond-chain", "chain-diamond"])
+@pytest.mark.parametrize("selector", sorted(SELECTOR_PREDICATES))
+def test_enumeration_order_is_pinned(dom, cod, selector):
+    maps = enumerate_structure_maps(dom, cod, selector)
+    images = ["".join(map(str, m.graph)) for m in maps]
+    assert images == ORDERED_MAPS[dom, cod][selector]
+
+
 class TestFiniteDirectedCompleteness:
     @pytest.mark.parametrize("poset", all_posets(4), ids=repr)
     def test_directed_subsets_have_a_maximum(self, poset):
