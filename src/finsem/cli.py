@@ -2,7 +2,8 @@
 
 Subcommands: wp, run, laws, enumerate, transpose, certify.  Exit codes:
 0 success, 1 verification failure, 2 usage error (bad arguments, unreadable
-files, malformed input), always with a one-line message on stderr.
+files, malformed input), with a one-line message on stderr; argparse prints
+its usage lines before the message for an error in the flags themselves.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from . import gcl
 from .effects import (
+    Distribution,
     farey_grid,
     format_rat,
     parse_rat,
@@ -97,23 +99,20 @@ def cmd_wp(args):
         return 2
     table = gcl.wp(program, post, flavor, state_cap=args.state_cap)
     space = gcl.StateSpace(program.decls)
-    states = space.states(args.state_cap)
-    payload = {
-        "states": [space.render(s) for s in states],
-        "wp": {space.render(s): _json_value(table[s]) for s in states},
-    }
-    rows = [(space.render(s), str(_json_value(table[s]))) for s in states]
-    _emit(payload, args.format, rows, ("state", "wp"))
+    values = {space.render(s): _json_value(v) for s, v in table.items()}
+    payload = {"states": list(values), "wp": values}
+    _emit(payload, args.format, [(k, str(v)) for k, v in values.items()], ("state", "wp"))
     return 0
 
 
 def cmd_run(args):
     program = gcl.parse(_read(args.program))
     arrow = gcl.denote(program, args.mode, state_cap=args.state_cap)
-    space = gcl.StateSpace(program.decls)
-    states = space.states(args.state_cap)
-    family = arrow.family
+    space, states = gcl.StateSpace(program.decls), arrow.dom
     if args.init_dist is not None:
+        if args.mode != "dist":
+            print("an initial distribution needs --mode dist", file=sys.stderr)
+            return 2
         weights = {}
         text = args.init_dist.strip()
         if not (text.startswith("{") and text.endswith("}")):
@@ -125,15 +124,9 @@ def cmd_run(args):
                 continue
             key, _, value = item.rpartition(":")
             weights[space.parse_state(key)] = parse_rat(value)
-        from .effects import Distribution
-
         start = Distribution(states, tuple(weights.items()))
-        if args.mode != "dist":
-            print("an initial distribution needs --mode dist", file=sys.stderr)
-            return 2
     else:
-        init = space.parse_state(args.init)
-        start = family.unit(states, init)
+        start = arrow.family.unit(states, space.parse_state(args.init))
     result = bind_apply(arrow, start)
     payload = {"result": element_to_json(result)}
     if isinstance(result, frozenset):
@@ -246,8 +239,15 @@ def cmd_transpose(args):
     if not isinstance(data, dict):
         print("transpose payload must be a JSON object", file=sys.stderr)
         return 2
+    direction = data.get("direction", "forward")
+    # expectation has no backward codec
+    directions = ("forward",) if corr.id == "expectation" else ("forward", "backward")
+    if direction not in directions:
+        print(f"transpose direction for {corr.id} must be {' or '.join(directions)}, "
+              f"not {direction!r}", file=sys.stderr)
+        return 2
     try:
-        transpose = _decode_transpose(corr, data.get("direction", "forward"), data)
+        transpose = _decode_transpose(corr, direction, data)
     except KeyError as exc:
         print(f"transpose payload is missing {exc.args[0]!r}", file=sys.stderr)
         return 2
@@ -269,7 +269,7 @@ def _decode_transpose(corr, direction, data):
     A failure while building is bad input; the transposes' own failures, such
     as a transformer breaking its side conditions, are failed checks.
     """
-    from .effects import Distribution, FuzzyPredicate
+    from .effects import FuzzyPredicate
     from .transformers import (
         expectation_computation,
         expectation_pred,
@@ -408,6 +408,10 @@ def cmd_certify(args):
     if corr.id == "three":
         cases = [(p, None) for p in all_posets(n) if len(p) >= 1]
     elif corr.id == "expectation":
+        if not (n and m):
+            print(f"--sizes {args.sizes} leaves nothing to check: "
+                  f"expectation needs sets of at least one point", file=sys.stderr)
+            return 2
         rep = expectation_round_trip(FinSet(range(n)), FinSet(range(m)),
                                      instances=args.instances, seed=args.seed)
         if not rep.checked:
@@ -482,9 +486,9 @@ def build_parser():
     p = sub.add_parser("run", help="apply the denotation to an initial state")
     p.add_argument("program")
     p.add_argument("--mode", choices=("pow", "dist"), default="pow")
-    p.add_argument("--init", default=None, help="e.g. x=0,y=1")
-    p.add_argument("--init-dist", default=None,
-                   help="e.g. {x=0: 1/2, x=1: 1/2} (dist mode)")
+    start = p.add_mutually_exclusive_group(required=True)
+    start.add_argument("--init", help="e.g. x=0,y=1")
+    start.add_argument("--init-dist", help="e.g. {x=0: 1/2, x=1: 1/2} (dist mode)")
     p.add_argument("--state-cap", type=int, default=gcl.DEFAULT_STATE_CAP)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_run)
@@ -529,9 +533,6 @@ def cli_main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command == "run" and args.init is None and args.init_dist is None:
-        print("run needs --init or --init-dist", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except OSError as exc:

@@ -1,22 +1,26 @@
 """A toy guarded-command language with exact weakest-precondition semantics.
 
 Programs denote Kleisli arrows over a finite state space, either into the
-powerset monad (pow mode) or the distribution monad (dist mode).  Weakest
-preconditions are computed twice: by structural recursion on the syntax and
-by transposing the whole-program denotation; agreement of the two is the
-operational healthiness check.
+powerset monad (pow mode) or the distribution monad (dist mode).  The
+denotation is built from the monad's own ``unit`` and ``extend``
+(``monads.POWERSET``, ``monads.DIST``): ``skip`` and ``:=`` are units, ``;`` is
+Kleisli extension, and ``choose``/``prob`` extend over a two-point coin.
+Weakest preconditions are computed twice: by structural recursion on the
+syntax and by transposing the whole-program denotation; agreement of the two
+is the operational healthiness check.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .effects import ONE, ZERO, Distribution, expectation, pushforward
+from .effects import ONE, ZERO, Distribution, expectation
 from .errors import (
     ModeMismatch,
     ParseError,
@@ -136,9 +140,6 @@ class Program:
     decls: tuple
     body: object
     post: Optional[object] = None
-
-    def declared(self):
-        return {d.name for d in self.decls}
 
 
 # -- lexer -------------------------------------------------------------------------
@@ -467,7 +468,7 @@ class StateSpace:
         return out
 
     def states(self, cap=DEFAULT_STATE_CAP):
-        if cap is not None and self.size() > cap:
+        if self.size() > cap:
             raise TooLarge(f"{self.size()} states exceed the cap of {cap}")
         ranges = [range(d.lo, d.hi + 1) for d in self.decls]
         return FinSet(itertools.product(*ranges))
@@ -500,6 +501,12 @@ class StateSpace:
         return state
 
 
+# the binary operators that evaluate both sides; && and || short-circuit
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def eval_expr(expr, env):
     if isinstance(expr, Lit):
         return expr.value
@@ -509,11 +516,7 @@ def eval_expr(expr, env):
         return env[expr.name]
     if isinstance(expr, Unary):
         v = eval_expr(expr.arg, env)
-        if expr.op == "-":
-            return -v
-        if expr.op == "!":
-            return not _as_bool(v)
-        raise AssertionError(expr.op)
+        return not _as_bool(v) if expr.op == "!" else -v
     if isinstance(expr, Iverson):
         return ONE if _as_bool(eval_expr(expr.cond, env)) else ZERO
     if isinstance(expr, Bin):
@@ -522,26 +525,7 @@ def eval_expr(expr, env):
             return _as_bool(lhs) and _as_bool(eval_expr(expr.right, env))
         if expr.op == "||":
             return _as_bool(lhs) or _as_bool(eval_expr(expr.right, env))
-        rhs = eval_expr(expr.right, env)
-        if expr.op == "+":
-            return lhs + rhs
-        if expr.op == "-":
-            return lhs - rhs
-        if expr.op == "*":
-            return lhs * rhs
-        if expr.op == "==":
-            return lhs == rhs
-        if expr.op == "!=":
-            return lhs != rhs
-        if expr.op == "<":
-            return lhs < rhs
-        if expr.op == "<=":
-            return lhs <= rhs
-        if expr.op == ">":
-            return lhs > rhs
-        if expr.op == ">=":
-            return lhs >= rhs
-        raise AssertionError(expr.op)
+        return _OPERATORS[expr.op](lhs, eval_expr(expr.right, env))
     raise AssertionError(f"not an expression: {expr!r}")
 
 
@@ -569,33 +553,43 @@ def _branch(cond, space, states, then, orelse):
 
 # -- denotational semantics ----------------------------------------------------------
 
+# the monad each mode denotes into
+_FAMILIES = {"pow": POWERSET, "dist": DIST}
+# the statements that only one mode admits
+_ONLY_IN = {Abort: "pow", Choose: "pow", Prob: "dist"}
+# the carrier of the coin that choose and prob toss: 0 picks left, 1 right
+_COIN = FinSet((0, 1))
+
+
+def _substatements(stmt):
+    if isinstance(stmt, Seq):
+        return stmt.first, stmt.second
+    if isinstance(stmt, If):
+        return stmt.then, stmt.orelse
+    if isinstance(stmt, (Choose, Prob)):
+        return stmt.left, stmt.right
+    return ()
+
 
 def _mode_violation(stmt, mode):
-    if isinstance(stmt, (Skip, Abort, Assign)):
-        if mode == "dist" and isinstance(stmt, Abort):
-            return "abort is not available in dist mode"
-        return None
-    if isinstance(stmt, Seq):
-        return _mode_violation(stmt.first, mode) or _mode_violation(stmt.second, mode)
-    if isinstance(stmt, If):
-        return _mode_violation(stmt.then, mode) or _mode_violation(stmt.orelse, mode)
-    if isinstance(stmt, Choose):
-        if mode == "dist":
-            return "choose is not available in dist mode"
-        return _mode_violation(stmt.left, mode) or _mode_violation(stmt.right, mode)
-    if isinstance(stmt, Prob):
-        if mode == "pow":
-            return "prob is not available in pow mode"
-        return _mode_violation(stmt.left, mode) or _mode_violation(stmt.right, mode)
-    raise AssertionError(f"not a statement: {stmt!r}")
+    if _ONLY_IN.get(type(stmt), mode) != mode:
+        return f"{type(stmt).__name__.lower()} is not available in {mode} mode"
+    for sub in _substatements(stmt):
+        violation = _mode_violation(sub, mode)
+        if violation:
+            return violation
+    return None
 
 
-def check_mode(program, mode):
-    if mode not in ("pow", "dist"):
+def _states(program, mode, cap):
+    """The state space of a program that mode admits, and its states."""
+    if mode not in _FAMILIES:
         raise ModeMismatch(f"unknown mode {mode!r}")
     violation = _mode_violation(program.body, mode)
     if violation:
         raise ModeMismatch(violation)
+    space = StateSpace(program.decls)
+    return space, space.states(cap)
 
 
 def _assign_state(space, state, stmt):
@@ -610,77 +604,39 @@ def _assign_state(space, state, stmt):
     return tuple(out)
 
 
-def _denote_pow(stmt, space, states):
+def _denote(stmt, family, space, states):
+    """The state table of stmt: each state's family element over states."""
     if isinstance(stmt, Skip):
-        return {s: frozenset({s}) for s in states}
+        return {s: family.unit(states, s) for s in states}
     if isinstance(stmt, Abort):
         return {s: frozenset() for s in states}
     if isinstance(stmt, Assign):
-        return {s: frozenset({_assign_state(space, s, stmt)}) for s in states}
+        return {s: family.unit(states, _assign_state(space, s, stmt)) for s in states}
     if isinstance(stmt, Seq):
-        first = _denote_pow(stmt.first, space, states)
-        second = _denote_pow(stmt.second, space, states)
-        return {
-            s: frozenset().union(*(second[t] for t in first[s])) if first[s] else frozenset()
-            for s in states
-        }
+        first = _denote(stmt.first, family, space, states)
+        second = _denote(stmt.second, family, space, states)
+        return {s: family.extend(states, states, second.__getitem__, first[s])
+                for s in states}
     if isinstance(stmt, If):
         return _branch(stmt.cond, space, states,
-                       _denote_pow(stmt.then, space, states),
-                       _denote_pow(stmt.orelse, space, states))
-    if isinstance(stmt, Choose):
-        left = _denote_pow(stmt.left, space, states)
-        right = _denote_pow(stmt.right, space, states)
-        return {s: left[s] | right[s] for s in states}
-    raise AssertionError(f"unexpected statement in pow mode: {stmt!r}")
-
-
-def _denote_dist(stmt, space, states, carrier):
-    if isinstance(stmt, Skip):
-        return {s: Distribution.point(carrier, s) for s in states}
-    if isinstance(stmt, Assign):
-        return {
-            s: Distribution.point(carrier, _assign_state(space, s, stmt))
-            for s in states
-        }
-    if isinstance(stmt, Seq):
-        first = _denote_dist(stmt.first, space, states, carrier)
-        second = _denote_dist(stmt.second, space, states, carrier)
-
-        return {
-            s: Distribution(carrier, pushforward(first[s].weights, second.__getitem__))
-            for s in states
-        }
-    if isinstance(stmt, If):
-        return _branch(stmt.cond, space, states,
-                       _denote_dist(stmt.then, space, states, carrier),
-                       _denote_dist(stmt.orelse, space, states, carrier))
-    if isinstance(stmt, Prob):
-        left = _denote_dist(stmt.left, space, states, carrier)
-        right = _denote_dist(stmt.right, space, states, carrier)
-
-        def mix(s):
-            out = {}
-            for t, w in left[s].weights:
-                out[t] = out.get(t, ZERO) + stmt.chance * w
-            for t, w in right[s].weights:
-                out[t] = out.get(t, ZERO) + (ONE - stmt.chance) * w
-            return Distribution(carrier, tuple(out.items()))
-
-        return {s: mix(s) for s in states}
-    raise AssertionError(f"unexpected statement in dist mode: {stmt!r}")
+                       _denote(stmt.then, family, space, states),
+                       _denote(stmt.orelse, family, space, states))
+    if isinstance(stmt, (Choose, Prob)):
+        left = _denote(stmt.left, family, space, states)
+        right = _denote(stmt.right, family, space, states)
+        coin = (_COIN.as_frozenset() if isinstance(stmt, Choose)
+                else Distribution(_COIN, ((0, stmt.chance), (1, ONE - stmt.chance))))
+        return {s: family.extend(_COIN, states, (left[s], right[s]).__getitem__, coin)
+                for s in states}
+    raise AssertionError(f"not a statement: {stmt!r}")
 
 
 def denote(program, mode, state_cap=DEFAULT_STATE_CAP):
     """The whole-program Kleisli arrow over the state space."""
-    check_mode(program, mode)
-    space = StateSpace(program.decls)
-    states = space.states(state_cap)
-    if mode == "pow":
-        graph = _denote_pow(program.body, space, states)
-        return KleisliArrow.from_dict(POWERSET, states, states, graph)
-    graph = _denote_dist(program.body, space, states, states)
-    return KleisliArrow.from_dict(DIST, states, states, graph)
+    space, states = _states(program, mode, state_cap)
+    family = _FAMILIES[mode]
+    graph = _denote(program.body, family, space, states)
+    return KleisliArrow.from_dict(family, states, states, graph)
 
 
 # -- weakest preconditions -------------------------------------------------------------
@@ -696,7 +652,7 @@ def mode_of_flavor(flavor):
     raise ModeMismatch(f"unknown flavor {flavor!r}")
 
 
-def post_table(program, post, flavor, space, states):
+def post_table(post, flavor, space, states):
     """Evaluate a post-condition into a state table for the given flavor."""
     table = {}
     for s in states:
@@ -744,13 +700,10 @@ def _wp_table(stmt, table, flavor, space, states):
 
 def wp(program, post, flavor, state_cap=DEFAULT_STATE_CAP):
     """Weakest precondition (or pre-expectation) by structural recursion."""
-    mode = mode_of_flavor(flavor)
-    check_mode(program, mode)
-    space = StateSpace(program.decls)
-    states = space.states(state_cap)
+    space, states = _states(program, mode_of_flavor(flavor), state_cap)
     if isinstance(post, str):
         post = parse_expression(post, space.names)
-    table = post_table(program, post, flavor, space, states)
+    table = post_table(post, flavor, space, states)
     return _wp_table(program.body, table, flavor, space, states)
 
 
@@ -806,18 +759,15 @@ def default_posts(space, flavor, rng=None):
 
 def check_roundtrip(program, flavor, posts=None, state_cap=DEFAULT_STATE_CAP, seed=None):
     """Compositional wp against the transposed whole-program denotation."""
-    mode = mode_of_flavor(flavor)
-    check_mode(program, mode)
-    space = StateSpace(program.decls)
-    states = space.states(state_cap)
-    arrow = denote(program, mode, state_cap)
+    arrow = denote(program, mode_of_flavor(flavor), state_cap)
+    space, states = StateSpace(program.decls), arrow.dom
     if posts is None:
         rng = random.Random(seed) if seed is not None else None
         posts = default_posts(space, flavor, rng)
     mismatches = 0
     witness = None
     for post in posts:
-        table = post_table(program, post, flavor, space, states)
+        table = post_table(post, flavor, space, states)
         recursive = _wp_table(program.body, table, flavor, space, states)
         transposed = transformer_wp(arrow, table, flavor)
         if recursive != transposed:

@@ -68,6 +68,17 @@ class TestRunCommand:
         code, _, err = run(capsys, ["run", prog_file])
         assert code == 2
 
+    def test_init_and_init_dist_exclude_each_other(self, capsys, prog_file):
+        code, out, err = run(capsys, ["run", "--mode", "dist", prog_file, "--init", "x=0",
+                                      "--init-dist", "{x=1: 1}"])
+        assert code == 2 and out == ""
+        assert "argument --init-dist: not allowed with argument --init" in err
+
+    def test_init_dist_in_pow_mode_is_a_mode_error(self, capsys, pow_prog):
+        code, out, err = run(capsys, ["run", "--mode", "pow", pow_prog,
+                                      "--init-dist", "{x=0: 1/2}"])
+        assert (code, out, err) == (2, "", "an initial distribution needs --mode dist\n")
+
 
 class TestLawsCommand:
     def test_single_monad_pass(self, capsys):
@@ -340,8 +351,25 @@ class TestInputFailures:
         ["certify", "--correspondence", "three", "--sizes", "0"],
         ["certify", "--correspondence", "expectation", "--sizes", "2", "--instances", "0"],
         ["certify", "--correspondence", "box", "--sizes", "1,2,3"],
+        ["certify", "--correspondence", "expectation", "--sizes", "0"],
+        ["certify", "--correspondence", "expectation", "--sizes", "0,2"],
+        ["certify", "--correspondence", "expectation", "--sizes", "1,0"],
     ], ids=["laws-hoare", "laws-dist", "certify-diamond", "certify-three",
-            "certify-expectation", "three-sizes"])
+            "certify-expectation", "three-sizes", "expectation-empty",
+            "expectation-empty-dom", "expectation-empty-cod"])
     def test_nothing_to_check(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and err.count("\n") == 1
+
+    @pytest.mark.parametrize("corr, direction, allowed", [
+        ("box", "sideways", "forward or backward"),
+        ("three", "sideways", "forward or backward"),
+        ("expectation", "backward", "forward"),
+        ("expectation", "sideways", "forward"),
+    ])
+    def test_transpose_unknown_direction(self, capsys, tmp_path, corr, direction, allowed):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps({"direction": direction, "dom": [0], "cod": [0],
+                                 "arrow": {"0": {"0": "1"}}, "predicate": {"0": "1"}}))
+        err = usage_error(capsys, ["transpose", "--correspondence", corr, "--input", str(f)])
+        assert f"must be {allowed}, not {direction!r}" in err

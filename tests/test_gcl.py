@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -125,7 +126,7 @@ class TestDenotation:
         for s in arrow.dom:
             assert arrow(s) == frozenset()
 
-    def test_mode_mismatch(self):
+    def test_mode_mismatch(self, capsys, tmp_path):
         prog = gcl.parse("vars x in 0..1; body: abort;")
         with pytest.raises(ModeMismatch):
             gcl.denote(prog, "dist")
@@ -135,6 +136,13 @@ class TestDenotation:
         prog = gcl.parse("vars x in 0..1; body: choose {skip} [] {skip};")
         with pytest.raises(ModeMismatch):
             gcl.denote(prog, "dist")
+        for body, mode in (("abort", "dist"), ("choose {skip} [] {skip}", "dist"),
+                           ("prob 1/2 {skip}{skip}", "pow")):
+            f = tmp_path / "prog.gc"
+            f.write_text(f"vars x in 0..1; body: {body};")
+            assert cli_main(["run", str(f), "--mode", mode, "--init", "x=0"]) == 2
+            message = f"error: {body.split()[0]} is not available in {mode} mode\n"
+            assert capsys.readouterr() == ("", message)
 
     def test_modular_assignment(self):
         prog = gcl.parse("vars x in 0..2; body: x := x + 5;")
@@ -186,6 +194,33 @@ def corpus(flavor, count=60):
     rng = random.Random(CORPUS_SEED)
     mode = gcl.mode_of_flavor(flavor)
     return [gcl.random_program(rng, mode) for _ in range(count)]
+
+
+# sha256 of the denotation graphs and wp tables of PINNED_COUNT seeded
+# programs per mode; a change to any arrow or table changes it
+PINNED_SEED = 1703
+PINNED_COUNT = 40
+PINNED_DIGEST = "5ed25a5c28fba35533b47f9101192916400b25f404880e465c138e9cbf1e1092"
+
+
+def _canonical(t):
+    return sorted(t) if isinstance(t, frozenset) else t.weights
+
+
+def test_denotations_and_tables_are_pinned():
+    h = hashlib.sha256()
+    for mode, flavors in (("pow", ("demonic", "angelic")), ("dist", ("expectation",))):
+        rng = random.Random(PINNED_SEED)
+        for i in range(PINNED_COUNT):
+            prog = gcl.random_program(rng, mode)
+            arrow = gcl.denote(prog, mode)
+            h.update(repr([_canonical(t) for t in arrow.graph]).encode())
+            space = gcl.StateSpace(prog.decls)
+            for flavor in flavors:
+                for post in gcl.default_posts(space, flavor, random.Random(i)):
+                    table = gcl.wp(prog, post, flavor)
+                    h.update(repr(sorted(table.items())).encode())
+    assert h.hexdigest() == PINNED_DIGEST
 
 
 class TestHealthinessInvariants:
