@@ -105,6 +105,23 @@ def cmd_wp(args):
     return 0
 
 
+def _dist_entries(body):
+    """The ``state: weight`` entries of an initial distribution.
+
+    A state is written as ``--init`` writes it, commas and all; a weight holds
+    no comma, so an entry ends at the first comma after its colon.
+    """
+    entries, current = [], []
+    for part in body.split(","):
+        current.append(part)
+        if ":" in part:
+            entries.append(",".join(current))
+            current = []
+    if "".join(current).strip():
+        entries.append(",".join(current))
+    return entries
+
+
 def cmd_run(args):
     program = gcl.parse(_read(args.program))
     arrow = gcl.denote(program, args.mode, state_cap=args.state_cap)
@@ -119,11 +136,18 @@ def cmd_run(args):
             print("init distribution must look like {x=0: 1/2, x=1: 1/2}",
                   file=sys.stderr)
             return 2
-        for item in text[1:-1].split(","):
-            if not item.strip():
-                continue
-            key, _, value = item.rpartition(":")
-            weights[space.parse_state(key)] = parse_rat(value)
+        for item in _dist_entries(text[1:-1]):
+            key, colon, value = item.rpartition(":")
+            if not colon:
+                print(f"entry {item.strip()!r} of the initial distribution has no weight",
+                      file=sys.stderr)
+                return 2
+            state = space.parse_state(key)
+            if state in weights:
+                print(f"state {space.render(state)} given twice in the initial distribution",
+                      file=sys.stderr)
+                return 2
+            weights[state] = parse_rat(value)
         start = Distribution(states, tuple(weights.items()))
     else:
         start = arrow.family.unit(states, space.parse_state(args.init))

@@ -1,13 +1,19 @@
 """Exact-rational effect algebras, fuzzy predicates, and finite distributions.
 
-Everything here is computed with fractions.Fraction so that partial-sum
-definedness and round-trip identities are exact predicates, never float
-comparisons.
+Everything here is exact, so that partial-sum definedness and round-trip
+identities are exact predicates, never float comparisons.  Predicates and
+scalars are fractions.Fraction.  Finite distributions rest on one weight
+kernel, ``Weighting``: inside, weights are integer numerators over one
+reduced common denominator, and Kleisli extension runs in integers; they
+become ``Fraction`` only at the boundary (``weights``, ``__call__``, JSON).
+The finite Giry monad's measures (``monads.FiniteMeasure``) are the same
+kernel under their own name.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +22,7 @@ from typing import Callable, Optional
 from .check import Report, first_counterexample
 from .errors import (
     CarrierMismatch,
+    MonadMismatch,
     NotNormalized,
     ParseError,
     ScalarOutOfRange,
@@ -361,32 +368,29 @@ def fuzzy_predicate_effect_algebra(carrier, max_den):
 
 
 def checked_weights(carrier, weights, error):
-    """Probability weights in canonical form, or ``error`` if they are not.
+    """Probability weights in kernel form, or ``error`` if they are not.
 
-    Every atom must lie in the carrier and every weight be nonnegative; zero
-    weights are dropped, the rest sorted by atom and required to sum to 1.
+    Every atom must lie in the carrier, appear once and carry a nonnegative
+    weight; zero weights are dropped and the rest must sum to 1.  Returns the
+    support sorted by atom, its integer numerators and their one common
+    denominator, reduced: the least common multiple of the reduced weights'
+    denominators.
     """
-    items = []
+    seen = {}
     for atom, w in weights:
         carrier.require(atom)
         w = Fraction(w)
         if w < 0:
             raise error(f"negative weight {w} at {atom!r}")
-        if w:
-            items.append((atom, w))
-    items.sort(key=lambda kv: atom_key(kv[0]))
-    if sum((w for _, w in items), ZERO) != ONE:
+        if atom in seen:
+            raise error(f"repeated atom {atom!r}")
+        seen[atom] = w
+    support = tuple(sorted((a for a, w in seen.items() if w), key=atom_key))
+    den = math.lcm(*(seen[a].denominator for a in support))
+    nums = tuple(seen[a].numerator * (den // seen[a].denominator) for a in support)
+    if sum(nums) != den:
         raise error("weights do not sum to 1")
-    return tuple(items)
-
-
-def pushforward(weights, kernel):
-    """The weights of sum_a w(a) . kernel(a): each atom's mass spread over its image."""
-    out = {}
-    for a, w in weights:
-        for b, v in kernel(a).weights:
-            out[b] = out.get(b, ZERO) + w * v
-    return tuple(out.items())
+    return support, nums, den
 
 
 def expectation(weights, value):
@@ -394,17 +398,40 @@ def expectation(weights, value):
     return sum((value(a) * w for a, w in weights), ZERO)
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Finite-support rational probability weights, summing exactly to 1."""
+def _made(cls, carrier, support, nums, den):
+    """A weighting from kernel fields that are already known to be valid."""
+    out = object.__new__(cls)
+    out._carrier, out._support, out._nums, out._den = carrier, support, nums, den
+    out._weights = out._hash = None
+    return out
 
-    carrier: FinSet
-    weights: tuple  # sorted (atom, weight) pairs, nonzero weights only
+
+class Weighting:
+    """Rational weights on finitely many atoms of a carrier, summing to 1.
+
+    The one kernel under ``Distribution`` and ``monads.FiniteMeasure``.
+    Inside, a weighting is its support sorted by atom, integer numerators and
+    one reduced common denominator, so equal weightings have equal fields and
+    equality and hashing run over integers.  ``Fraction`` appears only at the
+    boundary: ``weights`` builds the sorted ``(atom, Fraction)`` pairs on
+    first use.  The public constructor validates through ``__post_init__``;
+    ``bind`` builds its results in integers without re-validating them.
+    The public fields are read-only properties over private slots.
+    """
+
+    __slots__ = ("_carrier", "_support", "_nums", "_den", "_weights", "_hash")
+    _error = NotNormalized      # raised for weights that are no probability weights
+    _carrier_field = "carrier"  # the carrier's name in the repr
+
+    def __init__(self, carrier, weights):
+        self._carrier = carrier
+        self._weights = weights  # unchecked until __post_init__ replaces it
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "weights", checked_weights(self.carrier, self.weights, NotNormalized)
-        )
+        self._support, self._nums, self._den = checked_weights(
+            self._carrier, self._weights, self._error)
+        self._weights = self._hash = None
 
     @classmethod
     def from_dict(cls, carrier, mapping):
@@ -414,19 +441,106 @@ class Distribution:
     def point(cls, carrier, atom):
         return cls(carrier, ((atom, ONE),))
 
+    @property
+    def carrier(self):
+        return self._carrier
+
+    @property
+    def weights(self):
+        """Sorted (atom, weight) pairs, nonzero weights only."""
+        if self._weights is None:
+            den = self._den
+            self._weights = tuple(
+                (a, Fraction(n, den)) for a, n in zip(self._support, self._nums))
+        return self._weights
+
+    @property
+    def support(self):
+        return frozenset(self._support)
+
+    def as_dict(self):
+        return dict(self.weights)
+
+    def bind(self, kernel, cod=None):
+        """The Kleisli extension of ``kernel`` at these weights.
+
+        Each atom's mass is spread over its image, in integers.  Every image
+        must be a weighting of this class on ``cod``; without ``cod``, all
+        images must share one carrier, which the result lives on.  The
+        result's numerators are checked to sum to its denominator, then
+        reduced.
+        """
+        cls = type(self)
+        images = [kernel(a) for a in self._support]
+        for image in images:
+            if type(image) is not cls or image._carrier is not cod:
+                cod = self._image_carrier(images, cod)
+                break
+        if len(images) == 1:
+            return images[0]
+        dens = [image._den for image in images]
+        scale = math.lcm(*dens)
+        out = {}
+        get = out.get
+        for n, d, image in zip(self._nums, dens, images):
+            n *= scale // d
+            for b, m in zip(image._support, image._nums):
+                out[b] = get(b, 0) + n * m
+        den = self._den * scale
+        if sum(out.values()) != den:
+            raise self._error("weights do not sum to 1")
+        g = math.gcd(den, *out.values())
+        support = tuple(sorted(out, key=atom_key))
+        if g == 1:
+            return _made(cls, cod, support, tuple(map(out.__getitem__, support)), den)
+        return _made(cls, cod, support, tuple(out[b] // g for b in support), den // g)
+
+    def _image_carrier(self, images, cod):
+        """The carrier the kernel images share: ``cod``, or the first image's."""
+        cls = type(self)
+        for a, image in zip(self._support, images):
+            if type(image) is not cls:
+                raise MonadMismatch(f"kernel image at {a!r} is not a {cls.__name__}")
+            if cod is None:
+                cod = image._carrier
+            elif image._carrier is not cod and image._carrier != cod:
+                raise CarrierMismatch(
+                    f"kernel image at {a!r} lives on {image._carrier!r}, not on {cod!r}")
+        return cod
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._den == other._den and self._nums == other._nums
+                and self._support == other._support
+                and (self._carrier is other._carrier or self._carrier == other._carrier))
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self._support, self._nums, self._den))
+        return self._hash
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}({self._carrier_field}={self._carrier!r}, "
+                f"weights={self.weights!r})")
+
+
+class Distribution(Weighting):
+    """Finite-support rational probability weights, summing exactly to 1."""
+
+    __slots__ = ()
+    # its own entry, so that wrapping Distribution.__post_init__ sees only
+    # distributions built through the public constructor
+    __post_init__ = Weighting.__post_init__
+
     def __call__(self, atom):
         self.carrier.require(atom)
         for a, w in self.weights:
             if a == atom:
                 return w
         return ZERO
-
-    @property
-    def support(self):
-        return frozenset(a for a, _ in self.weights)
-
-    def as_dict(self):
-        return dict(self.weights)
 
 
 def dist_make(carrier, weights):
@@ -438,11 +552,9 @@ def dist_make(carrier, weights):
 
 
 def dist_bind(f, omega):
-    """Kleisli extension: push omega forward through an atom-wise kernel f."""
-    cods = {f(a).carrier for a in omega.support}
-    if len(cods) != 1:
-        raise CarrierMismatch("kernel images live on different carriers")
-    return Distribution(cods.pop(), pushforward(omega.weights, f))
+    """Kleisli extension: push omega forward through an atom-wise kernel f,
+    whose images all live on one carrier."""
+    return omega.bind(f)
 
 
 def iter_distributions(carrier, max_den):

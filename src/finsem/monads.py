@@ -14,15 +14,12 @@ from functools import partial
 
 from .check import Check
 from .effects import (
-    ONE,
     ZERO,
     Distribution,
     FuzzyPredicate,
-    checked_weights,
-    dist_bind,
+    Weighting,
     expectation,
     iter_distributions,
-    pushforward,
 )
 from .errors import (
     LensViolation,
@@ -380,33 +377,39 @@ class DistributionMonad(MonadFamily):
     base = "set"
     cap = 8
     enumerable = False
+    weighting = Distribution  # the class of the structure elements
 
     def contains(self, obj, t):
-        return isinstance(t, Distribution) and t.carrier == obj
+        return isinstance(t, self.weighting) and (t.carrier is obj or t.carrier == obj)
 
     def unit(self, obj, x):
-        return Distribution.point(obj, x)
+        return self.weighting.point(obj, x)
 
     def extend(self, dom, cod, fn, t):
-        return dist_bind(fn, t)
+        return t.bind(fn, cod)
 
     def probe_elements(self, obj, max_den=4):
         self.check_object(obj)
         return iter_distributions(obj, max_den)
 
 
-@dataclass(frozen=True)
-class FiniteMeasure:
+class FiniteMeasure(Weighting):
     """Probability measure on the full powerset sigma-algebra of finite atoms."""
 
-    atoms: FinSet
-    weights: tuple  # sorted (atom, weight), nonzero only
+    __slots__ = ()
+    _error = StructureNotPreserved
+    _carrier_field = "atoms"
+    # its own entry, so that wrapping FiniteMeasure.__post_init__ sees only
+    # measures built through the public constructor
+    __post_init__ = Weighting.__post_init__
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "weights",
-            checked_weights(self.atoms, self.weights, StructureNotPreserved),
-        )
+    def __init__(self, atoms, weights):
+        super().__init__(atoms, weights)
+
+    @property
+    def atoms(self):
+        """The finite measurable space: every subset is measurable."""
+        return self.carrier
 
     def __call__(self, measurable):
         measurable = frozenset(measurable)
@@ -414,27 +417,13 @@ class FiniteMeasure:
             self.atoms.require(a)
         return sum((w for a, w in self.weights if a in measurable), ZERO)
 
-    def as_dict(self):
-        return dict(self.weights)
 
-
-class GiryFiniteMonad(MonadFamily):
-    """The probability-measure monad on finite measurable spaces."""
+class GiryFiniteMonad(DistributionMonad):
+    """The probability-measure monad on finite measurable spaces: the
+    distribution kernel under its own name."""
 
     name = "giry"
-    base = "set"
-    cap = 8
-    enumerable = False
-
-    def contains(self, obj, t):
-        return isinstance(t, FiniteMeasure) and t.atoms == obj
-
-    def unit(self, obj, x):
-        obj.require(x)
-        return FiniteMeasure(obj, ((x, ONE),))
-
-    def extend(self, dom, cod, fn, t):
-        return FiniteMeasure(cod, pushforward(t.weights, fn))
+    weighting = FiniteMeasure
 
     def probe_elements(self, obj, max_den=4):
         self.check_object(obj)

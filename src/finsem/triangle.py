@@ -177,9 +177,14 @@ def _structure_elements(family, obj, probe_max_den=4):
     return family.probe_elements(obj, probe_max_den)
 
 
-def iter_kleisli_arrows(family, dom, cod, budget=DEFAULT_ARROW_BUDGET, probe_max_den=4):
-    """All arrows dom -> T(cod), or all probe arrows for the probabilistic monads."""
-    targets = _structure_elements(family, cod, probe_max_den)
+def iter_kleisli_arrows(family, dom, cod, budget=DEFAULT_ARROW_BUDGET, probe_max_den=4,
+                        targets=None):
+    """All arrows dom -> T(cod), or all probe arrows for the probabilistic monads.
+
+    ``targets`` is T(cod), or its probe set, when the caller has built it.
+    """
+    if targets is None:
+        targets = _structure_elements(family, cod, probe_max_den)
     bound = max(len(targets), 1) ** len(dom)
     if bound > budget:
         raise TooLarge(f"{bound} candidate arrows exceed the budget {budget}")
@@ -195,8 +200,8 @@ def iter_kleisli_arrows(family, dom, cod, budget=DEFAULT_ARROW_BUDGET, probe_max
     )
 
 
-def random_kleisli_arrow(family, dom, cod, rng, probe_max_den=4):
-    targets = _structure_elements(family, cod, probe_max_den)
+def random_kleisli_arrow(family, dom, cod, rng, targets):
+    """One arrow dom -> T(cod), its images drawn from ``targets``: T(cod) or its probe set."""
     for _ in range(MAX_SAMPLE_TRIES):
         graph = tuple(rng.choice(targets) for _ in dom.carrier.elements)
         try:
@@ -223,6 +228,8 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     rng = random.Random(seed)
     report = Report(f"monad {family.name}", seed)
 
+    # T(obj), or its probe set, built once per suite
+    structures = {obj: _structure_elements(family, obj, probe_max_den) for obj in objects}
     arrow_lists = {}
 
     def arrows(dom, cod):
@@ -230,10 +237,11 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
         if key not in arrow_lists:
             try:
                 arrow_lists[key] = ("exhaustive", iter_kleisli_arrows(
-                    family, dom, cod, DEFAULT_ARROW_BUDGET, probe_max_den))
+                    family, dom, cod, DEFAULT_ARROW_BUDGET, probe_max_den,
+                    targets=structures[cod]))
             except TooLarge:
                 sample = tuple(
-                    random_kleisli_arrow(family, dom, cod, rng, probe_max_den)
+                    random_kleisli_arrow(family, dom, cod, rng, structures[cod])
                     for _ in range(LAW_SAMPLES)
                 )
                 arrow_lists[key] = ("sampled", sample)
@@ -252,7 +260,7 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
         eta = {x: family.unit(obj, x) for x in obj.carrier}
         report.cases.append(first_counterexample("extend(unit)(t) = t", (
             None if _graph_extend(family, obj, obj, eta, t) == t else f"t={t!r}"
-            for t in _structure_elements(family, obj, probe_max_den)),
+            for t in structures[obj]),
             "exhaustive", (len(obj),)))
 
     # associativity ---------------------------------------------------------
@@ -262,7 +270,7 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
             hd = h.as_dict()
             tables_h[h.graph] = (hd, {
                 t: _graph_extend(family, right, far, hd, t)
-                for t in _structure_elements(family, right, probe_max_den)
+                for t in structures[right]
             })
         composite_tables = {}
         for g in gs:
@@ -280,8 +288,9 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
                 for t in ts:
                     mid_val = table_g[t]
                     # the bind of a probe arrow can leave the probe set
-                    lhs = th[mid_val] if mid_val in th else _graph_extend(
-                        family, right, far, hd, mid_val)
+                    lhs = th.get(mid_val)
+                    if lhs is None:
+                        lhs = _graph_extend(family, right, far, hd, mid_val)
                     yield None if lhs == ctab[t] else f"g={gd!r} h={hd!r} t={t!r}"
 
     def sampled_assoc(mid, right, far, gs, hs, ts):
@@ -304,7 +313,7 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     for mid, right, far in itertools.product(objects, repeat=3):
         gmode, gs = arrows(mid, right)
         hmode, hs = arrows(right, far)
-        ts = _structure_elements(family, mid, probe_max_den)
+        ts = structures[mid]
         if not gs or not hs or not ts:
             continue
         exhaustive = (

@@ -64,6 +64,26 @@ class TestRunCommand:
                                     "--format", "json"])
         assert code == 0
 
+    def test_initial_distribution_over_states_written_as_init(self, capsys, tmp_path):
+        f = tmp_path / "two.gc"
+        f.write_text("vars x in 0..1, y in 0..1; body: prob 1/3 {x:=1-x}{y:=1-y};")
+        code, out, err = run(capsys, ["run", "--mode", "dist", str(f), "--init-dist",
+                                      "{x=0,y=1: 1/2, x=1,y=0: 1/2}"])
+        assert (code, err) == (0, "")
+        assert out == "state\tweight\nx=0,y=0\t1/2\nx=1,y=1\t1/2\n"
+
+    @pytest.mark.parametrize("init", ["{x=0: 1/2, x=0: 1/2}", "{x=0: 1/4, x=1: 1/2, x=0: 1/4}"])
+    def test_state_given_twice_is_a_usage_error(self, capsys, prog_file, init):
+        code, out, err = run(capsys, ["run", "--mode", "dist", prog_file, "--init-dist", init])
+        assert (code, out, err) == (
+            2, "", "state x=0 given twice in the initial distribution\n")
+
+    def test_entry_without_weight_is_a_usage_error(self, capsys, prog_file):
+        code, out, err = run(capsys, ["run", "--mode", "dist", prog_file,
+                                      "--init-dist", "{x=0: 1/2, x=1}"])
+        assert (code, out, err) == (
+            2, "", "entry 'x=1' of the initial distribution has no weight\n")
+
     def test_missing_init_is_usage_error(self, capsys, prog_file):
         code, _, err = run(capsys, ["run", prog_file])
         assert code == 2

@@ -196,3 +196,87 @@ class TestDistributions:
         p = FuzzyPredicate.from_dict(S2, {"s0": Fraction(1, 3), "s1": ONE})
         q = FuzzyPredicate.from_dict(S2, {"s0": Fraction(1, 2), "s1": ZERO})
         assert pred_meet(p, q)("s0") == Fraction(1, 3)
+
+
+class TestWeightKernel:
+    """The public surface that Distribution and FiniteMeasure share."""
+
+    A = FinSet([0, 1, 2])
+
+    def test_repeated_atom_is_rejected(self):
+        from finsem.errors import StructureNotPreserved
+        from finsem.monads import FiniteMeasure
+
+        with pytest.raises(NotNormalized, match="repeated atom 0"):
+            Distribution(self.A, ((0, Fraction(1, 2)), (0, Fraction(1, 2))))
+        with pytest.raises(StructureNotPreserved, match="repeated atom 0"):
+            FiniteMeasure(self.A, ((0, Fraction(1, 2)), (0, Fraction(1, 2))))
+
+    def test_reprs(self):
+        from finsem.monads import FiniteMeasure
+
+        assert repr(dist_make(self.A, {2: Fraction(2, 3), 0: Fraction(1, 3)})) == (
+            "Distribution(carrier=FinSet([0, 1, 2]), "
+            "weights=((0, Fraction(1, 3)), (2, Fraction(2, 3))))")
+        assert repr(FiniteMeasure(self.A, ((1, Fraction(1, 4)), (0, Fraction(3, 4))))) == (
+            "FiniteMeasure(atoms=FinSet([0, 1, 2]), "
+            "weights=((0, Fraction(3, 4)), (1, Fraction(1, 4))))")
+        mixed = FinSet(["a", (1, 2)])
+        assert repr(Distribution.point(mixed, (1, 2))) == (
+            "Distribution(carrier=FinSet(['a', (1, 2)]), weights=(((1, 2), Fraction(1, 1)),))")
+
+    def test_fields(self):
+        from finsem.monads import FiniteMeasure
+
+        phi = FiniteMeasure(atoms=self.A, weights=((2, Fraction(1, 2)), (0, Fraction(2, 4))))
+        assert phi.atoms is self.A
+        assert phi.weights == ((0, Fraction(1, 2)), (2, Fraction(1, 2)))
+        assert all(type(w) is Fraction for _, w in phi.weights)
+        d = dist_make(self.A, {1: ONE})
+        assert d.carrier is self.A and d.weights == ((1, ONE),)
+        for obj, field in ((d, "carrier"), (d, "weights"), (phi, "atoms"), (phi, "weights")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+
+    def test_bind_results_equal_public_ones(self):
+        from finsem.monads import DIST, GIRY, FiniteMeasure
+
+        ab = FinSet(["a", "b"])
+        half = {"a": Fraction(1, 2), "b": Fraction(1, 2)}
+        # the numerators are reduced: 4/8 and 4/8 become 1/2 and 1/2
+        kernel = {"a": {0: Fraction(1, 4), 1: Fraction(3, 4)},
+                  "b": {0: Fraction(3, 4), 1: Fraction(1, 4)}}
+        bits = FinSet([0, 1])
+        want = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+        for family, cls in ((DIST, Distribution), (GIRY, FiniteMeasure)):
+            images = {x: cls.from_dict(bits, w) for x, w in kernel.items()}
+            got = family.extend(ab, bits, images.__getitem__, cls.from_dict(ab, half))
+            built = cls.from_dict(bits, want)
+            assert type(got) is cls
+            assert got == built and hash(got) == hash(built)
+            assert got.weights == built.weights and repr(got) == repr(built)
+        d = dist_bind(lambda x: dist_make(bits, kernel[x]), dist_make(ab, half))
+        assert d == dist_make(bits, want) and hash(d) == hash(dist_make(bits, want))
+
+    def test_distribution_never_equals_measure(self):
+        from finsem.monads import distribution_to_measure
+
+        for d in iter_distributions(self.A, 3):
+            phi = distribution_to_measure(d)
+            assert d != phi and phi != d
+            assert d.weights == phi.weights
+            assert len({d, phi}) == 2
+
+
+@pytest.mark.parametrize("name", ["dist", "giry"])
+def test_extend_rejects_images_off_the_codomain(name):
+    from finsem.monads import FAMILIES
+
+    family = FAMILIES[name]
+    small, cod = FinSet([0]), FinSet([0, 1, 2])
+    image = family.unit(small, 0)
+    with pytest.raises(CarrierMismatch, match="not on"):
+        family.extend(small, cod, lambda x: image, family.unit(small, 0))
+    two = family.weighting.from_dict(FinSet([0, 1]), {0: Fraction(1, 2), 1: Fraction(1, 2)})
+    with pytest.raises(CarrierMismatch, match="not on"):
+        family.extend(two.carrier, cod, lambda x: image, two)

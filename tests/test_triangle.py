@@ -194,6 +194,19 @@ class TestLawSuiteMachinery:
         )
         assert report.ok, report.summary()
 
+    def test_probe_sets_built_once_per_suite(self, monkeypatch):
+        built = []
+        probe = type(DIST).probe_elements
+
+        def counted(family, obj, max_den=4):
+            built.append(len(obj))
+            return probe(family, obj, max_den)
+
+        monkeypatch.setattr(type(DIST), "probe_elements", counted)
+        report = check_monad_laws(DIST, (FinSet([0]), FinSet([0, 1])), probe_max_den=2)
+        assert report.ok, report.summary()
+        assert sorted(built) == [1, 2]
+
     def test_iter_arrows_budget(self):
         with pytest.raises(TooLarge):
             iter_kleisli_arrows(POWERSET, FinSet(range(4)), FinSet(range(4)), budget=10)
