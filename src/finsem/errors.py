@@ -73,6 +73,10 @@ class UndeclaredVariable(FinsemError):
     pass
 
 
+class TypeMismatch(FinsemError):
+    """An operator or an if condition is given an operand of the wrong type."""
+
+
 class ParseError(FinsemError):
     """Syntax error with source position."""
 

@@ -8,6 +8,11 @@ Kleisli extension, and ``choose``/``prob`` extend over a two-point coin.
 Weakest preconditions are computed twice: by structural recursion on the
 syntax and by transposing the whole-program denotation; agreement of the two
 is the operational healthiness check.
+
+Each expression is typed (int, rational or bool) and compiled to a closure
+over the state tuple before any state is evaluated.  Within one call of
+``denote``, ``wp`` or ``check_roundtrip``, each assignment's successor states
+and each condition's mask are computed once and read by every traversal.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .errors import (
     ParseError,
     RangeError,
     TooLarge,
+    TypeMismatch,
     UndeclaredVariable,
 )
 from .monads import DIST, POWERSET
@@ -480,7 +486,7 @@ class StateSpace:
         return ",".join(f"{n}={v}" for n, v in zip(self.names, state))
 
     def parse_state(self, text):
-        values = {}
+        values, given = {}, []
         for part in re.split(r"[,\s]+", text.strip()):
             if not part:
                 continue
@@ -491,6 +497,7 @@ class StateSpace:
                 values[name.strip()] = int(value)
             except ValueError:
                 raise RangeError(f"bad state component {part!r}") from None
+            given.append(name.strip())
         missing = set(self.names) - set(values)
         if missing:
             raise RangeError(f"state is missing variables {sorted(missing)}")
@@ -498,35 +505,98 @@ class StateSpace:
         for d, v in zip(self.decls, state):
             if not (d.lo <= v <= d.hi):
                 raise RangeError(f"{d.name}={v} outside {d.lo}..{d.hi}")
+        # checked last, so a state the checks above reject keeps its message
+        for i, name in enumerate(given):
+            if name not in self.names:
+                raise UndeclaredVariable(f"state variable {name!r} is not declared")
+            if name in given[:i]:
+                raise RangeError(f"state variable {name!r} is given twice")
         return state
 
 
-# the binary operators that evaluate both sides; && and || short-circuit
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-              "==": operator.eq, "!=": operator.ne, "<": operator.lt,
-              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# The expression types.  Numbers are int or rational, and the Iverson bracket
+# is the one cast from bool to number (docs/grammar.ebnf, "Types").
+INT, RATIONAL, BOOL = "int", "rational", "bool"
+_NUMBERS = (INT, RATIONAL)
+_LITERAL_TYPES = {bool: BOOL, int: INT, Fraction: RATIONAL}
+
+# each binary operator, from its operands' closures to its own; && and || short-circuit
+_BINARY = {
+    "+": lambda f, g: lambda s: f(s) + g(s),
+    "-": lambda f, g: lambda s: f(s) - g(s),
+    "*": lambda f, g: lambda s: f(s) * g(s),
+    "==": lambda f, g: lambda s: f(s) == g(s),
+    "!=": lambda f, g: lambda s: f(s) != g(s),
+    "<": lambda f, g: lambda s: f(s) < g(s),
+    "<=": lambda f, g: lambda s: f(s) <= g(s),
+    ">": lambda f, g: lambda s: f(s) > g(s),
+    ">=": lambda f, g: lambda s: f(s) >= g(s),
+    "&&": lambda f, g: lambda s: f(s) and g(s),
+    "||": lambda f, g: lambda s: f(s) or g(s),
+}
+
+
+def _binary_type(op, left, right):
+    """The type of `left op right`, or TypeMismatch naming op and both types."""
+    if op in ("&&", "||"):
+        if left == right == BOOL:
+            return BOOL
+        want = "bools"
+    elif left in _NUMBERS and right in _NUMBERS:
+        if op in ("+", "-", "*"):
+            return INT if left == right == INT else RATIONAL
+        return BOOL
+    elif op in ("==", "!=") and left == right == BOOL:
+        return BOOL
+    else:
+        want = "two numbers or two bools" if op in ("==", "!=") else "numbers"
+    raise TypeMismatch(f"operator {op} takes {want}, got {left} and {right}")
+
+
+def compile_expr(expr, names):
+    """Type expr and compile it to a closure over the state tuple.
+
+    ``names`` lists the variables in state order.  Returns ``(fn, type)``:
+    ``fn(state)`` is the value of expr, and type is INT, RATIONAL or BOOL.  A
+    mistyped operand raises TypeMismatch before any state is evaluated.
+    """
+    return _compile(expr, {name: i for i, name in enumerate(names)})
+
+
+def _compile(expr, index):
+    if isinstance(expr, Lit) and type(expr.value) in _LITERAL_TYPES:
+        value = expr.value
+        return (lambda s: value), _LITERAL_TYPES[type(value)]
+    if isinstance(expr, Var):
+        if expr.name not in index:
+            raise UndeclaredVariable(expr.name)
+        return operator.itemgetter(index[expr.name]), INT
+    if isinstance(expr, Unary):
+        arg, kind = _compile(expr.arg, index)
+        if expr.op == "!":
+            if kind != BOOL:
+                raise TypeMismatch(f"operator ! takes a bool, got {kind}")
+            return (lambda s: not arg(s)), BOOL
+        if kind not in _NUMBERS:
+            raise TypeMismatch(f"operator - takes a number, got {kind}")
+        return (lambda s: -arg(s)), kind
+    if isinstance(expr, Iverson):
+        cond, kind = _compile(expr.cond, index)
+        if kind != BOOL:
+            raise TypeMismatch(f"Iverson bracket [ ] takes a bool, got {kind}")
+        return (lambda s: ONE if cond(s) else ZERO), RATIONAL
+    if isinstance(expr, Bin):
+        left, left_type = _compile(expr.left, index)
+        right, right_type = _compile(expr.right, index)
+        kind = _binary_type(expr.op, left_type, right_type)
+        return _BINARY[expr.op](left, right), kind
+    raise AssertionError(f"not an expression: {expr!r}")
 
 
 def eval_expr(expr, env):
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Var):
-        if expr.name not in env:
-            raise UndeclaredVariable(expr.name)
-        return env[expr.name]
-    if isinstance(expr, Unary):
-        v = eval_expr(expr.arg, env)
-        return not _as_bool(v) if expr.op == "!" else -v
-    if isinstance(expr, Iverson):
-        return ONE if _as_bool(eval_expr(expr.cond, env)) else ZERO
-    if isinstance(expr, Bin):
-        lhs = eval_expr(expr.left, env)
-        if expr.op == "&&":
-            return _as_bool(lhs) and _as_bool(eval_expr(expr.right, env))
-        if expr.op == "||":
-            return _as_bool(lhs) or _as_bool(eval_expr(expr.right, env))
-        return _OPERATORS[expr.op](lhs, eval_expr(expr.right, env))
-    raise AssertionError(f"not an expression: {expr!r}")
+    """The value of expr in env, a dict from variable names to values."""
+    fn, _ = compile_expr(expr, tuple(env))
+    return fn(tuple(env.values()))
 
 
 def _as_bool(v):
@@ -543,12 +613,9 @@ def _as_number(v, what="value"):
     raise RangeError(f"{what} {v!r} is not numeric")
 
 
-def _branch(cond, space, states, then, orelse):
-    """The state table of an if: each state takes its row from the branch cond picks."""
-    return {
-        s: then[s] if _as_bool(eval_expr(cond, space.env(s))) else orelse[s]
-        for s in states
-    }
+def _branch(mask, states, then, orelse):
+    """The state table of an if: each state takes its row from the branch mask picks."""
+    return {s: then[s] if taken else orelse[s] for s, taken in zip(states, mask)}
 
 
 # -- denotational semantics ----------------------------------------------------------
@@ -581,49 +648,76 @@ def _mode_violation(stmt, mode):
     return None
 
 
-def _states(program, mode, cap):
-    """The state space of a program that mode admits, and its states."""
-    if mode not in _FAMILIES:
-        raise ModeMismatch(f"unknown mode {mode!r}")
-    violation = _mode_violation(program.body, mode)
-    if violation:
-        raise ModeMismatch(violation)
-    space = StateSpace(program.decls)
-    return space, space.states(cap)
-
-
-def _assign_state(space, state, stmt):
-    env = space.env(state)
-    value = eval_expr(stmt.expr, env)
-    if isinstance(value, bool) or not isinstance(value, int):
+def _successors(stmt, space, states):
+    """The state each state moves to under an assignment, in states order."""
+    fn, kind = compile_expr(stmt.expr, space.names)
+    if kind != INT:
         raise RangeError(f"assignment to {stmt.var} must be an integer")
-    decl = next(d for d in space.decls if d.name == stmt.var)
-    wrapped = decl.lo + (value - decl.lo) % decl.span
-    out = list(state)
-    out[space.names.index(stmt.var)] = wrapped
-    return tuple(out)
+    if stmt.var not in space.names:
+        raise UndeclaredVariable(stmt.var)
+    i = space.names.index(stmt.var)
+    lo, span = space.decls[i].lo, space.decls[i].span
+    return [s[:i] + (lo + (fn(s) - lo) % span,) + s[i + 1:] for s in states]
 
 
-def _denote(stmt, family, space, states):
+def _mask(stmt, space, states):
+    """Whether each state takes an if's then-branch, in states order."""
+    fn, kind = compile_expr(stmt.cond, space.names)
+    if kind != BOOL:
+        raise TypeMismatch(f"if condition takes a bool, got {kind}")
+    return [fn(s) for s in states]
+
+
+class _Tables:
+    """A program's state space, and the per-state data of its statements.
+
+    One public call builds one: an assignment's successor list and an if's
+    condition mask are computed the first time a traversal reaches the
+    statement, so the first error raised is the first one that traversal
+    meets, and later traversals in the call (more posts, the other leg of a
+    round trip) read the same lists.
+    """
+
+    def __init__(self, program, mode, cap):
+        if mode not in _FAMILIES:
+            raise ModeMismatch(f"unknown mode {mode!r}")
+        violation = _mode_violation(program.body, mode)
+        if violation:
+            raise ModeMismatch(violation)
+        self.family = _FAMILIES[mode]
+        self.space = StateSpace(program.decls)
+        self.states = self.space.states(cap)
+        self._built = {}
+
+    def __getitem__(self, stmt):
+        key = id(stmt)
+        if key not in self._built:
+            build = _successors if isinstance(stmt, Assign) else _mask
+            self._built[key] = build(stmt, self.space, self.states)
+        return self._built[key]
+
+
+def _denote(stmt, tables):
     """The state table of stmt: each state's family element over states."""
+    family, states = tables.family, tables.states
     if isinstance(stmt, Skip):
         return {s: family.unit(states, s) for s in states}
     if isinstance(stmt, Abort):
         return {s: frozenset() for s in states}
     if isinstance(stmt, Assign):
-        return {s: family.unit(states, _assign_state(space, s, stmt)) for s in states}
+        return {s: family.unit(states, t) for s, t in zip(states, tables[stmt])}
     if isinstance(stmt, Seq):
-        first = _denote(stmt.first, family, space, states)
-        second = _denote(stmt.second, family, space, states)
+        first = _denote(stmt.first, tables)
+        second = _denote(stmt.second, tables)
         return {s: family.extend(states, states, second.__getitem__, first[s])
                 for s in states}
     if isinstance(stmt, If):
-        return _branch(stmt.cond, space, states,
-                       _denote(stmt.then, family, space, states),
-                       _denote(stmt.orelse, family, space, states))
+        then = _denote(stmt.then, tables)
+        orelse = _denote(stmt.orelse, tables)
+        return _branch(tables[stmt], states, then, orelse)
     if isinstance(stmt, (Choose, Prob)):
-        left = _denote(stmt.left, family, space, states)
-        right = _denote(stmt.right, family, space, states)
+        left = _denote(stmt.left, tables)
+        right = _denote(stmt.right, tables)
         coin = (_COIN.as_frozenset() if isinstance(stmt, Choose)
                 else Distribution(_COIN, ((0, stmt.chance), (1, ONE - stmt.chance))))
         return {s: family.extend(_COIN, states, (left[s], right[s]).__getitem__, coin)
@@ -631,12 +725,14 @@ def _denote(stmt, family, space, states):
     raise AssertionError(f"not a statement: {stmt!r}")
 
 
+def _arrow(program, tables):
+    graph = _denote(program.body, tables)
+    return KleisliArrow.from_dict(tables.family, tables.states, tables.states, graph)
+
+
 def denote(program, mode, state_cap=DEFAULT_STATE_CAP):
     """The whole-program Kleisli arrow over the state space."""
-    space, states = _states(program, mode, state_cap)
-    family = _FAMILIES[mode]
-    graph = _denote(program.body, family, space, states)
-    return KleisliArrow.from_dict(family, states, states, graph)
+    return _arrow(program, _Tables(program, mode, state_cap))
 
 
 # -- weakest preconditions -------------------------------------------------------------
@@ -654,9 +750,10 @@ def mode_of_flavor(flavor):
 
 def post_table(post, flavor, space, states):
     """Evaluate a post-condition into a state table for the given flavor."""
+    fn, _ = compile_expr(post, space.names)
     table = {}
     for s in states:
-        value = eval_expr(post, space.env(s))
+        value = fn(s)
         if flavor == "expectation":
             value = _as_number(value, "post-expectation")
             if not (ZERO <= value <= ONE):
@@ -667,30 +764,31 @@ def post_table(post, flavor, space, states):
     return table
 
 
-def _wp_table(stmt, table, flavor, space, states):
+def _wp_table(stmt, table, flavor, tables):
+    states = tables.states
     if isinstance(stmt, Skip):
         return dict(table)
     if isinstance(stmt, Abort):
         default = flavor == "demonic"
         return {s: default for s in states}
     if isinstance(stmt, Assign):
-        return {s: table[_assign_state(space, s, stmt)] for s in states}
+        return {s: table[t] for s, t in zip(states, tables[stmt])}
     if isinstance(stmt, Seq):
-        inner = _wp_table(stmt.second, table, flavor, space, states)
-        return _wp_table(stmt.first, inner, flavor, space, states)
+        inner = _wp_table(stmt.second, table, flavor, tables)
+        return _wp_table(stmt.first, inner, flavor, tables)
     if isinstance(stmt, If):
-        return _branch(stmt.cond, space, states,
-                       _wp_table(stmt.then, table, flavor, space, states),
-                       _wp_table(stmt.orelse, table, flavor, space, states))
+        then = _wp_table(stmt.then, table, flavor, tables)
+        orelse = _wp_table(stmt.orelse, table, flavor, tables)
+        return _branch(tables[stmt], states, then, orelse)
     if isinstance(stmt, Choose):
-        left = _wp_table(stmt.left, table, flavor, space, states)
-        right = _wp_table(stmt.right, table, flavor, space, states)
+        left = _wp_table(stmt.left, table, flavor, tables)
+        right = _wp_table(stmt.right, table, flavor, tables)
         if flavor == "demonic":
             return {s: left[s] and right[s] for s in states}
         return {s: left[s] or right[s] for s in states}
     if isinstance(stmt, Prob):
-        left = _wp_table(stmt.left, table, flavor, space, states)
-        right = _wp_table(stmt.right, table, flavor, space, states)
+        left = _wp_table(stmt.left, table, flavor, tables)
+        right = _wp_table(stmt.right, table, flavor, tables)
         return {
             s: stmt.chance * left[s] + (ONE - stmt.chance) * right[s]
             for s in states
@@ -700,24 +798,24 @@ def _wp_table(stmt, table, flavor, space, states):
 
 def wp(program, post, flavor, state_cap=DEFAULT_STATE_CAP):
     """Weakest precondition (or pre-expectation) by structural recursion."""
-    space, states = _states(program, mode_of_flavor(flavor), state_cap)
+    tables = _Tables(program, mode_of_flavor(flavor), state_cap)
     if isinstance(post, str):
-        post = parse_expression(post, space.names)
-    table = post_table(post, flavor, space, states)
-    return _wp_table(program.body, table, flavor, space, states)
+        post = parse_expression(post, tables.space.names)
+    table = post_table(post, flavor, tables.space, tables.states)
+    return _wp_table(program.body, table, flavor, tables)
 
 
 def transformer_wp(arrow, table, flavor):
     """The same table computed from the whole-program denotation."""
-    states = arrow.dom
+    rows = zip(arrow.dom.carrier.elements, arrow.graph)
     if flavor == "demonic":
         accept = frozenset(s for s, v in table.items() if v)
-        return {s: arrow(s) <= accept for s in states}
+        return {s: t <= accept for s, t in rows}
     if flavor == "angelic":
         accept = frozenset(s for s, v in table.items() if v)
-        return {s: bool(arrow(s) & accept) for s in states}
+        return {s: bool(t & accept) for s, t in rows}
     if flavor == "expectation":
-        return {s: expectation(arrow(s).weights, table.__getitem__) for s in states}
+        return {s: expectation(t.weights, table.__getitem__) for s, t in rows}
     raise ModeMismatch(f"unknown flavor {flavor!r}")
 
 
@@ -738,7 +836,6 @@ class WpCheck:
 
 def default_posts(space, flavor, rng=None):
     """Probe posts: constants, atomic comparisons, and a few random ones."""
-    names = space.names
     posts = [Lit(True), Lit(False)]
     for d in space.decls:
         posts.append(Bin("==", Var(d.name), Lit(d.lo)))
@@ -758,9 +855,14 @@ def default_posts(space, flavor, rng=None):
 
 
 def check_roundtrip(program, flavor, posts=None, state_cap=DEFAULT_STATE_CAP, seed=None):
-    """Compositional wp against the transposed whole-program denotation."""
-    arrow = denote(program, mode_of_flavor(flavor), state_cap)
-    space, states = StateSpace(program.decls), arrow.dom
+    """Compositional wp against the transposed whole-program denotation.
+
+    The denotation and every post's recursion read one set of statement
+    tables, so each assignment and condition is evaluated once per state.
+    """
+    tables = _Tables(program, mode_of_flavor(flavor), state_cap)
+    arrow = _arrow(program, tables)
+    space, states = tables.space, tables.states
     if posts is None:
         rng = random.Random(seed) if seed is not None else None
         posts = default_posts(space, flavor, rng)
@@ -768,7 +870,7 @@ def check_roundtrip(program, flavor, posts=None, state_cap=DEFAULT_STATE_CAP, se
     witness = None
     for post in posts:
         table = post_table(post, flavor, space, states)
-        recursive = _wp_table(program.body, table, flavor, space, states)
+        recursive = _wp_table(program.body, table, flavor, tables)
         transposed = transformer_wp(arrow, table, flavor)
         if recursive != transposed:
             mismatches += 1

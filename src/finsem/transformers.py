@@ -60,10 +60,11 @@ def predicate_lattice(family, obj):
 
 def _lift(arrow, holds):
     """The transformer v |-> {x : holds(arrow(x), v)} between predicate lattices."""
+    rows = tuple(zip(arrow.dom.carrier.elements, arrow.graph))
     return MonotoneMap.from_callable(
         predicate_lattice(arrow.family, arrow.cod),
         predicate_lattice(arrow.family, arrow.dom),
-        lambda v: frozenset(x for x in arrow.dom if holds(arrow(x), v)),
+        lambda v: frozenset(x for x, t in rows if holds(t, v)),
     )
 
 
@@ -269,7 +270,8 @@ def smyth_filter_pred(arrow, v):
     from .monads import smyth_filter_of_upset
 
     return frozenset(
-        x for x in arrow.dom if v in smyth_filter_of_upset(arrow.cod, arrow(x)).members
+        x for x, t in zip(arrow.dom.carrier.elements, arrow.graph)
+        if v in smyth_filter_of_upset(arrow.cod, t).members
     )
 
 
@@ -384,7 +386,7 @@ def expectation_pred(arrow):
         if q.carrier != arrow.cod:
             raise SideConditionViolated("post-expectation lives on the wrong carrier")
         return FuzzyPredicate(arrow.dom, tuple(
-            expectation(arrow(x).weights, q) for x in arrow.dom.elements))
+            expectation(t.weights, q) for t in arrow.graph))
 
     return transform
 

@@ -12,6 +12,7 @@ from finsem.errors import (
     ParseError,
     RangeError,
     TooLarge,
+    TypeMismatch,
     UndeclaredVariable,
 )
 from finsem.monads import DIST
@@ -356,3 +357,121 @@ class TestRunAndStateSpace:
         start = DIST.unit(arrow.dom, (0,))
         out = bind_apply(arrow, start)
         assert out((1,)) == Fraction(1, 2)
+
+
+class TestTypes:
+    @pytest.mark.parametrize("source, kind", [
+        ("x + 1", gcl.INT),
+        ("-x * 2", gcl.INT),
+        ("x + 1/2", gcl.RATIONAL),
+        ("[x == 0]", gcl.RATIONAL),
+        ("1/2 * [x == 0] + [x != 0]", gcl.RATIONAL),
+        ("x < 1/2", gcl.BOOL),
+        ("true == (x == 0)", gcl.BOOL),
+        ("!(x == 0) && true || false", gcl.BOOL),
+    ])
+    def test_well_typed_expressions(self, source, kind):
+        expr = gcl.parse_expression(source, ["x"])
+        fn, inferred = gcl.compile_expr(expr, ["x"])
+        assert inferred == kind
+        assert fn((1,)) == gcl.eval_expr(expr, {"x": 1})
+
+    @pytest.mark.parametrize("source, message", [
+        ("x + true", "operator + takes numbers, got int and bool"),
+        ("-(x == 0)", "operator - takes a number, got bool"),
+        ("x == true", "operator == takes two numbers or two bools, got int and bool"),
+        ("true < false", "operator < takes numbers, got bool and bool"),
+        ("!x", "operator ! takes a bool, got int"),
+        ("x == 0 && 1/2", "operator && takes bools, got bool and rational"),
+        ("[x]", "Iverson bracket [ ] takes a bool, got int"),
+    ])
+    def test_mistyped_operand_is_rejected_before_evaluation(self, source, message):
+        expr = gcl.parse_expression(source, ["x"])
+        with pytest.raises(TypeMismatch) as err:
+            gcl.compile_expr(expr, ["x"])
+        assert str(err.value) == message
+
+    def test_variables_are_read_by_position(self):
+        expr = gcl.parse_expression("y - x", ["x", "y"])
+        fn, _ = gcl.compile_expr(expr, ["y", "x"])
+        assert fn((10, 3)) == 7
+        with pytest.raises(UndeclaredVariable):
+            gcl.compile_expr(expr, ["x"])
+
+    # each of these exited 0, or 2 with "expected a boolean, got ...", before
+    # operands were typed
+    MISTYPED = [
+        ("x := x + true", "operator + takes numbers, got int and bool"),
+        ("if (x == true) { x := 1 }",
+         "operator == takes two numbers or two bools, got int and bool"),
+        ("if (x) { x := 1 }", "if condition takes a bool, got int"),
+        ("x := -(x < 1)", "operator - takes a number, got bool"),
+    ]
+
+    @pytest.mark.parametrize("body, message", MISTYPED)
+    @pytest.mark.parametrize("command", [["wp"], ["run", "--init", "x=0"]])
+    def test_mistyped_program_exits_2(self, capsys, tmp_path, body, message, command):
+        f = tmp_path / "typed.gc"
+        f.write_text(f"vars x in 0..3; body: {body}; post: x == 0;")
+        assert cli_main(command + [str(f)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_assignment_keeps_its_integer_message(self):
+        for body in ("x := 1/2", "x := true", "x := [x == 0]"):
+            prog = gcl.parse(f"vars x in 0..1; body: {body};")
+            with pytest.raises(RangeError, match="assignment to x must be an integer"):
+                gcl.denote(prog, "pow")
+
+    def test_post_coercions_are_unchanged(self):
+        prog = gcl.parse("vars x in 0..1; body: skip;")
+        assert gcl.wp(prog, "true", "expectation") == {(0,): 1, (1,): 1}
+        with pytest.raises(RangeError, match="expected a boolean, got 0"):
+            gcl.wp(prog, "x", "demonic")
+
+
+class TestCompiledOncePerCall:
+    SOURCE = ("vars x in 0..3, y in 0..3; body: x := x + 1;"
+              " if (x == 2) { y := y + x } else { y := 0 }; {last};")
+    # four assignments and one if condition
+    STATEMENT_EXPRESSIONS = 5
+
+    @pytest.mark.parametrize("flavor, last", [
+        ("demonic", "x := x * y"), ("angelic", "x := x * y"),
+        ("expectation", "prob 1/3 { x := x * y } { skip }")])
+    def test_one_compile_per_post_and_per_statement_expression(
+            self, monkeypatch, flavor, last):
+        prog = gcl.parse(self.SOURCE.replace("{last}", last))
+        posts = gcl.default_posts(gcl.StateSpace(prog.decls), flavor, random.Random(3))
+        calls = []
+        compile_expr = gcl.compile_expr
+        monkeypatch.setattr(gcl, "compile_expr",
+                            lambda e, names: calls.append(e) or compile_expr(e, names))
+        for count in (1, 2, len(posts)):
+            calls.clear()
+            chk = gcl.check_roundtrip(prog, flavor, posts=posts[:count])
+            assert chk.ok and chk.posts == count
+            assert len(calls) == self.STATEMENT_EXPRESSIONS + count
+
+
+class TestStates:
+    SPACE = gcl.StateSpace((gcl.VarDecl("x", 0, 1),))
+
+    def test_variable_given_twice_is_rejected(self):
+        with pytest.raises(RangeError, match="state variable 'x' is given twice"):
+            self.SPACE.parse_state("x=0,x=1")
+
+    def test_undeclared_variable_is_rejected(self):
+        with pytest.raises(UndeclaredVariable, match="state variable 'y' is not declared"):
+            self.SPACE.parse_state("x=0,y=1")
+
+    @pytest.mark.parametrize("start, message", [
+        (["--init", "x=0,x=1"], "state variable 'x' is given twice"),
+        (["--init", "x=0,y=1"], "state variable 'y' is not declared"),
+        (["--init-dist", "{x=0,x=1: 1}"], "state variable 'x' is given twice"),
+        (["--init-dist", "{x=0,y=1: 1}"], "state variable 'y' is not declared"),
+    ])
+    def test_run_exits_2_naming_the_variable(self, capsys, tmp_path, start, message):
+        f = tmp_path / "one.gc"
+        f.write_text("vars x in 0..1; body: prob 1/2 {x := 0}{x := 1};")
+        assert cli_main(["run", str(f), "--mode", "dist"] + start) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
