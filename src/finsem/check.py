@@ -31,14 +31,18 @@ class Check:
 def first_counterexample(law, verdicts, mode="exhaustive", objects=()):
     """The Check of a law over a stream with one verdict per instance.
 
-    A verdict is None where the instance satisfies the law and the witness
-    text where it does not; the walk stops at the first witness.
+    A verdict is None where the instance satisfies the law, an int n for a
+    block of n instances that all do, and the witness text where one does
+    not; the walk stops at the first witness.
     """
     checked = 0
-    for witness in verdicts:
-        checked += 1
-        if witness is not None:
-            return Check(law, mode, checked, 1, witness, objects)
+    for verdict in verdicts:
+        if verdict is None:
+            checked += 1
+        elif type(verdict) is int:
+            checked += verdict
+        else:
+            return Check(law, mode, checked + 1, 1, verdict, objects)
     return Check(law, mode, checked, 0, None, objects)
 
 

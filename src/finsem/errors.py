@@ -73,14 +73,27 @@ class UndeclaredVariable(FinsemError):
     pass
 
 
+def located(message, pos):
+    """message, prefixed with `line:column: ` when pos gives them."""
+    return message if pos is None else f"{pos[0]}:{pos[1]}: {message}"
+
+
 class TypeMismatch(FinsemError):
-    """An operator or an if condition is given an operand of the wrong type."""
+    """An operator or an if condition is given an operand of the wrong type.
+
+    pos is the (line, column) of the operator when it was parsed from source,
+    and then prefixes the message as it does a ParseError's.
+    """
+
+    def __init__(self, message, pos=None):
+        super().__init__(located(message, pos))
+        self.pos = pos
 
 
 class ParseError(FinsemError):
     """Syntax error with source position."""
 
     def __init__(self, message, line, column):
-        super().__init__(f"{line}:{column}: {message}")
+        super().__init__(located(message, (line, column)))
         self.line = line
         self.column = column

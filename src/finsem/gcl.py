@@ -21,7 +21,7 @@ import itertools
 import operator
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -33,6 +33,7 @@ from .errors import (
     TooLarge,
     TypeMismatch,
     UndeclaredVariable,
+    located,
 )
 from .monads import DIST, POWERSET
 from .order import FinSet
@@ -50,6 +51,13 @@ MAX_NESTING = 100
 
 
 # -- syntax trees ------------------------------------------------------------------
+
+
+def _position():
+    """The (line, column) of a parsed node's operator token, for its type
+    errors; None on a node built by hand.  Equality, hashing and repr
+    ignore it."""
+    return field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,7 @@ class Abort:
 class Assign:
     var: str
     expr: object
+    pos: Optional[tuple] = _position()
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,7 @@ class If:
     cond: object
     then: object
     orelse: object
+    pos: Optional[tuple] = _position()
 
 
 @dataclass(frozen=True)
@@ -121,12 +131,14 @@ class Lit:
 @dataclass(frozen=True)
 class Var:
     name: str
+    pos: Optional[tuple] = _position()
 
 
 @dataclass(frozen=True)
 class Unary:
     op: str
     arg: object
+    pos: Optional[tuple] = _position()
 
 
 @dataclass(frozen=True)
@@ -134,11 +146,13 @@ class Bin:
     op: str
     left: object
     right: object
+    pos: Optional[tuple] = _position()
 
 
 @dataclass(frozen=True)
 class Iverson:
     cond: object
+    pos: Optional[tuple] = _position()
 
 
 @dataclass(frozen=True)
@@ -201,6 +215,10 @@ def tokenize(source):
 # comparison takes one operator, and the other levels fold to the left
 _COMPARISONS = ("==", "!=", "<=", ">=", "<", ">")
 _LEVELS = (("||",), ("&&",), ("!",), _COMPARISONS, ("+", "-"), ("*",))
+
+
+def _at(tok):
+    return (tok.line, tok.column)
 
 
 class _Parser:
@@ -333,7 +351,7 @@ class _Parser:
             if self.at("kw", "else"):
                 self.next()
                 orelse = self.parse_block()
-            return If(cond, then, orelse)
+            return If(cond, then, orelse, _at(tok))
         if self.at("kw", "choose"):
             self.next()
             left = self.parse_block()
@@ -344,18 +362,16 @@ class _Parser:
             start = self.next()
             chance = self.parse_rational()
             if not (ZERO <= chance <= ONE):
-                raise RangeError(
-                    f"{start.line}:{start.column}: branch probability "
-                    f"{chance} outside [0, 1]"
-                )
+                raise RangeError(located(
+                    f"branch probability {chance} outside [0, 1]", _at(start)))
             left = self.parse_block()
             right = self.parse_block()
             return Prob(chance, left, right)
         if tok.kind == "name":
             name = self.next().text
             self._check_declared(name, tok)
-            self.expect("op", ":=")
-            return Assign(name, self.parse_expr())
+            becomes = self.expect("op", ":=")
+            return Assign(name, self.parse_expr(), _at(becomes))
         self.fail(f"expected a statement, found {tok.text!r}")
 
     def parse_rational(self):
@@ -374,8 +390,7 @@ class _Parser:
     def _check_declared(self, name, tok):
         if self.declared is not None and name not in self.declared:
             raise UndeclaredVariable(
-                f"{tok.line}:{tok.column}: variable {name!r} is not declared"
-            )
+                located(f"variable {name!r} is not declared", _at(tok)))
 
     # expressions (precedence climbing) --------------------------------------------
 
@@ -387,15 +402,16 @@ class _Parser:
         if ops == ("!",):
             if not self.at("op", "!"):
                 return self.parse_expr(level + 1)
-            self.enter(self.next())
-            return self.leave(Unary("!", self.parse_expr(level)))
+            bang = self.next()
+            self.enter(bang)
+            return self.leave(Unary("!", self.parse_expr(level), _at(bang)))
         # a chain nests like a sequence: each operand after the first puts
         # the ones before it one level deeper
         outer, self.peak = self.peak, self.depth
         left = self.parse_expr(level + 1)
         while (tok := self.peek()).kind == "op" and tok.text in ops:
             self.next()
-            left = Bin(tok.text, left, self.parse_expr(level + 1))
+            left = Bin(tok.text, left, self.parse_expr(level + 1), _at(tok))
             self.reach(self.peak + 1, tok)
             if ops is _COMPARISONS:
                 break
@@ -406,7 +422,7 @@ class _Parser:
         tok = self.peek()
         if self.at("op", "-"):
             self.enter(self.next())
-            return self.leave(Unary("-", self.parse_atom()))
+            return self.leave(Unary("-", self.parse_atom(), _at(tok)))
         if tok.kind == "int":
             self.next()
             if self.at("op", "/"):
@@ -422,7 +438,7 @@ class _Parser:
         if tok.kind == "name":
             self.next()
             self._check_declared(tok.text, tok)
-            return Var(tok.text)
+            return Var(tok.text, _at(tok))
         if self.at("op", "("):
             self.enter(self.next())
             inner = self.parse_expr()
@@ -432,7 +448,7 @@ class _Parser:
             self.enter(self.next())
             inner = self.parse_expr()
             self.expect("op", "]")
-            return self.leave(Iverson(inner))
+            return self.leave(Iverson(inner, _at(tok)))
         self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
 
 
@@ -536,7 +552,7 @@ _BINARY = {
 }
 
 
-def _binary_type(op, left, right):
+def _binary_type(op, left, right, pos):
     """The type of `left op right`, or TypeMismatch naming op and both types."""
     if op in ("&&", "||"):
         if left == right == BOOL:
@@ -550,7 +566,7 @@ def _binary_type(op, left, right):
         return BOOL
     else:
         want = "two numbers or two bools" if op in ("==", "!=") else "numbers"
-    raise TypeMismatch(f"operator {op} takes {want}, got {left} and {right}")
+    raise TypeMismatch(f"operator {op} takes {want}, got {left} and {right}", pos)
 
 
 def compile_expr(expr, names):
@@ -575,20 +591,20 @@ def _compile(expr, index):
         arg, kind = _compile(expr.arg, index)
         if expr.op == "!":
             if kind != BOOL:
-                raise TypeMismatch(f"operator ! takes a bool, got {kind}")
+                raise TypeMismatch(f"operator ! takes a bool, got {kind}", expr.pos)
             return (lambda s: not arg(s)), BOOL
         if kind not in _NUMBERS:
-            raise TypeMismatch(f"operator - takes a number, got {kind}")
+            raise TypeMismatch(f"operator - takes a number, got {kind}", expr.pos)
         return (lambda s: -arg(s)), kind
     if isinstance(expr, Iverson):
         cond, kind = _compile(expr.cond, index)
         if kind != BOOL:
-            raise TypeMismatch(f"Iverson bracket [ ] takes a bool, got {kind}")
+            raise TypeMismatch(f"Iverson bracket [ ] takes a bool, got {kind}", expr.pos)
         return (lambda s: ONE if cond(s) else ZERO), RATIONAL
     if isinstance(expr, Bin):
         left, left_type = _compile(expr.left, index)
         right, right_type = _compile(expr.right, index)
-        kind = _binary_type(expr.op, left_type, right_type)
+        kind = _binary_type(expr.op, left_type, right_type, expr.pos)
         return _BINARY[expr.op](left, right), kind
     raise AssertionError(f"not an expression: {expr!r}")
 
@@ -652,7 +668,7 @@ def _successors(stmt, space, states):
     """The state each state moves to under an assignment, in states order."""
     fn, kind = compile_expr(stmt.expr, space.names)
     if kind != INT:
-        raise RangeError(f"assignment to {stmt.var} must be an integer")
+        raise RangeError(located(f"assignment to {stmt.var} must be an integer", stmt.pos))
     if stmt.var not in space.names:
         raise UndeclaredVariable(stmt.var)
     i = space.names.index(stmt.var)
@@ -664,7 +680,7 @@ def _mask(stmt, space, states):
     """Whether each state takes an if's then-branch, in states order."""
     fn, kind = compile_expr(stmt.cond, space.names)
     if kind != BOOL:
-        raise TypeMismatch(f"if condition takes a bool, got {kind}")
+        raise TypeMismatch(f"if condition takes a bool, got {kind}", stmt.pos)
     return [fn(s) for s in states]
 
 

@@ -107,7 +107,14 @@ class FinSet:
 
 
 class FinPoset:
-    """Finite partial order; reflexivity/transitivity/antisymmetry are verified."""
+    """Finite partial order; reflexivity/transitivity/antisymmetry are verified.
+
+    ``_cache`` holds what is derived from the order, each built on first use:
+    ``bottom`` and ``top`` (None when absent), ``is_lattice``, the ``upsets``
+    and ``downsets`` tuples in subset mask order, the ``join`` and ``meet``
+    tables from each asked pair (x, y) to its bound or None, and the
+    ``join_irr`` and ``meet_irr`` tuples.
+    """
 
     __slots__ = ("carrier", "_down", "_up", "_cache", "_hash")
 
@@ -173,9 +180,12 @@ class FinPoset:
         return f"FinPoset({list(self.elements)!r}, covers={self.cover_pairs()!r})"
 
     def leq(self, x, y):
+        """Whether x <= y; UnknownElement names the first of them that is not an element."""
+        members = self.carrier._members
+        if x in members and y in members:
+            return x in self._down[y]
         self.carrier.require(x)
         self.carrier.require(y)
-        return x in self._down[y]
 
     def lt(self, x, y):
         return x != y and self.leq(x, y)
@@ -222,16 +232,18 @@ class FinPoset:
         return all(self._down[x] <= members for x in members)
 
     def iter_upsets(self):
-        _require_small(self)
-        for s in self.carrier.subsets():
-            if self.is_upset(s):
-                yield s
+        """Every upset, in the carrier's subset mask order."""
+        return self._closed_subsets("upsets", self.is_upset)
 
     def iter_downsets(self):
+        """Every downset, in the carrier's subset mask order."""
+        return self._closed_subsets("downsets", self.is_downset)
+
+    def _closed_subsets(self, key, closed):
         _require_small(self)
-        for s in self.carrier.subsets():
-            if self.is_downset(s):
-                yield s
+        if key not in self._cache:
+            self._cache[key] = tuple(s for s in self.carrier.subsets() if closed(s))
+        return self._cache[key]
 
     # -- lattice structure ---------------------------------------------------
 
@@ -249,14 +261,22 @@ class FinPoset:
 
     def join(self, x, y):
         """Least upper bound, or None if it does not exist."""
-        uppers = self._up[x] & self._up[y]
-        least = [u for u in uppers if uppers <= self._up[u]]
-        return least[0] if len(least) == 1 else None
+        return self._bound("join", self._up, x, y)
 
     def meet(self, x, y):
-        lowers = self._down[x] & self._down[y]
-        greatest = [l for l in lowers if lowers <= self._down[l]]
-        return greatest[0] if len(greatest) == 1 else None
+        """Greatest lower bound, or None if it does not exist."""
+        return self._bound("meet", self._down, x, y)
+
+    def _bound(self, key, cone, x, y):
+        """The one common cone element whose cone holds all the common ones."""
+        table = self._cache.setdefault(key, {})
+        try:
+            return table[x, y]
+        except KeyError:
+            common = cone[x] & cone[y]
+            best = [u for u in common if common <= cone[u]]
+            table[x, y] = bound = best[0] if len(best) == 1 else None
+            return bound
 
     def is_lattice(self):
         if "is_lattice" not in self._cache:
@@ -320,14 +340,17 @@ def _require_small(poset, limit=MAX_POSET_SIZE):
 def make_poset(elements, covers=()):
     """Build a poset from declared elements and cover pairs (a < b).
 
-    The reflexive-transitive closure is taken automatically; a closure that
-    violates antisymmetry raises CycleError.
+    The reflexive-transitive closure is taken automatically; a cover of an
+    element by itself, or a closure that violates antisymmetry, raises
+    CycleError.
     """
     base = FinSet(elements)
     succs = {x: set() for x in base}
     for (a, b) in covers:
         base.require(a)
         base.require(b)
+        if a == b:
+            raise CycleError(f"cover {a!r} < {b!r} is not strict")
         succs[a].add(b)
     # reflexive-transitive closure by saturation
     down = {x: {x} for x in base}

@@ -214,6 +214,20 @@ def random_kleisli_arrow(family, dom, cod, rng, targets):
 # -- monad law suite --------------------------------------------------------------------
 
 
+class _Memo(dict):
+    """A function as a table, each entry computed on its first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
+
+
 def _graph_extend(family, dom, cod, graph_by_elem, t):
     return family.extend(dom, cod, lambda x: graph_by_elem[x], t)
 
@@ -224,6 +238,12 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     Enumeration is exhaustive whenever the relevant arrow space fits in the
     budget; otherwise a seeded sample is drawn and the report records the
     sampled mode together with the seed.
+
+    The exhaustive associativity walk compares interned ids: each structure
+    element is hash-consed to an int once per suite, so a (g, h) pair is
+    decided by one comparison of id lists over all t.  It counts the same
+    instances, and reports the same first witness, as a walk that compares
+    the elements one t at a time.
     """
     rng = random.Random(seed)
     report = Report(f"monad {family.name}", seed)
@@ -264,34 +284,58 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
             "exhaustive", (len(obj),)))
 
     # associativity ---------------------------------------------------------
+    # Elements are hash-consed to ids once per suite, and each arrow's
+    # extension is tabled once, as ids: extend(h) over T(right), extend(g)
+    # over ts, and extend(h after g) over ts for each distinct composite.
+    ids, values = {}, []
+
+    def intern(t):
+        i = ids.get(t)
+        if i is None:
+            i = ids[t] = len(values)
+            values.append(t)
+        return i
+
+    def extension(dom, cod, arrow):
+        """extend(arrow) as id -> id.  A probe arrow's bind can leave the
+        probe set, so each id is computed on its first lookup."""
+        graph = arrow.as_dict()
+        return _Memo(lambda i: intern(_graph_extend(family, dom, cod, graph, values[i])))
+
+    h_tables, g_tables, composite_tables = {}, {}, {}
+
+    def extension_tables(right, far, hs):
+        if (right, far) not in h_tables:
+            h_tables[right, far] = [extension(right, far, h) for h in hs]
+        return h_tables[right, far]
+
+    def image_vectors(mid, right, gs, ts):
+        """Per g: the ids of its images, and of extend(g) over ts."""
+        if (mid, right) not in g_tables:
+            g_tables[mid, right] = [
+                (g, [intern(v) for v in g.graph],
+                 [intern(_graph_extend(family, mid, right, gd, t)) for t in ts])
+                for g in gs for gd in [g.as_dict()]]
+        return g_tables[mid, right]
+
     def exhaustive_assoc(mid, right, far, gs, hs, ts):
-        tables_h = {}
-        for h in hs:
-            hd = h.as_dict()
-            tables_h[h.graph] = (hd, {
-                t: _graph_extend(family, right, far, hd, t)
-                for t in structures[right]
-            })
-        composite_tables = {}
-        for g in gs:
-            gd = g.as_dict()
-            table_g = {t: _graph_extend(family, mid, right, gd, t) for t in ts}
-            for h in hs:
-                hd, th = tables_h[h.graph]
-                comp = {x: th[gd[x]] for x in mid.carrier}
-                key = tuple(comp[x] for x in mid.carrier.elements)
-                if key not in composite_tables:
-                    composite_tables[key] = {
-                        t: _graph_extend(family, mid, far, comp, t) for t in ts
-                    }
-                ctab = composite_tables[key]
-                for t in ts:
-                    mid_val = table_g[t]
-                    # the bind of a probe arrow can leave the probe set
-                    lhs = th.get(mid_val)
-                    if lhs is None:
-                        lhs = _graph_extend(family, right, far, hd, mid_val)
-                    yield None if lhs == ctab[t] else f"g={gd!r} h={hd!r} t={t!r}"
+        composites = composite_tables.setdefault((mid, far), {})
+        ths = extension_tables(right, far, hs)
+        for g, gimg, gvec in image_vectors(mid, right, gs, ts):
+            for h, th in zip(hs, ths):
+                key = tuple([th[i] for i in gimg])
+                ctab = composites.get(key)
+                if ctab is None:
+                    comp = dict(zip(mid.carrier.elements, map(values.__getitem__, key)))
+                    ctab = composites[key] = [
+                        intern(_graph_extend(family, mid, far, comp, t)) for t in ts]
+                lhs = [th[i] for i in gvec]
+                if lhs == ctab:
+                    yield len(ts)
+                    continue
+                gd, hd = g.as_dict(), h.as_dict()
+                for t, got, want in zip(ts, lhs, ctab):
+                    yield None if got == want else f"g={gd!r} h={hd!r} t={t!r}"
 
     def sampled_assoc(mid, right, far, gs, hs, ts):
         for _ in range(LAW_SAMPLES):

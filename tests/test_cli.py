@@ -331,6 +331,21 @@ class TestInputFailures:
         assert "plotkin-hom" in usage_error(
             capsys, ["transpose", "--correspondence", "plotkin-hom", "--input", str(f)])
 
+    def test_self_cover_in_an_object_literal(self, capsys):
+        err = usage_error(capsys, ["enumerate", "--monad", "downset",
+                                   "--object", "poset P { elems a; covers a<a; }"])
+        assert err == "error: cover 'a' < 'a' is not strict\n"
+
+    def test_self_cover_in_a_transpose_payload(self, capsys, tmp_path):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps({
+            "direction": "forward",
+            "poset": {"elements": ["a", "b"], "covers": [["a", "b"], ["b", "b"]]},
+            "map": {"a": 0, "b": 1}}))
+        err = usage_error(capsys, ["transpose", "--correspondence", "three",
+                                   "--input", str(f)])
+        assert err == "transpose payload: cover 'b' < 'b' is not strict\n"
+
     @pytest.mark.parametrize("weight", ["1/0", "abc"])
     def test_bad_initial_weight(self, capsys, prog_file, weight):
         usage_error(capsys, ["run", "--mode", "dist", prog_file,

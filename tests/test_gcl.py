@@ -376,14 +376,15 @@ class TestTypes:
         assert inferred == kind
         assert fn((1,)) == gcl.eval_expr(expr, {"x": 1})
 
+    # a parsed operator names its line and column
     @pytest.mark.parametrize("source, message", [
-        ("x + true", "operator + takes numbers, got int and bool"),
-        ("-(x == 0)", "operator - takes a number, got bool"),
-        ("x == true", "operator == takes two numbers or two bools, got int and bool"),
-        ("true < false", "operator < takes numbers, got bool and bool"),
-        ("!x", "operator ! takes a bool, got int"),
-        ("x == 0 && 1/2", "operator && takes bools, got bool and rational"),
-        ("[x]", "Iverson bracket [ ] takes a bool, got int"),
+        ("x + true", "1:3: operator + takes numbers, got int and bool"),
+        ("-(x == 0)", "1:1: operator - takes a number, got bool"),
+        ("x == true", "1:3: operator == takes two numbers or two bools, got int and bool"),
+        ("true < false", "1:6: operator < takes numbers, got bool and bool"),
+        ("!x", "1:1: operator ! takes a bool, got int"),
+        ("x == 0 && 1/2", "1:8: operator && takes bools, got bool and rational"),
+        ("[x]", "1:1: Iverson bracket [ ] takes a bool, got int"),
     ])
     def test_mistyped_operand_is_rejected_before_evaluation(self, source, message):
         expr = gcl.parse_expression(source, ["x"])
@@ -399,13 +400,18 @@ class TestTypes:
             gcl.compile_expr(expr, ["x"])
 
     # each of these exited 0, or 2 with "expected a boolean, got ...", before
-    # operands were typed
+    # operands were typed; the error names the operator's line and column
     MISTYPED = [
-        ("x := x + true", "operator + takes numbers, got int and bool"),
+        ("x := x + true", "1:30: operator + takes numbers, got int and bool"),
         ("if (x == true) { x := 1 }",
-         "operator == takes two numbers or two bools, got int and bool"),
-        ("if (x) { x := 1 }", "if condition takes a bool, got int"),
-        ("x := -(x < 1)", "operator - takes a number, got bool"),
+         "1:29: operator == takes two numbers or two bools, got int and bool"),
+        ("if (x) { x := 1 }", "1:23: if condition takes a bool, got int"),
+        ("x := -(x < 1)", "1:28: operator - takes a number, got bool"),
+        ("x := 1/2", "1:25: assignment to x must be an integer"),
+        ("x := true", "1:25: assignment to x must be an integer"),
+        ("x := [x == 0]", "1:25: assignment to x must be an integer"),
+        ("x := [x]", "1:28: Iverson bracket [ ] takes a bool, got int"),
+        ("skip;\n  x := x\n    * (x < 1)", "3:5: operator * takes numbers, got int and bool"),
     ]
 
     @pytest.mark.parametrize("body, message", MISTYPED)
@@ -415,6 +421,23 @@ class TestTypes:
         f.write_text(f"vars x in 0..3; body: {body}; post: x == 0;")
         assert cli_main(command + [str(f)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_positions_take_no_part_in_equality_or_repr(self):
+        parsed = gcl.parse("vars x in 0..3; body: if (!(x < 2)) { x := -x + [x == 1] };")
+        built = gcl.If(
+            gcl.Unary("!", gcl.Bin("<", gcl.Var("x"), gcl.Lit(2))),
+            gcl.Assign("x", gcl.Bin("+", gcl.Unary("-", gcl.Var("x")), gcl.Iverson(
+                gcl.Bin("==", gcl.Var("x"), gcl.Lit(1))))),
+            gcl.Skip())
+        assert parsed.body == built and hash(parsed.body) == hash(built)
+        assert repr(parsed.body) == repr(built)
+        assert (parsed.body.pos, parsed.body.then.pos) == ((1, 23), (1, 41))
+
+    def test_hand_built_nodes_raise_without_a_position(self):
+        with pytest.raises(TypeMismatch) as err:
+            gcl.compile_expr(gcl.Bin("+", gcl.Var("x"), gcl.Lit(True)), ["x"])
+        assert str(err.value) == "operator + takes numbers, got int and bool"
+        assert err.value.pos is None
 
     def test_assignment_keeps_its_integer_message(self):
         for body in ("x := 1/2", "x := true", "x := [x == 0]"):

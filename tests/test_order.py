@@ -11,6 +11,7 @@ from finsem.errors import (
     UnknownElement,
 )
 from finsem.order import (
+    MAX_POSET_SIZE,
     FinPoset,
     FinSet,
     LATTICE_ISO_VARIANTS,
@@ -72,6 +73,12 @@ class TestMakePoset:
     def test_unknown_element(self):
         with pytest.raises(UnknownElement):
             make_poset("ab", [("a", "z")])
+
+    @pytest.mark.parametrize("covers", [[("a", "a")], [("a", "b"), ("b", "b")]])
+    def test_self_cover_rejected(self, covers):
+        # a cover is strict, so an element cannot cover itself
+        with pytest.raises(CycleError, match="'b' < 'b'|'a' < 'a'"):
+            make_poset("ab", covers)
 
     def test_non_transitive_direct_input(self):
         with pytest.raises(ValueError):
@@ -418,3 +425,46 @@ class TestPosetInventory:
         p = make_poset("ab", [("a", "b")])
         q = make_poset("uv", [("v", "u")])
         assert poset_canonical_key(p) == poset_canonical_key(q)
+
+
+def _bound_by_definition(cone, x, y):
+    common = cone[x] & cone[y]
+    best = [u for u in common if common <= cone[u]]
+    return best[0] if len(best) == 1 else None
+
+
+class TestCachedTables:
+    """The tables each poset builds once equal the definitions they stand for."""
+
+    @pytest.mark.parametrize("p", all_posets(3), ids=repr)
+    def test_upsets_and_downsets_are_the_filtered_subsets(self, p):
+        subsets = list(p.carrier.subsets())
+        assert list(p.iter_upsets()) == [s for s in subsets if p.is_upset(s)]
+        assert list(p.iter_downsets()) == [s for s in subsets if p.is_downset(s)]
+        assert p.iter_upsets() is p.iter_upsets()
+        assert p.iter_downsets() is p.iter_downsets()
+
+    @pytest.mark.parametrize("p", all_posets(3), ids=repr)
+    def test_join_and_meet_are_the_least_and_greatest_bounds(self, p):
+        up = {x: p.up_set(x) for x in p}
+        down = {x: p.down_set(x) for x in p}
+        for x, y in itertools.product(p.elements, repeat=2):
+            assert p.join(x, y) == _bound_by_definition(up, x, y)
+            assert p.meet(x, y) == _bound_by_definition(down, x, y)
+            # every answer is kept in the poset's table
+            assert p._cache["join"][x, y] == p.join(x, y)
+            assert p._cache["meet"][x, y] == p.meet(x, y)
+
+    def test_a_missing_bound_is_none(self):
+        v = make_poset("abc", [("a", "b"), ("a", "c")])
+        assert v.join("b", "c") is None and v.join("b", "c") is None
+        assert v._cache["join"] == {("b", "c"): None}
+        assert v.meet("b", "c") == "a"
+
+    def test_oversized_poset_still_raises(self):
+        big = antichain(range(MAX_POSET_SIZE + 1))
+        for _ in range(2):
+            with pytest.raises(TooLarge):
+                big.iter_upsets()
+            with pytest.raises(TooLarge):
+                big.iter_downsets()

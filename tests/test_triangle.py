@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from finsem.check import Check
 from finsem.effects import Distribution, random_distribution
 from finsem.errors import CarrierMismatch, MonadMismatch, NotMonotone, TooLarge
 from finsem.monads import DIST, DOWNSET, POWERSET
@@ -239,3 +240,65 @@ class TestLawSuiteMachinery:
             "f={0: frozenset(), 1: frozenset({0})} x=1",
             "  FAIL extend(unit)(t) = t on (2,) [exhaustive]: t=frozenset({0})",
         ]
+
+    def test_failing_associativity_keeps_its_witnesses_and_counts(self):
+        # drops the largest image when a pair is sent onto three points: the
+        # unit laws hold, and associativity fails inside some (g, h) pairs
+        class DropsOnPair(type(POWERSET)):
+            name = "drops-on-pair"
+
+            def extend(self, dom, cod, fn, t):
+                out = super().extend(dom, cod, fn, t)
+                return out - {max(out)} if len(t) == 2 and len(out) == 3 else out
+
+        report = check_monad_laws(DropsOnPair(), (FinSet(range(2)), FinSet(range(3))))
+        law = "extend(h)(extend(g)(t)) = extend(h after g)(t)"
+        e, f0, f01, f2, f012 = (frozenset(), frozenset({0}), frozenset({0, 1}),
+                                frozenset({2}), frozenset({0, 1, 2}))
+        assert [(c.law, c.mode, c.checked, c.mismatches, c.objects)
+                for c in report.cases[:6]] == [
+            ("extend(f)(unit(x)) = f(x)", "exhaustive", 32, 0, (2, 2)),
+            ("extend(f)(unit(x)) = f(x)", "exhaustive", 128, 0, (2, 3)),
+            ("extend(f)(unit(x)) = f(x)", "exhaustive", 192, 0, (3, 2)),
+            ("extend(f)(unit(x)) = f(x)", "exhaustive", 1536, 0, (3, 3)),
+            ("extend(unit)(t) = t", "exhaustive", 4, 0, (2,)),
+            ("extend(unit)(t) = t", "exhaustive", 8, 0, (3,)),
+        ]
+        assert report.cases[6:] == [
+            Check(law, "exhaustive", 1024, 0, None, (2, 2, 2)),
+            Check(law, "exhaustive", 484, 1,
+                  f"g={ {0: e, 1: f0}!r} h={ {0: f012, 1: e}!r} t={f01!r}", (2, 2, 3)),
+            Check(law, "exhaustive", 1800, 1,
+                  f"g={ {0: e, 1: f012}!r} h={ {0: e, 1: e, 2: f0}!r} t={f01!r}", (2, 3, 2)),
+            Check(law, "exhaustive", 3844, 1,
+                  f"g={ {0: e, 1: f0}!r} h={ {0: f012, 1: e, 2: e}!r} t={f01!r}", (2, 3, 3)),
+            Check(law, "exhaustive", 8192, 0, None, (3, 2, 2)),
+            Check(law, "exhaustive", 966, 1,
+                  f"g={ {0: e, 1: e, 2: f0}!r} h={ {0: f012, 1: e}!r} t={f0 | f2!r}",
+                  (3, 2, 3)),
+            Check(law, "exhaustive", 3598, 1,
+                  f"g={ {0: e, 1: e, 2: f012}!r} h={ {0: e, 1: e, 2: f0}!r} t={f0 | f2!r}",
+                  (3, 3, 2)),
+            Check(law, "sampled(400)", 5, 1,
+                  f"g={ {0: frozenset({1, 2}), 1: f2, 2: f0}!r} "
+                  f"h={ {0: f0, 1: e, 2: f012}!r} t={f0 | f2!r}", (3, 3, 3)),
+        ]
+        assert report.summary().splitlines()[0] == (
+            "monad drops-on-pair: FAIL (21813 instances, seed 20240401)")
+
+    def test_probe_suite_totals(self, monkeypatch):
+        # a bind of probe arrows can leave the probe set; the walk computes
+        # those values rather than looking them up
+        probes = set(DIST.probe_elements(FinSet(range(2)), 2))
+        extended = []
+        extend = type(DIST).extend
+        monkeypatch.setattr(type(DIST), "extend", lambda family, dom, cod, fn, t: (
+            extended.append(t) or extend(family, dom, cod, fn, t)))
+        report = check_monad_laws(DIST, (FinSet(range(2)),), probe_max_den=2)
+        assert [(c.law, c.mode, c.checked, c.mismatches) for c in report.cases] == [
+            ("extend(f)(unit(x)) = f(x)", "exhaustive", 18, 0),
+            ("extend(unit)(t) = t", "exhaustive", 3, 0),
+            ("extend(h)(extend(g)(t)) = extend(h after g)(t)", "exhaustive", 243, 0),
+        ]
+        assert report.checked_total() == 264
+        assert any(t not in probes for t in extended)
