@@ -548,21 +548,13 @@ def _preserves(dom, cod, g, op):
     )
 
 
-def _preserves_all(m, half):
-    m.dom.require_lattice()
-    m.cod.require_lattice()
-    g = m.as_dict()
-    return (g[half.unit(m.dom)] == half.unit(m.cod)
-            and _preserves(m.dom, m.cod, g, half.op))
-
-
 def preserves_all_joins(m):
     """All joins, including the empty one (bottom goes to bottom)."""
-    return _preserves_all(m, _JOIN)
+    return has_structure(m, "join-preserving")
 
 
 def preserves_all_meets(m):
-    return _preserves_all(m, _MEET)
+    return has_structure(m, "meet-preserving")
 
 
 def right_adjoint(m):
@@ -762,6 +754,30 @@ _LATTICE_SELECTORS = {
 }
 
 
+def _keeps(dom, cod, g, selector):
+    """Does the graph g keep what the lattice selector names: all of its
+    half, and the dual half's unit or operation where the selector says so?"""
+    half, keeps_unit, keeps_op = _LATTICE_SELECTORS[selector]
+    dual = _MEET if half is _JOIN else _JOIN
+    return (
+        g[half.unit(dom)] == half.unit(cod)
+        and _preserves(dom, cod, g, half.op)
+        and (not keeps_unit or g[dual.unit(dom)] == dual.unit(cod))
+        and (not keeps_op or _preserves(dom, cod, g, dual.op))
+    )
+
+
+def has_structure(m, selector):
+    """Is the monotone map m one that enumerate_structure_maps lists under
+    selector?  Any monotone map is "monotone"; the lattice selectors are
+    checked on every pair of the domain."""
+    if selector == "monotone":
+        return True
+    m.dom.require_lattice()
+    m.cod.require_lattice()
+    return _keeps(m.dom, m.cod, m.as_dict(), selector)
+
+
 def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
     """Complete, duplicate-free list of maps dom -> cod with the given structure.
 
@@ -797,8 +813,7 @@ def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
     # a map preserving all of one half is the extension of its values on
     # that half's irreducibles: each element goes to the big operation over
     # the irreducibles on the unit's side of it
-    half, keeps_unit, keeps_op = _LATTICE_SELECTORS[selector]
-    dual = _MEET if half is _JOIN else _JOIN
+    half = _LATTICE_SELECTORS[selector][0]
     gens = half.irreducibles(dom)
     _budget_check(max(len(cod), 1) ** len(gens), budget)
     out = []
@@ -807,11 +822,7 @@ def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
         for x in dom.elements:
             side = half.side(dom, x)
             g[x] = half.big(cod, (assign[j] for j in gens if j in side))
-        if (
-            _preserves(dom, cod, g, half.op)
-            and (not keeps_unit or g[dual.unit(dom)] == dual.unit(cod))
-            and (not keeps_op or _preserves(dom, cod, g, dual.op))
-        ):
+        if _keeps(dom, cod, g, selector):
             out.append(MonotoneMap.from_dict(dom, cod, g))
     return tuple(out)
 

@@ -4,13 +4,26 @@ Each correspondence packages a forward transpose (computation to predicate
 transformer), a backward transpose, and enumerators for both sides, so that
 round trips and full-and-faithfulness can be certified by double
 enumeration.  Side conditions of inputs and outputs are always verified.
+
+The six arrow-shaped correspondences (box, filter, monotone-nbhd, diamond,
+hoare, smyth) follow the recipe of arXiv:1703.09034: a monad T, the
+dualizing object Omega = 2 (the set {0, 1}, or the chain 0 < 1 for poset
+families) and an Eilenberg-Moore algebra alpha: T(2) -> 2.  The transformer
+of f: X -> T(Y) sends a predicate v to {x : alpha(T(chi_v)(f(x))) = 1}; the
+comparison map sends each t in T(Y) to its column of these values, and the
+backward transpose inverts it point by point: the recipe reads the one
+candidate t off a point's column, and the comparison map confirms that t has
+that column, so T(Y) itself is never enumerated.  The selector that names
+the transformers is checked on every forward image and every backward input.
 """
 
 from __future__ import annotations
 
-import operator
 import random
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 from typing import Callable, Optional
 
 from .check import Check
@@ -41,8 +54,8 @@ from .order import (
     PlotkinAlgebra,
     chain,
     enumerate_structure_maps,
+    has_structure,
     powerset_lattice,
-    preserves_all_joins,
     preserves_all_meets,
     upsets,
 )
@@ -58,25 +71,84 @@ def predicate_lattice(family, obj):
     return upsets(obj) if family.base == "poset" else powerset_lattice(obj)
 
 
-def _lift(arrow, holds):
-    """The transformer v |-> {x : holds(arrow(x), v)} between predicate lattices."""
-    rows = tuple(zip(arrow.dom.carrier.elements, arrow.graph))
-    return MonotoneMap.from_callable(
-        predicate_lattice(arrow.family, arrow.cod),
-        predicate_lattice(arrow.family, arrow.dom),
-        lambda v: frozenset(x for x, t in rows if holds(t, v)),
+# -- the recipe: one forward and one backward for every arrow-shaped correspondence -------
+
+
+# The dualizing object 2 of each kind of family; a predicate v is its
+# characteristic map chi_v into 2, monotone exactly when v is an upset.
+OMEGA = {"set": FinSet((0, 1)), "poset": chain((0, 1))}
+
+# One arrow-shaped correspondence as data: the monad, its Eilenberg-Moore
+# algebra alpha: T(2) -> 2, the selector naming the transformers, and
+# read(predicates, column), the one element of T(cod) that can have a given
+# column (its own column picks it out: see the three readers below).
+Recipe = namedtuple("Recipe", "id family alpha selector read")
+
+
+def _least_holding(predicates, column):
+    """A set inside every predicate it satisfies is the least of them."""
+    return predicates.top().intersection(*compress(predicates.elements, column))
+
+
+def _outside_failing(predicates, column):
+    """A downset meets every open except those inside its complement."""
+    return predicates.top().difference(
+        *compress(predicates.elements, (not held for held in column)))
+
+
+def _holding(predicates, column):
+    """A family of predicates holds exactly its members."""
+    return frozenset(compress(predicates.elements, column))
+
+
+@lru_cache(maxsize=1 << 12)
+def comparison_column(recipe, cod, t):
+    """The comparison map T(cod) -> (predicates -> 2) at t: whether
+    alpha(T(chi_v)(t)) = 1, for each predicate v in lattice order."""
+    family, alpha = recipe.family, recipe.alpha
+    omega = OMEGA[family.base]
+    return tuple(
+        alpha(family.functor_map(cod, omega, lambda y, v=v: int(y in v), t)) == 1
+        for v in predicate_lattice(family, cod).elements
     )
 
 
-# -- box: nondeterminism against meet-preserving transformers -------------------------
-
-
-def box_transformer(arrow):
-    """Demonic weakest preconditions of a powerset computation."""
-    m = _lift(arrow, operator.le)
-    if not preserves_all_meets(m):
-        raise StructureNotPreserved("box transpose lost meet preservation")
+def forward(recipe, arrow):
+    """The transformer v |-> {x : alpha(T(chi_v)(arrow(x))) = 1}, checked to
+    have the recipe's selector structure."""
+    predicates = predicate_lattice(recipe.family, arrow.cod)
+    points = arrow.dom.carrier.elements
+    columns = [comparison_column(recipe, arrow.cod, t) for t in arrow.graph]
+    m = MonotoneMap(predicates, predicate_lattice(recipe.family, arrow.dom), tuple(
+        frozenset(x for x, column in zip(points, columns) if column[i])
+        for i in range(len(predicates))
+    ))
+    if not has_structure(m, recipe.selector):
+        raise StructureNotPreserved(f"{recipe.id} transpose is not {recipe.selector}")
     return m
+
+
+def backward(recipe, m, x, y):
+    """The arrow sending each point p of x to the element of T(y) whose column
+    is p's column in m (p in m(v) for each v): the recipe reads it off the
+    column, and the comparison map confirms it."""
+    if not has_structure(m, recipe.selector):
+        error = NotJoinPreserving if "join" in recipe.selector else NotMeetPreserving
+        raise error(f"input transformer must be {recipe.selector}")
+    family = recipe.family
+    if m.dom != predicate_lattice(family, y) or m.cod != predicate_lattice(family, x):
+        raise SideConditionViolated("transformer does not match the stated objects")
+    mapping = {}
+    for p in x.carrier.elements:
+        column = tuple(p in image for image in m.graph)
+        t = recipe.read(m.dom, column)
+        if comparison_column(recipe, y, t) != column:
+            raise SideConditionViolated(f"no {family.name} element has the column of {p!r}")
+        mapping[p] = t
+    return KleisliArrow.from_dict(family, x, y, mapping)
+
+
+# -- general-lattice adjunctions --------------------------------------------------------
 
 
 def box_general_transformer(g, lattice, points):
@@ -107,39 +179,6 @@ def box_general_computation(m):
     }
 
 
-def box_computation(m):
-    """Specialize the backward transpose at a powerset predicate domain."""
-    mapping = box_general_computation(m)
-    dom = FinSet(m.cod.top())
-    cod = FinSet(m.dom.top())
-    return KleisliArrow.from_dict(POWERSET, dom, cod, mapping)
-
-
-# -- filter: same shape, packaged through filters of the powerset ----------------------
-
-
-def filter_transformer(arrow):
-    """Transformer of a filter computation: accept a set if the filter holds it."""
-    m = _lift(arrow, operator.contains)
-    if not preserves_all_meets(m):
-        raise StructureNotPreserved("filter transpose lost meet preservation")
-    return m
-
-
-def filter_computation(m):
-    if not preserves_all_meets(m):
-        raise NotMeetPreserving("input transformer must preserve meets and top")
-    dom = FinSet(m.cod.top())
-    cod = FinSet(m.dom.top())
-    mapping = {
-        x: frozenset(a for a in m.dom if x in m(a)) for x in dom
-    }
-    return KleisliArrow.from_dict(FILTER, dom, cod, mapping)
-
-
-# -- monotone neighbourhoods ------------------------------------------------------------
-
-
 def monotone_nbhd_forward(g, poset, points):
     """General adjunction direction: a function into upsets of a poset becomes
     a monotone map from the poset into the powerset of the points."""
@@ -161,108 +200,6 @@ def monotone_nbhd_backward(m, points):
             raise SideConditionViolated("computed neighbourhood is not an upset")
         out[x] = members
     return out
-
-
-def monotone_nbhd_transformer(arrow):
-    return monotone_nbhd_forward(arrow.as_dict(), powerset_lattice(arrow.cod), arrow.dom)
-
-
-def monotone_nbhd_computation(m):
-    dom = FinSet(m.cod.top())
-    cod = FinSet(m.dom.top())
-    mapping = monotone_nbhd_backward(m, dom)
-    return KleisliArrow.from_dict(MONOTONE_NEIGHBOURHOOD, dom, cod, mapping)
-
-
-# -- diamond: downset computations against join-preserving transformers -----------------
-
-
-def diamond_transformer(arrow):
-    """Possibility transformer of a downset computation: hit the target open."""
-    m = _lift(arrow, operator.and_)
-    if not preserves_all_joins(m):
-        raise StructureNotPreserved("diamond transpose lost join preservation")
-    return m
-
-
-def _complement_backward(m, cod_poset, require_nonempty):
-    """Shared backward transpose for diamond and the nonempty variant.
-
-    Each point keeps the part of the codomain not excluded by any open the
-    transformer misses; the result is always a downset.
-    """
-    full = cod_poset.carrier.as_frozenset()
-    out = {}
-    for x in FinSet(m.cod.top()):
-        rejected = set()
-        for v in m.dom:
-            if x not in m(v):
-                rejected |= v
-        value = frozenset(full - rejected)
-        if require_nonempty and not value:
-            raise SideConditionViolated("transpose produced an empty closed set")
-        out[x] = value
-    return out
-
-
-def diamond_computation(m, dom_poset, cod_poset):
-    """Backward transpose onto a monotone map into downsets."""
-    if not preserves_all_joins(m):
-        raise NotJoinPreserving("input transformer must preserve all joins")
-    if m.dom != upsets(cod_poset) or m.cod != upsets(dom_poset):
-        raise SideConditionViolated("transformer does not match the stated posets")
-    mapping = _complement_backward(m, cod_poset, require_nonempty=False)
-    return KleisliArrow.from_dict(DOWNSET, dom_poset, cod_poset, mapping)
-
-
-# -- hoare: nonempty downsets against join-and-top-preserving transformers --------------
-
-
-def _preserves_top(m):
-    return m(m.dom.top()) == m.cod.top()
-
-
-def hoare_pred(arrow):
-    """Angelic transformer of a nonempty-downset computation."""
-    m = _lift(arrow, operator.and_)
-    if not (preserves_all_joins(m) and _preserves_top(m)):
-        raise StructureNotPreserved("angelic transpose lost its structure")
-    return m
-
-
-def hoare_computation(m, dom_poset, cod_poset):
-    if not (preserves_all_joins(m) and _preserves_top(m)):
-        raise NotJoinPreserving("transformer must preserve all joins and top")
-    if m.dom != upsets(cod_poset) or m.cod != upsets(dom_poset):
-        raise SideConditionViolated("transformer does not match the stated posets")
-    mapping = _complement_backward(m, cod_poset, require_nonempty=True)
-    return KleisliArrow.from_dict(HOARE, dom_poset, cod_poset, mapping)
-
-
-# -- smyth: nonempty upsets against preframe transformers -------------------------------
-
-
-def smyth_pred(arrow):
-    """Demonic transformer of a saturated-set computation: guaranteed hit."""
-    m = _lift(arrow, operator.le)
-    if not (preserves_all_meets(m) and m(frozenset()) == frozenset()):
-        raise StructureNotPreserved("demonic transpose lost its structure")
-    return m
-
-
-def smyth_computation(m, dom_poset, cod_poset):
-    if not (preserves_all_meets(m) and m(frozenset()) == frozenset()):
-        raise NotMeetPreserving("transformer must preserve meets, top, and bottom")
-    if m.dom != upsets(cod_poset) or m.cod != upsets(dom_poset):
-        raise SideConditionViolated("transformer does not match the stated posets")
-    mapping = {}
-    for x in FinSet(m.cod.top()):
-        holding = [v for v in m.dom if x in m(v)]
-        value = cod_poset.carrier.as_frozenset()
-        for v in holding:
-            value &= v
-        mapping[x] = frozenset(value)
-    return KleisliArrow.from_dict(SMYTH, dom_poset, cod_poset, mapping)
 
 
 def smyth_filter_pred(arrow, v):
@@ -332,6 +269,18 @@ def _check_pa_map(f, dom_alg, cod_alg):
                 raise StructureNotPreserved("the erratic sum is not preserved")
 
 
+def _check_components(g1, g2, l, m):
+    """The pair side of plotkin-hom: g1 keeps joins and top, g2 keeps meets and
+    bottom, and g1 dominates g2 on every element of l."""
+    if not has_structure(g1, "join+top"):
+        raise StructureNotPreserved("left component must preserve joins and top")
+    if not has_structure(g2, "preframe+0"):
+        raise StructureNotPreserved("right component must preserve meets and bottom")
+    for x in l:
+        if not m.leq(g2(x), g1(x)):
+            raise Incomparable("left component must dominate the right one")
+
+
 def plotkin_hom_forward(f, dom_alg, cod_alg):
     """Split an algebra map into its additive and multiplicative components.
 
@@ -345,26 +294,13 @@ def plotkin_hom_forward(f, dom_alg, cod_alg):
     for (x, y) in dom_alg.poset:
         if f((x, y))[0] != g1(x) or f((x, y))[1] != g2(y):
             raise StructureNotPreserved("component equations fail on a lens pair")
-    if not (preserves_all_joins(g1) and g1(l.top()) == m.top()):
-        raise StructureNotPreserved("left component must preserve joins and top")
-    if not (preserves_all_meets(g2) and g2(l.bottom()) == m.bottom()):
-        raise StructureNotPreserved("right component must preserve meets and bottom")
-    for x in l:
-        if not m.leq(g2(x), g1(x)):
-            raise Incomparable("left component must dominate the right one")
+    _check_components(g1, g2, l, m)
     return (g1, g2)
 
 
 def plotkin_hom_backward(g1, g2, dom_alg, cod_alg):
     """Assemble an algebra map from a dominating pair of lattice maps."""
-    l, m = dom_alg.frame, cod_alg.frame
-    if not (preserves_all_joins(g1) and g1(l.top()) == m.top()):
-        raise StructureNotPreserved("left component must preserve joins and top")
-    if not (preserves_all_meets(g2) and g2(l.bottom()) == m.bottom()):
-        raise StructureNotPreserved("right component must preserve meets and bottom")
-    for x in l:
-        if not m.leq(g2(x), g1(x)):
-            raise Incomparable("left component must dominate the right one")
+    _check_components(g1, g2, dom_alg.frame, cod_alg.frame)
     f = MonotoneMap.from_callable(
         dom_alg.poset, cod_alg.poset, lambda p: (g1(p[0]), g2(p[1]))
     )
@@ -415,6 +351,10 @@ class Correspondence:
     forward and backward uniformly take (value, dom_object, cod_object) so
     callers can drive every correspondence the same way.  family names the
     monad whose Kleisli arrows are the computations, when they are arrows.
+    An arrow-shaped correspondence is built from a Recipe (family, alpha on
+    2, selector, reader of columns): forward and backward are the recipe's,
+    both run the selector check, and iter_transformers lists the selector's
+    maps.
     """
 
     id: str
@@ -425,35 +365,35 @@ class Correspondence:
     family: Optional[MonadFamily] = None
 
 
-def _arrow_correspondence(id, family, selector, transformer, backward):
-    """Kleisli arrows of family against the selector maps between their
-    predicate lattices, with transformer as the forward transpose."""
+def _arrow_correspondence(recipe):
+    """Kleisli arrows of the recipe's family against the selector maps between
+    their predicate lattices, transposed by the recipe."""
+    family = recipe.family
     return Correspondence(
-        id=id,
-        forward=lambda g, x, y: transformer(g),
-        backward=backward,
+        id=recipe.id,
+        forward=lambda g, x, y: forward(recipe, g),
+        backward=lambda m, x, y: backward(recipe, m, x, y),
         iter_computations=lambda x, y, budget: iter_kleisli_arrows(
             family, x, y, budget),
         iter_transformers=lambda x, y, budget: enumerate_structure_maps(
-            predicate_lattice(family, y), predicate_lattice(family, x), selector, budget
+            predicate_lattice(family, y), predicate_lattice(family, x),
+            recipe.selector, budget
         ),
         family=family,
     )
 
 
-BOX = _arrow_correspondence("box", POWERSET, "meet-preserving", box_transformer,
-                            lambda m, x, y: box_computation(m))
-FILTER_CORR = _arrow_correspondence("filter", FILTER, "meet+top", filter_transformer,
-                                    lambda m, x, y: filter_computation(m))
-MONOTONE_NBHD = _arrow_correspondence(
-    "monotone-nbhd", MONOTONE_NEIGHBOURHOOD, "monotone", monotone_nbhd_transformer,
-    lambda m, x, y: monotone_nbhd_computation(m))
-DIAMOND = _arrow_correspondence("diamond", DOWNSET, "join-preserving",
-                                diamond_transformer, diamond_computation)
-HOARE_CORR = _arrow_correspondence("hoare", HOARE, "join+top",
-                                   hoare_pred, hoare_computation)
-SMYTH_CORR = _arrow_correspondence("smyth", SMYTH, "preframe+0",
-                                   smyth_pred, smyth_computation)
+RECIPES = (
+    Recipe("box", POWERSET, lambda s: int(0 not in s), "meet-preserving", _least_holding),
+    Recipe("filter", FILTER, lambda g: int(frozenset({1}) in g), "meet+top", _holding),
+    Recipe("monotone-nbhd", MONOTONE_NEIGHBOURHOOD, lambda g: int(frozenset({1}) in g),
+           "monotone", _holding),
+    Recipe("diamond", DOWNSET, lambda d: int(1 in d), "join-preserving", _outside_failing),
+    Recipe("hoare", HOARE, lambda d: int(1 in d), "join+top", _outside_failing),
+    Recipe("smyth", SMYTH, lambda u: int(0 not in u), "preframe+0", _least_holding),
+)
+BOX, FILTER_CORR, MONOTONE_NBHD, DIAMOND, HOARE_CORR, SMYTH_CORR = map(
+    _arrow_correspondence, RECIPES)
 
 THREE_CORR = Correspondence(
     id="three",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -261,6 +262,109 @@ def test_arrow_forward_round_trip(capsys, tmp_path, corr):
     assert code == 0
     result = json.loads(out)
     assert result == {"round_trip": True, "transformer": transformer}
+
+
+# correspondence -> (backward payload, expected arrow): the inverses of FORWARD_CASES,
+# box has its own test
+BACKWARD_CASES = {
+    "filter": (dict(SETS, transformer=SET_TRANSFORMER),
+               {"x1": [["y1"], ["y1", "y2"]], "x2": [["y1", "y2"]]}),
+    "monotone-nbhd": (dict(SETS, transformer={"{}": [], "{y1}": ["x1"], "{y2}": ["x1"],
+                                              "{y1,y2}": ["x1"]}),
+                      {"x1": [["y1"], ["y2"], ["y1", "y2"]], "x2": []}),
+    "diamond": ({"dom": CHAIN_AB, "cod": CHAIN_CD, "transformer": CHAIN_TRANSFORMER},
+                {"a": ["c"], "b": ["c", "d"]}),
+    "hoare": ({"dom": CHAIN_AB, "cod": CHAIN_CD, "transformer": CHAIN_TRANSFORMER},
+              {"a": ["c"], "b": ["c", "d"]}),
+    "smyth": ({"dom": CHAIN_AB, "cod": CHAIN_CD, "transformer": CHAIN_TRANSFORMER},
+              {"a": ["c", "d"], "b": ["d"]}),
+}
+
+
+@pytest.mark.parametrize("corr", sorted(BACKWARD_CASES))
+def test_arrow_backward_round_trip(capsys, tmp_path, corr):
+    payload, arrow = BACKWARD_CASES[corr]
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(dict(payload, direction="backward")))
+    code, out, _ = run(capsys, ["transpose", "--correspondence", corr, "--input", str(f)])
+    assert code == 0
+    assert json.loads(out) == {"round_trip": True, "arrow": arrow}
+
+
+# one transformer per half that breaks its correspondence's selector
+@pytest.mark.parametrize("corr, payload, message", [
+    ("smyth", {"dom": CHAIN_AB, "cod": CHAIN_CD,  # sends the whole poset to nothing
+               "transformer": {"{}": [], "{d}": [], "{c,d}": []}},
+     "input transformer must be preframe+0"),
+    ("diamond", {"dom": CHAIN_AB, "cod": CHAIN_CD,  # sends the empty open to all
+                 "transformer": {"{}": ["a", "b"], "{d}": ["a", "b"], "{c,d}": ["a", "b"]}},
+     "input transformer must be join-preserving"),
+], ids=["meet", "join"])
+def test_selector_violating_transformer_fails(capsys, tmp_path, corr, payload, message):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(dict(payload, direction="backward")))
+    code, out, err = run(capsys, ["transpose", "--correspondence", corr, "--input", str(f)])
+    assert (code, out, err) == (1, "", f"transpose failed: {message}\n")
+
+
+# codomains over the family's cap (filter 3, smyth 5): neither transpose enumerates T(cod)
+@pytest.mark.parametrize("corr, cod, arrow, holds", [
+    ("filter", ["a", "b", "c", "d"], [["a", "b", "c", "d"]], lambda v: v == "{a,b,c,d}"),
+    ("smyth", {"elements": list("abcdef")}, ["a"], lambda v: "a" in v),
+], ids=["filter", "smyth"])
+def test_codomain_over_the_family_cap_transposes(capsys, tmp_path, corr, cod, arrow, holds):
+    dom = {"elements": ["x"]} if isinstance(cod, dict) else ["x"]
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({"dom": dom, "cod": cod, "arrow": {"x": arrow}}))
+    code, out, err = run(capsys, ["transpose", "--correspondence", corr, "--input", str(f)])
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert result["round_trip"] is True
+    assert all(image == (["x"] if holds(v) else []) for v, image in result["transformer"].items())
+    f.write_text(json.dumps({"dom": dom, "cod": cod, "direction": "backward",
+                             "transformer": result["transformer"]}))
+    code, out, err = run(capsys, ["transpose", "--correspondence", corr, "--input", str(f)])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"round_trip": True, "arrow": {"x": arrow}}
+
+
+# (correspondence, --sizes) -> SHA-256 of the certify JSON on stdout
+CERTIFY_DIGESTS = {
+    ("box", "1"): "129300b493432c1512c17b0f93ed34e1692384ce3593d77cf1a33eff9468c237",
+    ("diamond", "1"): "af17914621c36336e7587d93417eb0a06a244869d7d927303813f6ccae861bd5",
+    ("expectation", "1"): "8084b9cb63c134d52c4af15427b3bad0f01eb93ccf1b6102af58c5a43196fd57",
+    ("filter", "1"): "8e05c091045478d3074da5050db98590f269246457b147f73c745fbcf71b5138",
+    ("hoare", "1"): "e34d01903c654e553c164c385b5291a13944ef11f544cd6aaf9627669377cc1a",
+    ("monotone-nbhd", "1"): "54920937d9cf12c8191b05e8805ebf3e9d0a7f0f76acf87b4fdf238254173585",
+    ("plotkin-hom", "1"): "7b947f564cd8f5d72edfed41ccf076b07ef69fb00d81166f1a86c537152d58d9",
+    ("smyth", "1"): "60182adc87c9ed382abca52f1a680abf7a507c383cb8410378a341e21618d0b9",
+    ("three", "1"): "8696d684fa036f490f6bdebe22262c86537a6e1199b1d4597d682e9b64a1f297",
+    ("box", "2"): "8fbfccaec1bdb5437865311c62f44882f9349561fc26954a01ee11065307c5b7",
+    ("diamond", "2"): "ce5377b7e720adff0aa578db253d381869c981e969ce0dfc28f7e56b00ee7169",
+    ("expectation", "2"): "8084b9cb63c134d52c4af15427b3bad0f01eb93ccf1b6102af58c5a43196fd57",
+    ("filter", "2"): "c3aec271caaca5eb24fa884a2682b873d053e1cd563d48baa51198dfa281ef55",
+    ("hoare", "2"): "bc02a2a1684a8919fbcf2c7067a27cfc66117f2cf3ff2facc6a3eef24495f559",
+    ("monotone-nbhd", "2"): "436eb10d4444c4256482e4db4f3a5c5624eea4dbd1e64450bbab2946f4ddda30",
+    ("plotkin-hom", "2"): "7fc17afee7f79b9c787a5461611d24261f7dd8584635e82a6d5d964b9e78206d",
+    ("smyth", "2"): "a64771c50d16e488ed9fe476cff7b2152de332d682b0489eee805bcaae94f938",
+    ("three", "2"): "7cdb56e97fabc9ea0d0691b19309ec53c5491c16b01d16d70d6582a4a698dbf8",
+    ("box", "1,2"): "5e35319916b4c243d9450d57b5cf0e98f72bfdc63837d200b3395501266a2f9d",
+    ("diamond", "1,2"): "48fc0382362d781046ce88acd8cfb505c0b256ed370b5ab335504b2d6a3a1b99",
+    ("expectation", "1,2"): "8084b9cb63c134d52c4af15427b3bad0f01eb93ccf1b6102af58c5a43196fd57",
+    ("filter", "1,2"): "e973a3332c4b188d91d3e352bc293bdb9e1e77f04b60341e4506e1ba2feb5a47",
+    ("hoare", "1,2"): "b17fe28ae3e94d7d4d783bd65516db58d48eb0d42feba09be7cb1e2fef5e6d7e",
+    ("monotone-nbhd", "1,2"): "4ba04d22c11df3b9d8ab35f41084761aac53cf1681ee293437464d8fb396b4c7",
+    ("plotkin-hom", "1,2"): "1b9b10c16f69f828d655c825b8806507e7786368db599cd7419f768b242beb68",
+    ("smyth", "1,2"): "7cfa6fbad2b34e088db81a935f15e7f90c7fb01173d478ed3157f391f5183b57",
+    ("three", "1,2"): "8696d684fa036f490f6bdebe22262c86537a6e1199b1d4597d682e9b64a1f297",
+}
+
+
+@pytest.mark.parametrize("corr, sizes", sorted(CERTIFY_DIGESTS), ids="-".join)
+def test_certify_output_is_pinned(capsys, corr, sizes):
+    code, out, _ = run(capsys, ["certify", "--correspondence", corr, "--sizes", sizes])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_DIGESTS[corr, sizes]
 
 
 class TestCertifyCommand:

@@ -309,7 +309,7 @@ class TestDemonicThroughSaturatedSets:
         # produces the same tables as the subset one
         from finsem.monads import SMYTH
         from finsem.order import discrete
-        from finsem.transformers import smyth_pred
+        from finsem.transformers import SMYTH_CORR
         from finsem.triangle import KleisliArrow
 
         rng = random.Random(10)
@@ -331,7 +331,7 @@ class TestDemonicThroughSaturatedSets:
             post = frozenset(
                 s for s in states if gcl.eval_expr(q, space.env(s)) is True
             )
-            m = smyth_pred(smyth_arrow)
+            m = SMYTH_CORR.forward(smyth_arrow, disc, disc)
             table = gcl.wp(prog, q, "demonic")
             assert m(post) == frozenset(s for s, v in table.items() if v)
             checked += 1

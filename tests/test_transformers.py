@@ -10,6 +10,7 @@ from finsem.errors import (
     NotJoinPreserving,
     NotMeetPreserving,
     StructureNotPreserved,
+    TooLarge,
 )
 from finsem.monads import DIST, DOWNSET, HOARE, POWERSET, SMYTH, LensPair
 from finsem.order import (
@@ -31,28 +32,27 @@ from finsem.transformers import (
     HOARE_CORR,
     MID3,
     MONOTONE_NBHD,
+    OMEGA,
     PLOTKIN_HOM,
+    RECIPES,
     REGISTRY,
     SMYTH_CORR,
     THREE,
     THREE_CORR,
     TOP3,
-    box_computation,
-    box_transformer,
-    diamond_transformer,
+    comparison_column,
+    predicate_lattice,
     expectation_computation,
     expectation_pred,
-    hoare_pred,
     monotone_nbhd_backward,
     monotone_nbhd_forward,
     plotkin_hom_forward,
     round_trip_report,
-    smyth_pred,
     three_amalg_pointwise,
     three_forward,
     expectation_round_trip,
 )
-from finsem.triangle import KleisliArrow
+from finsem.triangle import EMAlgebraCandidate, KleisliArrow, check_em_algebra
 
 X2 = FinSet(["x1", "x2"])
 Y2 = FinSet(["y1", "y2"])
@@ -64,12 +64,12 @@ class TestBox:
     def test_formula_example(self):
         g = KleisliArrow.from_dict(POWERSET, X2, Y2, {
             "x1": frozenset({"y1"}), "x2": frozenset({"y1", "y2"})})
-        m = box_transformer(g)
+        m = BOX.forward(g, g.dom, g.cod)
         assert m(frozenset({"y1"})) == frozenset({"x1"})
 
     def test_unit_is_identity_transformer(self):
         eta = KleisliArrow.unit_arrow(POWERSET, X2)
-        m = box_transformer(eta)
+        m = BOX.forward(eta, eta.dom, eta.cod)
         for a in powerset_lattice(X2).elements:
             assert m(a) == a
 
@@ -81,14 +81,14 @@ class TestBox:
         py, px = powerset_lattice(Y2), powerset_lattice(X2)
         bad = MonotoneMap.from_callable(py, px, lambda a: frozenset())
         with pytest.raises(NotMeetPreserving):
-            box_computation(bad)
+            BOX.backward(bad, X2, Y2)
 
     @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)])
     def test_box_diamond_de_morgan_duality(self, nx, ny):
         xs, ys = FinSet(range(nx)), FinSet(range(ny))
         full = ys.as_frozenset()
         for g in BOX.iter_computations(xs, ys, 10 ** 6):
-            box = box_transformer(g)
+            box = BOX.forward(g, g.dom, g.cod)
             for a in powerset_lattice(ys).elements:
                 angelic = frozenset(x for x in xs if g(x) & (full - a))
                 assert box(a) == xs.as_frozenset() - angelic
@@ -142,7 +142,7 @@ class TestDiamond:
     def test_unit_formula(self):
         p = chain("ab")
         eta = KleisliArrow.unit_arrow(DOWNSET, p)
-        m = diamond_transformer(eta)
+        m = DIAMOND.forward(eta, eta.dom, eta.cod)
         for v in upsets(p).elements:
             assert m(v) == frozenset(x for x in p if p.down_set(x) & v)
 
@@ -170,7 +170,7 @@ class TestHoareSmyth:
     def test_hoare_unit_formula(self):
         p = chain("ab")
         eta = KleisliArrow.unit_arrow(HOARE, p)
-        m = hoare_pred(eta)
+        m = HOARE_CORR.forward(eta, eta.dom, eta.cod)
         for v in upsets(p).elements:
             assert m(v) == frozenset(x for x in p if v & p.down_set(x))
 
@@ -178,21 +178,21 @@ class TestHoareSmyth:
         p = chain("ab")
         whole = p.carrier.as_frozenset()
         g = KleisliArrow.from_callable(HOARE, p, p, lambda x: whole)
-        m = hoare_pred(g)
+        m = HOARE_CORR.forward(g, g.dom, g.cod)
         for v in upsets(p).elements:
             assert m(v) == (whole if v else frozenset())
 
     def test_smyth_unit_formula(self):
         p = chain("ab")
         eta = KleisliArrow.unit_arrow(SMYTH, p)
-        m = smyth_pred(eta)
+        m = SMYTH_CORR.forward(eta, eta.dom, eta.cod)
         for v in upsets(p).elements:
             assert m(v) == frozenset(x for x in p if p.up_set(x) <= v)
 
     def test_smyth_preserves_whole_space(self):
         p = antichain("ab")
         g = KleisliArrow.from_callable(SMYTH, p, p, lambda x: p.up_set(x))
-        m = smyth_pred(g)
+        m = SMYTH_CORR.forward(g, g.dom, g.cod)
         assert m(p.carrier.as_frozenset()) == p.carrier.as_frozenset()
 
     @pytest.mark.parametrize("corr", [HOARE_CORR, SMYTH_CORR], ids=lambda c: c.id)
@@ -207,7 +207,7 @@ class TestHoareSmyth:
 
         p = chain("ab")
         for arrow in iter_kleisli_arrows(SMYTH, p, p, budget=1000):
-            m = smyth_pred(arrow)
+            m = SMYTH_CORR.forward(arrow, arrow.dom, arrow.cod)
             for v in upsets(p).elements:
                 assert m(v) == smyth_filter_pred(arrow, v)
 
@@ -362,3 +362,39 @@ def test_registry_is_complete():
         "box", "filter", "monotone-nbhd", "diamond", "hoare", "smyth",
         "three", "plotkin-hom", "expectation",
     }
+
+
+# -- the recipe: alpha on 2 and the comparison tables ------------------------------------
+
+# families whose T(T(2)) is over their cap, so the multiplication law is not built
+OVER_CAP_ON_TT2 = {"filter", "monotone-nbhd"}
+
+
+SETS_UP_TO_THREE = tuple(FinSet(range(n)) for n in range(4))
+
+
+@pytest.mark.parametrize("recipe", RECIPES, ids=lambda r: r.id)
+def test_alpha_is_an_algebra_on_two(recipe):
+    family, omega = recipe.family, OMEGA[recipe.family.base]
+    cand = EMAlgebraCandidate.from_dict(
+        family, omega, {t: recipe.alpha(t) for t in family.elements(omega)})
+    if recipe.id in OVER_CAP_ON_TT2:
+        with pytest.raises(TooLarge):
+            check_em_algebra(cand)
+        assert all(recipe.alpha(family.unit(omega, i)) == i for i in omega)
+    else:
+        assert check_em_algebra(cand).ok
+
+
+@pytest.mark.parametrize("recipe, obj", [
+    pytest.param(r, obj, id=f"{r.id}-{obj!r}") for r in RECIPES
+    for obj in (SMALL_POSETS if r.family.base == "poset" else SETS_UP_TO_THREE)
+])
+def test_comparison_table_is_injective(recipe, obj):
+    predicates = predicate_lattice(recipe.family, obj)
+    elements = recipe.family.elements(obj)
+    columns = [comparison_column(recipe, obj, t) for t in elements]
+    assert len(set(columns)) == len(elements)
+    assert all(len(column) == len(predicates) for column in columns)
+    # the recipe's reader inverts the table, which is what backward relies on
+    assert all(recipe.read(predicates, column) == t for t, column in zip(elements, columns))
