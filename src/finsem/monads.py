@@ -30,6 +30,8 @@ from .errors import (
 from .order import (
     FinPoset,
     FinSet,
+    filter_violation,
+    powerset_lattice,
     upsets,
 )
 
@@ -162,13 +164,8 @@ class NeighbourhoodMonad(MonadFamily):
 
     def elements(self, obj):
         self.check_cap(obj)
-        subs = tuple(obj.subsets())
-        out = []
-        for mask in range(1 << len(subs)):
-            t = frozenset(subs[i] for i in range(len(subs)) if mask >> i & 1)
-            if self.admits(obj, t):
-                out.append(t)
-        return tuple(out)
+        families = _iter_two_valued_maps(tuple(obj.subsets()))
+        return tuple(t for t in families if self.admits(obj, t))
 
     def contains(self, obj, t):
         u = obj.as_frozenset()
@@ -193,29 +190,18 @@ class NeighbourhoodMonad(MonadFamily):
 
 
 class MonotoneNeighbourhoodMonad(NeighbourhoodMonad):
-    """Superset-closed families of subsets; same double-dual extension."""
+    """Superset-closed families of subsets: the upsets of the powerset
+    lattice; same double-dual extension."""
 
     name = "monotone-neighbourhood"
     cap = 3
 
-    @staticmethod
-    def _is_upward_closed(obj, t):
-        return all(
-            (a | {x}) in t for a in t for x in obj if x not in a
-        )
-
     def admits(self, obj, t):
-        return self._is_upward_closed(obj, t)
+        return powerset_lattice(obj).is_upset(t)
 
 
 def _is_filter_family(obj, t):
-    """Upward-closed family containing the full set and closed under meets."""
-    u = obj.as_frozenset()
-    if u not in t:
-        return False
-    if not MonotoneNeighbourhoodMonad._is_upward_closed(obj, t):
-        return False
-    return all((a & b) in t for a in t for b in t)
+    return filter_violation(powerset_lattice(obj), t) is None
 
 
 class FilterMonad(MonotoneNeighbourhoodMonad):
@@ -600,14 +586,9 @@ class FilterOf:
         for m in self.members:
             self.ambient.carrier.require(m)
         self.ambient.require_lattice()
-        if self.ambient.top() not in self.members:
-            raise StructureNotPreserved("filter must contain the top element")
-        if not self.ambient.is_upset(self.members):
-            raise StructureNotPreserved("filter must be an upset")
-        for a in self.members:
-            for b in self.members:
-                if self.ambient.meet(a, b) not in self.members:
-                    raise StructureNotPreserved("filter must be closed under meets")
+        problem = filter_violation(self.ambient, self.members)
+        if problem:
+            raise StructureNotPreserved(problem)
 
     @property
     def proper(self):
@@ -718,14 +699,17 @@ class Expectation:
 
     def indicator_table(self):
         """Values on the point indicators; determines the functional if linear."""
-        return tuple(
-            self.fn(FuzzyPredicate.indicator(self.carrier, {x}))
-            for x in self.carrier.elements
-        )
+        return indicator_probe(self.fn, self.carrier)
+
+
+def indicator_probe(fn, carrier):
+    """fn at each point indicator of carrier, in carrier order: how a functional
+    or an expectation transformer is read back."""
+    return tuple(fn(FuzzyPredicate.indicator(carrier, {x})) for x in carrier.elements)
 
 
 def expectation_embed(omega):
-    """Expected value against a distribution, as an effect-module functional."""
+    """Expected value (integral) against a distribution or finite measure."""
     return Expectation(omega.carrier, partial(expectation, omega.weights))
 
 
@@ -750,17 +734,9 @@ def expectation_bind(carrier_out, kernel, h):
 # -- finite Giry isomorphism -------------------------------------------------------
 
 
-def integration_functional(phi):
-    """Integrate fuzzy predicates against a finite measure (a finite sum)."""
-    return Expectation(phi.atoms, partial(expectation, phi.weights))
-
-
 def measure_of_functional(i, atoms):
     """Recover a measure by evaluating the functional on indicator predicates."""
-    weights = []
-    for a in atoms.elements:
-        weights.append((a, i(FuzzyPredicate.indicator(atoms, {a}))))
-    return FiniteMeasure(atoms, tuple(weights))
+    return FiniteMeasure(atoms, tuple(zip(atoms.elements, indicator_probe(i, atoms))))
 
 
 def distribution_to_measure(omega):

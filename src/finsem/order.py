@@ -55,6 +55,16 @@ def atom_key(value):
     raise TypeError(f"cannot order atoms of type {type(value).__name__}")
 
 
+def atom_repr(value):
+    """repr with each frozenset's members in atom_key order, whatever the hash seed."""
+    if isinstance(value, frozenset):
+        inner = ", ".join(map(atom_repr, sorted(value, key=atom_key)))
+        return f"frozenset({{{inner}}})" if value else "frozenset()"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(atom_repr, value)) + (",)" if len(value) == 1 else ")")
+    return repr(value)
+
+
 class FinSet:
     """Immutable finite set with one canonical iteration order."""
 
@@ -327,11 +337,10 @@ class FinPoset:
         return self._cache[key]
 
 
-def _require_small(poset, limit=MAX_POSET_SIZE):
-    if len(poset) > limit:
-        raise TooLarge(
-            f"poset has {len(poset)} elements; substrate cap is {limit}"
-        )
+def _require_small(obj, limit=MAX_POSET_SIZE):
+    if len(obj) > limit:
+        kind = "poset" if isinstance(obj, FinPoset) else "set"
+        raise TooLarge(f"{kind} has {len(obj)} elements; substrate cap is {limit}")
 
 
 # -- constructors ------------------------------------------------------------
@@ -393,15 +402,8 @@ def powerset_lattice(finset):
     """All subsets of a FinSet ordered by inclusion."""
     if not isinstance(finset, FinSet):
         raise TypeError("powerset_lattice expects a FinSet")
-    _require_small_set(finset)
+    _require_small(finset)
     return _inclusion_order(finset.subsets())
-
-
-def _require_small_set(finset, limit=MAX_POSET_SIZE):
-    if len(finset) > limit:
-        raise TooLarge(
-            f"set has {len(finset)} elements; substrate cap is {limit}"
-        )
 
 
 def _inclusion_order(family):
@@ -483,6 +485,18 @@ def up_closure(poset, members):
 # -- monotone maps -------------------------------------------------------------
 
 
+def monotone_violation(dom, leq, graph):
+    """The monotonicity walk of MonotoneMap and triangle.KleisliArrow: the
+    first (x, y, image of x, image of y) with x <= y but not leq(images), or None."""
+    elems = dom.elements
+    for i, x in enumerate(elems):
+        above = dom._up[x]
+        for j, y in enumerate(elems):
+            if y in above and not leq(graph[i], graph[j]):
+                return x, y, graph[i], graph[j]
+    return None
+
+
 @dataclass(frozen=True)
 class MonotoneMap:
     """Total monotone function between finite posets."""
@@ -496,14 +510,10 @@ class MonotoneMap:
             raise UnknownElement("graph length does not match the domain")
         for v in self.graph:
             self.cod.carrier.require(v)
-        elems = self.dom.elements
-        for i, x in enumerate(elems):
-            for j, y in enumerate(elems):
-                if self.dom.leq(x, y) and not self.cod.leq(self.graph[i], self.graph[j]):
-                    raise NotMonotone(
-                        f"{x!r} <= {y!r} but images {self.graph[i]!r}, "
-                        f"{self.graph[j]!r} are not ordered"
-                    )
+        bad = monotone_violation(self.dom, self.cod.leq, self.graph)
+        if bad:
+            x, y, a, b = map(atom_repr, bad)
+            raise NotMonotone(f"{x} <= {y} but images {a}, {b} are not ordered")
 
     @classmethod
     def from_dict(cls, dom, cod, mapping):
@@ -548,22 +558,13 @@ def _preserves(dom, cod, g, op):
     )
 
 
-def preserves_all_joins(m):
-    """All joins, including the empty one (bottom goes to bottom)."""
-    return has_structure(m, "join-preserving")
-
-
-def preserves_all_meets(m):
-    return has_structure(m, "meet-preserving")
-
-
 def right_adjoint(m):
     """Right adjoint of a join-preserving map between finite lattices.
 
     Sends b to the join of everything mapped below b; the Galois property
     is then verified exhaustively before returning.
     """
-    if not preserves_all_joins(m):
+    if not has_structure(m, "join-preserving"):
         raise NotJoinPreserving(f"{m.as_dict()!r} does not preserve joins")
     dom, cod = m.dom, m.cod
     adj = MonotoneMap.from_callable(
@@ -578,46 +579,39 @@ def right_adjoint(m):
 
 # -- the four lattice/2 element isomorphisms -----------------------------------
 
-# variant -> (the half its maps preserve, the value they give that half's unit
-# and every element on the unit's side of the classifying element)
+# The dualizing object 2, the chain 0 < 1; transformers.OMEGA shares it.
+TWO = chain((0, 1))
+
+# variant -> (its maps' selector, into 2 or into its opposite)
 _LATTICE_ISO = {
-    "join_to_2": (_JOIN, 0),
-    "join_to_op2": (_JOIN, 1),
-    "meet_to_2": (_MEET, 1),
-    "meet_to_op2": (_MEET, 0),
+    "join_to_2": ("join-preserving", TWO),
+    "join_to_op2": ("join-preserving", TWO.op()),
+    "meet_to_2": ("meet-preserving", TWO),
+    "meet_to_op2": ("meet-preserving", TWO.op()),
 }
 LATTICE_ISO_VARIANTS = tuple(_LATTICE_ISO)
 
 
 def _iso_variant(variant):
+    """Selector, copy of 2, the half kept, and the value given to that half's
+    unit and to every element on the unit's side of the classifying element."""
     if variant not in _LATTICE_ISO:
         raise ValueError(f"unknown variant {variant!r}")
-    return _LATTICE_ISO[variant]
-
-
-def _check_two_valued(lattice, phi):
-    for x in lattice:
-        if phi[x] not in (0, 1):
-            raise StructureNotPreserved(f"map must be 0/1 valued, got {phi[x]!r}")
-
-
-def _variant_ok(lattice, phi, variant):
-    half, value = _iso_variant(variant)
-    combine = max if value == 0 else min  # the operation on 2 whose unit is value
-    return phi[half.unit(lattice)] == value and all(
-        phi[half.op(lattice, x, y)] == combine(phi[x], phi[y])
-        for x, y in itertools.combinations_with_replacement(lattice.elements, 2)
-    )
+    selector, two = _LATTICE_ISO[variant]
+    half = _LATTICE_SELECTORS[selector][0]
+    return selector, two, half, half.unit(two)
 
 
 def lattice_map_to_element(lattice, phi, variant):
     """Collapse a structure-preserving 0/1 map on a lattice to an element."""
     lattice.require_lattice()
     phi = {x: phi[x] for x in lattice}
-    _check_two_valued(lattice, phi)
-    if not _variant_ok(lattice, phi, variant):
+    for v in phi.values():
+        if v not in (0, 1):
+            raise StructureNotPreserved(f"map must be 0/1 valued, got {v!r}")
+    selector, two, half, value = _iso_variant(variant)
+    if not _keeps(lattice, two, phi, selector):
         raise StructureNotPreserved(f"map does not qualify for {variant}")
-    half, value = _LATTICE_ISO[variant]
     return half.big(lattice, (x for x in lattice if phi[x] == value))
 
 
@@ -625,10 +619,10 @@ def lattice_element_to_map(lattice, a, variant):
     """Inverse direction of lattice_map_to_element."""
     lattice.require_lattice()
     lattice.carrier.require(a)
-    half, value = _iso_variant(variant)
+    selector, two, half, value = _iso_variant(variant)
     side = half.side(lattice, a)
     phi = {x: value if x in side else 1 - value for x in lattice}
-    if not _variant_ok(lattice, phi, variant):
+    if not _keeps(lattice, two, phi, selector):
         raise StructureNotPreserved(f"constructed map fails {variant}")
     return phi
 
@@ -686,6 +680,32 @@ class PlotkinAlgebra:
         return (self.frame.top(), y)
 
 
+def plotkin_law_violation(dom_alg, cod_alg, graph):
+    """The Plotkin-algebra map laws (bounds, mixed element, erratic sum) on a
+    graph dict: the first one broken, as a message, or None."""
+    if graph[dom_alg.zero] != cod_alg.zero or graph[dom_alg.one] != cod_alg.one:
+        return "bounds are not preserved"
+    if graph[dom_alg.mix] != cod_alg.mix:
+        return "the mixed element is not preserved"
+    elems = dom_alg.poset.elements
+    if not all(graph[dom_alg.amalg(s, t)] == cod_alg.amalg(graph[s], graph[t])
+               for s in elems for t in elems):
+        return "the erratic sum is not preserved"
+    return None
+
+
+def filter_violation(lattice, members):
+    """The filter laws (top, upset, meet-closed) on a set of lattice elements:
+    the first one broken, as a message, or None."""
+    if lattice.top() not in members:
+        return "filter must contain the top element"
+    if not lattice.is_upset(members):
+        return "filter must be an upset"
+    if not all(lattice.meet(a, b) in members for a in members for b in members):
+        return "filter must be closed under meets"
+    return None
+
+
 # -- structure-map enumeration ---------------------------------------------------
 
 
@@ -719,6 +739,18 @@ def _iter_monotone_graphs(dom, cod, points, fixed=None):
     yield from rec(0)
 
 
+def monotone_graphs(dom, cod, budget=DEFAULT_MAP_BUDGET):
+    """Graphs (aligned with dom.elements) of the monotone maps dom -> cod, in
+    enumeration order; TooLarge at the call if a poset is over MAX_POSET_SIZE
+    or the candidates over the budget."""
+    _require_small(dom)
+    _require_small(cod)
+    _budget_check(max(len(cod), 1) ** len(dom), budget)
+    elems = dom.elements
+    return (tuple(g[x] for x in elems)
+            for g in _iter_monotone_graphs(dom, cod, dom.carrier))
+
+
 def _iter_plotkin_hom_graphs(dom_alg, cod_alg, budget):
     """Maps of Plotkin algebras, generated from their diagonal restrictions.
 
@@ -732,13 +764,7 @@ def _iter_plotkin_hom_graphs(dom_alg, cod_alg, budget):
     elems = dom_alg.poset.elements
     for d in _iter_monotone_graphs(frame, cod_alg.poset, frame.carrier, fixed):
         graph = {(a, b): (d[a][0], d[b][1]) for (a, b) in elems}
-        if (
-            graph[dom_alg.zero] == cod_alg.zero
-            and graph[dom_alg.one] == cod_alg.one
-            and graph[dom_alg.mix] == cod_alg.mix
-            and all(graph[dom_alg.amalg(s, t)] == cod_alg.amalg(graph[s], graph[t])
-                    for s in elems for t in elems)
-        ):
+        if plotkin_law_violation(dom_alg, cod_alg, graph) is None:
             yield graph
 
 
@@ -756,7 +782,8 @@ _LATTICE_SELECTORS = {
 
 def _keeps(dom, cod, g, selector):
     """Does the graph g keep what the lattice selector names: all of its
-    half, and the dual half's unit or operation where the selector says so?"""
+    half, and the dual half's unit or operation where the selector says so?
+    The lattice/2 isomorphisms call it with cod TWO or its opposite."""
     half, keeps_unit, keeps_op = _LATTICE_SELECTORS[selector]
     dual = _MEET if half is _JOIN else _JOIN
     return (
@@ -770,7 +797,8 @@ def _keeps(dom, cod, g, selector):
 def has_structure(m, selector):
     """Is the monotone map m one that enumerate_structure_maps lists under
     selector?  Any monotone map is "monotone"; the lattice selectors are
-    checked on every pair of the domain."""
+    checked on every pair of the domain.  The one test of a given map's
+    joins and meets, for right_adjoint and the transformers module."""
     if selector == "monotone":
         return True
     m.dom.require_lattice()
@@ -798,16 +826,11 @@ def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
             MonotoneMap.from_dict(dom.poset, cod.poset, g) for g in graphs
         )
 
+    if selector == "monotone":
+        return tuple(MonotoneMap(dom, cod, g) for g in monotone_graphs(dom, cod, budget))
+
     _require_small(dom)
     _require_small(cod)
-
-    if selector == "monotone":
-        _budget_check(max(len(cod), 1) ** len(dom), budget)
-        return tuple(
-            MonotoneMap.from_dict(dom, cod, g)
-            for g in _iter_monotone_graphs(dom, cod, dom.carrier)
-        )
-
     dom.require_lattice()
     cod.require_lattice()
     # a map preserving all of one half is the extension of its values on

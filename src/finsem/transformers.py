@@ -47,16 +47,18 @@ from .monads import (
     LensPair,
     MonadFamily,
     all_lens_pairs,
+    indicator_probe,
 )
 from .order import (
+    TWO,
     FinSet,
     MonotoneMap,
     PlotkinAlgebra,
     chain,
     enumerate_structure_maps,
     has_structure,
+    plotkin_law_violation,
     powerset_lattice,
-    preserves_all_meets,
     upsets,
 )
 from .triangle import KleisliArrow, iter_kleisli_arrows
@@ -74,9 +76,9 @@ def predicate_lattice(family, obj):
 # -- the recipe: one forward and one backward for every arrow-shaped correspondence -------
 
 
-# The dualizing object 2 of each kind of family; a predicate v is its
-# characteristic map chi_v into 2, monotone exactly when v is an upset.
-OMEGA = {"set": FinSet((0, 1)), "poset": chain((0, 1))}
+# The dualizing object 2 (order.TWO) of each kind of family; a predicate v is
+# its characteristic map chi_v into 2, monotone exactly when v is an upset.
+OMEGA = {"set": TWO.carrier, "poset": TWO}
 
 # One arrow-shaped correspondence as data: the monad, its Eilenberg-Moore
 # algebra alpha: T(2) -> 2, the selector naming the transformers, and
@@ -159,7 +161,7 @@ def box_general_transformer(g, lattice, points):
         powerset_lattice(points),
         lambda a: frozenset(x for x in points if lattice.leq(g[x], a)),
     )
-    if not preserves_all_meets(m):
+    if not has_structure(m, "meet-preserving"):
         raise StructureNotPreserved("transpose lost meet preservation")
     return m
 
@@ -170,7 +172,7 @@ def box_general_computation(m):
     The input is a meet-preserving map from a lattice into a powerset
     lattice; each point goes to the meet of everything whose image holds it.
     """
-    if not preserves_all_meets(m):
+    if not has_structure(m, "meet-preserving"):
         raise NotMeetPreserving("input transformer must preserve all meets")
     lattice = m.dom
     points = FinSet(m.cod.top())
@@ -259,14 +261,14 @@ def three_amalg_pointwise(m1, m2):
 def _check_pa_map(f, dom_alg, cod_alg):
     if f.dom != dom_alg.poset or f.cod != cod_alg.poset:
         raise SideConditionViolated("map does not match the stated algebras")
-    if f(dom_alg.zero) != cod_alg.zero or f(dom_alg.one) != cod_alg.one:
-        raise StructureNotPreserved("bounds are not preserved")
-    if f(dom_alg.mix) != cod_alg.mix:
-        raise StructureNotPreserved("the mixed element is not preserved")
-    for s in dom_alg.poset:
-        for t in dom_alg.poset:
-            if f(dom_alg.amalg(s, t)) != cod_alg.amalg(f(s), f(t)):
-                raise StructureNotPreserved("the erratic sum is not preserved")
+    problem = plotkin_law_violation(dom_alg, cod_alg, f.as_dict())
+    if problem:
+        raise StructureNotPreserved(problem)
+
+
+def _dominates(g1, g2, l, m):
+    """g2(x) <= g1(x) in m for every x in l."""
+    return all(m.leq(g2(x), g1(x)) for x in l)
 
 
 def _check_components(g1, g2, l, m):
@@ -276,9 +278,8 @@ def _check_components(g1, g2, l, m):
         raise StructureNotPreserved("left component must preserve joins and top")
     if not has_structure(g2, "preframe+0"):
         raise StructureNotPreserved("right component must preserve meets and bottom")
-    for x in l:
-        if not m.leq(g2(x), g1(x)):
-            raise Incomparable("left component must dominate the right one")
+    if not _dominates(g1, g2, l, m):
+        raise Incomparable("left component must dominate the right one")
 
 
 def plotkin_hom_forward(f, dom_alg, cod_alg):
@@ -328,17 +329,13 @@ def expectation_pred(arrow):
 
 
 def expectation_computation(transform, dom, cod):
-    """Recover the kernel from a transformer by probing point indicators."""
+    """Recover the kernel from a transformer by probing point indicators, each
+    once: the transform of y's indicator holds every point's weight on y."""
     from .effects import Distribution
 
-    mapping = {}
-    for x in dom:
-        weights = []
-        for y in cod.elements:
-            p = transform(FuzzyPredicate.indicator(cod, {y}))
-            weights.append((y, p(x)))
-        mapping[x] = Distribution(cod, tuple(weights))
-    return KleisliArrow.from_dict(DIST, dom, cod, mapping)
+    columns = indicator_probe(transform, cod)
+    return KleisliArrow.from_callable(DIST, dom, cod, lambda x: Distribution(
+        cod, tuple((y, p(x)) for y, p in zip(cod.elements, columns))))
 
 
 # -- the correspondence registry -----------------------------------------------------------
@@ -416,7 +413,7 @@ def _iter_plotkin_pairs(p, q, budget):
     rights = enumerate_structure_maps(l, m, "preframe+0", budget)
     for g1 in lefts:
         for g2 in rights:
-            if all(m.leq(g2(x), g1(x)) for x in l):
+            if _dominates(g1, g2, l, m):
                 yield (g1, g2)
 
 

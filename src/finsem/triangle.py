@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .check import Report, first_counterexample
@@ -20,7 +21,7 @@ from .errors import (
     UnknownElement,
 )
 from .monads import MonadFamily
-from .order import enumerate_structure_maps
+from .order import atom_repr, monotone_graphs, monotone_violation
 
 DEFAULT_ARROW_BUDGET = 300_000
 # Law suites: composable arrow pairs checked exhaustively before sampling, the
@@ -35,8 +36,8 @@ class KleisliArrow:
     """A computation: a map from a carrier into the structure over another.
 
     For poset-based monads the map must be monotone into the structure
-    order; this is verified at construction, as is membership of every
-    image element.
+    order; this is verified at construction, by the same pair walk as
+    order.MonotoneMap, as is membership of every image element.
     """
 
     family: MonadFamily
@@ -56,14 +57,10 @@ class KleisliArrow:
                     f"image {t!r} is not a {self.family.name} element"
                 )
         if self.family.base == "poset":
-            for i, x in enumerate(elems):
-                for j, y in enumerate(elems):
-                    if self.dom.leq(x, y) and not self.family.leq(
-                        self.cod, self.graph[i], self.graph[j]
-                    ):
-                        raise NotMonotone(
-                            f"arrow is not monotone at {x!r} <= {y!r}"
-                        )
+            bad = monotone_violation(self.dom, partial(self.family.leq, self.cod), self.graph)
+            if bad:
+                x, y = map(atom_repr, bad[:2])
+                raise NotMonotone(f"arrow is not monotone at {x} <= {y}")
 
     @classmethod
     def from_dict(cls, family, dom, cod, mapping):
@@ -177,27 +174,24 @@ def _structure_elements(family, obj, probe_max_den=4):
     return family.probe_elements(obj, probe_max_den)
 
 
-def iter_kleisli_arrows(family, dom, cod, budget=DEFAULT_ARROW_BUDGET, probe_max_den=4,
-                        targets=None):
+def iter_kleisli_arrows(family, dom, cod, budget=DEFAULT_ARROW_BUDGET, targets=None):
     """All arrows dom -> T(cod), or all probe arrows for the probabilistic monads.
 
     ``targets`` is T(cod), or its probe set, when the caller has built it.
+    Poset-family arrows are the monotone graphs into T(cod), checked once, as
+    arrows; they need dom and T(cod) within MAX_POSET_SIZE = 8 (else TooLarge,
+    whatever the budget: why most plotkin suites on 3 points sample).
     """
     if targets is None:
-        targets = _structure_elements(family, cod, probe_max_den)
+        targets = _structure_elements(family, cod)
     bound = max(len(targets), 1) ** len(dom)
     if bound > budget:
         raise TooLarge(f"{bound} candidate arrows exceed the budget {budget}")
     if family.base == "poset":
-        space = family.space_poset(cod)
-        maps = enumerate_structure_maps(dom, space, "monotone", budget)
-        return tuple(
-            KleisliArrow(family, dom, cod, m.graph) for m in maps
-        )
-    return tuple(
-        KleisliArrow(family, dom, cod, graph)
-        for graph in itertools.product(targets, repeat=len(dom))
-    )
+        graphs = monotone_graphs(dom, family.space_poset(cod), budget)
+    else:
+        graphs = itertools.product(targets, repeat=len(dom))
+    return tuple(KleisliArrow(family, dom, cod, graph) for graph in graphs)
 
 
 def random_kleisli_arrow(family, dom, cod, rng, targets):
@@ -257,8 +251,7 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
         if key not in arrow_lists:
             try:
                 arrow_lists[key] = ("exhaustive", iter_kleisli_arrows(
-                    family, dom, cod, DEFAULT_ARROW_BUDGET, probe_max_den,
-                    targets=structures[cod]))
+                    family, dom, cod, targets=structures[cod]))
             except TooLarge:
                 sample = tuple(
                     random_kleisli_arrow(family, dom, cod, rng, structures[cod])
@@ -413,12 +406,14 @@ def certify_full_faithful(correspondence, x, y, budget=DEFAULT_ARROW_BUDGET):
             counter = f"transpose collision on {c!r} and {seen[img]!r}"
             break
         seen[img] = c
-    missing = set(trans) - set(images)
-    extra = set(images) - set(trans)
+    # witnesses are the first in enumeration order, not in hash order
+    hit, listed = set(images), set(trans)
+    missing = [t for t in trans if t not in hit]
+    extra = [img for img in images if img not in listed]
     if counter is None and missing:
-        counter = f"transformer never hit: {next(iter(missing))!r}"
+        counter = f"transformer never hit: {missing[0]!r}"
     if counter is None and extra:
-        counter = f"transpose image is not structure-preserving: {next(iter(extra))!r}"
+        counter = f"transpose image is not structure-preserving: {extra[0]!r}"
     bijection = (
         len(comps) == len(trans)
         and counter is None

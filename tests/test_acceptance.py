@@ -34,7 +34,6 @@ from finsem.monads import (
     expectation_bind,
     expectation_embed,
     expectation_unit,
-    integration_functional,
     measure_of_functional,
     monotone_neighbourhood,
     filter_monad,
@@ -227,9 +226,9 @@ def test_criterion_6_finite_giry_isomorphism():
         ] + [FuzzyPredicate.constant(atoms, ONE)]
         for d in iter_distributions(atoms, 6):
             phi = distribution_to_measure(d)
-            functional = integration_functional(phi)
+            functional = expectation_embed(phi)
             ok = ok and measure_of_functional(functional, atoms) == phi
-            again = integration_functional(measure_of_functional(functional, atoms))
+            again = expectation_embed(measure_of_functional(functional, atoms))
             ok = ok and all(again(p) == functional(p) for p in probes)
             checked += 1
     report(6, ok, f"both integration composites are identities on {checked} "

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import finsem
 from finsem.cli import cli_main
 
 
@@ -24,6 +29,21 @@ def run(capsys, argv):
     code = cli_main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_under_two_hash_seeds(argv):
+    """Run ``python -m finsem`` on argv under PYTHONHASHSEED=1 and =2, assert
+    that both give the same exit code, stdout and stderr, and return them."""
+    src = str(Path(finsem.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    results = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-m", "finsem", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        results.append((proc.returncode, proc.stdout, proc.stderr))
+    assert results[0] == results[1]
+    return results[0]
 
 
 class TestWpCommand:
@@ -292,7 +312,7 @@ def test_arrow_backward_round_trip(capsys, tmp_path, corr):
 
 
 # one transformer per half that breaks its correspondence's selector
-@pytest.mark.parametrize("corr, payload, message", [
+SELECTOR_VIOLATIONS = pytest.mark.parametrize("corr, payload, message", [
     ("smyth", {"dom": CHAIN_AB, "cod": CHAIN_CD,  # sends the whole poset to nothing
                "transformer": {"{}": [], "{d}": [], "{c,d}": []}},
      "input transformer must be preframe+0"),
@@ -300,11 +320,33 @@ def test_arrow_backward_round_trip(capsys, tmp_path, corr):
                  "transformer": {"{}": ["a", "b"], "{d}": ["a", "b"], "{c,d}": ["a", "b"]}},
      "input transformer must be join-preserving"),
 ], ids=["meet", "join"])
+
+
+@SELECTOR_VIOLATIONS
 def test_selector_violating_transformer_fails(capsys, tmp_path, corr, payload, message):
     f = tmp_path / "in.json"
     f.write_text(json.dumps(dict(payload, direction="backward")))
     code, out, err = run(capsys, ["transpose", "--correspondence", corr, "--input", str(f)])
     assert (code, out, err) == (1, "", f"transpose failed: {message}\n")
+
+
+@SELECTOR_VIOLATIONS
+def test_selector_violation_is_hash_seed_independent(tmp_path, corr, payload, message):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(dict(payload, direction="backward")))
+    argv = ["transpose", "--correspondence", corr, "--input", str(f)]
+    assert run_under_two_hash_seeds(argv) == (1, "", f"transpose failed: {message}\n")
+
+
+def test_non_monotone_transformer_message_is_hash_seed_independent(tmp_path):
+    # the empty predicate holds at x0 and x2, the full one nowhere
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({"dom": ["x0", "x1", "x2"], "cod": ["y"], "direction": "backward",
+                             "transformer": {"{}": ["x0", "x2"], "{y}": []}}))
+    argv = ["transpose", "--correspondence", "box", "--input", str(f)]
+    assert run_under_two_hash_seeds(argv) == (
+        2, "", "transpose payload: frozenset() <= frozenset({'y'}) but images "
+               "frozenset({'x0', 'x2'}), frozenset() are not ordered\n")
 
 
 # codomains over the family's cap (filter 3, smyth 5): neither transpose enumerates T(cod)

@@ -16,7 +16,9 @@ from finsem.effects import (
 from finsem.errors import LensViolation, StructureNotPreserved, TooLarge
 from finsem.monads import (
     DOWNSET,
+    FILTER,
     HOARE,
+    MONOTONE_NEIGHBOURHOOD,
     PLOTKIN,
     SMYTH,
     FilterOf,
@@ -31,7 +33,6 @@ from finsem.monads import (
     expectation_unit,
     filter_monad,
     hoare_monad,
-    integration_functional,
     measure_of_functional,
     measure_to_distribution,
     monotone_neighbourhood,
@@ -43,7 +44,15 @@ from finsem.monads import (
     smyth_upset_of_filter,
     ultrafilter_monad,
 )
-from finsem.order import FinSet, all_posets, antichain, chain, make_poset, upsets
+from finsem.order import (
+    FinSet,
+    all_posets,
+    antichain,
+    chain,
+    make_poset,
+    powerset_lattice,
+    upsets,
+)
 
 
 class TestNeighbourhoodFamily:
@@ -89,6 +98,19 @@ class TestFilterFamily:
         x = FinSet([0, 1])
         inst = filter_monad(x)
         assert inst.unit(0) == frozenset(s for s in x.subsets() if 0 in s)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_filter_families_are_the_filters_of_the_powerset_lattice(n):
+    obj = FinSet(range(n))
+    lattice = powerset_lattice(obj)
+    upsets_ = MONOTONE_NEIGHBOURHOOD.elements(obj)
+    assert len(set(upsets_)) == len(upsets_)
+    assert set(upsets_) == set(lattice.iter_upsets())
+    # a filter of a finite lattice is the principal filter of its meet
+    filters = FILTER.elements(obj)
+    assert len(set(filters)) == len(filters)
+    assert set(filters) == {lattice.up_set(a) for a in lattice}
 
 
 class TestUltrafilterFamily:
@@ -240,7 +262,7 @@ class TestGiryFinite:
         phi = distribution_to_measure(
             dist_make(ab, {"a": Fraction(1, 3), "b": Fraction(2, 3)})
         )
-        i = integration_functional(phi)
+        i = expectation_embed(phi)
         assert i(FuzzyPredicate.indicator(ab, {"a"})) == Fraction(1, 3)
 
     def test_constant_integrates_to_itself(self):
@@ -249,15 +271,15 @@ class TestGiryFinite:
             dist_make(ab, {"a": Fraction(1, 2), "b": Fraction(1, 2)})
         )
         c = Fraction(3, 7)
-        assert integration_functional(phi)(FuzzyPredicate.constant(ab, c)) == c
+        assert expectation_embed(phi)(FuzzyPredicate.constant(ab, c)) == c
 
     def test_round_trips_on_probes(self):
         atoms = FinSet(range(3))
         for d in iter_distributions(atoms, 6):
             phi = distribution_to_measure(d)
-            i = integration_functional(phi)
+            i = expectation_embed(phi)
             assert measure_of_functional(i, atoms) == phi
-            again = integration_functional(measure_of_functional(i, atoms))
+            again = expectation_embed(measure_of_functional(i, atoms))
             for probe in iter_distributions(atoms, 3):
                 pred = FuzzyPredicate.from_dict(atoms, probe.as_dict() | {
                     a: ZERO for a in atoms if a not in probe.support})

@@ -195,12 +195,13 @@ class TestRightAdjoint:
 
 def qualifying_maps(lattice, variant):
     """All 0/1 assignments passing the variant's structure conditions."""
-    from finsem.order import _variant_ok
+    from finsem.order import _LATTICE_ISO, _keeps
 
+    selector, two = _LATTICE_ISO[variant]
     out = []
     for values in itertools.product((0, 1), repeat=len(lattice)):
         phi = dict(zip(lattice.elements, values))
-        if _variant_ok(lattice, phi, variant):
+        if _keeps(lattice, two, phi, selector):
             out.append(phi)
     return out
 

@@ -266,6 +266,26 @@ class TestPlotkinHom:
     def test_round_trips_frames_of_two_point_posets(self, p, q):
         assert round_trip_report(PLOTKIN_HOM, p, q).ok
 
+    @pytest.mark.parametrize("p", all_posets(2), ids=repr)
+    @pytest.mark.parametrize("q", all_posets(2), ids=repr)
+    def test_enumeration_lists_exactly_the_maps_forward_accepts(self, p, q):
+        from finsem.order import _iter_monotone_graphs
+
+        dom_alg, cod_alg = PlotkinAlgebra.over(upsets(p)), PlotkinAlgebra.over(upsets(q))
+        accepted = set()
+        # every monotone map between the two pair posets, which can exceed the
+        # substrate cap enumerate_structure_maps keeps for "monotone"
+        for g in _iter_monotone_graphs(dom_alg.poset, cod_alg.poset, dom_alg.poset.carrier):
+            m = MonotoneMap.from_dict(dom_alg.poset, cod_alg.poset, g)
+            try:
+                plotkin_hom_forward(m, dom_alg, cod_alg)
+            except (StructureNotPreserved, Incomparable):
+                continue
+            accepted.add(m)
+        listed = enumerate_structure_maps(dom_alg, cod_alg, "plotkin-hom")
+        assert len(set(listed)) == len(listed)
+        assert set(listed) == accepted
+
     def test_backward_requires_dominance(self):
         alg = PlotkinAlgebra.over(upsets(chain("ab")))
         frame = alg.frame
@@ -348,6 +368,20 @@ class TestExpectation:
     def test_seeded_round_trip(self):
         report = expectation_round_trip(X2, Y2, instances=100, seed=12)
         assert report.ok and report.checked == 100
+
+    def test_backward_probes_each_indicator_once(self):
+        ys = FinSet(["y1", "y2", "y3"])
+        rng = random.Random(5)
+        f = KleisliArrow.from_dict(DIST, X2, ys, {x: random_distribution(ys, rng) for x in X2})
+        calls = []
+        transform = expectation_pred(f)
+
+        def counted(q):
+            calls.append(q)
+            return transform(q)
+
+        assert expectation_computation(counted, X2, ys) == f
+        assert len(calls) == len(ys)
 
     def test_backward_recovers_kernel(self):
         f = KleisliArrow.from_dict(DIST, X2, Y2, {

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,10 +7,20 @@ import pytest
 from finsem.check import Check
 from finsem.effects import Distribution, random_distribution
 from finsem.errors import CarrierMismatch, MonadMismatch, NotMonotone, TooLarge
-from finsem.monads import DIST, DOWNSET, POWERSET
-from finsem.order import FinSet, chain, make_poset, upsets
+from finsem.monads import DIST, DOWNSET, HOARE, PLOTKIN, POWERSET, SMYTH
+from finsem.order import (
+    MAX_POSET_SIZE,
+    FinSet,
+    MonotoneMap,
+    antichain,
+    chain,
+    enumerate_structure_maps,
+    make_poset,
+    upsets,
+)
 from finsem.transformers import BOX, MONOTONE_NBHD
 from finsem.triangle import (
+    DEFAULT_ARROW_BUDGET,
     EMAlgebraCandidate,
     KleisliArrow,
     certify_full_faithful,
@@ -97,6 +108,44 @@ class TestKleisliArrows:
             kleisli_compose(d, f)
 
 
+POSET_FAMILIES = (DOWNSET, HOARE, SMYTH, PLOTKIN)
+ENUM_POSETS = (chain("ab"), antichain("ab"), make_poset("oab", [("o", "a"), ("o", "b")]))
+
+
+class TestPosetFamilyArrows:
+    @pytest.mark.parametrize("family", POSET_FAMILIES, ids=lambda f: f.name)
+    def test_enumeration_builds_no_monotone_map(self, monkeypatch, family):
+        built = []
+        post_init = MonotoneMap.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(MonotoneMap, "__post_init__", counted)
+        p = chain("ab")
+        arrows = iter_kleisli_arrows(family, p, p)
+        assert arrows and built == []
+
+    @pytest.mark.parametrize("family", POSET_FAMILIES, ids=lambda f: f.name)
+    @pytest.mark.parametrize("p", ENUM_POSETS, ids=repr)
+    def test_arrows_are_the_monotone_maps_into_the_structure_order(self, family, p):
+        q = chain("c")
+        space = family.space_poset(q)
+        expected = [m.graph for m in enumerate_structure_maps(p, space, "monotone")]
+        arrows = iter_kleisli_arrows(family, p, q)
+        assert [f.graph for f in arrows] == expected
+        assert all((f.family, f.dom, f.cod) == (family, p, q) for f in arrows)
+
+    def test_plotkin_on_the_three_antichain_is_too_large(self):
+        # the arrows would fit the budget; T(P) over the substrate cap refuses them
+        p = antichain(range(3))
+        size = len(PLOTKIN.elements(p))
+        assert size > MAX_POSET_SIZE and size ** len(p) <= DEFAULT_ARROW_BUDGET
+        with pytest.raises(TooLarge):
+            iter_kleisli_arrows(PLOTKIN, p, p)
+
+
 class TestStatFunctor:
     def test_stat_of_unit_is_identity(self):
         eta = KleisliArrow.unit_arrow(POWERSET, X2)
@@ -181,6 +230,31 @@ class TestCertify:
         report = certify_full_faithful(BOX, empty, empty)
         assert report.kleisli_count == report.transformer_count == 1
         assert report.bijection
+
+    @pytest.mark.parametrize("kept", [1, 2, 3])
+    def test_missing_witness_is_the_first_transformer_never_hit(self, kept):
+        xs = FinSet([0, 1])
+        truncated = dataclasses.replace(
+            BOX, iter_computations=lambda x, y, budget: BOX.iter_computations(
+                x, y, budget)[:kept])
+        images = [BOX.forward(c, xs, xs) for c in truncated.iter_computations(xs, xs, 10_000)]
+        first = next(t for t in BOX.iter_transformers(xs, xs, 10_000) if t not in images)
+        report = certify_full_faithful(truncated, xs, xs)
+        assert not report.bijection
+        assert report.counterexample == f"transformer never hit: {first!r}"
+
+    @pytest.mark.parametrize("kept", [1, 2, 3])
+    def test_extra_witness_is_the_first_image_not_listed(self, kept):
+        xs = FinSet([0, 1])
+        trans = BOX.iter_transformers(xs, xs, 10_000)[:kept]
+        truncated = dataclasses.replace(
+            BOX, iter_transformers=lambda x, y, budget: trans)
+        images = [BOX.forward(c, xs, xs) for c in BOX.iter_computations(xs, xs, 10_000)]
+        first = next(img for img in images if img not in trans)
+        report = certify_full_faithful(truncated, xs, xs)
+        assert not report.bijection
+        assert report.counterexample == (
+            f"transpose image is not structure-preserving: {first!r}")
 
     def test_monotone_nbhd_singletons(self):
         report = certify_full_faithful(MONOTONE_NBHD, FinSet([0]), FinSet(["a"]))
