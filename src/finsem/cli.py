@@ -13,39 +13,16 @@ import json
 import sys
 from fractions import Fraction
 
-from . import gcl
-from .effects import (
-    Distribution,
-    farey_grid,
-    format_rat,
-    parse_rat,
-    powerset_effect_algebra,
-    unit_interval_effect_algebra,
-    validate_effect_algebra,
-)
-from .errors import FinsemError
-from .jsonio import (
-    atom_token,
-    element_to_json,
-    parse_object_literal,
-    poset_to_json,
-)
-from .monads import FAMILIES, LensPair
-from .order import (
-    FinPoset,
-    FinSet,
-    MonotoneMap,
-    all_posets,
-    make_poset,
-)
-from .transformers import REGISTRY, THREE, expectation_round_trip, predicate_lattice
-from .triangle import (
-    CertifyReport,
-    KleisliArrow,
-    bind_apply,
-    certify_full_faithful,
-    check_monad_laws,
-)
+from .errors import FinsemError, UnknownElement
+
+# The parser's choices, held here so that building it loads no other module;
+# tests/test_cli.py pins each to its source.
+FLAVORS = ("demonic", "angelic", "expectation")  # gcl.FLAVORS
+DEFAULT_STATE_CAP = 512  # gcl.DEFAULT_STATE_CAP
+MONAD_NAMES = ("dist", "downset", "filter", "giry", "hoare", "monotone-neighbourhood",
+               "neighbourhood", "plotkin", "powerset", "smyth", "ultrafilter")
+CORRESPONDENCE_NAMES = ("box", "diamond", "expectation", "filter", "hoare",
+                        "monotone-nbhd", "plotkin-hom", "smyth", "three")
 
 
 def _print_table(rows, header=None):
@@ -62,14 +39,6 @@ def _emit(payload, fmt, table_rows=None, table_header=None):
         _print_table(table_rows or [[json.dumps(payload, sort_keys=True)]], table_header)
 
 
-def _json_value(v):
-    if isinstance(v, bool):
-        return 1 if v else 0
-    if isinstance(v, Fraction):
-        return format_rat(v)
-    return v
-
-
 # -- wp ---------------------------------------------------------------------------
 
 
@@ -82,6 +51,9 @@ def _read(path):
 
 
 def cmd_wp(args):
+    from . import gcl
+    from .effects import format_rat
+
     program = gcl.parse(_read(args.program))
     flavor = args.flavor
     if flavor is None:
@@ -99,7 +71,9 @@ def cmd_wp(args):
         return 2
     table = gcl.wp(program, post, flavor, state_cap=args.state_cap)
     space = gcl.StateSpace(program.decls)
-    values = {space.render(s): _json_value(v) for s, v in table.items()}
+    # a bool of pow mode prints as 0 or 1, a rational of dist mode as num/den
+    values = {space.render(s): format_rat(v) if isinstance(v, Fraction) else int(v)
+              for s, v in table.items()}
     payload = {"states": list(values), "wp": values}
     _emit(payload, args.format, [(k, str(v)) for k, v in values.items()], ("state", "wp"))
     return 0
@@ -123,6 +97,11 @@ def _dist_entries(body):
 
 
 def cmd_run(args):
+    from . import gcl
+    from .effects import Distribution, format_rat, parse_rat
+    from .jsonio import element_to_json
+    from .triangle import bind_apply
+
     program = gcl.parse(_read(args.program))
     arrow = gcl.denote(program, args.mode, state_cap=args.state_cap)
     space, states = gcl.StateSpace(program.decls), arrow.dom
@@ -166,12 +145,24 @@ def cmd_run(args):
 
 
 def _law_objects(family, max_size):
+    from .order import FinSet, all_posets
+
     if family.base == "poset":
         return tuple(p for p in all_posets(max_size) if len(p) >= 1)
     return tuple(FinSet(range(n)) for n in range(max_size + 1))
 
 
 def cmd_laws(args):
+    from .effects import (
+        farey_grid,
+        powerset_effect_algebra,
+        unit_interval_effect_algebra,
+        validate_effect_algebra,
+    )
+    from .monads import FAMILIES
+    from .order import FinSet
+    from .triangle import check_monad_laws
+
     names = [args.monad] if args.monad else sorted(FAMILIES)
     reports = []
     for name in names:
@@ -208,14 +199,16 @@ def cmd_laws(args):
 
 
 def cmd_enumerate(args):
+    from .jsonio import atom_token, element_to_json, parse_object_literal, poset_to_json
+    from .monads import FAMILIES
+    from .order import FinPoset, FinSet, discrete
+
     obj = parse_object_literal(args.object)
     family = FAMILIES.get(args.monad)
     if family is None:
         print(f"unknown monad {args.monad!r}", file=sys.stderr)
         return 2
     if family.base == "poset" and isinstance(obj, FinSet):
-        from .order import discrete
-
         obj = discrete(obj)
     if family.base == "set":
         obj = obj.carrier
@@ -241,6 +234,8 @@ def cmd_enumerate(args):
 
 
 def _poset_from_json(data):
+    from .order import make_poset
+
     return make_poset(
         [tuple(e) if isinstance(e, list) else e for e in data["elements"]],
         [tuple(c) for c in data.get("covers", [])],
@@ -248,6 +243,8 @@ def _poset_from_json(data):
 
 
 def cmd_transpose(args):
+    from .transformers import REGISTRY
+
     corr = REGISTRY.get(args.correspondence)
     if corr is None:
         print(f"unknown correspondence {args.correspondence!r}", file=sys.stderr)
@@ -293,19 +290,24 @@ def _decode_transpose(corr, direction, data):
     A failure while building is bad input; the transposes' own failures, such
     as a transformer breaking its side conditions, are failed checks.
     """
-    from .effects import FuzzyPredicate
+    from .effects import Distribution, FuzzyPredicate, format_rat, parse_rat
+    from .jsonio import atom_token, element_to_json
+    from .monads import LensPair
+    from .order import FinSet, MonotoneMap
     from .transformers import (
+        THREE,
         expectation_computation,
         expectation_pred,
+        predicate_lattice,
         three_backward,
         three_forward,
     )
+    from .triangle import KleisliArrow
 
     if corr.id == "three":
         poset = _poset_from_json(data["poset"])
         if direction == "forward":
-            m = MonotoneMap.from_dict(poset, THREE,
-                                      {_maybe_int(k): v for k, v in data["map"].items()})
+            m = MonotoneMap.from_dict(poset, THREE, _entries(data, "map", poset, "the poset"))
 
             def transpose():
                 lens = three_forward(m)
@@ -330,12 +332,12 @@ def _decode_transpose(corr, direction, data):
         dom = FinSet(map(_maybe_int, data["dom"]))
         cod = FinSet(map(_maybe_int, data["cod"]))
         arrow = KleisliArrow.from_dict(corr.family, dom, cod, {
-            _maybe_int(x): Distribution(cod, tuple(
-                (_maybe_int(y), parse_rat(w)) for y, w in row.items()))
-            for x, row in data["arrow"].items()
+            x: Distribution(cod, tuple((_maybe_int(y), parse_rat(w)) for y, w in row.items()))
+            for x, row in _entries(data, "arrow", dom, "the domain").items()
         })
         q = FuzzyPredicate.from_dict(cod, {
-            _maybe_int(y): parse_rat(v) for y, v in data["predicate"].items()})
+            y: parse_rat(v)
+            for y, v in _entries(data, "predicate", cod, "the codomain").items()})
 
         def transpose():
             transform = expectation_pred(arrow)
@@ -358,8 +360,8 @@ def _decode_transpose(corr, direction, data):
 
     if direction == "forward":
         arrow = KleisliArrow.from_dict(family, x_obj, y_obj, {
-            _maybe_int(x): _element_from_json(family, v)
-            for x, v in data["arrow"].items()
+            x: _element_from_json(family, v)
+            for x, v in _entries(data, "arrow", x_obj, "the domain").items()
         })
 
         def transpose():
@@ -371,8 +373,9 @@ def _decode_transpose(corr, direction, data):
             }
         return transpose
     m = MonotoneMap.from_dict(pred_dom, pred_cod, {
-        _subset_from_json_atoms(_parse_set_token(k)): _subset_from_json_atoms(v)
-        for k, v in data["transformer"].items()
+        k: _subset_from_json_atoms(v)
+        for k, v in _entries(data, "transformer", pred_dom, "the predicates on the codomain",
+                             lambda k: _subset_from_json_atoms(_parse_set_token(k))).items()
     })
 
     def transpose():
@@ -392,6 +395,21 @@ def _maybe_int(text):
         return int(text)
     except (TypeError, ValueError):
         return text
+
+
+def _entries(data, key, dom, where, decode=_maybe_int):
+    """The JSON object data[key] with its keys decoded, by default as atoms.
+
+    The transposes read only the entries of dom's elements, so an entry for
+    anything else is refused here rather than dropped.
+    """
+    out = {}
+    for text, value in data[key].items():
+        k = decode(text)
+        if k not in dom:
+            raise UnknownElement(f"{key} has an entry for {text!r} outside {where}")
+        out[k] = value
+    return out
 
 
 def _parse_set_token(token):
@@ -418,6 +436,10 @@ def _element_from_json(family, value):
 
 
 def cmd_certify(args):
+    from .order import FinSet, all_posets
+    from .transformers import REGISTRY, expectation_round_trip
+    from .triangle import CertifyReport, certify_full_faithful
+
     corr = REGISTRY.get(args.correspondence)
     if corr is None:
         print(f"unknown correspondence {args.correspondence!r}", file=sys.stderr)
@@ -501,9 +523,9 @@ def build_parser():
     p = sub.add_parser("wp", help="weakest precondition table of a program")
     p.add_argument("program", help="program file")
     p.add_argument("--mode", choices=("pow", "dist"), default="pow")
-    p.add_argument("--flavor", choices=gcl.FLAVORS, default=None)
+    p.add_argument("--flavor", choices=FLAVORS, default=None)
     p.add_argument("--post", default=None, help="overrides the post: clause")
-    p.add_argument("--state-cap", type=int, default=gcl.DEFAULT_STATE_CAP)
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_wp)
 
@@ -513,12 +535,12 @@ def build_parser():
     start = p.add_mutually_exclusive_group(required=True)
     start.add_argument("--init", help="e.g. x=0,y=1")
     start.add_argument("--init-dist", help="e.g. {x=0: 1/2, x=1: 1/2} (dist mode)")
-    p.add_argument("--state-cap", type=int, default=gcl.DEFAULT_STATE_CAP)
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("laws", help="run the monad/effect-algebra law suites")
-    p.add_argument("--monad", default=None, help="one of: " + ", ".join(sorted(FAMILIES)))
+    p.add_argument("--monad", default=None, help="one of: " + ", ".join(MONAD_NAMES))
     p.add_argument("--max-size", type=count, default=3)
     p.add_argument("--seed", type=int, default=20_240_401)
     p.add_argument("--effects", action="store_true",
@@ -534,7 +556,7 @@ def build_parser():
 
     p = sub.add_parser("transpose", help="apply a transpose to a JSON payload")
     p.add_argument("--correspondence", required=True,
-                   help="one of: " + ", ".join(sorted(REGISTRY)))
+                   help="one of: " + ", ".join(CORRESPONDENCE_NAMES))
     p.add_argument("--input", required=True, help="JSON file, or - for stdin")
     p.add_argument("--format", choices=("table", "json"), default="json")
     p.set_defaults(func=cmd_transpose)

@@ -21,9 +21,8 @@ import itertools
 import operator
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from typing import Optional
 
 from .effects import ONE, ZERO, Distribution, expectation
 from .errors import (
@@ -53,18 +52,60 @@ MAX_NESTING = 100
 # -- syntax trees ------------------------------------------------------------------
 
 
-def _position():
-    """The (line, column) of a parsed node's operator token, for its type
-    errors; None on a node built by hand.  Equality, hashing and repr
-    ignore it."""
-    return field(default=None, compare=False, repr=False)
+class _Frozen:
+    """An immutable record, equal, hashed and printed by its fields as a
+    frozen dataclass would be, without a decorator's start-up cost.
+
+    A subclass lists its constructor arguments in ``_fields``; the last
+    ``_optional`` of them may be left out and are then None.  A ``pos`` field
+    is the (line, column) of a parsed node's operator token, for its type
+    errors, and None on a node built by hand; equality, hashing and repr
+    ignore it.
+    """
+
+    __slots__ = ()
+    _fields = _shown = ()
+    _optional = 0
+
+    def __init_subclass__(cls):
+        cls._shown = tuple(f for f in cls._fields if f != "pos")
+
+    def __init__(self, *args):
+        missing = len(self._fields) - len(args)
+        if not 0 <= missing <= self._optional:
+            raise TypeError(f"{type(self).__name__}({', '.join(self._fields)}) "
+                            f"given {len(args)} arguments")
+        for name, value in zip(self._fields, args + (None,) * missing):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._shown)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class VarDecl:
-    name: str
-    lo: int
-    hi: int
+class VarDecl(_Frozen):
+    __slots__ = _fields = ("name", "lo", "hi")
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -75,91 +116,67 @@ class VarDecl:
         return self.hi - self.lo + 1
 
 
-@dataclass(frozen=True)
-class Skip:
-    pass
+class Skip(_Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Abort:
-    pass
+class Abort(_Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Assign:
-    var: str
-    expr: object
-    pos: Optional[tuple] = _position()
+class Assign(_Frozen):
+    __slots__ = _fields = ("var", "expr", "pos")
+    _optional = 1
 
 
-@dataclass(frozen=True)
-class Seq:
-    first: object
-    second: object
+class Seq(_Frozen):
+    __slots__ = _fields = ("first", "second")
 
 
-@dataclass(frozen=True)
-class If:
-    cond: object
-    then: object
-    orelse: object
-    pos: Optional[tuple] = _position()
+class If(_Frozen):
+    __slots__ = _fields = ("cond", "then", "orelse", "pos")
+    _optional = 1
 
 
-@dataclass(frozen=True)
-class Choose:
-    left: object
-    right: object
+class Choose(_Frozen):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Prob:
-    chance: Fraction
-    left: object
-    right: object
+class Prob(_Frozen):
+    __slots__ = _fields = ("chance", "left", "right")
 
     def __post_init__(self):
         if not (ZERO <= self.chance <= ONE):
             raise RangeError(f"branch probability {self.chance} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: object
+class Lit(_Frozen):
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: Optional[tuple] = _position()
+class Var(_Frozen):
+    __slots__ = _fields = ("name", "pos")
+    _optional = 1
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    arg: object
-    pos: Optional[tuple] = _position()
+class Unary(_Frozen):
+    __slots__ = _fields = ("op", "arg", "pos")
+    _optional = 1
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
-    pos: Optional[tuple] = _position()
+class Bin(_Frozen):
+    __slots__ = _fields = ("op", "left", "right", "pos")
+    _optional = 1
 
 
-@dataclass(frozen=True)
-class Iverson:
-    cond: object
-    pos: Optional[tuple] = _position()
+class Iverson(_Frozen):
+    __slots__ = _fields = ("cond", "pos")
+    _optional = 1
 
 
-@dataclass(frozen=True)
-class Program:
-    decls: tuple
-    body: object
-    post: Optional[object] = None
+class Program(_Frozen):
+    __slots__ = _fields = ("decls", "body", "post")
+    _optional = 1
 
 
 # -- lexer -------------------------------------------------------------------------
@@ -178,12 +195,12 @@ KEYWORDS = {"vars", "in", "body", "post", "skip", "abort", "if", "else",
             "choose", "prob", "true", "false"}
 
 
-@dataclass
 class Token:
-    kind: str  # int | name | op | kw | eof
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind, text, line, column):
+        self.kind = kind  # int | name | op | kw | eof
+        self.text, self.line, self.column = text, line, column
 
 
 def tokenize(source):
@@ -468,11 +485,10 @@ def parse_expression(source, declared):
 # -- state spaces and expression evaluation ----------------------------------------
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(_Frozen):
     """The full product of the declared variable ranges."""
 
-    decls: tuple
+    __slots__ = _fields = ("decls",)
 
     def __post_init__(self):
         names = [d.name for d in self.decls]
@@ -838,12 +854,9 @@ def transformer_wp(arrow, table, flavor):
 # -- healthiness round trip -------------------------------------------------------------
 
 
-@dataclass
-class WpCheck:
-    flavor: str
-    posts: int
-    mismatches: int
-    witness: object = None
+class WpCheck(_Frozen):
+    __slots__ = _fields = ("flavor", "posts", "mismatches", "witness")
+    _optional = 1
 
     @property
     def ok(self):

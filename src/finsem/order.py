@@ -91,11 +91,11 @@ class FinSet:
         return hash(("FinSet", self._members))
 
     def __repr__(self):
-        return f"FinSet({list(self.elements)!r})"
+        return f"FinSet([{', '.join(map(atom_repr, self.elements))}])"
 
     def require(self, x):
         if x not in self._members:
-            raise UnknownElement(f"{x!r} is not an element of {self!r}")
+            raise UnknownElement(f"{atom_repr(x)} is not an element of {self!r}")
 
     def index(self, x):
         self.require(x)

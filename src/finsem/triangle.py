@@ -54,7 +54,7 @@ class KleisliArrow:
         for t in self.graph:
             if not self.family.contains(self.cod, t):
                 raise UnknownElement(
-                    f"image {t!r} is not a {self.family.name} element"
+                    f"image {atom_repr(t)} is not a {self.family.name} element"
                 )
         if self.family.base == "poset":
             bad = monotone_violation(self.dom, partial(self.family.leq, self.cod), self.graph)

@@ -349,6 +349,53 @@ def test_non_monotone_transformer_message_is_hash_seed_independent(tmp_path):
                "frozenset({'x0', 'x2'}), frozenset() are not ordered\n")
 
 
+def test_image_outside_the_family_message_is_hash_seed_independent(tmp_path):
+    # {c, e} is not an upset of c < d, e, so it is no smyth element
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({"direction": "forward", "dom": {"elements": ["a"]},
+                             "cod": {"elements": ["c", "d", "e"], "covers": [["c", "d"]]},
+                             "arrow": {"a": ["c", "e"]}}))
+    argv = ["transpose", "--correspondence", "smyth", "--input", str(f)]
+    assert run_under_two_hash_seeds(argv) == (
+        2, "", "transpose payload: image frozenset({'c', 'e'}) is not a smyth element\n")
+
+
+def test_image_outside_the_predicates_message_is_hash_seed_independent(tmp_path):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({"direction": "backward", "dom": ["x1", "x2"], "cod": ["y1"],
+                             "transformer": {"{}": [], "{y1}": ["x1", "x9", "x2"]}}))
+    argv = ["transpose", "--correspondence", "box", "--input", str(f)]
+    assert run_under_two_hash_seeds(argv) == (
+        2, "", "transpose payload: frozenset({'x1', 'x2', 'x9'}) is not an element of "
+               "FinSet([frozenset(), frozenset({'x1'}), frozenset({'x2'}), "
+               "frozenset({'x1', 'x2'})])\n")
+
+
+# one payload per kind with an entry its transpose would never read
+@pytest.mark.parametrize("corr, payload, message", [
+    ("box", {"dom": ["x1"], "cod": ["y1"], "arrow": {"x1": ["y1"], "x9": ["y1"]}},
+     "arrow has an entry for 'x9' outside the domain"),
+    ("box", {"direction": "backward", "dom": ["x1"], "cod": ["y1"],
+             "transformer": {"{}": [], "{y1}": ["x1"], "{y9}": []}},
+     "transformer has an entry for '{y9}' outside the predicates on the codomain"),
+    ("expectation", {"dom": [0], "cod": [0, 1], "arrow": {"0": {"0": "1"}, "7": {"1": "1"}},
+                     "predicate": {"0": "1", "1": "0"}},
+     "arrow has an entry for '7' outside the domain"),
+    ("expectation", {"dom": [0], "cod": [0, 1], "arrow": {"0": {"0": "1"}},
+                     "predicate": {"0": "1", "1": "0", "5": "1"}},
+     "predicate has an entry for '5' outside the codomain"),
+    ("three", {"poset": {"elements": ["a"]}, "map": {"a": 0, "zz": 1}},
+     "map has an entry for 'zz' outside the poset"),
+], ids=["box-arrow", "box-transformer", "expectation-arrow", "expectation-predicate",
+        "three-map"])
+def test_transpose_entry_outside_its_domain_is_bad_input(capsys, tmp_path, corr, payload,
+                                                         message):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(payload))
+    argv = ["transpose", "--correspondence", corr, "--input", str(f)]
+    assert run(capsys, argv) == (2, "", f"transpose payload: {message}\n")
+
+
 # codomains over the family's cap (filter 3, smyth 5): neither transpose enumerates T(cod)
 @pytest.mark.parametrize("corr, cod, arrow, holds", [
     ("filter", ["a", "b", "c", "d"], [["a", "b", "c", "d"]], lambda v: v == "{a,b,c,d}"),
@@ -554,3 +601,35 @@ class TestInputFailures:
                                  "arrow": {"0": {"0": "1"}}, "predicate": {"0": "1"}}))
         err = usage_error(capsys, ["transpose", "--correspondence", corr, "--input", str(f)])
         assert f"must be {allowed}, not {direction!r}" in err
+
+
+def test_parser_choices_match_their_sources():
+    from finsem import cli, gcl, monads, transformers
+
+    assert cli.FLAVORS == gcl.FLAVORS
+    assert cli.DEFAULT_STATE_CAP == gcl.DEFAULT_STATE_CAP
+    assert cli.MONAD_NAMES == tuple(sorted(monads.FAMILIES))
+    assert cli.CORRESPONDENCE_NAMES == tuple(sorted(transformers.REGISTRY))
+
+
+# sha256 of each --help text at 80 columns, as printed while the parser still
+# read its choices from gcl, monads and transformers
+HELP_DIGESTS = {
+    "": "de2227762b6f5a204d4b3848361f73f1e027a15a013fa29f9dbff831deb74b5b",
+    "wp": "b308c8310492a3055ad4f676d48ac0dca68c4a316b59d05f228931a23a249b71",
+    "run": "07ab7f1ed7a04ee7b9537e6b011030c7b8d20b018c0b430afd9ecfc5eae1724e",
+    "laws": "0c9745b6207d1a2c8fe7097bb92da615f1c9aa8db36ee9a192ebd002e0070922",
+    "enumerate": "35f34080b85c9d928e8e682f65f4f1a30c47f2cdba512767b83aa356992813ff",
+    "transpose": "8a7361c6c3b6b6915928fd7e204e22594122a302f86b0ed6abc7d791e61c3fe6",
+    "certify": "82f65f3aeb74faa87d1f7e06dfbfd3aa4a3b14d69022627c11075cf5223b1a40",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the digests follow the help layout of Python 3.11's argparse")
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, [command, "--help"] if command else ["--help"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]

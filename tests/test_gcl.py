@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import re
@@ -79,6 +80,67 @@ CRASHING = {"sequence": 3000, "sum": 2999, "parentheses": 3000, "ifs": 400}
 
 def nested_program(shape, n):
     return f"vars x in 0..1; body: {NESTED[shape](n)}; post: x == 1;"
+
+
+NODES = (gcl.VarDecl, gcl.Skip, gcl.Abort, gcl.Assign, gcl.Seq, gcl.If, gcl.Choose,
+         gcl.Prob, gcl.Lit, gcl.Var, gcl.Unary, gcl.Bin, gcl.Iverson, gcl.Program)
+
+
+class TestSyntaxNodes:
+    """The nodes compare, hash and print as the frozen dataclasses they replace."""
+
+    def test_no_gcl_class_is_a_dataclass(self):
+        assert not any(dataclasses.is_dataclass(v) for v in vars(gcl).values()
+                       if getattr(v, "__module__", None) == gcl.__name__)
+        assert all("__dict__" not in dir(cls) for cls in NODES + (gcl.StateSpace, gcl.Token))
+
+    def test_equal_only_to_the_same_class(self):
+        a, b = gcl.Skip(), gcl.Abort()
+        assert gcl.Seq(a, b) != gcl.Choose(a, b)
+        assert gcl.Seq(a, b) == gcl.Seq(gcl.Skip(), gcl.Abort())
+        assert gcl.Skip() != gcl.Abort() and gcl.Lit(1) != 1
+
+    def test_position_is_outside_equality_hashing_and_repr(self):
+        parsed = gcl.parse("vars x in 0..1; body: x := x + 1;").body
+        built = gcl.Assign("x", gcl.Bin("+", gcl.Var("x"), gcl.Lit(1)))
+        assert parsed.pos == (1, 25) and built.pos is None
+        assert parsed == built and hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built)
+        assert gcl.Var("x", (1, 2)) == gcl.Var("x", (3, 4))
+
+    def test_post_defaults_to_none(self):
+        prog = gcl.Program((), gcl.Skip())
+        assert prog.post is None and prog == gcl.Program((), gcl.Skip(), None)
+
+    def test_fields_cannot_be_set(self):
+        node = gcl.Bin("+", gcl.Lit(1), gcl.Lit(2), (1, 1))
+        for field in ("op", "left", "pos", "other"):
+            with pytest.raises(AttributeError):
+                setattr(node, field, None)
+        with pytest.raises(AttributeError):
+            del node.op
+
+    def test_arguments_must_fit(self):
+        for build in (lambda: gcl.Seq(gcl.Skip()), lambda: gcl.Skip(1),
+                      lambda: gcl.Lit(1, value=2), lambda: gcl.Var(nam="x")):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_repr_is_pinned(self):
+        prog = gcl.parse("vars x in 0..1; body: if (x < 1) { x := x + 1 } "
+                         "else { choose { skip } [] { abort } }; post: !(x == 1);")
+        assert repr(prog) == (
+            "Program(decls=(VarDecl(name='x', lo=0, hi=1),), body=If(cond=Bin(op='<', "
+            "left=Var(name='x'), right=Lit(value=1)), then=Assign(var='x', expr=Bin("
+            "op='+', left=Var(name='x'), right=Lit(value=1))), orelse=Choose("
+            "left=Skip(), right=Abort())), post=Unary(op='!', arg=Bin(op='==', "
+            "left=Var(name='x'), right=Lit(value=1))))")
+        body = gcl.parse("vars x in 0..1; body: prob 1/3 {x:=0}{x:=[x==1]*0+1};").body
+        assert repr(body) == (
+            "Prob(chance=Fraction(1, 3), left=Assign(var='x', expr=Lit(value=0)), "
+            "right=Assign(var='x', expr=Bin(op='+', left=Bin(op='*', left=Iverson("
+            "cond=Bin(op='==', left=Var(name='x'), right=Lit(value=1))), "
+            "right=Lit(value=0)), right=Lit(value=1))))")
 
 
 class TestNesting:

@@ -1,0 +1,127 @@
+"""The package's lazy exports, and which modules each subcommand loads."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import finsem
+
+SRC = str(Path(finsem.__file__).resolve().parent.parent)
+
+# name -> (defining module, attribute) of everything `finsem` exported eagerly
+EXPORTS = {name: (module, name) for module, names in {
+    "effects": ["Distribution", "FuzzyPredicate", "Rat", "UNDEFINED", "dist_bind",
+                "dist_make", "farey_grid", "mv_ops", "pred_orth", "pred_ovee",
+                "pred_scalar", "validate_effect_algebra"],
+    "errors": ["FinsemError"],
+    "gcl": ["check_roundtrip", "denote", "parse", "wp"],
+    "monads": ["FAMILIES", "FilterOf", "LensPair", "MonadInstance", "cba_collapse_check",
+               "downset_monad", "expectation_embed", "filter_monad", "giry_finite",
+               "hoare_monad", "monotone_neighbourhood", "neighbourhood", "plotkin_monad",
+               "powerset", "smyth_monad", "ultrafilter_monad"],
+    "order": ["FinPoset", "FinSet", "MonotoneMap", "SubsetOf", "all_posets", "antichain",
+              "chain", "down_closure", "downsets", "enumerate_structure_maps",
+              "make_poset", "powerset_lattice", "right_adjoint", "upsets"],
+    "triangle": ["EMAlgebraCandidate", "KleisliArrow", "certify_full_faithful",
+                 "check_em_algebra", "check_monad_laws", "kleisli_compose",
+                 "stat_functor"],
+}.items() for name in names}
+EXPORTS["CORRESPONDENCES"] = ("transformers", "REGISTRY")
+SUBMODULES = ["check", "effects", "errors", "gcl", "monads", "order", "transformers",
+              "triangle"]
+
+
+def python(code, *args):
+    """Run code in a fresh interpreter on this source tree; return its last stdout line."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=SRC,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+class TestLazyExports:
+    def test_every_export_is_its_defining_modules_object(self):
+        assert len(EXPORTS) == 55
+        for name, (module, attr) in EXPORTS.items():
+            defining = __import__(f"finsem.{module}", fromlist=[attr])
+            assert getattr(finsem, name) is getattr(defining, attr), name
+
+    def test_every_export_is_listed(self):
+        names = set(EXPORTS) | set(SUBMODULES) | {"__version__"}
+        assert set(finsem.__all__) == names
+        assert names <= set(dir(finsem))
+        assert finsem.__version__ == "0.1.0"
+
+    def test_submodules_resolve(self):
+        from finsem import gcl
+
+        assert finsem.gcl is gcl
+        for name in SUBMODULES:
+            assert getattr(finsem, name) is sys.modules[f"finsem.{name}"]
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from finsem import *", namespace)
+        assert namespace["parse"] is finsem.gcl.parse
+        assert namespace["CORRESPONDENCES"] is finsem.transformers.REGISTRY
+        assert set(finsem.__all__) <= set(namespace)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
+            finsem.nonsense  # noqa: B018
+        with pytest.raises(ImportError):
+            from finsem import nonsense  # noqa: F401
+
+    def test_resolved_names_are_not_kept(self):
+        finsem.parse  # noqa: B018
+        assert "parse" not in vars(finsem)
+
+    def test_bare_import_loads_no_submodule(self):
+        code = ("import sys, finsem; "
+                "print(sorted(m for m in sys.modules if m.startswith('finsem')))")
+        assert python(code) == "['finsem']"
+
+
+# the finsem modules a process holds after running one subcommand
+BASE = ["finsem", "finsem.check", "finsem.cli", "finsem.effects", "finsem.errors",
+        "finsem.monads", "finsem.order"]
+MODULES = {
+    "wp": BASE + ["finsem.gcl", "finsem.triangle"],
+    "run": BASE + ["finsem.gcl", "finsem.jsonio", "finsem.triangle"],
+    "laws": BASE + ["finsem.triangle"],
+    "enumerate": BASE + ["finsem.jsonio"],
+    "transpose": BASE + ["finsem.jsonio", "finsem.transformers", "finsem.triangle"],
+    "certify": BASE + ["finsem.transformers", "finsem.triangle"],
+}
+PROBE = """\
+import json, sys
+from finsem.cli import cli_main
+code = cli_main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("finsem"))]))
+"""
+
+
+@pytest.mark.parametrize("command", sorted(MODULES))
+def test_each_subcommand_loads_only_its_layers(tmp_path, command):
+    program = tmp_path / "prog.gc"
+    program.write_text("vars x in 0..1; body: prob 1/3 {x:=0}{x:=1}; post: [x == 0];")
+    payload = tmp_path / "in.json"
+    payload.write_text(json.dumps({"dom": ["x1"], "cod": ["y1"], "arrow": {"x1": ["y1"]}}))
+    argv = {
+        "wp": ["wp", str(program), "--mode", "dist"],
+        "run": ["run", str(program), "--mode", "dist", "--init", "x=0"],
+        "laws": ["laws", "--monad", "powerset", "--max-size", "1"],
+        "enumerate": ["enumerate", "--monad", "plotkin", "--object",
+                      "poset P { elems a b; covers a<b; }"],
+        "transpose": ["transpose", "--correspondence", "box", "--input", str(payload)],
+        "certify": ["certify", "--correspondence", "box", "--sizes", "1,1"],
+    }[command]
+    code, modules = json.loads(python(PROBE, *argv))
+    assert code == 0
+    assert modules == sorted(MODULES[command])
