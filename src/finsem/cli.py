@@ -401,13 +401,18 @@ def _entries(data, key, dom, where, decode=_maybe_int):
     """The JSON object data[key] with its keys decoded, by default as atoms.
 
     The transposes read only the entries of dom's elements, so an entry for
-    anything else is refused here rather than dropped.
+    anything else is refused here rather than dropped, as is a second entry
+    for the same element.
     """
     out = {}
     for text, value in data[key].items():
         k = decode(text)
         if k not in dom:
             raise UnknownElement(f"{key} has an entry for {text!r} outside {where}")
+        if k in out:
+            from .order import atom_repr
+
+            raise ValueError(f"{key} has two entries for {atom_repr(k)}")
         out[k] = value
     return out
 

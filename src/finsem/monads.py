@@ -180,13 +180,11 @@ class NeighbourhoodMonad(MonadFamily):
         return frozenset(s for s in obj.subsets() if x in s)
 
     def extend(self, dom, cod, fn, t):
-        # continuation-style double dual: B is accepted iff its preimage is
-        out = []
-        for b in cod.subsets():
-            pre = frozenset(x for x in dom if b in fn(x))
-            if pre in t:
-                out.append(b)
-        return frozenset(out)
+        # continuation-style double dual: B is accepted iff its preimage, found by mask, is
+        images = [(1 << i, fn(x)) for i, x in enumerate(dom.elements)]
+        pres = dom.subset_tuple()
+        return frozenset(b for b in cod.subset_tuple()
+                         if pres[sum([bit for bit, image in images if b in image])] in t)
 
 
 class MonotoneNeighbourhoodMonad(NeighbourhoodMonad):

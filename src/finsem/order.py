@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -68,12 +68,13 @@ def atom_repr(value):
 class FinSet:
     """Immutable finite set with one canonical iteration order."""
 
-    __slots__ = ("elements", "_members")
+    __slots__ = ("elements", "_members", "_subsets")
 
     def __init__(self, elements=()):
         members = frozenset(elements)
         self._members = members
         self.elements = tuple(sorted(members, key=atom_key))
+        self._subsets = None
 
     def __contains__(self, x):
         return x in self._members
@@ -107,6 +108,13 @@ class FinSet:
         for mask in range(1 << n):
             yield frozenset(self.elements[i] for i in range(n) if mask >> i & 1)
 
+    def subset_tuple(self):
+        """subsets() as one tuple in mask order, built on first use and kept."""
+        if self._subsets is None:
+            _require_small(self)
+            self._subsets = tuple(self.subsets())
+        return self._subsets
+
     def as_frozenset(self):
         return self._members
 
@@ -121,9 +129,12 @@ class FinPoset:
 
     ``_cache`` holds what is derived from the order, each built on first use:
     ``bottom`` and ``top`` (None when absent), ``is_lattice``, the ``upsets``
-    and ``downsets`` tuples in subset mask order, the ``join`` and ``meet``
-    tables from each asked pair (x, y) to its bound or None, and the
-    ``join_irr`` and ``meet_irr`` tuples.
+    and ``downsets`` tuples in subset mask order, the ``join_irr`` and
+    ``meet_irr`` tuples, and the index tables: ``index`` numbers the elements
+    in ``elements`` order, ``join`` and ``meet`` hold, in row i and column j,
+    the index of the bound of elements i and j (-1 where it does not exist),
+    and ``leq_pairs`` lists the index pairs (i, j) with element i <= element j.
+    A lattice's ``plotkin`` entry is its PlotkinAlgebra.
     """
 
     __slots__ = ("carrier", "_down", "_up", "_cache", "_hash")
@@ -187,7 +198,9 @@ class FinPoset:
         return self._hash
 
     def __repr__(self):
-        return f"FinPoset({list(self.elements)!r}, covers={self.cover_pairs()!r})"
+        elems, covers = (", ".join(map(atom_repr, items))
+                         for items in (self.elements, self.cover_pairs()))
+        return f"FinPoset([{elems}], covers=[{covers}])"
 
     def leq(self, x, y):
         """Whether x <= y; UnknownElement names the first of them that is not an element."""
@@ -196,6 +209,15 @@ class FinPoset:
             return x in self._down[y]
         self.carrier.require(x)
         self.carrier.require(y)
+
+    def leq_pairs(self):
+        """Every index pair (i, j) with elements[i] <= elements[j], in (i, j) order."""
+        if "leq_pairs" not in self._cache:
+            elems = self.elements
+            self._cache["leq_pairs"] = tuple(
+                (i, j) for i, x in enumerate(elems) for j, y in enumerate(elems)
+                if y in self._up[x])
+        return self._cache["leq_pairs"]
 
     def lt(self, x, y):
         return x != y and self.leq(x, y)
@@ -271,32 +293,42 @@ class FinPoset:
 
     def join(self, x, y):
         """Least upper bound, or None if it does not exist."""
-        return self._bound("join", self._up, x, y)
+        return self._bound("join", x, y)
 
     def meet(self, x, y):
         """Greatest lower bound, or None if it does not exist."""
-        return self._bound("meet", self._down, x, y)
+        return self._bound("meet", x, y)
 
-    def _bound(self, key, cone, x, y):
-        """The one common cone element whose cone holds all the common ones."""
-        table = self._cache.setdefault(key, {})
+    def _bound(self, key, x, y):
         try:
-            return table[x, y]
+            index, table = self._cache["index"], self._cache[key]
         except KeyError:
-            common = cone[x] & cone[y]
-            best = [u for u in common if common <= cone[u]]
-            table[x, y] = bound = best[0] if len(best) == 1 else None
-            return bound
+            index, table = self._index(), self._table(key)
+        k = table[index[x]][index[y]]
+        return self.carrier.elements[k] if k >= 0 else None
+
+    def _index(self):
+        """Each element's position in ``elements``."""
+        if "index" not in self._cache:
+            self._cache["index"] = {x: i for i, x in enumerate(self.elements)}
+        return self._cache["index"]
+
+    def _table(self, key):
+        """The join or meet table: the bound of two elements is the one common
+        cone element whose cone holds all the common ones."""
+        if key not in self._cache:
+            cone = self._up if key == "join" else self._down
+            index, elems = self._index(), self.elements
+            self._cache[key] = tuple(tuple(
+                index[best[0]] if len(best) == 1 else -1
+                for y in elems for common in [cone[x] & cone[y]]
+                for best in [[u for u in common if common <= cone[u]]]) for x in elems)
+        return self._cache[key]
 
     def is_lattice(self):
         if "is_lattice" not in self._cache:
-            ok = len(self) > 0
-            for x, y in itertools.combinations(self.elements, 2):
-                if not ok:
-                    break
-                if self.join(x, y) is None or self.meet(x, y) is None:
-                    ok = False
-            self._cache["is_lattice"] = ok
+            self._cache["is_lattice"] = len(self) > 0 and not any(
+                -1 in row for key in ("join", "meet") for row in self._table(key))
         return self._cache["is_lattice"]
 
     def require_lattice(self):
@@ -488,12 +520,9 @@ def up_closure(poset, members):
 def monotone_violation(dom, leq, graph):
     """The monotonicity walk of MonotoneMap and triangle.KleisliArrow: the
     first (x, y, image of x, image of y) with x <= y but not leq(images), or None."""
-    elems = dom.elements
-    for i, x in enumerate(elems):
-        above = dom._up[x]
-        for j, y in enumerate(elems):
-            if y in above and not leq(graph[i], graph[j]):
-                return x, y, graph[i], graph[j]
+    for i, j in dom.leq_pairs():
+        if not leq(graph[i], graph[j]):
+            return dom.elements[i], dom.elements[j], graph[i], graph[j]
     return None
 
 
@@ -514,6 +543,13 @@ class MonotoneMap:
         if bad:
             x, y, a, b = map(atom_repr, bad)
             raise NotMonotone(f"{x} <= {y} but images {a}, {b} are not ordered")
+
+    @classmethod
+    def _trusted(cls, dom, cod, graph):
+        """A map whose enumerator guarantees its graph monotone into cod: not walked again."""
+        m = object.__new__(cls)
+        m.__dict__.update(dom=dom, cod=cod, graph=graph)
+        return m
 
     @classmethod
     def from_dict(cls, dom, cod, mapping):
@@ -540,22 +576,28 @@ class MonotoneMap:
 # -- the two order-dual halves of a lattice -------------------------------------
 
 # Every join/meet construction below is written once against one half: the
-# binary operation, its unit (the empty case), the operation on any family,
-# the irreducibles that generate the lattice under it, and side(L, a), the
-# elements on the unit's side of a (below a for joins, above it for meets).
+# key of the binary operation's index table, its unit (the empty case), the
+# operation on any family, the irreducibles that generate the lattice under
+# it, and side(L, a), the elements on the unit's side of a (below a for
+# joins, above it for meets).
 _Half = namedtuple("_Half", "op unit big irreducibles side")
-_JOIN = _Half(FinPoset.join, FinPoset.bottom, FinPoset.bigjoin,
+_JOIN = _Half("join", FinPoset.bottom, FinPoset.bigjoin,
               FinPoset.join_irreducibles, FinPoset.down_set)
-_MEET = _Half(FinPoset.meet, FinPoset.top, FinPoset.bigmeet,
+_MEET = _Half("meet", FinPoset.top, FinPoset.bigmeet,
               FinPoset.meet_irreducibles, FinPoset.up_set)
 
 
+def _commutes(v, dom_table, cod_table):
+    """Does the index vector v commute with the two tables' binary operation?
+    Every table here is symmetric, so one pair in each orbit is enough."""
+    return all(v[dom_table[i][j]] == cod_table[v[i]][v[j]]
+               for i, j in itertools.combinations_with_replacement(range(len(v)), 2))
+
+
 def _preserves(dom, cod, g, op):
-    """Does the graph g commute with the binary operation op?"""
-    return all(
-        g[op(dom, x, y)] == op(cod, g[x], g[y])
-        for x, y in itertools.combinations_with_replacement(dom.elements, 2)
-    )
+    """Does the graph g commute with the operation tabled under op?"""
+    index = cod._index()
+    return _commutes([index[g[x]] for x in dom.elements], dom._table(op), cod._table(op))
 
 
 def right_adjoint(m):
@@ -635,26 +677,29 @@ class PlotkinAlgebra:
     """Pairs (a, b) with a >= b in a finite frame, under the product order.
 
     Carries the erratic sum (join on the left, meet on the right) with the
-    mixed pair (top, bottom) absorbing.
+    mixed pair (top, bottom) absorbing; ``sums`` tables it by index into
+    ``poset.elements``, as FinPoset tables join and meet.
     """
 
     frame: FinPoset
     poset: FinPoset
+    sums: tuple = field(compare=False, repr=False)
 
     @classmethod
     def over(cls, frame):
-        frame.require_lattice()
-        _require_small(frame)
-        elems = [
-            (a, b) for a in frame for b in frame if frame.leq(b, a)
-        ]
-        pairs = [
-            (s, t)
-            for s in elems
-            for t in elems
-            if frame.leq(s[0], t[0]) and frame.leq(s[1], t[1])
-        ]
-        return cls(frame, FinPoset(FinSet(elems), pairs))
+        """The algebra over frame, built once and kept in the frame's cache."""
+        if "plotkin" not in frame._cache:
+            frame.require_lattice()
+            _require_small(frame)
+            leq = frame.leq
+            elems = [(a, b) for a in frame for b in frame if leq(b, a)]
+            poset = FinPoset(FinSet(elems), [
+                (s, t) for s in elems for t in elems if leq(s[0], t[0]) and leq(s[1], t[1])])
+            index = poset._index()
+            frame._cache["plotkin"] = cls(frame, poset, tuple(
+                tuple(index[frame.join(s[0], t[0]), frame.meet(s[1], t[1])]
+                      for t in poset.elements) for s in poset.elements))
+        return frame._cache["plotkin"]
 
     def amalg(self, s, t):
         return (self.frame.join(s[0], t[0]), self.frame.meet(s[1], t[1]))
@@ -687,9 +732,9 @@ def plotkin_law_violation(dom_alg, cod_alg, graph):
         return "bounds are not preserved"
     if graph[dom_alg.mix] != cod_alg.mix:
         return "the mixed element is not preserved"
-    elems = dom_alg.poset.elements
-    if not all(graph[dom_alg.amalg(s, t)] == cod_alg.amalg(graph[s], graph[t])
-               for s in elems for t in elems):
+    index = cod_alg.poset._index()
+    if not _commutes([index[graph[s]] for s in dom_alg.poset.elements],
+                     dom_alg.sums, cod_alg.sums):
         return "the erratic sum is not preserved"
     return None
 
@@ -827,7 +872,7 @@ def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
         )
 
     if selector == "monotone":
-        return tuple(MonotoneMap(dom, cod, g) for g in monotone_graphs(dom, cod, budget))
+        return tuple(MonotoneMap._trusted(dom, cod, g) for g in monotone_graphs(dom, cod, budget))
 
     _require_small(dom)
     _require_small(cod)
@@ -846,7 +891,8 @@ def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
             side = half.side(dom, x)
             g[x] = half.big(cod, (assign[j] for j in gens if j in side))
         if _keeps(dom, cod, g, selector):
-            out.append(MonotoneMap.from_dict(dom, cod, g))
+            # a map keeping joins or meets is monotone
+            out.append(MonotoneMap._trusted(dom, cod, tuple(g.values())))
     return tuple(out)
 
 

@@ -289,11 +289,12 @@ def plotkin_hom_forward(f, dom_alg, cod_alg):
     projections; the defining equations are then asserted on every pair.
     """
     _check_pa_map(f, dom_alg, cod_alg)
-    l, m = dom_alg.frame, cod_alg.frame
-    g1 = MonotoneMap.from_callable(l, m, lambda x: f(dom_alg.in_left(x))[0])
-    g2 = MonotoneMap.from_callable(l, m, lambda x: f(dom_alg.in_right(x))[1])
-    for (x, y) in dom_alg.poset:
-        if f((x, y))[0] != g1(x) or f((x, y))[1] != g2(y):
+    l, m, graph = dom_alg.frame, cod_alg.frame, f.as_dict()
+    g1 = MonotoneMap.from_callable(l, m, lambda x: graph[dom_alg.in_left(x)][0])
+    g2 = MonotoneMap.from_callable(l, m, lambda x: graph[dom_alg.in_right(x)][1])
+    left, right = g1.as_dict(), g2.as_dict()
+    for (x, y), (a, b) in graph.items():
+        if a != left[x] or b != right[y]:
             raise StructureNotPreserved("component equations fail on a lens pair")
     _check_components(g1, g2, l, m)
     return (g1, g2)
@@ -302,8 +303,9 @@ def plotkin_hom_forward(f, dom_alg, cod_alg):
 def plotkin_hom_backward(g1, g2, dom_alg, cod_alg):
     """Assemble an algebra map from a dominating pair of lattice maps."""
     _check_components(g1, g2, dom_alg.frame, cod_alg.frame)
+    left, right = g1.as_dict(), g2.as_dict()
     f = MonotoneMap.from_callable(
-        dom_alg.poset, cod_alg.poset, lambda p: (g1(p[0]), g2(p[1]))
+        dom_alg.poset, cod_alg.poset, lambda p: (left[p[0]], right[p[1]])
     )
     _check_pa_map(f, dom_alg, cod_alg)
     return f

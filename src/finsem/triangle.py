@@ -10,6 +10,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Optional
 
 from .check import Report, first_counterexample
@@ -222,6 +223,13 @@ class _Memo(dict):
         return value
 
 
+def _getter(ids):
+    """seq -> tuple(seq[i] for i in ids), as one C call where itemgetter allows."""
+    if len(ids) > 1:
+        return itemgetter(*ids)
+    return lambda seq: tuple([seq[i] for i in ids])
+
+
 def _graph_extend(family, dom, cod, graph_by_elem, t):
     return family.extend(dom, cod, lambda x: graph_by_elem[x], t)
 
@@ -235,7 +243,7 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
 
     The exhaustive associativity walk compares interned ids: each structure
     element is hash-consed to an int once per suite, so a (g, h) pair is
-    decided by one comparison of id lists over all t.  It counts the same
+    decided by one comparison of id tuples over all t.  It counts the same
     instances, and reports the same first witness, as a walk that compares
     the elements one t at a time.
     """
@@ -303,11 +311,11 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
         return h_tables[right, far]
 
     def image_vectors(mid, right, gs, ts):
-        """Per g: the ids of its images, and of extend(g) over ts."""
+        """Per g: getters at the ids of its images, and of extend(g) over ts."""
         if (mid, right) not in g_tables:
             g_tables[mid, right] = [
-                (g, [intern(v) for v in g.graph],
-                 [intern(_graph_extend(family, mid, right, gd, t)) for t in ts])
+                (g, _getter([intern(v) for v in g.graph]),
+                 _getter([intern(_graph_extend(family, mid, right, gd, t)) for t in ts]))
                 for g in gs for gd in [g.as_dict()]]
         return g_tables[mid, right]
 
@@ -316,13 +324,13 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
         ths = extension_tables(right, far, hs)
         for g, gimg, gvec in image_vectors(mid, right, gs, ts):
             for h, th in zip(hs, ths):
-                key = tuple([th[i] for i in gimg])
+                key = gimg(th)
                 ctab = composites.get(key)
                 if ctab is None:
                     comp = dict(zip(mid.carrier.elements, map(values.__getitem__, key)))
-                    ctab = composites[key] = [
-                        intern(_graph_extend(family, mid, far, comp, t)) for t in ts]
-                lhs = [th[i] for i in gvec]
+                    ctab = composites[key] = tuple(
+                        intern(_graph_extend(family, mid, far, comp, t)) for t in ts)
+                lhs = gvec(th)
                 if lhs == ctab:
                     yield len(ts)
                     continue

@@ -396,6 +396,24 @@ def test_transpose_entry_outside_its_domain_is_bad_input(capsys, tmp_path, corr,
     assert run(capsys, argv) == (2, "", f"transpose payload: {message}\n")
 
 
+# two keys of one payload object that decode to the same point
+@pytest.mark.parametrize("corr, payload, message", [
+    ("expectation", {"direction": "forward", "dom": [7], "cod": [0, 1],
+                     "arrow": {"7": {"1": "1"}},
+                     "predicate": {"0": "1", "1": "0", "01": "1/2"}},
+     "predicate has two entries for 1"),
+    ("box", {"direction": "backward", "dom": ["x1"], "cod": ["y1", "y2"],
+             "transformer": {"{}": [], "{y1}": [], "{y2}": [], "{y1,y2}": ["x1"],
+                             "{y2,y1}": []}},
+     "transformer has two entries for frozenset({'y1', 'y2'})"),
+], ids=["expectation-predicate", "box-transformer"])
+def test_transpose_repeated_entry_is_bad_input(tmp_path, corr, payload, message):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(payload))
+    argv = ["transpose", "--correspondence", corr, "--input", str(f)]
+    assert run_under_two_hash_seeds(argv) == (2, "", f"transpose payload: {message}\n")
+
+
 # codomains over the family's cap (filter 3, smyth 5): neither transpose enumerates T(cod)
 @pytest.mark.parametrize("corr, cod, arrow, holds", [
     ("filter", ["a", "b", "c", "d"], [["a", "b", "c", "d"]], lambda v: v == "{a,b,c,d}"),

@@ -1,6 +1,13 @@
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import finsem
 
 from finsem.errors import (
     CycleError,
@@ -10,8 +17,10 @@ from finsem.errors import (
     TooLarge,
     UnknownElement,
 )
+from finsem.monads import NEIGHBOURHOOD
 from finsem.order import (
     MAX_POSET_SIZE,
+    STRUCTURE_SELECTORS,
     FinPoset,
     FinSet,
     LATTICE_ISO_VARIANTS,
@@ -20,7 +29,9 @@ from finsem.order import (
     SubsetOf,
     all_lattices,
     all_posets,
+    _preserves,
     antichain,
+    atom_repr,
     chain,
     down_closure,
     downsets,
@@ -29,6 +40,7 @@ from finsem.order import (
     lattice_element_to_map,
     lattice_map_to_element,
     make_poset,
+    monotone_violation,
     poset_canonical_key,
     powerset_lattice,
     right_adjoint,
@@ -452,14 +464,16 @@ class TestCachedTables:
         for x, y in itertools.product(p.elements, repeat=2):
             assert p.join(x, y) == _bound_by_definition(up, x, y)
             assert p.meet(x, y) == _bound_by_definition(down, x, y)
-            # every answer is kept in the poset's table
-            assert p._cache["join"][x, y] == p.join(x, y)
-            assert p._cache["meet"][x, y] == p.meet(x, y)
+            # every answer is read from the poset's index table
+            i, j = p.elements.index(x), p.elements.index(y)
+            for key in ("join", "meet"):
+                k = p._cache[key][i][j]
+                assert (p.elements[k] if k >= 0 else None) == getattr(p, key)(x, y)
 
     def test_a_missing_bound_is_none(self):
         v = make_poset("abc", [("a", "b"), ("a", "c")])
         assert v.join("b", "c") is None and v.join("b", "c") is None
-        assert v._cache["join"] == {("b", "c"): None}
+        assert v._cache["join"] == ((0, 1, 2), (1, 1, -1), (2, -1, 2))
         assert v.meet("b", "c") == "a"
 
     def test_oversized_poset_still_raises(self):
@@ -469,3 +483,126 @@ class TestCachedTables:
                 big.iter_upsets()
             with pytest.raises(TooLarge):
                 big.iter_downsets()
+
+
+# every poset the index-table tests walk: small posets, their opposites
+# (ordered against the element order), small lattices, and the upset
+# lattices of the posets of up to 3 points
+TABLED = (list(all_posets(3)) + [p.op() for p in all_posets(3)] + list(all_lattices(5))
+          + [upsets(p) for p in all_posets(3)])
+
+
+def _unindex(p, k):
+    return p.elements[k] if k >= 0 else None
+
+
+class TestIndexedTables:
+    """Each poset's index tables equal the set definitions they replace."""
+
+    @pytest.mark.parametrize("p", TABLED, ids=repr)
+    def test_join_and_meet_tables_are_the_bounds(self, p):
+        up = {x: p.up_set(x) for x in p}
+        down = {x: p.down_set(x) for x in p}
+        for (i, x), (j, y) in itertools.product(enumerate(p.elements), repeat=2):
+            assert _unindex(p, p._table("join")[i][j]) == _bound_by_definition(up, x, y)
+            assert _unindex(p, p._table("meet")[i][j]) == _bound_by_definition(down, x, y)
+
+    @pytest.mark.parametrize("p", TABLED, ids=repr)
+    def test_leq_pairs_are_the_ordered_pairs(self, p):
+        elems = p.elements
+        assert p.leq_pairs() == tuple(
+            (i, j) for i, j in itertools.product(range(len(p)), repeat=2)
+            if p.leq(elems[i], elems[j]))
+        assert p.leq_pairs() is p.leq_pairs()
+
+    @pytest.mark.parametrize("dom", all_lattices(3), ids=repr)
+    @pytest.mark.parametrize("cod", all_lattices(3), ids=repr)
+    def test_preserves_is_the_pairwise_definition(self, dom, cod):
+        for values in itertools.product(cod.elements, repeat=len(dom)):
+            g = dict(zip(dom.elements, values))
+            for op in ("join", "meet"):
+                by_pairs = all(
+                    g[getattr(dom, op)(x, y)] == getattr(cod, op)(g[x], g[y])
+                    for x, y in itertools.product(dom.elements, repeat=2))
+                assert _preserves(dom, cod, g, op) == by_pairs
+
+    @pytest.mark.parametrize("lattice", [p for p in TABLED if p.is_lattice()], ids=repr)
+    def test_plotkin_algebra_is_built_once_per_frame(self, lattice):
+        alg = PlotkinAlgebra.over(lattice)
+        assert PlotkinAlgebra.over(lattice) is alg
+        elems = alg.poset.elements
+        for (i, s), (j, t) in itertools.product(enumerate(elems), repeat=2):
+            assert elems[alg.sums[i][j]] == alg.amalg(s, t)
+
+    def test_neighbourhood_extend_is_the_preimage_definition(self):
+        def oracle(dom, cod, fn, t):
+            return frozenset(b for b in cod.subsets()
+                             if frozenset(x for x in dom if b in fn(x)) in t)
+
+        sets = [FinSet(range(n)) for n in range(3)]
+        for dom, cod in itertools.product(sets, repeat=2):
+            targets = NEIGHBOURHOOD.elements(cod)
+            for images in itertools.product(targets, repeat=len(dom)):
+                fn = dict(zip(dom.elements, images)).__getitem__
+                for t in NEIGHBOURHOOD.elements(dom):
+                    assert NEIGHBOURHOOD.extend(dom, cod, fn, t) == oracle(dom, cod, fn, t)
+
+    def test_monotone_maps_are_listed_without_a_second_walk(self, monkeypatch):
+        walks = []
+        monkeypatch.setattr(MonotoneMap, "__post_init__", lambda m: walks.append(m))
+        listed = [(p, q, enumerate_structure_maps(p, q, "monotone"))
+                  for p, q in itertools.product(all_posets(3), repeat=2)]
+        assert walks == []
+        monkeypatch.undo()
+        for p, q, maps in listed:
+            assert len(maps) == len(set(maps))
+            for m in maps:
+                assert monotone_violation(p, q.leq, m.graph) is None
+                assert MonotoneMap(p, q, m.graph) == m
+
+
+def test_poset_repr_is_hash_seed_independent():
+    src = str(Path(finsem.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("from finsem.order import make_poset, upsets; "
+            "print(repr(upsets(make_poset(['x1', 'x2', 'x3'], []))))")
+    reprs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                            check=True, timeout=120).stdout
+             for seed in ("1", "2")]
+    assert reprs[0] == reprs[1]
+    assert reprs[0].startswith(
+        "FinPoset([frozenset(), frozenset({'x1'}), frozenset({'x2'}), frozenset({'x3'}), "
+        "frozenset({'x1', 'x2'}), ")
+
+
+def test_poset_repr_of_plain_atoms_is_unchanged():
+    p = make_poset([(1, "a"), (2, "b"), (3, "c")], [((1, "a"), (2, "b"))])
+    assert repr(p) == f"FinPoset({list(p.elements)!r}, covers={p.cover_pairs()!r})"
+    assert repr(chain("ab")) == "FinPoset(['a', 'b'], covers=[('a', 'b')])"
+
+
+# sha256 over atom_repr((selector, graph)) of every listed map, recorded before
+# the index tables replaced the per-pair bound dicts
+PINNED_LATTICE_MAPS = "cab41dc208a3538c8ca23637e77bb4f71753b30ad2e70b86e6a8f51e50dfc357"
+PINNED_PLOTKIN_MAPS = "a00ea7b5974d9ba39228a2bcce97c67ccff98b0a761fa893883b1b9d02ad141e"
+
+
+def _maps_digest(pairs, selectors):
+    digest, count = hashlib.sha256(), 0
+    for dom, cod in pairs:
+        for selector in selectors:
+            for m in enumerate_structure_maps(dom, cod, selector):
+                digest.update(atom_repr((selector, m.graph)).encode())
+                count += 1
+    return digest.hexdigest(), count
+
+
+def test_structure_map_enumeration_is_pinned():
+    lattices = list(all_lattices(4)) + [upsets(p) for p in all_posets(3) if len(p)]
+    selectors = [s for s in STRUCTURE_SELECTORS if s != "plotkin-hom"]
+    pairs = itertools.product(lattices, repeat=2)
+    assert _maps_digest(pairs, selectors) == (PINNED_LATTICE_MAPS, 44_858)
+    algebras = [PlotkinAlgebra.over(upsets(p)) for p in all_posets(2) if len(p)]
+    pairs = itertools.product(algebras, repeat=2)
+    assert _maps_digest(pairs, ["plotkin-hom"]) == (PINNED_PLOTKIN_MAPS, 96)
