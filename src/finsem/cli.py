@@ -268,70 +268,62 @@ def cmd_transpose(args):
               f"not {direction!r}", file=sys.stderr)
         return 2
     try:
-        transpose = _decode_transpose(corr, direction, data)
+        value, x, y, key, encode = _decode_transpose(corr, direction, data)
     except KeyError as exc:
         print(f"transpose payload is missing {exc.args[0]!r}", file=sys.stderr)
         return 2
     except (FinsemError, LookupError, TypeError, ValueError, AttributeError) as exc:
         print(f"transpose payload: {exc}", file=sys.stderr)
         return 2
+    # one runner for every payload kind: the transpose out, then the round trip back
+    step, back = corr.forward, corr.backward
+    if direction == "backward":
+        step, back = back, step
     try:
-        payload = transpose()
+        out = step(value, x, y)
+        payload = {key: encode(out), "round_trip": back(out, x, y) == value}
     except FinsemError as exc:
         print(f"transpose failed: {exc}", file=sys.stderr)
         return 1
     _emit(payload, args.format)
-    return 0 if payload.get("round_trip", True) else 1
+    return 0 if payload["round_trip"] else 1
 
 
 def _decode_transpose(corr, direction, data):
-    """Build the payload's input objects and return the transpose to run on them.
+    """What differs between the payload kinds: the input value, the objects x
+    and y it lives between, and the key and encoder of the output.
 
-    A failure while building is bad input; the transposes' own failures, such
-    as a transformer breaking its side conditions, are failed checks.
+    cmd_transpose sends value through the direction's transpose, reports the
+    result under key as encode renders it, and sends it back for the round
+    trip.  A failure while decoding is bad input; the transposes' own
+    failures, such as a transformer breaking its side conditions, are failed
+    checks.
     """
     from .effects import Distribution, FuzzyPredicate, format_rat, parse_rat
     from .jsonio import atom_token, element_to_json
     from .monads import LensPair
     from .order import FinSet, MonotoneMap
-    from .transformers import (
-        THREE,
-        expectation_computation,
-        expectation_pred,
-        predicate_lattice,
-        three_backward,
-        three_forward,
-    )
+    from .transformers import THREE, predicate_lattice
     from .triangle import KleisliArrow
 
     if corr.id == "three":
         poset = _poset_from_json(data["poset"])
         if direction == "forward":
             m = MonotoneMap.from_dict(poset, THREE, _entries(data, "map", poset, "the poset"))
-
-            def transpose():
-                lens = three_forward(m)
-                return {
-                    "lens": {"outer": sorted(map(atom_token, lens.outer)),
-                             "inner": sorted(map(atom_token, lens.inner))},
-                    "round_trip": three_backward(lens) == m,
-                }
-            return transpose
+            return m, poset, None, "lens", lambda lens: {
+                "outer": sorted(map(atom_token, lens.outer)),
+                "inner": sorted(map(atom_token, lens.inner))}
         lens = LensPair(poset, _subset_from_json_atoms(data["outer"]),
                         _subset_from_json_atoms(data["inner"]))
+        return lens, poset, None, "map", lambda m: {atom_token(x): m(x) for x in poset.elements}
 
-        def transpose():
-            m = three_backward(lens)
-            return {
-                "map": {atom_token(x): m(x) for x in poset.elements},
-                "round_trip": three_forward(m) == lens,
-            }
-        return transpose
-
+    # the arrow-style correspondences and expectation, between finite sets or posets
+    family = corr.family
+    decode = _poset_from_json if family.base == "poset" else (
+        lambda items: FinSet(map(_maybe_int, items)))
+    dom, cod = decode(data["dom"]), decode(data["cod"])
     if corr.id == "expectation":
-        dom = FinSet(map(_maybe_int, data["dom"]))
-        cod = FinSet(map(_maybe_int, data["cod"]))
-        arrow = KleisliArrow.from_dict(corr.family, dom, cod, {
+        arrow = KleisliArrow.from_dict(family, dom, cod, {
             x: Distribution(cod, tuple((_maybe_int(y), parse_rat(w)) for y, w in row.items()))
             for x, row in _entries(data, "arrow", dom, "the domain").items()
         })
@@ -339,53 +331,25 @@ def _decode_transpose(corr, direction, data):
             y: parse_rat(v)
             for y, v in _entries(data, "predicate", cod, "the codomain").items()})
 
-        def transpose():
-            transform = expectation_pred(arrow)
+        def encode(transform):
             result = transform(q)
-            return {
-                "transformed": {atom_token(x): format_rat(result(x)) for x in dom},
-                "round_trip": expectation_computation(transform, dom, cod) == arrow,
-            }
-        return transpose
-
-    # arrow-style correspondences between finite sets or finite posets
-    family = corr.family
-    if family.base == "set":
-        x_obj = FinSet(map(_maybe_int, data["dom"]))
-        y_obj = FinSet(map(_maybe_int, data["cod"]))
-    else:
-        x_obj, y_obj = _poset_from_json(data["dom"]), _poset_from_json(data["cod"])
-    pred_dom = predicate_lattice(family, y_obj)
-    pred_cod = predicate_lattice(family, x_obj)
-
+            return {atom_token(x): format_rat(result(x)) for x in dom}
+        return arrow, dom, cod, "transformed", encode
+    pred_dom = predicate_lattice(family, cod)
     if direction == "forward":
-        arrow = KleisliArrow.from_dict(family, x_obj, y_obj, {
+        arrow = KleisliArrow.from_dict(family, dom, cod, {
             x: _element_from_json(family, v)
-            for x, v in _entries(data, "arrow", x_obj, "the domain").items()
+            for x, v in _entries(data, "arrow", dom, "the domain").items()
         })
-
-        def transpose():
-            m = corr.forward(arrow, x_obj, y_obj)
-            return {
-                "transformer": {atom_token(k): sorted(map(atom_token, m(k)))
-                                for k in pred_dom.elements},
-                "round_trip": corr.backward(m, x_obj, y_obj) == arrow,
-            }
-        return transpose
-    m = MonotoneMap.from_dict(pred_dom, pred_cod, {
+        return arrow, dom, cod, "transformer", lambda m: {
+            atom_token(k): sorted(map(atom_token, m(k))) for k in pred_dom.elements}
+    m = MonotoneMap.from_dict(pred_dom, predicate_lattice(family, dom), {
         k: _subset_from_json_atoms(v)
         for k, v in _entries(data, "transformer", pred_dom, "the predicates on the codomain",
                              lambda k: _subset_from_json_atoms(_parse_set_token(k))).items()
     })
-
-    def transpose():
-        arrow = corr.backward(m, x_obj, y_obj)
-        return {
-            "arrow": {atom_token(x): element_to_json(arrow(x))
-                      for x in arrow.dom.carrier.elements},
-            "round_trip": corr.forward(arrow, x_obj, y_obj) == m,
-        }
-    return transpose
+    return m, dom, cod, "arrow", lambda arrow: {
+        atom_token(x): element_to_json(arrow(x)) for x in arrow.dom.carrier.elements}
 
 
 def _maybe_int(text):

@@ -298,28 +298,20 @@ class PlotkinMonad(MonadFamily):
 
     An element (c, k) stands for the pair of two-valued functionals on opens
     (union-hitting on c, containment of k); the pair is admitted when the
-    hitting functional dominates the containment one on every open.
+    hitting functional dominates the containment one on every open, that is
+    when c meets k: k is itself an open, and an open containing k meets c
+    wherever k does.
     """
 
     name = "plotkin"
     base = "poset"
     cap = 4
 
-    @staticmethod
-    def compatible(obj, c, k):
-        """Pointwise dominance over all opens of the base poset."""
-        for u in obj.iter_upsets():
-            if k <= u and not (c & u):
-                return False
-        return True
-
     def elements(self, obj):
         self.check_cap(obj)
         downs = [d for d in obj.iter_downsets() if d]
         ups = [u for u in obj.iter_upsets() if u]
-        return tuple(
-            (c, k) for c in downs for k in ups if self.compatible(obj, c, k)
-        )
+        return tuple((c, k) for c in downs for k in ups if c & k)
 
     def contains(self, obj, t):
         if not (isinstance(t, tuple) and len(t) == 2):
@@ -328,11 +320,10 @@ class PlotkinMonad(MonadFamily):
         return (
             isinstance(c, frozenset)
             and isinstance(k, frozenset)
-            and bool(c)
-            and bool(k)
+            and c | k <= obj.carrier.as_frozenset()
+            and bool(c & k)
             and obj.is_downset(c)
             and obj.is_upset(k)
-            and self.compatible(obj, c, k)
         )
 
     def unit(self, obj, x):

@@ -5,16 +5,18 @@ transformer), a backward transpose, and enumerators for both sides, so that
 round trips and full-and-faithfulness can be certified by double
 enumeration.  Side conditions of inputs and outputs are always verified.
 
-The six arrow-shaped correspondences (box, filter, monotone-nbhd, diamond,
-hoare, smyth) follow the recipe of arXiv:1703.09034: a monad T, the
-dualizing object Omega = 2 (the set {0, 1}, or the chain 0 < 1 for poset
-families) and an Eilenberg-Moore algebra alpha: T(2) -> 2.  The transformer
-of f: X -> T(Y) sends a predicate v to {x : alpha(T(chi_v)(f(x))) = 1}; the
-comparison map sends each t in T(Y) to its column of these values, and the
-backward transpose inverts it point by point: the recipe reads the one
-candidate t off a point's column, and the comparison map confirms that t has
-that column, so T(Y) itself is never enumerated.  The selector that names
-the transformers is checked on every forward image and every backward input.
+One function, ``transpose``, builds every 2-valued transformer: the hom-set
+bijection of the adjunction behind the triangles of arXiv:1703.09034 sends a
+predicate to the points whose column (the predicates a point satisfies)
+holds there, and ``columns`` reads the columns back.  The six arrow-shaped
+correspondences (box, filter, monotone-nbhd, diamond, hoare, smyth) take
+their columns from a recipe: a monad T, the dualizing object Omega = 2 (the
+set {0, 1}, or the chain 0 < 1 for poset families) and an Eilenberg-Moore
+algebra alpha: T(2) -> 2.  The column of t in T(Y) is the comparison map at
+t, v |-> alpha(T(chi_v)(t)); backward reads the one candidate t off each
+point's column, and the comparison map confirms it, so T(Y) itself is never
+enumerated.  The selector that names the transformers is checked on every
+forward image and every backward input.
 """
 
 from __future__ import annotations
@@ -73,6 +75,30 @@ def predicate_lattice(family, obj):
     return upsets(obj) if family.base == "poset" else powerset_lattice(obj)
 
 
+# -- the transpose: one bijection between columns and transformers ----------------------
+
+
+def transpose(predicates, target, points, columns):
+    """The map from predicates into target (a lattice of sets of points) that
+    sends predicate i to the points whose column holds at i."""
+    return MonotoneMap(predicates, target, tuple(
+        frozenset(x for x, column in zip(points, columns) if column[i])
+        for i in range(len(predicates))
+    ))
+
+
+def columns(m, points):
+    """The inverse of transpose: each point's column in m, whether the point
+    lies in the image of each predicate, in the order of m.dom."""
+    return [tuple(p in image for image in m.graph) for p in points]
+
+
+def _require(m, selector, error, message):
+    """The selector guard: raise error(message) unless m has that structure."""
+    if not has_structure(m, selector):
+        raise error(message)
+
+
 # -- the recipe: one forward and one backward for every arrow-shaped correspondence -------
 
 
@@ -116,38 +142,34 @@ def comparison_column(recipe, cod, t):
 
 
 def forward(recipe, arrow):
-    """The transformer v |-> {x : alpha(T(chi_v)(arrow(x))) = 1}, checked to
-    have the recipe's selector structure."""
-    predicates = predicate_lattice(recipe.family, arrow.cod)
-    points = arrow.dom.carrier.elements
-    columns = [comparison_column(recipe, arrow.cod, t) for t in arrow.graph]
-    m = MonotoneMap(predicates, predicate_lattice(recipe.family, arrow.dom), tuple(
-        frozenset(x for x, column in zip(points, columns) if column[i])
-        for i in range(len(predicates))
-    ))
-    if not has_structure(m, recipe.selector):
-        raise StructureNotPreserved(f"{recipe.id} transpose is not {recipe.selector}")
+    """The transpose of the arrow's comparison columns, checked to have the
+    recipe's selector structure."""
+    family = recipe.family
+    m = transpose(predicate_lattice(family, arrow.cod), predicate_lattice(family, arrow.dom),
+                  arrow.dom.carrier.elements,
+                  [comparison_column(recipe, arrow.cod, t) for t in arrow.graph])
+    _require(m, recipe.selector, StructureNotPreserved,
+             f"{recipe.id} transpose is not {recipe.selector}")
     return m
 
 
 def backward(recipe, m, x, y):
     """The arrow sending each point p of x to the element of T(y) whose column
-    is p's column in m (p in m(v) for each v): the recipe reads it off the
-    column, and the comparison map confirms it."""
-    if not has_structure(m, recipe.selector):
-        error = NotJoinPreserving if "join" in recipe.selector else NotMeetPreserving
-        raise error(f"input transformer must be {recipe.selector}")
+    is p's column in m: the recipe reads it off the column, and the
+    comparison map confirms it."""
+    error = NotJoinPreserving if "join" in recipe.selector else NotMeetPreserving
+    _require(m, recipe.selector, error, f"input transformer must be {recipe.selector}")
     family = recipe.family
     if m.dom != predicate_lattice(family, y) or m.cod != predicate_lattice(family, x):
         raise SideConditionViolated("transformer does not match the stated objects")
-    mapping = {}
-    for p in x.carrier.elements:
-        column = tuple(p in image for image in m.graph)
+    points = x.carrier.elements
+    graph = []
+    for p, column in zip(points, columns(m, points)):
         t = recipe.read(m.dom, column)
         if comparison_column(recipe, y, t) != column:
             raise SideConditionViolated(f"no {family.name} element has the column of {p!r}")
-        mapping[p] = t
-    return KleisliArrow.from_dict(family, x, y, mapping)
+        graph.append(t)
+    return KleisliArrow(family, x, y, tuple(graph))
 
 
 # -- general-lattice adjunctions --------------------------------------------------------
@@ -155,14 +177,10 @@ def backward(recipe, m, x, y):
 
 def box_general_transformer(g, lattice, points):
     """Forward transpose against an arbitrary finite-lattice predicate domain:
-    a point satisfies a predicate when its assigned value sits below it."""
-    m = MonotoneMap.from_callable(
-        lattice,
-        powerset_lattice(points),
-        lambda a: frozenset(x for x in points if lattice.leq(g[x], a)),
-    )
-    if not has_structure(m, "meet-preserving"):
-        raise StructureNotPreserved("transpose lost meet preservation")
+    a point's column is the up-cone of its assigned value."""
+    m = transpose(lattice, powerset_lattice(points), points,
+                  [tuple(lattice.leq(g[x], a) for a in lattice.elements) for x in points])
+    _require(m, "meet-preserving", StructureNotPreserved, "transpose lost meet preservation")
     return m
 
 
@@ -172,35 +190,31 @@ def box_general_computation(m):
     The input is a meet-preserving map from a lattice into a powerset
     lattice; each point goes to the meet of everything whose image holds it.
     """
-    if not has_structure(m, "meet-preserving"):
-        raise NotMeetPreserving("input transformer must preserve all meets")
+    _require(m, "meet-preserving", NotMeetPreserving, "input transformer must preserve all meets")
     lattice = m.dom
     points = FinSet(m.cod.top())
-    return {
-        x: lattice.bigmeet(a for a in lattice if x in m(a)) for x in points
-    }
+    return {x: lattice.bigmeet(compress(lattice.elements, column))
+            for x, column in zip(points, columns(m, points))}
 
 
 def monotone_nbhd_forward(g, poset, points):
     """General adjunction direction: a function into upsets of a poset becomes
     a monotone map from the poset into the powerset of the points."""
-    px = powerset_lattice(points)
+    target = powerset_lattice(points)
     for x in points:
         if not poset.is_upset(g[x]):
             raise SideConditionViolated(f"image of {x!r} is not an upset")
-    return MonotoneMap.from_callable(
-        poset, px, lambda q: frozenset(x for x in points if q in g[x])
-    )
+    return transpose(poset, target, points,
+                     [tuple(q in g[x] for q in poset.elements) for x in points])
 
 
 def monotone_nbhd_backward(m, points):
     """Inverse direction; upset-ness of each image is verified."""
     out = {}
-    for x in points:
-        members = frozenset(q for q in m.dom if x in m(q))
-        if not m.dom.is_upset(members):
+    for x, column in zip(points, columns(m, points)):
+        out[x] = _holding(m.dom, column)
+        if not m.dom.is_upset(out[x]):
             raise SideConditionViolated("computed neighbourhood is not an upset")
-        out[x] = members
     return out
 
 
@@ -239,11 +253,10 @@ def three_backward(lens):
     return MonotoneMap.from_callable(lens.base, THREE, value)
 
 
-AMALG3 = {
-    (a, b): (BOT3 if a == b == BOT3 else TOP3 if a == b == TOP3 else MID3)
-    for a in (BOT3, MID3, TOP3)
-    for b in (BOT3, MID3, TOP3)
-}
+# The erratic sum on 3, which is the Plotkin algebra over 2: its elements
+# (0, 0), (1, 0) and (1, 1) sit at BOT3, MID3 and TOP3.
+AMALG3 = {(a, b): s for a, row in enumerate(PlotkinAlgebra.over(TWO).sums)
+          for b, s in enumerate(row)}
 
 
 def three_amalg_pointwise(m1, m2):
@@ -274,10 +287,9 @@ def _dominates(g1, g2, l, m):
 def _check_components(g1, g2, l, m):
     """The pair side of plotkin-hom: g1 keeps joins and top, g2 keeps meets and
     bottom, and g1 dominates g2 on every element of l."""
-    if not has_structure(g1, "join+top"):
-        raise StructureNotPreserved("left component must preserve joins and top")
-    if not has_structure(g2, "preframe+0"):
-        raise StructureNotPreserved("right component must preserve meets and bottom")
+    _require(g1, "join+top", StructureNotPreserved, "left component must preserve joins and top")
+    _require(g2, "preframe+0", StructureNotPreserved,
+             "right component must preserve meets and bottom")
     if not _dominates(g1, g2, l, m):
         raise Incomparable("left component must dominate the right one")
 
@@ -335,9 +347,9 @@ def expectation_computation(transform, dom, cod):
     once: the transform of y's indicator holds every point's weight on y."""
     from .effects import Distribution
 
-    columns = indicator_probe(transform, cod)
+    probes = indicator_probe(transform, cod)
     return KleisliArrow.from_callable(DIST, dom, cod, lambda x: Distribution(
-        cod, tuple((y, p(x)) for y, p in zip(cod.elements, columns))))
+        cod, tuple((y, p(x)) for y, p in zip(cod.elements, probes))))
 
 
 # -- the correspondence registry -----------------------------------------------------------
@@ -445,23 +457,24 @@ EXPECTATION = Correspondence(
     family=DIST,
 )
 
-REGISTRY = {
-    c.id: c
-    for c in (
-        BOX,
-        FILTER_CORR,
-        MONOTONE_NBHD,
-        DIAMOND,
-        HOARE_CORR,
-        SMYTH_CORR,
-        THREE_CORR,
-        PLOTKIN_HOM,
-        EXPECTATION,
-    )
-}
+REGISTRY = {c.id: c for c in (BOX, FILTER_CORR, MONOTONE_NBHD, DIAMOND, HOARE_CORR,
+                               SMYTH_CORR, THREE_CORR, PLOTKIN_HOM, EXPECTATION)}
 
 
 # -- round-trip drivers ----------------------------------------------------------------
+
+
+def _mismatches(law, mode, trials):
+    """The Check of a stream of (witness, round trip held) pairs, with the
+    first failure's witness."""
+    checked = bad = 0
+    witness = None
+    for item, held in trials:
+        checked += 1
+        if not held:
+            bad += 1
+            witness = witness or item
+    return Check(law, mode, checked, bad, witness)
 
 
 def round_trip_report(corr, x, y, budget=300_000, sample=None, seed=0):
@@ -480,20 +493,11 @@ def round_trip_report(corr, x, y, budget=300_000, sample=None, seed=0):
         if len(trans) > sample:
             trans = [trans[i] for i in sorted(rng.sample(range(len(trans)), sample))]
         mode = f"sampled({sample}, seed={seed})"
-    checked = 0
-    bad = 0
-    witness = None
-    for c in comps:
-        checked += 1
-        if corr.backward(corr.forward(c, x, y), x, y) != c:
-            bad += 1
-            witness = witness or ("computation", c)
-    for t in trans:
-        checked += 1
-        if corr.forward(corr.backward(t, x, y), x, y) != t:
-            bad += 1
-            witness = witness or ("transformer", t)
-    return Check(f"{corr.id} round trip", mode, checked, bad, witness)
+    sides = (("computation", comps, corr.forward, corr.backward),
+             ("transformer", trans, corr.backward, corr.forward))
+    return _mismatches(f"{corr.id} round trip", mode, (
+        ((kind, item), back(step(item, x, y), x, y) == item)
+        for kind, items, step, back in sides for item in items))
 
 
 def expectation_round_trip(x, y, instances=200, seed=0, max_den=6):
@@ -501,16 +505,8 @@ def expectation_round_trip(x, y, instances=200, seed=0, max_den=6):
     from .effects import random_distribution
 
     rng = random.Random(seed)
-    checked = 0
-    bad = 0
-    witness = None
-    for _ in range(instances):
-        mapping = {a: random_distribution(y, rng, max_den) for a in x}
-        arrow = KleisliArrow.from_dict(DIST, x, y, mapping)
-        back = expectation_computation(expectation_pred(arrow), x, y)
-        checked += 1
-        if back != arrow:
-            bad += 1
-            witness = witness or arrow
-    return Check("expectation round trip", f"sampled({instances}, seed={seed})",
-                 checked, bad, witness)
+    arrows = (KleisliArrow.from_dict(DIST, x, y, {a: random_distribution(y, rng, max_den)
+                                                  for a in x}) for _ in range(instances))
+    return _mismatches("expectation round trip", f"sampled({instances}, seed={seed})", (
+        (arrow, expectation_computation(expectation_pred(arrow), x, y) == arrow)
+        for arrow in arrows))

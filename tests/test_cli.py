@@ -435,6 +435,168 @@ def test_codomain_over_the_family_cap_transposes(capsys, tmp_path, corr, cod, ar
     assert json.loads(out) == {"round_trip": True, "arrow": {"x": arrow}}
 
 
+# the payloads of the failure tests above and below, as (correspondence, payload);
+# a str payload is sent as it stands
+TRANSPOSE_ERRORS = [
+    ("box", {"direction": "backward", "dom": ["x1"], "cod": ["y1"],
+             "transformer": {"{}": [], "{y1}": []}}),
+    *((corr, dict(payload, direction="backward"))
+      for corr, payload, _ in SELECTOR_VIOLATIONS.args[1]),
+    ("box", {"dom": ["x0", "x1", "x2"], "cod": ["y"], "direction": "backward",
+             "transformer": {"{}": ["x0", "x2"], "{y}": []}}),
+    ("smyth", {"direction": "forward", "dom": {"elements": ["a"]},
+               "cod": {"elements": ["c", "d", "e"], "covers": [["c", "d"]]},
+               "arrow": {"a": ["c", "e"]}}),
+    ("box", {"direction": "backward", "dom": ["x1", "x2"], "cod": ["y1"],
+             "transformer": {"{}": [], "{y1}": ["x1", "x9", "x2"]}}),
+    ("box", {"dom": ["x1"], "cod": ["y1"], "arrow": {"x1": ["y1"], "x9": ["y1"]}}),
+    ("box", {"direction": "backward", "dom": ["x1"], "cod": ["y1"],
+             "transformer": {"{}": [], "{y1}": ["x1"], "{y9}": []}}),
+    ("expectation", {"dom": [0], "cod": [0, 1], "arrow": {"0": {"0": "1"}, "7": {"1": "1"}},
+                     "predicate": {"0": "1", "1": "0"}}),
+    ("expectation", {"dom": [0], "cod": [0, 1], "arrow": {"0": {"0": "1"}},
+                     "predicate": {"0": "1", "1": "0", "5": "1"}}),
+    ("three", {"poset": {"elements": ["a"]}, "map": {"a": 0, "zz": 1}}),
+    ("expectation", {"direction": "forward", "dom": [7], "cod": [0, 1],
+                     "arrow": {"7": {"1": "1"}},
+                     "predicate": {"0": "1", "1": "0", "01": "1/2"}}),
+    ("box", {"direction": "backward", "dom": ["x1"], "cod": ["y1", "y2"],
+             "transformer": {"{}": [], "{y1}": [], "{y2}": [], "{y1,y2}": ["x1"],
+                             "{y2,y1}": []}}),
+    ("box", {"direction": "forward", "cod": ["y1"], "arrow": {}}),
+    ("box", "not json"),
+    ("plotkin-hom", {}),
+    ("three", {"direction": "forward", "map": {"a": 0, "b": 1},
+               "poset": {"elements": ["a", "b"], "covers": [["a", "b"], ["b", "b"]]}}),
+    ("box", {"dom": ["x"], "cod": ["y"], "arrow": ["y"]}),
+    ("box", {"dom": ["x"], "cod": ["y"], "arrow": {"x": ["z"]}}),
+    *((corr, {"direction": direction, "dom": [0], "cod": [0], "arrow": {"0": {"0": "1"}},
+              "predicate": {"0": "1"}})
+      for corr, direction in [("box", "sideways"), ("three", "sideways"),
+                              ("expectation", "backward"), ("expectation", "sideways")]),
+]
+
+
+def transpose_corpus():
+    """(correspondence, payload text) for every transpose the pin replays.
+
+    Forward of every enumerated arrow and backward of every monotone map
+    between the predicate lattices (selector maps and the rest) for the six
+    recipes on sets and posets of 1-2 points; three forward and backward on
+    every monotone map and lens pair of the posets of 1-3 points; expectation
+    forward on seeded arrows; then the payloads of the tests in this file.
+    """
+    import random
+    from fractions import Fraction
+    from itertools import product
+
+    from finsem.effects import format_rat, random_distribution
+    from finsem.jsonio import atom_token, element_to_json, poset_to_json
+    from finsem.monads import all_lens_pairs
+    from finsem.order import FinSet, all_posets, enumerate_structure_maps
+    from finsem.transformers import REGISTRY, THREE, predicate_lattice
+
+    def graph(fn, points):
+        return {atom_token(p): element_to_json(fn(p)) for p in points}
+
+    sets = [FinSet(range(n)) for n in (1, 2)]
+    posets = [p for p in all_posets(3) if p.elements]
+    cases = []
+    for corr in REGISTRY.values():
+        family = corr.family
+        if family is None or corr.id == "expectation":
+            continue
+        if family.base == "set":
+            objects, encode = sets, lambda o: list(o.elements)
+        else:
+            objects, encode = [p for p in posets if len(p) <= 2], poset_to_json
+        for x, y in product(objects, repeat=2):
+            head = {"dom": encode(x), "cod": encode(y)}
+            for arrow in corr.iter_computations(x, y, 10_000):
+                cases.append((corr.id, dict(head, arrow=graph(arrow, x.carrier.elements))))
+            for m in enumerate_structure_maps(predicate_lattice(family, y),
+                                              predicate_lattice(family, x), "monotone"):
+                cases.append((corr.id, dict(head, direction="backward",
+                                            transformer=graph(m, m.dom.elements))))
+    for p in posets:
+        for m in enumerate_structure_maps(p, THREE, "monotone"):
+            cases.append(("three", {"poset": poset_to_json(p), "map": graph(m, p.elements)}))
+        for lens in all_lens_pairs(p):
+            cases.append(("three", dict(element_to_json(lens), direction="backward",
+                                        poset=poset_to_json(p))))
+    rng = random.Random(13)
+    for n, k in product((1, 2), (1, 2, 3)):
+        dom, cod = FinSet(range(n)), FinSet(range(k))
+        rows = {x: random_distribution(cod, rng, 4) for x in dom}
+        cases.append(("expectation", {
+            "dom": list(dom.elements), "cod": list(cod.elements),
+            "arrow": graph(rows.__getitem__, dom.elements),
+            "predicate": {atom_token(y): format_rat(Fraction(rng.randint(0, 4), 4)) for y in cod}}))
+    cases += [(corr, dict(payload, direction="forward"))
+              for corr, (payload, _) in sorted(FORWARD_CASES.items())]
+    cases += [(corr, dict(payload, direction="backward"))
+              for corr, (payload, _) in sorted(BACKWARD_CASES.items())]
+    cases += TRANSPOSE_ERRORS
+    return [(corr, p if isinstance(p, str) else json.dumps(p)) for corr, p in cases]
+
+
+def replay_transposes(corpus):
+    """SHA-256 over (exit code, stdout, stderr) of ``finsem transpose`` on each
+    (correspondence, payload text) of corpus in turn, run in this process.
+
+    The argument parser, most of the cost of a short cli_main call, is built
+    once and handed to every call.
+    """
+    import contextlib
+    import io
+    from unittest import mock
+
+    from finsem.cli import build_parser
+
+    parser = build_parser()
+    digest = hashlib.sha256()
+    with mock.patch("finsem.cli.build_parser", lambda: parser):
+        for corr, text in corpus:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    mock.patch("sys.stdin", io.StringIO(text)):
+                code = cli_main(["transpose", "--correspondence", corr, "--input", "-"])
+            digest.update(json.dumps([code, out.getvalue(), err.getvalue()]).encode())
+    return digest.hexdigest()
+
+
+# replay_transposes(transpose_corpus()), recorded before the transposes were
+# rebuilt on transformers.transpose and one runner in cli
+TRANSPOSE_DIGEST = "4246028d89f7d343f1e500525bab550cc1fc71c90b0882b6cbd56e77926caab6"
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return transpose_corpus()
+
+
+def test_transpose_output_is_pinned(corpus):
+    assert len(corpus) == 953
+    assert replay_transposes(corpus) == TRANSPOSE_DIGEST
+
+
+def test_transpose_output_is_hash_seed_independent(corpus, tmp_path):
+    # one batched process per seed, both at once
+    f = tmp_path / "corpus.json"
+    f.write_text(json.dumps(corpus))
+    src = str(Path(finsem.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+              "from test_cli import replay_transposes; "
+              "print(replay_transposes(json.load(open(sys.argv[2]))))")
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", script, str(Path(__file__).parent), str(f)],
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for seed in ("1", "2")]
+    results = [(proc.communicate(timeout=120), proc.returncode) for proc in procs]
+    assert results == [((TRANSPOSE_DIGEST + "\n", ""), 0)] * 2
+
+
 # (correspondence, --sizes) -> SHA-256 of the certify JSON on stdout
 CERTIFY_DIGESTS = {
     ("box", "1"): "129300b493432c1512c17b0f93ed34e1692384ce3593d77cf1a33eff9468c237",

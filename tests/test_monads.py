@@ -238,14 +238,30 @@ class TestPlotkin:
 
     @pytest.mark.parametrize("p", [q for q in all_posets(4) if len(q) >= 1], ids=repr)
     def test_observed_compatibility_characterization(self, p):
-        # observed on every tested poset: the pointwise dominance condition
-        # coincides with the two halves sharing a point (not asserted as a
-        # general fact, only recorded empirically)
+        # the pointwise dominance condition, walked over every open u: c meets
+        # every open that contains k; the monad tests only whether c meets k
+        def dominates(c, k):
+            return all(c & u for u in p.iter_upsets() if k <= u)
+
         downs = [d for d in p.iter_downsets() if d]
         ups = [u for u in p.iter_upsets() if u]
-        for c in downs:
-            for k in ups:
-                assert PLOTKIN.compatible(p, c, k) == bool(c & k)
+        pairs = [(c, k) for c in downs for k in ups]
+        assert PLOTKIN.elements(p) == tuple(t for t in pairs if dominates(*t))
+        for c, k in pairs:
+            assert PLOTKIN.contains(p, (c, k)) == dominates(c, k) == bool(c & k)
+
+    @pytest.mark.parametrize("t", [(frozenset("z"), frozenset("z")),
+                                   (frozenset("a"), frozenset("bz")),
+                                   (frozenset("az"), frozenset("b"))],
+                             ids=["both", "upper", "lower"])
+    def test_halves_off_the_carrier_are_not_elements(self, t):
+        from finsem.errors import UnknownElement
+        from finsem.triangle import KleisliArrow
+
+        p = chain("ab")
+        assert PLOTKIN.contains(p, t) is False
+        with pytest.raises(UnknownElement, match="is not a plotkin element"):
+            KleisliArrow.from_dict(PLOTKIN, p, p, {"a": t, "b": PLOTKIN.unit(p, "b")})
 
     def test_lens_pair_validation(self):
         p = chain("ab")

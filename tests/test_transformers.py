@@ -432,3 +432,22 @@ def test_comparison_table_is_injective(recipe, obj):
     assert all(len(column) == len(predicates) for column in columns)
     # the recipe's reader inverts the table, which is what backward relies on
     assert all(recipe.read(predicates, column) == t for t, column in zip(elements, columns))
+
+
+@pytest.mark.parametrize("recipe", RECIPES, ids=lambda r: r.id)
+def test_transpose_and_columns_are_inverse(recipe):
+    # columns reads back what transpose built, and transpose rebuilds every
+    # monotone map between the predicate lattices from its columns
+    from finsem.transformers import columns, transpose
+    from finsem.triangle import iter_kleisli_arrows
+
+    family = recipe.family
+    objects = SMALL_POSETS[:3] if family.base == "poset" else SETS_UP_TO_THREE[:3]
+    for x, y in itertools.product(objects, repeat=2):
+        predicates, target = predicate_lattice(family, y), predicate_lattice(family, x)
+        points = x.carrier.elements
+        for m in enumerate_structure_maps(predicates, target, "monotone"):
+            assert transpose(predicates, target, points, columns(m, points)) == m
+        for arrow in iter_kleisli_arrows(family, x, y):
+            cols = [comparison_column(recipe, y, t) for t in arrow.graph]
+            assert columns(transpose(predicates, target, points, cols), points) == cols
