@@ -335,7 +335,8 @@ def _decode_transpose(corr, direction, data):
             result = transform(q)
             return {atom_token(x): format_rat(result(x)) for x in dom}
         return arrow, dom, cod, "transformed", encode
-    pred_dom = predicate_lattice(family, cod)
+    # both predicate lattices are built here, so an oversized object is bad input
+    pred_dom, pred_cod = predicate_lattice(family, cod), predicate_lattice(family, dom)
     if direction == "forward":
         arrow = KleisliArrow.from_dict(family, dom, cod, {
             x: _element_from_json(family, v)
@@ -343,7 +344,7 @@ def _decode_transpose(corr, direction, data):
         })
         return arrow, dom, cod, "transformer", lambda m: {
             atom_token(k): sorted(map(atom_token, m(k))) for k in pred_dom.elements}
-    m = MonotoneMap.from_dict(pred_dom, predicate_lattice(family, dom), {
+    m = MonotoneMap.from_dict(pred_dom, pred_cod, {
         k: _subset_from_json_atoms(v)
         for k, v in _entries(data, "transformer", pred_dom, "the predicates on the codomain",
                              lambda k: _subset_from_json_atoms(_parse_set_token(k))).items()

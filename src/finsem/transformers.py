@@ -93,12 +93,6 @@ def columns(m, points):
     return [tuple(p in image for image in m.graph) for p in points]
 
 
-def _require(m, selector, error, message):
-    """The selector guard: raise error(message) unless m has that structure."""
-    if not has_structure(m, selector):
-        raise error(message)
-
-
 # -- the recipe: one forward and one backward for every arrow-shaped correspondence -------
 
 
@@ -148,8 +142,8 @@ def forward(recipe, arrow):
     m = transpose(predicate_lattice(family, arrow.cod), predicate_lattice(family, arrow.dom),
                   arrow.dom.carrier.elements,
                   [comparison_column(recipe, arrow.cod, t) for t in arrow.graph])
-    _require(m, recipe.selector, StructureNotPreserved,
-             f"{recipe.id} transpose is not {recipe.selector}")
+    if not has_structure(m, recipe.selector):
+        raise StructureNotPreserved(f"{recipe.id} transpose is not {recipe.selector}")
     return m
 
 
@@ -157,8 +151,9 @@ def backward(recipe, m, x, y):
     """The arrow sending each point p of x to the element of T(y) whose column
     is p's column in m: the recipe reads it off the column, and the
     comparison map confirms it."""
-    error = NotJoinPreserving if "join" in recipe.selector else NotMeetPreserving
-    _require(m, recipe.selector, error, f"input transformer must be {recipe.selector}")
+    if not has_structure(m, recipe.selector):
+        error = NotJoinPreserving if "join" in recipe.selector else NotMeetPreserving
+        raise error(f"input transformer must be {recipe.selector}")
     family = recipe.family
     if m.dom != predicate_lattice(family, y) or m.cod != predicate_lattice(family, x):
         raise SideConditionViolated("transformer does not match the stated objects")
@@ -180,7 +175,8 @@ def box_general_transformer(g, lattice, points):
     a point's column is the up-cone of its assigned value."""
     m = transpose(lattice, powerset_lattice(points), points,
                   [tuple(lattice.leq(g[x], a) for a in lattice.elements) for x in points])
-    _require(m, "meet-preserving", StructureNotPreserved, "transpose lost meet preservation")
+    if not has_structure(m, "meet-preserving"):
+        raise StructureNotPreserved("transpose lost meet preservation")
     return m
 
 
@@ -190,7 +186,8 @@ def box_general_computation(m):
     The input is a meet-preserving map from a lattice into a powerset
     lattice; each point goes to the meet of everything whose image holds it.
     """
-    _require(m, "meet-preserving", NotMeetPreserving, "input transformer must preserve all meets")
+    if not has_structure(m, "meet-preserving"):
+        raise NotMeetPreserving("input transformer must preserve all meets")
     lattice = m.dom
     points = FinSet(m.cod.top())
     return {x: lattice.bigmeet(compress(lattice.elements, column))
@@ -210,11 +207,9 @@ def monotone_nbhd_forward(g, poset, points):
 
 def monotone_nbhd_backward(m, points):
     """Inverse direction; upset-ness of each image is verified."""
-    out = {}
-    for x, column in zip(points, columns(m, points)):
-        out[x] = _holding(m.dom, column)
-        if not m.dom.is_upset(out[x]):
-            raise SideConditionViolated("computed neighbourhood is not an upset")
+    out = {x: _holding(m.dom, column) for x, column in zip(points, columns(m, points))}
+    if not all(map(m.dom.is_upset, out.values())):
+        raise SideConditionViolated("computed neighbourhood is not an upset")
     return out
 
 
@@ -287,9 +282,10 @@ def _dominates(g1, g2, l, m):
 def _check_components(g1, g2, l, m):
     """The pair side of plotkin-hom: g1 keeps joins and top, g2 keeps meets and
     bottom, and g1 dominates g2 on every element of l."""
-    _require(g1, "join+top", StructureNotPreserved, "left component must preserve joins and top")
-    _require(g2, "preframe+0", StructureNotPreserved,
-             "right component must preserve meets and bottom")
+    if not has_structure(g1, "join+top"):
+        raise StructureNotPreserved("left component must preserve joins and top")
+    if not has_structure(g2, "preframe+0"):
+        raise StructureNotPreserved("right component must preserve meets and bottom")
     if not _dominates(g1, g2, l, m):
         raise Incomparable("left component must dominate the right one")
 
@@ -457,8 +453,20 @@ EXPECTATION = Correspondence(
     family=DIST,
 )
 
-REGISTRY = {c.id: c for c in (BOX, FILTER_CORR, MONOTONE_NBHD, DIAMOND, HOARE_CORR,
-                               SMYTH_CORR, THREE_CORR, PLOTKIN_HOM, EXPECTATION)}
+REGISTRY = {
+    c.id: c
+    for c in (
+        BOX,
+        FILTER_CORR,
+        MONOTONE_NBHD,
+        DIAMOND,
+        HOARE_CORR,
+        SMYTH_CORR,
+        THREE_CORR,
+        PLOTKIN_HOM,
+        EXPECTATION,
+    )
+}
 
 
 # -- round-trip drivers ----------------------------------------------------------------

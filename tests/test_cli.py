@@ -414,6 +414,33 @@ def test_transpose_repeated_entry_is_bad_input(tmp_path, corr, payload, message)
     assert run_under_two_hash_seeds(argv) == (2, "", f"transpose payload: {message}\n")
 
 
+# a domain whose predicates are too many to tabulate is bad input in either
+# direction, for every recipe, even when the arrow itself is well formed
+@pytest.mark.parametrize("corr, image", [
+    ("box", ["y"]), ("filter", [["y"]]), ("monotone-nbhd", [["y"]]),
+    ("diamond", ["y"]), ("hoare", ["y"]), ("smyth", ["y"]),
+])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_domain_over_the_predicate_cap_is_bad_input(capsys, tmp_path, corr, image, direction):
+    from finsem.transformers import REGISTRY
+
+    points = [f"x{i}" for i in range(9)]
+    base = REGISTRY[corr].family.base
+    if base == "set":
+        dom, cod = points, ["y"]
+    else:
+        dom, cod = {"elements": points}, {"elements": ["y"]}
+    payload = {"direction": direction, "dom": dom, "cod": cod}
+    if direction == "forward":
+        payload["arrow"] = {x: image for x in points}
+    else:
+        payload["transformer"] = {"{}": [], "{y}": points}
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, ["transpose", "--correspondence", corr, "--input", str(f)])
+    assert (code, out, err) == (2, "", f"transpose payload: {base} has 9 elements; substrate cap is 8\n")
+
+
 # codomains over the family's cap (filter 3, smyth 5): neither transpose enumerates T(cod)
 @pytest.mark.parametrize("corr, cod, arrow, holds", [
     ("filter", ["a", "b", "c", "d"], [["a", "b", "c", "d"]], lambda v: v == "{a,b,c,d}"),

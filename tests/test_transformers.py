@@ -242,6 +242,17 @@ class TestThree:
                 rhs = three_forward(m1).amalg(three_forward(m2))
                 assert lhs == rhs
 
+    def test_amalg_table_is_the_erratic_sum(self):
+        # AMALG3 is read off the Plotkin algebra over 2; it must be the erratic
+        # sum on 3: equal arguments are kept, any disagreement gives MID3
+        from finsem.transformers import AMALG3
+
+        assert AMALG3 == {
+            (a, b): (BOT3 if a == b == BOT3 else TOP3 if a == b == TOP3 else MID3)
+            for a in (BOT3, MID3, TOP3)
+            for b in (BOT3, MID3, TOP3)
+        }
+
     def test_mix_constant_maps_to_full_empty_pair(self):
         # the erratic constant corresponds to (everything, nothing)
         p = antichain("ab")
