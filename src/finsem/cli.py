@@ -243,6 +243,7 @@ def _poset_from_json(data):
 
 
 def cmd_transpose(args):
+    from .order import atom_repr
     from .transformers import REGISTRY
 
     corr = REGISTRY.get(args.correspondence)
@@ -270,7 +271,7 @@ def cmd_transpose(args):
     try:
         value, x, y, key, encode = _decode_transpose(corr, direction, data)
     except KeyError as exc:
-        print(f"transpose payload is missing {exc.args[0]!r}", file=sys.stderr)
+        print(f"transpose payload is missing {atom_repr(exc.args[0])}", file=sys.stderr)
         return 2
     except (FinsemError, LookupError, TypeError, ValueError, AttributeError) as exc:
         print(f"transpose payload: {exc}", file=sys.stderr)

@@ -4,8 +4,9 @@ Everything here is exact, so that partial-sum definedness and round-trip
 identities are exact predicates, never float comparisons.  Predicates and
 scalars are fractions.Fraction.  Finite distributions rest on one weight
 kernel, ``Weighting``: inside, weights are integer numerators over one
-reduced common denominator, and Kleisli extension runs in integers; they
-become ``Fraction`` only at the boundary (``weights``, ``__call__``, JSON).
+reduced common denominator, and Kleisli extension and point masses are built
+in integers without re-validation; they become ``Fraction`` only at the
+boundary (``weights``, ``__call__``, JSON).
 The finite Giry monad's measures (``monads.FiniteMeasure``) are the same
 kernel under their own name.
 """
@@ -415,7 +416,7 @@ class Weighting:
     equality and hashing run over integers.  ``Fraction`` appears only at the
     boundary: ``weights`` builds the sorted ``(atom, Fraction)`` pairs on
     first use.  The public constructor validates through ``__post_init__``;
-    ``bind`` builds its results in integers without re-validating them.
+    ``bind`` and ``point`` (after checking its atom) build theirs trusted.
     The public fields are read-only properties over private slots.
     """
 
@@ -439,7 +440,8 @@ class Weighting:
 
     @classmethod
     def point(cls, carrier, atom):
-        return cls(carrier, ((atom, ONE),))
+        carrier.require(atom)
+        return _made(cls, carrier, (atom,), (1,), 1)
 
     @property
     def carrier(self):
@@ -460,6 +462,10 @@ class Weighting:
 
     def as_dict(self):
         return dict(self.weights)
+
+    def kernel(self):
+        """The kernel fields: the sorted support, its numerators and their denominator."""
+        return self._support, self._nums, self._den
 
     def bind(self, kernel, cod=None):
         """The Kleisli extension of ``kernel`` at these weights.
@@ -490,7 +496,9 @@ class Weighting:
         if sum(out.values()) != den:
             raise self._error("weights do not sum to 1")
         g = math.gcd(den, *out.values())
-        support = tuple(sorted(out, key=atom_key))
+        # a FinSet's rank() is its atom_key order
+        key = cod.rank().__getitem__ if isinstance(cod, FinSet) else atom_key
+        support = tuple(sorted(out, key=key))
         if g == 1:
             return _made(cls, cod, support, tuple(map(out.__getitem__, support)), den)
         return _made(cls, cod, support, tuple(out[b] // g for b in support), den // g)

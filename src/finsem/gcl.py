@@ -11,20 +11,24 @@ is the operational healthiness check.
 
 Each expression is typed (int, rational or bool) and compiled to a closure
 over the state tuple before any state is evaluated.  Within one call of
-``denote``, ``wp`` or ``check_roundtrip``, each assignment's successor states
-and each condition's mask are computed once and read by every traversal.
+``denote``, ``wp`` or ``check_roundtrip``, each assignment's successor indices
+and each condition's mask are computed once and read by every traversal.  An
+expectation table is integer numerators in states order over one denominator,
+as in ``effects.Weighting``; it becomes ``Fraction``s only where it leaves the
+engine: ``wp``, ``transformer_wp`` and a mismatch witness.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
-from .effects import ONE, ZERO, Distribution, expectation
+from .effects import ONE, ZERO, Distribution
 from .errors import (
     ModeMismatch,
     ParseError,
@@ -146,6 +150,8 @@ class Prob(_Frozen):
     __slots__ = _fields = ("chance", "left", "right")
 
     def __post_init__(self):
+        if isinstance(self.chance, bool) or not isinstance(self.chance, (int, Fraction)):
+            raise RangeError(f"branch probability {self.chance!r} is not an int or a Fraction")
         if not (ZERO <= self.chance <= ONE):
             raise RangeError(f"branch probability {self.chance} outside [0, 1]")
 
@@ -509,7 +515,8 @@ class StateSpace(_Frozen):
         if self.size() > cap:
             raise TooLarge(f"{self.size()} states exceed the cap of {cap}")
         ranges = [range(d.lo, d.hi + 1) for d in self.decls]
-        return FinSet(itertools.product(*ranges))
+        # the product of ascending ranges is already in atom_key order
+        return FinSet.presorted(itertools.product(*ranges))
 
     def env(self, state):
         return dict(zip(self.names, state))
@@ -637,14 +644,6 @@ def _as_bool(v):
     raise RangeError(f"expected a boolean, got {v!r}")
 
 
-def _as_number(v, what="value"):
-    if isinstance(v, bool):
-        return ONE if v else ZERO
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    raise RangeError(f"{what} {v!r} is not numeric")
-
-
 def _branch(mask, states, then, orelse):
     """The state table of an if: each state takes its row from the branch mask picks."""
     return {s: then[s] if taken else orelse[s] for s, taken in zip(states, mask)}
@@ -681,7 +680,7 @@ def _mode_violation(stmt, mode):
 
 
 def _successors(stmt, space, states):
-    """The state each state moves to under an assignment, in states order."""
+    """The index of the state each state moves to under an assignment, in states order."""
     fn, kind = compile_expr(stmt.expr, space.names)
     if kind != INT:
         raise RangeError(located(f"assignment to {stmt.var} must be an integer", stmt.pos))
@@ -689,7 +688,9 @@ def _successors(stmt, space, states):
         raise UndeclaredVariable(stmt.var)
     i = space.names.index(stmt.var)
     lo, span = space.decls[i].lo, space.decls[i].span
-    return [s[:i] + (lo + (fn(s) - lo) % span,) + s[i + 1:] for s in states]
+    # states are in product order, so variable i moves the index in steps of stride
+    stride = math.prod(d.span for d in space.decls[i + 1:])
+    return [k + ((fn(s) - lo) % span + lo - s[i]) * stride for k, s in enumerate(states)]
 
 
 def _mask(stmt, space, states):
@@ -703,7 +704,7 @@ def _mask(stmt, space, states):
 class _Tables:
     """A program's state space, and the per-state data of its statements.
 
-    One public call builds one: an assignment's successor list and an if's
+    One public call builds one: an assignment's successor indices and an if's
     condition mask are computed the first time a traversal reaches the
     statement, so the first error raised is the first one that traversal
     meets, and later traversals in the call (more posts, the other leg of a
@@ -737,7 +738,8 @@ def _denote(stmt, tables):
     if isinstance(stmt, Abort):
         return {s: frozenset() for s in states}
     if isinstance(stmt, Assign):
-        return {s: family.unit(states, t) for s, t in zip(states, tables[stmt])}
+        elements = states.elements
+        return {s: family.unit(states, elements[j]) for s, j in zip(states, tables[stmt])}
     if isinstance(stmt, Seq):
         first = _denote(stmt.first, tables)
         second = _denote(stmt.second, tables)
@@ -781,22 +783,22 @@ def mode_of_flavor(flavor):
 
 
 def post_table(post, flavor, space, states):
-    """Evaluate a post-condition into a state table for the given flavor."""
+    """Evaluate a post-condition into a table for the given flavor: a dict of bools,
+    or for expectation ``(nums, den)``, numerators in states order over one
+    denominator, each value checked to lie in [0, 1]."""
     fn, _ = compile_expr(post, space.names)
-    table = {}
-    for s in states:
-        value = fn(s)
-        if flavor == "expectation":
-            value = _as_number(value, "post-expectation")
-            if not (ZERO <= value <= ONE):
-                raise RangeError(f"post-expectation {value} outside [0, 1]")
-        else:
-            value = _as_bool(value)
-        table[s] = value
-    return table
+    if flavor != "expectation":
+        return {s: _as_bool(fn(s)) for s in states}
+    values = [fn(s) for s in states]  # a bool, int or Fraction, by the post's type
+    for v in values:
+        if not (0 <= v.numerator <= v.denominator):
+            raise RangeError(f"post-expectation {v} outside [0, 1]")
+    den = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _wp_table(stmt, table, flavor, tables):
+    """The bool table of a demonic or angelic weakest precondition."""
     states = tables.states
     if isinstance(stmt, Skip):
         return dict(table)
@@ -804,27 +806,43 @@ def _wp_table(stmt, table, flavor, tables):
         default = flavor == "demonic"
         return {s: default for s in states}
     if isinstance(stmt, Assign):
-        return {s: table[t] for s, t in zip(states, tables[stmt])}
+        elements = states.elements
+        return {s: table[elements[j]] for s, j in zip(states, tables[stmt])}
     if isinstance(stmt, Seq):
         inner = _wp_table(stmt.second, table, flavor, tables)
         return _wp_table(stmt.first, inner, flavor, tables)
+    left, right = (_wp_table(sub, table, flavor, tables) for sub in _substatements(stmt))
     if isinstance(stmt, If):
-        then = _wp_table(stmt.then, table, flavor, tables)
-        orelse = _wp_table(stmt.orelse, table, flavor, tables)
-        return _branch(tables[stmt], states, then, orelse)
-    if isinstance(stmt, Choose):
-        left = _wp_table(stmt.left, table, flavor, tables)
-        right = _wp_table(stmt.right, table, flavor, tables)
-        if flavor == "demonic":
-            return {s: left[s] and right[s] for s in states}
-        return {s: left[s] or right[s] for s in states}
+        return _branch(tables[stmt], states, left, right)
+    if flavor == "demonic":  # a choose
+        return {s: left[s] and right[s] for s in states}
+    return {s: left[s] or right[s] for s in states}
+
+
+def _pre_expectation(stmt, post, tables):
+    """The pre-expectation of post under stmt, both ``(nums, den)`` in states order."""
+    if isinstance(stmt, Skip):
+        return post
+    if isinstance(stmt, Assign):
+        nums, den = post
+        return [nums[j] for j in tables[stmt]], den
+    if isinstance(stmt, Seq):
+        inner = _pre_expectation(stmt.second, post, tables)
+        return _pre_expectation(stmt.first, inner, tables)
+    (left, ld), (right, rd) = (_pre_expectation(sub, post, tables)
+                               for sub in _substatements(stmt))
+    den = math.lcm(ld, rd)
+    lf, rf = den // ld, den // rd
+    if isinstance(stmt, If):
+        return [a * lf if taken else b * rf
+                for taken, a, b in zip(tables[stmt], left, right)], den
     if isinstance(stmt, Prob):
-        left = _wp_table(stmt.left, table, flavor, tables)
-        right = _wp_table(stmt.right, table, flavor, tables)
-        return {
-            s: stmt.chance * left[s] + (ONE - stmt.chance) * right[s]
-            for s in states
-        }
+        # p/q of the left and (q - p)/q of the right, over q * den
+        p, q = stmt.chance.numerator, stmt.chance.denominator
+        lf, rf, den = p * lf, (q - p) * rf, q * den
+        nums = [lf * a + rf * b for a, b in zip(left, right)]
+        g = math.gcd(den, *nums)
+        return [n // g for n in nums], den // g
     raise AssertionError(f"not a statement: {stmt!r}")
 
 
@@ -834,11 +852,28 @@ def wp(program, post, flavor, state_cap=DEFAULT_STATE_CAP):
     if isinstance(post, str):
         post = parse_expression(post, tables.space.names)
     table = post_table(post, flavor, tables.space, tables.states)
+    if flavor == "expectation":
+        nums, den = _pre_expectation(program.body, table, tables)
+        return {s: Fraction(n, den) for s, n in zip(tables.states, nums)}
     return _wp_table(program.body, table, flavor, tables)
 
 
+def _rows(arrow):
+    """Each row of a dist arrow as (its support's indices in cod, numerators, denominator)."""
+    rank = arrow.cod.carrier.rank()
+    return [([rank[b] for b in support], nums, den)
+            for support, nums, den in (t.kernel() for t in arrow.graph)]
+
+
+def _expected(rows, table):
+    """Each row's expectation of table = (nums, den), as (numerator, denominator)."""
+    nums, den = table
+    return [(sum(map(operator.mul, row, map(nums.__getitem__, at))), d * den)
+            for at, row, d in rows]
+
+
 def transformer_wp(arrow, table, flavor):
-    """The same table computed from the whole-program denotation."""
+    """The same table computed from the whole-program denotation and a post_table."""
     rows = zip(arrow.dom.carrier.elements, arrow.graph)
     if flavor == "demonic":
         accept = frozenset(s for s, v in table.items() if v)
@@ -847,7 +882,8 @@ def transformer_wp(arrow, table, flavor):
         accept = frozenset(s for s, v in table.items() if v)
         return {s: bool(t & accept) for s, t in rows}
     if flavor == "expectation":
-        return {s: expectation(t.weights, table.__getitem__) for s, t in rows}
+        return {s: Fraction(n, d)
+                for s, (n, d) in zip(arrow.dom.carrier.elements, _expected(_rows(arrow), table))}
     raise ModeMismatch(f"unknown flavor {flavor!r}")
 
 
@@ -895,17 +931,27 @@ def check_roundtrip(program, flavor, posts=None, state_cap=DEFAULT_STATE_CAP, se
     if posts is None:
         rng = random.Random(seed) if seed is not None else None
         posts = default_posts(space, flavor, rng)
+    rows = _rows(arrow) if flavor == "expectation" else None
     mismatches = 0
     witness = None
     for post in posts:
         table = post_table(post, flavor, space, states)
-        recursive = _wp_table(program.body, table, flavor, tables)
-        transposed = transformer_wp(arrow, table, flavor)
-        if recursive != transposed:
+        if rows is None:
+            recursive = _wp_table(program.body, table, flavor, tables)
+            transposed = transformer_wp(arrow, table, flavor)
+            wrong = ((s, recursive[s], transposed[s]) for s in states
+                     if recursive[s] != transposed[s])
+        else:
+            # each row's dot product n/d against the recursion's m/den, cross-multiplied
+            nums, den = _pre_expectation(program.body, table, tables)
+            wrong = ((s, Fraction(m, den), Fraction(n, d))
+                     for s, m, (n, d) in zip(states, nums, _expected(rows, table))
+                     if n * den != m * d)
+        first = next(wrong, None)
+        if first is not None:
             mismatches += 1
             if witness is None:
-                bad = next(s for s in states if recursive[s] != transposed[s])
-                witness = (post, space.render(bad), recursive[bad], transposed[bad])
+                witness = (post, space.render(first[0]), *first[1:])
     return WpCheck(flavor, len(posts), mismatches, witness)
 
 

@@ -66,15 +66,23 @@ def atom_repr(value):
 
 
 class FinSet:
-    """Immutable finite set with one canonical iteration order."""
+    """Immutable finite set with one canonical iteration order, numbered by ``rank()``."""
 
-    __slots__ = ("elements", "_members", "_subsets")
+    __slots__ = ("elements", "_members", "_subsets", "_rank")
 
     def __init__(self, elements=()):
         members = frozenset(elements)
         self._members = members
         self.elements = tuple(sorted(members, key=atom_key))
-        self._subsets = None
+        self._subsets = self._rank = None
+
+    @classmethod
+    def presorted(cls, elements):
+        """The set of elements that are distinct and already in atom_key order, trusted."""
+        out = object.__new__(cls)
+        out.elements = tuple(elements)
+        out._members, out._subsets, out._rank = frozenset(out.elements), None, None
+        return out
 
     def __contains__(self, x):
         return x in self._members
@@ -101,6 +109,12 @@ class FinSet:
     def index(self, x):
         self.require(x)
         return self.elements.index(x)
+
+    def rank(self):
+        """Each element's position in ``elements``, as a dict built on first use."""
+        if self._rank is None:
+            self._rank = {x: i for i, x in enumerate(self.elements)}
+        return self._rank
 
     def subsets(self):
         """All subsets as frozensets, in deterministic mask order."""

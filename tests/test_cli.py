@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -414,6 +416,17 @@ def test_transpose_repeated_entry_is_bad_input(tmp_path, corr, payload, message)
     assert run_under_two_hash_seeds(argv) == (2, "", f"transpose payload: {message}\n")
 
 
+def test_transformer_missing_a_predicate_message_is_hash_seed_independent(tmp_path):
+    # the upsets of c < d are {}, {d} and {c, d}; the last has no entry
+    chain = lambda a, b: {"elements": [a, b], "covers": [[a, b]]}  # noqa: E731
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({"direction": "backward", "dom": chain("a", "b"),
+                             "cod": chain("c", "d"), "transformer": {"{}": [], "{d}": []}}))
+    argv = ["transpose", "--correspondence", "smyth", "--input", str(f)]
+    assert run_under_two_hash_seeds(argv) == (
+        2, "", "transpose payload is missing frozenset({'c', 'd'})\n")
+
+
 # a domain whose predicates are too many to tabulate is bad input in either
 # direction, for every recipe, even when the arrow itself is well formed
 @pytest.mark.parametrize("corr, image", [
@@ -567,9 +580,9 @@ def transpose_corpus():
     return [(corr, p if isinstance(p, str) else json.dumps(p)) for corr, p in cases]
 
 
-def replay_transposes(corpus):
-    """SHA-256 over (exit code, stdout, stderr) of ``finsem transpose`` on each
-    (correspondence, payload text) of corpus in turn, run in this process.
+def replay(runs):
+    """SHA-256 over (exit code, stdout, stderr) of cli_main on each (argv,
+    stdin text) of runs in turn, run in this process.
 
     The argument parser, most of the cost of a short cli_main call, is built
     once and handed to every call.
@@ -583,13 +596,19 @@ def replay_transposes(corpus):
     parser = build_parser()
     digest = hashlib.sha256()
     with mock.patch("finsem.cli.build_parser", lambda: parser):
-        for corr, text in corpus:
+        for argv, text in runs:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                     mock.patch("sys.stdin", io.StringIO(text)):
-                code = cli_main(["transpose", "--correspondence", corr, "--input", "-"])
+                code = cli_main(argv)
             digest.update(json.dumps([code, out.getvalue(), err.getvalue()]).encode())
     return digest.hexdigest()
+
+
+def replay_transposes(corpus):
+    """replay of ``finsem transpose`` on each (correspondence, payload text) of corpus."""
+    return replay((["transpose", "--correspondence", corr, "--input", "-"], text)
+                  for corr, text in corpus)
 
 
 # replay_transposes(transpose_corpus()), recorded before the transposes were
@@ -622,6 +641,93 @@ def test_transpose_output_is_hash_seed_independent(corpus, tmp_path):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for seed in ("1", "2")]
     results = [(proc.communicate(timeout=120), proc.returncode) for proc in procs]
     assert results == [((TRANSPOSE_DIGEST + "\n", ""), 0)] * 2
+
+
+def gcl_source(node):
+    """GCL source text of a program, statement or expression, fully bracketed."""
+    from finsem import gcl
+
+    if isinstance(node, gcl.Program):
+        decls = ", ".join(f"{d.name} in {d.lo}..{d.hi}" for d in node.decls)
+        return f"vars {decls}; body: {gcl_source(node.body)};"
+    if isinstance(node, (gcl.Skip, gcl.Abort)):
+        return type(node).__name__.lower()
+    if isinstance(node, gcl.Assign):
+        return f"{node.var} := {gcl_source(node.expr)}"
+    if isinstance(node, gcl.Seq):
+        return f"{gcl_source(node.first)}; {gcl_source(node.second)}"
+    if isinstance(node, gcl.If):
+        return (f"if ({gcl_source(node.cond)}) {{ {gcl_source(node.then)} }} "
+                f"else {{ {gcl_source(node.orelse)} }}")
+    if isinstance(node, gcl.Choose):
+        return f"choose {{ {gcl_source(node.left)} }} [] {{ {gcl_source(node.right)} }}"
+    if isinstance(node, gcl.Prob):
+        chance = f"{node.chance.numerator}/{node.chance.denominator}"
+        return f"prob {chance} {{ {gcl_source(node.left)} }} {{ {gcl_source(node.right)} }}"
+    if isinstance(node, gcl.Lit):
+        if isinstance(node.value, bool):
+            return "true" if node.value else "false"
+        if isinstance(node.value, Fraction):
+            return f"{node.value.numerator}/{node.value.denominator}"
+        return str(node.value)
+    if isinstance(node, gcl.Var):
+        return node.name
+    if isinstance(node, gcl.Unary):
+        return f"{node.op}({gcl_source(node.arg)})"
+    if isinstance(node, gcl.Iverson):
+        return f"[{gcl_source(node.cond)}]"
+    return f"({gcl_source(node.left)} {node.op} {gcl_source(node.right)})"
+
+
+ENGINE_SEED = 2024
+ENGINE_PROGRAMS = 12
+
+
+def engine_runs(workdir):
+    """(argv, stdin) of ``finsem wp`` and ``finsem run`` on seeded programs.
+
+    ENGINE_PROGRAMS ``gcl.random_program`` programs per mode, written to
+    workdir: wp of every flavor of the mode under each of its default posts,
+    once without --flavor and once without a post; run from the lowest state
+    and, in dist mode, from an initial distribution over two states; every
+    call in table and in json format.
+    """
+    from finsem import gcl
+
+    rng = random.Random(ENGINE_SEED)
+    runs = []
+    for mode, flavors in (("pow", ("demonic", "angelic")), ("dist", ("expectation",))):
+        for i in range(ENGINE_PROGRAMS):
+            program = gcl.random_program(rng, mode)
+            path = workdir / f"{mode}-{i}.gc"
+            path.write_text(gcl_source(program))
+            space = gcl.StateSpace(program.decls)
+            (x, x_lo, x_hi), (y, y_lo, y_hi) = ((d.name, d.lo, d.hi) for d in space.decls)
+            starts = [["--init", f"{x}={x_lo},{y}={y_lo}"]]
+            if mode == "dist":
+                starts.append(["--init-dist", f"{{{x}={x_lo},{y}={y_hi}: 2/6, "
+                                              f"{x}={x_hi} {y}={y_lo}: 2/3}}"])
+            for fmt in ("table", "json"):
+                head = ["wp", str(path), "--mode", mode, "--format", fmt]
+                for flavor in flavors:
+                    for post in gcl.default_posts(space, flavor, random.Random(i)):
+                        runs.append(head + ["--flavor", flavor, "--post", gcl_source(post)])
+                runs.append(head + ["--post", gcl_source(gcl.default_posts(space, flavors[0])[2])])
+                runs.append(head)
+                runs += [["run", str(path), "--mode", mode, "--format", fmt] + start
+                         for start in starts]
+    return [(argv, "") for argv in runs]
+
+
+# replay(engine_runs(...)), recorded before the expectation engine moved to
+# integer vectors
+ENGINE_DIGEST = "ffd9fc07c7986a861c66851643953c7d371abd2fcf225b6c531ba9fb71aed96d"
+
+
+def test_wp_and_run_output_is_pinned(tmp_path):
+    runs = engine_runs(tmp_path)
+    assert len(runs) == 816
+    assert replay(runs) == ENGINE_DIGEST
 
 
 # (correspondence, --sizes) -> SHA-256 of the certify JSON on stdout

@@ -29,7 +29,7 @@ from finsem.effects import (
     validate_effect_algebra,
 )
 from finsem.errors import CarrierMismatch, NotNormalized, ParseError, ScalarOutOfRange
-from finsem.order import FinSet
+from finsem.order import FinSet, atom_key
 
 S2 = FinSet(["s0", "s1"])
 
@@ -257,6 +257,38 @@ class TestWeightKernel:
             assert got.weights == built.weights and repr(got) == repr(built)
         d = dist_bind(lambda x: dist_make(bits, kernel[x]), dist_make(ab, half))
         assert d == dist_make(bits, want) and hash(d) == hash(dist_make(bits, want))
+
+    @pytest.mark.parametrize("name", ["dist", "giry"])
+    def test_unit_is_the_public_point_mass(self, name):
+        from finsem.errors import UnknownElement
+        from finsem.monads import FAMILIES
+
+        family = FAMILIES[name]
+        carrier = FinSet([3, "a", (1, 2), frozenset({"b", "c"})])
+        for x in carrier:
+            unit, built = family.unit(carrier, x), family.weighting(carrier, ((x, 1),))
+            assert type(unit) is type(built) and unit.kernel() == built.kernel()
+            assert unit.carrier is carrier and unit.weights == built.weights == ((x, ONE),)
+            assert unit == built and hash(unit) == hash(built) and repr(unit) == repr(built)
+        for x in (7, "z", frozenset({"c", "b", "z"})):
+            with pytest.raises(UnknownElement) as public:
+                family.weighting(carrier, ((x, 1),))
+            with pytest.raises(UnknownElement) as trusted:
+                family.unit(carrier, x)
+            assert str(trusted.value) == str(public.value)
+
+    def test_bind_orders_the_support_by_atom(self):
+        carrier = FinSet([(1, -2), (0, 5), "b", frozenset({2}), 10, (0, -1), -3])
+        rng = random.Random(4)
+        for _ in range(20):
+            start = random_distribution(carrier, rng, 6)
+            rows = {x: random_distribution(carrier, rng, 6) for x in carrier}
+            want = {}
+            for x, w in start.weights:
+                for b, v in rows[x].weights:
+                    want[b] = want.get(b, ZERO) + w * v
+            got = start.bind(rows.__getitem__, carrier)
+            assert got.weights == tuple(sorted(want.items(), key=lambda p: atom_key(p[0])))
 
     def test_distribution_never_equals_measure(self):
         from finsem.monads import distribution_to_measure

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -17,6 +18,7 @@ from finsem.errors import (
     UndeclaredVariable,
 )
 from finsem.monads import DIST
+from finsem.order import FinSet
 from finsem.triangle import bind_apply
 
 
@@ -141,6 +143,26 @@ class TestSyntaxNodes:
             "right=Assign(var='x', expr=Bin(op='+', left=Bin(op='*', left=Iverson("
             "cond=Bin(op='==', left=Var(name='x'), right=Lit(value=1))), "
             "right=Lit(value=0)), right=Lit(value=1))))")
+
+
+class TestProbChance:
+    @pytest.mark.parametrize("chance", [0.3, 1.0, True, False, "1/2", None], ids=repr)
+    def test_a_chance_that_is_no_int_or_fraction_is_rejected(self, chance):
+        with pytest.raises(RangeError, match="is not an int or a Fraction"):
+            gcl.Prob(chance, gcl.Skip(), gcl.Skip())
+
+    @pytest.mark.parametrize("chance", [-1, 2, Fraction(-1, 3), Fraction(4, 3)])
+    def test_a_chance_outside_the_unit_interval_is_rejected(self, chance):
+        with pytest.raises(RangeError, match=r"outside \[0, 1\]"):
+            gcl.Prob(chance, gcl.Skip(), gcl.Skip())
+
+    def test_an_int_chance_is_exact(self):
+        x = gcl.VarDecl("x", 0, 1)
+        for chance, want in ((1, 1), (0, 0), (Fraction(2, 6), Fraction(1, 3))):
+            body = gcl.Prob(chance, gcl.Assign("x", gcl.Lit(0)), gcl.Assign("x", gcl.Lit(1)))
+            table = gcl.wp(gcl.Program((x,), body), "[x == 0]", "expectation")
+            assert table == {(0,): want, (1,): want}
+            assert all(type(v) is Fraction for v in table.values())
 
 
 class TestNesting:
@@ -292,6 +314,24 @@ class TestHealthinessInvariants:
         for i, prog in enumerate(corpus(flavor)):
             chk = gcl.check_roundtrip(prog, flavor, seed=CORPUS_SEED + i)
             assert chk.ok, (flavor, i, chk.witness)
+
+    def test_roundtrip_reports_a_perturbed_row(self, monkeypatch):
+        # the denotation sends x=0 to x=2 instead of a 1/3 : 2/3 mix of x=1 and x=0
+        prog = gcl.parse("vars x in 0..2; body: prob 1/3 {x := x + 1}{skip};")
+        arrow_of = gcl._arrow
+
+        def perturbed(program, tables):
+            arrow = arrow_of(program, tables)
+            row = DIST.unit(arrow.cod, (2,))
+            return dataclasses.replace(arrow, graph=(row,) + arrow.graph[1:])
+
+        monkeypatch.setattr(gcl, "_arrow", perturbed)
+        at = [gcl.Iverson(gcl.Bin("==", gcl.Var("x"), gcl.Lit(v))) for v in (0, 1, 2)]
+        posts = [gcl.Iverson(gcl.Lit(True)), *at, gcl.Bin("*", gcl.Lit(Fraction(1, 2)), at[2])]
+        chk = gcl.check_roundtrip(prog, "expectation", posts=posts)
+        assert (chk.posts, chk.mismatches) == (5, 4)
+        assert chk.witness == (at[0], "x=0", Fraction(2, 3), Fraction(0))
+        assert all(type(v) is Fraction for v in chk.witness[2:])
 
     def test_demonic_preserves_meets_and_truth(self):
         for prog in corpus("demonic", 30):
@@ -538,7 +578,70 @@ class TestCompiledOncePerCall:
             assert len(calls) == self.STATEMENT_EXPRESSIONS + count
 
 
+def expectation_oracle(stmt, post, space, states):
+    """The pre-expectation table of post, a dict of Fractions, by the textbook rules."""
+    if isinstance(stmt, gcl.Skip):
+        return post
+    if isinstance(stmt, gcl.Assign):
+        i = space.names.index(stmt.var)
+        d = space.decls[i]
+        moved = {s: d.lo + (gcl.eval_expr(stmt.expr, space.env(s)) - d.lo) % d.span
+                 for s in states}
+        return {s: post[s[:i] + (moved[s],) + s[i + 1:]] for s in states}
+    if isinstance(stmt, gcl.Seq):
+        inner = expectation_oracle(stmt.second, post, space, states)
+        return expectation_oracle(stmt.first, inner, space, states)
+    if isinstance(stmt, gcl.If):
+        then, orelse = (expectation_oracle(sub, post, space, states)
+                        for sub in (stmt.then, stmt.orelse))
+        return {s: then[s] if gcl.eval_expr(stmt.cond, space.env(s)) else orelse[s]
+                for s in states}
+    left, right = (expectation_oracle(sub, post, space, states)
+                   for sub in (stmt.left, stmt.right))
+    p = Fraction(stmt.chance)
+    return {s: p * left[s] + (1 - p) * right[s] for s in states}
+
+
+class TestIntegerExpectations:
+    # nested prob, with chances written unreduced, over a negative range
+    NESTED = ("vars x in -1..2, y in 0..2; body: prob 2/6 { prob 3/9 { x := x + 1 } "
+              "{ if (x < y) { y := y + x } else { prob 0/5 { skip } { x := 2 } } } } "
+              "{ prob 4/4 { y := x * y } { skip } }; y := y + 1;")
+
+    def programs(self):
+        rng = random.Random(31)
+        return [gcl.parse(self.NESTED)] + [gcl.random_program(rng, "dist") for _ in range(40)]
+
+    def test_wp_equals_a_fraction_oracle(self):
+        for i, prog in enumerate(self.programs()):
+            space = gcl.StateSpace(prog.decls)
+            states = space.states()
+            for post in gcl.default_posts(space, "expectation", random.Random(i)):
+                want = expectation_oracle(
+                    prog.body, {s: Fraction(gcl.eval_expr(post, space.env(s))) for s in states},
+                    space, states)
+                got = gcl.wp(prog, post, "expectation")
+                assert list(got.items()) == list(want.items())
+                assert all(type(v) is Fraction for v in got.values())
+
+    def test_post_out_of_the_unit_interval_names_the_value(self):
+        prog = gcl.parse("vars x in 0..3; body: skip;")
+        for post, shown in (("x", "2"), ("[x == 1] * 3/2", "3/2"), ("0 - x", "-1")):
+            with pytest.raises(RangeError, match=f"^post-expectation {shown} outside"):
+                gcl.wp(prog, post, "expectation")
+
+
 class TestStates:
+    @pytest.mark.parametrize("decls", [
+        ((0, 3),), ((-2, 1), (0, 2)), ((-1, 1), (-3, -2), (2, 4)), ((5, 5), (-1, 0), (0, 1))])
+    def test_states_are_the_sorted_product(self, decls):
+        space = gcl.StateSpace(tuple(gcl.VarDecl(f"v{i}", lo, hi)
+                                     for i, (lo, hi) in enumerate(decls)))
+        states = space.states()
+        want = FinSet(itertools.product(*(range(lo, hi + 1) for lo, hi in decls)))
+        assert states == want and states.elements == want.elements
+        assert states.rank() == {s: i for i, s in enumerate(want.elements)}
+
     SPACE = gcl.StateSpace((gcl.VarDecl("x", 0, 1),))
 
     def test_variable_given_twice_is_rejected(self):
