@@ -496,9 +496,8 @@ class Weighting:
         if sum(out.values()) != den:
             raise self._error("weights do not sum to 1")
         g = math.gcd(den, *out.values())
-        # a FinSet's rank() is its atom_key order
-        key = cod.rank().__getitem__ if isinstance(cod, FinSet) else atom_key
-        support = tuple(sorted(out, key=key))
+        # every carrier is a FinSet, whose rank() is its atom_key order
+        support = tuple(sorted(out, key=cod.rank().__getitem__))
         if g == 1:
             return _made(cls, cod, support, tuple(map(out.__getitem__, support)), den)
         return _made(cls, cod, support, tuple(out[b] // g for b in support), den // g)

@@ -873,7 +873,8 @@ def _expected(rows, table):
 
 
 def transformer_wp(arrow, table, flavor):
-    """The same table computed from the whole-program denotation and a post_table."""
+    """wp's table from the whole-program denotation, given post_table's table: a
+    dict of bools for demonic and angelic, ``(nums, den)`` for expectation."""
     rows = zip(arrow.dom.carrier.elements, arrow.graph)
     if flavor == "demonic":
         accept = frozenset(s for s, v in table.items() if v)

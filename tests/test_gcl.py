@@ -624,6 +624,17 @@ class TestIntegerExpectations:
                 assert list(got.items()) == list(want.items())
                 assert all(type(v) is Fraction for v in got.values())
 
+    def test_transformer_wp_equals_wp(self):
+        for i, prog in enumerate(self.programs()[:10]):
+            arrow = gcl.denote(prog, "dist")
+            space = gcl.StateSpace(prog.decls)
+            states = space.states()
+            for post in gcl.default_posts(space, "expectation", random.Random(i)):
+                table = gcl.post_table(post, "expectation", space, states)
+                got = gcl.transformer_wp(arrow, table, "expectation")
+                assert list(got.items()) == list(gcl.wp(prog, post, "expectation").items())
+                assert all(type(v) is Fraction for v in got.values())
+
     def test_post_out_of_the_unit_interval_names_the_value(self):
         prog = gcl.parse("vars x in 0..3; body: skip;")
         for post, shown in (("x", "2"), ("[x == 1] * 3/2", "3/2"), ("0 - x", "-1")):
