@@ -399,14 +399,6 @@ def expectation(weights, value):
     return sum((value(a) * w for a, w in weights), ZERO)
 
 
-def _made(cls, carrier, support, nums, den):
-    """A weighting from kernel fields that are already known to be valid."""
-    out = object.__new__(cls)
-    out._carrier, out._support, out._nums, out._den = carrier, support, nums, den
-    out._weights = out._hash = None
-    return out
-
-
 class Weighting:
     """Rational weights on finitely many atoms of a carrier, summing to 1.
 
@@ -416,8 +408,8 @@ class Weighting:
     equality and hashing run over integers.  ``Fraction`` appears only at the
     boundary: ``weights`` builds the sorted ``(atom, Fraction)`` pairs on
     first use.  The public constructor validates through ``__post_init__``;
-    ``bind`` and ``point`` (after checking its atom) build theirs trusted.
-    The public fields are read-only properties over private slots.
+    ``bind``, ``point`` (after checking its atom) and ``gcl``'s denotations
+    build theirs trusted, with ``_from_kernel``.  Fields are read-only.
     """
 
     __slots__ = ("_carrier", "_support", "_nums", "_den", "_weights", "_hash")
@@ -439,9 +431,17 @@ class Weighting:
         return cls(carrier, tuple(mapping.items()))
 
     @classmethod
+    def _from_kernel(cls, carrier, support, nums, den):
+        """A weighting from kernel fields that are already known to be valid."""
+        out = object.__new__(cls)
+        out._carrier, out._support, out._nums, out._den = carrier, support, nums, den
+        out._weights = out._hash = None
+        return out
+
+    @classmethod
     def point(cls, carrier, atom):
         carrier.require(atom)
-        return _made(cls, carrier, (atom,), (1,), 1)
+        return cls._from_kernel(carrier, (atom,), (1,), 1)
 
     @property
     def carrier(self):
@@ -499,8 +499,8 @@ class Weighting:
         # every carrier is a FinSet, whose rank() is its atom_key order
         support = tuple(sorted(out, key=cod.rank().__getitem__))
         if g == 1:
-            return _made(cls, cod, support, tuple(map(out.__getitem__, support)), den)
-        return _made(cls, cod, support, tuple(out[b] // g for b in support), den // g)
+            return cls._from_kernel(cod, support, tuple(map(out.__getitem__, support)), den)
+        return cls._from_kernel(cod, support, tuple(out[b] // g for b in support), den // g)
 
     def _image_carrier(self, images, cod):
         """The carrier the kernel images share: ``cod``, or the first image's."""

@@ -1,10 +1,7 @@
 """A toy guarded-command language with exact weakest-precondition semantics.
 
 Programs denote Kleisli arrows over a finite state space, either into the
-powerset monad (pow mode) or the distribution monad (dist mode).  The
-denotation is built from the monad's own ``unit`` and ``extend``
-(``monads.POWERSET``, ``monads.DIST``): ``skip`` and ``:=`` are units, ``;`` is
-Kleisli extension, and ``choose``/``prob`` extend over a two-point coin.
+powerset monad (pow mode) or the distribution monad (dist mode).
 Weakest preconditions are computed twice: by structural recursion on the
 syntax and by transposing the whole-program denotation; agreement of the two
 is the operational healthiness check.
@@ -12,14 +9,19 @@ is the operational healthiness check.
 Each expression is typed (int, rational or bool) and compiled to a closure
 over the state tuple before any state is evaluated.  Within one call of
 ``denote``, ``wp`` or ``check_roundtrip``, each assignment's successor indices
-and each condition's mask are computed once and read by every traversal.  An
-expectation table is integer numerators in states order over one denominator,
-as in ``effects.Weighting``; it becomes ``Fraction``s only where it leaves the
-engine: ``wp``, ``transformer_wp`` and a mismatch witness.
+and each condition's mask are computed once and read by every traversal.
+Inside, a pow denotation is an int mask per state (bit j: states[j] is
+reachable), a dist denotation an integer row per state as in
+``Weighting.kernel()`` over state indices, a demonic or angelic table one
+state mask, and an expectation table integer numerators over one
+denominator.  Frozensets, ``Distribution``s, ``Fraction``s and dicts are
+built only at the boundary: ``_arrow``, ``wp``, ``transformer_wp`` and a
+mismatch witness.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -31,6 +33,7 @@ from fractions import Fraction
 from .effects import ONE, ZERO, Distribution
 from .errors import (
     ModeMismatch,
+    NotNormalized,
     ParseError,
     RangeError,
     TooLarge,
@@ -638,15 +641,22 @@ def eval_expr(expr, env):
     return fn(tuple(env.values()))
 
 
-def _as_bool(v):
-    if isinstance(v, bool):
-        return v
-    raise RangeError(f"expected a boolean, got {v!r}")
+def _bits(flags):
+    """The state mask of bools in states order: bit j is set where flags[j] holds."""
+    return int("".join(map("01".__getitem__, reversed(flags))), 2)
 
 
-def _branch(mask, states, then, orelse):
-    """The state table of an if: each state takes its row from the branch mask picks."""
-    return {s: then[s] if taken else orelse[s] for s, taken in zip(states, mask)}
+def _flags(mask, n):
+    """The bools of a state mask over n states, in states order."""
+    return map("1".__eq__, format(mask, f"0{n}b")[::-1])
+
+
+def _indices(mask):
+    """The positions of a mask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # -- denotational semantics ----------------------------------------------------------
@@ -655,8 +665,6 @@ def _branch(mask, states, then, orelse):
 _FAMILIES = {"pow": POWERSET, "dist": DIST}
 # the statements that only one mode admits
 _ONLY_IN = {Abort: "pow", Choose: "pow", Prob: "dist"}
-# the carrier of the coin that choose and prob toss: 0 picks left, 1 right
-_COIN = FinSet((0, 1))
 
 
 def _substatements(stmt):
@@ -694,11 +702,11 @@ def _successors(stmt, space, states):
 
 
 def _mask(stmt, space, states):
-    """Whether each state takes an if's then-branch, in states order."""
+    """The state mask of the states that take an if's then-branch."""
     fn, kind = compile_expr(stmt.cond, space.names)
     if kind != BOOL:
         raise TypeMismatch(f"if condition takes a bool, got {kind}", stmt.pos)
-    return [fn(s) for s in states]
+    return _bits([fn(s) for s in states])
 
 
 class _Tables:
@@ -708,7 +716,7 @@ class _Tables:
     condition mask are computed the first time a traversal reaches the
     statement, so the first error raised is the first one that traversal
     meets, and later traversals in the call (more posts, the other leg of a
-    round trip) read the same lists.
+    round trip) read the same tables.
     """
 
     def __init__(self, program, mode, cap):
@@ -729,39 +737,76 @@ class _Tables:
             self._built[key] = build(stmt, self.space, self.states)
         return self._built[key]
 
+    def gather(self, stmt):
+        """An assignment's successors as an itemgetter from a mask's bit string, high
+        bit first, to its wp's (over one state, a character, which joins the same)."""
+        if (key := (id(stmt), "gather")) not in self._built:
+            last = len(self.states) - 1
+            self._built[key] = operator.itemgetter(*[last - j for j in reversed(self[stmt])])
+        return self._built[key]
+
+
+def _union(rows, mask):
+    """The OR of the masks in rows at mask's set bits."""
+    if not mask & (mask - 1):  # at most one bit set
+        return rows[mask.bit_length() - 1] if mask else 0
+    return functools.reduce(operator.or_, map(rows.__getitem__, _indices(mask)))
+
+
+def _bind(row, rows):
+    """The Kleisli extension of rows at row, checked and reduced as in ``Weighting.bind``."""
+    at, nums, den = row
+    if len(at) == 1:
+        return rows[at[0]]
+    images = [rows[j] for j in at]
+    scale = math.lcm(*[d for _, _, d in images])
+    out = {}
+    for n, (targets, ms, d) in zip(nums, images):
+        n *= scale // d
+        for j, m in zip(targets, ms):
+            out[j] = out.get(j, 0) + n * m
+    den *= scale
+    if sum(out.values()) != den:
+        raise NotNormalized("weights do not sum to 1")
+    g = math.gcd(den, *out.values())
+    at = sorted(out)
+    return tuple(at), tuple(out[j] // g for j in at), den // g
+
 
 def _denote(stmt, tables):
-    """The state table of stmt: each state's family element over states."""
-    family, states = tables.family, tables.states
-    if isinstance(stmt, Skip):
-        return {s: family.unit(states, s) for s in states}
+    """The rows of stmt in states order: in pow mode a state mask each, in dist
+    mode ``(indices, numerators, denominator)`` with the indices ascending."""
+    pow_mode, n = tables.family is POWERSET, len(tables.states)
+    if isinstance(stmt, (Skip, Assign)):
+        targets = tables[stmt] if isinstance(stmt, Assign) else range(n)
+        return [1 << j for j in targets] if pow_mode else [((j,), (1,), 1) for j in targets]
     if isinstance(stmt, Abort):
-        return {s: frozenset() for s in states}
-    if isinstance(stmt, Assign):
-        elements = states.elements
-        return {s: family.unit(states, elements[j]) for s, j in zip(states, tables[stmt])}
+        return [0] * n
+    first, second = (_denote(sub, tables) for sub in _substatements(stmt))
     if isinstance(stmt, Seq):
-        first = _denote(stmt.first, tables)
-        second = _denote(stmt.second, tables)
-        return {s: family.extend(states, states, second.__getitem__, first[s])
-                for s in states}
+        if pow_mode:
+            return [_union(second, m) for m in first]
+        return [_bind(row, second) for row in first]
     if isinstance(stmt, If):
-        then = _denote(stmt.then, tables)
-        orelse = _denote(stmt.orelse, tables)
-        return _branch(tables[stmt], states, then, orelse)
-    if isinstance(stmt, (Choose, Prob)):
-        left = _denote(stmt.left, tables)
-        right = _denote(stmt.right, tables)
-        coin = (_COIN.as_frozenset() if isinstance(stmt, Choose)
-                else Distribution(_COIN, ((0, stmt.chance), (1, ONE - stmt.chance))))
-        return {s: family.extend(_COIN, states, (left[s], right[s]).__getitem__, coin)
-                for s in states}
+        return [a if t else b for t, a, b in zip(_flags(tables[stmt], n), first, second)]
+    if isinstance(stmt, Choose):
+        return [a | b for a, b in zip(first, second)]
+    if isinstance(stmt, Prob):  # a coin row over (left, right), without a side of weight 0
+        p, q = stmt.chance.numerator, stmt.chance.denominator
+        coin = ((0, 1), (p, q - p), q) if 0 < p < q else ((0 if p else 1,), (1,), 1)
+        return [_bind(coin, pair) for pair in zip(first, second)]
     raise AssertionError(f"not a statement: {stmt!r}")
 
 
 def _arrow(program, tables):
-    graph = _denote(program.body, tables)
-    return KleisliArrow.from_dict(tables.family, tables.states, tables.states, graph)
+    """The denotation's rows as a KleisliArrow, through its validating constructor."""
+    states, rows = tables.states, _denote(program.body, tables)
+    state, made = states.elements.__getitem__, Distribution._from_kernel
+    if tables.family is POWERSET:
+        graph = (frozenset(map(state, _indices(m))) for m in rows)
+    else:
+        graph = (made(states, tuple(map(state, at)), nums, den) for at, nums, den in rows)
+    return KleisliArrow(tables.family, states, states, tuple(graph))
 
 
 def denote(program, mode, state_cap=DEFAULT_STATE_CAP):
@@ -783,12 +828,16 @@ def mode_of_flavor(flavor):
 
 
 def post_table(post, flavor, space, states):
-    """Evaluate a post-condition into a table for the given flavor: a dict of bools,
-    or for expectation ``(nums, den)``, numerators in states order over one
-    denominator, each value checked to lie in [0, 1]."""
-    fn, _ = compile_expr(post, space.names)
+    """Evaluate a post-condition into a table for the given flavor: for demonic
+    and angelic, whose post must be typed bool, a state mask with bit j set where
+    the post holds at states[j]; for expectation ``(nums, den)``, numerators in
+    states order over one denominator, each value checked to lie in [0, 1]."""
+    fn, kind = compile_expr(post, space.names)
     if flavor != "expectation":
-        return {s: _as_bool(fn(s)) for s in states}
+        if kind != BOOL:
+            raise TypeMismatch(f"{flavor} post takes a bool, got {kind}",
+                               getattr(post, "pos", None))
+        return _bits([fn(s) for s in states])
     values = [fn(s) for s in states]  # a bool, int or Fraction, by the post's type
     for v in values:
         if not (0 <= v.numerator <= v.denominator):
@@ -797,26 +846,22 @@ def post_table(post, flavor, space, states):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _wp_table(stmt, table, flavor, tables):
-    """The bool table of a demonic or angelic weakest precondition."""
-    states = tables.states
+def _wp_table(stmt, mask, flavor, tables):
+    """The state mask of a demonic or angelic weakest precondition."""
     if isinstance(stmt, Skip):
-        return dict(table)
+        return mask
+    n = len(tables.states)
     if isinstance(stmt, Abort):
-        default = flavor == "demonic"
-        return {s: default for s in states}
+        return (1 << n) - 1 if flavor == "demonic" else 0
     if isinstance(stmt, Assign):
-        elements = states.elements
-        return {s: table[elements[j]] for s, j in zip(states, tables[stmt])}
+        return int("".join(tables.gather(stmt)(format(mask, f"0{n}b"))), 2)
     if isinstance(stmt, Seq):
-        inner = _wp_table(stmt.second, table, flavor, tables)
+        inner = _wp_table(stmt.second, mask, flavor, tables)
         return _wp_table(stmt.first, inner, flavor, tables)
-    left, right = (_wp_table(sub, table, flavor, tables) for sub in _substatements(stmt))
+    left, right = (_wp_table(sub, mask, flavor, tables) for sub in _substatements(stmt))
     if isinstance(stmt, If):
-        return _branch(tables[stmt], states, left, right)
-    if flavor == "demonic":  # a choose
-        return {s: left[s] and right[s] for s in states}
-    return {s: left[s] or right[s] for s in states}
+        return (tables[stmt] & left) | (right & ~tables[stmt])
+    return left & right if flavor == "demonic" else left | right  # a choose
 
 
 def _pre_expectation(stmt, post, tables):
@@ -834,8 +879,8 @@ def _pre_expectation(stmt, post, tables):
     den = math.lcm(ld, rd)
     lf, rf = den // ld, den // rd
     if isinstance(stmt, If):
-        return [a * lf if taken else b * rf
-                for taken, a, b in zip(tables[stmt], left, right)], den
+        return [a * lf if taken else b * rf for taken, a, b
+                in zip(_flags(tables[stmt], len(tables.states)), left, right)], den
     if isinstance(stmt, Prob):
         # p/q of the left and (q - p)/q of the right, over q * den
         p, q = stmt.chance.numerator, stmt.chance.denominator
@@ -855,14 +900,24 @@ def wp(program, post, flavor, state_cap=DEFAULT_STATE_CAP):
     if flavor == "expectation":
         nums, den = _pre_expectation(program.body, table, tables)
         return {s: Fraction(n, den) for s, n in zip(tables.states, nums)}
-    return _wp_table(program.body, table, flavor, tables)
+    mask = _wp_table(program.body, table, flavor, tables)
+    return dict(zip(tables.states, _flags(mask, len(tables.states))))
 
 
 def _rows(arrow):
-    """Each row of a dist arrow as (its support's indices in cod, numerators, denominator)."""
+    """Each row over cod's indices: a pow row as a mask, a dist row as its kernel."""
     rank = arrow.cod.carrier.rank()
+    if arrow.family is POWERSET:
+        return [sum([1 << rank[b] for b in t]) for t in arrow.graph]
     return [([rank[b] for b in support], nums, den)
             for support, nums, den in (t.kernel() for t in arrow.graph)]
+
+
+def _transposed(rows, mask, flavor):
+    """The mask of the states whose row lies in (demonic) or meets (angelic) mask."""
+    if flavor == "demonic":
+        return _bits([not (row & ~mask) for row in rows])
+    return _bits([(row & mask) != 0 for row in rows])
 
 
 def _expected(rows, table):
@@ -874,17 +929,12 @@ def _expected(rows, table):
 
 def transformer_wp(arrow, table, flavor):
     """wp's table from the whole-program denotation, given post_table's table: a
-    dict of bools for demonic and angelic, ``(nums, den)`` for expectation."""
-    rows = zip(arrow.dom.carrier.elements, arrow.graph)
-    if flavor == "demonic":
-        accept = frozenset(s for s, v in table.items() if v)
-        return {s: t <= accept for s, t in rows}
-    if flavor == "angelic":
-        accept = frozenset(s for s, v in table.items() if v)
-        return {s: bool(t & accept) for s, t in rows}
+    state mask over cod for demonic and angelic, ``(nums, den)`` for expectation."""
+    states = arrow.dom.carrier.elements
+    if flavor in ("demonic", "angelic"):
+        return dict(zip(states, _flags(_transposed(_rows(arrow), table, flavor), len(states))))
     if flavor == "expectation":
-        return {s: Fraction(n, d)
-                for s, (n, d) in zip(arrow.dom.carrier.elements, _expected(_rows(arrow), table))}
+        return {s: Fraction(n, d) for s, (n, d) in zip(states, _expected(_rows(arrow), table))}
     raise ModeMismatch(f"unknown flavor {flavor!r}")
 
 
@@ -932,22 +982,22 @@ def check_roundtrip(program, flavor, posts=None, state_cap=DEFAULT_STATE_CAP, se
     if posts is None:
         rng = random.Random(seed) if seed is not None else None
         posts = default_posts(space, flavor, rng)
-    rows = _rows(arrow) if flavor == "expectation" else None
+    rows = _rows(arrow)
     mismatches = 0
     witness = None
     for post in posts:
         table = post_table(post, flavor, space, states)
-        if rows is None:
-            recursive = _wp_table(program.body, table, flavor, tables)
-            transposed = transformer_wp(arrow, table, flavor)
-            wrong = ((s, recursive[s], transposed[s]) for s in states
-                     if recursive[s] != transposed[s])
-        else:
+        if flavor == "expectation":
             # each row's dot product n/d against the recursion's m/den, cross-multiplied
             nums, den = _pre_expectation(program.body, table, tables)
             wrong = ((s, Fraction(m, den), Fraction(n, d))
                      for s, m, (n, d) in zip(states, nums, _expected(rows, table))
                      if n * den != m * d)
+        else:
+            # the set bits of one XOR are the differing states, the lowest first
+            m = _wp_table(program.body, table, flavor, tables)
+            wrong = ((states.elements[j], m >> j & 1 == 1, m >> j & 1 == 0)
+                     for j in _indices(m ^ _transposed(rows, table, flavor)))
         first = next(wrong, None)
         if first is not None:
             mismatches += 1

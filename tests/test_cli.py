@@ -67,6 +67,17 @@ class TestWpCommand:
         assert code == 0
         assert json.loads(out)["wp"] == {"x=0": 1, "x=1": 1}
 
+    @pytest.mark.parametrize("flavor", ["demonic", "angelic"])
+    @pytest.mark.parametrize("post, message", [
+        ("1/2", "demonic post takes a bool, got rational"),
+        ("x", "1:1: demonic post takes a bool, got int"),
+        ("x + 1/2", "1:3: demonic post takes a bool, got rational"),
+    ])
+    def test_non_bool_post_is_a_type_error(self, capsys, pow_prog, flavor, post, message):
+        code, out, err = run(capsys, ["wp", pow_prog, "--flavor", flavor, "--post", post])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.replace('demonic', flavor)}\n"
+
     def test_flavor_mode_conflict_is_usage_error(self, capsys, prog_file):
         code, _, err = run(capsys, ["wp", "--mode", "dist", prog_file,
                                     "--flavor", "demonic"])
@@ -728,6 +739,25 @@ def test_wp_and_run_output_is_pinned(tmp_path):
     runs = engine_runs(tmp_path)
     assert len(runs) == 816
     assert replay(runs) == ENGINE_DIGEST
+
+
+def test_wp_and_run_output_is_hash_seed_independent(tmp_path):
+    # one batched process per seed, both at once, each writing its own programs
+    src = str(Path(finsem.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import pathlib, sys; sys.path.insert(0, sys.argv[1]); "
+              "from test_cli import engine_runs, replay; "
+              "print(replay(engine_runs(pathlib.Path(sys.argv[2]))))")
+    procs = []
+    for seed in ("1", "2"):
+        workdir = tmp_path / seed
+        workdir.mkdir()
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", script, str(Path(__file__).parent), str(workdir)],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    results = [(proc.communicate(timeout=120), proc.returncode) for proc in procs]
+    assert results == [((ENGINE_DIGEST + "\n", ""), 0)] * 2
 
 
 # (correspondence, --sizes) -> SHA-256 of the certify JSON on stdout

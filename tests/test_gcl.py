@@ -333,6 +333,41 @@ class TestHealthinessInvariants:
         assert chk.witness == (at[0], "x=0", Fraction(2, 3), Fraction(0))
         assert all(type(v) is Fraction for v in chk.witness[2:])
 
+    # the images are x=0 -> {0, 1}, x=1 -> {1, 2}, x=2 -> {2, 0}; the perturbed
+    # denotation drops (2,) from the image of x=1 (and of x=2), or adds (0,) to it
+    POW_POSTS = ("true", "x == 2", "x <= 1", "false", "x >= 1", "x == 0", "x != 1")
+
+    @pytest.mark.parametrize("flavor, change, mismatches, post, recursive", [
+        ("demonic", "drop", 1, "x <= 1", False),
+        ("angelic", "drop", 2, "x == 2", True),
+        ("demonic", "add", 1, "x >= 1", True),
+        ("angelic", "add", 1, "x == 0", False),
+        # the witness post differs at x=1 and x=2 and names the first
+        ("demonic", "drop twice", 2, "x <= 1", False),
+        ("angelic", "drop twice", 3, "x == 2", True),
+    ])
+    def test_roundtrip_reports_a_perturbed_pow_row(self, monkeypatch, flavor, change,
+                                                   mismatches, post, recursive):
+        prog = gcl.parse("vars x in 0..2; body: choose {x := x + 1} [] {skip};")
+        arrow_of = gcl._arrow
+
+        def perturbed(program, tables):
+            arrow = arrow_of(program, tables)
+            graph = list(arrow.graph)
+            if change == "add":
+                graph[1] |= {(0,)}
+            for k in {"drop": (1,), "drop twice": (1, 2)}.get(change, ()):
+                graph[k] -= {(2,)}
+            return dataclasses.replace(arrow, graph=tuple(graph))
+
+        monkeypatch.setattr(gcl, "_arrow", perturbed)
+        posts = [gcl.parse_expression(p, ["x"]) for p in self.POW_POSTS]
+        chk = gcl.check_roundtrip(prog, flavor, posts=posts)
+        assert (chk.posts, chk.mismatches) == (7, mismatches)
+        assert chk.witness == (gcl.parse_expression(post, ["x"]), "x=1", recursive,
+                               not recursive)
+        assert all(type(v) is bool for v in chk.witness[2:])
+
     def test_demonic_preserves_meets_and_truth(self):
         for prog in corpus("demonic", 30):
             space = gcl.StateSpace(prog.decls)
@@ -550,7 +585,7 @@ class TestTypes:
     def test_post_coercions_are_unchanged(self):
         prog = gcl.parse("vars x in 0..1; body: skip;")
         assert gcl.wp(prog, "true", "expectation") == {(0,): 1, (1,): 1}
-        with pytest.raises(RangeError, match="expected a boolean, got 0"):
+        with pytest.raises(TypeMismatch, match="^1:1: demonic post takes a bool, got int$"):
             gcl.wp(prog, "x", "demonic")
 
 
@@ -640,6 +675,41 @@ class TestIntegerExpectations:
         for post, shown in (("x", "2"), ("[x == 1] * 3/2", "3/2"), ("0 - x", "-1")):
             with pytest.raises(RangeError, match=f"^post-expectation {shown} outside"):
                 gcl.wp(prog, post, "expectation")
+
+
+class TestStateMasks:
+    # nested choose, abort and if over a negative range, and one state alone
+    NESTED = ("vars x in -1..2, y in 0..2; body: choose { if (x < y) { abort } "
+              "else { x := x + 1 } } [] { choose { y := x * y } [] { skip } }; "
+              "if (x == y) { choose { x := 0 } [] { abort } }; y := y + 1;")
+    SINGLE = "vars x in 3..3; body: choose { x := x + 1 } [] { if (x == 3) { abort } };"
+
+    def programs(self):
+        rng = random.Random(37)
+        return ([gcl.parse(self.NESTED), gcl.parse(self.SINGLE)]
+                + [gcl.random_program(rng, "pow") for _ in range(10)])
+
+    @pytest.mark.parametrize("flavor", ["demonic", "angelic"])
+    def test_transformer_wp_equals_wp(self, flavor):
+        for i, prog in enumerate(self.programs()):
+            arrow = gcl.denote(prog, "pow")
+            space = gcl.StateSpace(prog.decls)
+            states = space.states()
+            for post in gcl.default_posts(space, flavor, random.Random(i)):
+                table = gcl.post_table(post, flavor, space, states)
+                got = gcl.transformer_wp(arrow, table, flavor)
+                assert list(got.items()) == list(gcl.wp(prog, post, flavor).items())
+                assert all(type(v) is bool for v in got.values())
+
+    def test_one_state(self):
+        prog = gcl.parse(self.SINGLE)
+        assert gcl.denote(prog, "pow").graph == (frozenset({(3,)}),)
+        aborts = gcl.parse("vars x in 3..3; body: abort;")
+        for flavor in ("demonic", "angelic"):
+            for post, holds in (("true", True), ("x != 3", False)):
+                assert gcl.wp(prog, post, flavor) == {(3,): holds}
+                assert gcl.wp(aborts, post, flavor) == {(3,): flavor == "demonic"}
+            assert gcl.check_roundtrip(prog, flavor).ok
 
 
 class TestStates:
