@@ -3,10 +3,11 @@
 Everything here is exact, so that partial-sum definedness and round-trip
 identities are exact predicates, never float comparisons.  Predicates and
 scalars are fractions.Fraction.  Finite distributions rest on one weight
-kernel, ``Weighting``: inside, weights are integer numerators over one
-reduced common denominator, and Kleisli extension and point masses are built
-in integers without re-validation; they become ``Fraction`` only at the
-boundary (``weights``, ``__call__``, JSON).
+kernel, ``Weighting``: inside, a weighting is one row ``(support, numerators,
+denominator)``, integers over one reduced denominator.  ``bind_rows``, the one
+integer Kleisli extension on such rows (``Weighting.bind``'s and ``gcl``'s),
+and point masses build rows without re-validation; weights become
+``Fraction`` only at the boundary (``weights``, ``__call__``, JSON).
 The finite Giry monad's measures (``monads.FiniteMeasure``) are the same
 kernel under their own name.
 """
@@ -399,20 +400,48 @@ def expectation(weights, value):
     return sum((value(a) * w for a, w in weights), ZERO)
 
 
+def bind_rows(nums, den, images, error=NotNormalized, key=None):
+    """The one integer Kleisli extension: the row (support, nums, den) bound through
+    ``images``, one ``(support, numerators, denominator)`` row per support atom.
+
+    Masses are spread over the lcm of the images' denominators, checked to sum
+    to the denominator (else ``error``), reduced by their gcd and sorted by
+    ``key``; a single image is returned as it is.
+    """
+    if len(images) == 1:
+        return images[0]
+    scale = math.lcm(*[d for _, _, d in images])
+    out = {}
+    get = out.get
+    for n, (targets, ms, d) in zip(nums, images):
+        n *= scale // d
+        for b, m in zip(targets, ms):
+            out[b] = get(b, 0) + n * m
+    den *= scale
+    if sum(out.values()) != den:
+        raise error("weights do not sum to 1")
+    g = math.gcd(den, *out.values())
+    support = tuple(sorted(out, key=key))
+    if g == 1:
+        return support, tuple(map(out.__getitem__, support)), den
+    return support, tuple(out[b] // g for b in support), den // g
+
+
 class Weighting:
     """Rational weights on finitely many atoms of a carrier, summing to 1.
 
     The one kernel under ``Distribution`` and ``monads.FiniteMeasure``.
-    Inside, a weighting is its support sorted by atom, integer numerators and
-    one reduced common denominator, so equal weightings have equal fields and
-    equality and hashing run over integers.  ``Fraction`` appears only at the
-    boundary: ``weights`` builds the sorted ``(atom, Fraction)`` pairs on
-    first use.  The public constructor validates through ``__post_init__``;
-    ``bind``, ``point`` (after checking its atom) and ``gcl``'s denotations
-    build theirs trusted, with ``_from_kernel``.  Fields are read-only.
+    Inside, a weighting is one row: its support sorted by atom, integer
+    numerators and one reduced common denominator, so equal weightings have
+    equal rows and equality and hashing run over integers; ``bind`` runs
+    ``bind_rows`` on rows.  ``Fraction`` appears only at the boundary:
+    ``weights`` builds the sorted ``(atom, Fraction)`` pairs on first use.
+    The public constructor validates through ``__post_init__``; ``bind``,
+    ``point`` (after checking its atom) and ``gcl``'s denotations build
+    theirs trusted, with ``_from_kernel``.  Fields are read-only.
     """
 
-    __slots__ = ("_carrier", "_support", "_nums", "_den", "_weights", "_hash")
+    __slots__ = ("_carrier", "_kernel", "_weights", "_hash")
     _error = NotNormalized      # raised for weights that are no probability weights
     _carrier_field = "carrier"  # the carrier's name in the repr
 
@@ -422,8 +451,7 @@ class Weighting:
         self.__post_init__()
 
     def __post_init__(self):
-        self._support, self._nums, self._den = checked_weights(
-            self._carrier, self._weights, self._error)
+        self._kernel = checked_weights(self._carrier, self._weights, self._error)
         self._weights = self._hash = None
 
     @classmethod
@@ -431,17 +459,17 @@ class Weighting:
         return cls(carrier, tuple(mapping.items()))
 
     @classmethod
-    def _from_kernel(cls, carrier, support, nums, den):
-        """A weighting from kernel fields that are already known to be valid."""
+    def _from_kernel(cls, carrier, kernel):
+        """A weighting from a kernel row that is already known to be valid."""
         out = object.__new__(cls)
-        out._carrier, out._support, out._nums, out._den = carrier, support, nums, den
+        out._carrier, out._kernel = carrier, kernel
         out._weights = out._hash = None
         return out
 
     @classmethod
     def point(cls, carrier, atom):
         carrier.require(atom)
-        return cls._from_kernel(carrier, (atom,), (1,), 1)
+        return cls._from_kernel(carrier, ((atom,), (1,), 1))
 
     @property
     def carrier(self):
@@ -451,61 +479,45 @@ class Weighting:
     def weights(self):
         """Sorted (atom, weight) pairs, nonzero weights only."""
         if self._weights is None:
-            den = self._den
-            self._weights = tuple(
-                (a, Fraction(n, den)) for a, n in zip(self._support, self._nums))
+            support, nums, den = self._kernel
+            self._weights = tuple((a, Fraction(n, den)) for a, n in zip(support, nums))
         return self._weights
 
     @property
     def support(self):
-        return frozenset(self._support)
+        return frozenset(self._kernel[0])
 
     def as_dict(self):
         return dict(self.weights)
 
     def kernel(self):
-        """The kernel fields: the sorted support, its numerators and their denominator."""
-        return self._support, self._nums, self._den
+        """The kernel row: the sorted support, its numerators and their denominator."""
+        return self._kernel
 
     def bind(self, kernel, cod=None):
-        """The Kleisli extension of ``kernel`` at these weights.
+        """The Kleisli extension of ``kernel`` at these weights, through ``bind_rows``.
 
-        Each atom's mass is spread over its image, in integers.  Every image
-        must be a weighting of this class on ``cod``; without ``cod``, all
-        images must share one carrier, which the result lives on.  The
-        result's numerators are checked to sum to its denominator, then
-        reduced.
+        Every image must be a weighting of this class on ``cod``; without
+        ``cod``, all images must share one carrier, which the result lives on.
         """
         cls = type(self)
-        images = [kernel(a) for a in self._support]
+        support, nums, den = self._kernel
+        images = [kernel(a) for a in support]
         for image in images:
             if type(image) is not cls or image._carrier is not cod:
                 cod = self._image_carrier(images, cod)
                 break
         if len(images) == 1:
             return images[0]
-        dens = [image._den for image in images]
-        scale = math.lcm(*dens)
-        out = {}
-        get = out.get
-        for n, d, image in zip(self._nums, dens, images):
-            n *= scale // d
-            for b, m in zip(image._support, image._nums):
-                out[b] = get(b, 0) + n * m
-        den = self._den * scale
-        if sum(out.values()) != den:
-            raise self._error("weights do not sum to 1")
-        g = math.gcd(den, *out.values())
         # every carrier is a FinSet, whose rank() is its atom_key order
-        support = tuple(sorted(out, key=cod.rank().__getitem__))
-        if g == 1:
-            return cls._from_kernel(cod, support, tuple(map(out.__getitem__, support)), den)
-        return cls._from_kernel(cod, support, tuple(out[b] // g for b in support), den // g)
+        return cls._from_kernel(cod, bind_rows(
+            nums, den, [image._kernel for image in images], self._error,
+            cod.rank().__getitem__))
 
     def _image_carrier(self, images, cod):
         """The carrier the kernel images share: ``cod``, or the first image's."""
         cls = type(self)
-        for a, image in zip(self._support, images):
+        for a, image in zip(self._kernel[0], images):
             if type(image) is not cls:
                 raise MonadMismatch(f"kernel image at {a!r} is not a {cls.__name__}")
             if cod is None:
@@ -520,13 +532,12 @@ class Weighting:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        return (self._den == other._den and self._nums == other._nums
-                and self._support == other._support
-                and (self._carrier is other._carrier or self._carrier == other._carrier))
+        return self._kernel == other._kernel and (
+            self._carrier is other._carrier or self._carrier == other._carrier)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._support, self._nums, self._den))
+            self._hash = hash(self._kernel)
         return self._hash
 
     def __repr__(self):

@@ -11,9 +11,10 @@ over the state tuple before any state is evaluated.  Within one call of
 ``denote``, ``wp`` or ``check_roundtrip``, each assignment's successor indices
 and each condition's mask are computed once and read by every traversal.
 Inside, a pow denotation is an int mask per state (bit j: states[j] is
-reachable), a dist denotation an integer row per state as in
-``Weighting.kernel()`` over state indices, a demonic or angelic table one
-state mask, and an expectation table integer numerators over one
+reachable), a dist denotation one ``Weighting`` kernel row per state,
+``(positions, numerators, denominator)``, bound by ``effects.bind_rows``, the
+integer Kleisli extension that ``Weighting.bind`` runs; a demonic or angelic
+table is one state mask, and an expectation table integer numerators over one
 denominator.  Frozensets, ``Distribution``s, ``Fraction``s and dicts are
 built only at the boundary: ``_arrow``, ``wp``, ``transformer_wp`` and a
 mismatch witness.
@@ -30,10 +31,9 @@ import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
-from .effects import ONE, ZERO, Distribution
+from .effects import ONE, ZERO, Distribution, bind_rows
 from .errors import (
     ModeMismatch,
-    NotNormalized,
     ParseError,
     RangeError,
     TooLarge,
@@ -753,29 +753,11 @@ def _union(rows, mask):
     return functools.reduce(operator.or_, map(rows.__getitem__, _indices(mask)))
 
 
-def _bind(row, rows):
-    """The Kleisli extension of rows at row, checked and reduced as in ``Weighting.bind``."""
-    at, nums, den = row
-    if len(at) == 1:
-        return rows[at[0]]
-    images = [rows[j] for j in at]
-    scale = math.lcm(*[d for _, _, d in images])
-    out = {}
-    for n, (targets, ms, d) in zip(nums, images):
-        n *= scale // d
-        for j, m in zip(targets, ms):
-            out[j] = out.get(j, 0) + n * m
-    den *= scale
-    if sum(out.values()) != den:
-        raise NotNormalized("weights do not sum to 1")
-    g = math.gcd(den, *out.values())
-    at = sorted(out)
-    return tuple(at), tuple(out[j] // g for j in at), den // g
-
-
 def _denote(stmt, tables):
     """The rows of stmt in states order: in pow mode a state mask each, in dist
-    mode ``(indices, numerators, denominator)`` with the indices ascending."""
+    mode a ``Weighting`` kernel row over state positions, ``(positions,
+    numerators, denominator)`` with the positions ascending; ``;`` and ``prob``
+    bind rows with ``bind_rows``, the extension under ``Weighting.bind``."""
     pow_mode, n = tables.family is POWERSET, len(tables.states)
     if isinstance(stmt, (Skip, Assign)):
         targets = tables[stmt] if isinstance(stmt, Assign) else range(n)
@@ -786,15 +768,16 @@ def _denote(stmt, tables):
     if isinstance(stmt, Seq):
         if pow_mode:
             return [_union(second, m) for m in first]
-        return [_bind(row, second) for row in first]
+        return [bind_rows(nums, den, [second[j] for j in at]) for at, nums, den in first]
     if isinstance(stmt, If):
         return [a if t else b for t, a, b in zip(_flags(tables[stmt], n), first, second)]
     if isinstance(stmt, Choose):
         return [a | b for a, b in zip(first, second)]
-    if isinstance(stmt, Prob):  # a coin row over (left, right), without a side of weight 0
+    if isinstance(stmt, Prob):  # the coin row (p, q - p)/q bound over (left, right)
         p, q = stmt.chance.numerator, stmt.chance.denominator
-        coin = ((0, 1), (p, q - p), q) if 0 < p < q else ((0 if p else 1,), (1,), 1)
-        return [_bind(coin, pair) for pair in zip(first, second)]
+        if 0 < p < q:
+            return [bind_rows((p, q - p), q, pair) for pair in zip(first, second)]
+        return first if p else second
     raise AssertionError(f"not a statement: {stmt!r}")
 
 
@@ -805,7 +788,7 @@ def _arrow(program, tables):
     if tables.family is POWERSET:
         graph = (frozenset(map(state, _indices(m))) for m in rows)
     else:
-        graph = (made(states, tuple(map(state, at)), nums, den) for at, nums, den in rows)
+        graph = (made(states, (tuple(map(state, at)), nums, den)) for at, nums, den in rows)
     return KleisliArrow(tables.family, states, states, tuple(graph))
 
 

@@ -10,6 +10,7 @@ from finsem.effects import (
     ZERO,
     Distribution,
     FuzzyPredicate,
+    bind_rows,
     dist_bind,
     dist_make,
     farey_grid,
@@ -298,6 +299,59 @@ class TestWeightKernel:
             assert d != phi and phi != d
             assert d.weights == phi.weights
             assert len({d, phi}) == 2
+
+
+class TestBindRows:
+    """The integer Kleisli extension that ``Weighting.bind`` and the wp engine run."""
+
+    # criterion 1's probe distributions on FinSet(range(n)), as position rows:
+    # on range(n) an atom is its own position
+    PROBES = {n: tuple(d.kernel() for d in iter_distributions(FinSet(range(n)), 4))
+              for n in (1, 2, 3)}
+
+    @staticmethod
+    def point(j):
+        return (j,), (1,), 1
+
+    @staticmethod
+    def bind(row, rows):
+        support, nums, den = row
+        return bind_rows(nums, den, [rows[j] for j in support])
+
+    def test_unit_laws(self):
+        for n, rows in self.PROBES.items():
+            units = [self.point(j) for j in range(n)]
+            for row in rows:
+                assert self.bind(row, units) == row
+            for m, targets in self.PROBES.items():
+                for f in itertools.product(targets, repeat=m):
+                    assert all(self.bind(self.point(j), f) == f[j] for j in range(m))
+
+    def test_associativity(self):
+        rng = random.Random(7)
+        for n, m, k in itertools.product(self.PROBES, repeat=3):
+            for _ in range(40):
+                row = rng.choice(self.PROBES[n])
+                f = [rng.choice(self.PROBES[m]) for _ in range(n)]
+                g = [rng.choice(self.PROBES[k]) for _ in range(m)]
+                left = self.bind(self.bind(row, f), g)
+                right = self.bind(row, [self.bind(image, g) for image in f])
+                assert left == right
+
+    def test_a_row_off_its_denominator_is_not_normalized(self):
+        from finsem.errors import StructureNotPreserved
+        from finsem.monads import FiniteMeasure
+
+        bits, ab = FinSet([0, 1]), FinSet(["a", "b"])
+        bad = ((0, 1), (1, 1), 3)  # 1/3 + 1/3
+        for cls, error in ((Distribution, NotNormalized),
+                           (FiniteMeasure, StructureNotPreserved)):
+            images = {"a": cls._from_kernel(bits, bad), "b": cls.point(bits, 0)}
+            half = cls.from_dict(ab, {"a": Fraction(1, 2), "b": Fraction(1, 2)})
+            with pytest.raises(error, match="do not sum to 1"):
+                half.bind(images.__getitem__, bits)
+        with pytest.raises(NotNormalized, match="do not sum to 1"):
+            bind_rows((1, 1), 2, [bad, self.point(0)])
 
 
 @pytest.mark.parametrize("name", ["dist", "giry"])

@@ -17,9 +17,9 @@ from finsem.errors import (
     TypeMismatch,
     UndeclaredVariable,
 )
-from finsem.monads import DIST
+from finsem.monads import DIST, POWERSET
 from finsem.order import FinSet
-from finsem.triangle import bind_apply
+from finsem.triangle import bind_apply, kleisli_compose
 
 
 class TestParser:
@@ -710,6 +710,49 @@ class TestStateMasks:
                 assert gcl.wp(prog, post, flavor) == {(3,): holds}
                 assert gcl.wp(aborts, post, flavor) == {(3,): flavor == "demonic"}
             assert gcl.check_roundtrip(prog, flavor).ok
+
+
+class TestCompositional:
+    """The engine's ``;``, ``prob`` and ``choose`` agree with the Kleisli
+    extension of the law-checked ``DIST`` and ``POWERSET``."""
+
+    DECLS = (gcl.VarDecl("x", 0, 3), gcl.VarDecl("y", 0, 2))
+    COIN = FinSet([0, 1])
+
+    def pairs(self, mode, count=30):
+        """Seeded random bodies a and b over DECLS, with their denotations."""
+        rng = random.Random(41)
+        for _ in range(count):
+            a, b = (gcl.random_stmt(rng, self.DECLS, mode, rng.randint(1, 4)) for _ in "ab")
+            yield a, b, self.denote(a, mode), self.denote(b, mode)
+
+    def denote(self, body, mode):
+        return gcl.denote(gcl.Program(self.DECLS, body), mode)
+
+    @pytest.mark.parametrize("mode", ["pow", "dist"])
+    def test_seq_is_kleisli_composition(self, mode):
+        for a, b, left, right in self.pairs(mode):
+            assert self.denote(gcl.Seq(a, b), mode) == kleisli_compose(right, left)
+
+    def test_prob_extends_the_coin(self):
+        for a, b, left, right in self.pairs("dist"):
+            for p in range(5):
+                chance = Fraction(p, 4)
+                coin = DIST.weighting(self.COIN, ((0, chance), (1, 1 - chance)))
+                mixed = self.denote(gcl.Prob(chance, a, b), "dist")
+                for s in mixed.dom:
+                    sides = (left(s), right(s))
+                    want = DIST.extend(self.COIN, left.cod, sides.__getitem__, coin)
+                    assert mixed(s) == want
+
+    def test_choose_is_the_union_of_the_images(self):
+        both = frozenset({0, 1})
+        for a, b, left, right in self.pairs("pow"):
+            chosen = self.denote(gcl.Choose(a, b), "pow")
+            for s in chosen.dom:
+                sides = (left(s), right(s))
+                want = POWERSET.extend(self.COIN, left.cod, sides.__getitem__, both)
+                assert chosen(s) == want == left(s) | right(s)
 
 
 class TestStates:
