@@ -6,10 +6,11 @@ Weakest preconditions are computed twice: by structural recursion on the
 syntax and by transposing the whole-program denotation; agreement of the two
 is the operational healthiness check.
 
-Each expression is typed (int, rational or bool) and compiled to a closure
-over the state tuple before any state is evaluated.  Within one call of
-``denote``, ``wp`` or ``check_roundtrip``, each assignment's successor indices
-and each condition's mask are computed once and read by every traversal.
+Each expression is typed (int, rational or bool) before any state is
+evaluated, and compiled to one ``map`` per operator over the state columns,
+with rationals as integer numerators over one denominator.  Within one call
+of ``denote``, ``wp`` or ``check_roundtrip``, the columns, each assignment's
+successor indices and each condition's mask are built once for every traversal.
 Inside, a pow denotation is an int mask per state (bit j: states[j] is
 reachable), a dist denotation one ``Weighting`` kernel row per state,
 ``(positions, numerators, denominator)``, bound by ``effects.bind_rows``, the
@@ -562,20 +563,12 @@ INT, RATIONAL, BOOL = "int", "rational", "bool"
 _NUMBERS = (INT, RATIONAL)
 _LITERAL_TYPES = {bool: BOOL, int: INT, Fraction: RATIONAL}
 
-# each binary operator, from its operands' closures to its own; && and || short-circuit
-_BINARY = {
-    "+": lambda f, g: lambda s: f(s) + g(s),
-    "-": lambda f, g: lambda s: f(s) - g(s),
-    "*": lambda f, g: lambda s: f(s) * g(s),
-    "==": lambda f, g: lambda s: f(s) == g(s),
-    "!=": lambda f, g: lambda s: f(s) != g(s),
-    "<": lambda f, g: lambda s: f(s) < g(s),
-    "<=": lambda f, g: lambda s: f(s) <= g(s),
-    ">": lambda f, g: lambda s: f(s) > g(s),
-    ">=": lambda f, g: lambda s: f(s) >= g(s),
-    "&&": lambda f, g: lambda s: f(s) and g(s),
-    "||": lambda f, g: lambda s: f(s) or g(s),
-}
+# each operator's function, mapped over its operands' columns; && and || read both
+# columns, which is unobservable: a typed expression without division cannot fail
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "==": operator.eq,
+           "!=": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt,
+           ">=": operator.ge, "&&": operator.and_, "||": operator.or_}
+_UNARY = {"!": operator.not_, "-": operator.neg}
 
 
 def _binary_type(op, left, right, pos):
@@ -596,49 +589,78 @@ def _binary_type(op, left, right, pos):
 
 
 def compile_expr(expr, names):
-    """Type expr and compile it to a closure over the state tuple.
+    """Type expr and compile it to a function over the state columns, one list
+    of values in states order per variable of ``names``.  Returns ``(fn, type)``:
+    ``fn(columns)`` is expr's column, a list for INT and BOOL and ``(numerators,
+    denominator)`` for RATIONAL.  A mistyped operand raises TypeMismatch before
+    any state is evaluated."""
+    build, kind = _compile(expr, {name: i for i, name in enumerate(names)})
 
-    ``names`` lists the variables in state order.  Returns ``(fn, type)``:
-    ``fn(state)`` is the value of expr, and type is INT, RATIONAL or BOOL.  A
-    mistyped operand raises TypeMismatch before any state is evaluated.
-    """
-    return _compile(expr, {name: i for i, name in enumerate(names)})
+    def fn(columns):
+        column = build(columns, len(columns[0]) if columns else 1)
+        return column if kind == RATIONAL else column[0]
+    return fn, kind
 
 
 def _compile(expr, index):
+    """expr's column builder, from the variable columns and the number of states
+    to ``(values, denominator)``, the denominator positive and 1 unless RATIONAL."""
     if isinstance(expr, Lit) and type(expr.value) in _LITERAL_TYPES:
-        value = expr.value
-        return (lambda s: value), _LITERAL_TYPES[type(value)]
+        v, kind = expr.value, _LITERAL_TYPES[type(expr.value)]
+        value, den = (v.numerator, v.denominator) if kind == RATIONAL else (v, 1)
+        return (lambda cols, n: ([value] * n, den)), kind
     if isinstance(expr, Var):
         if expr.name not in index:
             raise UndeclaredVariable(expr.name)
-        return operator.itemgetter(index[expr.name]), INT
+        i = index[expr.name]
+        return (lambda cols, n: (cols[i], 1)), INT
     if isinstance(expr, Unary):
         arg, kind = _compile(expr.arg, index)
-        if expr.op == "!":
-            if kind != BOOL:
-                raise TypeMismatch(f"operator ! takes a bool, got {kind}", expr.pos)
-            return (lambda s: not arg(s)), BOOL
-        if kind not in _NUMBERS:
+        if expr.op == "!" and kind != BOOL:
+            raise TypeMismatch(f"operator ! takes a bool, got {kind}", expr.pos)
+        if expr.op == "-" and kind not in _NUMBERS:
             raise TypeMismatch(f"operator - takes a number, got {kind}", expr.pos)
-        return (lambda s: -arg(s)), kind
+        f = _UNARY[expr.op]
+
+        def unary(cols, n):
+            values, den = arg(cols, n)
+            return list(map(f, values)), den
+        return unary, kind
     if isinstance(expr, Iverson):
         cond, kind = _compile(expr.cond, index)
         if kind != BOOL:
             raise TypeMismatch(f"Iverson bracket [ ] takes a bool, got {kind}", expr.pos)
-        return (lambda s: ONE if cond(s) else ZERO), RATIONAL
+        return (lambda cols, n: (list(map(int, cond(cols, n)[0])), 1)), RATIONAL
     if isinstance(expr, Bin):
         left, left_type = _compile(expr.left, index)
         right, right_type = _compile(expr.right, index)
         kind = _binary_type(expr.op, left_type, right_type, expr.pos)
-        return _BINARY[expr.op](left, right), kind
+        f = _BINARY[expr.op]
+
+        def binary(cols, n):
+            (a, p), (b, q) = left(cols, n), right(cols, n)
+            if f is operator.mul:
+                return list(map(f, a, b)), p * q
+            # both over the lcm: the sum or difference of the numerators, or
+            # their comparison, which is the comparison of the values
+            den = math.lcm(p, q)
+            a = a if den == p else [v * (den // p) for v in a]
+            b = b if den == q else [v * (den // q) for v in b]
+            return list(map(f, a, b)), den if kind == RATIONAL else 1
+        return binary, kind
     raise AssertionError(f"not an expression: {expr!r}")
 
 
 def eval_expr(expr, env):
-    """The value of expr in env, a dict from variable names to values."""
-    fn, _ = compile_expr(expr, tuple(env))
-    return fn(tuple(env.values()))
+    """The value of expr in env, a dict from variable names to values (one state)."""
+    fn, kind = compile_expr(expr, tuple(env))
+    column = fn([[v] for v in env.values()])
+    return Fraction(column[0][0], column[1]) if kind == RATIONAL else column[0]
+
+
+def _columns(states):
+    """Each variable's values in states order, one list per variable."""
+    return [list(column) for column in zip(*states)]
 
 
 def _bits(flags):
@@ -687,7 +709,7 @@ def _mode_violation(stmt, mode):
     return None
 
 
-def _successors(stmt, space, states):
+def _successors(stmt, space, columns):
     """The index of the state each state moves to under an assignment, in states order."""
     fn, kind = compile_expr(stmt.expr, space.names)
     if kind != INT:
@@ -698,25 +720,26 @@ def _successors(stmt, space, states):
     lo, span = space.decls[i].lo, space.decls[i].span
     # states are in product order, so variable i moves the index in steps of stride
     stride = math.prod(d.span for d in space.decls[i + 1:])
-    return [k + ((fn(s) - lo) % span + lo - s[i]) * stride for k, s in enumerate(states)]
+    return [k + ((v - lo) % span + lo - x) * stride
+            for k, (v, x) in enumerate(zip(fn(columns), columns[i]))]
 
 
-def _mask(stmt, space, states):
+def _mask(stmt, space, columns):
     """The state mask of the states that take an if's then-branch."""
     fn, kind = compile_expr(stmt.cond, space.names)
     if kind != BOOL:
         raise TypeMismatch(f"if condition takes a bool, got {kind}", stmt.pos)
-    return _bits([fn(s) for s in states])
+    return _bits(fn(columns))
 
 
 class _Tables:
-    """A program's state space, and the per-state data of its statements.
+    """A program's state space, its variable columns and its statements' tables.
 
     One public call builds one: an assignment's successor indices and an if's
     condition mask are computed the first time a traversal reaches the
     statement, so the first error raised is the first one that traversal
     meets, and later traversals in the call (more posts, the other leg of a
-    round trip) read the same tables.
+    round trip) read the same tables.  Nothing is kept past the call.
     """
 
     def __init__(self, program, mode, cap):
@@ -728,13 +751,14 @@ class _Tables:
         self.family = _FAMILIES[mode]
         self.space = StateSpace(program.decls)
         self.states = self.space.states(cap)
+        self.columns = _columns(self.states)
         self._built = {}
 
     def __getitem__(self, stmt):
         key = id(stmt)
         if key not in self._built:
             build = _successors if isinstance(stmt, Assign) else _mask
-            self._built[key] = build(stmt, self.space, self.states)
+            self._built[key] = build(stmt, self.space, self.columns)
         return self._built[key]
 
     def gather(self, stmt):
@@ -814,19 +838,25 @@ def post_table(post, flavor, space, states):
     """Evaluate a post-condition into a table for the given flavor: for demonic
     and angelic, whose post must be typed bool, a state mask with bit j set where
     the post holds at states[j]; for expectation ``(nums, den)``, numerators in
-    states order over one denominator, each value checked to lie in [0, 1]."""
-    fn, kind = compile_expr(post, space.names)
+    states order over their least denominator, checked in [0, 1] state by state."""
+    return _post_table(post, flavor, space.names, _columns(states))
+
+
+def _post_table(post, flavor, names, columns):
+    """post_table over the states' variable columns."""
+    fn, kind = compile_expr(post, names)
     if flavor != "expectation":
         if kind != BOOL:
             raise TypeMismatch(f"{flavor} post takes a bool, got {kind}",
                                getattr(post, "pos", None))
-        return _bits([fn(s) for s in states])
-    values = [fn(s) for s in states]  # a bool, int or Fraction, by the post's type
-    for v in values:
-        if not (0 <= v.numerator <= v.denominator):
-            raise RangeError(f"post-expectation {v} outside [0, 1]")
-    den = math.lcm(*{v.denominator for v in values})
-    return [v.numerator * (den // v.denominator) for v in values], den
+        return _bits(fn(columns))
+    # a bool or int post is its column of ints over 1
+    nums, den = fn(columns) if kind == RATIONAL else (list(map(int, fn(columns))), 1)
+    if min(nums) < 0 or max(nums) > den:
+        v = next(v for v in nums if not 0 <= v <= den)
+        raise RangeError(f"post-expectation {Fraction(v, den)} outside [0, 1]")
+    g = math.gcd(den, *nums)
+    return ([v // g for v in nums], den // g) if g > 1 else (nums, den)
 
 
 def _wp_table(stmt, mask, flavor, tables):
@@ -879,7 +909,7 @@ def wp(program, post, flavor, state_cap=DEFAULT_STATE_CAP):
     tables = _Tables(program, mode_of_flavor(flavor), state_cap)
     if isinstance(post, str):
         post = parse_expression(post, tables.space.names)
-    table = post_table(post, flavor, tables.space, tables.states)
+    table = _post_table(post, flavor, tables.space.names, tables.columns)
     if flavor == "expectation":
         nums, den = _pre_expectation(program.body, table, tables)
         return {s: Fraction(n, den) for s, n in zip(tables.states, nums)}
@@ -969,7 +999,7 @@ def check_roundtrip(program, flavor, posts=None, state_cap=DEFAULT_STATE_CAP, se
     mismatches = 0
     witness = None
     for post in posts:
-        table = post_table(post, flavor, space, states)
+        table = _post_table(post, flavor, space.names, tables.columns)
         if flavor == "expectation":
             # each row's dot product n/d against the recursion's m/den, cross-multiplied
             nums, den = _pre_expectation(program.body, table, tables)

@@ -5,18 +5,23 @@ each field, mixed with well-shaped values so that decoding gets deep), over
 certify/laws argument vectors, over wp/run programs spliced from GCL tokens
 with their --post, --init and --init-dist strings, and over enumerate object
 literals.  The settings are derandomized, so every run draws the same
-examples.
+examples, and the wp/run examples are replayed under two hash seeds.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import finsem
 from finsem.cli import cli_main
 from finsem.monads import FAMILIES
 from finsem.transformers import REGISTRY
@@ -196,6 +201,54 @@ def test_run_inputs(program_file, program, mode, fmt, init, init_dist):
     run_cli(["run", str(program_file), "--mode", mode, "--format", fmt]
             + [f"--init={init}"] * (init is not None)
             + [f"--init-dist={init_dist}"] * (init_dist is not None))
+
+
+def engine_fuzz_inputs(program_file):
+    """(program text, argv) of every example test_wp_inputs and test_run_inputs
+    draw, recorded in place of running it."""
+    cases = []
+
+    def record(argv, stdin=""):
+        cases.append((program_file.read_text(), argv))
+
+    with mock.patch(f"{__name__}.run_cli", record):
+        test_wp_inputs(program_file=program_file)
+        test_run_inputs(program_file=program_file)
+    return cases
+
+
+def replay_engine_inputs(cases, program_file):
+    """test_cli.replay's digest of cases, each program written to program_file
+    just before its command runs."""
+    from test_cli import replay
+
+    def runs():
+        for text, argv in cases:
+            program_file.write_text(text)
+            yield [argv[0], str(program_file), *argv[2:]], ""
+    return replay(runs())
+
+
+def test_wp_and_run_inputs_are_hash_seed_independent(tmp_path):
+    # one batched process per seed, both at once, each writing its own program file
+    cases = engine_fuzz_inputs(tmp_path / "drawn.gc")
+    assert len(cases) == 2 * FUZZ.max_examples
+    f = tmp_path / "cases.json"
+    f.write_text(json.dumps(cases))
+    src = str(Path(finsem.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import json, pathlib, sys; sys.path.insert(0, sys.argv[1]); "
+              "from test_cli_fuzz import replay_engine_inputs; "
+              "cases = json.load(open(sys.argv[2])); "
+              "print(replay_engine_inputs(cases, pathlib.Path(sys.argv[3])))")
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", script, str(Path(__file__).parent), str(f),
+         str(tmp_path / f"seed{seed}.gc")],
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for seed in ("1", "2")]
+    first, second = [(proc.communicate(timeout=120), proc.returncode) for proc in procs]
+    assert first == second
+    assert first[1] == 0 and first[0][1] == ""
 
 
 OBJECT_TOKENS = st.sampled_from(

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import operator
 import random
 import re
 from fractions import Fraction
@@ -466,7 +467,7 @@ class TestDemonicThroughSaturatedSets:
             )
             q = gcl.random_bool_expr(rng, prog.decls, 2)
             post = frozenset(
-                s for s in states if gcl.eval_expr(q, space.env(s)) is True
+                s for s in states if expr_oracle(q, space.env(s)) is True
             )
             m = SMYTH_CORR.forward(smyth_arrow, disc, disc)
             table = gcl.wp(prog, q, "demonic")
@@ -496,6 +497,37 @@ class TestRunAndStateSpace:
         assert out((1,)) == Fraction(1, 2)
 
 
+# each binary operator on the values of its operands
+ORACLE_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                 "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+                 ">": operator.gt, ">=": operator.ge,
+                 "&&": lambda a, b: a and b, "||": lambda a, b: a or b}
+
+
+def expr_oracle(expr, env):
+    """The value of expr in env (variable name -> int) by the textbook rules, one
+    state at a time, a number as a Fraction; independent of gcl's compiler."""
+    if isinstance(expr, gcl.Lit):
+        return expr.value if isinstance(expr.value, bool) else Fraction(expr.value)
+    if isinstance(expr, gcl.Var):
+        return Fraction(env[expr.name])
+    if isinstance(expr, gcl.Unary):
+        value = expr_oracle(expr.arg, env)
+        return (not value) if expr.op == "!" else -value
+    if isinstance(expr, gcl.Iverson):
+        return Fraction(1) if expr_oracle(expr.cond, env) else Fraction(0)
+    return ORACLE_BINARY[expr.op](expr_oracle(expr.left, env), expr_oracle(expr.right, env))
+
+
+def column_values(column, kind):
+    """The values of a compiled column, a rational one as Fractions."""
+    if kind == gcl.RATIONAL:
+        nums, den = column
+        assert type(den) is int and den > 0
+        return [Fraction(n, den) for n in nums]
+    return list(column)
+
+
 class TestTypes:
     @pytest.mark.parametrize("source, kind", [
         ("x + 1", gcl.INT),
@@ -511,7 +543,7 @@ class TestTypes:
         expr = gcl.parse_expression(source, ["x"])
         fn, inferred = gcl.compile_expr(expr, ["x"])
         assert inferred == kind
-        assert fn((1,)) == gcl.eval_expr(expr, {"x": 1})
+        assert column_values(fn([[1]]), kind) == [expr_oracle(expr, {"x": 1})]
 
     # a parsed operator names its line and column
     @pytest.mark.parametrize("source, message", [
@@ -532,7 +564,7 @@ class TestTypes:
     def test_variables_are_read_by_position(self):
         expr = gcl.parse_expression("y - x", ["x", "y"])
         fn, _ = gcl.compile_expr(expr, ["y", "x"])
-        assert fn((10, 3)) == 7
+        assert fn([[10], [3]]) == [7]
         with pytest.raises(UndeclaredVariable):
             gcl.compile_expr(expr, ["x"])
 
@@ -589,6 +621,71 @@ class TestTypes:
             gcl.wp(prog, "x", "demonic")
 
 
+class TestColumns:
+    """compile_expr's columns against expr_oracle at every state."""
+
+    SPACES = [(gcl.VarDecl("x", -2, 1), gcl.VarDecl("y", -1, 2)),
+              (gcl.VarDecl("x", -1, 1), gcl.VarDecl("y", 0, 1), gcl.VarDecl("z", -3, -2))]
+
+    def assert_matches_oracle(self, expr, decls):
+        space = gcl.StateSpace(decls)
+        states = space.states()
+        columns = [list(c) for c in zip(*states)]
+        fn, kind = gcl.compile_expr(expr, space.names)
+        want = [expr_oracle(expr, space.env(s)) for s in states]
+        assert column_values(fn(columns), kind) == want, expr
+        return kind
+
+    @staticmethod
+    def random_rational_expr(rng, decls):
+        """A rational expression that mixes ints, rationals and brackets."""
+        scaled = gcl.Bin("*", gcl.Lit(Fraction(rng.randint(-3, 3), rng.randint(1, 6))),
+                         gcl.random_int_expr(rng, decls, 1))
+        bracket = gcl.Iverson(gcl.random_bool_expr(rng, decls, 1))
+        return gcl.Bin(rng.choice("+-*"), scaled, rng.choice([bracket, gcl.Unary("-", bracket)]))
+
+    def test_random_expressions_match_the_oracle(self):
+        rng = random.Random(41)
+        kinds = set()
+        for decls in self.SPACES:
+            for _ in range(60):
+                kinds.add(self.assert_matches_oracle(gcl.random_int_expr(rng, decls, 3), decls))
+                kinds.add(self.assert_matches_oracle(gcl.random_bool_expr(rng, decls, 2), decls))
+                rational = self.random_rational_expr(rng, decls)
+                kinds.add(self.assert_matches_oracle(rational, decls))
+                # a comparison of rationals cross-multiplies
+                cmp = gcl.Bin(rng.choice(["==", "!=", "<", "<=", ">", ">="]), rational,
+                              rng.choice([gcl.Lit(Fraction(1, 2)), gcl.Var("x")]))
+                kinds.add(self.assert_matches_oracle(cmp, decls))
+        assert kinds == {gcl.INT, gcl.RATIONAL, gcl.BOOL}
+
+    @pytest.mark.parametrize("source", [
+        "1/3 + 1/6 == 1/2",
+        "1/3 + 1/6",
+        "x < 1/2",
+        "-(1/2 * [x == 0])",
+        "1 - 1/2 * [x == y]",
+        "x == 2/2",
+        "x * 1/2 == y",
+        "1/2 * x != y - 1/3",
+        "2/3 * [x < y] - 1/6 * [x != 0] + y",
+        "x < 1/2 && x > -1/3 || [y == 0] == 1/3",
+    ])
+    def test_rational_cases_match_the_oracle(self, source):
+        decls = self.SPACES[0]
+        expr = gcl.parse_expression(source, [d.name for d in decls])
+        self.assert_matches_oracle(expr, decls)
+
+    def test_eval_expr_is_the_one_state_column(self):
+        rng = random.Random(43)
+        space = gcl.StateSpace(self.SPACES[1])
+        for _ in range(20):
+            expr = self.random_rational_expr(rng, space.decls)
+            for s in space.states():
+                env = space.env(s)
+                assert gcl.eval_expr(expr, env) == expr_oracle(expr, env)
+
+
 class TestCompiledOncePerCall:
     SOURCE = ("vars x in 0..3, y in 0..3; body: x := x + 1;"
               " if (x == 2) { y := y + x } else { y := 0 }; {last};")
@@ -620,7 +717,7 @@ def expectation_oracle(stmt, post, space, states):
     if isinstance(stmt, gcl.Assign):
         i = space.names.index(stmt.var)
         d = space.decls[i]
-        moved = {s: d.lo + (gcl.eval_expr(stmt.expr, space.env(s)) - d.lo) % d.span
+        moved = {s: d.lo + int(expr_oracle(stmt.expr, space.env(s)) - d.lo) % d.span
                  for s in states}
         return {s: post[s[:i] + (moved[s],) + s[i + 1:]] for s in states}
     if isinstance(stmt, gcl.Seq):
@@ -629,7 +726,7 @@ def expectation_oracle(stmt, post, space, states):
     if isinstance(stmt, gcl.If):
         then, orelse = (expectation_oracle(sub, post, space, states)
                         for sub in (stmt.then, stmt.orelse))
-        return {s: then[s] if gcl.eval_expr(stmt.cond, space.env(s)) else orelse[s]
+        return {s: then[s] if expr_oracle(stmt.cond, space.env(s)) else orelse[s]
                 for s in states}
     left, right = (expectation_oracle(sub, post, space, states)
                    for sub in (stmt.left, stmt.right))
@@ -653,7 +750,7 @@ class TestIntegerExpectations:
             states = space.states()
             for post in gcl.default_posts(space, "expectation", random.Random(i)):
                 want = expectation_oracle(
-                    prog.body, {s: Fraction(gcl.eval_expr(post, space.env(s))) for s in states},
+                    prog.body, {s: Fraction(expr_oracle(post, space.env(s))) for s in states},
                     space, states)
                 got = gcl.wp(prog, post, "expectation")
                 assert list(got.items()) == list(want.items())
@@ -675,6 +772,37 @@ class TestIntegerExpectations:
         for post, shown in (("x", "2"), ("[x == 1] * 3/2", "3/2"), ("0 - x", "-1")):
             with pytest.raises(RangeError, match=f"^post-expectation {shown} outside"):
                 gcl.wp(prog, post, "expectation")
+        # the first offending state in states order, not the extreme value
+        prog = gcl.parse("vars x in 0..2; body: skip;")
+        with pytest.raises(RangeError, match="^post-expectation 3/2 outside"):
+            gcl.wp(prog, "[x == 1] * 3/2 - [x == 2]", "expectation")
+
+    def test_out_of_the_unit_interval_exits_2_naming_the_first_value(self, capsys, tmp_path):
+        f = tmp_path / "p.gc"
+        f.write_text("vars x in 0..2; body: skip;")
+        argv = ["wp", str(f), "--mode", "dist", "--flavor", "expectation",
+                "--post=[x == 1] * 3/2 - [x == 2]"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr() == ("", "error: post-expectation 3/2 outside [0, 1]\n")
+
+    def test_posts_build_no_fraction(self, monkeypatch):
+        space = gcl.StateSpace(tuple(gcl.VarDecl(n, 0, 7) for n in ("x", "y", "z")))
+        states = space.states()
+        posts = [gcl.parse_expression(source, space.names)
+                 for source in ("1/2 * [x <= 3]", "1/2 * [x == 1] + 1/3 * [y == 0]")]
+        want = [[expr_oracle(post, space.env(s)) for s in states] for post in posts]
+        made = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__",
+                            lambda cls, *args, **kw: made.append(args) or new(cls, *args, **kw))
+        if hasattr(Fraction, "_from_coprime_ints"):  # where Python 3.12+ builds results
+            coprime = Fraction._from_coprime_ints
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+                lambda cls, n, d: made.append((n, d)) or coprime(n, d)))
+        tables = [gcl.post_table(post, "expectation", space, states) for post in posts]
+        assert len(states) == 512 and made == []
+        monkeypatch.undo()
+        assert [[Fraction(n, den) for n in nums] for nums, den in tables] == want
 
 
 class TestStateMasks:
