@@ -180,11 +180,13 @@ class NeighbourhoodMonad(MonadFamily):
         return frozenset(s for s in obj.subsets() if x in s)
 
     def extend(self, dom, cod, fn, t):
-        # continuation-style double dual: B is accepted iff its preimage, found by mask, is
-        images = [(1 << i, fn(x)) for i, x in enumerate(dom.elements)]
+        # continuation-style double dual: B is accepted iff its preimage mask (from images) is
+        masks = {}
+        for i, x in enumerate(dom.elements):
+            for b in fn(x):
+                masks[b] = masks.get(b, 0) | 1 << i
         pres = dom.subset_tuple()
-        return frozenset(b for b in cod.subset_tuple()
-                         if pres[sum([bit for bit, image in images if b in image])] in t)
+        return frozenset(b for b in cod.subset_tuple() if pres[masks.get(b, 0)] in t)
 
 
 class MonotoneNeighbourhoodMonad(NeighbourhoodMonad):

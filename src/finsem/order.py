@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -56,12 +56,19 @@ def atom_key(value):
 
 
 def atom_repr(value):
-    """repr with each frozenset's members in atom_key order, whatever the hash seed."""
+    """repr with frozenset members and dict keys in atom_key order, whatever the hash seed."""
     if isinstance(value, frozenset):
         inner = ", ".join(map(atom_repr, sorted(value, key=atom_key)))
         return f"frozenset({{{inner}}})" if value else "frozenset()"
     if isinstance(value, tuple):
         return "(" + ", ".join(map(atom_repr, value)) + (",)" if len(value) == 1 else ")")
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{atom_repr(k)}: {atom_repr(value[k])}"
+                               for k in sorted(value, key=atom_key)) + "}"
+    if is_dataclass(value) and not isinstance(value, type):
+        inner = ", ".join(f"{f.name}={atom_repr(getattr(value, f.name))}"
+                          for f in fields(value) if f.repr)
+        return f"{type(value).__qualname__}({inner})"
     return repr(value)
 
 
@@ -773,29 +780,43 @@ def _budget_check(bound, budget):
         raise TooLarge(f"candidate space of size {bound} exceeds budget {budget}")
 
 
-def _iter_monotone_graphs(dom, cod, points, fixed=None):
-    """Backtracking generator of monotone assignments points -> cod as dicts.
-
-    The points are visited in a linear extension of dom; fixed pins some of
-    them to one value each.
-    """
-    order = [p for p in dom.linear_extension() if p in points]
+def _monotone_vectors(dom, cod, points, fixed=None):
+    """Backtracking generator of the monotone assignments points -> cod, as
+    tuples of cod indices aligned with points.  The points are visited in a
+    linear extension of dom, each trying cod's elements in order; a value is
+    kept when it lies in the up cone, a bit mask, of every value assigned
+    below it (those points found once per call).  fixed pins some points."""
+    index, n = cod._index(), len(cod)
+    ups = [sum(1 << index[y] for y in cod._up[x]) for x in cod.elements]
+    slot = {p: k for k, p in enumerate(points)}
+    order = [p for p in dom.linear_extension() if p in slot]
     fixed = fixed or {}
-    assign = {}
+    steps = [(slot[p], [slot[q] for q in order[:i] if q in dom._down[p]],
+              1 << index[fixed[p]] if p in fixed else (1 << n) - 1)
+             for i, p in enumerate(order)]
+    value = [0] * len(slot)
 
     def rec(i):
-        if i == len(order):
-            yield dict(assign)
+        if i == len(steps):
+            yield tuple(value)
             return
-        p = order[i]
-        lowers = [assign[q] for q in order[:i] if dom.leq(q, p)]
-        for c in (fixed[p],) if p in fixed else cod.elements:
-            if all(cod.leq(l, c) for l in lowers):
-                assign[p] = c
-                yield from rec(i + 1)
-        assign.pop(p, None)
+        k, lowers, allowed = steps[i]
+        for q in lowers:
+            allowed &= ups[value[q]]
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            value[k] = low.bit_length() - 1
+            yield from rec(i + 1)
 
-    yield from rec(0)
+    return rec(0)
+
+
+def _iter_monotone_graphs(dom, cod, points, fixed=None):
+    """_monotone_vectors as dicts from each point to its value."""
+    points, elems = tuple(points), cod.elements
+    return (dict(zip(points, map(elems.__getitem__, v)))
+            for v in _monotone_vectors(dom, cod, points, fixed))
 
 
 def monotone_graphs(dom, cod, budget=DEFAULT_MAP_BUDGET):
@@ -805,9 +826,8 @@ def monotone_graphs(dom, cod, budget=DEFAULT_MAP_BUDGET):
     _require_small(dom)
     _require_small(cod)
     _budget_check(max(len(cod), 1) ** len(dom), budget)
-    elems = dom.elements
-    return (tuple(g[x] for x in elems)
-            for g in _iter_monotone_graphs(dom, cod, dom.carrier))
+    elems = cod.elements
+    return (tuple(map(elems.__getitem__, v)) for v in _monotone_vectors(dom, cod, dom.elements))
 
 
 def _iter_plotkin_hom_graphs(dom_alg, cod_alg, budget):
@@ -840,16 +860,22 @@ _LATTICE_SELECTORS = {
 
 
 def _keeps(dom, cod, g, selector):
-    """Does the graph g keep what the lattice selector names: all of its
-    half, and the dual half's unit or operation where the selector says so?
-    The lattice/2 isomorphisms call it with cod TWO or its opposite."""
+    """_keeps_vector on a graph dict: the lattice/2 isomorphisms' test, with cod
+    TWO or its opposite."""
+    return _keeps_vector(dom, cod, [cod._index()[g[x]] for x in dom.elements], selector)
+
+
+def _keeps_vector(dom, cod, v, selector):
+    """Does the index vector v keep what the lattice selector names: all of
+    its half, and the dual half's unit or operation where the selector says so?"""
     half, keeps_unit, keeps_op = _LATTICE_SELECTORS[selector]
     dual = _MEET if half is _JOIN else _JOIN
+    di, ci = dom._index(), cod._index()
     return (
-        g[half.unit(dom)] == half.unit(cod)
-        and _preserves(dom, cod, g, half.op)
-        and (not keeps_unit or g[dual.unit(dom)] == dual.unit(cod))
-        and (not keeps_op or _preserves(dom, cod, g, dual.op))
+        v[di[half.unit(dom)]] == ci[half.unit(cod)]
+        and _commutes(v, dom._table(half.op), cod._table(half.op))
+        and (not keeps_unit or v[di[dual.unit(dom)]] == ci[dual.unit(cod)])
+        and (not keeps_op or _commutes(v, dom._table(dual.op), cod._table(dual.op)))
     )
 
 
@@ -862,7 +888,7 @@ def has_structure(m, selector):
         return True
     m.dom.require_lattice()
     m.cod.require_lattice()
-    return _keeps(m.dom, m.cod, m.as_dict(), selector)
+    return _keeps_vector(m.dom, m.cod, list(map(m.cod._index().__getitem__, m.graph)), selector)
 
 
 def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
@@ -881,9 +907,7 @@ def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
         if not isinstance(dom, PlotkinAlgebra) or not isinstance(cod, PlotkinAlgebra):
             raise TypeError("plotkin-hom expects PlotkinAlgebra arguments")
         graphs = _iter_plotkin_hom_graphs(dom, cod, budget)
-        return tuple(
-            MonotoneMap.from_dict(dom.poset, cod.poset, g) for g in graphs
-        )
+        return tuple(MonotoneMap.from_dict(dom.poset, cod.poset, g) for g in graphs)
 
     if selector == "monotone":
         return tuple(MonotoneMap._trusted(dom, cod, g) for g in monotone_graphs(dom, cod, budget))
@@ -894,19 +918,23 @@ def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
     cod.require_lattice()
     # a map preserving all of one half is the extension of its values on
     # that half's irreducibles: each element goes to the big operation over
-    # the irreducibles on the unit's side of it
+    # the irreducibles on the unit's side of it, folded in cod's index table
     half = _LATTICE_SELECTORS[selector][0]
     gens = half.irreducibles(dom)
     _budget_check(max(len(cod), 1) ** len(gens), budget)
+    table, unit, elems = cod._table(half.op), cod._index()[half.unit(cod)], cod.elements
+    sides = [[k for k, j in enumerate(gens) if j in half.side(dom, x)] for x in dom.elements]
     out = []
-    for assign in _iter_monotone_graphs(dom, cod, gens):
-        g = {}
-        for x in dom.elements:
-            side = half.side(dom, x)
-            g[x] = half.big(cod, (assign[j] for j in gens if j in side))
-        if _keeps(dom, cod, g, selector):
+    for assign in _monotone_vectors(dom, cod, gens):
+        v = []
+        for side in sides:
+            acc = unit
+            for k in side:
+                acc = table[acc][assign[k]]
+            v.append(acc)
+        if _keeps_vector(dom, cod, v, selector):
             # a map keeping joins or meets is monotone
-            out.append(MonotoneMap._trusted(dom, cod, tuple(g.values())))
+            out.append(MonotoneMap._trusted(dom, cod, tuple(map(elems.__getitem__, v))))
     return tuple(out)
 
 

@@ -64,6 +64,13 @@ class KleisliArrow:
                 raise NotMonotone(f"arrow is not monotone at {x} <= {y}")
 
     @classmethod
+    def _trusted(cls, family, dom, cod, graph):
+        """An arrow whose enumerator guarantees what __post_init__ checks: not checked again."""
+        f = object.__new__(cls)
+        f.__dict__.update(family=family, dom=dom, cod=cod, graph=graph)
+        return f
+
+    @classmethod
     def from_dict(cls, family, dom, cod, mapping):
         return cls(family, dom, cod, tuple(mapping[x] for x in dom.carrier.elements))
 
@@ -145,15 +152,15 @@ def check_em_algebra(candidate):
         return report.cases[-1].ok
 
     if not law("alpha is a map into the carrier", (
-            None if v in base else f"alpha({t!r}) leaves the carrier"
+            None if v in base else f"alpha({atom_repr(t)}) leaves the carrier"
             for t, v in alpha.items())):
         return report
     if family.base == "poset":
         law("alpha is monotone", (
-            f"s={s!r} t={t!r}"
+            f"s={atom_repr(s)} t={atom_repr(t)}"
             if family.leq(carrier, s, t) and not carrier.leq(alpha[s], alpha[t]) else None
             for s in alpha for t in alpha))
-    law("alpha . unit = id", (None if alpha[family.unit(carrier, x)] == x else f"x={x!r}"
+    law("alpha . unit = id", (None if alpha[family.unit(carrier, x)] == x else f"x={atom_repr(x)}"
                               for x in base))
 
     # alpha . T(alpha) = alpha . mu, over the doubly built structure
@@ -161,7 +168,7 @@ def check_em_algebra(candidate):
     mu = multiplication(family, carrier)
     law("alpha . T(alpha) = alpha . mu", (
         None if alpha[family.functor_map(inner, carrier, alpha.__getitem__, theta)]
-        == alpha[mu[theta]] else f"theta={theta!r}"
+        == alpha[mu[theta]] else f"theta={atom_repr(theta)}"
         for theta in family.elements(inner)))
     return report
 
@@ -179,12 +186,17 @@ def iter_kleisli_arrows(family, dom, cod, budget=DEFAULT_ARROW_BUDGET, targets=N
     """All arrows dom -> T(cod), or all probe arrows for the probabilistic monads.
 
     ``targets`` is T(cod), or its probe set, when the caller has built it.
-    Poset-family arrows are the monotone graphs into T(cod), checked once, as
-    arrows; they need dom and T(cod) within MAX_POSET_SIZE = 8 (else TooLarge,
-    whatever the budget: why most plotkin suites on 3 points sample).
+    Poset-family arrows are the monotone graphs into T(cod); they need dom and
+    T(cod) within MAX_POSET_SIZE = 8 (else TooLarge, whatever the budget: why
+    most plotkin suites on 3 points sample).  dom, cod and each given target
+    are checked once per call, and every arrow is built trusted.
     """
+    family.check_object(dom)
+    family.check_object(cod)
     if targets is None:
         targets = _structure_elements(family, cod)
+    elif bad := [t for t in targets if not family.contains(cod, t)]:
+        raise UnknownElement(f"target {atom_repr(bad[0])} is not a {family.name} element")
     bound = max(len(targets), 1) ** len(dom)
     if bound > budget:
         raise TooLarge(f"{bound} candidate arrows exceed the budget {budget}")
@@ -192,17 +204,18 @@ def iter_kleisli_arrows(family, dom, cod, budget=DEFAULT_ARROW_BUDGET, targets=N
         graphs = monotone_graphs(dom, family.space_poset(cod), budget)
     else:
         graphs = itertools.product(targets, repeat=len(dom))
-    return tuple(KleisliArrow(family, dom, cod, graph) for graph in graphs)
+    return tuple(KleisliArrow._trusted(family, dom, cod, graph) for graph in graphs)
 
 
 def random_kleisli_arrow(family, dom, cod, rng, targets):
-    """One arrow dom -> T(cod), its images drawn from ``targets``: T(cod) or its probe set."""
+    """One arrow dom -> T(cod), its images drawn from ``targets``: T(cod) or its probe set.
+
+    A non-monotone draw is rejected by the pair walk alone; the one kept is validated."""
+    leq = partial(family.leq, cod) if family.base == "poset" else None
     for _ in range(MAX_SAMPLE_TRIES):
         graph = tuple(rng.choice(targets) for _ in dom.carrier.elements)
-        try:
+        if leq is None or monotone_violation(dom, leq, graph) is None:
             return KleisliArrow(family, dom, cod, graph)
-        except NotMonotone:
-            continue
     raise TooLarge("could not sample a monotone arrow; space too sparse")
 
 
@@ -273,14 +286,14 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
         mode, fs = arrows(dom, cod)
         report.cases.append(first_counterexample("extend(f)(unit(x)) = f(x)", (
             None if _graph_extend(family, dom, cod, fd, family.unit(dom, x)) == fd[x]
-            else f"f={fd!r} x={x!r}"
+            else f"f={atom_repr(fd)} x={atom_repr(x)}"
             for f in fs for fd in [f.as_dict()] for x in dom.carrier),
             mode, (len(dom), len(cod))))
 
     for obj in objects:
         eta = {x: family.unit(obj, x) for x in obj.carrier}
         report.cases.append(first_counterexample("extend(unit)(t) = t", (
-            None if _graph_extend(family, obj, obj, eta, t) == t else f"t={t!r}"
+            None if _graph_extend(family, obj, obj, eta, t) == t else f"t={atom_repr(t)}"
             for t in structures[obj]),
             "exhaustive", (len(obj),)))
 
@@ -323,6 +336,7 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
         composites = composite_tables.setdefault((mid, far), {})
         ths = extension_tables(right, far, hs)
         for g, gimg, gvec in image_vectors(mid, right, gs, ts):
+            held = 0
             for h, th in zip(hs, ths):
                 key = gimg(th)
                 ctab = composites.get(key)
@@ -332,28 +346,28 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
                         intern(_graph_extend(family, mid, far, comp, t)) for t in ts)
                 lhs = gvec(th)
                 if lhs == ctab:
-                    yield len(ts)
+                    held += len(ts)
                     continue
-                gd, hd = g.as_dict(), h.as_dict()
+                yield held
+                held = 0
+                gd, hd = atom_repr(g.as_dict()), atom_repr(h.as_dict())
                 for t, got, want in zip(ts, lhs, ctab):
-                    yield None if got == want else f"g={gd!r} h={hd!r} t={t!r}"
+                    yield None if got == want else f"g={gd} h={hd} t={atom_repr(t)}"
+            yield held
 
     def sampled_assoc(mid, right, far, gs, hs, ts):
         for _ in range(LAW_SAMPLES):
             g = gs[rng.randrange(len(gs))]
             h = hs[rng.randrange(len(hs))]
             gd, hd = g.as_dict(), h.as_dict()
-            comp = {
-                x: _graph_extend(family, right, far, hd, gd[x])
-                for x in mid.carrier
-            }
+            comp = {x: _graph_extend(family, right, far, hd, gd[x]) for x in mid.carrier}
             t = ts[rng.randrange(len(ts))]
             lhs = _graph_extend(
                 family, right, far, hd,
                 _graph_extend(family, mid, right, gd, t),
             )
             yield None if lhs == _graph_extend(family, mid, far, comp, t) else (
-                f"g={gd!r} h={hd!r} t={t!r}")
+                f"g={atom_repr(gd)} h={atom_repr(hd)} t={atom_repr(t)}")
 
     for mid, right, far in itertools.product(objects, repeat=3):
         gmode, gs = arrows(mid, right)
@@ -411,7 +425,7 @@ def certify_full_faithful(correspondence, x, y, budget=DEFAULT_ARROW_BUDGET):
     seen = {}
     for c, img in zip(comps, images):
         if img in seen:
-            counter = f"transpose collision on {c!r} and {seen[img]!r}"
+            counter = f"transpose collision on {atom_repr(c)} and {atom_repr(seen[img])}"
             break
         seen[img] = c
     # witnesses are the first in enumeration order, not in hash order
@@ -419,17 +433,10 @@ def certify_full_faithful(correspondence, x, y, budget=DEFAULT_ARROW_BUDGET):
     missing = [t for t in trans if t not in hit]
     extra = [img for img in images if img not in listed]
     if counter is None and missing:
-        counter = f"transformer never hit: {missing[0]!r}"
+        counter = f"transformer never hit: {atom_repr(missing[0])}"
     if counter is None and extra:
-        counter = f"transpose image is not structure-preserving: {extra[0]!r}"
-    bijection = (
-        len(comps) == len(trans)
-        and counter is None
-    )
-    return CertifyReport(
-        correspondence=correspondence.id,
-        kleisli_count=len(comps),
-        transformer_count=len(trans),
-        bijection=bijection,
-        counterexample=counter,
-    )
+        counter = f"transpose image is not structure-preserving: {atom_repr(extra[0])}"
+    return CertifyReport(correspondence=correspondence.id, kleisli_count=len(comps),
+                         transformer_count=len(trans),
+                         bijection=len(comps) == len(trans) and counter is None,
+                         counterexample=counter)

@@ -274,3 +274,34 @@ def object_literals(draw):
        obj=object_literals(), fmt=FORMATS)
 def test_enumerate_inputs(monad, obj, fmt):
     run_cli(["enumerate", "--monad", monad, f"--object={obj}", "--format", fmt])
+
+
+def command_fuzz_inputs():
+    """(argv, stdin text) of every example test_transpose_payloads,
+    test_certify_arguments, test_laws_arguments and test_enumerate_inputs
+    draw, recorded in place of running it."""
+    cases = []
+    with mock.patch(f"{__name__}.run_cli", lambda argv, stdin="": cases.append((argv, stdin))):
+        for test in (test_transpose_payloads, test_certify_arguments, test_laws_arguments,
+                     test_enumerate_inputs):
+            test()
+    return cases
+
+
+def test_transpose_certify_laws_and_enumerate_inputs_are_hash_seed_independent(tmp_path):
+    # one batched process per seed, both at once
+    cases = command_fuzz_inputs()
+    assert len(cases) == 4 * FUZZ.max_examples
+    f = tmp_path / "cases.json"
+    f.write_text(json.dumps(cases))
+    src = str(Path(finsem.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+              "from test_cli import replay; print(replay(json.load(open(sys.argv[2]))))")
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", script, str(Path(__file__).parent), str(f)],
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for seed in ("1", "2")]
+    first, second = [(proc.communicate(timeout=120), proc.returncode) for proc in procs]
+    assert first == second
+    assert first[1] == 0 and first[0][1] == ""

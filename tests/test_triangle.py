@@ -1,17 +1,30 @@
 import dataclasses
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import finsem
 from finsem.check import Check
 from finsem.effects import Distribution, random_distribution
-from finsem.errors import CarrierMismatch, MonadMismatch, NotMonotone, TooLarge
-from finsem.monads import DIST, DOWNSET, HOARE, PLOTKIN, POWERSET, SMYTH
+from finsem.errors import (
+    CarrierMismatch,
+    MonadMismatch,
+    NotMonotone,
+    TooLarge,
+    UnknownElement,
+)
+from finsem.monads import DIST, DOWNSET, FAMILIES, HOARE, NEIGHBOURHOOD, PLOTKIN, POWERSET, SMYTH
 from finsem.order import (
     MAX_POSET_SIZE,
     FinSet,
     MonotoneMap,
+    all_posets,
     antichain,
     chain,
     enumerate_structure_maps,
@@ -21,6 +34,7 @@ from finsem.order import (
 from finsem.transformers import BOX, MONOTONE_NBHD
 from finsem.triangle import (
     DEFAULT_ARROW_BUDGET,
+    MAX_SAMPLE_TRIES,
     EMAlgebraCandidate,
     KleisliArrow,
     certify_full_faithful,
@@ -29,6 +43,7 @@ from finsem.triangle import (
     iter_kleisli_arrows,
     kleisli_compose,
     multiplication,
+    random_kleisli_arrow,
     stat_functor,
 )
 
@@ -144,6 +159,135 @@ class TestPosetFamilyArrows:
         assert size > MAX_POSET_SIZE and size ** len(p) <= DEFAULT_ARROW_BUDGET
         with pytest.raises(TooLarge):
             iter_kleisli_arrows(PLOTKIN, p, p)
+
+
+class TestTrustedArrows:
+    """The enumerators build trusted arrows; every public path still validates."""
+
+    C_DE = make_poset("cde", [("c", "d"), ("c", "e")])  # c < d, c < e
+    NOT_UPSET = frozenset("cd")  # {c, d} is no upset of C_DE: no smyth element
+
+    def test_public_constructor_rejects_a_foreign_image(self):
+        with pytest.raises(UnknownElement):
+            KleisliArrow(POWERSET, X2, Y2, (frozenset({"zz"}), frozenset()))
+        with pytest.raises(UnknownElement):
+            KleisliArrow(SMYTH, chain("a"), self.C_DE, (self.NOT_UPSET,))
+
+    def test_public_constructor_rejects_a_non_monotone_graph(self):
+        # a <= b, but the smyth order sends {d} below {c, d, e} only
+        p = chain("ab")
+        with pytest.raises(NotMonotone):
+            KleisliArrow(SMYTH, p, self.C_DE, (frozenset("d"), frozenset("cde")))
+        with pytest.raises(NotMonotone):
+            KleisliArrow(DOWNSET, p, p, (frozenset("ab"), frozenset("a")))
+
+    @pytest.mark.parametrize("family, cod, bad", [
+        (POWERSET, Y2, frozenset({"zz"})),
+        (NEIGHBOURHOOD, Y2, frozenset({frozenset({"zz"})})),
+        (SMYTH, C_DE, NOT_UPSET),
+        (PLOTKIN, C_DE, (frozenset("c"), NOT_UPSET)),
+    ], ids=lambda v: getattr(v, "name", None))
+    def test_enumerator_rejects_a_foreign_target(self, family, cod, bad):
+        dom = X2 if family.base == "set" else chain("ab")
+        targets = (*family.elements(cod), bad)
+        with pytest.raises(UnknownElement):
+            iter_kleisli_arrows(family, dom, cod, targets=targets)
+        with pytest.raises(UnknownElement):
+            random_kleisli_arrow(family, dom, cod, random.Random(0), (bad,))
+
+    @pytest.mark.parametrize("family", FAMILIES.values(), ids=lambda f: f.name)
+    def test_enumerated_arrows_are_listed_without_a_second_walk(self, monkeypatch, family):
+        objects = ((FinSet([]), X2, FinSet("abc")) if family.base == "set"
+                   else (chain("a"), chain("ab"), antichain("ab")))
+        small = [(d, c) for d, c in itertools.product(objects, repeat=2)
+                 if len(d) * len(c) <= 4 or family.name in ("powerset", "downset")]
+        built, asked = [], []
+        contains = type(family).contains
+        monkeypatch.setattr(KleisliArrow, "__post_init__", lambda f: built.append(f))
+        monkeypatch.setattr(type(family), "contains", lambda fam, obj, t: (
+            asked.append(t) or contains(fam, obj, t)))
+        listed = []
+        for dom, cod in small:
+            try:
+                targets = family.probe_elements(cod, 2) if not family.enumerable else (
+                    family.elements(cod))
+            except TooLarge:
+                continue
+            del asked[:]
+            arrows = iter_kleisli_arrows(family, dom, cod, targets=targets)
+            assert len(asked) <= len(targets)
+            listed.append((dom, cod, arrows))
+        assert built == [] and listed
+        monkeypatch.undo()
+        for dom, cod, arrows in listed:
+            assert len(arrows) == len(set(arrows))
+            for f in arrows:
+                assert KleisliArrow(family, dom, cod, f.graph) == f
+
+    @staticmethod
+    def draw_then_validate(family, dom, cod, rng, targets):
+        """The sampler as it was: each draw built through the validating
+        constructor, a non-monotone one skipped."""
+        for _ in range(MAX_SAMPLE_TRIES):
+            graph = tuple(rng.choice(targets) for _ in dom.carrier.elements)
+            try:
+                return KleisliArrow(family, dom, cod, graph)
+            except NotMonotone:
+                continue
+        raise TooLarge("could not sample a monotone arrow; space too sparse")
+
+    @pytest.mark.parametrize("family", (SMYTH, PLOTKIN), ids=lambda f: f.name)
+    @pytest.mark.parametrize("p", [p for p in all_posets(3) if len(p) == 3], ids=repr)
+    def test_sampler_draws_what_validating_each_draw_drew(self, family, p):
+        targets = family.elements(p)
+        fast, slow = random.Random(11), random.Random(11)
+        for _ in range(50):
+            f = random_kleisli_arrow(family, p, p, fast, targets)
+            assert f == self.draw_then_validate(family, p, p, slow, targets)
+        assert fast.getstate() == slow.getstate()
+
+
+def broken_witnesses():
+    """The failing reports of a law suite and of three certifications, each
+    over a carrier of strings, as text."""
+    class DropsOnPair(type(POWERSET)):
+        name = "drops-on-pair"
+
+        def extend(self, dom, cod, fn, t):
+            out = super().extend(dom, cod, fn, t)
+            return out - {max(out)} if len(t) == 2 and len(out) == 3 else out
+
+    xs = [FinSet(["x1", "x2"]), FinSet(["y1", "y2", "y3"])]
+    lines = [check_monad_laws(DropsOnPair(), xs).summary()]
+    trans = BOX.iter_transformers(xs[0], xs[0], 10_000)
+    for broken in (dataclasses.replace(BOX, forward=lambda g, x, y: trans[-1]),
+                   dataclasses.replace(BOX, iter_computations=lambda x, y, b: ()),
+                   dataclasses.replace(BOX, iter_transformers=lambda x, y, b: trans[:1])):
+        lines.append(certify_full_faithful(broken, xs[0], xs[0]).counterexample)
+    return "\n".join(lines)
+
+
+def test_failing_witnesses_are_hash_seed_independent():
+    src = str(Path(finsem.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "from test_triangle import broken_witnesses; print(broken_witnesses())")
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", script, str(Path(__file__).parent)],
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for seed in ("1", "2")]
+    first, second = [(proc.communicate(timeout=120), proc.returncode) for proc in procs]
+    assert first == second
+    (out, err), code = first
+    assert code == 0 and err == ""
+    (out, err), code = first
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "monad drops-on-pair: FAIL (21813 instances, seed 20240401)"
+    assert lines[4].endswith("t=frozenset({'y1', 'y3'})")
+    heads = ("transpose collision on KleisliArrow(", "transformer never hit: MonotoneMap(",
+             "transpose image is not structure-preserving: MonotoneMap(")
+    assert [line.startswith(head) for line, head in zip(lines[-3:], heads)] == [True] * 3
 
 
 class TestStatFunctor:
