@@ -9,7 +9,6 @@ its usage lines before the message for an error in the flags themselves.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -33,10 +32,15 @@ def _print_table(rows, header=None):
 
 
 def _emit(payload, fmt, table_rows=None, table_header=None):
+    if fmt == "table" and table_rows:
+        _print_table(table_rows, table_header)
+        return
+    import json
+
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        _print_table(table_rows or [[json.dumps(payload, sort_keys=True)]], table_header)
+        _print_table([[json.dumps(payload, sort_keys=True)]], table_header)
 
 
 # -- wp ---------------------------------------------------------------------------
@@ -199,6 +203,8 @@ def cmd_laws(args):
 
 
 def cmd_enumerate(args):
+    import json
+
     from .jsonio import atom_token, element_to_json, parse_object_literal, poset_to_json
     from .monads import FAMILIES
     from .order import FinPoset, FinSet, discrete
@@ -243,6 +249,8 @@ def _poset_from_json(data):
 
 
 def cmd_transpose(args):
+    import json
+
     from .order import atom_repr
     from .transformers import REGISTRY
 

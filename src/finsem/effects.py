@@ -17,11 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
-from .check import Report, first_counterexample
+from .check import Frozen, Report, first_counterexample
 from .errors import (
     CarrierMismatch,
     MonadMismatch,
@@ -93,12 +91,10 @@ def _check_unit_interval(value, what="value"):
 # -- fuzzy predicates ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FuzzyPredicate:
+class FuzzyPredicate(Frozen):
     """Total map from a finite carrier into exact rationals in [0, 1]."""
 
-    carrier: FinSet
-    values: tuple
+    __slots__ = _fields = ("carrier", "values")
 
     def __post_init__(self):
         if len(self.values) != len(self.carrier):
@@ -163,12 +159,8 @@ def pred_meet(p, q):
 # -- total MV operations on [0, 1] ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class MvOps:
-    plus: Fraction
-    minus: Fraction
-    join: Fraction
-    meet: Fraction
+class MvOps(Frozen):
+    __slots__ = _fields = ("plus", "minus", "join", "meet")
 
 
 def truncated_add(a, b):
@@ -202,21 +194,15 @@ def mv_ops(a, b):
 # -- effect algebra validation ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EffectAlgebraInstance:
+class EffectAlgebraInstance(Frozen):
     """An effect-algebra candidate probed on an explicit finite element set.
 
     ovee returns None where the partial sum is undefined.  The scalar action
     is optional; when present it is probed against scalar_grid.
     """
 
-    name: str
-    elements: tuple
-    ovee: Callable
-    orth: Callable
-    zero: object
-    scalar: Optional[Callable] = None
-    scalar_grid: tuple = ()
+    __slots__ = _fields = ("name", "elements", "ovee", "orth", "zero", "scalar", "scalar_grid")
+    _defaults = (None, ())
 
     @property
     def one(self):

@@ -29,9 +29,9 @@ import math
 import operator
 import random
 import re
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
+from .check import Frozen
 from .effects import ONE, ZERO, Distribution, bind_rows
 from .errors import (
     ModeMismatch,
@@ -42,9 +42,7 @@ from .errors import (
     UndeclaredVariable,
     located,
 )
-from .monads import DIST, POWERSET
 from .order import FinSet
-from .triangle import KleisliArrow
 
 DEFAULT_STATE_CAP = 512
 # random boolean posts that check_roundtrip adds when given a seed
@@ -60,59 +58,16 @@ MAX_NESTING = 100
 # -- syntax trees ------------------------------------------------------------------
 
 
-class _Frozen:
-    """An immutable record, equal, hashed and printed by its fields as a
-    frozen dataclass would be, without a decorator's start-up cost.
-
-    A subclass lists its constructor arguments in ``_fields``; the last
-    ``_optional`` of them may be left out and are then None.  A ``pos`` field
-    is the (line, column) of a parsed node's operator token, for its type
-    errors, and None on a node built by hand; equality, hashing and repr
-    ignore it.
-    """
+class _Node(Frozen):
+    """A syntax-tree node.  A ``pos`` field is the (line, column) of a parsed
+    node's operator token, for its type errors, and None on a node built by
+    hand; equality, hashing and repr ignore it."""
 
     __slots__ = ()
-    _fields = _shown = ()
-    _optional = 0
-
-    def __init_subclass__(cls):
-        cls._shown = tuple(f for f in cls._fields if f != "pos")
-
-    def __init__(self, *args):
-        missing = len(self._fields) - len(args)
-        if not 0 <= missing <= self._optional:
-            raise TypeError(f"{type(self).__name__}({', '.join(self._fields)}) "
-                            f"given {len(args)} arguments")
-        for name, value in zip(self._fields, args + (None,) * missing):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass
-
-    def _values(self):
-        return tuple(getattr(self, f) for f in self._shown)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    _hidden = ("pos",)
 
 
-class VarDecl(_Frozen):
+class VarDecl(_Node):
     __slots__ = _fields = ("name", "lo", "hi")
 
     def __post_init__(self):
@@ -124,33 +79,33 @@ class VarDecl(_Frozen):
         return self.hi - self.lo + 1
 
 
-class Skip(_Frozen):
+class Skip(_Node):
     __slots__ = ()
 
 
-class Abort(_Frozen):
+class Abort(_Node):
     __slots__ = ()
 
 
-class Assign(_Frozen):
+class Assign(_Node):
     __slots__ = _fields = ("var", "expr", "pos")
-    _optional = 1
+    _defaults = (None,)
 
 
-class Seq(_Frozen):
+class Seq(_Node):
     __slots__ = _fields = ("first", "second")
 
 
-class If(_Frozen):
+class If(_Node):
     __slots__ = _fields = ("cond", "then", "orelse", "pos")
-    _optional = 1
+    _defaults = (None,)
 
 
-class Choose(_Frozen):
+class Choose(_Node):
     __slots__ = _fields = ("left", "right")
 
 
-class Prob(_Frozen):
+class Prob(_Node):
     __slots__ = _fields = ("chance", "left", "right")
 
     def __post_init__(self):
@@ -160,33 +115,33 @@ class Prob(_Frozen):
             raise RangeError(f"branch probability {self.chance} outside [0, 1]")
 
 
-class Lit(_Frozen):
+class Lit(_Node):
     __slots__ = _fields = ("value",)
 
 
-class Var(_Frozen):
+class Var(_Node):
     __slots__ = _fields = ("name", "pos")
-    _optional = 1
+    _defaults = (None,)
 
 
-class Unary(_Frozen):
+class Unary(_Node):
     __slots__ = _fields = ("op", "arg", "pos")
-    _optional = 1
+    _defaults = (None,)
 
 
-class Bin(_Frozen):
+class Bin(_Node):
     __slots__ = _fields = ("op", "left", "right", "pos")
-    _optional = 1
+    _defaults = (None,)
 
 
-class Iverson(_Frozen):
+class Iverson(_Node):
     __slots__ = _fields = ("cond", "pos")
-    _optional = 1
+    _defaults = (None,)
 
 
-class Program(_Frozen):
+class Program(_Node):
     __slots__ = _fields = ("decls", "body", "post")
-    _optional = 1
+    _defaults = (None,)
 
 
 # -- lexer -------------------------------------------------------------------------
@@ -495,7 +450,7 @@ def parse_expression(source, declared):
 # -- state spaces and expression evaluation ----------------------------------------
 
 
-class StateSpace(_Frozen):
+class StateSpace(Frozen):
     """The full product of the declared variable ranges."""
 
     __slots__ = _fields = ("decls",)
@@ -683,8 +638,8 @@ def _indices(mask):
 
 # -- denotational semantics ----------------------------------------------------------
 
-# the monad each mode denotes into
-_FAMILIES = {"pow": POWERSET, "dist": DIST}
+# the modes, each denoting into its monad: powerset and dist
+_MODES = ("pow", "dist")
 # the statements that only one mode admits
 _ONLY_IN = {Abort: "pow", Choose: "pow", Prob: "dist"}
 
@@ -743,12 +698,12 @@ class _Tables:
     """
 
     def __init__(self, program, mode, cap):
-        if mode not in _FAMILIES:
+        if mode not in _MODES:
             raise ModeMismatch(f"unknown mode {mode!r}")
         violation = _mode_violation(program.body, mode)
         if violation:
             raise ModeMismatch(violation)
-        self.family = _FAMILIES[mode]
+        self.mode = mode
         self.space = StateSpace(program.decls)
         self.states = self.space.states(cap)
         self.columns = _columns(self.states)
@@ -782,7 +737,7 @@ def _denote(stmt, tables):
     mode a ``Weighting`` kernel row over state positions, ``(positions,
     numerators, denominator)`` with the positions ascending; ``;`` and ``prob``
     bind rows with ``bind_rows``, the extension under ``Weighting.bind``."""
-    pow_mode, n = tables.family is POWERSET, len(tables.states)
+    pow_mode, n = tables.mode == "pow", len(tables.states)
     if isinstance(stmt, (Skip, Assign)):
         targets = tables[stmt] if isinstance(stmt, Assign) else range(n)
         return [1 << j for j in targets] if pow_mode else [((j,), (1,), 1) for j in targets]
@@ -807,13 +762,17 @@ def _denote(stmt, tables):
 
 def _arrow(program, tables):
     """The denotation's rows as a KleisliArrow, through its validating constructor."""
+    from .monads import DIST, POWERSET
+    from .triangle import KleisliArrow
+
     states, rows = tables.states, _denote(program.body, tables)
     state, made = states.elements.__getitem__, Distribution._from_kernel
-    if tables.family is POWERSET:
-        graph = (frozenset(map(state, _indices(m))) for m in rows)
+    if tables.mode == "pow":
+        family, graph = POWERSET, (frozenset(map(state, _indices(m))) for m in rows)
     else:
-        graph = (made(states, (tuple(map(state, at)), nums, den)) for at, nums, den in rows)
-    return KleisliArrow(tables.family, states, states, tuple(graph))
+        family, graph = DIST, (made(states, (tuple(map(state, at)), nums, den))
+                               for at, nums, den in rows)
+    return KleisliArrow(family, states, states, tuple(graph))
 
 
 def denote(program, mode, state_cap=DEFAULT_STATE_CAP):
@@ -920,7 +879,7 @@ def wp(program, post, flavor, state_cap=DEFAULT_STATE_CAP):
 def _rows(arrow):
     """Each row over cod's indices: a pow row as a mask, a dist row as its kernel."""
     rank = arrow.cod.carrier.rank()
-    if arrow.family is POWERSET:
+    if arrow.family.name == "powerset":
         return [sum([1 << rank[b] for b in t]) for t in arrow.graph]
     return [([rank[b] for b in support], nums, den)
             for support, nums, den in (t.kernel() for t in arrow.graph)]
@@ -954,9 +913,9 @@ def transformer_wp(arrow, table, flavor):
 # -- healthiness round trip -------------------------------------------------------------
 
 
-class WpCheck(_Frozen):
+class WpCheck(Frozen):
     __slots__ = _fields = ("flavor", "posts", "mismatches", "witness")
-    _optional = 1
+    _defaults = (None,)
 
     @property
     def ok(self):

@@ -9,10 +9,9 @@ the extension of the identity arrow.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 
-from .check import Check
+from .check import Check, Frozen
 from .effects import (
     ZERO,
     Distribution,
@@ -96,12 +95,10 @@ class MonadFamily:
         return f"<monad {self.name}>"
 
 
-@dataclass(frozen=True)
-class MonadInstance:
+class MonadInstance(Frozen):
     """A monad family bound to one object, with the cap already enforced."""
 
-    family: MonadFamily
-    obj: object
+    __slots__ = _fields = ("family", "obj")
 
     def elements(self):
         return self.family.elements(self.obj)
@@ -565,12 +562,10 @@ def cba_collapse_check(x):
 # -- Smyth double representation ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FilterOf:
+class FilterOf(Frozen):
     """A filter of a finite lattice: an upset closed under meets, containing top."""
 
-    ambient: FinPoset
-    members: frozenset
+    __slots__ = _fields = ("ambient", "members")
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
@@ -640,13 +635,10 @@ def smyth_representations(p):
 # -- lens pairs and the three-valued dualizer ------------------------------------------
 
 
-@dataclass(frozen=True)
-class LensPair:
+class LensPair(Frozen):
     """A pair of opens of a finite poset with the outer containing the inner."""
 
-    base: FinPoset
-    outer: frozenset
-    inner: frozenset
+    __slots__ = _fields = ("base", "outer", "inner")
 
     def __post_init__(self):
         object.__setattr__(self, "outer", frozenset(self.outer))
@@ -676,12 +668,10 @@ def all_lens_pairs(p):
 # -- expectation functionals -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(Frozen):
     """A functional on fuzzy predicates, kept intensional (never enumerated)."""
 
-    carrier: FinSet
-    fn: object
+    __slots__ = _fields = ("carrier", "fn")
 
     def __call__(self, p):
         if p.carrier != self.carrier:

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .check import Frozen, Record
 from .errors import (
     CycleError,
     NotJoinPreserving,
@@ -65,9 +65,8 @@ def atom_repr(value):
     if isinstance(value, dict):
         return "{" + ", ".join(f"{atom_repr(k)}: {atom_repr(value[k])}"
                                for k in sorted(value, key=atom_key)) + "}"
-    if is_dataclass(value) and not isinstance(value, type):
-        inner = ", ".join(f"{f.name}={atom_repr(getattr(value, f.name))}"
-                          for f in fields(value) if f.repr)
+    if isinstance(value, Record):
+        inner = ", ".join(f"{f}={atom_repr(getattr(value, f))}" for f in value._shown)
         return f"{type(value).__qualname__}({inner})"
     return repr(value)
 
@@ -480,13 +479,11 @@ def downsets(poset):
 # -- subsets with a declared kind ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubsetOf:
+class SubsetOf(Frozen):
     """A subset of a carrier, tagged plain, upset, or downset (and checked)."""
 
-    ambient: object
-    members: frozenset
-    kind: str = "plain"
+    __slots__ = _fields = ("ambient", "members", "kind")
+    _defaults = ("plain",)
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
@@ -547,13 +544,30 @@ def monotone_violation(dom, leq, graph):
     return None
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+# sets a field of a frozen record
+_set = object.__setattr__
+
+
+class MonotoneMap(Frozen):
     """Total monotone function between finite posets."""
 
-    dom: FinPoset
-    cod: FinPoset
-    graph: tuple
+    __slots__ = _fields = ("dom", "cod", "graph")
+
+    # Maps are built, hashed and compared in the enumerators' inner loops, so
+    # the record's methods are written out here, field by field.
+    def __init__(self, dom, cod, graph):
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
+        _set(self, "graph", graph)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dom, self.cod, self.graph) == (other.dom, other.cod, other.graph)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.graph))
 
     def __post_init__(self):
         if len(self.graph) != len(self.dom):
@@ -569,7 +583,9 @@ class MonotoneMap:
     def _trusted(cls, dom, cod, graph):
         """A map whose enumerator guarantees its graph monotone into cod: not walked again."""
         m = object.__new__(cls)
-        m.__dict__.update(dom=dom, cod=cod, graph=graph)
+        _set(m, "dom", dom)
+        _set(m, "cod", cod)
+        _set(m, "graph", graph)
         return m
 
     @classmethod
@@ -693,8 +709,7 @@ def lattice_element_to_map(lattice, a, variant):
 # -- Plotkin algebras over a frame ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlotkinAlgebra:
+class PlotkinAlgebra(Frozen):
     """Pairs (a, b) with a >= b in a finite frame, under the product order.
 
     Carries the erratic sum (join on the left, meet on the right) with the
@@ -702,9 +717,8 @@ class PlotkinAlgebra:
     ``poset.elements``, as FinPoset tables join and meet.
     """
 
-    frame: FinPoset
-    poset: FinPoset
-    sums: tuple = field(compare=False, repr=False)
+    __slots__ = _fields = ("frame", "poset", "sums")
+    _hidden = ("sums",)
 
     @classmethod
     def over(cls, frame):

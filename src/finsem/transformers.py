@@ -23,12 +23,10 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import Callable, Optional
 
-from .check import Check
+from .check import Check, Frozen
 from .effects import FuzzyPredicate, expectation
 from .errors import (
     Incomparable,
@@ -47,7 +45,6 @@ from .monads import (
     POWERSET,
     SMYTH,
     LensPair,
-    MonadFamily,
     all_lens_pairs,
     indicator_probe,
 )
@@ -351,8 +348,7 @@ def expectation_computation(transform, dom, cod):
 # -- the correspondence registry -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(Frozen):
     """One transpose pair with enumerators for both of its sides.
 
     forward and backward uniformly take (value, dom_object, cod_object) so
@@ -364,12 +360,9 @@ class Correspondence:
     maps.
     """
 
-    id: str
-    forward: Callable
-    backward: Callable
-    iter_computations: Callable
-    iter_transformers: Callable
-    family: Optional[MonadFamily] = None
+    __slots__ = _fields = ("id", "forward", "backward", "iter_computations",
+                           "iter_transformers", "family")
+    _defaults = (None,)
 
 
 def _arrow_correspondence(recipe):

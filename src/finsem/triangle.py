@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Optional
 
-from .check import Report, first_counterexample
+from .check import Frozen, Record, Report, first_counterexample
 from .errors import (
     CarrierMismatch,
     MonadMismatch,
@@ -21,7 +19,6 @@ from .errors import (
     TooLarge,
     UnknownElement,
 )
-from .monads import MonadFamily
 from .order import atom_repr, monotone_graphs, monotone_violation
 
 DEFAULT_ARROW_BUDGET = 300_000
@@ -32,8 +29,11 @@ LAW_SAMPLES = 400
 MAX_SAMPLE_TRIES = 100_000
 
 
-@dataclass(frozen=True)
-class KleisliArrow:
+# sets a field of a frozen record
+_set = object.__setattr__
+
+
+class KleisliArrow(Frozen):
     """A computation: a map from a carrier into the structure over another.
 
     For poset-based monads the map must be monotone into the structure
@@ -41,10 +41,25 @@ class KleisliArrow:
     order.MonotoneMap, as is membership of every image element.
     """
 
-    family: MonadFamily
-    dom: object
-    cod: object
-    graph: tuple
+    __slots__ = _fields = ("family", "dom", "cod", "graph")
+
+    # Arrows are built and compared in the enumerators' inner loops, so the
+    # record's methods are written out here, field by field.
+    def __init__(self, family, dom, cod, graph):
+        _set(self, "family", family)
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
+        _set(self, "graph", graph)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.family, self.dom, self.cod, self.graph)
+                    == (other.family, other.dom, other.cod, other.graph))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.family, self.dom, self.cod, self.graph))
 
     def __post_init__(self):
         self.family.check_object(self.dom)
@@ -67,7 +82,10 @@ class KleisliArrow:
     def _trusted(cls, family, dom, cod, graph):
         """An arrow whose enumerator guarantees what __post_init__ checks: not checked again."""
         f = object.__new__(cls)
-        f.__dict__.update(family=family, dom=dom, cod=cod, graph=graph)
+        _set(f, "family", family)
+        _set(f, "dom", dom)
+        _set(f, "cod", cod)
+        _set(f, "graph", graph)
         return f
 
     @classmethod
@@ -121,13 +139,11 @@ def multiplication(family, obj):
 # -- Eilenberg-Moore algebra checking ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EMAlgebraCandidate:
-    """A candidate structure map alpha from the monad structure to a carrier."""
+class EMAlgebraCandidate(Frozen):
+    """A candidate structure map alpha from the monad structure to a carrier;
+    alpha is aligned with family.elements(carrier)."""
 
-    family: MonadFamily
-    carrier: object
-    alpha: tuple  # aligned with family.elements(carrier)
+    __slots__ = _fields = ("family", "carrier", "alpha")
 
     def table(self):
         return dict(zip(self.family.elements(self.carrier), self.alpha))
@@ -391,13 +407,10 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
 # -- full-and-faithfulness certification ---------------------------------------------
 
 
-@dataclass
-class CertifyReport:
-    correspondence: str
-    kleisli_count: int
-    transformer_count: int
-    bijection: bool
-    counterexample: Optional[str] = None
+class CertifyReport(Record):
+    __slots__ = _fields = ("correspondence", "kleisli_count", "transformer_count",
+                           "bijection", "counterexample")
+    _defaults = (None,)
 
     def to_json_dict(self):
         out = {

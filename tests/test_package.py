@@ -90,20 +90,25 @@ class TestLazyExports:
 
 # the finsem modules a process holds after running one subcommand
 BASE = ["finsem", "finsem.check", "finsem.cli", "finsem.effects", "finsem.errors",
-        "finsem.monads", "finsem.order"]
+        "finsem.order"]
 MODULES = {
-    "wp": BASE + ["finsem.gcl", "finsem.triangle"],
-    "run": BASE + ["finsem.gcl", "finsem.jsonio", "finsem.triangle"],
-    "laws": BASE + ["finsem.triangle"],
-    "enumerate": BASE + ["finsem.jsonio"],
-    "transpose": BASE + ["finsem.jsonio", "finsem.transformers", "finsem.triangle"],
-    "certify": BASE + ["finsem.transformers", "finsem.triangle"],
+    "wp": BASE + ["finsem.gcl"],
+    "run": BASE + ["finsem.gcl", "finsem.jsonio", "finsem.monads", "finsem.triangle"],
+    "laws": BASE + ["finsem.monads", "finsem.triangle"],
+    "enumerate": BASE + ["finsem.jsonio", "finsem.monads"],
+    "transpose": BASE + ["finsem.jsonio", "finsem.monads", "finsem.transformers",
+                         "finsem.triangle"],
+    "certify": BASE + ["finsem.monads", "finsem.transformers", "finsem.triangle"],
 }
+# standard-library modules that no subcommand loads
+UNUSED = ("dataclasses", "inspect")
 PROBE = """\
-import json, sys
+import sys
 from finsem.cli import cli_main
 code = cli_main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("finsem"))]))
+loaded = sorted(sys.modules)
+import json
+print(json.dumps([code, loaded]))
 """
 
 
@@ -124,4 +129,20 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, command):
     }[command]
     code, modules = json.loads(python(PROBE, *argv))
     assert code == 0
-    assert modules == sorted(MODULES[command])
+    assert [m for m in modules if m.startswith("finsem")] == sorted(MODULES[command])
+    assert not set(UNUSED) & set(modules)
+    if command == "laws":  # it prints no JSON
+        assert "json" not in modules
+
+
+def test_start_up_loads_no_unused_standard_module():
+    # else the probe above would pass whatever the subcommands load
+    modules = python("import sys; loaded = sorted(sys.modules); print(' '.join(loaded))")
+    assert not {*UNUSED, "json"} & set(modules.split())
+
+
+def test_no_module_imports_dataclasses():
+    sources = sorted(Path(SRC, "finsem").glob("*.py"))
+    assert len(sources) == len(SUBMODULES) + 4  # with __init__, __main__, cli and jsonio
+    for path in sources:
+        assert "dataclass" not in path.read_text(encoding="utf-8"), path.name

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import random
@@ -31,7 +30,7 @@ from finsem.order import (
     make_poset,
     upsets,
 )
-from finsem.transformers import BOX, MONOTONE_NBHD
+from finsem.transformers import BOX, MONOTONE_NBHD, Correspondence
 from finsem.triangle import (
     DEFAULT_ARROW_BUDGET,
     MAX_SAMPLE_TRIES,
@@ -247,6 +246,11 @@ class TestTrustedArrows:
         assert fast.getstate() == slow.getstate()
 
 
+def box_with(**changes):
+    """The box correspondence with the given fields changed, built by keyword."""
+    return Correspondence(**{f: changes.get(f, getattr(BOX, f)) for f in Correspondence._fields})
+
+
 def broken_witnesses():
     """The failing reports of a law suite and of three certifications, each
     over a carrier of strings, as text."""
@@ -260,9 +264,9 @@ def broken_witnesses():
     xs = [FinSet(["x1", "x2"]), FinSet(["y1", "y2", "y3"])]
     lines = [check_monad_laws(DropsOnPair(), xs).summary()]
     trans = BOX.iter_transformers(xs[0], xs[0], 10_000)
-    for broken in (dataclasses.replace(BOX, forward=lambda g, x, y: trans[-1]),
-                   dataclasses.replace(BOX, iter_computations=lambda x, y, b: ()),
-                   dataclasses.replace(BOX, iter_transformers=lambda x, y, b: trans[:1])):
+    for broken in (box_with(forward=lambda g, x, y: trans[-1]),
+                   box_with(iter_computations=lambda x, y, b: ()),
+                   box_with(iter_transformers=lambda x, y, b: trans[:1])):
         lines.append(certify_full_faithful(broken, xs[0], xs[0]).counterexample)
     return "\n".join(lines)
 
@@ -378,8 +382,8 @@ class TestCertify:
     @pytest.mark.parametrize("kept", [1, 2, 3])
     def test_missing_witness_is_the_first_transformer_never_hit(self, kept):
         xs = FinSet([0, 1])
-        truncated = dataclasses.replace(
-            BOX, iter_computations=lambda x, y, budget: BOX.iter_computations(
+        truncated = box_with(
+            iter_computations=lambda x, y, budget: BOX.iter_computations(
                 x, y, budget)[:kept])
         images = [BOX.forward(c, xs, xs) for c in truncated.iter_computations(xs, xs, 10_000)]
         first = next(t for t in BOX.iter_transformers(xs, xs, 10_000) if t not in images)
@@ -391,8 +395,7 @@ class TestCertify:
     def test_extra_witness_is_the_first_image_not_listed(self, kept):
         xs = FinSet([0, 1])
         trans = BOX.iter_transformers(xs, xs, 10_000)[:kept]
-        truncated = dataclasses.replace(
-            BOX, iter_transformers=lambda x, y, budget: trans)
+        truncated = box_with(iter_transformers=lambda x, y, budget: trans)
         images = [BOX.forward(c, xs, xs) for c in BOX.iter_computations(xs, xs, 10_000)]
         first = next(img for img in images if img not in trans)
         report = certify_full_faithful(truncated, xs, xs)
