@@ -8,11 +8,12 @@ is the operational healthiness check.
 
 Each expression is typed (int, rational or bool) before any state is
 evaluated, and compiled to one ``map`` per operator over the state columns,
-with rationals as integer numerators over one denominator.  Within one call
-of ``denote``, ``wp`` or ``check_roundtrip``, the columns, each assignment's
-successor indices and each condition's mask are built once for every traversal.
-Inside, a pow denotation is an int mask per state (bit j: states[j] is
-reachable), a dist denotation one ``Weighting`` kernel row per state,
+with rationals as integer numerators over one denominator.  A ``Program``
+keeps, for as long as it lives, the columns, each assignment's successor
+indices, each condition's mask and the validated denotation, built once for
+every call of ``denote``, ``wp`` and ``check_roundtrip`` on it.  Inside, a
+pow denotation is an int mask per state (bit j: states[j] is reachable), a
+dist denotation one ``Weighting`` kernel row per state,
 ``(positions, numerators, denominator)``, bound by ``effects.bind_rows``, the
 integer Kleisli extension that ``Weighting.bind`` runs; a demonic or angelic
 table is one state mask, and an expectation table integer numerators over one
@@ -140,7 +141,13 @@ class Iverson(_Node):
 
 
 class Program(_Node):
-    __slots__ = _fields = ("decls", "body", "post")
+    """A program.  Beside its fields it has one slot, ``_memo``, that holds the
+    tables and denotations ``_tables`` builds for it; as it is no field,
+    equality, hashing, repr, copy and pickle ignore it, and a copy starts
+    without one."""
+
+    __slots__ = ("decls", "body", "post", "_memo")
+    _fields = ("decls", "body", "post")
     _defaults = (None,)
 
 
@@ -169,27 +176,28 @@ class Token:
 
 
 def tokenize(source):
+    """The tokens of source, ending in an eof token; ParseError at the first
+    character no token starts with.  One ``finditer`` pass: only whitespace
+    runs hold newlines, so the line and its start move only there."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(source):
-        m = _TOKEN_RE.match(source, i)
-        if m is None:
-            raise ParseError(f"unexpected character {source[i]!r}", line, col)
-        text = m.group(0)
-        if m.lastgroup != "ws":
-            kind = m.lastgroup
-            if kind == "name" and text in KEYWORDS:
-                kind = "kw"
-            tokens.append(Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        i = m.end()
-    tokens.append(Token("eof", "", line, col))
+    line, start, end = 1, 0, 0  # start: offset of the line's first character
+    for m in _TOKEN_RE.finditer(source):
+        if m.start() != end:  # finditer skipped a character no token matches
+            break
+        kind, end = m.lastgroup, m.end()
+        if kind == "ws":
+            newline = source.rfind("\n", m.start(), end)
+            if newline >= 0:
+                line += source.count("\n", m.start(), end)
+                start = newline + 1
+            continue
+        text = m.group()
+        if kind == "name" and text in KEYWORDS:
+            kind = "kw"
+        tokens.append(Token(kind, text, line, m.start() - start + 1))
+    if end != len(source):
+        raise ParseError(f"unexpected character {source[end]!r}", line, end - start + 1)
+    tokens.append(Token("eof", "", line, end - start + 1))
     return tokens
 
 
@@ -688,18 +696,19 @@ def _mask(stmt, space, columns):
 
 
 class _Tables:
-    """A program's state space, its variable columns and its statements' tables.
+    """A program's state space, its variable columns, its statements' tables
+    and, once built, its validated denotation ``arrow``, for one mode and cap.
 
-    One public call builds one: an assignment's successor indices and an if's
-    condition mask are computed the first time a traversal reaches the
-    statement, so the first error raised is the first one that traversal
-    meets, and later traversals in the call (more posts, the other leg of a
-    round trip) read the same tables.  Nothing is kept past the call.
+    ``_tables`` builds one per program, mode and cap, and the program keeps it
+    in its memo: an assignment's successor indices and an if's condition mask
+    are computed the first time a traversal reaches the statement, so the
+    first error raised is the first one that traversal meets, and every later
+    traversal (more posts, the other leg of a round trip, the next call on
+    the same program) reads the same tables.  An entry that raises is not
+    stored, so the next traversal to reach it raises again.
     """
 
     def __init__(self, program, mode, cap):
-        if mode not in _MODES:
-            raise ModeMismatch(f"unknown mode {mode!r}")
         violation = _mode_violation(program.body, mode)
         if violation:
             raise ModeMismatch(violation)
@@ -707,6 +716,7 @@ class _Tables:
         self.space = StateSpace(program.decls)
         self.states = self.space.states(cap)
         self.columns = _columns(self.states)
+        self.arrow = None
         self._built = {}
 
     def __getitem__(self, stmt):
@@ -723,6 +733,22 @@ class _Tables:
             last = len(self.states) - 1
             self._built[key] = operator.itemgetter(*[last - j for j in reversed(self[stmt])])
         return self._built[key]
+
+
+def _tables(program, mode, cap):
+    """program's _Tables for mode and cap, built on first use and kept in its
+    memo slot; a build that raises leaves nothing behind."""
+    if mode not in _MODES:
+        raise ModeMismatch(f"unknown mode {mode!r}")
+    try:
+        memo = program._memo
+    except AttributeError:
+        memo = {}
+        object.__setattr__(program, "_memo", memo)
+    tables = memo.get((mode, cap))
+    if tables is None:
+        tables = memo[mode, cap] = _Tables(program, mode, cap)
+    return tables
 
 
 def _union(rows, mask):
@@ -775,9 +801,16 @@ def _arrow(program, tables):
     return KleisliArrow(family, states, states, tuple(graph))
 
 
+def _denotation(program, tables):
+    """tables' validated arrow, built by _arrow on first use and then kept."""
+    if tables.arrow is None:
+        tables.arrow = _arrow(program, tables)
+    return tables.arrow
+
+
 def denote(program, mode, state_cap=DEFAULT_STATE_CAP):
     """The whole-program Kleisli arrow over the state space."""
-    return _arrow(program, _Tables(program, mode, state_cap))
+    return _denotation(program, _tables(program, mode, state_cap))
 
 
 # -- weakest preconditions -------------------------------------------------------------
@@ -863,11 +896,23 @@ def _pre_expectation(stmt, post, tables):
     raise AssertionError(f"not a statement: {stmt!r}")
 
 
+_EXPRESSIONS = (Lit, Var, Unary, Bin, Iverson)
+
+
+def _post_expr(post, names):
+    """post as an expression node: source text is parsed against the declared
+    names, and anything else that is no expression node raises TypeMismatch."""
+    if isinstance(post, str):
+        return parse_expression(post, names)
+    if not isinstance(post, _EXPRESSIONS):
+        raise TypeMismatch(f"a post is an expression or its source text, not {post!r}")
+    return post
+
+
 def wp(program, post, flavor, state_cap=DEFAULT_STATE_CAP):
     """Weakest precondition (or pre-expectation) by structural recursion."""
-    tables = _Tables(program, mode_of_flavor(flavor), state_cap)
-    if isinstance(post, str):
-        post = parse_expression(post, tables.space.names)
+    tables = _tables(program, mode_of_flavor(flavor), state_cap)
+    post = _post_expr(post, tables.space.names)
     table = _post_table(post, flavor, tables.space.names, tables.columns)
     if flavor == "expectation":
         nums, den = _pre_expectation(program.body, table, tables)
@@ -945,16 +990,20 @@ def default_posts(space, flavor, rng=None):
 def check_roundtrip(program, flavor, posts=None, state_cap=DEFAULT_STATE_CAP, seed=None):
     """Compositional wp against the transposed whole-program denotation.
 
-    The denotation and every post's recursion read one set of statement
-    tables, so each assignment and condition is evaluated once per state.
+    posts are expression nodes or their source text.  The denotation and every
+    post's recursion read the statement tables the program keeps, so each
+    assignment and condition is evaluated once per state over the program's
+    life, and the denotation is the arrow ``denote`` built and validated, or
+    is built and validated here when there is none yet.
     """
-    tables = _Tables(program, mode_of_flavor(flavor), state_cap)
-    arrow = _arrow(program, tables)
+    tables = _tables(program, mode_of_flavor(flavor), state_cap)
     space, states = tables.space, tables.states
     if posts is None:
         rng = random.Random(seed) if seed is not None else None
         posts = default_posts(space, flavor, rng)
-    rows = _rows(arrow)
+    else:
+        posts = [_post_expr(post, space.names) for post in posts]
+    rows = _rows(_denotation(program, tables))
     mismatches = 0
     witness = None
     for post in posts:

@@ -94,6 +94,13 @@ class MonadFamily:
     def __repr__(self):
         return f"<monad {self.name}>"
 
+    def __reduce_ex__(self, protocol):
+        # a family compares by identity, so copy and pickle hand back the
+        # registered family of the same name, not a new and unequal one
+        if FAMILIES.get(self.name) is self:
+            return _registered, (self.name,)
+        return super().__reduce_ex__(protocol)
+
 
 class MonadInstance(Frozen):
     """A monad family bound to one object, with the cap already enforced."""
@@ -434,6 +441,11 @@ FAMILIES = {
         GIRY,
     )
 }
+
+
+def _registered(name):
+    """The registered family of that name, as copy and pickle rebuild it."""
+    return FAMILIES[name]
 
 
 # -- cap-checked instance constructors ----------------------------------------------

@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import hashlib
 import importlib
 import itertools
 import operator
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -171,6 +173,74 @@ class TestProbChance:
             table = gcl.wp(gcl.Program((x,), body), "[x == 0]", "expectation")
             assert table == {(0,): want, (1,): want}
             assert all(type(v) is Fraction for v in table.values())
+
+
+def tokenize_oracle(source):
+    """The tokens of source by one match per token and per whitespace run,
+    counting the column through every token."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(source):
+        m = gcl._TOKEN_RE.match(source, i)
+        if m is None:
+            raise ParseError(f"unexpected character {source[i]!r}", line, col)
+        text = m.group(0)
+        if m.lastgroup != "ws":
+            kind = m.lastgroup
+            if kind == "name" and text in gcl.KEYWORDS:
+                kind = "kw"
+            tokens.append((kind, text, line, col))
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        i = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+class TestTokenizer:
+    # token pieces, whitespace of every kind, and characters no token starts with
+    PIECES = ["x", "y1", "_a", "if", "prob", "true", "12", "0", ":=", "==", "<=", "&&",
+              "||", "[]", "..", "-", "+", "*", "/", "<", "!", ";", ":", ",", "{", "}",
+              "(", ")", "[", "]", "=", " ", "  ", "\t", "\n", "\r", "\r\n", "\n\n \t",
+              "\f", "\v", "\u00a0",
+              "@", "#", "$", "?", "'", '"', "\\", "é", "λ", "\x00", "~", "^"]
+
+    @staticmethod
+    def outcome(tokenize, source):
+        try:
+            return [(t.kind, t.text, t.line, t.column) if isinstance(t, gcl.Token) else t
+                    for t in tokenize(source)]
+        except ParseError as err:
+            return (str(err), err.line, err.column)
+
+    def test_random_strings_match_the_oracle(self):
+        rng = random.Random(20)
+        errors = 0
+        for _ in range(3000):
+            source = "".join(rng.choice(self.PIECES) for _ in range(rng.randint(0, 30)))
+            want = self.outcome(tokenize_oracle, source)
+            assert self.outcome(gcl.tokenize, source) == want, repr(source)
+            errors += isinstance(want, tuple)
+        assert 300 < errors < 2700  # both outcomes are well represented
+
+    def test_programs_match_the_oracle(self):
+        sources = [nested_program(shape, 4) for shape in NESTED]
+        sources.append(TestIntegerExpectations.NESTED)
+        for source in sources + [s.replace("; ", ";\r\n\t") for s in sources]:
+            assert self.outcome(gcl.tokenize, source) == self.outcome(tokenize_oracle, source)
+
+    @pytest.mark.parametrize("source, position", [
+        ("vars x in 0..1;\r\n\tbody: x := 1 @ 2;", (2, 15)),
+        ("\n\n  #", (3, 3)), ("@", (1, 1)), ("x\t\r\n\r\n y ?", (3, 4))])
+    def test_the_first_bad_character_is_located(self, source, position):
+        with pytest.raises(ParseError) as err:
+            gcl.tokenize(source)
+        assert (err.value.line, err.value.column) == position
 
 
 class TestNesting:
@@ -694,6 +764,9 @@ class TestColumns:
 
 
 class TestCompiledOncePerCall:
+    """Each statement expression is compiled once per program, each post once
+    per call."""
+
     SOURCE = ("vars x in 0..3, y in 0..3; body: x := x + 1;"
               " if (x == 2) { y := y + x } else { y := 0 }; {last};")
     # four assignments and one if condition
@@ -704,17 +777,141 @@ class TestCompiledOncePerCall:
         ("expectation", "prob 1/3 { x := x * y } { skip }")])
     def test_one_compile_per_post_and_per_statement_expression(
             self, monkeypatch, flavor, last):
-        prog = gcl.parse(self.SOURCE.replace("{last}", last))
+        source = self.SOURCE.replace("{last}", last)
+        prog = gcl.parse(source)
         posts = gcl.default_posts(gcl.StateSpace(prog.decls), flavor, random.Random(3))
         calls = []
         compile_expr = gcl.compile_expr
         monkeypatch.setattr(gcl, "compile_expr",
                             lambda e, names: calls.append(e) or compile_expr(e, names))
-        for count in (1, 2, len(posts)):
+        # the first call on a program compiles its statements, later ones only their posts
+        for count, statements in ((1, self.STATEMENT_EXPRESSIONS), (2, 0), (len(posts), 0)):
             calls.clear()
             chk = gcl.check_roundtrip(prog, flavor, posts=posts[:count])
             assert chk.ok and chk.posts == count
-            assert len(calls) == self.STATEMENT_EXPRESSIONS + count
+            assert len(calls) == statements + count
+        # a fresh parse of the same source shares nothing with the first
+        calls.clear()
+        chk = gcl.check_roundtrip(gcl.parse(source), flavor, posts=posts)
+        assert chk.ok and len(calls) == self.STATEMENT_EXPRESSIONS + len(posts)
+
+    def test_denote_wp_and_roundtrip_build_the_tables_and_arrow_once(self, monkeypatch):
+        prog = gcl.parse(self.SOURCE.replace("{last}", "x := x * y"))
+        built = {"_Tables": 0, "_arrow": 0}
+        for name in built:
+            original = getattr(gcl, name)
+
+            def counted(*args, _original=original, _name=name):
+                built[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(gcl, name, counted)
+        arrow = gcl.denote(prog, "pow")
+        gcl.wp(prog, "x == 1", "demonic")
+        assert gcl.check_roundtrip(prog, "angelic", seed=1).ok
+        assert gcl.denote(prog, "pow") is arrow
+        assert built == {"_Tables": 1, "_arrow": 1}
+
+
+class TestProgramMemo:
+    """The tables and arrow a Program keeps change no result, no error and no
+    record semantics; each is what a fresh program gives."""
+
+    SOURCES = {
+        "pow": "vars x in 0..3, y in 0..2; body: choose { x := x + y } [] { abort };"
+               " if (x < 2) { y := x } else { skip }; post: x == 1;",
+        "dist": "vars x in 0..3, y in 0..2; body: prob 1/3 { x := x + y } { y := 2 };"
+                " if (x < 2) { y := x } else { skip }; post: [x == 1];",
+        # the last assignment fails on its first traversal, every time
+        "bad": "vars x in 0..3; body: x := x + 1; x := 1/2; post: x == 1;",
+    }
+    CALLS = {
+        "denote pow": lambda p: gcl.denote(p, "pow"),
+        "denote dist": lambda p: gcl.denote(p, "dist"),
+        "wp demonic": lambda p: gcl.wp(p, p.post, "demonic"),
+        "wp expectation": lambda p: gcl.wp(p, p.post, "expectation"),
+        "roundtrip angelic": lambda p: gcl.check_roundtrip(p, "angelic", seed=5),
+        "roundtrip expectation": lambda p: gcl.check_roundtrip(p, "expectation", seed=5),
+        "denote pow, cap 8": lambda p: gcl.denote(p, "pow", state_cap=8),
+        "wp angelic, cap 4": lambda p: gcl.wp(p, p.post, "angelic", state_cap=4),
+        "denote, bad mode": lambda p: gcl.denote(p, "sets"),
+    }
+
+    @staticmethod
+    def outcome(call, prog):
+        try:
+            result = call(prog)
+        except Exception as err:  # the error, as the result to compare
+            return type(err), str(err)
+        return result.graph if isinstance(result, KleisliArrow) else result
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_every_order_gives_what_a_fresh_program_gives(self, source):
+        text = self.SOURCES[source]
+        fresh = {name: self.outcome(call, gcl.parse(text)) for name, call in self.CALLS.items()}
+        for order in itertools.permutations(self.CALLS, 3):
+            prog = gcl.parse(text)
+            for name in order:
+                assert self.outcome(self.CALLS[name], prog) == fresh[name], (order, name)
+
+    def test_a_smaller_cap_still_raises_too_large(self):
+        prog = gcl.parse(self.SOURCES["pow"])
+        gcl.denote(prog, "pow")
+        assert gcl.check_roundtrip(prog, "demonic").ok
+        for call in (lambda: gcl.denote(prog, "pow", state_cap=11),
+                     lambda: gcl.wp(prog, "x == 1", "demonic", state_cap=11),
+                     lambda: gcl.check_roundtrip(prog, "angelic", state_cap=11)):
+            with pytest.raises(TooLarge, match="^12 states exceed the cap of 11$"):
+                call()
+        # ModeMismatch comes before TooLarge, as on a fresh program
+        with pytest.raises(ModeMismatch):
+            gcl.denote(prog, "dist", state_cap=11)
+
+    def test_record_semantics_ignore_the_memo(self):
+        source = self.SOURCES["pow"]
+        used, fresh = gcl.parse(source), gcl.parse(source)
+        gcl.denote(used, "pow")
+        gcl.wp(used, used.post, "demonic")
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert len({used, fresh}) == 1
+        for copied in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
+            assert copied == used and repr(copied) == repr(used)
+            assert not hasattr(copied, "_memo")
+        assert "_memo" not in gcl.Program._fields
+
+    def test_no_module_level_cache(self):
+        before = dict(vars(gcl))
+        prog = gcl.parse(self.SOURCES["dist"])
+        gcl.denote(prog, "dist")
+        gcl.wp(prog, prog.post, "expectation")
+        gcl.check_roundtrip(prog, "expectation", seed=2)
+        after = vars(gcl)
+        assert after.keys() == before.keys()
+        assert all(after[k] is v for k, v in before.items())
+
+
+class TestPostsAtTheBoundary:
+    PROG = "vars x in 0..2; body: x := x + 1;"
+
+    @pytest.mark.parametrize("post", [3, None, 1.5, ("x", "==", 1), gcl.Skip()])
+    def test_wp_rejects_what_is_no_expression(self, post):
+        with pytest.raises(TypeMismatch, match="^a post is an expression or its source text"):
+            gcl.wp(gcl.parse(self.PROG), post, "demonic")
+
+    @pytest.mark.parametrize("post", [3, None, gcl.Skip()])
+    def test_roundtrip_rejects_what_is_no_expression(self, post):
+        with pytest.raises(TypeMismatch, match="^a post is an expression or its source text"):
+            gcl.check_roundtrip(gcl.parse(self.PROG), "demonic", posts=["x == 1", post])
+
+    def test_roundtrip_parses_source_text_as_wp_does(self):
+        prog = gcl.parse(self.PROG)
+        chk = gcl.check_roundtrip(prog, "demonic", posts=["x == 1", "x <= 1"])
+        assert (chk.ok, chk.posts) == (True, 2)
+        assert gcl.wp(prog, "x == 1", "demonic") == gcl.wp(
+            prog, gcl.parse_expression("x == 1", ["x"]), "demonic")
+        with pytest.raises(UndeclaredVariable):
+            gcl.check_roundtrip(prog, "demonic", posts=["y == 1"])
+        with pytest.raises(TypeMismatch, match="^1:1: demonic post takes a bool, got int$"):
+            gcl.check_roundtrip(prog, "demonic", posts=["x"])
 
 
 def expectation_oracle(stmt, post, space, states):

@@ -39,7 +39,7 @@ from finsem.order import (
     upsets,
 )
 from finsem.transformers import BOX, Correspondence
-from finsem.triangle import CertifyReport, EMAlgebraCandidate, KleisliArrow
+from finsem.triangle import CertifyReport, EMAlgebraCandidate, KleisliArrow, kleisli_compose
 
 CHAIN = chain((0, 1))
 VEE = make_poset([0, 1, 2], [(0, 1), (0, 2)])
@@ -205,9 +205,22 @@ def test_keyword_and_positional_construction_agree(cls):
 def test_copies_are_equal_records(cls):
     r = SAMPLES[cls][0]()
     assert copy.copy(r) == r and repr(copy.deepcopy(r)) == repr(r)
-    # a monad family and a function are equal only to themselves
-    if not {"family", "fn", "forward", "ovee"} & set(cls._fields):
+    # a function is equal only to itself, and pickle refuses a lambda
+    if not {"fn", "forward", "ovee"} & set(cls._fields):
         assert pickle.loads(pickle.dumps(r)) == r
+
+
+@pytest.mark.parametrize("cls", [KleisliArrow, MonadInstance, EMAlgebraCandidate,
+                                 Correspondence], ids=ids)
+def test_copies_keep_the_registered_monad_family(cls):
+    r = SAMPLES[cls][0]()
+    copies = [copy.copy(r), copy.deepcopy(r)]
+    if cls is not Correspondence:  # its transposes are lambdas, which pickle refuses
+        copies.append(pickle.loads(pickle.dumps(r)))
+    for c in copies:
+        assert c == r and c.family is r.family
+    if cls is KleisliArrow:
+        assert kleisli_compose(copies[1], r) == kleisli_compose(r, r)
 
 
 def test_defaults_fill_the_last_fields():
