@@ -151,11 +151,6 @@ def pred_scalar(r, p):
     return FuzzyPredicate(p.carrier, tuple(r * v for v in p.values))
 
 
-def pred_meet(p, q):
-    _same_carrier(p, q)
-    return FuzzyPredicate(p.carrier, tuple(min(a, b) for a, b in zip(p.values, q.values)))
-
-
 # -- total MV operations on [0, 1] ---------------------------------------------
 
 
@@ -314,40 +309,6 @@ def unit_interval_effect_algebra(grid):
         orth=lambda a: ONE - a,
         zero=ZERO,
         scalar=lambda r, a: r * a,
-        scalar_grid=farey_grid(3),
-    )
-
-
-def truncated_total_instance(grid):
-    """[0, 1] with truncated total addition: not an effect algebra."""
-    return EffectAlgebraInstance(
-        name="truncated-total",
-        elements=tuple(grid),
-        ovee=lambda a, b: truncated_add(a, b),
-        orth=lambda a: ONE - a,
-        zero=ZERO,
-    )
-
-
-def fuzzy_predicate_effect_algebra(carrier, max_den):
-    """The effect module of fuzzy predicates probed on a value grid."""
-    grid = farey_grid(max_den)
-    elems = tuple(
-        FuzzyPredicate(carrier, values)
-        for values in itertools.product(grid, repeat=len(carrier))
-    )
-
-    def ovee(p, q):
-        r = pred_ovee(p, q)
-        return None if r is UNDEFINED else r
-
-    return EffectAlgebraInstance(
-        name=f"fuzzy-predicates({len(carrier)} points, den<={max_den})",
-        elements=elems,
-        ovee=ovee,
-        orth=pred_orth,
-        zero=FuzzyPredicate.constant(carrier, ZERO),
-        scalar=pred_scalar,
         scalar_grid=farey_grid(3),
     )
 

@@ -18,8 +18,7 @@ dist denotation one ``Weighting`` kernel row per state,
 integer Kleisli extension that ``Weighting.bind`` runs; a demonic or angelic
 table is one state mask, and an expectation table integer numerators over one
 denominator.  Frozensets, ``Distribution``s, ``Fraction``s and dicts are
-built only at the boundary: ``_arrow``, ``wp``, ``transformer_wp`` and a
-mismatch witness.
+built only at the boundary: ``_arrow``, ``wp`` and a mismatch witness.
 """
 
 from __future__ import annotations
@@ -61,8 +60,9 @@ MAX_NESTING = 100
 
 class _Node(Frozen):
     """A syntax-tree node.  A ``pos`` field is the (line, column) of a parsed
-    node's operator token, for its type errors, and None on a node built by
-    hand; equality, hashing and repr ignore it."""
+    node's operator token, or of its own token for a literal or a variable, for
+    its type errors, and None on a node built by hand; equality, hashing and
+    repr ignore it."""
 
     __slots__ = ()
     _hidden = ("pos",)
@@ -117,7 +117,8 @@ class Prob(_Node):
 
 
 class Lit(_Node):
-    __slots__ = _fields = ("value",)
+    __slots__ = _fields = ("value", "pos")
+    _defaults = (None,)
 
 
 class Var(_Node):
@@ -417,14 +418,14 @@ class _Parser:
             self.next()
             if self.at("op", "/"):
                 self.next()
-                return Lit(Fraction(int(tok.text), self.parse_denominator()))
-            return Lit(int(tok.text))
+                return Lit(Fraction(int(tok.text), self.parse_denominator()), _at(tok))
+            return Lit(int(tok.text), _at(tok))
         if self.at("kw", "true"):
             self.next()
-            return Lit(True)
+            return Lit(True, _at(tok))
         if self.at("kw", "false"):
             self.next()
-            return Lit(False)
+            return Lit(False, _at(tok))
         if tok.kind == "name":
             self.next()
             self._check_declared(tok.text, tok)
@@ -826,21 +827,16 @@ def mode_of_flavor(flavor):
     raise ModeMismatch(f"unknown flavor {flavor!r}")
 
 
-def post_table(post, flavor, space, states):
-    """Evaluate a post-condition into a table for the given flavor: for demonic
-    and angelic, whose post must be typed bool, a state mask with bit j set where
-    the post holds at states[j]; for expectation ``(nums, den)``, numerators in
-    states order over their least denominator, checked in [0, 1] state by state."""
-    return _post_table(post, flavor, space.names, _columns(states))
-
-
 def _post_table(post, flavor, names, columns):
-    """post_table over the states' variable columns."""
+    """Evaluate a post-condition over the states' variable columns into a table
+    for the given flavor: for demonic and angelic, whose post must be typed bool,
+    a state mask with bit j set where the post holds at states[j]; for
+    expectation ``(nums, den)``, numerators in states order over their least
+    denominator, checked in [0, 1] state by state."""
     fn, kind = compile_expr(post, names)
     if flavor != "expectation":
         if kind != BOOL:
-            raise TypeMismatch(f"{flavor} post takes a bool, got {kind}",
-                               getattr(post, "pos", None))
+            raise TypeMismatch(f"{flavor} post takes a bool, got {kind}", post.pos)
         return _bits(fn(columns))
     # a bool or int post is its column of ints over 1
     nums, den = fn(columns) if kind == RATIONAL else (list(map(int, fn(columns))), 1)
@@ -942,17 +938,6 @@ def _expected(rows, table):
     nums, den = table
     return [(sum(map(operator.mul, row, map(nums.__getitem__, at))), d * den)
             for at, row, d in rows]
-
-
-def transformer_wp(arrow, table, flavor):
-    """wp's table from the whole-program denotation, given post_table's table: a
-    state mask over cod for demonic and angelic, ``(nums, den)`` for expectation."""
-    states = arrow.dom.carrier.elements
-    if flavor in ("demonic", "angelic"):
-        return dict(zip(states, _flags(_transposed(_rows(arrow), table, flavor), len(states))))
-    if flavor == "expectation":
-        return {s: Fraction(n, d) for s, (n, d) in zip(states, _expected(_rows(arrow), table))}
-    raise ModeMismatch(f"unknown flavor {flavor!r}")
 
 
 # -- healthiness round trip -------------------------------------------------------------

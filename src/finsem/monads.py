@@ -31,7 +31,6 @@ from .order import (
     FinSet,
     filter_violation,
     powerset_lattice,
-    upsets,
 )
 
 
@@ -571,7 +570,7 @@ def cba_collapse_check(x):
                  if mismatches else None)
 
 
-# -- Smyth double representation ------------------------------------------------------
+# -- filters of a finite lattice -----------------------------------------------------
 
 
 class FilterOf(Frozen):
@@ -591,57 +590,6 @@ class FilterOf(Frozen):
     @property
     def proper(self):
         return len(self.members) < len(self.ambient)
-
-
-def scott_open_filters(p):
-    """Proper filters of the open-set lattice of a finite poset.
-
-    On a finite lattice every filter is Scott open, so properness is the
-    only extra condition.
-    """
-    lattice = upsets(p)
-    out = []
-    for fam in lattice.carrier.subsets():
-        if len(fam) == len(lattice):
-            continue
-        try:
-            out.append(FilterOf(lattice, fam))
-        except StructureNotPreserved:
-            continue
-    return tuple(out)
-
-
-def smyth_filter_of_upset(p, k):
-    """The open filter holding exactly the opens that contain the saturated set."""
-    lattice = upsets(p)
-    members = frozenset(u for u in lattice.carrier.elements if k <= u)
-    return FilterOf(lattice, members)
-
-
-def smyth_upset_of_filter(f):
-    """Intersection of a proper Scott-open filter's members."""
-    members = list(f.members)
-    out = set(members[0]) if members else set()
-    for m in members[1:]:
-        out &= m
-    return frozenset(out)
-
-
-def smyth_representations(p):
-    """Pair the nonempty upsets with the proper open filters and verify bijection."""
-    ups = SMYTH.elements(p)
-    filters = scott_open_filters(p)
-    pairing = {}
-    for k in ups:
-        f = smyth_filter_of_upset(p, k)
-        if smyth_upset_of_filter(f) != k:
-            raise StructureNotPreserved("filter round trip lost the saturated set")
-        pairing[k] = f
-    if len(set(pairing.values())) != len(ups) or len(filters) != len(ups):
-        raise StructureNotPreserved("upset/filter correspondence is not bijective")
-    if set(pairing.values()) != set(filters):
-        raise StructureNotPreserved("upset/filter correspondence misses a filter")
-    return pairing
 
 
 # -- lens pairs and the three-valued dualizer ------------------------------------------
@@ -734,7 +682,3 @@ def measure_of_functional(i, atoms):
 
 def distribution_to_measure(omega):
     return FiniteMeasure(omega.carrier, omega.weights)
-
-
-def measure_to_distribution(phi):
-    return Distribution(phi.atoms, phi.weights)

@@ -522,16 +522,6 @@ def down_closure(poset, members):
     return SubsetOf(poset, frozenset(closed), "downset")
 
 
-def up_closure(poset, members):
-    """Least upset containing the given members."""
-    if isinstance(members, SubsetOf):
-        members = members.members
-    closed = set()
-    for x in members:
-        closed |= poset.up_set(x)
-    return SubsetOf(poset, frozenset(closed), "upset")
-
-
 # -- monotone maps -------------------------------------------------------------
 
 
@@ -603,25 +593,16 @@ class MonotoneMap(Frozen):
     def as_dict(self):
         return dict(zip(self.dom.elements, self.graph))
 
-    def after(self, other):
-        """Compose self . other (other first)."""
-        if other.cod != self.dom:
-            raise UnknownElement("composition domains do not match")
-        return MonotoneMap.from_callable(other.dom, self.cod, lambda x: self(other(x)))
-
 
 # -- the two order-dual halves of a lattice -------------------------------------
 
 # Every join/meet construction below is written once against one half: the
 # key of the binary operation's index table, its unit (the empty case), the
-# operation on any family, the irreducibles that generate the lattice under
-# it, and side(L, a), the elements on the unit's side of a (below a for
-# joins, above it for meets).
-_Half = namedtuple("_Half", "op unit big irreducibles side")
-_JOIN = _Half("join", FinPoset.bottom, FinPoset.bigjoin,
-              FinPoset.join_irreducibles, FinPoset.down_set)
-_MEET = _Half("meet", FinPoset.top, FinPoset.bigmeet,
-              FinPoset.meet_irreducibles, FinPoset.up_set)
+# irreducibles that generate the lattice under it, and side(L, a), the
+# elements on the unit's side of a (below a for joins, above it for meets).
+_Half = namedtuple("_Half", "op unit irreducibles side")
+_JOIN = _Half("join", FinPoset.bottom, FinPoset.join_irreducibles, FinPoset.down_set)
+_MEET = _Half("meet", FinPoset.top, FinPoset.meet_irreducibles, FinPoset.up_set)
 
 
 def _commutes(v, dom_table, cod_table):
@@ -629,12 +610,6 @@ def _commutes(v, dom_table, cod_table):
     Every table here is symmetric, so one pair in each orbit is enough."""
     return all(v[dom_table[i][j]] == cod_table[v[i]][v[j]]
                for i, j in itertools.combinations_with_replacement(range(len(v)), 2))
-
-
-def _preserves(dom, cod, g, op):
-    """Does the graph g commute with the operation tabled under op?"""
-    index = cod._index()
-    return _commutes([index[g[x]] for x in dom.elements], dom._table(op), cod._table(op))
 
 
 def right_adjoint(m):
@@ -656,54 +631,8 @@ def right_adjoint(m):
     return adj
 
 
-# -- the four lattice/2 element isomorphisms -----------------------------------
-
 # The dualizing object 2, the chain 0 < 1; transformers.OMEGA shares it.
 TWO = chain((0, 1))
-
-# variant -> (its maps' selector, into 2 or into its opposite)
-_LATTICE_ISO = {
-    "join_to_2": ("join-preserving", TWO),
-    "join_to_op2": ("join-preserving", TWO.op()),
-    "meet_to_2": ("meet-preserving", TWO),
-    "meet_to_op2": ("meet-preserving", TWO.op()),
-}
-LATTICE_ISO_VARIANTS = tuple(_LATTICE_ISO)
-
-
-def _iso_variant(variant):
-    """Selector, copy of 2, the half kept, and the value given to that half's
-    unit and to every element on the unit's side of the classifying element."""
-    if variant not in _LATTICE_ISO:
-        raise ValueError(f"unknown variant {variant!r}")
-    selector, two = _LATTICE_ISO[variant]
-    half = _LATTICE_SELECTORS[selector][0]
-    return selector, two, half, half.unit(two)
-
-
-def lattice_map_to_element(lattice, phi, variant):
-    """Collapse a structure-preserving 0/1 map on a lattice to an element."""
-    lattice.require_lattice()
-    phi = {x: phi[x] for x in lattice}
-    for v in phi.values():
-        if v not in (0, 1):
-            raise StructureNotPreserved(f"map must be 0/1 valued, got {v!r}")
-    selector, two, half, value = _iso_variant(variant)
-    if not _keeps(lattice, two, phi, selector):
-        raise StructureNotPreserved(f"map does not qualify for {variant}")
-    return half.big(lattice, (x for x in lattice if phi[x] == value))
-
-
-def lattice_element_to_map(lattice, a, variant):
-    """Inverse direction of lattice_map_to_element."""
-    lattice.require_lattice()
-    lattice.carrier.require(a)
-    selector, two, half, value = _iso_variant(variant)
-    side = half.side(lattice, a)
-    phi = {x: value if x in side else 1 - value for x in lattice}
-    if not _keeps(lattice, two, phi, selector):
-        raise StructureNotPreserved(f"constructed map fails {variant}")
-    return phi
 
 
 # -- Plotkin algebras over a frame ---------------------------------------------
@@ -873,12 +802,6 @@ _LATTICE_SELECTORS = {
 }
 
 
-def _keeps(dom, cod, g, selector):
-    """_keeps_vector on a graph dict: the lattice/2 isomorphisms' test, with cod
-    TWO or its opposite."""
-    return _keeps_vector(dom, cod, [cod._index()[g[x]] for x in dom.elements], selector)
-
-
 def _keeps_vector(dom, cod, v, selector):
     """Does the index vector v keep what the lattice selector names: all of
     its half, and the dual half's unit or operation where the selector says so?"""
@@ -1016,8 +939,3 @@ def all_posets(max_size):
             seen.add(key)
             out.append(p)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def all_lattices(max_size):
-    return tuple(p for p in all_posets(max_size) if p.is_lattice())

@@ -50,7 +50,6 @@ from .monads import (
 )
 from .order import (
     TWO,
-    FinSet,
     MonotoneMap,
     PlotkinAlgebra,
     chain,
@@ -164,62 +163,6 @@ def backward(recipe, m, x, y):
     return KleisliArrow(family, x, y, tuple(graph))
 
 
-# -- general-lattice adjunctions --------------------------------------------------------
-
-
-def box_general_transformer(g, lattice, points):
-    """Forward transpose against an arbitrary finite-lattice predicate domain:
-    a point's column is the up-cone of its assigned value."""
-    m = transpose(lattice, powerset_lattice(points), points,
-                  [tuple(lattice.leq(g[x], a) for a in lattice.elements) for x in points])
-    if not has_structure(m, "meet-preserving"):
-        raise StructureNotPreserved("transpose lost meet preservation")
-    return m
-
-
-def box_general_computation(m):
-    """Backward transpose against an arbitrary finite-lattice predicate domain.
-
-    The input is a meet-preserving map from a lattice into a powerset
-    lattice; each point goes to the meet of everything whose image holds it.
-    """
-    if not has_structure(m, "meet-preserving"):
-        raise NotMeetPreserving("input transformer must preserve all meets")
-    lattice = m.dom
-    points = FinSet(m.cod.top())
-    return {x: lattice.bigmeet(compress(lattice.elements, column))
-            for x, column in zip(points, columns(m, points))}
-
-
-def monotone_nbhd_forward(g, poset, points):
-    """General adjunction direction: a function into upsets of a poset becomes
-    a monotone map from the poset into the powerset of the points."""
-    target = powerset_lattice(points)
-    for x in points:
-        if not poset.is_upset(g[x]):
-            raise SideConditionViolated(f"image of {x!r} is not an upset")
-    return transpose(poset, target, points,
-                     [tuple(q in g[x] for q in poset.elements) for x in points])
-
-
-def monotone_nbhd_backward(m, points):
-    """Inverse direction; upset-ness of each image is verified."""
-    out = {x: _holding(m.dom, column) for x, column in zip(points, columns(m, points))}
-    if not all(map(m.dom.is_upset, out.values())):
-        raise SideConditionViolated("computed neighbourhood is not an upset")
-    return out
-
-
-def smyth_filter_pred(arrow, v):
-    """The same transformer phrased through the open-filter representation."""
-    from .monads import smyth_filter_of_upset
-
-    return frozenset(
-        x for x, t in zip(arrow.dom.carrier.elements, arrow.graph)
-        if v in smyth_filter_of_upset(arrow.cod, t).members
-    )
-
-
 # -- maps into the three-element dualizer ------------------------------------------------
 
 
@@ -243,21 +186,6 @@ def three_backward(lens):
         return BOT3
 
     return MonotoneMap.from_callable(lens.base, THREE, value)
-
-
-# The erratic sum on 3, which is the Plotkin algebra over 2: its elements
-# (0, 0), (1, 0) and (1, 1) sit at BOT3, MID3 and TOP3.
-AMALG3 = {(a, b): s for a, row in enumerate(PlotkinAlgebra.over(TWO).sums)
-          for b, s in enumerate(row)}
-
-
-def three_amalg_pointwise(m1, m2):
-    """The erratic sum of two three-valued maps, computed pointwise."""
-    if m1.dom != m2.dom:
-        raise SideConditionViolated("maps live on different posets")
-    return MonotoneMap.from_callable(
-        m1.dom, THREE, lambda x: AMALG3[(m1(x), m2(x))]
-    )
 
 
 # -- plotkin-algebra homomorphisms vs pairs of lattice maps ------------------------------

@@ -69,7 +69,7 @@ class TestWpCommand:
 
     @pytest.mark.parametrize("flavor", ["demonic", "angelic"])
     @pytest.mark.parametrize("post, message", [
-        ("1/2", "demonic post takes a bool, got rational"),
+        ("1/2", "1:1: demonic post takes a bool, got rational"),
         ("x", "1:1: demonic post takes a bool, got int"),
         ("x + 1/2", "1:3: demonic post takes a bool, got rational"),
     ])
@@ -77,6 +77,15 @@ class TestWpCommand:
         code, out, err = run(capsys, ["wp", pow_prog, "--flavor", flavor, "--post", post])
         assert (code, out) == (2, "")
         assert err == f"error: {message.replace('demonic', flavor)}\n"
+
+    @pytest.mark.parametrize("flavor", ["demonic", "angelic"])
+    def test_literal_file_post_error_names_its_line_and_column(self, capsys, tmp_path,
+                                                                 flavor):
+        f = tmp_path / "literal.gc"
+        f.write_text("vars x in 0..1;\nbody: skip;\npost: (3);\n")
+        code, out, err = run(capsys, ["wp", str(f), "--flavor", flavor])
+        assert (code, out) == (2, "")
+        assert err == f"error: 3:8: {flavor} post takes a bool, got int\n"
 
     def test_flavor_mode_conflict_is_usage_error(self, capsys, prog_file):
         code, _, err = run(capsys, ["wp", "--mode", "dist", prog_file,

@@ -9,23 +9,22 @@ from finsem.effects import (
     UNDEFINED,
     ZERO,
     Distribution,
+    EffectAlgebraInstance,
     FuzzyPredicate,
     bind_rows,
     dist_bind,
     dist_make,
     farey_grid,
     format_rat,
-    fuzzy_predicate_effect_algebra,
     iter_distributions,
     mv_ops,
     parse_rat,
     powerset_effect_algebra,
-    pred_meet,
     pred_orth,
     pred_ovee,
     pred_scalar,
     random_distribution,
-    truncated_total_instance,
+    truncated_add,
     unit_interval_effect_algebra,
     validate_effect_algebra,
 )
@@ -113,6 +112,27 @@ class TestMvOps:
             assert lhs == rhs
 
 
+# two fixtures of validate_effect_algebra: one that fails, one that passes
+
+
+def truncated_total_instance(grid):
+    """[0, 1] with truncated total addition: not an effect algebra."""
+    return EffectAlgebraInstance(name="truncated-total", elements=tuple(grid),
+                                 ovee=truncated_add, orth=lambda a: ONE - a, zero=ZERO)
+
+
+def fuzzy_predicate_effect_algebra(carrier, max_den):
+    """The effect module of fuzzy predicates probed on a value grid."""
+    grid = farey_grid(max_den)
+    return EffectAlgebraInstance(
+        name=f"fuzzy-predicates({len(carrier)} points, den<={max_den})",
+        elements=tuple(FuzzyPredicate(carrier, values)
+                       for values in itertools.product(grid, repeat=len(carrier))),
+        ovee=lambda p, q: None if (r := pred_ovee(p, q)) is UNDEFINED else r,
+        orth=pred_orth, zero=FuzzyPredicate.constant(carrier, ZERO),
+        scalar=pred_scalar, scalar_grid=farey_grid(3))
+
+
 class TestEffectAlgebraValidation:
     def test_powerset_passes(self):
         for n in range(4):
@@ -192,11 +212,6 @@ class TestDistributions:
         assert len(iter_distributions(FinSet([0]), 4)) == 1
         # two atoms, denominators <= 4: the seven grid splits
         assert len(iter_distributions(FinSet([0, 1]), 4)) == 7
-
-    def test_pointwise_lattice_helpers(self):
-        p = FuzzyPredicate.from_dict(S2, {"s0": Fraction(1, 3), "s1": ONE})
-        q = FuzzyPredicate.from_dict(S2, {"s0": Fraction(1, 2), "s1": ZERO})
-        assert pred_meet(p, q)("s0") == Fraction(1, 3)
 
 
 class TestWeightKernel:

@@ -938,6 +938,20 @@ def expectation_oracle(stmt, post, space, states):
     return {s: p * left[s] + (1 - p) * right[s] for s in states}
 
 
+def post_table(post, flavor, space, states):
+    """gcl's table of a post over the given states: a state mask for demonic and
+    angelic, ``(nums, den)`` for expectation."""
+    return gcl._post_table(post, flavor, space.names, gcl._columns(states))
+
+
+def transformer_wp(arrow, table, flavor):
+    """wp's table from the whole-program denotation, given post_table's table."""
+    states, rows = arrow.dom.carrier.elements, gcl._rows(arrow)
+    if flavor == "expectation":
+        return {s: Fraction(n, d) for s, (n, d) in zip(states, gcl._expected(rows, table))}
+    return dict(zip(states, gcl._flags(gcl._transposed(rows, table, flavor), len(states))))
+
+
 class TestIntegerExpectations:
     # nested prob, with chances written unreduced, over a negative range
     NESTED = ("vars x in -1..2, y in 0..2; body: prob 2/6 { prob 3/9 { x := x + 1 } "
@@ -966,8 +980,8 @@ class TestIntegerExpectations:
             space = gcl.StateSpace(prog.decls)
             states = space.states()
             for post in gcl.default_posts(space, "expectation", random.Random(i)):
-                table = gcl.post_table(post, "expectation", space, states)
-                got = gcl.transformer_wp(arrow, table, "expectation")
+                table = post_table(post, "expectation", space, states)
+                got = transformer_wp(arrow, table, "expectation")
                 assert list(got.items()) == list(gcl.wp(prog, post, "expectation").items())
                 assert all(type(v) is Fraction for v in got.values())
 
@@ -1003,7 +1017,7 @@ class TestIntegerExpectations:
             coprime = Fraction._from_coprime_ints
             monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
                 lambda cls, n, d: made.append((n, d)) or coprime(n, d)))
-        tables = [gcl.post_table(post, "expectation", space, states) for post in posts]
+        tables = [post_table(post, "expectation", space, states) for post in posts]
         assert len(states) == 512 and made == []
         monkeypatch.undo()
         assert [[Fraction(n, den) for n in nums] for nums, den in tables] == want
@@ -1028,8 +1042,8 @@ class TestStateMasks:
             space = gcl.StateSpace(prog.decls)
             states = space.states()
             for post in gcl.default_posts(space, flavor, random.Random(i)):
-                table = gcl.post_table(post, flavor, space, states)
-                got = gcl.transformer_wp(arrow, table, flavor)
+                table = post_table(post, flavor, space, states)
+                got = transformer_wp(arrow, table, flavor)
                 assert list(got.items()) == list(gcl.wp(prog, post, flavor).items())
                 assert all(type(v) is bool for v in got.values())
 

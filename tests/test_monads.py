@@ -34,14 +34,10 @@ from finsem.monads import (
     filter_monad,
     hoare_monad,
     measure_of_functional,
-    measure_to_distribution,
     monotone_neighbourhood,
     neighbourhood,
     plotkin_monad,
-    smyth_filter_of_upset,
     smyth_monad,
-    smyth_representations,
-    smyth_upset_of_filter,
     ultrafilter_monad,
 )
 from finsem.order import (
@@ -49,6 +45,7 @@ from finsem.order import (
     all_posets,
     antichain,
     chain,
+    filter_violation,
     make_poset,
     powerset_lattice,
     upsets,
@@ -169,6 +166,33 @@ class TestDownsetAndHoare:
             for y in lattice:
                 joined = alpha[frozenset(lattice.down_set(x) | lattice.down_set(y))]
                 assert joined == lattice.join(x, y)
+
+
+# -- the Smyth double representation: nonempty upsets against proper open filters
+
+
+def smyth_filter_of_upset(p, k):
+    """The open filter holding exactly the opens that contain the saturated set."""
+    return FilterOf(upsets(p), frozenset(u for u in upsets(p).elements if k <= u))
+
+
+def smyth_upset_of_filter(f):
+    """Intersection of a proper Scott-open filter's members."""
+    return frozenset.intersection(*f.members) if f.members else frozenset()
+
+
+def smyth_representations(p):
+    """Pair the nonempty upsets with the proper open filters (on a finite lattice
+    every filter is Scott open) and verify the bijection."""
+    lattice = upsets(p)
+    filters = {FilterOf(lattice, fam) for fam in lattice.carrier.subsets()
+               if len(fam) < len(lattice) and filter_violation(lattice, fam) is None}
+    pairing = {k: smyth_filter_of_upset(p, k) for k in SMYTH.elements(p)}
+    if any(smyth_upset_of_filter(f) != k for k, f in pairing.items()):
+        raise StructureNotPreserved("filter round trip lost the saturated set")
+    if set(pairing.values()) != filters or len(filters) != len(pairing):
+        raise StructureNotPreserved("upset/filter correspondence is not bijective")
+    return pairing
 
 
 class TestSmyth:
@@ -300,7 +324,7 @@ class TestGiryFinite:
                 pred = FuzzyPredicate.from_dict(atoms, probe.as_dict() | {
                     a: ZERO for a in atoms if a not in probe.support})
                 assert again(pred) == i(pred)
-            assert measure_to_distribution(phi) == d
+            assert Distribution(phi.atoms, phi.weights) == d
 
     def test_measure_additivity(self):
         atoms = FinSet(range(3))

@@ -1,9 +1,12 @@
-"""The package's lazy exports, and which modules each subcommand loads."""
+"""The package's lazy exports, which modules each subcommand loads, and that
+every top-level name has a caller."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -146,3 +149,52 @@ def test_no_module_imports_dataclasses():
     assert len(sources) == len(SUBMODULES) + 4  # with __init__, __main__, cli and jsonio
     for path in sources:
         assert "dataclass" not in path.read_text(encoding="utf-8"), path.name
+
+
+def reads(tree):
+    """How often each name is read in tree, as a variable, an attribute or an
+    imported name; strings and docstrings do not count."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def definitions(tree):
+    """(name, node) of each top-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from ((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_every_top_level_name_has_a_caller():
+    # a name is called when it is read in the package, the benchmark or the
+    # acceptance criteria (not in the unit tests), exported, or named in a span
+    # table of bench/spans.py
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"))
+
+    root = Path(__file__).resolve().parent.parent
+    modules = {path: parse(path) for path in sorted(Path(SRC, "finsem").glob("*.py"))}
+    callers = [*sorted(root.glob("bench/*.py")), root / "tests" / "test_acceptance.py"]
+    total = Counter()
+    for tree in [*modules.values(), *map(parse, callers)]:
+        total.update(reads(tree))
+    called = {attr for _, attr in finsem._ORIGIN.values()}
+    for name, node in definitions(parse(root / "bench" / "spans.py")):
+        if name.endswith("_SPANS"):
+            called.update(part for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+                          and isinstance(c.value, str) for part in c.value.split("."))
+    uncalled = [f"{path.stem}.{name}" for path, tree in modules.items()
+                for name, node in definitions(tree)
+                if not (name.startswith("__") and name.endswith("__")) and name not in called
+                and total[name] <= reads(node)[name]]
+    assert not uncalled, f"no caller outside the unit tests: {', '.join(uncalled)}"

@@ -14,6 +14,7 @@ from finsem.errors import (
 )
 from finsem.monads import DIST, DOWNSET, HOARE, POWERSET, SMYTH, LensPair
 from finsem.order import (
+    TWO,
     FinSet,
     MonotoneMap,
     PlotkinAlgebra,
@@ -21,6 +22,7 @@ from finsem.order import (
     antichain,
     chain,
     enumerate_structure_maps,
+    has_structure,
     powerset_lattice,
     upsets,
 )
@@ -40,17 +42,17 @@ from finsem.transformers import (
     THREE,
     THREE_CORR,
     TOP3,
+    _holding,
+    columns,
     comparison_column,
     predicate_lattice,
     expectation_computation,
     expectation_pred,
-    monotone_nbhd_backward,
-    monotone_nbhd_forward,
     plotkin_hom_forward,
     round_trip_report,
-    three_amalg_pointwise,
     three_forward,
     expectation_round_trip,
+    transpose,
 )
 from finsem.triangle import EMAlgebraCandidate, KleisliArrow, check_em_algebra
 
@@ -58,6 +60,53 @@ X2 = FinSet(["x1", "x2"])
 Y2 = FinSet(["y1", "y2"])
 
 SMALL_POSETS = tuple(p for p in all_posets(3) if len(p) >= 1)
+SMALL_SETS = tuple(FinSet(range(n)) for n in range(3))
+
+
+# -- oracles: two adjunctions built from transpose and columns
+
+
+def box_general_transformer(g, lattice, points):
+    """Forward transpose against an arbitrary finite-lattice predicate domain:
+    a point's column is the up-cone of its assigned value."""
+    m = transpose(lattice, powerset_lattice(points), points,
+                  [tuple(lattice.leq(g[x], a) for a in lattice.elements) for x in points])
+    assert has_structure(m, "meet-preserving")
+    return m
+
+
+def box_general_computation(m):
+    """Backward: each point goes to the meet of everything whose image holds it."""
+    assert has_structure(m, "meet-preserving")
+    points = FinSet(m.cod.top())
+    return {x: m.dom.bigmeet(itertools.compress(m.dom.elements, column))
+            for x, column in zip(points, columns(m, points))}
+
+
+def monotone_nbhd_forward(g, poset, points):
+    """A function into upsets of a poset becomes a monotone map from the poset
+    into the powerset of the points."""
+    assert all(poset.is_upset(g[x]) for x in points)
+    return transpose(poset, powerset_lattice(points), points,
+                     [tuple(q in g[x] for q in poset.elements) for x in points])
+
+
+def monotone_nbhd_backward(m, points):
+    """Inverse direction; upset-ness of each image is verified."""
+    out = {x: _holding(m.dom, column) for x, column in zip(points, columns(m, points))}
+    assert all(map(m.dom.is_upset, out.values()))
+    return out
+
+
+def assert_oracle_is_the_recipe(corr, oracle_forward, oracle_backward):
+    """Over powerset_lattice(Y), the oracle pair is corr's forward and backward
+    on every arrow between sets of 0-2 points."""
+    for xs, ys in itertools.product(SMALL_SETS, repeat=2):
+        for g in corr.iter_computations(xs, ys, 10 ** 6):
+            images = dict(zip(xs.elements, g.graph))
+            m = corr.forward(g, xs, ys)
+            assert oracle_forward(images, powerset_lattice(ys), xs) == m
+            assert oracle_backward(m, xs) == images and corr.backward(m, xs, ys) == g
 
 
 class TestBox:
@@ -96,8 +145,6 @@ class TestBox:
 
 class TestGeneralLatticeBox:
     def test_round_trips_against_non_powerset_lattice(self):
-        from finsem.transformers import box_general_computation, box_general_transformer
-
         lattice = upsets(chain("abc"))  # a 4-chain, not a powerset
         points = X2
         for images in itertools.product(lattice.elements, repeat=len(points)):
@@ -109,6 +156,8 @@ class TestGeneralLatticeBox:
         ):
             g = box_general_computation(m)
             assert box_general_transformer(g, lattice, points) == m
+        assert_oracle_is_the_recipe(BOX, box_general_transformer,
+                                    lambda m, points: box_general_computation(m))
 
 
 class TestFilterCorrespondence:
@@ -129,6 +178,7 @@ class TestMonotoneNeighbourhood:
             g = monotone_nbhd_backward(m, points)
             again = monotone_nbhd_forward(g, q, points)
             assert again == m
+        assert_oracle_is_the_recipe(MONOTONE_NBHD, monotone_nbhd_forward, monotone_nbhd_backward)
 
     def test_monad_level_round_trip(self):
         assert round_trip_report(MONOTONE_NBHD, X2, Y2).ok
@@ -202,7 +252,6 @@ class TestHoareSmyth:
         assert round_trip_report(corr, p, q).ok
 
     def test_filter_representation_agrees(self):
-        from finsem.transformers import smyth_filter_pred
         from finsem.triangle import iter_kleisli_arrows
 
         p = chain("ab")
@@ -210,6 +259,25 @@ class TestHoareSmyth:
             m = SMYTH_CORR.forward(arrow, arrow.dom, arrow.cod)
             for v in upsets(p).elements:
                 assert m(v) == smyth_filter_pred(arrow, v)
+
+
+def smyth_filter_pred(arrow, v):
+    """SMYTH_CORR's transformer phrased through the open-filter representation."""
+    from test_monads import smyth_filter_of_upset
+
+    return frozenset(x for x, t in zip(arrow.dom.carrier.elements, arrow.graph)
+                     if v in smyth_filter_of_upset(arrow.cod, t).members)
+
+
+# The erratic sum on 3, which is the Plotkin algebra over 2: its elements
+# (0, 0), (1, 0) and (1, 1) sit at BOT3, MID3 and TOP3.
+AMALG3 = {(a, b): s for a, row in enumerate(PlotkinAlgebra.over(TWO).sums)
+          for b, s in enumerate(row)}
+
+
+def three_amalg_pointwise(m1, m2):
+    """The erratic sum of two three-valued maps on one poset, computed pointwise."""
+    return MonotoneMap.from_callable(m1.dom, THREE, lambda x: AMALG3[(m1(x), m2(x))])
 
 
 class TestThree:
@@ -245,8 +313,6 @@ class TestThree:
     def test_amalg_table_is_the_erratic_sum(self):
         # AMALG3 is read off the Plotkin algebra over 2; it must be the erratic
         # sum on 3: equal arguments are kept, any disagreement gives MID3
-        from finsem.transformers import AMALG3
-
         assert AMALG3 == {
             (a, b): (BOT3 if a == b == BOT3 else TOP3 if a == b == TOP3 else MID3)
             for a in (BOT3, MID3, TOP3)
