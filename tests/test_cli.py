@@ -808,6 +808,138 @@ def test_certify_output_is_pinned(capsys, corr, sizes):
     assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_DIGESTS[corr, sizes]
 
 
+def output_digest(capsys, argv):
+    """SHA-256 over the exit code, stdout and stderr of cli_main on argv."""
+    code, out, err = run(capsys, argv)
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+
+
+# monad -> output_digest of `laws --monad M --max-size 2`, recorded before the
+# handlers left cli
+LAWS_DIGESTS = {
+    "dist": "2aa831806886cd0e05429f62603aebf134486bbfe9e51786bd66053bd95b69e7",
+    "downset": "2bb296f9574033171a8664daf22da315a32867159404d0c67a878fd2a47dda2d",
+    "filter": "deba04f0657cfd10002d8f806e248989a6bef8419734b83754315c30009aa49a",
+    "giry": "4118c8914ddbd5cd281d7f94d8a4bd6bbbfb8ec93828567f63a519baead54455",
+    "hoare": "bb5964ad55df2c0021fb29c82e7a7367acbb3f7b45cc4867b044de6fee50d46f",
+    "monotone-neighbourhood": "6666ad29c60709c8f82867c91c87ef2290687429b931aa90a19f7a6f2a350355",
+    "neighbourhood": "7416c57fc7a3107af35a85a086057387a2b1e1427697d7b5730cc86dddea7563",
+    "plotkin": "eb020b5e5bf5f92384699e7b41ecd0e11dfd7e3943b62b80ed8200901e9d5d4e",
+    "powerset": "3f50f8ba86e6e5dfaf076a8449438dcb361803551f0ba179a98cba2646c240bf",
+    "smyth": "2e36b69df55c312996064cfda8be4b10c67098ba4a7b08b98043bd5c08b39e2e",
+    "ultrafilter": "1caef7cfb3fe9fafe3962c45e1d67047b5f8ae10acc6e07ed7dfd0aca505b99c",
+}
+
+
+@pytest.mark.parametrize("monad", sorted(LAWS_DIGESTS))
+def test_laws_output_is_pinned(capsys, monad):
+    argv = ["laws", "--monad", monad, "--max-size", "2"]
+    assert output_digest(capsys, argv) == LAWS_DIGESTS[monad]
+
+
+ENUMERATE_OBJECTS = {"set": "set S { elems a b; }",
+                     "poset": "poset P { elems a b c; covers a<b; }"}
+# (monad, object, format) -> output_digest of `enumerate`, recorded before the
+# handlers left cli; dist and giry have no finite structure space and exit 2
+ENUMERATE_DIGESTS = {
+    ("dist", "set", "table"):
+        "a8ededb473a5cd3d9c3585ed725a2537ee59bee989674593e688a92a1550fb0c",
+    ("dist", "set", "json"):
+        "a8ededb473a5cd3d9c3585ed725a2537ee59bee989674593e688a92a1550fb0c",
+    ("dist", "poset", "table"):
+        "a8ededb473a5cd3d9c3585ed725a2537ee59bee989674593e688a92a1550fb0c",
+    ("dist", "poset", "json"):
+        "a8ededb473a5cd3d9c3585ed725a2537ee59bee989674593e688a92a1550fb0c",
+    ("downset", "set", "table"):
+        "8c9d4d32a26dd08638d1fd2e08383c06553f3d358f1da15765ffb94090e21a93",
+    ("downset", "set", "json"):
+        "6307f13fd16c1e1a7e3703f88902059043e286ef7cf779a97cb235844f24b0d4",
+    ("downset", "poset", "table"):
+        "d2ce892a08b4941cb8bd18d045434253a7496dc171a34d5258b09226f7bee88a",
+    ("downset", "poset", "json"):
+        "6730c4b3905299f5d38afc191c5852626dcabb3066869537852451f7dae0c653",
+    ("filter", "set", "table"):
+        "c28beb03a6dd1a38b8874c5e1e1c9a1ba868ce37acbe1e9c512c0f84051a7a03",
+    ("filter", "set", "json"):
+        "c402b30fb2681eb76cc8b3ce06c392cb2412919d4be4bc46e1df6d0cf4faed1f",
+    ("filter", "poset", "table"):
+        "a956288c1c816efa5af65b5f190e57b51eefb72002bfd4ba975601f907333f3c",
+    ("filter", "poset", "json"):
+        "cbf432aff3211d4e8bcd016df6b2fb1e252018a10a8a439a7f0e9e6ad5279ffb",
+    ("giry", "set", "table"):
+        "aaf1fc799efc4563e8362f3d2ae7d10d3a0b90badcd68551912528a509383a98",
+    ("giry", "set", "json"):
+        "aaf1fc799efc4563e8362f3d2ae7d10d3a0b90badcd68551912528a509383a98",
+    ("giry", "poset", "table"):
+        "aaf1fc799efc4563e8362f3d2ae7d10d3a0b90badcd68551912528a509383a98",
+    ("giry", "poset", "json"):
+        "aaf1fc799efc4563e8362f3d2ae7d10d3a0b90badcd68551912528a509383a98",
+    ("hoare", "set", "table"):
+        "94a912cf76979c2d829719119bca0cbab338466c42d106ba4e3056a4f55df555",
+    ("hoare", "set", "json"):
+        "587aac2cf067884b000520f945efcf65055e86b3aebaa9632f4a85d126631fb6",
+    ("hoare", "poset", "table"):
+        "6549ac0cecd9fc8e76f3c6734f4955ada11501a578ebda5de3e6a9922a0216f5",
+    ("hoare", "poset", "json"):
+        "77f602c454f4f4c2212ae2a870bc37c031be39f49c45884b7c4d50bccee2a27e",
+    ("monotone-neighbourhood", "set", "table"):
+        "ef09b49ba90d21b72b423c2e652d9652ef186e83f1a9596d8423e2bdcfeae04c",
+    ("monotone-neighbourhood", "set", "json"):
+        "96b87db8220cc1f7380d69e96096311067137246ec970e10391ad3b8eb60632d",
+    ("monotone-neighbourhood", "poset", "table"):
+        "04ecc6fed90896eb867325d1ee57e0a08a9a8edbc5f57a5b8a86d45a5cf64663",
+    ("monotone-neighbourhood", "poset", "json"):
+        "e96879e1b7a839eddf18d9addac28a0fec993e60e5966ca9ec8811aa44d793b7",
+    ("neighbourhood", "set", "table"):
+        "78dc8305d06984e0a74954cada25da2a0984a51bad80bd3a14e01e702bf2439c",
+    ("neighbourhood", "set", "json"):
+        "a533a3df15eb3d8167c040e4c7000ba6dd5cdcf0200d2b7305acbc1d33f175a4",
+    ("neighbourhood", "poset", "table"):
+        "0372749a3c8f7a816612a4ee345ea4e665add87dcd709d54d0c074363d3f125c",
+    ("neighbourhood", "poset", "json"):
+        "fecca54fad17bca4cd291c51a2cee60e3e708251e950263f37b339f17d397a01",
+    ("plotkin", "set", "table"):
+        "2c660e085faa331f782f1ad68ad6d5d9c8abe78018c5e465243acb17e6d165dd",
+    ("plotkin", "set", "json"):
+        "9b15ca690c8869b1929380f834d29a03d077cf7d5342951d5fecef5b391f729f",
+    ("plotkin", "poset", "table"):
+        "c1e5be97f3ff9d25e004290f8187af1815bce2cd03a1a3b768db8912b7dc41e5",
+    ("plotkin", "poset", "json"):
+        "b8a41f0801cd7576e0d78900a09719e4ae7acebf4c12d83f0a0d7d61d62c92cf",
+    ("powerset", "set", "table"):
+        "bea310c86b02e7a4c3f96610ee08f082bb97cd2741c3ef25c35f57657179a3e5",
+    ("powerset", "set", "json"):
+        "fe3bcb503d861063360131e1e07e00e6c921bc566ebf699f30a7de3db0ec1334",
+    ("powerset", "poset", "table"):
+        "8164461abd42152ad816aae2a0b6c156b5b489688d15548845c7eed9c17e8db8",
+    ("powerset", "poset", "json"):
+        "20f46d0378e72f6f48e462abdf5eef59966e71a940758687374fc2c4a6549779",
+    ("smyth", "set", "table"):
+        "1e5278d3aef32a83d18bb1f5ba380151b21b13038ae55beb88c5df50820df843",
+    ("smyth", "set", "json"):
+        "9a786512c40dc564f61dc59d71c6e0a247b4412b46bf62fd4571b3cd7d593add",
+    ("smyth", "poset", "table"):
+        "9fe409f57959287a3b8ff098d53bbda22782b6571f725e970498948d6860b526",
+    ("smyth", "poset", "json"):
+        "ac606bd30ebc9ed7fa88f33dd720de32dce60e559cb90171ccbaa09d3fbaa406",
+    ("ultrafilter", "set", "table"):
+        "2c505781037639bc658197982f803c5f1b0c42d9708ecf05305237cc03ef30e3",
+    ("ultrafilter", "set", "json"):
+        "ddda679f77176ade8cce1bea86c3f462547be5fec4bd65f8cb4bc1b036c43371",
+    ("ultrafilter", "poset", "table"):
+        "efda0c25cd28938f1f361f9b3a2a253f1467d68cf24c06e6e70a7c258babb7ca",
+    ("ultrafilter", "poset", "json"):
+        "5c69f9cd4f201a92db715b5aff12b8f5ebf717a023f5c934881795f20c78599b",
+}
+
+
+@pytest.mark.parametrize("monad, obj, fmt", sorted(ENUMERATE_DIGESTS), ids="-".join)
+def test_enumerate_output_is_pinned(capsys, monad, obj, fmt):
+    argv = ["enumerate", "--monad", monad, "--object", ENUMERATE_OBJECTS[obj],
+            "--format", fmt]
+    assert output_digest(capsys, argv) == ENUMERATE_DIGESTS[monad, obj, fmt]
+
+
 class TestCertifyCommand:
     def test_box_two_two(self, capsys):
         code, out, _ = run(capsys, ["certify", "--correspondence", "box",
