@@ -17,15 +17,16 @@ import importlib
 
 # defining module -> the names it exports here
 _EXPORTS = {
-    "effects": "Distribution FuzzyPredicate Rat UNDEFINED dist_bind dist_make "
-               "farey_grid mv_ops pred_orth pred_ovee pred_scalar validate_effect_algebra",
+    "effects": "FuzzyPredicate Rat UNDEFINED dist_bind dist_make farey_grid mv_ops "
+               "pred_orth pred_ovee pred_scalar validate_effect_algebra",
     "errors": "FinsemError",
     "gcl": "check_roundtrip denote parse wp",
+    "kernel": "Distribution FinSet",
     "monads": "FAMILIES FilterOf LensPair MonadInstance cba_collapse_check downset_monad "
               "expectation_embed filter_monad giry_finite hoare_monad "
               "monotone_neighbourhood neighbourhood plotkin_monad powerset smyth_monad "
               "ultrafilter_monad",
-    "order": "FinPoset FinSet MonotoneMap SubsetOf all_posets antichain chain "
+    "order": "FinPoset MonotoneMap SubsetOf all_posets antichain chain "
              "down_closure downsets enumerate_structure_maps make_poset "
              "powerset_lattice right_adjoint upsets",
     "triangle": "EMAlgebraCandidate KleisliArrow certify_full_faithful check_em_algebra "
@@ -35,8 +36,8 @@ _EXPORTS = {
 _ORIGIN = {name: (module, name) for module, names in _EXPORTS.items()
            for name in names.split()}
 _ORIGIN["CORRESPONDENCES"] = ("transformers", "REGISTRY")
-_SUBMODULES = ("check", "effects", "errors", "gcl", "monads", "order", "transformers",
-               "triangle")
+_SUBMODULES = ("check", "effects", "errors", "gcl", "gcl_random", "kernel", "monads", "order",
+               "transformers", "triangle")
 
 __version__ = "0.1.0"
 __all__ = sorted(_ORIGIN) + list(_SUBMODULES) + ["__version__"]

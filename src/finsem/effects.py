@@ -2,37 +2,24 @@
 
 Everything here is exact, so that partial-sum definedness and round-trip
 identities are exact predicates, never float comparisons.  Predicates and
-scalars are fractions.Fraction.  Finite distributions rest on one weight
-kernel, ``Weighting``: inside, a weighting is one row ``(support, numerators,
-denominator)``, integers over one reduced denominator.  ``bind_rows``, the one
-integer Kleisli extension on such rows (``Weighting.bind``'s and ``gcl``'s),
-and point masses build rows without re-validation; weights become
-``Fraction`` only at the boundary (``weights``, ``__call__``, JSON).
-The finite Giry monad's measures (``monads.FiniteMeasure``) are the same
-kernel under their own name.
+scalars are fractions.Fraction.  Finite distributions are ``kernel``'s
+``Distribution``, one ``Weighting`` row of integers over one reduced
+denominator; this module builds, binds and enumerates them.  The finite Giry
+monad's measures (``monads.FiniteMeasure``) are the same kernel under their
+own name.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
 from .check import Frozen, Report, first_counterexample
-from .errors import (
-    CarrierMismatch,
-    MonadMismatch,
-    NotNormalized,
-    ParseError,
-    ScalarOutOfRange,
-)
-from .order import FinSet, atom_key
+from .errors import CarrierMismatch, ScalarOutOfRange
+from .kernel import ONE, ZERO, Distribution, FinSet
 
 Rat = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class _Undefined:
@@ -53,25 +40,6 @@ class _Undefined:
 
 
 UNDEFINED = _Undefined()
-
-
-def parse_rat(text):
-    """Parse "num/den" or a bare integer string into an exact rational."""
-    text = text.strip()
-    num, slash, den = text.partition("/")
-    try:
-        num, den = int(num), int(den) if slash else 1
-    except ValueError:
-        raise ParseError(f"bad rational {text!r}; write num/den", 1, 1) from None
-    if den == 0:
-        raise ParseError(f"zero denominator in {text!r}", 1, 1)
-    return Fraction(num, den)
-
-
-def format_rat(q):
-    """Render a rational in the regular "num/den" wire form."""
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def farey_grid(max_den):
@@ -316,196 +284,9 @@ def unit_interval_effect_algebra(grid):
 # -- finite distributions ---------------------------------------------------------
 
 
-def checked_weights(carrier, weights, error):
-    """Probability weights in kernel form, or ``error`` if they are not.
-
-    Every atom must lie in the carrier, appear once and carry a nonnegative
-    weight; zero weights are dropped and the rest must sum to 1.  Returns the
-    support sorted by atom, its integer numerators and their one common
-    denominator, reduced: the least common multiple of the reduced weights'
-    denominators.
-    """
-    seen = {}
-    for atom, w in weights:
-        carrier.require(atom)
-        w = Fraction(w)
-        if w < 0:
-            raise error(f"negative weight {w} at {atom!r}")
-        if atom in seen:
-            raise error(f"repeated atom {atom!r}")
-        seen[atom] = w
-    support = tuple(sorted((a for a, w in seen.items() if w), key=atom_key))
-    den = math.lcm(*(seen[a].denominator for a in support))
-    nums = tuple(seen[a].numerator * (den // seen[a].denominator) for a in support)
-    if sum(nums) != den:
-        raise error("weights do not sum to 1")
-    return support, nums, den
-
-
 def expectation(weights, value):
     """The finite expectation sum_a w(a) * value(a) of value against the weights."""
     return sum((value(a) * w for a, w in weights), ZERO)
-
-
-def bind_rows(nums, den, images, error=NotNormalized, key=None):
-    """The one integer Kleisli extension: the row (support, nums, den) bound through
-    ``images``, one ``(support, numerators, denominator)`` row per support atom.
-
-    Masses are spread over the lcm of the images' denominators, checked to sum
-    to the denominator (else ``error``), reduced by their gcd and sorted by
-    ``key``; a single image is returned as it is.
-    """
-    if len(images) == 1:
-        return images[0]
-    scale = math.lcm(*[d for _, _, d in images])
-    out = {}
-    get = out.get
-    for n, (targets, ms, d) in zip(nums, images):
-        n *= scale // d
-        for b, m in zip(targets, ms):
-            out[b] = get(b, 0) + n * m
-    den *= scale
-    if sum(out.values()) != den:
-        raise error("weights do not sum to 1")
-    g = math.gcd(den, *out.values())
-    support = tuple(sorted(out, key=key))
-    if g == 1:
-        return support, tuple(map(out.__getitem__, support)), den
-    return support, tuple(out[b] // g for b in support), den // g
-
-
-class Weighting:
-    """Rational weights on finitely many atoms of a carrier, summing to 1.
-
-    The one kernel under ``Distribution`` and ``monads.FiniteMeasure``.
-    Inside, a weighting is one row: its support sorted by atom, integer
-    numerators and one reduced common denominator, so equal weightings have
-    equal rows and equality and hashing run over integers; ``bind`` runs
-    ``bind_rows`` on rows.  ``Fraction`` appears only at the boundary:
-    ``weights`` builds the sorted ``(atom, Fraction)`` pairs on first use.
-    The public constructor validates through ``__post_init__``; ``bind``,
-    ``point`` (after checking its atom) and ``gcl``'s denotations build
-    theirs trusted, with ``_from_kernel``.  Fields are read-only.
-    """
-
-    __slots__ = ("_carrier", "_kernel", "_weights", "_hash")
-    _error = NotNormalized      # raised for weights that are no probability weights
-    _carrier_field = "carrier"  # the carrier's name in the repr
-
-    def __init__(self, carrier, weights):
-        self._carrier = carrier
-        self._weights = weights  # unchecked until __post_init__ replaces it
-        self.__post_init__()
-
-    def __post_init__(self):
-        self._kernel = checked_weights(self._carrier, self._weights, self._error)
-        self._weights = self._hash = None
-
-    @classmethod
-    def from_dict(cls, carrier, mapping):
-        return cls(carrier, tuple(mapping.items()))
-
-    @classmethod
-    def _from_kernel(cls, carrier, kernel):
-        """A weighting from a kernel row that is already known to be valid."""
-        out = object.__new__(cls)
-        out._carrier, out._kernel = carrier, kernel
-        out._weights = out._hash = None
-        return out
-
-    @classmethod
-    def point(cls, carrier, atom):
-        carrier.require(atom)
-        return cls._from_kernel(carrier, ((atom,), (1,), 1))
-
-    @property
-    def carrier(self):
-        return self._carrier
-
-    @property
-    def weights(self):
-        """Sorted (atom, weight) pairs, nonzero weights only."""
-        if self._weights is None:
-            support, nums, den = self._kernel
-            self._weights = tuple((a, Fraction(n, den)) for a, n in zip(support, nums))
-        return self._weights
-
-    @property
-    def support(self):
-        return frozenset(self._kernel[0])
-
-    def as_dict(self):
-        return dict(self.weights)
-
-    def kernel(self):
-        """The kernel row: the sorted support, its numerators and their denominator."""
-        return self._kernel
-
-    def bind(self, kernel, cod=None):
-        """The Kleisli extension of ``kernel`` at these weights, through ``bind_rows``.
-
-        Every image must be a weighting of this class on ``cod``; without
-        ``cod``, all images must share one carrier, which the result lives on.
-        """
-        cls = type(self)
-        support, nums, den = self._kernel
-        images = [kernel(a) for a in support]
-        for image in images:
-            if type(image) is not cls or image._carrier is not cod:
-                cod = self._image_carrier(images, cod)
-                break
-        if len(images) == 1:
-            return images[0]
-        # every carrier is a FinSet, whose rank() is its atom_key order
-        return cls._from_kernel(cod, bind_rows(
-            nums, den, [image._kernel for image in images], self._error,
-            cod.rank().__getitem__))
-
-    def _image_carrier(self, images, cod):
-        """The carrier the kernel images share: ``cod``, or the first image's."""
-        cls = type(self)
-        for a, image in zip(self._kernel[0], images):
-            if type(image) is not cls:
-                raise MonadMismatch(f"kernel image at {a!r} is not a {cls.__name__}")
-            if cod is None:
-                cod = image._carrier
-            elif image._carrier is not cod and image._carrier != cod:
-                raise CarrierMismatch(
-                    f"kernel image at {a!r} lives on {image._carrier!r}, not on {cod!r}")
-        return cod
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._kernel == other._kernel and (
-            self._carrier is other._carrier or self._carrier == other._carrier)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._kernel)
-        return self._hash
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}({self._carrier_field}={self._carrier!r}, "
-                f"weights={self.weights!r})")
-
-
-class Distribution(Weighting):
-    """Finite-support rational probability weights, summing exactly to 1."""
-
-    __slots__ = ()
-    # its own entry, so that wrapping Distribution.__post_init__ sees only
-    # distributions built through the public constructor
-    __post_init__ = Weighting.__post_init__
-
-    def __call__(self, atom):
-        self.carrier.require(atom)
-        for a, w in self.weights:
-            if a == atom:
-                return w
-        return ZERO
 
 
 def dist_make(carrier, weights):

@@ -14,11 +14,14 @@ indices, each condition's mask and the validated denotation, built once for
 every call of ``denote``, ``wp`` and ``check_roundtrip`` on it.  Inside, a
 pow denotation is an int mask per state (bit j: states[j] is reachable), a
 dist denotation one ``Weighting`` kernel row per state,
-``(positions, numerators, denominator)``, bound by ``effects.bind_rows``, the
+``(positions, numerators, denominator)``, bound by ``kernel.bind_rows``, the
 integer Kleisli extension that ``Weighting.bind`` runs; a demonic or angelic
 table is one state mask, and an expectation table integer numerators over one
 denominator.  Frozensets, ``Distribution``s, ``Fraction``s and dicts are
-built only at the boundary: ``_arrow``, ``wp`` and a mismatch witness.
+built only at the boundary: ``_arrow``, ``image``, ``wp`` and a mismatch
+witness.  ``denote`` validates its arrow through the monad and triangle
+layers, which it imports; ``wp`` and ``image`` (what ``finsem run`` applies)
+import neither.  The random generators are in ``gcl_random``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import re
 from fractions import Fraction
 
 from .check import Frozen
-from .effects import ONE, ZERO, Distribution, bind_rows
 from .errors import (
     ModeMismatch,
     ParseError,
@@ -42,13 +44,11 @@ from .errors import (
     UndeclaredVariable,
     located,
 )
-from .order import FinSet
+from .kernel import ONE, ZERO, Distribution, FinSet, bind_rows
 
 DEFAULT_STATE_CAP = 512
 # random boolean posts that check_roundtrip adds when given a seed
 RANDOM_POSTS = 3
-# statement nesting depth bound of random_program
-MAX_PROGRAM_DEPTH = 5
 # The deepest a parsed program may nest (docs/grammar.ebnf, "Nesting").  The
 # parser recurses a few frames per bracket and the evaluators about one frame
 # per syntax-tree level, so the bound keeps both inside the recursion limit.
@@ -814,6 +814,27 @@ def denote(program, mode, state_cap=DEFAULT_STATE_CAP):
     return _denotation(program, _tables(program, mode, state_cap))
 
 
+def image(program, mode, state_cap=DEFAULT_STATE_CAP):
+    """The function sending a start, a state or in dist mode a ``Distribution``
+    on the states, to ``triangle.bind_apply(denote(program, mode), start)``
+    (a state taken as its unit): the reachable states, or the distribution of
+    final states.  It binds the rows ``denote`` wraps, by a mask in pow mode
+    and ``bind_rows`` in dist mode, and builds no arrow; the tables' errors
+    are raised before it is returned."""
+    tables = _tables(program, mode, state_cap)
+    rows, states = _denote(program.body, tables), tables.states
+    state = states.elements.__getitem__
+
+    def apply(start):
+        if mode == "pow":
+            return frozenset(map(state, _indices(rows[states.index(start)])))
+        support, nums, den = (start.kernel() if isinstance(start, Distribution)
+                              else ((start,), (1,), 1))
+        at, nums, den = bind_rows(nums, den, [rows[states.index(s)] for s in support])
+        return Distribution._from_kernel(states, (tuple(map(state, at)), nums, den))
+    return apply
+
+
 # -- weakest preconditions -------------------------------------------------------------
 
 FLAVORS = ("demonic", "angelic", "expectation")
@@ -959,6 +980,8 @@ def default_posts(space, flavor, rng=None):
         posts.append(Bin("==", Var(d.name), Lit(d.lo)))
         posts.append(Bin("<=", Var(d.name), Lit((d.lo + d.hi) // 2)))
     if rng is not None:
+        from .gcl_random import random_bool_expr
+
         for _ in range(RANDOM_POSTS):
             posts.append(random_bool_expr(rng, space.decls, depth=2))
     if flavor == "expectation":
@@ -1010,63 +1033,3 @@ def check_roundtrip(program, flavor, posts=None, state_cap=DEFAULT_STATE_CAP, se
             if witness is None:
                 witness = (post, space.render(first[0]), *first[1:])
     return WpCheck(flavor, len(posts), mismatches, witness)
-
-
-# -- random programs ---------------------------------------------------------------------
-
-
-def random_int_expr(rng, decls, depth):
-    if depth <= 0 or rng.random() < 0.4:
-        if rng.random() < 0.5:
-            return Lit(rng.randint(0, 3))
-        return Var(rng.choice(decls).name)
-    op = rng.choice(["+", "-", "*"])
-    return Bin(op, random_int_expr(rng, decls, depth - 1),
-               random_int_expr(rng, decls, depth - 1))
-
-
-def random_bool_expr(rng, decls, depth):
-    if depth <= 0 or rng.random() < 0.5:
-        op = rng.choice(["==", "!=", "<", "<=", ">", ">="])
-        return Bin(op, random_int_expr(rng, decls, 1), random_int_expr(rng, decls, 1))
-    combiner = rng.choice(["&&", "||", "!"])
-    if combiner == "!":
-        return Unary("!", random_bool_expr(rng, decls, depth - 1))
-    return Bin(combiner, random_bool_expr(rng, decls, depth - 1),
-               random_bool_expr(rng, decls, depth - 1))
-
-
-def random_stmt(rng, decls, mode, depth):
-    if depth <= 0:
-        roll = rng.random()
-        if roll < 0.6:
-            d = rng.choice(decls)
-            return Assign(d.name, random_int_expr(rng, decls, 2))
-        if roll < 0.8:
-            return Skip()
-        if mode == "pow":
-            return Abort() if rng.random() < 0.3 else Skip()
-        return Skip()
-    roll = rng.random()
-    if roll < 0.35:
-        return Seq(random_stmt(rng, decls, mode, depth - 1),
-                   random_stmt(rng, decls, mode, depth - 1))
-    if roll < 0.55:
-        return If(random_bool_expr(rng, decls, 2),
-                  random_stmt(rng, decls, mode, depth - 1),
-                  random_stmt(rng, decls, mode, depth - 1))
-    if roll < 0.8:
-        if mode == "pow":
-            return Choose(random_stmt(rng, decls, mode, depth - 1),
-                          random_stmt(rng, decls, mode, depth - 1))
-        chance = Fraction(rng.randint(0, 4), 4)
-        return Prob(chance, random_stmt(rng, decls, mode, depth - 1),
-                    random_stmt(rng, decls, mode, depth - 1))
-    d = rng.choice(decls)
-    return Assign(d.name, random_int_expr(rng, decls, 2))
-
-
-def random_program(rng, mode):
-    decls = (VarDecl("x", 0, rng.randint(1, 7)), VarDecl("y", 0, rng.randint(1, 5)))
-    body = random_stmt(rng, decls, mode, rng.randint(1, MAX_PROGRAM_DEPTH))
-    return Program(decls, body)

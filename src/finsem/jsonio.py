@@ -10,10 +10,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .effects import format_rat
 from .errors import ParseError
-from .monads import LensPair
-from .order import FinSet, atom_key, make_poset
+from .kernel import FinSet, Weighting, atom_key, format_rat
 
 
 def render_atom(value):
@@ -48,23 +46,18 @@ def poset_to_json(poset):
     }
 
 
-def lens_to_json(lens):
-    return {"outer": render_subset(lens.outer), "inner": render_subset(lens.inner)}
-
-
 def element_to_json(value):
     """Canonical JSON for any structure element the zoo produces."""
-    from .effects import Distribution
-    from .monads import FilterOf, FiniteMeasure
-
     if isinstance(value, frozenset):
         return render_subset(value)
     if isinstance(value, tuple):
         return [element_to_json(v) for v in value]
-    if isinstance(value, (Distribution, FiniteMeasure)):
+    if isinstance(value, Weighting):  # a Distribution or a monads.FiniteMeasure
         return {atom_token(a): format_rat(w) for a, w in value.weights}
+    from .monads import FilterOf, LensPair
+
     if isinstance(value, LensPair):
-        return lens_to_json(value)
+        return {"outer": render_subset(value.outer), "inner": render_subset(value.inner)}
     if isinstance(value, FilterOf):
         return {"members": render_subset(value.members)}
     return render_atom(value)
@@ -118,4 +111,6 @@ def parse_object_literal(text):
         if covers:
             raise ParseError("a set literal cannot declare covers", 1, 1)
         return FinSet(elems)
+    from .order import make_poset
+
     return make_poset(elems, covers)

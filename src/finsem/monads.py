@@ -12,26 +12,15 @@ import itertools
 from functools import partial
 
 from .check import Check, Frozen
-from .effects import (
-    ZERO,
-    Distribution,
-    FuzzyPredicate,
-    Weighting,
-    expectation,
-    iter_distributions,
-)
+from .effects import FuzzyPredicate, expectation, iter_distributions
 from .errors import (
     LensViolation,
     StructureNotPreserved,
     TooLarge,
     UnknownElement,
 )
-from .order import (
-    FinPoset,
-    FinSet,
-    filter_violation,
-    powerset_lattice,
-)
+from .kernel import ZERO, Distribution, FinSet, Weighting
+from .order import FinPoset, filter_violation, powerset_lattice
 
 
 class MonadFamily:
@@ -587,10 +576,6 @@ class FilterOf(Frozen):
         if problem:
             raise StructureNotPreserved(problem)
 
-    @property
-    def proper(self):
-        return len(self.members) < len(self.ambient)
-
 
 # -- lens pairs and the three-valued dualizer ------------------------------------------
 
@@ -610,11 +595,6 @@ class LensPair(Frozen):
                 raise LensViolation("lens components must be opens (upsets)")
         if not self.inner <= self.outer:
             raise LensViolation("outer open must contain the inner open")
-
-    def amalg(self, other):
-        if other.base != self.base:
-            raise LensViolation("lens pairs live on different base posets")
-        return LensPair(self.base, self.outer | other.outer, self.inner & other.inner)
 
 
 def all_lens_pairs(p):

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
-from .check import Frozen, Record
+from .check import Frozen
 from .errors import (
     CycleError,
     NotJoinPreserving,
@@ -21,9 +20,7 @@ from .errors import (
     TooLarge,
     UnknownElement,
 )
-
-# Substrate operations (upset/downset/map enumeration) refuse larger posets.
-MAX_POSET_SIZE = 8
+from .kernel import FinSet, _require_small, atom_key, atom_repr
 
 # Candidate budget for enumerate_structure_maps: counted before allocation.
 DEFAULT_MAP_BUDGET = 2 ** 24
@@ -38,110 +35,6 @@ STRUCTURE_SELECTORS = (
     "preframe+0",
     "plotkin-hom",
 )
-
-
-def atom_key(value):
-    """Deterministic sort key across every atom shape stored in carriers."""
-    if isinstance(value, bool):
-        return (0, int(value))
-    if isinstance(value, (int, Fraction)):
-        return (0, value)
-    if isinstance(value, str):
-        return (1, value)
-    if isinstance(value, frozenset):
-        return (2, len(value), tuple(sorted(atom_key(v) for v in value)))
-    if isinstance(value, tuple):
-        return (3, len(value), tuple(atom_key(v) for v in value))
-    raise TypeError(f"cannot order atoms of type {type(value).__name__}")
-
-
-def atom_repr(value):
-    """repr with frozenset members and dict keys in atom_key order, whatever the hash seed."""
-    if isinstance(value, frozenset):
-        inner = ", ".join(map(atom_repr, sorted(value, key=atom_key)))
-        return f"frozenset({{{inner}}})" if value else "frozenset()"
-    if isinstance(value, tuple):
-        return "(" + ", ".join(map(atom_repr, value)) + (",)" if len(value) == 1 else ")")
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{atom_repr(k)}: {atom_repr(value[k])}"
-                               for k in sorted(value, key=atom_key)) + "}"
-    if isinstance(value, Record):
-        inner = ", ".join(f"{f}={atom_repr(getattr(value, f))}" for f in value._shown)
-        return f"{type(value).__qualname__}({inner})"
-    return repr(value)
-
-
-class FinSet:
-    """Immutable finite set with one canonical iteration order, numbered by ``rank()``."""
-
-    __slots__ = ("elements", "_members", "_subsets", "_rank")
-
-    def __init__(self, elements=()):
-        members = frozenset(elements)
-        self._members = members
-        self.elements = tuple(sorted(members, key=atom_key))
-        self._subsets = self._rank = None
-
-    @classmethod
-    def presorted(cls, elements):
-        """The set of elements that are distinct and already in atom_key order, trusted."""
-        out = object.__new__(cls)
-        out.elements = tuple(elements)
-        out._members, out._subsets, out._rank = frozenset(out.elements), None, None
-        return out
-
-    def __contains__(self, x):
-        return x in self._members
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __eq__(self, other):
-        return isinstance(other, FinSet) and self._members == other._members
-
-    def __hash__(self):
-        return hash(("FinSet", self._members))
-
-    def __repr__(self):
-        return f"FinSet([{', '.join(map(atom_repr, self.elements))}])"
-
-    def require(self, x):
-        if x not in self._members:
-            raise UnknownElement(f"{atom_repr(x)} is not an element of {self!r}")
-
-    def index(self, x):
-        self.require(x)
-        return self.elements.index(x)
-
-    def rank(self):
-        """Each element's position in ``elements``, as a dict built on first use."""
-        if self._rank is None:
-            self._rank = {x: i for i, x in enumerate(self.elements)}
-        return self._rank
-
-    def subsets(self):
-        """All subsets as frozensets, in deterministic mask order."""
-        n = len(self.elements)
-        for mask in range(1 << n):
-            yield frozenset(self.elements[i] for i in range(n) if mask >> i & 1)
-
-    def subset_tuple(self):
-        """subsets() as one tuple in mask order, built on first use and kept."""
-        if self._subsets is None:
-            _require_small(self)
-            self._subsets = tuple(self.subsets())
-        return self._subsets
-
-    def as_frozenset(self):
-        return self._members
-
-    @property
-    def carrier(self):
-        """A set is its own carrier, so every object answers ``.carrier``."""
-        return self
 
 
 class FinPoset:
@@ -363,13 +256,6 @@ class FinPoset:
             acc = self.join(acc, x)
         return acc
 
-    def bigmeet(self, items):
-        self.require_lattice()
-        acc = self.top()
-        for x in items:
-            acc = self.meet(acc, x)
-        return acc
-
     def join_irreducibles(self):
         """Elements with exactly one lower cover (excludes the bottom)."""
         return self._irreducibles("join_irr", 1)
@@ -387,12 +273,6 @@ class FinPoset:
                 x for x in self.elements if sum(p[side] == x for p in covers) == 1
             )
         return self._cache[key]
-
-
-def _require_small(obj, limit=MAX_POSET_SIZE):
-    if len(obj) > limit:
-        kind = "poset" if isinstance(obj, FinPoset) else "set"
-        raise TooLarge(f"{kind} has {len(obj)} elements; substrate cap is {limit}")
 
 
 # -- constructors ------------------------------------------------------------
@@ -664,9 +544,6 @@ class PlotkinAlgebra(Frozen):
                 tuple(index[frame.join(s[0], t[0]), frame.meet(s[1], t[1])]
                       for t in poset.elements) for s in poset.elements))
         return frame._cache["plotkin"]
-
-    def amalg(self, s, t):
-        return (self.frame.join(s[0], t[0]), self.frame.meet(s[1], t[1]))
 
     @property
     def mix(self):

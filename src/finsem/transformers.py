@@ -36,6 +36,7 @@ from .errors import (
     StructureNotPreserved,
     TooLarge,
 )
+from .kernel import Distribution
 from .monads import (
     DIST,
     DOWNSET,
@@ -266,8 +267,6 @@ def expectation_pred(arrow):
 def expectation_computation(transform, dom, cod):
     """Recover the kernel from a transformer by probing point indicators, each
     once: the transform of y's indicator holds every point's weight on y."""
-    from .effects import Distribution
-
     probes = indicator_probe(transform, cod)
     return KleisliArrow.from_callable(DIST, dom, cod, lambda x: Distribution(
         cod, tuple((y, p(x)) for y, p in zip(cod.elements, probes))))

@@ -19,7 +19,8 @@ from .errors import (
     TooLarge,
     UnknownElement,
 )
-from .order import atom_repr, monotone_graphs, monotone_violation
+from .kernel import atom_repr
+from .order import monotone_graphs, monotone_violation
 
 DEFAULT_ARROW_BUDGET = 300_000
 # Law suites: composable arrow pairs checked exhaustively before sampling, the
@@ -95,10 +96,6 @@ class KleisliArrow(Frozen):
     @classmethod
     def from_callable(cls, family, dom, cod, fn):
         return cls(family, dom, cod, tuple(fn(x) for x in dom.carrier.elements))
-
-    @classmethod
-    def unit_arrow(cls, family, obj):
-        return cls.from_callable(family, obj, obj, lambda x: family.unit(obj, x))
 
     def __call__(self, x):
         return self.graph[self.dom.carrier.index(x)]

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from finsem import gcl
+from finsem import gcl, gcl_random
 from finsem.effects import (
     ONE,
     ZERO,
@@ -244,14 +244,14 @@ def test_criterion_7_wp_healthiness():
     for flavor in gcl.FLAVORS:
         mode = gcl.mode_of_flavor(flavor)
         for i in range(programs_per_flavor):
-            prog = gcl.random_program(rng, mode)
+            prog = gcl_random.random_program(rng, mode)
             chk = gcl.check_roundtrip(prog, flavor, seed=SEED + i)
             ok = ok and chk.ok
             checked += 1
             space = gcl.StateSpace(prog.decls)
             states = space.states()
-            b1 = gcl.random_bool_expr(rng, prog.decls, 2)
-            b2 = gcl.random_bool_expr(rng, prog.decls, 2)
+            b1 = gcl_random.random_bool_expr(rng, prog.decls, 2)
+            b2 = gcl_random.random_bool_expr(rng, prog.decls, 2)
             if flavor == "demonic":
                 w1 = gcl.wp(prog, b1, flavor)
                 w2 = gcl.wp(prog, b2, flavor)

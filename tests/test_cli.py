@@ -550,8 +550,9 @@ def transpose_corpus():
     from fractions import Fraction
     from itertools import product
 
-    from finsem.effects import format_rat, random_distribution
+    from finsem.effects import random_distribution
     from finsem.jsonio import atom_token, element_to_json, poset_to_json
+    from finsem.kernel import format_rat
     from finsem.monads import all_lens_pairs
     from finsem.order import FinSet, all_posets, enumerate_structure_maps
     from finsem.transformers import REGISTRY, THREE, predicate_lattice
@@ -706,19 +707,19 @@ ENGINE_PROGRAMS = 12
 def engine_runs(workdir):
     """(argv, stdin) of ``finsem wp`` and ``finsem run`` on seeded programs.
 
-    ENGINE_PROGRAMS ``gcl.random_program`` programs per mode, written to
+    ENGINE_PROGRAMS ``gcl_random.random_program`` programs per mode, written to
     workdir: wp of every flavor of the mode under each of its default posts,
     once without --flavor and once without a post; run from the lowest state
     and, in dist mode, from an initial distribution over two states; every
     call in table and in json format.
     """
-    from finsem import gcl
+    from finsem import gcl, gcl_random
 
     rng = random.Random(ENGINE_SEED)
     runs = []
     for mode, flavors in (("pow", ("demonic", "angelic")), ("dist", ("expectation",))):
         for i in range(ENGINE_PROGRAMS):
-            program = gcl.random_program(rng, mode)
+            program = gcl_random.random_program(rng, mode)
             path = workdir / f"{mode}-{i}.gc"
             path.write_text(gcl_source(program))
             space = gcl.StateSpace(program.decls)
@@ -972,6 +973,19 @@ class TestUsageErrors:
 
     def test_missing_file(self, capsys):
         assert cli_main(["wp", "/nonexistent/prog.gc"]) == 2
+
+    @pytest.mark.parametrize("command", ["wp", "run", "laws", "enumerate", "transpose",
+                                         "certify"])
+    def test_a_handler_that_cannot_be_imported_is_no_usage_error(self, monkeypatch,
+                                                                 command):
+        # a broken install surfaces as the ImportError's traceback, not as exit 2
+        monkeypatch.setitem(sys.modules, f"finsem.cli_{command}", None)
+        argv = {"wp": ["wp", "p.gc"], "run": ["run", "p.gc", "--init", "x=0"],
+                "laws": ["laws"], "enumerate": ["enumerate", "--monad", "m", "--object", "o"],
+                "transpose": ["transpose", "--correspondence", "c", "--input", "-"],
+                "certify": ["certify", "--correspondence", "c", "--sizes", "1"]}[command]
+        with pytest.raises(ImportError, match=f"finsem.cli_{command}"):
+            cli_main(argv)
 
 
 def usage_error(capsys, argv):

@@ -11,14 +11,11 @@ from finsem.effects import (
     Distribution,
     EffectAlgebraInstance,
     FuzzyPredicate,
-    bind_rows,
     dist_bind,
     dist_make,
     farey_grid,
-    format_rat,
     iter_distributions,
     mv_ops,
-    parse_rat,
     powerset_effect_algebra,
     pred_orth,
     pred_ovee,
@@ -29,6 +26,7 @@ from finsem.effects import (
     validate_effect_algebra,
 )
 from finsem.errors import CarrierMismatch, NotNormalized, ParseError, ScalarOutOfRange
+from finsem.kernel import bind_rows, format_rat, parse_rat
 from finsem.order import FinSet, atom_key
 
 S2 = FinSet(["s0", "s1"])

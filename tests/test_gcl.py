@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from finsem import gcl
+from finsem import gcl, gcl_random
 from finsem.cli import cli_main
 from finsem.errors import (
+    FinsemError,
     ModeMismatch,
     ParseError,
     RangeError,
@@ -356,7 +357,7 @@ CORPUS_SEED = 77
 def corpus(flavor, count=60):
     rng = random.Random(CORPUS_SEED)
     mode = gcl.mode_of_flavor(flavor)
-    return [gcl.random_program(rng, mode) for _ in range(count)]
+    return [gcl_random.random_program(rng, mode) for _ in range(count)]
 
 
 # sha256 of the denotation graphs and wp tables of PINNED_COUNT seeded
@@ -375,7 +376,7 @@ def test_denotations_and_tables_are_pinned():
     for mode, flavors in (("pow", ("demonic", "angelic")), ("dist", ("expectation",))):
         rng = random.Random(PINNED_SEED)
         for i in range(PINNED_COUNT):
-            prog = gcl.random_program(rng, mode)
+            prog = gcl_random.random_program(rng, mode)
             arrow = gcl.denote(prog, mode)
             h.update(repr([_canonical(t) for t in arrow.graph]).encode())
             space = gcl.StateSpace(prog.decls)
@@ -451,8 +452,8 @@ class TestHealthinessInvariants:
             space = gcl.StateSpace(prog.decls)
             states = space.states()
             rng = random.Random(5)
-            q1 = gcl.random_bool_expr(rng, prog.decls, 2)
-            q2 = gcl.random_bool_expr(rng, prog.decls, 2)
+            q1 = gcl_random.random_bool_expr(rng, prog.decls, 2)
+            q2 = gcl_random.random_bool_expr(rng, prog.decls, 2)
             w1 = gcl.wp(prog, q1, "demonic")
             w2 = gcl.wp(prog, q2, "demonic")
             meet = gcl.wp(prog, gcl.Bin("&&", q1, q2), "demonic")
@@ -464,8 +465,8 @@ class TestHealthinessInvariants:
             space = gcl.StateSpace(prog.decls)
             states = space.states()
             rng = random.Random(6)
-            q1 = gcl.random_bool_expr(rng, prog.decls, 2)
-            q2 = gcl.random_bool_expr(rng, prog.decls, 2)
+            q1 = gcl_random.random_bool_expr(rng, prog.decls, 2)
+            q2 = gcl_random.random_bool_expr(rng, prog.decls, 2)
             w1 = gcl.wp(prog, q1, "angelic")
             w2 = gcl.wp(prog, q2, "angelic")
             join = gcl.wp(prog, gcl.Bin("||", q1, q2), "angelic")
@@ -475,7 +476,7 @@ class TestHealthinessInvariants:
     def test_demonic_angelic_duality(self):
         for prog in corpus("demonic", 30):
             rng = random.Random(7)
-            q = gcl.random_bool_expr(rng, prog.decls, 2)
+            q = gcl_random.random_bool_expr(rng, prog.decls, 2)
             dem = gcl.wp(prog, q, "demonic")
             ang = gcl.wp(prog, gcl.Unary("!", q), "angelic")
             assert dem == {s: not v for s, v in ang.items()}
@@ -483,8 +484,8 @@ class TestHealthinessInvariants:
     def test_expectation_additive_and_homogeneous(self):
         for prog in corpus("expectation", 30):
             rng = random.Random(8)
-            b1 = gcl.random_bool_expr(rng, prog.decls, 2)
-            b2 = gcl.random_bool_expr(rng, prog.decls, 2)
+            b1 = gcl_random.random_bool_expr(rng, prog.decls, 2)
+            b2 = gcl_random.random_bool_expr(rng, prog.decls, 2)
             # [b1 && b2] and [b1 && !b2] never exceed 1 pointwise
             q1 = gcl.Iverson(gcl.Bin("&&", b1, b2))
             q2 = gcl.Iverson(gcl.Bin("&&", b1, gcl.Unary("!", b2)))
@@ -505,8 +506,8 @@ class TestHealthinessInvariants:
     def test_monotone_in_the_post(self, flavor):
         for prog in corpus(flavor, 20):
             rng = random.Random(9)
-            b1 = gcl.random_bool_expr(rng, prog.decls, 2)
-            b2 = gcl.random_bool_expr(rng, prog.decls, 2)
+            b1 = gcl_random.random_bool_expr(rng, prog.decls, 2)
+            b2 = gcl_random.random_bool_expr(rng, prog.decls, 2)
             weaker = gcl.Bin("||", b1, b2)  # b1 implies weaker
             if flavor == "expectation":
                 w1 = gcl.wp(prog, gcl.Iverson(b1), flavor)
@@ -530,7 +531,7 @@ class TestDemonicThroughSaturatedSets:
         rng = random.Random(10)
         checked = 0
         while checked < 8:
-            prog = gcl.random_program(rng, "pow")
+            prog = gcl_random.random_program(rng, "pow")
             space = gcl.StateSpace(prog.decls)
             if space.size() > 8:
                 continue  # the saturated-set lattice is built in full below
@@ -542,7 +543,7 @@ class TestDemonicThroughSaturatedSets:
             smyth_arrow = KleisliArrow.from_dict(
                 SMYTH, disc, disc, {s: arrow(s) for s in states}
             )
-            q = gcl.random_bool_expr(rng, prog.decls, 2)
+            q = gcl_random.random_bool_expr(rng, prog.decls, 2)
             post = frozenset(
                 s for s in states if expr_oracle(q, space.env(s)) is True
             )
@@ -572,6 +573,43 @@ class TestRunAndStateSpace:
         start = DIST.unit(arrow.dom, (0,))
         out = bind_apply(arrow, start)
         assert out((1,)) == Fraction(1, 2)
+
+
+class TestImage:
+    """gcl.image, which finsem run applies, against the Kleisli arrow path."""
+
+    @pytest.mark.parametrize("mode", gcl._MODES)
+    def test_equals_bind_apply_of_the_denotation(self, mode):
+        rng = random.Random(41)
+        for _ in range(40):
+            program = gcl_random.random_program(rng, mode)
+            arrow = gcl.denote(program, mode)
+            states = arrow.dom
+            # a copy starts with an empty memo, so image builds its own rows
+            apply = gcl.image(copy.copy(program), mode)
+            for s in states:
+                assert apply(s) == bind_apply(arrow, arrow.family.unit(states, s))
+            if mode == "dist":
+                first, last = states.elements[0], states.elements[-1]
+                a, b = rng.sample(states.elements, 2)
+                for pair, weights in (((first, last), (Fraction(1, 3), Fraction(2, 3))),
+                                      ((a, b), (Fraction(1, 2), Fraction(1, 2)))):
+                    start = DIST.weighting(states, tuple(zip(pair, weights)))
+                    assert apply(start) == bind_apply(arrow, start)
+
+    @pytest.mark.parametrize("source, mode, cap", [
+        ("vars x in 0..7, y in 0..7; body: skip;", "pow", 63),
+        ("vars x in 0..7, y in 0..7; body: skip;", "dist", 10),
+        ("vars x in 0..1; body: choose {x:=0} [] {skip};", "dist", 512),
+        ("vars x in 0..1; body: prob 1/2 {x:=0}{skip};", "pow", 512),
+        ("vars x in 0..1; body: skip;", "both", 512),
+        ("vars x in 0..1; body: if (x + 1) {skip} else {x:=0};", "pow", 512),
+    ])
+    def test_raises_what_denote_raises(self, source, mode, cap):
+        with pytest.raises(FinsemError) as want:
+            gcl.denote(gcl.parse(source), mode, state_cap=cap)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            gcl.image(gcl.parse(source), mode, state_cap=cap)
 
 
 # each binary operator on the values of its operands
@@ -717,8 +755,8 @@ class TestColumns:
     def random_rational_expr(rng, decls):
         """A rational expression that mixes ints, rationals and brackets."""
         scaled = gcl.Bin("*", gcl.Lit(Fraction(rng.randint(-3, 3), rng.randint(1, 6))),
-                         gcl.random_int_expr(rng, decls, 1))
-        bracket = gcl.Iverson(gcl.random_bool_expr(rng, decls, 1))
+                         gcl_random.random_int_expr(rng, decls, 1))
+        bracket = gcl.Iverson(gcl_random.random_bool_expr(rng, decls, 1))
         return gcl.Bin(rng.choice("+-*"), scaled, rng.choice([bracket, gcl.Unary("-", bracket)]))
 
     def test_random_expressions_match_the_oracle(self):
@@ -726,8 +764,8 @@ class TestColumns:
         kinds = set()
         for decls in self.SPACES:
             for _ in range(60):
-                kinds.add(self.assert_matches_oracle(gcl.random_int_expr(rng, decls, 3), decls))
-                kinds.add(self.assert_matches_oracle(gcl.random_bool_expr(rng, decls, 2), decls))
+                kinds.add(self.assert_matches_oracle(gcl_random.random_int_expr(rng, decls, 3), decls))
+                kinds.add(self.assert_matches_oracle(gcl_random.random_bool_expr(rng, decls, 2), decls))
                 rational = self.random_rational_expr(rng, decls)
                 kinds.add(self.assert_matches_oracle(rational, decls))
                 # a comparison of rationals cross-multiplies
@@ -960,7 +998,7 @@ class TestIntegerExpectations:
 
     def programs(self):
         rng = random.Random(31)
-        return [gcl.parse(self.NESTED)] + [gcl.random_program(rng, "dist") for _ in range(40)]
+        return [gcl.parse(self.NESTED)] + [gcl_random.random_program(rng, "dist") for _ in range(40)]
 
     def test_wp_equals_a_fraction_oracle(self):
         for i, prog in enumerate(self.programs()):
@@ -1033,7 +1071,7 @@ class TestStateMasks:
     def programs(self):
         rng = random.Random(37)
         return ([gcl.parse(self.NESTED), gcl.parse(self.SINGLE)]
-                + [gcl.random_program(rng, "pow") for _ in range(10)])
+                + [gcl_random.random_program(rng, "pow") for _ in range(10)])
 
     @pytest.mark.parametrize("flavor", ["demonic", "angelic"])
     def test_transformer_wp_equals_wp(self, flavor):
@@ -1069,7 +1107,7 @@ class TestCompositional:
         """Seeded random bodies a and b over DECLS, with their denotations."""
         rng = random.Random(41)
         for _ in range(count):
-            a, b = (gcl.random_stmt(rng, self.DECLS, mode, rng.randint(1, 4)) for _ in "ab")
+            a, b = (gcl_random.random_stmt(rng, self.DECLS, mode, rng.randint(1, 4)) for _ in "ab")
             yield a, b, self.denote(a, mode), self.denote(b, mode)
 
     def denote(self, body, mode):

@@ -195,13 +195,18 @@ def smyth_representations(p):
     return pairing
 
 
+def proper(f):
+    """Whether the filter f leaves out some element of its lattice."""
+    return len(f.members) < len(f.ambient)
+
+
 class TestSmyth:
     def test_two_chain_double_representation(self):
         p = chain("ab")
         pairing = smyth_representations(p)
         assert len(pairing) == 2
         for k, f in pairing.items():
-            assert f.proper
+            assert proper(f)
             assert smyth_upset_of_filter(f) == k
 
     def test_unit_matches_principal_filter(self):
