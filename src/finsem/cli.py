@@ -137,8 +137,9 @@ def cli_main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    handler = _handler(args.command)  # outside the try: a failed import is no usage error
     try:
-        return _handler(args.command)(args)
+        return handler(args)
     except OSError as exc:
         print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
