@@ -2,12 +2,6 @@
 
 import sys
 
-from .effects import (
-    farey_grid,
-    powerset_effect_algebra,
-    unit_interval_effect_algebra,
-    validate_effect_algebra,
-)
 from .kernel import FinSet
 from .monads import FAMILIES
 from .order import all_posets
@@ -43,10 +37,11 @@ def cmd_laws(args):
         print(report.summary())
     failures = sum(not report.ok for report in reports)
     if args.effects:
-        grid = farey_grid(6)
-        for inst in (powerset_effect_algebra(FinSet(range(2))),
-                     unit_interval_effect_algebra(grid)):
-            rep = validate_effect_algebra(inst)
+        from . import effects
+
+        for inst in (effects.powerset_effect_algebra(FinSet(range(2))),
+                     effects.unit_interval_effect_algebra(effects.farey_grid(6))):
+            rep = effects.validate_effect_algebra(inst)
             print(rep.listing())
             if not rep.ok:
                 failures += 1

@@ -4,7 +4,6 @@ import json
 import sys
 
 from .cli import _emit, _read
-from .effects import FuzzyPredicate
 from .errors import FinsemError, UnknownElement
 from .jsonio import atom_token, element_to_json
 from .kernel import Distribution, FinSet, atom_repr, format_rat, parse_rat
@@ -93,6 +92,8 @@ def _decode_transpose(corr, direction, data):
         lambda items: FinSet(map(_maybe_int, items)))
     dom, cod = decode(data["dom"]), decode(data["cod"])
     if corr.id == "expectation":
+        from .effects import FuzzyPredicate
+
         arrow = KleisliArrow.from_dict(family, dom, cod, {
             x: Distribution(cod, tuple((_maybe_int(y), parse_rat(w)) for y, w in row.items()))
             for x, row in _entries(data, "arrow", dom, "the domain").items()

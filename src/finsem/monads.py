@@ -12,7 +12,6 @@ import itertools
 from functools import partial
 
 from .check import Check, Frozen
-from .effects import FuzzyPredicate, expectation, iter_distributions
 from .errors import (
     LensViolation,
     StructureNotPreserved,
@@ -358,6 +357,8 @@ class DistributionMonad(MonadFamily):
         return t.bind(fn, cod)
 
     def probe_elements(self, obj, max_den=4):
+        from .effects import iter_distributions
+
         self.check_object(obj)
         return iter_distributions(obj, max_den)
 
@@ -395,6 +396,8 @@ class GiryFiniteMonad(DistributionMonad):
     weighting = FiniteMeasure
 
     def probe_elements(self, obj, max_den=4):
+        from .effects import iter_distributions
+
         self.check_object(obj)
         return tuple(
             FiniteMeasure(obj, d.weights) for d in iter_distributions(obj, max_den)
@@ -626,11 +629,15 @@ class Expectation(Frozen):
 def indicator_probe(fn, carrier):
     """fn at each point indicator of carrier, in carrier order: how a functional
     or an expectation transformer is read back."""
+    from .effects import FuzzyPredicate
+
     return tuple(fn(FuzzyPredicate.indicator(carrier, {x})) for x in carrier.elements)
 
 
 def expectation_embed(omega):
     """Expected value (integral) against a distribution or finite measure."""
+    from .effects import expectation
+
     return Expectation(omega.carrier, partial(expectation, omega.weights))
 
 
@@ -642,6 +649,7 @@ def expectation_unit(carrier, x):
 def expectation_bind(carrier_out, kernel, h):
     """Extension on the functional side: run the outer functional over the
     pointwise values of the inner ones."""
+    from .effects import FuzzyPredicate
 
     def fn(q):
         inner = FuzzyPredicate(

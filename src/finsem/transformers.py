@@ -27,7 +27,6 @@ from functools import lru_cache
 from itertools import compress
 
 from .check import Check, Frozen
-from .effects import FuzzyPredicate, expectation
 from .errors import (
     Incomparable,
     NotJoinPreserving,
@@ -254,6 +253,7 @@ def expectation_pred(arrow):
     Returns a callable on fuzzy predicates over the codomain; values are
     exact rationals.
     """
+    from .effects import FuzzyPredicate, expectation
 
     def transform(q):
         if q.carrier != arrow.cod:
