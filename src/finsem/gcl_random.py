@@ -1,9 +1,6 @@
-"""Seeded random programs and expressions of the guarded-command language.
-
-Only the tests, the acceptance suite and ``gcl.check_roundtrip``'s random
-posts draw from here, so a process that runs ``wp`` or ``run`` never compiles
-this module.
-"""
+"""Seeded random programs and expressions of the guarded-command language,
+for the tests and ``gcl.check_roundtrip``'s random posts, kept out of ``gcl``
+so that ``wp`` and ``run`` do not compile them."""
 
 from fractions import Fraction
 

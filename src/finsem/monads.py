@@ -3,7 +3,8 @@
 Each family knows how to enumerate T(X) (within a per-monad cap), test
 membership, order elements when T(X) is a poset, and perform the unit and
 the Kleisli extension.  Multiplication is never defined separately: it is
-the extension of the identity arrow.
+the extension of the identity arrow.  ``effects`` is imported only where
+fuzzy predicates or distributions are built.
 """
 
 from __future__ import annotations
