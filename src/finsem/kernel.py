@@ -3,10 +3,10 @@ and finite probability weights.
 
 A ``Weighting`` is one row ``(support, numerators, denominator)``, integers
 over one reduced denominator; ``bind_rows`` is the one integer Kleisli
-extension on such rows, under ``Weighting.bind`` and the wp engine, and weights
-become ``Fraction`` only at the boundary (``weights``, ``__call__``, JSON).  This
-module imports only ``check`` and ``errors``, so the wp engine runs without
-the poset substrate or the monad zoo.
+extension on such rows, under ``Weighting.bind``, the law suites and the wp
+engine, and weights become ``Fraction`` only at the boundary (``weights``,
+``__call__``, JSON).  This module imports only ``check`` and ``errors``, so
+the wp engine runs without the poset substrate or the monad zoo.
 """
 
 import math

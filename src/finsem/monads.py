@@ -2,7 +2,9 @@
 
 Each family knows how to enumerate T(X) (within a per-monad cap), test
 membership, order elements when T(X) is a poset, and perform the unit and
-the Kleisli extension.  Multiplication is never defined separately: it is
+the Kleisli extension, also on the codes the law suites intern: an element
+is its own code, and dist and giry code a weighting by its kernel row, bound
+by ``kernel.bind_rows``.  Multiplication is never defined separately: it is
 the extension of the identity arrow.  ``effects`` is imported only where
 fuzzy predicates or distributions are built.
 """
@@ -19,7 +21,7 @@ from .errors import (
     TooLarge,
     UnknownElement,
 )
-from .kernel import ZERO, Distribution, FinSet, Weighting
+from .kernel import ZERO, Distribution, FinSet, Weighting, bind_rows
 from .order import FinPoset, filter_violation, powerset_lattice
 
 
@@ -57,6 +59,14 @@ class MonadFamily:
     def extend(self, dom, cod, fn, t):
         """Kleisli extension of fn (an atom-to-element function) applied to t."""
         raise NotImplementedError
+
+    def code(self, t):
+        """t as the law suites intern it: equal codes are equal elements of one object."""
+        return t
+
+    def coded_extension(self, dom, cod):
+        """extend on codes, as (graph: atom of dom -> code of its image, code) -> code."""
+        return lambda graph, t: self.extend(dom, cod, graph.__getitem__, t)
 
     def leq(self, obj, s, t):
         raise UnknownElement(f"{self.name} structures carry no order")
@@ -356,6 +366,14 @@ class DistributionMonad(MonadFamily):
 
     def extend(self, dom, cod, fn, t):
         return t.bind(fn, cod)
+
+    code = staticmethod(Weighting.kernel)  # the kernel row
+
+    def coded_extension(self, dom, cod):
+        # Weighting.bind's kernel on rows, without its per-image checks
+        key, error = cod.rank().__getitem__, self.weighting._error
+        return lambda graph, row: bind_rows(
+            row[1], row[2], list(map(graph.__getitem__, row[0])), error, key)
 
     def probe_elements(self, obj, max_den=4):
         from .effects import iter_distributions

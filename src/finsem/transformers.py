@@ -74,13 +74,19 @@ def predicate_lattice(family, obj):
 # -- the transpose: one bijection between columns and transformers ----------------------
 
 
-def transpose(predicates, target, points, columns):
+def transpose(predicates, target, points, columns, walk=True):
     """The map from predicates into target (a lattice of sets of points) that
-    sends predicate i to the points whose column holds at i."""
-    return MonotoneMap(predicates, target, tuple(
+    sends predicate i to the points whose column holds at i; without
+    ``walk``, the caller checks a structure that implies monotonicity."""
+    graph = tuple(
         frozenset(x for x, column in zip(points, columns) if column[i])
         for i in range(len(predicates))
-    ))
+    )
+    if walk:
+        return MonotoneMap(predicates, target, graph)
+    for v in graph:
+        target.carrier.require(v)
+    return MonotoneMap._trusted(predicates, target, graph)
 
 
 def columns(m, points):
@@ -133,11 +139,13 @@ def comparison_column(recipe, cod, t):
 
 def forward(recipe, arrow):
     """The transpose of the arrow's comparison columns, checked to have the
-    recipe's selector structure."""
+    recipe's selector structure.  Keeping binary joins or meets implies
+    monotonicity, so only monotone-nbhd's transpose is walked for it."""
     family = recipe.family
     m = transpose(predicate_lattice(family, arrow.cod), predicate_lattice(family, arrow.dom),
                   arrow.dom.carrier.elements,
-                  [comparison_column(recipe, arrow.cod, t) for t in arrow.graph])
+                  [comparison_column(recipe, arrow.cod, t) for t in arrow.graph],
+                  walk=recipe.selector == "monotone")
     if not has_structure(m, recipe.selector):
         raise StructureNotPreserved(f"{recipe.id} transpose is not {recipe.selector}")
     return m

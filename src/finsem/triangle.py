@@ -256,10 +256,6 @@ def _getter(ids):
     return lambda seq: tuple([seq[i] for i in ids])
 
 
-def _graph_extend(family, dom, cod, graph_by_elem, t):
-    return family.extend(dom, cod, lambda x: graph_by_elem[x], t)
-
-
 def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     """Exhaustive-or-sampled verification of the unit and associativity laws.
 
@@ -267,96 +263,97 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     budget; otherwise a seeded sample is drawn and the report records the
     sampled mode together with the seed.
 
-    The exhaustive associativity walk compares interned ids: each structure
-    element is hash-consed to an int once per suite, so a (g, h) pair is
-    decided by one comparison of id tuples over all t.  It counts the same
-    instances, and reports the same first witness, as a walk that compares
-    the elements one t at a time.
+    Every walk extends codes (``family.code``: the kernel row for dist and
+    giry, the element elsewhere) through ``family.coded_extension``, the
+    kernel ``extend`` runs; it trusts the images, which the arrow enumerators
+    checked with ``contains``.  Witnesses render the elements.  Associativity
+    hash-conses each code to an int id once per suite, so a (g, h) pair is
+    decided by one comparison of id tuples over all t, with the counts and
+    first witness of a walk over the elements.  An id carries no carrier,
+    which is sound because only ids of values on one object are compared:
+    the law's two sides on ``far``, and image lookups on ``right``.
     """
     rng = random.Random(seed)
     report = Report(f"monad {family.name}", seed)
+    code = family.code
 
-    # T(obj), or its probe set, built once per suite
+    # T(obj), or its probe set, built and coded once per suite
     structures = {obj: _structure_elements(family, obj, probe_max_den) for obj in objects}
+    codes = {obj: tuple(map(code, ts)) for obj, ts in structures.items()}
     arrow_lists = {}
 
     def arrows(dom, cod):
+        """The mode, the arrows dom -> T(cod) and their coded graphs."""
         key = (dom, cod)
         if key not in arrow_lists:
             try:
-                arrow_lists[key] = ("exhaustive", iter_kleisli_arrows(
-                    family, dom, cod, targets=structures[cod]))
+                mode, fs = "exhaustive", iter_kleisli_arrows(
+                    family, dom, cod, targets=structures[cod])
             except TooLarge:
-                sample = tuple(
+                mode, fs = "sampled", tuple(
                     random_kleisli_arrow(family, dom, cod, rng, structures[cod])
-                    for _ in range(LAW_SAMPLES)
-                )
-                arrow_lists[key] = ("sampled", sample)
+                    for _ in range(LAW_SAMPLES))
+            elems = dom.carrier.elements
+            arrow_lists[key] = mode, fs, [dict(zip(elems, map(code, f.graph))) for f in fs]
         return arrow_lists[key]
 
     # unit laws -----------------------------------------------------------
     for dom, cod in itertools.product(objects, repeat=2):
-        mode, fs = arrows(dom, cod)
+        mode, fs, graphs = arrows(dom, cod)
+        ext = family.coded_extension(dom, cod)
+        units = [(x, code(family.unit(dom, x))) for x in dom.carrier]
         report.cases.append(first_counterexample("extend(f)(unit(x)) = f(x)", (
-            None if _graph_extend(family, dom, cod, fd, family.unit(dom, x)) == fd[x]
-            else f"f={atom_repr(fd)} x={atom_repr(x)}"
-            for f in fs for fd in [f.as_dict()] for x in dom.carrier),
+            None if ext(graph, u) == graph[x]
+            else f"f={atom_repr(f.as_dict())} x={atom_repr(x)}"
+            for f, graph in zip(fs, graphs) for x, u in units),
             mode, (len(dom), len(cod))))
 
     for obj in objects:
-        eta = {x: family.unit(obj, x) for x in obj.carrier}
+        ext = family.coded_extension(obj, obj)
+        eta = {x: code(family.unit(obj, x)) for x in obj.carrier}
         report.cases.append(first_counterexample("extend(unit)(t) = t", (
-            None if _graph_extend(family, obj, obj, eta, t) == t else f"t={atom_repr(t)}"
-            for t in structures[obj]),
+            None if ext(eta, c) == c else f"t={atom_repr(t)}"
+            for t, c in zip(structures[obj], codes[obj])),
             "exhaustive", (len(obj),)))
 
     # associativity ---------------------------------------------------------
-    # Elements are hash-consed to ids once per suite, and each arrow's
-    # extension is tabled once, as ids: extend(h) over T(right), extend(g)
-    # over ts, and extend(h after g) over ts for each distinct composite.
-    ids, values = {}, []
-
-    def intern(t):
-        i = ids.get(t)
-        if i is None:
-            i = ids[t] = len(values)
-            values.append(t)
-        return i
-
-    def extension(dom, cod, arrow):
-        """extend(arrow) as id -> id.  A probe arrow's bind can leave the
-        probe set, so each id is computed on its first lookup."""
-        graph = arrow.as_dict()
-        return _Memo(lambda i: intern(_graph_extend(family, dom, cod, graph, values[i])))
-
+    # Codes are hash-consed to ids once per suite (values[i] has id i), and each
+    # arrow's extension is tabled once, as ids: extend(h) over T(right),
+    # extend(g) over ts, and extend(h after g) over ts per distinct composite.
+    values = []
+    ids = _Memo(lambda c: values.append(c) or len(values) - 1)
     h_tables, g_tables, composite_tables = {}, {}, {}
 
-    def extension_tables(right, far, hs):
+    def extension_tables(right, far):
+        """Per h, extend(h) as id -> id, computed on first lookup: binds leave the probe set."""
         if (right, far) not in h_tables:
-            h_tables[right, far] = [extension(right, far, h) for h in hs]
+            ext = family.coded_extension(right, far)
+            h_tables[right, far] = [_Memo(lambda i, hg=hg: ids[ext(hg, values[i])])
+                                    for hg in arrows(right, far)[2]]
         return h_tables[right, far]
 
-    def image_vectors(mid, right, gs, ts):
+    def image_vectors(mid, right):
         """Per g: getters at the ids of its images, and of extend(g) over ts."""
         if (mid, right) not in g_tables:
+            ext = family.coded_extension(mid, right)
             g_tables[mid, right] = [
-                (g, _getter([intern(v) for v in g.graph]),
-                 _getter([intern(_graph_extend(family, mid, right, gd, t)) for t in ts]))
-                for g in gs for gd in [g.as_dict()]]
+                (_getter([ids[v] for v in gg.values()]),
+                 _getter([ids[ext(gg, c)] for c in codes[mid]]))
+                for gg in arrows(mid, right)[2]]
         return g_tables[mid, right]
 
     def exhaustive_assoc(mid, right, far, gs, hs, ts):
         composites = composite_tables.setdefault((mid, far), {})
-        ths = extension_tables(right, far, hs)
-        for g, gimg, gvec in image_vectors(mid, right, gs, ts):
+        ext, elems, tcodes = family.coded_extension(mid, far), mid.carrier.elements, codes[mid]
+        ths = extension_tables(right, far)
+        for g, (gimg, gvec) in zip(gs, image_vectors(mid, right)):
             held = 0
             for h, th in zip(hs, ths):
                 key = gimg(th)
                 ctab = composites.get(key)
                 if ctab is None:
-                    comp = dict(zip(mid.carrier.elements, map(values.__getitem__, key)))
-                    ctab = composites[key] = tuple(
-                        intern(_graph_extend(family, mid, far, comp, t)) for t in ts)
+                    comp = dict(zip(elems, map(values.__getitem__, key)))
+                    ctab = composites[key] = tuple([ids[ext(comp, c)] for c in tcodes])
                 lhs = gvec(th)
                 if lhs == ctab:
                     held += len(ts)
@@ -369,22 +366,19 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
             yield held
 
     def sampled_assoc(mid, right, far, gs, hs, ts):
+        ggs, hgs, tcodes = arrows(mid, right)[2], arrows(right, far)[2], codes[mid]
+        ext_g, ext_h, ext_c = map(family.coded_extension, (mid, right, mid), (right, far, far))
         for _ in range(LAW_SAMPLES):
-            g = gs[rng.randrange(len(gs))]
-            h = hs[rng.randrange(len(hs))]
-            gd, hd = g.as_dict(), h.as_dict()
-            comp = {x: _graph_extend(family, right, far, hd, gd[x]) for x in mid.carrier}
-            t = ts[rng.randrange(len(ts))]
-            lhs = _graph_extend(
-                family, right, far, hd,
-                _graph_extend(family, mid, right, gd, t),
-            )
-            yield None if lhs == _graph_extend(family, mid, far, comp, t) else (
-                f"g={atom_repr(gd)} h={atom_repr(hd)} t={atom_repr(t)}")
+            i, j, k = rng.randrange(len(gs)), rng.randrange(len(hs)), rng.randrange(len(ts))
+            gg, hg, c = ggs[i], hgs[j], tcodes[k]
+            comp = {x: ext_h(hg, v) for x, v in gg.items()}
+            yield None if ext_h(hg, ext_g(gg, c)) == ext_c(comp, c) else (
+                f"g={atom_repr(gs[i].as_dict())} h={atom_repr(hs[j].as_dict())} "
+                f"t={atom_repr(ts[k])}")
 
     for mid, right, far in itertools.product(objects, repeat=3):
-        gmode, gs = arrows(mid, right)
-        hmode, hs = arrows(right, far)
+        gmode, gs, _ = arrows(mid, right)
+        hmode, hs, _ = arrows(right, far)
         ts = structures[mid]
         if not gs or not hs or not ts:
             continue

@@ -535,3 +535,26 @@ def test_transpose_and_columns_are_inverse(recipe):
         for arrow in iter_kleisli_arrows(family, x, y):
             cols = [comparison_column(recipe, y, t) for t in arrow.graph]
             assert columns(transpose(predicates, target, points, cols), points) == cols
+
+
+@pytest.mark.parametrize("recipe", RECIPES, ids=lambda r: r.id)
+def test_forward_walks_for_monotonicity_only_where_the_selector_does_not_imply_it(
+        monkeypatch, recipe):
+    # keeping binary joins or meets implies monotonicity, so only the
+    # monotone-nbhd transpose goes through the pair walk
+    import finsem.order
+    from finsem.transformers import forward
+    from finsem.triangle import iter_kleisli_arrows
+
+    walked = []
+    walk = finsem.order.monotone_violation
+    monkeypatch.setattr(finsem.order, "monotone_violation",
+                        lambda *args: walked.append(args) or walk(*args))
+    family = recipe.family
+    x, y = (SMALL_POSETS[1], SMALL_POSETS[2]) if family.base == "poset" else SETS_UP_TO_THREE[1:3]
+    arrows = iter_kleisli_arrows(family, x, y)
+    assert arrows
+    walked.clear()  # the enumerator may walk; forward is what is counted
+    images = [forward(recipe, arrow) for arrow in arrows]
+    assert all(has_structure(m, recipe.selector) for m in images)
+    assert bool(walked) == (recipe.selector == "monotone")

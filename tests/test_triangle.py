@@ -19,7 +19,17 @@ from finsem.errors import (
     UnknownElement,
 )
 from finsem.kernel import MAX_POSET_SIZE
-from finsem.monads import DIST, DOWNSET, FAMILIES, HOARE, NEIGHBOURHOOD, PLOTKIN, POWERSET, SMYTH
+from finsem.monads import (
+    DIST,
+    DOWNSET,
+    FAMILIES,
+    GIRY,
+    HOARE,
+    NEIGHBOURHOOD,
+    PLOTKIN,
+    POWERSET,
+    SMYTH,
+)
 from finsem.order import (
     FinSet,
     MonotoneMap,
@@ -256,9 +266,26 @@ def box_with(**changes):
     return Correspondence(**{f: changes.get(f, getattr(BOX, f)) for f in Correspondence._fields})
 
 
+class MovesMass(type(DIST)):
+    """dist whose coded extension binds the first atom of a support through
+    the second atom's image: every result is still normalised."""
+
+    name = "moves-mass"
+
+    def coded_extension(self, dom, cod):
+        extension = super().coded_extension(dom, cod)
+
+        def moved(graph, row):
+            support = row[0]
+            if len(support) > 1:
+                graph = {**graph, support[0]: graph[support[1]]}
+            return extension(graph, row)
+        return moved
+
+
 def broken_witnesses():
-    """The failing reports of a law suite and of three certifications, each
-    over a carrier of strings, as text."""
+    """The failing reports of two law suites and of three certifications,
+    each over a carrier of strings, as text."""
     class DropsOnPair(type(POWERSET)):
         name = "drops-on-pair"
 
@@ -267,7 +294,8 @@ def broken_witnesses():
             return out - {max(out)} if len(t) == 2 and len(out) == 3 else out
 
     xs = [FinSet(["x1", "x2"]), FinSet(["y1", "y2", "y3"])]
-    lines = [check_monad_laws(DropsOnPair(), xs).summary()]
+    lines = [check_monad_laws(DropsOnPair(), xs).summary(),
+             check_monad_laws(MovesMass(), xs[:1], probe_max_den=2).summary()]
     trans = BOX.iter_transformers(xs[0], xs[0], 10_000)
     for broken in (box_with(forward=lambda g, x, y: trans[-1]),
                    box_with(iter_computations=lambda x, y, b: ()),
@@ -515,11 +543,15 @@ class TestLawSuiteMachinery:
     def test_probe_suite_totals(self, monkeypatch):
         # a bind of probe arrows can leave the probe set; the walk computes
         # those values rather than looking them up
-        probes = set(DIST.probe_elements(FinSet(range(2)), 2))
+        probes = set(map(DIST.code, DIST.probe_elements(FinSet(range(2)), 2)))
         extended = []
-        extend = type(DIST).extend
-        monkeypatch.setattr(type(DIST), "extend", lambda family, dom, cod, fn, t: (
-            extended.append(t) or extend(family, dom, cod, fn, t)))
+        coded_extension = type(DIST).coded_extension
+
+        def recorded(family, dom, cod):
+            extend = coded_extension(family, dom, cod)
+            return lambda graph, t: extended.append(t) or extend(graph, t)
+
+        monkeypatch.setattr(type(DIST), "coded_extension", recorded)
         report = check_monad_laws(DIST, (FinSet(range(2)),), probe_max_den=2)
         assert [(c.law, c.mode, c.checked, c.mismatches) for c in report.cases] == [
             ("extend(f)(unit(x)) = f(x)", "exhaustive", 18, 0),
@@ -528,3 +560,35 @@ class TestLawSuiteMachinery:
         ]
         assert report.checked_total() == 264
         assert any(t not in probes for t in extended)
+
+
+class TestCodedExtension:
+    @pytest.mark.parametrize("den", [2, 3])
+    @pytest.mark.parametrize("family", [DIST, GIRY], ids=lambda f: f.name)
+    def test_coded_extension_is_extend_on_codes(self, family, den):
+        rng = random.Random(den)
+        sets = [FinSet(range(n)) for n in (1, 2, 3)]
+        left_probes = False
+        for dom, cod in itertools.product(sets, repeat=2):
+            ts, targets = family.probe_elements(dom, den), family.probe_elements(cod, den)
+            probes = set(map(family.code, targets))
+            extension = family.coded_extension(dom, cod)
+            for _ in range(10):
+                f = random_kleisli_arrow(family, dom, cod, rng, targets)
+                graph = dict(zip(dom.elements, map(family.code, f.graph)))
+                for t in ts:
+                    got = extension(graph, family.code(t))
+                    assert got == family.code(family.extend(dom, cod, f, t))
+                    left_probes = left_probes or got not in probes
+        assert left_probes
+
+    def test_a_mass_moving_extension_fails_with_element_witnesses(self):
+        xs = (FinSet(["x1", "x2"]), FinSet(["y1", "y2", "y3"]))
+        report = check_monad_laws(MovesMass(), xs, probe_max_den=2)
+        assert not report.ok
+        assert [(c.law, c.objects, c.witness) for c in report.cases if not c.ok] == [
+            ("extend(unit)(t) = t", (2,), "t=Distribution(carrier=FinSet(['x1', 'x2']), "
+             "weights=(('x1', Fraction(1, 2)), ('x2', Fraction(1, 2))))"),
+            ("extend(unit)(t) = t", (3,), "t=Distribution(carrier=FinSet(['y1', 'y2', 'y3']), "
+             "weights=(('y2', Fraction(1, 2)), ('y3', Fraction(1, 2))))"),
+        ]
