@@ -4,19 +4,20 @@ Everything here is exact, so that partial-sum definedness and round-trip
 identities are exact predicates, never float comparisons.  Predicates and
 scalars are fractions.Fraction.  Finite distributions are ``kernel``'s
 ``Distribution``, one ``Weighting`` row of integers over one reduced
-denominator; this module builds, binds and enumerates them.  The finite Giry
-monad's measures (``monads.FiniteMeasure``) are the same kernel under their
-own name.
+denominator; this module builds, binds and enumerates them, the probe sets
+and seeded draws trusted from their rows.  The finite Giry monad's measures
+(``monads.FiniteMeasure``) are the same kernel under their own name.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from .check import Frozen, Report, first_counterexample
-from .errors import CarrierMismatch, ScalarOutOfRange
+from .errors import CarrierMismatch, NotNormalized, ScalarOutOfRange
 from .kernel import ONE, ZERO, Distribution, FinSet
 
 Rat = Fraction
@@ -303,26 +304,27 @@ def dist_bind(f, omega):
     return omega.bind(f)
 
 
-def iter_distributions(carrier, max_den):
-    """All distributions whose weights are multiples of 1/n for some n <= max_den."""
+def _row(atoms, parts, den):
+    """The kernel row of the weights part/den on atoms, for parts of gcd 1."""
+    return tuple(a for a, p in zip(atoms, parts) if p), tuple(p for p in parts if p), den
+
+
+def iter_distributions(carrier, max_den, weighting=Distribution):
+    """All weightings whose weights are multiples of 1/n for some n <= max_den.
+
+    For each denominator in turn, the compositions of it into one part per
+    atom whose parts have gcd 1, the ones no smaller denominator lists; each
+    is built trusted, as a ``weighting``, from its row."""
     atoms = carrier.elements
     if not atoms:
         return ()
-    seen = set()
+    k = len(atoms)
     out = []
     for den in range(1, max_den + 1):
-        for cuts in itertools.combinations(range(den + len(atoms) - 1), len(atoms) - 1):
-            parts = []
-            prev = -1
-            for c in cuts:
-                parts.append(c - prev - 1)
-                prev = c
-            parts.append(den + len(atoms) - 2 - prev)
-            weights = tuple(Fraction(p, den) for p in parts)
-            if weights in seen:
-                continue
-            seen.add(weights)
-            out.append(Distribution(carrier, tuple(zip(atoms, weights))))
+        for cuts in itertools.combinations(range(den + k - 1), k - 1):
+            parts = [b - a - 1 for a, b in zip((-1, *cuts), (*cuts, den + k - 1))]
+            if math.gcd(*parts) == 1:
+                out.append(weighting._from_kernel(carrier, _row(atoms, parts, den)))
     return tuple(out)
 
 
@@ -331,6 +333,8 @@ def random_distribution(carrier, rng, max_den=12):
     atoms = carrier.elements
     den = rng.randint(1, max_den)
     cuts = sorted(rng.randint(0, den) for _ in range(len(atoms) - 1))
-    bounds = [0] + cuts + [den]
-    weights = [Fraction(bounds[i + 1] - bounds[i], den) for i in range(len(atoms))]
-    return Distribution(carrier, tuple(zip(atoms, weights)))
+    if not atoms:
+        raise NotNormalized("weights do not sum to 1")
+    parts = [b - a for a, b in zip((0, *cuts), (*cuts, den))]
+    g = math.gcd(*parts)
+    return Distribution._from_kernel(carrier, _row(atoms, [p // g for p in parts], den // g))

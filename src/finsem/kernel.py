@@ -92,7 +92,7 @@ class FinSet:
         return isinstance(other, FinSet) and self._members == other._members
 
     def __hash__(self):
-        return hash(("FinSet", self._members))
+        return hash(self._members)  # a frozenset keeps its hash
 
     def __repr__(self):
         return f"FinSet([{', '.join(map(atom_repr, self.elements))}])"
@@ -103,7 +103,7 @@ class FinSet:
 
     def index(self, x):
         self.require(x)
-        return self.elements.index(x)
+        return self.rank()[x]
 
     def rank(self):
         """Each element's position in ``elements``, as a dict built on first use."""
@@ -137,8 +137,6 @@ def _require_small(obj):
     if len(obj) > MAX_POSET_SIZE:
         kind = "set" if isinstance(obj, FinSet) else "poset"
         raise TooLarge(f"{kind} has {len(obj)} elements; substrate cap is {MAX_POSET_SIZE}")
-
-
 
 
 def parse_rat(text):

@@ -4,9 +4,9 @@ Each family knows how to enumerate T(X) (within a per-monad cap), test
 membership, order elements when T(X) is a poset, and perform the unit and
 the Kleisli extension, also on the codes the law suites intern: an element
 is its own code, and dist and giry code a weighting by its kernel row, bound
-by ``kernel.bind_rows``.  Multiplication is never defined separately: it is
-the extension of the identity arrow.  ``effects`` is imported only where
-fuzzy predicates or distributions are built.
+by ``kernel.bind_rows`` and probed by ``effects.iter_distributions``.  The
+multiplication is the extension of the identity arrow, never defined apart.
+``effects`` is imported only where fuzzy predicates or distributions are built.
 """
 
 from __future__ import annotations
@@ -379,7 +379,7 @@ class DistributionMonad(MonadFamily):
         from .effects import iter_distributions
 
         self.check_object(obj)
-        return iter_distributions(obj, max_den)
+        return iter_distributions(obj, max_den, self.weighting)
 
 
 class FiniteMeasure(Weighting):
@@ -409,18 +409,10 @@ class FiniteMeasure(Weighting):
 
 class GiryFiniteMonad(DistributionMonad):
     """The probability-measure monad on finite measurable spaces: the
-    distribution kernel under its own name."""
+    distribution kernel, and its probes, under its own name."""
 
     name = "giry"
     weighting = FiniteMeasure
-
-    def probe_elements(self, obj, max_den=4):
-        from .effects import iter_distributions
-
-        self.check_object(obj)
-        return tuple(
-            FiniteMeasure(obj, d.weights) for d in iter_distributions(obj, max_den)
-        )
 
 
 POWERSET = PowersetMonad()

@@ -213,25 +213,16 @@ class FinPoset:
         return self._bound("meet", x, y)
 
     def _bound(self, key, x, y):
-        try:
-            index, table = self._cache["index"], self._cache[key]
-        except KeyError:
-            index, table = self._index(), self._table(key)
+        index, table = self.carrier.rank(), self._cache.get(key) or self._table(key)
         k = table[index[x]][index[y]]
         return self.carrier.elements[k] if k >= 0 else None
-
-    def _index(self):
-        """Each element's position in ``elements``."""
-        if "index" not in self._cache:
-            self._cache["index"] = {x: i for i, x in enumerate(self.elements)}
-        return self._cache["index"]
 
     def _table(self, key):
         """The join or meet table: the bound of two elements is the one common
         cone element whose cone holds all the common ones."""
         if key not in self._cache:
             cone = self._up if key == "join" else self._down
-            index, elems = self._index(), self.elements
+            index, elems = self.carrier.rank(), self.elements
             self._cache[key] = tuple(tuple(
                 index[best[0]] if len(best) == 1 else -1
                 for y in elems for common in [cone[x] & cone[y]]
@@ -539,7 +530,7 @@ class PlotkinAlgebra(Frozen):
             elems = [(a, b) for a in frame for b in frame if leq(b, a)]
             poset = FinPoset(FinSet(elems), [
                 (s, t) for s in elems for t in elems if leq(s[0], t[0]) and leq(s[1], t[1])])
-            index = poset._index()
+            index = poset.carrier.rank()
             frame._cache["plotkin"] = cls(frame, poset, tuple(
                 tuple(index[frame.join(s[0], t[0]), frame.meet(s[1], t[1])]
                       for t in poset.elements) for s in poset.elements))
@@ -573,7 +564,7 @@ def plotkin_law_violation(dom_alg, cod_alg, graph):
         return "bounds are not preserved"
     if graph[dom_alg.mix] != cod_alg.mix:
         return "the mixed element is not preserved"
-    index = cod_alg.poset._index()
+    index = cod_alg.poset.carrier.rank()
     if not _commutes([index[graph[s]] for s in dom_alg.poset.elements],
                      dom_alg.sums, cod_alg.sums):
         return "the erratic sum is not preserved"
@@ -606,7 +597,7 @@ def _monotone_vectors(dom, cod, points, fixed=None):
     linear extension of dom, each trying cod's elements in order; a value is
     kept when it lies in the up cone, a bit mask, of every value assigned
     below it (those points found once per call).  fixed pins some points."""
-    index, n = cod._index(), len(cod)
+    index, n = cod.carrier.rank(), len(cod)
     ups = [sum(1 << index[y] for y in cod._up[x]) for x in cod.elements]
     slot = {p: k for k, p in enumerate(points)}
     order = [p for p in dom.linear_extension() if p in slot]
@@ -684,7 +675,7 @@ def _keeps_vector(dom, cod, v, selector):
     its half, and the dual half's unit or operation where the selector says so?"""
     half, keeps_unit, keeps_op = _LATTICE_SELECTORS[selector]
     dual = _MEET if half is _JOIN else _JOIN
-    di, ci = dom._index(), cod._index()
+    di, ci = dom.carrier.rank(), cod.carrier.rank()
     return (
         v[di[half.unit(dom)]] == ci[half.unit(cod)]
         and _commutes(v, dom._table(half.op), cod._table(half.op))
@@ -702,7 +693,7 @@ def has_structure(m, selector):
         return True
     m.dom.require_lattice()
     m.cod.require_lattice()
-    return _keeps_vector(m.dom, m.cod, list(map(m.cod._index().__getitem__, m.graph)), selector)
+    return _keeps_vector(m.dom, m.cod, [*map(m.cod.carrier.rank().__getitem__, m.graph)], selector)
 
 
 def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
@@ -736,7 +727,7 @@ def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
     half = _LATTICE_SELECTORS[selector][0]
     gens = half.irreducibles(dom)
     _budget_check(max(len(cod), 1) ** len(gens), budget)
-    table, unit, elems = cod._table(half.op), cod._index()[half.unit(cod)], cod.elements
+    table, unit, elems = cod._table(half.op), cod.carrier.rank()[half.unit(cod)], cod.elements
     sides = [[k for k, j in enumerate(gens) if j in half.side(dom, x)] for x in dom.elements]
     out = []
     for assign in _monotone_vectors(dom, cod, gens):

@@ -379,3 +379,102 @@ def test_extend_rejects_images_off_the_codomain(name):
     two = family.weighting.from_dict(FinSet([0, 1]), {0: Fraction(1, 2), 1: Fraction(1, 2)})
     with pytest.raises(CarrierMismatch, match="not on"):
         family.extend(two.carrier, cod, lambda x: image, two)
+
+
+# -- probes and seeded draws built from their rows ------------------------------------
+
+
+def fraction_iter_distributions(carrier, max_den, weighting=Distribution):
+    """The validating enumerator: Fraction weights, repeats dropped by value."""
+    atoms = carrier.elements
+    if not atoms:
+        return ()
+    seen = set()
+    out = []
+    for den in range(1, max_den + 1):
+        for cuts in itertools.combinations(range(den + len(atoms) - 1), len(atoms) - 1):
+            parts = []
+            prev = -1
+            for c in cuts:
+                parts.append(c - prev - 1)
+                prev = c
+            parts.append(den + len(atoms) - 2 - prev)
+            weights = tuple(Fraction(p, den) for p in parts)
+            if weights in seen:
+                continue
+            seen.add(weights)
+            out.append(weighting(carrier, tuple(zip(atoms, weights))))
+    return tuple(out)
+
+
+def fraction_random_distribution(carrier, rng, max_den=12):
+    """The validating draw: Fraction weights through the public constructor."""
+    atoms = carrier.elements
+    den = rng.randint(1, max_den)
+    cuts = sorted(rng.randint(0, den) for _ in range(len(atoms) - 1))
+    bounds = [0] + cuts + [den]
+    weights = [Fraction(bounds[i + 1] - bounds[i], den) for i in range(len(atoms))]
+    return Distribution(carrier, tuple(zip(atoms, weights)))
+
+
+def same_weightings(got, want):
+    assert [type(d) for d in got] == [type(d) for d in want]
+    assert [d.kernel() for d in got] == [d.kernel() for d in want]
+    assert [d.carrier for d in got] == [d.carrier for d in want]
+    assert tuple(got) == tuple(want)
+
+
+class TestProbesFromRows:
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("cls_name", ["Distribution", "FiniteMeasure"])
+    def test_probes_match_the_fraction_enumerator(self, n, cls_name):
+        from finsem.monads import FiniteMeasure
+
+        cls = {"Distribution": Distribution, "FiniteMeasure": FiniteMeasure}[cls_name]
+        carrier = FinSet(range(n))
+        for max_den in range(1, 7):
+            got = iter_distributions(carrier, max_den, cls)
+            same_weightings(got, fraction_iter_distributions(carrier, max_den, cls))
+
+    def test_probes_on_unordered_atoms_keep_the_support_sorted(self):
+        carrier = FinSet(["b", (0, 1), 3, frozenset({1})])
+        same_weightings(iter_distributions(carrier, 4),
+                        fraction_iter_distributions(carrier, 4))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_random_draws_match_the_fraction_draw(self, n):
+        carrier = FinSet(range(n))
+        for max_den in range(1, 13):
+            rng, oracle = random.Random(n * 100 + max_den), random.Random(n * 100 + max_den)
+            draws = [random_distribution(carrier, rng, max_den) for _ in range(300)]
+            want = [fraction_random_distribution(carrier, oracle, max_den) for _ in range(300)]
+            same_weightings(draws, want)
+            assert rng.getstate() == oracle.getstate()
+
+    def test_random_draw_on_the_empty_carrier_is_not_normalized(self):
+        rng, oracle = random.Random(5), random.Random(5)
+        with pytest.raises(NotNormalized):
+            random_distribution(FinSet(), rng)
+        with pytest.raises(NotNormalized):
+            fraction_random_distribution(FinSet(), oracle)
+        assert rng.getstate() == oracle.getstate()
+
+    def test_probe_sets_validate_no_weights(self, monkeypatch):
+        from finsem import kernel
+        from finsem.monads import DIST, GIRY
+
+        calls = []
+        checked = kernel.checked_weights
+
+        def counted(*args):
+            calls.append(args)
+            return checked(*args)
+
+        monkeypatch.setattr(kernel, "checked_weights", counted)
+        for family in (DIST, GIRY):
+            for n in range(1, 4):
+                probes = family.probe_elements(FinSet(range(n)), 4)
+                assert probes and all(type(p) is family.weighting for p in probes)
+        assert calls == []
+        Distribution.from_dict(S2, {"s0": ONE})  # the public constructor still validates
+        assert len(calls) == 1

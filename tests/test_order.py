@@ -220,7 +220,7 @@ def amalg(alg, s, t):
 
 def _keeps(dom, cod, g, selector):
     """_keeps_vector on a graph dict, with cod TWO or its opposite."""
-    return _keeps_vector(dom, cod, [cod._index()[g[x]] for x in dom.elements], selector)
+    return _keeps_vector(dom, cod, [cod.carrier.rank()[g[x]] for x in dom.elements], selector)
 
 
 def _iso_variant(variant):
@@ -567,7 +567,7 @@ class TestIndexedTables:
                 by_pairs = all(
                     g[getattr(dom, op)(x, y)] == getattr(cod, op)(g[x], g[y])
                     for x, y in itertools.product(dom.elements, repeat=2))
-                index = cod._index()
+                index = cod.carrier.rank()
                 v = [index[g[x]] for x in dom.elements]
                 assert _commutes(v, dom._table(op), cod._table(op)) == by_pairs
 
