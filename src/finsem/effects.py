@@ -3,10 +3,10 @@
 Everything here is exact, so that partial-sum definedness and round-trip
 identities are exact predicates, never float comparisons.  Predicates and
 scalars are fractions.Fraction.  Finite distributions are ``kernel``'s
-``Distribution``, one ``Weighting`` row of integers over one reduced
-denominator; this module builds, binds and enumerates them, the probe sets
-and seeded draws trusted from their rows.  The finite Giry monad's measures
-(``monads.FiniteMeasure``) are the same kernel under their own name.
+``Distribution``, one ``Weighting`` row of carrier positions and integers over
+one reduced denominator; this module builds, binds and enumerates them, the
+probe sets and seeded draws trusted from rows that name no atom.  The finite
+Giry monad's measures (``monads.FiniteMeasure``) are the same kernel.
 """
 
 from __future__ import annotations
@@ -304,9 +304,9 @@ def dist_bind(f, omega):
     return omega.bind(f)
 
 
-def _row(atoms, parts, den):
-    """The kernel row of the weights part/den on atoms, for parts of gcd 1."""
-    return tuple(a for a, p in zip(atoms, parts) if p), tuple(p for p in parts if p), den
+def _row(parts, den):
+    """The kernel row of the weights part/den, one part per position, for parts of gcd 1."""
+    return tuple(i for i, p in enumerate(parts) if p), tuple(p for p in parts if p), den
 
 
 def iter_distributions(carrier, max_den, weighting=Distribution):
@@ -315,26 +315,24 @@ def iter_distributions(carrier, max_den, weighting=Distribution):
     For each denominator in turn, the compositions of it into one part per
     atom whose parts have gcd 1, the ones no smaller denominator lists; each
     is built trusted, as a ``weighting``, from its row."""
-    atoms = carrier.elements
-    if not atoms:
+    k = len(carrier)
+    if not k:
         return ()
-    k = len(atoms)
     out = []
     for den in range(1, max_den + 1):
         for cuts in itertools.combinations(range(den + k - 1), k - 1):
             parts = [b - a - 1 for a, b in zip((-1, *cuts), (*cuts, den + k - 1))]
             if math.gcd(*parts) == 1:
-                out.append(weighting._from_kernel(carrier, _row(atoms, parts, den)))
+                out.append(weighting._from_kernel(carrier, _row(parts, den)))
     return tuple(out)
 
 
 def random_distribution(carrier, rng, max_den=12):
     """Uniformly chunky random distribution with exact rational weights."""
-    atoms = carrier.elements
     den = rng.randint(1, max_den)
-    cuts = sorted(rng.randint(0, den) for _ in range(len(atoms) - 1))
-    if not atoms:
+    cuts = sorted(rng.randint(0, den) for _ in range(len(carrier) - 1))
+    if not carrier:
         raise NotNormalized("weights do not sum to 1")
     parts = [b - a for a, b in zip((0, *cuts), (*cuts, den))]
     g = math.gcd(*parts)
-    return Distribution._from_kernel(carrier, _row(atoms, [p // g for p in parts], den // g))
+    return Distribution._from_kernel(carrier, _row([p // g for p in parts], den // g))

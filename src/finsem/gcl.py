@@ -17,11 +17,11 @@ dist denotation one ``Weighting`` kernel row per state,
 ``(positions, numerators, denominator)``, bound by ``kernel.bind_rows``, the
 integer Kleisli extension that ``Weighting.bind`` runs; a demonic or angelic
 table is one state mask, and an expectation table integer numerators over one
-denominator.  Frozensets, ``Distribution``s, ``Fraction``s and dicts are
-built only at the boundary: ``_arrow``, ``image``, ``wp`` and a mismatch
-witness.  ``denote`` validates its arrow through the monad and triangle
-layers, which it imports; ``wp`` and ``image`` (what ``finsem run`` applies)
-import neither.  The random generators are in ``gcl_random``.
+denominator.  A ``Distribution`` holds such a row as it is; frozensets,
+``Fraction``s and dicts are built only at the boundary: ``_arrow``, ``wp``
+and a mismatch witness.  ``denote`` validates its arrow through the monad and
+triangle layers, which it imports; ``wp`` and ``image`` (what ``finsem run``
+applies) import neither.  The random generators are in ``gcl_random``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from fractions import Fraction
 
 from .check import Frozen
 from .errors import (
+    CarrierMismatch,
     ModeMismatch,
     ParseError,
     RangeError,
@@ -460,18 +461,17 @@ def parse_expression(source, declared):
 
 
 class StateSpace(Frozen):
-    """The full product of the declared variable ranges."""
+    """The full product of the declared variable ranges.  ``names``, set once
+    by ``__post_init__``, is a slot and no field, so records ignore it."""
 
-    __slots__ = _fields = ("decls",)
+    __slots__ = ("decls", "names")
+    _fields = ("decls",)
 
     def __post_init__(self):
-        names = [d.name for d in self.decls]
+        names = tuple(d.name for d in self.decls)
         if len(set(names)) != len(names):
             raise RangeError("duplicate variable declarations")
-
-    @property
-    def names(self):
-        return tuple(d.name for d in self.decls)
+        object.__setattr__(self, "names", names)
 
     def size(self):
         out = 1
@@ -793,12 +793,11 @@ def _arrow(program, tables):
     from .triangle import KleisliArrow
 
     states, rows = tables.states, _denote(program.body, tables)
-    state, made = states.elements.__getitem__, Distribution._from_kernel
     if tables.mode == "pow":
+        state = states.elements.__getitem__
         family, graph = POWERSET, (frozenset(map(state, _indices(m))) for m in rows)
     else:
-        family, graph = DIST, (made(states, (tuple(map(state, at)), nums, den))
-                               for at, nums, den in rows)
+        family, graph = DIST, (Distribution._from_kernel(states, row) for row in rows)
     return KleisliArrow(family, states, states, tuple(graph))
 
 
@@ -828,10 +827,12 @@ def image(program, mode, state_cap=DEFAULT_STATE_CAP):
     def apply(start):
         if mode == "pow":
             return frozenset(map(state, _indices(rows[states.index(start)])))
-        support, nums, den = (start.kernel() if isinstance(start, Distribution)
-                              else ((start,), (1,), 1))
-        at, nums, den = bind_rows(nums, den, [rows[states.index(s)] for s in support])
-        return Distribution._from_kernel(states, (tuple(map(state, at)), nums, den))
+        if not isinstance(start, Distribution):
+            return Distribution._from_kernel(states, rows[states.index(start)])
+        if start.carrier != states:
+            raise CarrierMismatch("a start distribution must live on the program's states")
+        at, nums, den = start.kernel()
+        return Distribution._from_kernel(states, bind_rows(nums, den, [rows[j] for j in at]))
     return apply
 
 
@@ -940,11 +941,10 @@ def wp(program, post, flavor, state_cap=DEFAULT_STATE_CAP):
 
 def _rows(arrow):
     """Each row over cod's indices: a pow row as a mask, a dist row as its kernel."""
-    rank = arrow.cod.carrier.rank()
     if arrow.family.name == "powerset":
+        rank = arrow.cod.carrier.rank()
         return [sum([1 << rank[b] for b in t]) for t in arrow.graph]
-    return [([rank[b] for b in support], nums, den)
-            for support, nums, den in (t.kernel() for t in arrow.graph)]
+    return [t.kernel() for t in arrow.graph]
 
 
 def _transposed(rows, mask, flavor):

@@ -1,12 +1,13 @@
 """The kernel under every layer: atoms and finite sets, rationals on the wire,
 and finite probability weights.
 
-A ``Weighting`` is one row ``(support, numerators, denominator)``, integers
-over one reduced denominator; ``bind_rows`` is the one integer Kleisli
-extension on such rows, under ``Weighting.bind``, the law suites and the wp
-engine, and weights become ``Fraction`` only at the boundary (``weights``,
-``__call__``, JSON).  This module imports only ``check`` and ``errors``, so
-the wp engine runs without the poset substrate or the monad zoo.
+A ``Weighting`` is one row ``(positions, numerators, denominator)``, its
+support's positions in the carrier and integers over one reduced denominator;
+``bind_rows`` is the one integer Kleisli extension on such rows, under
+``Weighting.bind``, the law suites and the wp engine, and atoms and weights
+appear only at the boundary (``weights``, ``support``, ``__call__``, JSON).
+This module imports only ``check`` and ``errors``, so the wp engine runs
+without the poset substrate or the monad zoo.
 """
 
 import math
@@ -163,34 +164,34 @@ def checked_weights(carrier, weights, error):
 
     Every atom must lie in the carrier, appear once and carry a nonnegative
     weight; zero weights are dropped and the rest must sum to 1.  Returns the
-    support sorted by atom, its integer numerators and their one common
-    denominator, reduced: the least common multiple of the reduced weights'
-    denominators.
+    support's positions in the carrier, ascending, its integer numerators and
+    their one common denominator, reduced: the least common multiple of the
+    reduced weights' denominators.
     """
     seen = {}
     for atom, w in weights:
-        carrier.require(atom)
+        i = carrier.index(atom)
         w = Fraction(w)
         if w < 0:
             raise error(f"negative weight {w} at {atom!r}")
-        if atom in seen:
+        if i in seen:
             raise error(f"repeated atom {atom!r}")
-        seen[atom] = w
-    support = tuple(sorted((a for a, w in seen.items() if w), key=atom_key))
-    den = math.lcm(*(seen[a].denominator for a in support))
-    nums = tuple(seen[a].numerator * (den // seen[a].denominator) for a in support)
+        seen[i] = w
+    support = tuple(sorted(i for i, w in seen.items() if w))
+    den = math.lcm(*(seen[i].denominator for i in support))
+    nums = tuple(seen[i].numerator * (den // seen[i].denominator) for i in support)
     if sum(nums) != den:
         raise error("weights do not sum to 1")
     return support, nums, den
 
 
-def bind_rows(nums, den, images, error=NotNormalized, key=None):
-    """The one integer Kleisli extension: the row (support, nums, den) bound through
-    ``images``, one ``(support, numerators, denominator)`` row per support atom.
+def bind_rows(nums, den, images, error=NotNormalized):
+    """The one integer Kleisli extension: the row (positions, nums, den) bound
+    through ``images``, one ``(positions, numerators, denominator)`` each.
 
     Masses are spread over the lcm of the images' denominators, checked to sum
     to the denominator (else ``error``), reduced by their gcd and sorted by
-    ``key``; a single image is returned as it is.
+    position; a single image is returned as it is.
     """
     if len(images) == 1:
         return images[0]
@@ -205,7 +206,7 @@ def bind_rows(nums, den, images, error=NotNormalized, key=None):
     if sum(out.values()) != den:
         raise error("weights do not sum to 1")
     g = math.gcd(den, *out.values())
-    support = tuple(sorted(out, key=key))
+    support = tuple(sorted(out))
     if g == 1:
         return support, tuple(map(out.__getitem__, support)), den
     return support, tuple(out[b] // g for b in support), den // g
@@ -215,11 +216,12 @@ class Weighting:
     """Rational weights on finitely many atoms of a carrier, summing to 1.
 
     The one kernel under ``Distribution`` and ``monads.FiniteMeasure``.
-    Inside, a weighting is one row: its support sorted by atom, integer
-    numerators and one reduced common denominator, so equal weightings have
-    equal rows and equality and hashing run over integers; ``bind`` runs
-    ``bind_rows`` on rows.  ``Fraction`` appears only at the boundary:
-    ``weights`` builds the sorted ``(atom, Fraction)`` pairs on first use.
+    Inside, a weighting is one row: its support's ascending positions in
+    ``carrier.elements``, integer numerators and one reduced common
+    denominator, so equal weightings have equal rows and equality and hashing
+    run over integers, whatever the hash seed; ``bind`` runs ``bind_rows`` on
+    rows.  Atoms and ``Fraction`` appear only at the boundary: ``weights``
+    builds the sorted ``(atom, Fraction)`` pairs on first use.
     The public constructor validates through ``__post_init__``; ``bind``,
     ``point`` (after checking its atom) and ``gcl``'s denotations build
     theirs trusted, with ``_from_kernel``.  Fields are read-only.
@@ -252,8 +254,7 @@ class Weighting:
 
     @classmethod
     def point(cls, carrier, atom):
-        carrier.require(atom)
-        return cls._from_kernel(carrier, ((atom,), (1,), 1))
+        return cls._from_kernel(carrier, ((carrier.index(atom),), (1,), 1))
 
     @property
     def carrier(self):
@@ -264,18 +265,19 @@ class Weighting:
         """Sorted (atom, weight) pairs, nonzero weights only."""
         if self._weights is None:
             support, nums, den = self._kernel
-            self._weights = tuple((a, Fraction(n, den)) for a, n in zip(support, nums))
+            atoms = self._carrier.elements
+            self._weights = tuple((atoms[i], Fraction(n, den)) for i, n in zip(support, nums))
         return self._weights
 
     @property
     def support(self):
-        return frozenset(self._kernel[0])
+        return frozenset(map(self._carrier.elements.__getitem__, self._kernel[0]))
 
     def as_dict(self):
         return dict(self.weights)
 
     def kernel(self):
-        """The kernel row: the sorted support, its numerators and their denominator."""
+        """The kernel row: the support's positions, its numerators and their denominator."""
         return self._kernel
 
     def bind(self, kernel, cod=None):
@@ -286,22 +288,20 @@ class Weighting:
         """
         cls = type(self)
         support, nums, den = self._kernel
-        images = [kernel(a) for a in support]
+        images = [*map(kernel, map(self._carrier.elements.__getitem__, support))]
         for image in images:
             if type(image) is not cls or image._carrier is not cod:
                 cod = self._image_carrier(images, cod)
                 break
         if len(images) == 1:
             return images[0]
-        # every carrier is a FinSet, whose rank() is its atom_key order
         return cls._from_kernel(cod, bind_rows(
-            nums, den, [image._kernel for image in images], self._error,
-            cod.rank().__getitem__))
+            nums, den, [image._kernel for image in images], self._error))
 
     def _image_carrier(self, images, cod):
         """The carrier the kernel images share: ``cod``, or the first image's."""
         cls = type(self)
-        for a, image in zip(self._kernel[0], images):
+        for a, image in zip(map(self._carrier.elements.__getitem__, self._kernel[0]), images):
             if type(image) is not cls:
                 raise MonadMismatch(f"kernel image at {a!r} is not a {cls.__name__}")
             if cod is None:
@@ -339,7 +339,4 @@ class Distribution(Weighting):
 
     def __call__(self, atom):
         self.carrier.require(atom)
-        for a, w in self.weights:
-            if a == atom:
-                return w
-        return ZERO
+        return self.as_dict().get(atom, ZERO)

@@ -371,9 +371,9 @@ class DistributionMonad(MonadFamily):
 
     def coded_extension(self, dom, cod):
         # Weighting.bind's kernel on rows, without its per-image checks
-        key, error = cod.rank().__getitem__, self.weighting._error
+        atoms, error = dom.carrier.elements, self.weighting._error
         return lambda graph, row: bind_rows(
-            row[1], row[2], list(map(graph.__getitem__, row[0])), error, key)
+            row[1], row[2], [graph[atoms[i]] for i in row[0]], error)
 
     def probe_elements(self, obj, max_den=4):
         from .effects import iter_distributions

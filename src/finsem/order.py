@@ -214,6 +214,9 @@ class FinPoset:
 
     def _bound(self, key, x, y):
         index, table = self.carrier.rank(), self._cache.get(key) or self._table(key)
+        if x not in index or y not in index:  # UnknownElement, as leq raises it
+            self.carrier.require(x)
+            self.carrier.require(y)
         k = table[index[x]][index[y]]
         return self.carrier.elements[k] if k >= 0 else None
 

@@ -266,12 +266,12 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     Every walk extends codes (``family.code``: the kernel row for dist and
     giry, the element elsewhere) through ``family.coded_extension``, the
     kernel ``extend`` runs; it trusts the images, which the arrow enumerators
-    checked with ``contains``.  Witnesses render the elements.  Associativity
-    hash-conses each code to an int id once per suite, so a (g, h) pair is
-    decided by one comparison of id tuples over all t, with the counts and
-    first witness of a walk over the elements.  An id carries no carrier,
-    which is sound because only ids of values on one object are compared:
-    the law's two sides on ``far``, and image lookups on ``right``.
+    checked with ``contains``.  Graphs stay keyed by atom, and witnesses
+    render elements.  Associativity hash-conses each code to an int id once
+    per suite, so a (g, h) pair is decided by one comparison of id tuples
+    over all t, with the counts and first witness of a walk over elements.
+    An id carries no carrier, sound as only ids of values on one object are
+    compared: the law's two sides on ``far``, and image lookups on ``right``.
     """
     rng = random.Random(seed)
     report = Report(f"monad {family.name}", seed)

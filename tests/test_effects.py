@@ -477,3 +477,95 @@ class TestProbesFromRows:
         assert calls == []
         Distribution.from_dict(S2, {"s0": ONE})  # the public constructor still validates
         assert len(calls) == 1
+
+
+class TestRowsNamePositions:
+    """A weighting's kernel row names positions in its carrier, not atoms: on
+    carriers of strings, tuples and labels out of atom order, where the two
+    formats differ."""
+
+    CARRIERS = (FinSet(["c", "a", "b"]), FinSet([(1, 2), (0, 5), (1, -1)]),
+                FinSet(["b", (0, 1), 3, frozenset({1})]))
+
+    def test_public_rows_are_positional(self):
+        from finsem.monads import FiniteMeasure
+
+        for carrier, cls in itertools.product(self.CARRIERS, (Distribution, FiniteMeasure)):
+            first, last = carrier.elements[0], carrier.elements[-1]
+            built = cls(carrier, ((last, Fraction(2, 3)), (first, Fraction(1, 3))))
+            assert built.kernel() == ((0, len(carrier) - 1), (1, 2), 3)
+            for i, x in enumerate(carrier.elements):
+                assert cls.point(carrier, x).kernel() == ((i,), (1,), 1)
+
+    def test_weights_support_and_repr_name_atoms(self):
+        carrier = FinSet(["c", "a", "b"])
+        d = Distribution(carrier, (("c", Fraction(1, 2)), ("a", Fraction(1, 2))))
+        assert d.kernel() == ((0, 2), (1, 1), 2)
+        assert d.weights == (("a", Fraction(1, 2)), ("c", Fraction(1, 2)))
+        assert d.support == frozenset({"a", "c"})
+        assert d("c") == Fraction(1, 2) and d("b") == ZERO
+        assert repr(d) == ("Distribution(carrier=FinSet(['a', 'b', 'c']), "
+                           "weights=(('a', Fraction(1, 2)), ('c', Fraction(1, 2))))")
+
+    def test_bind_rows_are_positional(self):
+        src, cod = FinSet(["y", "x"]), FinSet([(1, 2), (0, 5), (1, -1)])
+        # x -> (0, 5) or (1, 2); y -> (1, -1)
+        images = {"x": Distribution(cod, (((1, 2), Fraction(1, 2)), ((0, 5), Fraction(1, 2)))),
+                  "y": Distribution.point(cod, (1, -1))}
+        start = Distribution(src, (("x", Fraction(1, 3)), ("y", Fraction(2, 3))))
+        got = start.bind(images.__getitem__, cod)
+        assert got.kernel() == ((0, 1, 2), (1, 4, 1), 6)
+        assert got.weights == (((0, 5), Fraction(1, 6)), ((1, -1), Fraction(2, 3)),
+                               ((1, 2), Fraction(1, 6)))
+
+    @pytest.mark.parametrize("carrier", CARRIERS)
+    def test_probe_and_draw_rows_depend_only_on_the_size(self, carrier):
+        from finsem.monads import FiniteMeasure
+
+        numbered = FinSet(range(len(carrier)))
+        for cls in (Distribution, FiniteMeasure):
+            assert ([d.kernel() for d in iter_distributions(carrier, 4, cls)]
+                    == [d.kernel() for d in iter_distributions(numbered, 4, cls)])
+        rng, twin = random.Random(9), random.Random(9)
+        for _ in range(50):
+            assert (random_distribution(carrier, rng, 6).kernel()
+                    == random_distribution(numbered, twin, 6).kernel())
+
+    def test_bind_rows_takes_no_key(self):
+        import inspect
+
+        assert list(inspect.signature(bind_rows).parameters) == [
+            "nums", "den", "images", "error"]
+        with pytest.raises(TypeError):
+            bind_rows((1, 1), 2, [((1,), (1,), 1), ((0,), (1,), 1)], NotNormalized, None)
+        assert bind_rows((1, 1), 2, [((1,), (1,), 1), ((0,), (1,), 1)]) == ((0, 1), (1, 1), 2)
+
+    def test_pickled_hash_does_not_depend_on_the_hash_seed(self):
+        # a weighting caches its hash, and pickle keeps the cache: a row over
+        # str atoms would carry one seed's hash into a process with another
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import finsem
+
+        build = ("from fractions import Fraction\n"
+                 "from finsem.kernel import Distribution, FinSet\n"
+                 "from finsem.monads import FiniteMeasure\n"
+                 "ts = [cls(FinSet(['a', 'b']), (('a', Fraction(1, 3)), ('b', Fraction(2, 3))))"
+                 " for cls in (Distribution, FiniteMeasure)]\n")
+        dump = build + ("import pickle, sys\n[hash(t) for t in ts]\n"
+                        "sys.stdout.write(pickle.dumps(ts).hex())\n")
+        load = build + ("import pickle, sys\n"
+                        "old = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+                        "print([(o == t, hash(o) == hash(t), o in {t}) for o, t in zip(old, ts)])\n")
+        src = str(Path(finsem.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def run(script, seed, stdin=""):
+            return subprocess.run([sys.executable, "-c", script], input=stdin, check=True,
+                                  env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                                  capture_output=True, text=True, timeout=60).stdout
+
+        assert run(load, "2", run(dump, "1")) == "[(True, True, True), (True, True, True)]\n"

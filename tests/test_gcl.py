@@ -15,6 +15,7 @@ import pytest
 from finsem import gcl, gcl_random
 from finsem.cli import cli_main
 from finsem.errors import (
+    CarrierMismatch,
     FinsemError,
     ModeMismatch,
     ParseError,
@@ -597,6 +598,28 @@ class TestImage:
                     start = DIST.weighting(states, tuple(zip(pair, weights)))
                     assert apply(start) == bind_apply(arrow, start)
 
+    def test_arrow_holds_the_denoted_rows(self):
+        # the states are tuples, so a row over atoms would differ from one over positions
+        rng = random.Random(43)
+        for _ in range(20):
+            program = gcl_random.random_program(rng, "dist")
+            tables = gcl._tables(program, "dist", gcl.DEFAULT_STATE_CAP)
+            rows = gcl._denote(program.body, tables)
+            arrow = gcl._arrow(program, tables)
+            assert [t.kernel() for t in arrow.graph] == rows
+            assert gcl._rows(arrow) == rows
+            # image binds a start's row straight through the rows
+            apply = gcl.image(program, "dist")
+            for t in arrow.graph[:3]:
+                assert apply(t).kernel() == bind_apply(arrow, t).kernel()
+
+    def test_a_start_on_other_states_is_a_carrier_mismatch(self):
+        apply = gcl.image(gcl.parse("vars x in 0..2; body: skip;"), "dist")
+        fewer = FinSet([(1,), (2,)])
+        with pytest.raises(CarrierMismatch, match="the program's states"):
+            apply(DIST.unit(fewer, (2,)))
+        assert apply(DIST.unit(FinSet([(0,), (1,), (2,)]), (2,))).kernel() == ((2,), (1,), 1)
+
     @pytest.mark.parametrize("source, mode, cap", [
         ("vars x in 0..7, y in 0..7; body: skip;", "pow", 63),
         ("vars x in 0..7, y in 0..7; body: skip;", "dist", 10),
@@ -1151,6 +1174,19 @@ class TestStates:
         assert states.rank() == {s: i for i, s in enumerate(want.elements)}
 
     SPACE = gcl.StateSpace((gcl.VarDecl("x", 0, 1),))
+
+    def test_names_are_built_once_and_are_no_field(self):
+        decls = (gcl.VarDecl("y", 0, 1), gcl.VarDecl("x", 0, 2))
+        space = gcl.StateSpace(decls)
+        assert space.names == ("y", "x") and space.names is space.names
+        assert gcl.StateSpace._fields == ("decls",)
+        assert repr(space) == f"StateSpace(decls={decls!r})"
+        for twin in (gcl.StateSpace(decls), copy.copy(space), copy.deepcopy(space),
+                     pickle.loads(pickle.dumps(space))):
+            assert twin == space and hash(twin) == hash(space)
+            assert twin.names == ("y", "x")
+        with pytest.raises(AttributeError):
+            space.names = ("x",)
 
     def test_variable_given_twice_is_rejected(self):
         with pytest.raises(RangeError, match="state variable 'x' is given twice"):

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,15 @@ class TestMakePoset:
     def test_unknown_element(self):
         with pytest.raises(UnknownElement):
             make_poset("ab", [("a", "z")])
+
+    @pytest.mark.parametrize("args", [(0, "zz"), ("zz", 0), ("q", "zz"), (2, 1)])
+    def test_join_and_meet_name_a_non_element_as_leq_does(self, args):
+        with pytest.raises(UnknownElement) as leq:
+            TWO.leq(*args)
+        for bound in (TWO.join, TWO.meet):
+            with pytest.raises(UnknownElement, match=f"^{re.escape(str(leq.value))}$"):
+                bound(*args)
+        assert str(leq.value).startswith(repr(next(a for a in args if a not in (0, 1))))
 
     @pytest.mark.parametrize("covers", [[("a", "a")], [("a", "b"), ("b", "b")]])
     def test_self_cover_rejected(self, covers):

@@ -116,8 +116,8 @@ MODULES = {
 # compiles on every start: a module that grows, or a subcommand that loads
 # one more module, must raise its budget here
 LINE_BUDGET = {
-    "wp": 1908,
-    "run": 2056,
+    "wp": 1905,
+    "run": 2053,
     "laws": 2825,
     "enumerate": 2487,
     "transpose": 3512,

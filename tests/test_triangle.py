@@ -268,17 +268,18 @@ def box_with(**changes):
 
 class MovesMass(type(DIST)):
     """dist whose coded extension binds the first atom of a support through
-    the second atom's image: every result is still normalised."""
+    the second atom's image: every result is still normalised.  A row names
+    positions in dom, and the graph is keyed by dom's atoms."""
 
     name = "moves-mass"
 
     def coded_extension(self, dom, cod):
-        extension = super().coded_extension(dom, cod)
+        extension, atoms = super().coded_extension(dom, cod), dom.carrier.elements
 
         def moved(graph, row):
             support = row[0]
             if len(support) > 1:
-                graph = {**graph, support[0]: graph[support[1]]}
+                graph = {**graph, atoms[support[0]]: graph[atoms[support[1]]]}
             return extension(graph, row)
         return moved
 
