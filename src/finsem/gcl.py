@@ -6,6 +6,8 @@ Weakest preconditions are computed twice: by structural recursion on the
 syntax and by transposing the whole-program denotation; agreement of the two
 is the operational healthiness check.
 
+The parser reads each expression in one binding-power loop, whose table
+``_BINDING`` is the one source of operator precedence (docs/grammar.ebnf).
 Each expression is typed (int, rational or bool) before any state is
 evaluated, and compiled to one ``map`` per operator over the state columns,
 with rationals as integer numerators over one denominator.  A ``Program``
@@ -34,7 +36,7 @@ import random
 import re
 from fractions import Fraction
 
-from .check import Frozen
+from .check import Frozen, _set
 from .errors import (
     CarrierMismatch,
     ModeMismatch,
@@ -119,27 +121,47 @@ class Prob(_Node):
 
 class Lit(_Node):
     __slots__ = _fields = ("value", "pos")
-    _defaults = (None,)
+
+    # the parser and default_posts build expression nodes by the thousand, so
+    # their constructors are written out, field by field
+    def __init__(self, value, pos=None):
+        _set(self, "value", value)
+        _set(self, "pos", pos)
 
 
 class Var(_Node):
     __slots__ = _fields = ("name", "pos")
-    _defaults = (None,)
+
+    def __init__(self, name, pos=None):
+        _set(self, "name", name)
+        _set(self, "pos", pos)
 
 
 class Unary(_Node):
     __slots__ = _fields = ("op", "arg", "pos")
-    _defaults = (None,)
+
+    def __init__(self, op, arg, pos=None):
+        _set(self, "op", op)
+        _set(self, "arg", arg)
+        _set(self, "pos", pos)
 
 
 class Bin(_Node):
     __slots__ = _fields = ("op", "left", "right", "pos")
-    _defaults = (None,)
+
+    def __init__(self, op, left, right, pos=None):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "pos", pos)
 
 
 class Iverson(_Node):
     __slots__ = _fields = ("cond", "pos")
-    _defaults = (None,)
+
+    def __init__(self, cond, pos=None):
+        _set(self, "cond", cond)
+        _set(self, "pos", pos)
 
 
 class Program(_Node):
@@ -155,12 +177,13 @@ class Program(_Node):
 
 # -- lexer -------------------------------------------------------------------------
 
+# a token with the blanks before it: a blank is whitespace other than a newline
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<int>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>:=|==|!=|<=|>=|&&|\|\||\[\]|\.\.|[-+*/<>!;:,{}()\[\]=])
+    [^\S\n]*
+    (?: (?P<int>\d+)
+      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<op>:=|==|!=|<=|>=|&&|\|\||\[\]|\.\.|[-+*/<>!;:,{}()\[\]=]) )
     """,
     re.VERBOSE,
 )
@@ -179,34 +202,33 @@ class Token:
 
 def tokenize(source):
     """The tokens of source, ending in an eof token; ParseError at the first
-    character no token starts with.  One ``finditer`` pass: only whitespace
-    runs hold newlines, so the line and its start move only there."""
+    character no token starts with.  One ``finditer`` pass per line, each
+    match a token with the blanks before it."""
     tokens = []
-    line, start, end = 1, 0, 0  # start: offset of the line's first character
-    for m in _TOKEN_RE.finditer(source):
-        if m.start() != end:  # finditer skipped a character no token matches
-            break
-        kind, end = m.lastgroup, m.end()
-        if kind == "ws":
-            newline = source.rfind("\n", m.start(), end)
-            if newline >= 0:
-                line += source.count("\n", m.start(), end)
-                start = newline + 1
-            continue
-        text = m.group()
-        if kind == "name" and text in KEYWORDS:
-            kind = "kw"
-        tokens.append(Token(kind, text, line, m.start() - start + 1))
-    if end != len(source):
-        raise ParseError(f"unexpected character {source[end]!r}", line, end - start + 1)
-    tokens.append(Token("eof", "", line, end - start + 1))
+    for line, text in enumerate(source.split("\n"), 1):
+        end = 0
+        for m in _TOKEN_RE.finditer(text):
+            if m.start() != end:  # finditer skipped a character no token starts with
+                break
+            kind, end = m.lastgroup, m.end()
+            start = m.start(kind)
+            word = text[start:end]
+            if kind == "name" and word in KEYWORDS:
+                kind = "kw"
+            tokens.append(Token(kind, word, line, start + 1))
+        rest = text[end:].lstrip()
+        if rest:
+            raise ParseError(f"unexpected character {rest[0]!r}", line, len(text) - len(rest) + 1)
+    tokens.append(Token("eof", "", line, len(text) + 1))
     return tokens
 
 
-# expression levels, loosest first: "!" is a prefix level of its own, a
-# comparison takes one operator, and the other levels fold to the left
-_COMPARISONS = ("==", "!=", "<=", ">=", "<", ">")
-_LEVELS = (("||",), ("&&",), ("!",), _COMPARISONS, ("+", "-"), ("*",))
+# the binding power of each binary operator, loosest first: the one source of
+# precedence; a prefix "!" takes its operand at _NOT, so it binds looser than
+# a comparison, which takes one operator, and tighter than &&
+_COMPARE, _NOT = 4, 3
+_BINDING = {"||": 1, "&&": 2, "==": 4, "!=": 4, "<=": 4, ">=": 4, "<": 4, ">": 4,
+            "+": 5, "-": 5, "*": 6}
 
 
 def _at(tok):
@@ -220,6 +242,7 @@ class _Parser:
         self.declared = declared
         self.depth = 0  # brackets, blocks and prefix operators open here
         self.peak = 0  # deepest level reached since the innermost chain began
+        self.compared = -1  # the token just past the last comparison
 
     def peek(self):
         return self.tokens[self.pos]
@@ -240,9 +263,12 @@ class _Parser:
             self.fail(f"expected {want!r}, found {tok.text or 'end of input'!r}")
         return self.next()
 
-    def at(self, kind, text=None):
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+    def accept(self, text):
+        """Whether the next token reads text (a keyword or an operator), taking it if so."""
+        if self.tokens[self.pos].text == text:
+            self.pos += 1
+            return True
+        return False
 
     # nesting -------------------------------------------------------------------
 
@@ -265,8 +291,7 @@ class _Parser:
     def parse_program(self):
         self.expect("kw", "vars")
         decls = [self.parse_decl()]
-        while self.at("op", ","):
-            self.next()
+        while self.accept(","):
             decls.append(self.parse_decl())
         self.expect("op", ";")
         self.declared = {d.name for d in decls}
@@ -276,12 +301,10 @@ class _Parser:
         self.expect("op", ":")
         body = self.parse_stmt_seq()
         post = None
-        if self.at("kw", "post"):
-            self.next()
+        if self.accept("post"):
             self.expect("op", ":")
             post = self.parse_expr()
-            if self.at("op", ";"):
-                self.next()
+            self.accept(";")
         self.expect("eof")
         return Program(tuple(decls), body, post)
 
@@ -294,10 +317,7 @@ class _Parser:
         return VarDecl(name, lo, hi)
 
     def parse_signed_int(self):
-        sign = 1
-        if self.at("op", "-"):
-            self.next()
-            sign = -1
+        sign = -1 if self.accept("-") else 1
         return sign * int(self.expect("int").text)
 
     # statements ----------------------------------------------------------------
@@ -307,9 +327,9 @@ class _Parser:
         # ones before it one level deeper
         outer, self.peak = self.peak, self.depth
         out = self.parse_stmt()
-        while self.at("op", ";"):
-            tok = self.next()
-            if self.at("kw", "post") or self.at("eof") or self.at("op", "}"):
+        while (tok := self.peek()).text == ";":
+            self.pos += 1
+            if self.peek().text in ("post", "}", ""):  # "": the end of input
                 break
             out = Seq(out, self.parse_stmt())
             self.reach(self.peak + 1, tok)
@@ -323,53 +343,40 @@ class _Parser:
         return self.leave(body)
 
     def parse_stmt(self):
-        tok = self.peek()
-        if self.at("kw", "skip"):
-            self.next()
-            return Skip()
-        if self.at("kw", "abort"):
-            self.next()
-            return Abort()
-        if self.at("kw", "if"):
-            self.next()
-            parens = self.at("op", "(")
-            if parens:
-                self.next()
+        tok = self.next()
+        text = tok.text
+        if tok.kind == "name":
+            self._check_declared(text, tok)
+            becomes = self.expect("op", ":=")
+            return Assign(text, self.parse_expr(), _at(becomes))
+        if text == "if":
+            parens = self.accept("(")
             cond = self.parse_expr()
             if parens:
                 self.expect("op", ")")
             then = self.parse_block()
-            orelse = Skip()
-            if self.at("kw", "else"):
-                self.next()
-                orelse = self.parse_block()
+            orelse = self.parse_block() if self.accept("else") else Skip()
             return If(cond, then, orelse, _at(tok))
-        if self.at("kw", "choose"):
-            self.next()
-            left = self.parse_block()
-            self.expect("op", "[]")
-            right = self.parse_block()
-            return Choose(left, right)
-        if self.at("kw", "prob"):
-            start = self.next()
+        if text == "skip":
+            return Skip()
+        if text == "prob":
             chance = self.parse_rational()
             if not (ZERO <= chance <= ONE):
                 raise RangeError(located(
-                    f"branch probability {chance} outside [0, 1]", _at(start)))
+                    f"branch probability {chance} outside [0, 1]", _at(tok)))
             left = self.parse_block()
-            right = self.parse_block()
-            return Prob(chance, left, right)
-        if tok.kind == "name":
-            name = self.next().text
-            self._check_declared(name, tok)
-            becomes = self.expect("op", ":=")
-            return Assign(name, self.parse_expr(), _at(becomes))
-        self.fail(f"expected a statement, found {tok.text!r}")
+            return Prob(chance, left, self.parse_block())
+        if text == "choose":
+            left = self.parse_block()
+            self.expect("op", "[]")
+            return Choose(left, self.parse_block())
+        if text == "abort":
+            return Abort()
+        self.fail(f"expected a statement, found {text!r}", tok)
 
     def parse_rational(self):
         num = self.parse_signed_int()
-        if self.at("op", "/"):
-            self.next()
+        if self.accept("/"):
             return Fraction(num, self.parse_denominator())
         return Fraction(num)
 
@@ -384,64 +391,55 @@ class _Parser:
             raise UndeclaredVariable(
                 located(f"variable {name!r} is not declared", _at(tok)))
 
-    # expressions (precedence climbing) --------------------------------------------
+    # expressions (one binding-power loop over _BINDING) ---------------------------
 
-    def parse_expr(self, level=0):
-        """An expression built from the operators of _LEVELS[level:]."""
-        if level == len(_LEVELS):
-            return self.parse_atom()
-        ops = _LEVELS[level]
-        if ops == ("!",):
-            if not self.at("op", "!"):
-                return self.parse_expr(level + 1)
-            bang = self.next()
-            self.enter(bang)
-            return self.leave(Unary("!", self.parse_expr(level), _at(bang)))
+    def parse_expr(self, rbp=0):
+        """An expression of the operators that bind tighter than rbp: a prefix
+        "!" or an atom, then each binary operator of _BINDING in turn."""
         # a chain nests like a sequence: each operand after the first puts
         # the ones before it one level deeper
         outer, self.peak = self.peak, self.depth
-        left = self.parse_expr(level + 1)
-        while (tok := self.peek()).kind == "op" and tok.text in ops:
-            self.next()
-            left = Bin(tok.text, left, self.parse_expr(level + 1), _at(tok))
+        tok = self.tokens[self.pos]
+        if tok.text == "!" and rbp <= _NOT:
+            self.enter(self.next())
+            left = self.leave(Unary("!", self.parse_expr(_NOT), _at(tok)))
+        else:
+            left = self.parse_atom()
+        # no loop takes a comparison just past another: comparisons do not chain
+        while (bp := _BINDING.get((tok := self.tokens[self.pos]).text, 0)) > rbp and (
+                bp != _COMPARE or self.pos != self.compared):
+            self.pos += 1
+            left = Bin(tok.text, left, self.parse_expr(bp), _at(tok))
             self.reach(self.peak + 1, tok)
-            if ops is _COMPARISONS:
-                break
+            if bp == _COMPARE:
+                self.compared = self.pos
         self.peak = max(outer, self.peak)
         return left
 
     def parse_atom(self):
-        tok = self.peek()
-        if self.at("op", "-"):
-            self.enter(self.next())
-            return self.leave(Unary("-", self.parse_atom(), _at(tok)))
-        if tok.kind == "int":
-            self.next()
-            if self.at("op", "/"):
-                self.next()
-                return Lit(Fraction(int(tok.text), self.parse_denominator()), _at(tok))
-            return Lit(int(tok.text), _at(tok))
-        if self.at("kw", "true"):
-            self.next()
-            return Lit(True, _at(tok))
-        if self.at("kw", "false"):
-            self.next()
-            return Lit(False, _at(tok))
-        if tok.kind == "name":
-            self.next()
-            self._check_declared(tok.text, tok)
-            return Var(tok.text, _at(tok))
-        if self.at("op", "("):
-            self.enter(self.next())
+        tok = self.next()
+        kind, text = tok.kind, tok.text
+        if kind == "name":
+            self._check_declared(text, tok)
+            return Var(text, _at(tok))
+        if kind == "int":
+            if self.accept("/"):
+                return Lit(Fraction(int(text), self.parse_denominator()), _at(tok))
+            return Lit(int(text), _at(tok))
+        if text == "(" or text == "[":
+            self.enter(tok)
             inner = self.parse_expr()
-            self.expect("op", ")")
-            return self.leave(inner)
-        if self.at("op", "["):
-            self.enter(self.next())
-            inner = self.parse_expr()
+            if text == "(":
+                self.expect("op", ")")
+                return self.leave(inner)
             self.expect("op", "]")
             return self.leave(Iverson(inner, _at(tok)))
-        self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
+        if text == "-":
+            self.enter(tok)
+            return self.leave(Unary("-", self.parse_atom(), _at(tok)))
+        if text == "true" or text == "false":
+            return Lit(text == "true", _at(tok))
+        self.fail(f"expected an expression, found {text or 'end of input'!r}", tok)
 
 
 def parse(source):

@@ -173,9 +173,9 @@ def checked_weights(carrier, weights, error):
         i = carrier.index(atom)
         w = Fraction(w)
         if w < 0:
-            raise error(f"negative weight {w} at {atom!r}")
+            raise error(f"negative weight {w} at {atom_repr(atom)}")
         if i in seen:
-            raise error(f"repeated atom {atom!r}")
+            raise error(f"repeated atom {atom_repr(atom)}")
         seen[i] = w
     support = tuple(sorted(i for i, w in seen.items() if w))
     den = math.lcm(*(seen[i].denominator for i in support))
@@ -303,12 +303,12 @@ class Weighting:
         cls = type(self)
         for a, image in zip(map(self._carrier.elements.__getitem__, self._kernel[0]), images):
             if type(image) is not cls:
-                raise MonadMismatch(f"kernel image at {a!r} is not a {cls.__name__}")
+                raise MonadMismatch(f"kernel image at {atom_repr(a)} is not a {cls.__name__}")
             if cod is None:
                 cod = image._carrier
             elif image._carrier is not cod and image._carrier != cod:
                 raise CarrierMismatch(
-                    f"kernel image at {a!r} lives on {image._carrier!r}, not on {cod!r}")
+                    f"kernel image at {atom_repr(a)} lives on {image._carrier!r}, not on {cod!r}")
         return cod
 
     def __eq__(self, other):

@@ -11,7 +11,7 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 
-from .check import Frozen
+from .check import Frozen, _set
 from .errors import (
     CycleError,
     NotJoinPreserving,
@@ -67,8 +67,7 @@ class FinPoset:
             for x in below:
                 up[x].add(y)
         self._up = {x: frozenset(s) for x, s in up.items()}
-        self._cache = {}
-        self._hash = None
+        self._cache, self._hash = {}, None
         self._validate()
 
     def _validate(self):
@@ -76,9 +75,11 @@ class FinPoset:
         for y, below in down.items():
             for x in below:
                 if x != y and y in down[x]:
-                    raise CycleError(f"{x!r} <= {y!r} and {y!r} <= {x!r}")
+                    x, y = atom_repr(x), atom_repr(y)
+                    raise CycleError(f"{x} <= {y} and {y} <= {x}")
                 if not down[x] <= below:
-                    raise ValueError(f"order is not transitive at {x!r} <= {y!r}")
+                    x, y = atom_repr(x), atom_repr(y)
+                    raise ValueError(f"order is not transitive at {x} <= {y}")
 
     # -- basics ------------------------------------------------------------
 
@@ -104,11 +105,13 @@ class FinPoset:
 
     def __hash__(self):
         if self._hash is None:
-            pairs = frozenset(
-                (x, y) for y, below in self._down.items() for x in below
-            )
+            pairs = frozenset((x, y) for y, below in self._down.items() for x in below)
             self._hash = hash(("FinPoset", self.carrier, pairs))
         return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its covers, leaving the cache and the hash (which follows the hash seed)
+        return make_poset, (self.elements, self.cover_pairs())
 
     def __repr__(self):
         elems, covers = (", ".join(map(atom_repr, items))
@@ -285,7 +288,7 @@ def make_poset(elements, covers=()):
         base.require(a)
         base.require(b)
         if a == b:
-            raise CycleError(f"cover {a!r} < {b!r} is not strict")
+            raise CycleError(f"cover {atom_repr(a)} < {atom_repr(b)} is not strict")
         succs[a].add(b)
     # reflexive-transitive closure by saturation
     down = {x: {x} for x in base}
@@ -302,7 +305,8 @@ def make_poset(elements, covers=()):
     for y in base:
         for x in down[y]:
             if x != y and y in down[x]:
-                raise CycleError(f"covers induce a cycle through {x!r} and {y!r}")
+                x, y = atom_repr(x), atom_repr(y)
+                raise CycleError(f"covers induce a cycle through {x} and {y}")
             pairs.append((x, y))
     return FinPoset(base, pairs)
 
@@ -406,10 +410,6 @@ def monotone_violation(dom, leq, graph):
         if not leq(graph[i], graph[j]):
             return dom.elements[i], dom.elements[j], graph[i], graph[j]
     return None
-
-
-# sets a field of a frozen record
-_set = object.__setattr__
 
 
 class MonotoneMap(Frozen):

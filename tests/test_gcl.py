@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import hashlib
 import importlib
 import itertools
@@ -177,6 +178,20 @@ class TestProbChance:
             assert all(type(v) is Fraction for v in table.values())
 
 
+# the token pattern the oracle matches, with whitespace runs as a group of
+# their own: kept here as it was written, so that a change to gcl's pattern
+# is checked against it
+ORACLE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<int>\d+)
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<op>:=|==|!=|<=|>=|&&|\|\||\[\]|\.\.|[-+*/<>!;:,{}()\[\]=])
+    """,
+    re.VERBOSE,
+)
+
+
 def tokenize_oracle(source):
     """The tokens of source by one match per token and per whitespace run,
     counting the column through every token."""
@@ -184,7 +199,7 @@ def tokenize_oracle(source):
     line, col = 1, 1
     i = 0
     while i < len(source):
-        m = gcl._TOKEN_RE.match(source, i)
+        m = ORACLE_TOKEN_RE.match(source, i)
         if m is None:
             raise ParseError(f"unexpected character {source[i]!r}", line, col)
         text = m.group(0)
@@ -263,6 +278,260 @@ class TestNesting:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert re.fullmatch(r"error: 1:\d+: nesting deeper than 100 levels\n", err)
+
+
+# the expression levels of precedence climbing, loosest first: "!" is a prefix
+# level of its own, a comparison takes one operator, and the other levels fold
+# to the left
+ORACLE_COMPARISONS = ("==", "!=", "<=", ">=", "<", ">")
+ORACLE_LEVELS = (("||",), ("&&",), ("!",), ORACLE_COMPARISONS, ("+", "-"), ("*",))
+
+
+class OracleParser(gcl._Parser):
+    """gcl's parser with expressions read by precedence climbing over
+    ORACLE_LEVELS, one recursive call per level: a second reading of the same
+    grammar, against gcl's binding-power loop; statements, nesting and errors
+    are gcl's own."""
+
+    def at(self, kind, text=None):
+        tok = self.peek()
+        return tok.kind == kind and (text is None or tok.text == text)
+
+    def parse_expr(self, level=0):
+        """An expression built from the operators of ORACLE_LEVELS[level:]."""
+        if level == len(ORACLE_LEVELS):
+            return self.parse_atom()
+        ops = ORACLE_LEVELS[level]
+        if ops == ("!",):
+            if not self.at("op", "!"):
+                return self.parse_expr(level + 1)
+            bang = self.next()
+            self.enter(bang)
+            return self.leave(gcl.Unary("!", self.parse_expr(level), gcl._at(bang)))
+        # a chain nests like a sequence: each operand after the first puts
+        # the ones before it one level deeper
+        outer, self.peak = self.peak, self.depth
+        left = self.parse_expr(level + 1)
+        while (tok := self.peek()).kind == "op" and tok.text in ops:
+            self.next()
+            left = gcl.Bin(tok.text, left, self.parse_expr(level + 1), gcl._at(tok))
+            self.reach(self.peak + 1, tok)
+            if ops is ORACLE_COMPARISONS:
+                break
+        self.peak = max(outer, self.peak)
+        return left
+
+    def parse_atom(self):
+        tok = self.peek()
+        if self.at("op", "-"):
+            self.enter(self.next())
+            return self.leave(gcl.Unary("-", self.parse_atom(), gcl._at(tok)))
+        if tok.kind == "int":
+            self.next()
+            if self.at("op", "/"):
+                self.next()
+                return gcl.Lit(Fraction(int(tok.text), self.parse_denominator()), gcl._at(tok))
+            return gcl.Lit(int(tok.text), gcl._at(tok))
+        if self.at("kw", "true"):
+            self.next()
+            return gcl.Lit(True, gcl._at(tok))
+        if self.at("kw", "false"):
+            self.next()
+            return gcl.Lit(False, gcl._at(tok))
+        if tok.kind == "name":
+            self.next()
+            self._check_declared(tok.text, tok)
+            return gcl.Var(tok.text, gcl._at(tok))
+        if self.at("op", "("):
+            self.enter(self.next())
+            inner = self.parse_expr()
+            self.expect("op", ")")
+            return self.leave(inner)
+        if self.at("op", "["):
+            self.enter(self.next())
+            inner = self.parse_expr()
+            self.expect("op", "]")
+            return self.leave(gcl.Iverson(inner, gcl._at(tok)))
+        self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
+
+
+def parse_oracle(source, declared=None):
+    """A program, or with declared names a standalone expression, read by
+    OracleParser."""
+    parser = OracleParser(gcl.tokenize(source), declared)
+    if declared is None:
+        return parser.parse_program()
+    expr = parser.parse_expr()
+    parser.expect("eof")
+    return expr
+
+
+def with_positions(node):
+    """A node as nested tuples of its class and every field, pos included."""
+    if isinstance(node, tuple):
+        return tuple(map(with_positions, node))
+    if isinstance(node, gcl._Node):
+        return (type(node).__name__, *[with_positions(getattr(node, f)) for f in node._fields])
+    return type(node).__name__, node
+
+
+def parse_outcome(parse, source, declared=None):
+    """The tree with every position, or the error's class, message, line and column."""
+    try:
+        return with_positions(parse(source) if declared is None else parse(source, declared))
+    except FinsemError as err:
+        position = getattr(err, "line", None), getattr(err, "column", None)
+        return type(err).__name__, str(err), *position
+
+
+# binding powers as docs/grammar.ebnf's levels give them: a prefix "!" takes
+# its operand at 3, a prefix "-" an atom, and an atom binds tightest
+SHOWN_POWER = {"||": 1, "&&": 2, "==": 4, "!=": 4, "<=": 4, ">=": 4, "<": 4, ">": 4,
+               "+": 5, "-": 5, "*": 6}
+
+
+def shown_power(expr):
+    if isinstance(expr, gcl.Bin):
+        return SHOWN_POWER[expr.op]
+    if isinstance(expr, gcl.Unary):
+        return 3 if expr.op == "!" else 7
+    return 8
+
+
+def show_expr(expr, rng):
+    """expr as source text: with the parentheses it needs and, at random, a few more."""
+    def operand(sub, needs):
+        text = show_expr(sub, rng)
+        return f"({text})" if needs or rng.random() < 0.1 else text
+    if isinstance(expr, gcl.Lit):
+        value = expr.value
+        if isinstance(value, bool):
+            return str(value).lower()
+        return f"{value.numerator}/{value.denominator}" if type(value) is Fraction else str(value)
+    if isinstance(expr, gcl.Var):
+        return expr.name
+    if isinstance(expr, gcl.Iverson):
+        return f"[{show_expr(expr.cond, rng)}]"
+    if isinstance(expr, gcl.Unary):
+        return expr.op + operand(expr.arg, shown_power(expr.arg) < (3 if expr.op == "!" else 7))
+    power = SHOWN_POWER[expr.op]
+    # the operators fold to the left, and a comparison takes one operator
+    left = operand(expr.left, shown_power(expr.left) < power + (power == 4))
+    return f"{left} {expr.op} {operand(expr.right, shown_power(expr.right) <= power)}"
+
+
+def show_stmt(stmt, rng):
+    show = functools.partial(show_stmt, rng=rng)
+    if isinstance(stmt, (gcl.Skip, gcl.Abort)):
+        return type(stmt).__name__.lower()
+    if isinstance(stmt, gcl.Assign):
+        return f"{stmt.var} := {show_expr(stmt.expr, rng)}"
+    if isinstance(stmt, gcl.Seq):
+        return f"{show(stmt.first)};\n  {show(stmt.second)}"
+    if isinstance(stmt, gcl.If):
+        return (f"if ({show_expr(stmt.cond, rng)}) {{ {show(stmt.then)} }} "
+                f"else {{ {show(stmt.orelse)} }}")
+    if isinstance(stmt, gcl.Choose):
+        return f"choose {{ {show(stmt.left)} }} [] {{ {show(stmt.right)} }}"
+    chance = stmt.chance
+    return (f"prob {chance.numerator}/{chance.denominator} "
+            f"{{ {show(stmt.left)} }} {{ {show(stmt.right)} }}")
+
+
+def show_program(program, rng):
+    decls = ", ".join(f"{d.name} in {d.lo}..{d.hi}" for d in program.decls)
+    return f"vars {decls};\nbody: {show_stmt(program.body, rng)};"
+
+
+# expression tokens, blanks and characters no token starts with
+EXPRESSION_PIECES = ["x", "y", "z", "0", "1", "2", "/", "true", "false", "(", ")", "[", "]", "!",
+                     "-", "+", "*", "==", "!=", "<", "<=", ">", ">=", "&&", "||", ";", "@", " ",
+                     "\n"]
+
+
+def mutated(source, rng):
+    """source with a token or two deleted, inserted or replaced."""
+    texts = [tok.text for tok in gcl.tokenize(source)[:-1]]
+    for _ in range(rng.randint(1, 2)):
+        i, roll = rng.randrange(len(texts) + 1), rng.random()
+        if roll < 0.4 and texts:
+            del texts[min(i, len(texts) - 1)]
+        elif roll < 0.8 or not texts:
+            texts.insert(i, rng.choice(EXPRESSION_PIECES))
+        else:
+            texts[min(i, len(texts) - 1)] = rng.choice(EXPRESSION_PIECES)
+    return " ".join(texts)
+
+
+class TestParserOracle:
+    """gcl's binding-power loop against OracleParser: the same trees, every
+    node's position, and the same error class, message, line and column."""
+
+    DECLARED = ("x", "y")
+
+    def agree(self, source, declared=None):
+        want = parse_outcome(parse_oracle, source, declared)
+        parse = gcl.parse if declared is None else gcl.parse_expression
+        assert parse_outcome(parse, source, declared) == want, repr(source)
+        return want
+
+    def test_random_programs(self):
+        rng = random.Random(26)
+        parsed = 0
+        for i in range(240):
+            source = show_program(gcl_random.random_program(rng, ("pow", "dist")[i % 2]), rng)
+            assert self.agree(source)[0] == "Program", source
+            parsed += self.agree(mutated(source, rng))[0] == "Program"
+        assert 5 < parsed < 120  # a few mutants still parse, most fail
+
+    def test_random_expression_strings(self):
+        rng = random.Random(27)
+        decls = tuple(gcl.VarDecl(name, 0, 3) for name in self.DECLARED)
+        outcomes = []
+        for _ in range(1500):
+            expr = rng.choice([gcl_random.random_bool_expr, gcl_random.random_int_expr])(
+                rng, decls, rng.randint(1, 5))
+            shown = show_expr(expr, rng)
+            assert gcl.parse_expression(shown, self.DECLARED) == expr, shown
+            pieces = " ".join(rng.choice(EXPRESSION_PIECES) for _ in range(rng.randint(0, 12)))
+            for source in (shown, mutated(shown, rng), pieces):
+                outcomes.append(self.agree(source, self.DECLARED)[0])
+        assert 1000 < outcomes.count("ParseError") < 3000
+        assert len({*outcomes} - {"ParseError"}) > 3  # trees of several classes
+
+    @pytest.mark.parametrize("source, error", [
+        ("x<y<z", "1:4: expected 'eof', found '<'"),
+        ("x && y < z < 1", "1:12: expected 'eof', found '<'"),
+        ("(x<y)<z", None),
+        ("x + y < z < 1", "1:11: expected 'eof', found '<'"),
+        ("!x < y < z", "1:8: expected 'eof', found '<'"),
+        ("(x < y < z)", "1:8: expected ')', found '<'"),
+        ("x == !y", "1:6: expected an expression, found '!'"),
+        ("!!x == y && !(y < 1) || -x * -(y) > 1/2", None),
+    ])
+    def test_comparisons_do_not_chain(self, source, error):
+        outcome = self.agree(source, ["x", "y", "z"])
+        if error:
+            assert outcome[:2] == ("ParseError", error)
+        else:
+            assert outcome[0] == "Bin"
+        self.agree(f"vars x in 0..1, y in 0..1, z in 0..1; body: skip; post: {source};")
+
+    @pytest.mark.parametrize("n", [99, 100, 101, 102])
+    def test_nesting_at_the_bound(self, n):
+        # n nested parentheses, n chained "!" and a sum of n terms, which
+        # nests n - 1 levels deep; then shapes that mix them
+        shapes = {"(" * n + "x" + ")" * n: n <= 100, "!" * n + "true": n <= 100,
+                  "+".join(["x"] * n): n <= 101}
+        for source in ["[" * n + "true" + "]" * n, "-" * n + "x", "!(" * n + "true" + ")" * n,
+                       "x < " + "(" * n + "1" + ")" * n, " && ".join(["x < 1"] * n)]:
+            shapes[source] = None
+        for source, fits in shapes.items():
+            outcome = self.agree(source, self.DECLARED)
+            self.agree(f"vars x in 0..1; body: x := {source}; post: {source};")
+            if fits is not None:
+                assert (outcome[0] != "ParseError") == fits
+                assert fits or "nesting deeper than 100 levels" in outcome[1]
 
 
 class TestDenotation:

@@ -631,6 +631,64 @@ def test_poset_repr_is_hash_seed_independent():
         "frozenset({'x1', 'x2'}), ")
 
 
+def run_under_seed(seed, code, payload=""):
+    """The stdout of a fresh interpreter running code under PYTHONHASHSEED=seed."""
+    src = str(Path(finsem.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], input=payload, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                          check=True, timeout=120).stdout
+
+
+def test_a_pickled_poset_keeps_no_hash_of_another_seed():
+    dump = ("import pickle; from finsem.order import chain; p = chain(['a', 'b']); hash(p); "
+            "print(pickle.dumps(p).hex())")
+    load = ("import pickle, sys; from finsem.order import chain; fresh = chain(['a', 'b']); "
+            "p = pickle.loads(bytes.fromhex(sys.stdin.read())); "
+            "print(p == fresh, hash(p) == hash(fresh), p in {fresh}, p.leq('a', 'b'))")
+    assert run_under_seed("2", load, run_under_seed("1", dump)) == "True True True True\n"
+
+
+# each error message that names an atom, raised for frozenset atoms, whose
+# repr lists their members in hash order
+ATOM_MESSAGES = """
+from fractions import Fraction
+from finsem.kernel import Distribution, FinSet
+from finsem.order import FinPoset, make_poset
+a, b, c = frozenset("abc"), frozenset("def"), frozenset("ghi")
+half = Fraction(1, 2)
+d = Distribution(FinSet([a, b]), ((a, half), (b, half)))
+for call in (lambda: Distribution(FinSet([a]), ((a, -1),)),
+             lambda: Distribution(FinSet([a]), ((a, half), (a, half))),
+             lambda: d.bind(lambda x: None),
+             lambda: d.bind(lambda x: Distribution.point(FinSet([x]), x)),
+             lambda: FinPoset([a, b], [(a, b), (b, a)]),
+             lambda: FinPoset([a, b, c], [(a, b), (b, c)]),
+             lambda: make_poset([a], [(a, a)]),
+             lambda: make_poset([a, b], [(a, b), (b, a)])):
+    try:
+        call()
+    except Exception as err:
+        print(type(err).__name__, err)
+"""
+
+
+def test_messages_naming_atoms_are_hash_seed_independent():
+    first, *others = (run_under_seed(seed, ATOM_MESSAGES) for seed in ("1", "2", "3"))
+    assert others == [first, first]
+    a, b, c = (atom_repr(frozenset(s)) for s in ("abc", "def", "ghi"))
+    assert first.splitlines() == [
+        f"NotNormalized negative weight -1 at {a}",
+        f"NotNormalized repeated atom {a}",
+        f"MonadMismatch kernel image at {a} is not a Distribution",
+        f"CarrierMismatch kernel image at {b} lives on FinSet([{b}]), not on FinSet([{a}])",
+        f"CycleError {b} <= {a} and {a} <= {b}",
+        f"ValueError order is not transitive at {b} <= {c}",
+        f"CycleError cover {a} < {a} is not strict",
+        f"CycleError covers induce a cycle through {b} and {a}",
+    ]
+
+
 def test_poset_repr_of_plain_atoms_is_unchanged():
     p = make_poset([(1, "a"), (2, "b"), (3, "c")], [((1, "a"), (2, "b"))])
     assert repr(p) == f"FinPoset({list(p.elements)!r}, covers={p.cover_pairs()!r})"

@@ -3,12 +3,17 @@ the text, the hashes, and so set and dict order and the CLI's output, are those
 of the frozen (or, for the two reports, mutable) dataclasses the records replace."""
 
 import copy
+import importlib
+import inspect
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from finsem.check import Check, FrozenInstanceError, Report
+import finsem
+from finsem import gcl
+from finsem.check import Check, FrozenInstanceError, Record, Report
 from finsem.effects import (
     EffectAlgebraInstance,
     FuzzyPredicate,
@@ -77,6 +82,12 @@ SAMPLES = {
         POWERSET, FinSet([0]), {frozenset(): 0, frozenset({0}): 0}), ("family", "carrier", "alpha")),
     CertifyReport: (lambda: CertifyReport("box", 4, 4, True), (
         "correspondence", "kleisli_count", "transformer_count", "bijection", "counterexample")),
+    # syntax nodes, whose position is hidden
+    gcl.Lit: (lambda: gcl.Lit(Fraction(1, 3), (1, 5)), ("value",)),
+    gcl.Var: (lambda: gcl.Var("x", (2, 1)), ("name",)),
+    gcl.Unary: (lambda: gcl.Unary("-", gcl.Var("x"), (1, 1)), ("op", "arg")),
+    gcl.Bin: (lambda: gcl.Bin("+", gcl.Var("x"), gcl.Lit(1), (1, 3)), ("op", "left", "right")),
+    gcl.Iverson: (lambda: gcl.Iverson(gcl.Lit(True), (1, 1)), ("cond",)),
 }
 MUTABLE = (Report, CertifyReport)
 CLASSES = list(SAMPLES)
@@ -262,3 +273,21 @@ def test_trusted_builders_skip_validation_and_make_equal_records():
     assert f == SAMPLES[KleisliArrow][0]() and repr(f) == repr(SAMPLES[KleisliArrow][0]())
     with pytest.raises(FrozenInstanceError):
         f.graph = ()
+
+
+def record_classes():
+    """Every record class the package defines, Record itself left out."""
+    modules = [importlib.import_module(f"finsem.{path.stem}")
+               for path in Path(finsem.__file__).parent.glob("*.py") if path.stem != "__main__"]
+    return {value for module in modules for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, Record) and value is not Record
+            and value.__module__ == module.__name__}
+
+
+def test_written_out_constructors_take_the_fields_in_order():
+    # __reduce__, and so copy and pickle, pass the fields to the constructor in
+    # _fields order; each such class has a sample above, whose copies are tested
+    written = {cls for cls in record_classes() if "__init__" in vars(cls)}
+    assert {Check, MonotoneMap, KleisliArrow, gcl.Lit, gcl.Bin} <= written <= set(SAMPLES)
+    for cls in written:
+        assert list(inspect.signature(cls.__init__).parameters)[1:] == list(cls._fields), cls
