@@ -9,6 +9,10 @@ class CycleError(FinsemError):
     """The cover relation closes into a cycle, violating antisymmetry."""
 
 
+class NotTransitive(FinsemError, ValueError):
+    """The order relation given is not transitive."""
+
+
 class UnknownElement(FinsemError):
     """An element does not belong to the carrier it is used with."""
 

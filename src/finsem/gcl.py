@@ -472,10 +472,7 @@ class StateSpace(Frozen):
         object.__setattr__(self, "names", names)
 
     def size(self):
-        out = 1
-        for d in self.decls:
-            out *= d.span
-        return out
+        return math.prod(d.span for d in self.decls)
 
     def states(self, cap=DEFAULT_STATE_CAP):
         if self.size() > cap:
@@ -708,8 +705,7 @@ class _Tables:
     """
 
     def __init__(self, program, mode, cap):
-        violation = _mode_violation(program.body, mode)
-        if violation:
+        if violation := _mode_violation(program.body, mode):
             raise ModeMismatch(violation)
         self.mode = mode
         self.space = StateSpace(program.decls)

@@ -10,22 +10,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .check import Frozen
 from .errors import ParseError
 from .kernel import FinSet, Weighting, atom_key, format_rat
 
 
-def render_atom(value):
-    if isinstance(value, frozenset):
-        return render_subset(value)
-    if isinstance(value, tuple):
-        return [render_atom(v) for v in value]
-    if isinstance(value, Fraction):
-        return format_rat(value)
-    return value
-
-
 def render_subset(members):
-    return [render_atom(x) for x in sorted(members, key=atom_key)]
+    return [element_to_json(x) for x in sorted(members, key=atom_key)]
 
 
 def atom_token(value):
@@ -41,26 +32,29 @@ def atom_token(value):
 
 def poset_to_json(poset):
     return {
-        "elements": [render_atom(x) for x in poset.elements],
-        "covers": [[render_atom(a), render_atom(b)] for a, b in poset.cover_pairs()],
+        "elements": [element_to_json(x) for x in poset.elements],
+        "covers": [[element_to_json(a), element_to_json(b)] for a, b in poset.cover_pairs()],
     }
 
 
 def element_to_json(value):
-    """Canonical JSON for any structure element the zoo produces."""
+    """Canonical JSON for any structure element the zoo produces, and for its atoms."""
     if isinstance(value, frozenset):
         return render_subset(value)
     if isinstance(value, tuple):
         return [element_to_json(v) for v in value]
+    if isinstance(value, Fraction):
+        return format_rat(value)
     if isinstance(value, Weighting):  # a Distribution or a monads.FiniteMeasure
         return {atom_token(a): format_rat(w) for a, w in value.weights}
-    from .monads import FilterOf, LensPair
+    if isinstance(value, Frozen):  # a LensPair or FilterOf: an atom loads no monads
+        from .monads import FilterOf, LensPair
 
-    if isinstance(value, LensPair):
-        return {"outer": render_subset(value.outer), "inner": render_subset(value.inner)}
-    if isinstance(value, FilterOf):
-        return {"members": render_subset(value.members)}
-    return render_atom(value)
+        if isinstance(value, LensPair):
+            return {"outer": render_subset(value.outer), "inner": render_subset(value.inner)}
+        if isinstance(value, FilterOf):
+            return {"members": render_subset(value.members)}
+    return value
 
 
 # -- object literals -----------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Each family knows how to enumerate T(X) (within a per-monad cap), test
 membership, order elements when T(X) is a poset, and perform the unit and
-the Kleisli extension, also on the codes the law suites intern: an element
-is its own code, and dist and giry code a weighting by its kernel row, bound
-by ``kernel.bind_rows`` and probed by ``effects.iter_distributions``.  The
+the Kleisli extension of an arrow's graph (its images in the domain's carrier
+order), also on the codes the law suites intern: an element is its own code,
+and dist and giry code a weighting by its kernel row, bound by
+``kernel.bind_rows`` and probed by ``effects.iter_distributions``.  The
 multiplication is the extension of the identity arrow, never defined apart.
 ``effects`` is imported only where fuzzy predicates or distributions are built.
 """
@@ -56,8 +57,8 @@ class MonadFamily:
     def unit(self, obj, x):
         raise NotImplementedError
 
-    def extend(self, dom, cod, fn, t):
-        """Kleisli extension of fn (an atom-to-element function) applied to t."""
+    def extend(self, dom, cod, graph, t):
+        """Kleisli extension, at t, of the arrow whose images in dom's order are graph."""
         raise NotImplementedError
 
     def code(self, t):
@@ -65,15 +66,15 @@ class MonadFamily:
         return t
 
     def coded_extension(self, dom, cod):
-        """extend on codes, as (graph: atom of dom -> code of its image, code) -> code."""
-        return lambda graph, t: self.extend(dom, cod, graph.__getitem__, t)
+        """extend on codes, as (the images' codes in dom's carrier order, code) -> code."""
+        return partial(self.extend, dom, cod)
 
     def leq(self, obj, s, t):
         raise UnknownElement(f"{self.name} structures carry no order")
 
     # derived ---------------------------------------------------------------
     def functor_map(self, dom, cod, h, t):
-        return self.extend(dom, cod, lambda x: self.unit(cod, h(x)), t)
+        return self.extend(dom, cod, [self.unit(cod, h(x)) for x in dom.carrier.elements], t)
 
     def space_poset(self, obj):
         """T(obj) packaged as a FinPoset (poset-based families only)."""
@@ -121,10 +122,10 @@ class MonadInstance(Frozen):
 class SubsetMonad(MonadFamily):
     """Elements are subsets of the carrier; extension is the union of images."""
 
-    def extend(self, dom, cod, fn, t):
-        out = set()
+    def extend(self, dom, cod, graph, t):
+        rank, out = dom.carrier.rank(), set()
         for x in t:
-            out |= fn(x)
+            out |= graph[rank[x]]
         return frozenset(out)
 
 
@@ -181,11 +182,11 @@ class NeighbourhoodMonad(MonadFamily):
         obj.require(x)
         return frozenset(s for s in obj.subsets() if x in s)
 
-    def extend(self, dom, cod, fn, t):
+    def extend(self, dom, cod, graph, t):
         # continuation-style double dual: B is accepted iff its preimage mask (from images) is
         masks = {}
-        for i, x in enumerate(dom.elements):
-            for b in fn(x):
+        for i, image in enumerate(graph):
+            for b in image:
                 masks[b] = masks.get(b, 0) | 1 << i
         pres = dom.subset_tuple()
         return frozenset(b for b in cod.subset_tuple() if pres[masks.get(b, 0)] in t)
@@ -333,13 +334,13 @@ class PlotkinMonad(MonadFamily):
     def unit(self, obj, x):
         return (obj.down_set(x), obj.up_set(x))
 
-    def extend(self, dom, cod, fn, t):
-        c, k = t
+    def extend(self, dom, cod, graph, t):
+        (c, k), rank = t, dom.carrier.rank()
         cs, ks = set(), set()
         for x in c:
-            cs |= fn(x)[0]
+            cs |= graph[rank[x]][0]
         for x in k:
-            ks |= fn(x)[1]
+            ks |= graph[rank[x]][1]
         return (frozenset(cs), frozenset(ks))
 
     def leq(self, obj, s, t):
@@ -364,16 +365,16 @@ class DistributionMonad(MonadFamily):
     def unit(self, obj, x):
         return self.weighting.point(obj, x)
 
-    def extend(self, dom, cod, fn, t):
-        return t.bind(fn, cod)
+    def extend(self, dom, cod, graph, t):
+        rank = dom.carrier.rank()
+        return t.bind(lambda x: graph[rank[x]], cod)
 
     code = staticmethod(Weighting.kernel)  # the kernel row
 
     def coded_extension(self, dom, cod):
         # Weighting.bind's kernel on rows, without its per-image checks
-        atoms, error = dom.carrier.elements, self.weighting._error
-        return lambda graph, row: bind_rows(
-            row[1], row[2], [graph[atoms[i]] for i in row[0]], error)
+        error = self.weighting._error
+        return lambda graph, row: bind_rows(row[1], row[2], [graph[i] for i in row[0]], error)
 
     def probe_elements(self, obj, max_den=4):
         from .effects import iter_distributions

@@ -16,6 +16,7 @@ from .errors import (
     CycleError,
     NotJoinPreserving,
     NotMonotone,
+    NotTransitive,
     StructureNotPreserved,
     TooLarge,
     UnknownElement,
@@ -71,15 +72,16 @@ class FinPoset:
         self._validate()
 
     def _validate(self):
-        down = self._down
+        down, rank = self._down, self.carrier.rank()
+        # pairs in carrier order, as down is built: the first broken one is named under any seed
         for y, below in down.items():
-            for x in below:
+            for x in sorted(below, key=rank.__getitem__):
                 if x != y and y in down[x]:
                     x, y = atom_repr(x), atom_repr(y)
                     raise CycleError(f"{x} <= {y} and {y} <= {x}")
                 if not down[x] <= below:
                     x, y = atom_repr(x), atom_repr(y)
-                    raise ValueError(f"order is not transitive at {x} <= {y}")
+                    raise NotTransitive(f"order is not transitive at {x} <= {y}")
 
     # -- basics ------------------------------------------------------------
 
@@ -562,14 +564,14 @@ class PlotkinAlgebra(Frozen):
 
 def plotkin_law_violation(dom_alg, cod_alg, graph):
     """The Plotkin-algebra map laws (bounds, mixed element, erratic sum) on a
-    graph dict: the first one broken, as a message, or None."""
-    if graph[dom_alg.zero] != cod_alg.zero or graph[dom_alg.one] != cod_alg.one:
+    graph in dom_alg.poset's order: the first one broken, as a message, or None."""
+    rank = dom_alg.poset.carrier.rank()
+    if graph[rank[dom_alg.zero]] != cod_alg.zero or graph[rank[dom_alg.one]] != cod_alg.one:
         return "bounds are not preserved"
-    if graph[dom_alg.mix] != cod_alg.mix:
+    if graph[rank[dom_alg.mix]] != cod_alg.mix:
         return "the mixed element is not preserved"
     index = cod_alg.poset.carrier.rank()
-    if not _commutes([index[graph[s]] for s in dom_alg.poset.elements],
-                     dom_alg.sums, cod_alg.sums):
+    if not _commutes([*map(index.__getitem__, graph)], dom_alg.sums, cod_alg.sums):
         return "the erratic sum is not preserved"
     return None
 
@@ -626,13 +628,6 @@ def _monotone_vectors(dom, cod, points, fixed=None):
     return rec(0)
 
 
-def _iter_monotone_graphs(dom, cod, points, fixed=None):
-    """_monotone_vectors as dicts from each point to its value."""
-    points, elems = tuple(points), cod.elements
-    return (dict(zip(points, map(elems.__getitem__, v)))
-            for v in _monotone_vectors(dom, cod, points, fixed))
-
-
 def monotone_graphs(dom, cod, budget=DEFAULT_MAP_BUDGET):
     """Graphs (aligned with dom.elements) of the monotone maps dom -> cod, in
     enumeration order; TooLarge at the call if a poset is over MAX_POSET_SIZE
@@ -654,9 +649,10 @@ def _iter_plotkin_hom_graphs(dom_alg, cod_alg, budget):
     frame = dom_alg.frame
     _budget_check(len(cod_alg.poset) ** len(frame), budget)
     fixed = {frame.bottom(): cod_alg.zero, frame.top(): cod_alg.one}
-    elems = dom_alg.poset.elements
-    for d in _iter_monotone_graphs(frame, cod_alg.poset, frame.carrier, fixed):
-        graph = {(a, b): (d[a][0], d[b][1]) for (a, b) in elems}
+    rank, elems = frame.carrier.rank(), cod_alg.poset.elements
+    pairs = [(rank[a], rank[b]) for a, b in dom_alg.poset.elements]
+    for v in _monotone_vectors(frame, cod_alg.poset, frame.elements, fixed):
+        graph = tuple((elems[v[i]][0], elems[v[j]][1]) for i, j in pairs)
         if plotkin_law_violation(dom_alg, cod_alg, graph) is None:
             yield graph
 
@@ -715,7 +711,7 @@ def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
         if not isinstance(dom, PlotkinAlgebra) or not isinstance(cod, PlotkinAlgebra):
             raise TypeError("plotkin-hom expects PlotkinAlgebra arguments")
         graphs = _iter_plotkin_hom_graphs(dom, cod, budget)
-        return tuple(MonotoneMap.from_dict(dom.poset, cod.poset, g) for g in graphs)
+        return tuple(MonotoneMap(dom.poset, cod.poset, g) for g in graphs)
 
     if selector == "monotone":
         return tuple(MonotoneMap._trusted(dom, cod, g) for g in monotone_graphs(dom, cod, budget))

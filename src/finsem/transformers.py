@@ -202,7 +202,7 @@ def three_backward(lens):
 def _check_pa_map(f, dom_alg, cod_alg):
     if f.dom != dom_alg.poset or f.cod != cod_alg.poset:
         raise SideConditionViolated("map does not match the stated algebras")
-    problem = plotkin_law_violation(dom_alg, cod_alg, f.as_dict())
+    problem = plotkin_law_violation(dom_alg, cod_alg, f.graph)
     if problem:
         raise StructureNotPreserved(problem)
 

@@ -106,7 +106,7 @@ class KleisliArrow(Frozen):
 
 def bind_apply(arrow, t):
     """Kleisli extension of an arrow applied to one structure element."""
-    return arrow.family.extend(arrow.dom, arrow.cod, arrow, t)
+    return arrow.family.extend(arrow.dom, arrow.cod, arrow.graph, t)
 
 
 def kleisli_compose(g, f):
@@ -115,9 +115,7 @@ def kleisli_compose(g, f):
         raise MonadMismatch(f"{f.family.name} vs {g.family.name}")
     if f.cod != g.dom:
         raise CarrierMismatch("middle objects of the composition differ")
-    return KleisliArrow.from_callable(
-        f.family, f.dom, g.cod, lambda x: bind_apply(g, f(x))
-    )
+    return KleisliArrow(f.family, f.dom, g.cod, tuple(bind_apply(g, t) for t in f.graph))
 
 
 def stat_functor(arrow):
@@ -266,7 +264,8 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     Every walk extends codes (``family.code``: the kernel row for dist and
     giry, the element elsewhere) through ``family.coded_extension``, the
     kernel ``extend`` runs; it trusts the images, which the arrow enumerators
-    checked with ``contains``.  Graphs stay keyed by atom, and witnesses
+    checked with ``contains``.  A coded graph lists the images' codes in the
+    domain's carrier order, as ``KleisliArrow.graph`` does, and witnesses
     render elements.  Associativity hash-conses each code to an int id once
     per suite, so a (g, h) pair is decided by one comparison of id tuples
     over all t, with the counts and first witness of a walk over elements.
@@ -293,24 +292,23 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
                 mode, fs = "sampled", tuple(
                     random_kleisli_arrow(family, dom, cod, rng, structures[cod])
                     for _ in range(LAW_SAMPLES))
-            elems = dom.carrier.elements
-            arrow_lists[key] = mode, fs, [dict(zip(elems, map(code, f.graph))) for f in fs]
+            arrow_lists[key] = mode, fs, [tuple(map(code, f.graph)) for f in fs]
         return arrow_lists[key]
 
     # unit laws -----------------------------------------------------------
     for dom, cod in itertools.product(objects, repeat=2):
         mode, fs, graphs = arrows(dom, cod)
-        ext = family.coded_extension(dom, cod)
-        units = [(x, code(family.unit(dom, x))) for x in dom.carrier]
+        ext, elems = family.coded_extension(dom, cod), dom.carrier.elements
+        units = [code(family.unit(dom, x)) for x in elems]
         report.cases.append(first_counterexample("extend(f)(unit(x)) = f(x)", (
-            None if ext(graph, u) == graph[x]
+            None if ext(graph, u) == image
             else f"f={atom_repr(f.as_dict())} x={atom_repr(x)}"
-            for f, graph in zip(fs, graphs) for x, u in units),
+            for f, graph in zip(fs, graphs) for x, u, image in zip(elems, units, graph)),
             mode, (len(dom), len(cod))))
 
     for obj in objects:
         ext = family.coded_extension(obj, obj)
-        eta = {x: code(family.unit(obj, x)) for x in obj.carrier}
+        eta = tuple(code(family.unit(obj, x)) for x in obj.carrier.elements)
         report.cases.append(first_counterexample("extend(unit)(t) = t", (
             None if ext(eta, c) == c else f"t={atom_repr(t)}"
             for t, c in zip(structures[obj], codes[obj])),
@@ -337,14 +335,14 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
         if (mid, right) not in g_tables:
             ext = family.coded_extension(mid, right)
             g_tables[mid, right] = [
-                (_getter([ids[v] for v in gg.values()]),
+                (_getter([ids[v] for v in gg]),
                  _getter([ids[ext(gg, c)] for c in codes[mid]]))
                 for gg in arrows(mid, right)[2]]
         return g_tables[mid, right]
 
     def exhaustive_assoc(mid, right, far, gs, hs, ts):
         composites = composite_tables.setdefault((mid, far), {})
-        ext, elems, tcodes = family.coded_extension(mid, far), mid.carrier.elements, codes[mid]
+        ext, tcodes = family.coded_extension(mid, far), codes[mid]
         ths = extension_tables(right, far)
         for g, (gimg, gvec) in zip(gs, image_vectors(mid, right)):
             held = 0
@@ -352,7 +350,7 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
                 key = gimg(th)
                 ctab = composites.get(key)
                 if ctab is None:
-                    comp = dict(zip(elems, map(values.__getitem__, key)))
+                    comp = [*map(values.__getitem__, key)]
                     ctab = composites[key] = tuple([ids[ext(comp, c)] for c in tcodes])
                 lhs = gvec(th)
                 if lhs == ctab:
@@ -371,7 +369,7 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
         for _ in range(LAW_SAMPLES):
             i, j, k = rng.randrange(len(gs)), rng.randrange(len(hs)), rng.randrange(len(ts))
             gg, hg, c = ggs[i], hgs[j], tcodes[k]
-            comp = {x: ext_h(hg, v) for x, v in gg.items()}
+            comp = [ext_h(hg, v) for v in gg]
             yield None if ext_h(hg, ext_g(gg, c)) == ext_c(comp, c) else (
                 f"g={atom_repr(gs[i].as_dict())} h={atom_repr(hs[j].as_dict())} "
                 f"t={atom_repr(ts[k])}")

@@ -263,8 +263,8 @@ class TestWeightKernel:
         bits = FinSet([0, 1])
         want = {0: Fraction(1, 2), 1: Fraction(1, 2)}
         for family, cls in ((DIST, Distribution), (GIRY, FiniteMeasure)):
-            images = {x: cls.from_dict(bits, w) for x, w in kernel.items()}
-            got = family.extend(ab, bits, images.__getitem__, cls.from_dict(ab, half))
+            images = [cls.from_dict(bits, kernel[x]) for x in ab.elements]
+            got = family.extend(ab, bits, images, cls.from_dict(ab, half))
             built = cls.from_dict(bits, want)
             assert type(got) is cls
             assert got == built and hash(got) == hash(built)
@@ -375,10 +375,10 @@ def test_extend_rejects_images_off_the_codomain(name):
     small, cod = FinSet([0]), FinSet([0, 1, 2])
     image = family.unit(small, 0)
     with pytest.raises(CarrierMismatch, match="not on"):
-        family.extend(small, cod, lambda x: image, family.unit(small, 0))
+        family.extend(small, cod, [image], family.unit(small, 0))
     two = family.weighting.from_dict(FinSet([0, 1]), {0: Fraction(1, 2), 1: Fraction(1, 2)})
     with pytest.raises(CarrierMismatch, match="not on"):
-        family.extend(two.carrier, cod, lambda x: image, two)
+        family.extend(two.carrier, cod, [image, image], two)
 
 
 # -- probes and seeded draws built from their rows ------------------------------------

@@ -1418,7 +1418,7 @@ class TestCompositional:
                 mixed = self.denote(gcl.Prob(chance, a, b), "dist")
                 for s in mixed.dom:
                     sides = (left(s), right(s))
-                    want = DIST.extend(self.COIN, left.cod, sides.__getitem__, coin)
+                    want = DIST.extend(self.COIN, left.cod, sides, coin)
                     assert mixed(s) == want
 
     def test_choose_is_the_union_of_the_images(self):
@@ -1427,7 +1427,7 @@ class TestCompositional:
             chosen = self.denote(gcl.Choose(a, b), "pow")
             for s in chosen.dom:
                 sides = (left(s), right(s))
-                want = POWERSET.extend(self.COIN, left.cod, sides.__getitem__, both)
+                want = POWERSET.extend(self.COIN, left.cod, sides, both)
                 assert chosen(s) == want == left(s) | right(s)
 
 

@@ -600,7 +600,7 @@ class TestIndexedTables:
             for images in itertools.product(targets, repeat=len(dom)):
                 fn = dict(zip(dom.elements, images)).__getitem__
                 for t in NEIGHBOURHOOD.elements(dom):
-                    assert NEIGHBOURHOOD.extend(dom, cod, fn, t) == oracle(dom, cod, fn, t)
+                    assert NEIGHBOURHOOD.extend(dom, cod, images, t) == oracle(dom, cod, fn, t)
 
     def test_monotone_maps_are_listed_without_a_second_walk(self, monkeypatch):
         walks = []
@@ -683,10 +683,24 @@ def test_messages_naming_atoms_are_hash_seed_independent():
         f"MonadMismatch kernel image at {a} is not a Distribution",
         f"CarrierMismatch kernel image at {b} lives on FinSet([{b}]), not on FinSet([{a}])",
         f"CycleError {b} <= {a} and {a} <= {b}",
-        f"ValueError order is not transitive at {b} <= {c}",
+        f"NotTransitive order is not transitive at {b} <= {c}",
         f"CycleError cover {a} < {a} is not strict",
         f"CycleError covers induce a cycle through {b} and {a}",
     ]
+
+
+def test_the_first_broken_pair_in_carrier_order_is_named_under_every_seed():
+    # two pairs break transitivity, and hash order would pick either
+    code = ("from finsem.order import FinPoset\n"
+            "try:\n"
+            "    FinPoset(['d', 'p', 'q', 'x1', 'x2'],\n"
+            "             [('p', 'x1'), ('q', 'x2'), ('x1', 'd'), ('x2', 'd')])\n"
+            "except Exception as err:\n"
+            "    print(type(err).__mro__[1:3], err)\n")
+    outs = [run_under_seed(seed, code) for seed in ("1", "2", "3", "4")]
+    assert outs == [
+        "(<class 'finsem.errors.FinsemError'>, <class 'ValueError'>) "
+        "order is not transitive at 'x1' <= 'd'\n"] * 4
 
 
 def test_poset_repr_of_plain_atoms_is_unchanged():

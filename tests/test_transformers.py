@@ -353,14 +353,14 @@ class TestPlotkinHom:
     @pytest.mark.parametrize("p", all_posets(2), ids=repr)
     @pytest.mark.parametrize("q", all_posets(2), ids=repr)
     def test_enumeration_lists_exactly_the_maps_forward_accepts(self, p, q):
-        from finsem.order import _iter_monotone_graphs
+        from finsem.order import _monotone_vectors
 
         dom_alg, cod_alg = PlotkinAlgebra.over(upsets(p)), PlotkinAlgebra.over(upsets(q))
-        accepted = set()
+        accepted, elems = set(), cod_alg.poset.elements
         # every monotone map between the two pair posets, which can exceed the
         # substrate cap enumerate_structure_maps keeps for "monotone"
-        for g in _iter_monotone_graphs(dom_alg.poset, cod_alg.poset, dom_alg.poset.carrier):
-            m = MonotoneMap.from_dict(dom_alg.poset, cod_alg.poset, g)
+        for v in _monotone_vectors(dom_alg.poset, cod_alg.poset, dom_alg.poset.elements):
+            m = MonotoneMap(dom_alg.poset, cod_alg.poset, tuple(map(elems.__getitem__, v)))
             try:
                 plotkin_hom_forward(m, dom_alg, cod_alg)
             except (StructureNotPreserved, Incomparable):

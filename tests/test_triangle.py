@@ -31,6 +31,7 @@ from finsem.monads import (
     SMYTH,
 )
 from finsem.order import (
+    FinPoset,
     FinSet,
     MonotoneMap,
     all_posets,
@@ -46,6 +47,7 @@ from finsem.triangle import (
     MAX_SAMPLE_TRIES,
     EMAlgebraCandidate,
     KleisliArrow,
+    bind_apply,
     certify_full_faithful,
     check_em_algebra,
     check_monad_laws,
@@ -268,18 +270,19 @@ def box_with(**changes):
 
 class MovesMass(type(DIST)):
     """dist whose coded extension binds the first atom of a support through
-    the second atom's image: every result is still normalised.  A row names
-    positions in dom, and the graph is keyed by dom's atoms."""
+    the second atom's image: every result is still normalised.  A row and
+    the graph both name positions in dom."""
 
     name = "moves-mass"
 
     def coded_extension(self, dom, cod):
-        extension, atoms = super().coded_extension(dom, cod), dom.carrier.elements
+        extension = super().coded_extension(dom, cod)
 
         def moved(graph, row):
             support = row[0]
             if len(support) > 1:
-                graph = {**graph, atoms[support[0]]: graph[atoms[support[1]]]}
+                graph = list(graph)
+                graph[support[0]] = graph[support[1]]
             return extension(graph, row)
         return moved
 
@@ -290,8 +293,8 @@ def broken_witnesses():
     class DropsOnPair(type(POWERSET)):
         name = "drops-on-pair"
 
-        def extend(self, dom, cod, fn, t):
-            out = super().extend(dom, cod, fn, t)
+        def extend(self, dom, cod, graph, t):
+            out = super().extend(dom, cod, graph, t)
             return out - {max(out)} if len(t) == 2 and len(out) == 3 else out
 
     xs = [FinSet(["x1", "x2"]), FinSet(["y1", "y2", "y3"])]
@@ -481,8 +484,8 @@ class TestLawSuiteMachinery:
         class DropsLeast(type(POWERSET)):
             name = "drops-least"
 
-            def extend(self, dom, cod, fn, t):
-                return super().extend(dom, cod, fn, sorted(t)[1:])
+            def extend(self, dom, cod, graph, t):
+                return super().extend(dom, cod, graph, sorted(t)[1:])
 
         report = check_monad_laws(DropsLeast(), (FinSet([0, 1]),))
         assert not report.ok
@@ -502,8 +505,8 @@ class TestLawSuiteMachinery:
         class DropsOnPair(type(POWERSET)):
             name = "drops-on-pair"
 
-            def extend(self, dom, cod, fn, t):
-                out = super().extend(dom, cod, fn, t)
+            def extend(self, dom, cod, graph, t):
+                out = super().extend(dom, cod, graph, t)
                 return out - {max(out)} if len(t) == 2 and len(out) == 3 else out
 
         report = check_monad_laws(DropsOnPair(), (FinSet(range(2)), FinSet(range(3))))
@@ -576,12 +579,35 @@ class TestCodedExtension:
             extension = family.coded_extension(dom, cod)
             for _ in range(10):
                 f = random_kleisli_arrow(family, dom, cod, rng, targets)
-                graph = dict(zip(dom.elements, map(family.code, f.graph)))
+                graph = tuple(map(family.code, f.graph))
                 for t in ts:
                     got = extension(graph, family.code(t))
-                    assert got == family.code(family.extend(dom, cod, f, t))
+                    assert got == family.code(family.extend(dom, cod, f.graph, t))
                     left_probes = left_probes or got not in probes
         assert left_probes
+
+    # carriers whose atoms are not their positions: strings, and int labels out of order
+    LABELLED = (FinSet(["y", "x", "z"]), FinSet([9, 2, 5]))
+    LABELLED_POSETS = (FinPoset(LABELLED[0], [("z", "x")]),
+                       FinPoset(LABELLED[1], [(9, 2), (5, 2)]))
+
+    @pytest.mark.parametrize("family", FAMILIES.values(), ids=lambda f: f.name)
+    def test_every_extension_reads_its_graph_by_position(self, family):
+        rng = random.Random(7)
+        objects = self.LABELLED if family.base == "set" else self.LABELLED_POSETS
+        for dom, cod in itertools.product(objects, repeat=2):
+            ts, targets = (family.elements(obj) if family.enumerable
+                           else family.probe_elements(obj, 2) for obj in (dom, cod))
+            extension = family.coded_extension(dom, cod)
+            for _ in range(6):
+                f = random_kleisli_arrow(family, dom, cod, rng, targets)
+                coded = tuple(map(family.code, f.graph))
+                for x in dom.carrier.elements:
+                    assert family.extend(dom, cod, f.graph, family.unit(dom, x)) == f(x)
+                for t in ts:
+                    got = family.extend(dom, cod, f.graph, t)
+                    assert got == bind_apply(f, t)
+                    assert extension(coded, family.code(t)) == family.code(got)
 
     def test_a_mass_moving_extension_fails_with_element_witnesses(self):
         xs = (FinSet(["x1", "x2"]), FinSet(["y1", "y2", "y3"]))
