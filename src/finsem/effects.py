@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .check import Frozen, Report, first_counterexample
 from .errors import CarrierMismatch, NotNormalized, ScalarOutOfRange
-from .kernel import ONE, ZERO, Distribution, FinSet
+from .kernel import ONE, ZERO, Distribution, FinSet, atom_repr
 
 Rat = Fraction
 
@@ -195,8 +195,8 @@ def validate_effect_algebra(inst):
         report.cases.append(first_counterexample(name, verdicts, mode))
 
     # commutativity: same definedness and same value
-    law("ovee commutative", (None if ovee(x, y) == ovee(y, x) else f"x={x!r} y={y!r}"
-                             for x, y in pairs))
+    law("ovee commutative", (None if ovee(x, y) == ovee(y, x)
+                             else f"x={atom_repr(x)} y={atom_repr(y)}" for x, y in pairs))
 
     # associativity, partial in both directions
     if len(elems) ** 3 <= ASSOC_BUDGET:
@@ -217,29 +217,29 @@ def validate_effect_algebra(inst):
         return lhs == rhs
 
     law(f"ovee associative ({mode})", (None if associative(x, y, z)
-                                       else f"x={x!r} y={y!r} z={z!r}"
+                                       else f"x={atom_repr(x)} y={atom_repr(y)} z={atom_repr(z)}"
                                        for x, y, z in triples), mode)
 
     # zero is a unit; the orthosupplement exists and is unique; zero-one law
-    law("zero is a unit", (None if ovee(x, zero) == x else f"x={x!r}" for x in elems))
-    law("x ovee orth(x) = 1", (None if ovee(x, orth(x)) == one else f"x={x!r}"
+    law("zero is a unit", (None if ovee(x, zero) == x else f"x={atom_repr(x)}" for x in elems))
+    law("x ovee orth(x) = 1", (None if ovee(x, orth(x)) == one else f"x={atom_repr(x)}"
                                for x in elems))
     law("orthosupplement unique on probe", (
-        f"x={x!r} y={y!r}" if ovee(x, y) == one and y != orth(x) else None
+        f"x={atom_repr(x)} y={atom_repr(y)}" if ovee(x, y) == one and y != orth(x) else None
         for x in elems for y in elems))
     law("x defined with 1 implies x = 0", (
-        f"x={x!r}" if ovee(x, one) is not None and x != zero else None for x in elems))
+        f"x={atom_repr(x)}" if ovee(x, one) is not None and x != zero else None for x in elems))
 
     if scalar is not None:
         grid = inst.scalar_grid
-        law("1 . x = x", (None if scalar(ONE, x) == x else f"x={x!r}" for x in elems))
+        law("1 . x = x", (None if scalar(ONE, x) == x else f"x={atom_repr(x)}" for x in elems))
         law("(r+s) . x = r.x ovee s.x", (
             None if scalar(r + s, x) == ovee(scalar(r, x), scalar(s, x))
-            else f"r={r} s={s} x={x!r}"
+            else f"r={r} s={s} x={atom_repr(x)}"
             for r, s in itertools.product(grid, repeat=2) if r + s <= ONE for x in elems))
         law("r . (x ovee y) = r.x ovee r.y", (
             None if scalar(r, xy) == ovee(scalar(r, x), scalar(r, y))
-            else f"r={r} x={x!r} y={y!r}"
+            else f"r={r} x={atom_repr(x)} y={atom_repr(y)}"
             for r in grid for x, y in pairs if (xy := ovee(x, y)) is not None))
 
     return report

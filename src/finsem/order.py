@@ -324,9 +324,7 @@ def antichain(labels):
 
 def discrete(finset):
     """A FinSet viewed as a discrete poset."""
-    if isinstance(finset, FinSet):
-        return antichain(finset.elements)
-    return antichain(finset)
+    return antichain(finset.elements if isinstance(finset, FinSet) else finset)
 
 
 @lru_cache(maxsize=None)
@@ -415,9 +413,15 @@ def monotone_violation(dom, leq, graph):
 
 
 class MonotoneMap(Frozen):
-    """Total monotone function between finite posets."""
+    """Total monotone function between finite posets.
 
-    __slots__ = _fields = ("dom", "cod", "graph")
+    ``kept``, a slot and no field, names the lattice selectors the map has
+    been verified to keep, by has_structure or enumerate_structure_maps; it
+    records passes only.  Equality, hash, repr, copy and pickle ignore it, so
+    a copy or an unpickled map starts with none and is walked again."""
+
+    __slots__ = ("dom", "cod", "graph", "kept")
+    _fields = ("dom", "cod", "graph")
 
     # Maps are built, hashed and compared in the enumerators' inner loops, so
     # the record's methods are written out here, field by field.
@@ -425,6 +429,7 @@ class MonotoneMap(Frozen):
         _set(self, "dom", dom)
         _set(self, "cod", cod)
         _set(self, "graph", graph)
+        _set(self, "kept", ())
         self.__post_init__()
 
     def __eq__(self, other):
@@ -446,18 +451,19 @@ class MonotoneMap(Frozen):
             raise NotMonotone(f"{x} <= {y} but images {a}, {b} are not ordered")
 
     @classmethod
-    def _trusted(cls, dom, cod, graph):
-        """A map whose enumerator guarantees its graph monotone into cod: not walked again."""
+    def _trusted(cls, dom, cod, graph, kept=()):
+        """A map whose enumerator guarantees its graph monotone into cod, and
+        keeping the selectors in ``kept``: not walked again."""
         m = object.__new__(cls)
         _set(m, "dom", dom)
         _set(m, "cod", cod)
         _set(m, "graph", graph)
+        _set(m, "kept", kept)
         return m
 
     @classmethod
     def from_dict(cls, dom, cod, mapping):
-        graph = tuple(mapping[x] for x in dom.elements)
-        return cls(dom, cod, graph)
+        return cls(dom, cod, tuple(mapping[x] for x in dom.elements))
 
     @classmethod
     def from_callable(cls, dom, cod, fn):
@@ -686,13 +692,19 @@ def _keeps_vector(dom, cod, v, selector):
 def has_structure(m, selector):
     """Is the monotone map m one that enumerate_structure_maps lists under
     selector?  Any monotone map is "monotone"; the lattice selectors are
-    checked on every pair of the domain.  The one test of a given map's
-    joins and meets, for right_adjoint and the transformers module."""
-    if selector == "monotone":
+    checked on every pair of the domain, once per map object: a pass is
+    recorded in ``m.kept`` and answered from there, a failure is walked again.
+    The one test of a given map's joins and meets, for right_adjoint and the
+    transformers module."""
+    if selector == "monotone" or selector in m.kept:
         return True
     m.dom.require_lattice()
     m.cod.require_lattice()
-    return _keeps_vector(m.dom, m.cod, [*map(m.cod.carrier.rank().__getitem__, m.graph)], selector)
+    v = [*map(m.cod.carrier.rank().__getitem__, m.graph)]
+    if _keeps_vector(m.dom, m.cod, v, selector):
+        _set(m, "kept", (*m.kept, selector))
+        return True
+    return False
 
 
 def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
@@ -728,7 +740,7 @@ def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
     _budget_check(max(len(cod), 1) ** len(gens), budget)
     table, unit, elems = cod._table(half.op), cod.carrier.rank()[half.unit(cod)], cod.elements
     sides = [[k for k, j in enumerate(gens) if j in half.side(dom, x)] for x in dom.elements]
-    out = []
+    out, kept = [], (selector,)
     for assign in _monotone_vectors(dom, cod, gens):
         v = []
         for side in sides:
@@ -738,7 +750,7 @@ def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
             v.append(acc)
         if _keeps_vector(dom, cod, v, selector):
             # a map keeping joins or meets is monotone
-            out.append(MonotoneMap._trusted(dom, cod, tuple(map(elems.__getitem__, v))))
+            out.append(MonotoneMap._trusted(dom, cod, tuple(map(elems.__getitem__, v)), kept))
     return tuple(out)
 
 
@@ -758,10 +770,7 @@ def iter_posets(n):
 
     def rec(k, downs):
         if k == n:
-            pairs = [
-                (x, y) for y in range(n) for x in downs[y]
-            ]
-            yield FinPoset(FinSet(range(n)), pairs)
+            yield FinPoset(FinSet(range(n)), [(x, y) for y in range(n) for x in downs[y]])
             return
         for mask in range(1 << k):
             cand = frozenset(i for i in range(k) if mask >> i & 1)
@@ -778,19 +787,9 @@ def poset_canonical_key(poset):
     if n > 7:
         raise TooLarge("canonical keys are only computed for posets up to 7 points")
     elems = poset.elements
-    best = None
-    for perm in itertools.permutations(range(n)):
-        rel = tuple(
-            sorted(
-                (perm[i], perm[j])
-                for i in range(n)
-                for j in range(n)
-                if poset.leq(elems[i], elems[j])
-            )
-        )
-        if best is None or rel < best:
-            best = rel
-    return (n, best)
+    pairs = [(i, j) for i in range(n) for j in range(n) if poset.leq(elems[i], elems[j])]
+    return n, min(tuple(sorted((perm[i], perm[j]) for i, j in pairs))
+                  for perm in itertools.permutations(range(n)))
 
 
 @lru_cache(maxsize=None)

@@ -247,6 +247,17 @@ class _Memo(dict):
         return value
 
 
+class _Table(dict):
+    """One arrow's extension on hash-consed codes (``values[i]`` has id i): at
+    id i, the id of its extension at values[i], computed on first lookup."""
+
+    __slots__ = ("ext", "images", "ids", "values")
+
+    def __missing__(self, i):
+        self[i] = j = self.ids[self.ext(self.images, self.values[i])]
+        return j
+
+
 def _getter(ids):
     """seq -> tuple(seq[i] for i in ids), as one C call where itemgetter allows."""
     if len(ids) > 1:
@@ -262,121 +273,109 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     sampled mode together with the seed.
 
     Every walk extends codes (``family.code``: the kernel row for dist and
-    giry, the element elsewhere) through ``family.coded_extension``, the
-    kernel ``extend`` runs; it trusts the images, which the arrow enumerators
-    checked with ``contains``.  A coded graph lists the images' codes in the
-    domain's carrier order, as ``KleisliArrow.graph`` does, and witnesses
-    render elements.  Associativity hash-conses each code to an int id once
-    per suite, so a (g, h) pair is decided by one comparison of id tuples
-    over all t, with the counts and first witness of a walk over elements.
-    An id carries no carrier, sound as only ids of values on one object are
-    compared: the law's two sides on ``far``, and image lookups on ``right``.
+    giry, the element elsewhere) through ``family.coded_extension``, trusting
+    the images the arrow enumerators checked.  Codes are hash-consed to int
+    ids once per suite, and each arrow, named by (dom, cod, its images' ids),
+    has one table: its extension as id -> id.  Both unit laws and each role
+    of an arrow in associativity (g, h, or a composite h after g) read it, so
+    no arrow is extended twice at one element.  A (g, h) pair is decided by
+    one comparison of id tuples over all t, with the counts and first
+    witness (rendering elements) of a walk over elements.  An id carries no
+    carrier, sound as only ids of values on one object are compared: the
+    law's two sides on ``far``, and image lookups on ``right``.
     """
     rng = random.Random(seed)
     report = Report(f"monad {family.name}", seed)
     code = family.code
+    values = []  # values[i] is the code with id i
+    ids = _Memo(lambda c: values.append(c) or len(values) - 1)
 
-    # T(obj), or its probe set, built and coded once per suite
+    # T(obj), or its probe set, built once per suite, and the ids of its codes
     structures = {obj: _structure_elements(family, obj, probe_max_den) for obj in objects}
-    codes = {obj: tuple(map(code, ts)) for obj, ts in structures.items()}
-    arrow_lists = {}
+    tids = {obj: tuple([ids[code(t)] for t in ts]) for obj, ts in structures.items()}
+    units = {obj: tuple([ids[code(family.unit(obj, x))] for x in obj.carrier.elements])
+             for obj in objects}
 
-    def arrows(dom, cod):
-        """The mode, the arrows dom -> T(cod) and their coded graphs."""
-        key = (dom, cod)
-        if key not in arrow_lists:
-            try:
-                mode, fs = "exhaustive", iter_kleisli_arrows(
-                    family, dom, cod, targets=structures[cod])
-            except TooLarge:
-                mode, fs = "sampled", tuple(
-                    random_kleisli_arrow(family, dom, cod, rng, structures[cod])
-                    for _ in range(LAW_SAMPLES))
-            arrow_lists[key] = mode, fs, [tuple(map(code, f.graph)) for f in fs]
-        return arrow_lists[key]
+    @_Memo
+    def arrows(key):
+        """(dom, cod) -> the mode, the arrows dom -> T(cod) and their graphs as ids."""
+        dom, cod = key
+        try:
+            mode, fs = "exhaustive", iter_kleisli_arrows(family, dom, cod, targets=structures[cod])
+        except TooLarge:
+            draw = partial(random_kleisli_arrow, family, dom, cod, rng, structures[cod])
+            mode, fs = "sampled", tuple(draw() for _ in range(LAW_SAMPLES))
+        return mode, fs, [tuple([ids[code(t)] for t in f.graph]) for f in fs]
+
+    @_Memo
+    def tables(key):
+        """(dom, cod) -> graph -> its arrow's table; binds leave the probe set,
+        so each entry is computed on first lookup."""
+        ext = family.coded_extension(*key)
+
+        def table(graph):
+            t = _Table()
+            t.ext, t.images, t.ids, t.values = ext, [*map(values.__getitem__, graph)], ids, values
+            return t
+        return _Memo(table)
+
+    # (dom, cod) -> graph -> its arrow's extension over T(dom), from its table
+    vectors = _Memo(lambda key: _Memo(
+        lambda graph: tuple(map(tables[key][graph].__getitem__, tids[key[0]]))))
 
     # unit laws -----------------------------------------------------------
     for dom, cod in itertools.product(objects, repeat=2):
-        mode, fs, graphs = arrows(dom, cod)
-        ext, elems = family.coded_extension(dom, cod), dom.carrier.elements
-        units = [code(family.unit(dom, x)) for x in elems]
+        mode, fs, graphs = arrows[dom, cod]
+        elems, tabs = dom.carrier.elements, tables[dom, cod]
         report.cases.append(first_counterexample("extend(f)(unit(x)) = f(x)", (
-            None if ext(graph, u) == image
-            else f"f={atom_repr(f.as_dict())} x={atom_repr(x)}"
-            for f, graph in zip(fs, graphs) for x, u, image in zip(elems, units, graph)),
+            None if tab[u] == image else f"f={atom_repr(f.as_dict())} x={atom_repr(x)}"
+            for f, graph, tab in zip(fs, graphs, map(tabs.__getitem__, graphs))
+            for x, u, image in zip(elems, units[dom], graph)),
             mode, (len(dom), len(cod))))
 
     for obj in objects:
-        ext = family.coded_extension(obj, obj)
-        eta = tuple(code(family.unit(obj, x)) for x in obj.carrier.elements)
+        eta = tables[obj, obj][units[obj]]
         report.cases.append(first_counterexample("extend(unit)(t) = t", (
-            None if ext(eta, c) == c else f"t={atom_repr(t)}"
-            for t, c in zip(structures[obj], codes[obj])),
+            None if eta[i] == i else f"t={atom_repr(t)}"
+            for t, i in zip(structures[obj], tids[obj])),
             "exhaustive", (len(obj),)))
 
     # associativity ---------------------------------------------------------
-    # Codes are hash-consed to ids once per suite (values[i] has id i), and each
-    # arrow's extension is tabled once, as ids: extend(h) over T(right),
-    # extend(g) over ts, and extend(h after g) over ts per distinct composite.
-    values = []
-    ids = _Memo(lambda c: values.append(c) or len(values) - 1)
-    h_tables, g_tables, composite_tables = {}, {}, {}
-
-    def extension_tables(right, far):
-        """Per h, extend(h) as id -> id, computed on first lookup: binds leave the probe set."""
-        if (right, far) not in h_tables:
-            ext = family.coded_extension(right, far)
-            h_tables[right, far] = [_Memo(lambda i, hg=hg: ids[ext(hg, values[i])])
-                                    for hg in arrows(right, far)[2]]
-        return h_tables[right, far]
-
-    def image_vectors(mid, right):
-        """Per g: getters at the ids of its images, and of extend(g) over ts."""
-        if (mid, right) not in g_tables:
-            ext = family.coded_extension(mid, right)
-            g_tables[mid, right] = [
-                (_getter([ids[v] for v in gg]),
-                 _getter([ids[ext(gg, c)] for c in codes[mid]]))
-                for gg in arrows(mid, right)[2]]
-        return g_tables[mid, right]
+    # per (right, far), each h's table; per (mid, right), getters at each g's
+    # images and at its extension over T(mid), which read an h's table
+    h_tables = _Memo(lambda key: [*map(tables[key].__getitem__, arrows[key][2])])
+    g_getters = _Memo(lambda key: [(_getter(gg), _getter(vectors[key][gg]))
+                                   for gg in arrows[key][2]])
 
     def exhaustive_assoc(mid, right, far, gs, hs, ts):
-        composites = composite_tables.setdefault((mid, far), {})
-        ext, tcodes = family.coded_extension(mid, far), codes[mid]
-        ths = extension_tables(right, far)
-        for g, (gimg, gvec) in zip(gs, image_vectors(mid, right)):
+        composites = vectors[mid, far]
+        for g, (gimg, gvec) in zip(gs, g_getters[mid, right]):
             held = 0
-            for h, th in zip(hs, ths):
-                key = gimg(th)
-                ctab = composites.get(key)
-                if ctab is None:
-                    comp = [*map(values.__getitem__, key)]
-                    ctab = composites[key] = tuple([ids[ext(comp, c)] for c in tcodes])
-                lhs = gvec(th)
-                if lhs == ctab:
+            for h, th in zip(hs, h_tables[right, far]):
+                lhs, rhs = gvec(th), composites[gimg(th)]
+                if lhs == rhs:
                     held += len(ts)
                     continue
                 yield held
                 held = 0
                 gd, hd = atom_repr(g.as_dict()), atom_repr(h.as_dict())
-                for t, got, want in zip(ts, lhs, ctab):
+                for t, got, want in zip(ts, lhs, rhs):
                     yield None if got == want else f"g={gd} h={hd} t={atom_repr(t)}"
             yield held
 
     def sampled_assoc(mid, right, far, gs, hs, ts):
-        ggs, hgs, tcodes = arrows(mid, right)[2], arrows(right, far)[2], codes[mid]
-        ext_g, ext_h, ext_c = map(family.coded_extension, (mid, right, mid), (right, far, far))
+        ggs, hgs, tc = arrows[mid, right][2], arrows[right, far][2], tids[mid]
+        gtabs, htabs, ctabs = tables[mid, right], tables[right, far], tables[mid, far]
         for _ in range(LAW_SAMPLES):
             i, j, k = rng.randrange(len(gs)), rng.randrange(len(hs)), rng.randrange(len(ts))
-            gg, hg, c = ggs[i], hgs[j], tcodes[k]
-            comp = [ext_h(hg, v) for v in gg]
-            yield None if ext_h(hg, ext_g(gg, c)) == ext_c(comp, c) else (
+            th, gg, c = htabs[hgs[j]], ggs[i], tc[k]
+            yield None if th[gtabs[gg][c]] == ctabs[tuple(map(th.__getitem__, gg))][c] else (
                 f"g={atom_repr(gs[i].as_dict())} h={atom_repr(hs[j].as_dict())} "
                 f"t={atom_repr(ts[k])}")
 
     for mid, right, far in itertools.product(objects, repeat=3):
-        gmode, gs, _ = arrows(mid, right)
-        hmode, hs, _ = arrows(right, far)
+        gmode, gs, _ = arrows[mid, right]
+        hmode, hs, _ = arrows[right, far]
         ts = structures[mid]
         if not gs or not hs or not ts:
             continue

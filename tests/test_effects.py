@@ -28,6 +28,7 @@ from finsem.effects import (
 from finsem.errors import CarrierMismatch, NotNormalized, ParseError, ScalarOutOfRange
 from finsem.kernel import bind_rows, format_rat, parse_rat
 from finsem.order import FinSet, atom_key
+from test_order import run_under_seed
 
 S2 = FinSet(["s0", "s1"])
 
@@ -165,6 +166,39 @@ class TestEffectAlgebraValidation:
         inst = fuzzy_predicate_effect_algebra(S2, 3)
         report = validate_effect_algebra(inst)
         assert report.ok, report.summary()
+
+
+# an instance over the subsets of three strings whose sum is undefined on the
+# full set: its witnesses name frozensets, whose repr follows the hash seed
+UNDEFINED_ON_FULL = """
+from finsem.effects import EffectAlgebraInstance, powerset_effect_algebra, validate_effect_algebra
+from finsem.kernel import FinSet
+base = powerset_effect_algebra(FinSet(["a", "b", "c"]))
+full = frozenset("abc")
+inst = EffectAlgebraInstance("no-full-sums", base.elements,
+                             lambda x, y: None if full in (x, y) else base.ovee(x, y),
+                             base.orth, base.zero)
+print(validate_effect_algebra(inst).listing())
+"""
+
+
+def test_effect_algebra_witnesses_are_hash_seed_independent():
+    first, *others = (run_under_seed(seed, UNDEFINED_ON_FULL) for seed in ("1", "2", "3"))
+    assert others == [first, first]
+    assert first.splitlines() == [
+        "effect algebra no-full-sums:",
+        "  ok  ovee commutative",
+        "  FAIL ovee associative (exhaustive)  "
+        "[x=frozenset() y=frozenset({'a'}) z=frozenset({'b', 'c'})]",
+        "  FAIL zero is a unit  [x=frozenset({'a', 'b', 'c'})]",
+        "  FAIL x ovee orth(x) = 1  [x=frozenset()]",
+        "  ok  orthosupplement unique on probe",
+        "  ok  x defined with 1 implies x = 0",
+    ]
+    # witnesses over numbers read as their repr
+    report = validate_effect_algebra(truncated_total_instance(farey_grid(4)))
+    assert [c.witness for c in report.cases if not c.ok] == [
+        "x=Fraction(1, 4) y=Fraction(1, 1)", "x=Fraction(1, 4)"]
 
 
 class TestDistributions:

@@ -1,9 +1,12 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+import finsem.order
 from finsem.effects import FuzzyPredicate, dist_make, random_distribution
 from finsem.errors import (
     Incomparable,
@@ -43,18 +46,25 @@ from finsem.transformers import (
     THREE_CORR,
     TOP3,
     _holding,
+    backward,
     columns,
     comparison_column,
     predicate_lattice,
     expectation_computation,
     expectation_pred,
+    forward,
     plotkin_hom_forward,
     round_trip_report,
     three_forward,
     expectation_round_trip,
     transpose,
 )
-from finsem.triangle import EMAlgebraCandidate, KleisliArrow, check_em_algebra
+from finsem.triangle import (
+    EMAlgebraCandidate,
+    KleisliArrow,
+    check_em_algebra,
+    iter_kleisli_arrows,
+)
 from test_order import bigmeet
 from test_triangle import unit_arrow
 
@@ -558,3 +568,74 @@ def test_forward_walks_for_monotonicity_only_where_the_selector_does_not_imply_i
     images = [forward(recipe, arrow) for arrow in arrows]
     assert all(has_structure(m, recipe.selector) for m in images)
     assert bool(walked) == (recipe.selector == "monotone")
+
+
+# -- the structure verdict a map remembers, for as long as the map lives
+
+
+LATTICE_RECIPES = [r for r in RECIPES if r.selector != "monotone"]
+
+
+def recipe_objects(recipe):
+    return ((SMALL_POSETS[1], SMALL_POSETS[2]) if recipe.family.base == "poset"
+            else SETS_UP_TO_THREE[1:3])
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The selector of each _keeps_vector walk, from here on."""
+    walked = []
+    keeps = finsem.order._keeps_vector
+    monkeypatch.setattr(finsem.order, "_keeps_vector",
+                        lambda *args: walked.append(args[3]) or keeps(*args))
+    return walked
+
+
+@pytest.mark.parametrize("recipe", LATTICE_RECIPES, ids=lambda r: r.id)
+def test_a_round_trip_walks_each_transpose_once(walks, recipe):
+    x, y = recipe_objects(recipe)
+    arrows = iter_kleisli_arrows(recipe.family, x, y)
+    assert arrows
+    for arrow in arrows:
+        walks.clear()
+        assert backward(recipe, forward(recipe, arrow), x, y) == arrow
+        assert walks == [recipe.selector]
+
+
+@pytest.mark.parametrize("recipe", LATTICE_RECIPES, ids=lambda r: r.id)
+def test_an_enumerated_transformer_is_not_walked_again(walks, recipe):
+    x, y = recipe_objects(recipe)
+    maps = enumerate_structure_maps(predicate_lattice(recipe.family, y),
+                                    predicate_lattice(recipe.family, x), recipe.selector)
+    assert maps and len(walks) >= len(maps)
+    walks.clear()
+    for m in maps:
+        assert backward(recipe, m, x, y).cod == y
+    assert walks == []
+
+
+def test_a_failing_map_is_walked_on_every_call(walks):
+    box = RECIPES[0]
+    lattice = predicate_lattice(box.family, X2)
+    m = MonotoneMap.from_callable(lattice, lattice, lambda v: frozenset())  # top not kept
+    errors = []
+    for _ in range(3):
+        with pytest.raises(NotMeetPreserving) as info:
+            backward(box, m, X2, X2)
+        errors.append(str(info.value))
+    assert errors == ["input transformer must be meet-preserving"] * 3
+    assert walks == ["meet-preserving"] * 3
+    assert m.kept == ()
+
+
+@pytest.mark.parametrize("recipe", LATTICE_RECIPES, ids=lambda r: r.id)
+def test_a_copy_of_a_verified_map_is_the_same_map_and_is_walked_again(walks, recipe):
+    x, y = recipe_objects(recipe)
+    m = forward(recipe, iter_kleisli_arrows(recipe.family, x, y)[-1])
+    assert m.kept == (recipe.selector,)
+    for twin in (copy.copy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+        assert twin.kept == ()
+        walks.clear()
+        assert has_structure(twin, recipe.selector) and has_structure(twin, recipe.selector)
+        assert walks == [recipe.selector]

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -543,6 +544,32 @@ class TestLawSuiteMachinery:
         ]
         assert report.summary().splitlines()[0] == (
             "monad drops-on-pair: FAIL (21813 instances, seed 20240401)")
+
+    # two suites exhaustive in every case, and the distinct (arrow, element)
+    # pairs the neighbourhood suite extends
+    @pytest.mark.parametrize("family, objects, instances, extensions", [
+        (NEIGHBOURHOOD, (FinSet(["a", "b"]),), 1_049_104, 4_096),
+        (DIST, (FinSet([1]), FinSet([1, 2])), 17_680, None),
+    ], ids=["neighbourhood", "dist"])
+    def test_no_arrow_is_extended_twice_at_one_element(
+            self, monkeypatch, family, objects, instances, extensions):
+        calls = Counter()
+        coded_extension = type(family).coded_extension
+
+        def counted(fam, dom, cod):
+            extend = coded_extension(fam, dom, cod)
+
+            def extension(graph, c):
+                calls[dom, cod, tuple(graph), c] += 1
+                return extend(graph, c)
+            return extension
+
+        monkeypatch.setattr(type(family), "coded_extension", counted)
+        report = check_monad_laws(family, objects)
+        assert report.ok and report.checked_total() == instances
+        assert {c.mode for c in report.cases} == {"exhaustive"}
+        assert max(calls.values()) == 1
+        assert extensions in (None, len(calls))
 
     def test_probe_suite_totals(self, monkeypatch):
         # a bind of probe arrows can leave the probe set; the walk computes
