@@ -66,8 +66,8 @@ class MonadFamily:
         return t
 
     def coded_extension(self, dom, cod):
-        """extend on codes, as (the images' codes in dom's carrier order, code) -> code."""
-        return partial(self.extend, dom, cod)
+        """extend on codes, prepared per arrow: images' codes in dom's order -> (code -> code)."""
+        return partial(partial, self.extend, dom, cod)
 
     def leq(self, obj, s, t):
         raise UnknownElement(f"{self.name} structures carry no order")
@@ -183,13 +183,18 @@ class NeighbourhoodMonad(MonadFamily):
         return frozenset(s for s in obj.subsets() if x in s)
 
     def extend(self, dom, cod, graph, t):
-        # continuation-style double dual: B is accepted iff its preimage mask (from images) is
-        masks = {}
-        for i, image in enumerate(graph):
-            for b in image:
-                masks[b] = masks.get(b, 0) | 1 << i
-        pres = dom.subset_tuple()
-        return frozenset(b for b in cod.subset_tuple() if pres[masks.get(b, 0)] in t)
+        return self.coded_extension(dom, cod)(graph)(t)
+
+    def coded_extension(self, dom, cod):
+        # double dual: B is accepted iff its preimage is; each arrow's pairs are built once
+        def prepared(graph):
+            masks, pres = {}, dom.subset_tuple()
+            for i, image in enumerate(graph):
+                for b in image:
+                    masks[b] = masks.get(b, 0) | 1 << i
+            pairs = [(b, pres[masks.get(b, 0)]) for b in cod.subset_tuple()]
+            return lambda t: frozenset([b for b, pre in pairs if pre in t])
+        return prepared
 
 
 class MonotoneNeighbourhoodMonad(NeighbourhoodMonad):
@@ -374,7 +379,8 @@ class DistributionMonad(MonadFamily):
     def coded_extension(self, dom, cod):
         # Weighting.bind's kernel on rows, without its per-image checks
         error = self.weighting._error
-        return lambda graph, row: bind_rows(row[1], row[2], [graph[i] for i in row[0]], error)
+        return lambda graph: lambda row: bind_rows(
+            row[1], row[2], [graph[i] for i in row[0]], error)
 
     def probe_elements(self, obj, max_den=4):
         from .effects import iter_distributions

@@ -378,10 +378,9 @@ class SubsetOf(Frozen):
                 else self.ambient.is_downset(self.members)
             )
             if not ok:
-                raise StructureNotPreserved(
-                    f"members {sorted(self.members, key=atom_key)!r} "
-                    f"do not form a {self.kind}"
-                )
+                members = ", ".join(map(atom_repr, sorted(self.members, key=atom_key)))
+                kind = "an upset" if self.kind == "upset" else "a downset"
+                raise StructureNotPreserved(f"members [{members}] do not form {kind}")
 
     def __iter__(self):
         return iter(sorted(self.members, key=atom_key))

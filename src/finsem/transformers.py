@@ -35,7 +35,7 @@ from .errors import (
     StructureNotPreserved,
     TooLarge,
 )
-from .kernel import Distribution
+from .kernel import Distribution, atom_repr
 from .monads import (
     DIST,
     DOWNSET,
@@ -166,7 +166,8 @@ def backward(recipe, m, x, y):
     for p, column in zip(points, columns(m, points)):
         t = recipe.read(m.dom, column)
         if comparison_column(recipe, y, t) != column:
-            raise SideConditionViolated(f"no {family.name} element has the column of {p!r}")
+            raise SideConditionViolated(
+                f"no {family.name} element has the column of {atom_repr(p)}")
         graph.append(t)
     return KleisliArrow(family, x, y, tuple(graph))
 

@@ -193,6 +193,17 @@ def _structure_elements(family, obj, probe_max_den=4):
     return family.probe_elements(obj, probe_max_den)
 
 
+def _checked_targets(family, dom, cod, targets):
+    """The targets, each checked once, as are dom and cod; T(cod) or its probe set if None."""
+    family.check_object(dom)
+    family.check_object(cod)
+    if targets is None:
+        return _structure_elements(family, cod)
+    if bad := [t for t in targets if not family.contains(cod, t)]:
+        raise UnknownElement(f"target {atom_repr(bad[0])} is not a {family.name} element")
+    return targets
+
+
 def iter_kleisli_arrows(family, dom, cod, budget=DEFAULT_ARROW_BUDGET, targets=None):
     """All arrows dom -> T(cod), or all probe arrows for the probabilistic monads.
 
@@ -202,12 +213,7 @@ def iter_kleisli_arrows(family, dom, cod, budget=DEFAULT_ARROW_BUDGET, targets=N
     most plotkin suites on 3 points sample).  dom, cod and each given target
     are checked once per call, and every arrow is built trusted.
     """
-    family.check_object(dom)
-    family.check_object(cod)
-    if targets is None:
-        targets = _structure_elements(family, cod)
-    elif bad := [t for t in targets if not family.contains(cod, t)]:
-        raise UnknownElement(f"target {atom_repr(bad[0])} is not a {family.name} element")
+    targets = _checked_targets(family, dom, cod, targets)
     bound = max(len(targets), 1) ** len(dom)
     if bound > budget:
         raise TooLarge(f"{bound} candidate arrows exceed the budget {budget}")
@@ -218,16 +224,21 @@ def iter_kleisli_arrows(family, dom, cod, budget=DEFAULT_ARROW_BUDGET, targets=N
     return tuple(KleisliArrow._trusted(family, dom, cod, graph) for graph in graphs)
 
 
-def random_kleisli_arrow(family, dom, cod, rng, targets):
-    """One arrow dom -> T(cod), its images drawn from ``targets``: T(cod) or its probe set.
+def random_kleisli_arrow(family, dom, cod, rng, targets, count):
+    """``count`` arrows dom -> T(cod), images drawn from ``targets``: T(cod) or its probe set.
 
-    A non-monotone draw is rejected by the pair walk alone; the one kept is validated."""
+    dom, cod and each target are checked once per call, each image is one ``rng.choice``,
+    the pair walk alone turns a non-monotone draw away, and each arrow kept is built trusted."""
+    _checked_targets(family, dom, cod, targets)
     leq = partial(family.leq, cod) if family.base == "poset" else None
-    for _ in range(MAX_SAMPLE_TRIES):
-        graph = tuple(rng.choice(targets) for _ in dom.carrier.elements)
-        if leq is None or monotone_violation(dom, leq, graph) is None:
-            return KleisliArrow(family, dom, cod, graph)
-    raise TooLarge("could not sample a monotone arrow; space too sparse")
+
+    def draw():
+        for _ in range(MAX_SAMPLE_TRIES):
+            graph = tuple([rng.choice(targets) for _ in dom.carrier.elements])
+            if leq is None or monotone_violation(dom, leq, graph) is None:
+                return KleisliArrow._trusted(family, dom, cod, graph)
+        raise TooLarge("could not sample a monotone arrow; space too sparse")
+    return tuple([draw() for _ in range(count)])
 
 
 # -- monad law suite --------------------------------------------------------------------
@@ -248,13 +259,13 @@ class _Memo(dict):
 
 
 class _Table(dict):
-    """One arrow's extension on hash-consed codes (``values[i]`` has id i): at
-    id i, the id of its extension at values[i], computed on first lookup."""
+    """One arrow's extension ``ext``, prepared once, on hash-consed codes
+    (``values[i]`` has id i): at id i, the id of ext(values[i]), on first lookup."""
 
-    __slots__ = ("ext", "images", "ids", "values")
+    __slots__ = ("ext", "ids", "values")
 
     def __missing__(self, i):
-        self[i] = j = self.ids[self.ext(self.images, self.values[i])]
+        self[i] = j = self.ids[self.ext(self.values[i])]
         return j
 
 
@@ -269,20 +280,19 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     """Exhaustive-or-sampled verification of the unit and associativity laws.
 
     Enumeration is exhaustive whenever the relevant arrow space fits in the
-    budget; otherwise a seeded sample is drawn and the report records the
-    sampled mode together with the seed.
+    budget; otherwise one seeded sample of LAW_SAMPLES arrows is drawn per
+    (dom, cod), and the report records the sampled mode with the seed.
 
-    Every walk extends codes (``family.code``: the kernel row for dist and
-    giry, the element elsewhere) through ``family.coded_extension``, trusting
-    the images the arrow enumerators checked.  Codes are hash-consed to int
-    ids once per suite, and each arrow, named by (dom, cod, its images' ids),
-    has one table: its extension as id -> id.  Both unit laws and each role
-    of an arrow in associativity (g, h, or a composite h after g) read it, so
-    no arrow is extended twice at one element.  A (g, h) pair is decided by
-    one comparison of id tuples over all t, with the counts and first
-    witness (rendering elements) of a walk over elements.  An id carries no
-    carrier, sound as only ids of values on one object are compared: the
-    law's two sides on ``far``, and image lookups on ``right``.
+    Every walk extends codes (``family.code``: the kernel row for dist and giry,
+    the element elsewhere), trusting the images the arrow enumerator or sampler
+    checked.  Codes are hash-consed to int ids once per suite.  Each arrow,
+    named by (dom, cod, its images' ids), prepares ``family.coded_extension``
+    once and has one table, its extension as id -> id, read by both unit laws
+    and by each associativity role (g, h, or a composite h after g).  Each g is
+    decided by one comparison over all its (h, t); only a failing g walks its
+    instances, for the counts and the first witness.  An id carries no carrier,
+    sound as only ids of values on one object are compared: the law's two sides
+    on ``far``, and image lookups on ``right``.
     """
     rng = random.Random(seed)
     report = Report(f"monad {family.name}", seed)
@@ -303,19 +313,18 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
         try:
             mode, fs = "exhaustive", iter_kleisli_arrows(family, dom, cod, targets=structures[cod])
         except TooLarge:
-            draw = partial(random_kleisli_arrow, family, dom, cod, rng, structures[cod])
-            mode, fs = "sampled", tuple(draw() for _ in range(LAW_SAMPLES))
+            mode, fs = "sampled", random_kleisli_arrow(
+                family, dom, cod, rng, structures[cod], LAW_SAMPLES)
         return mode, fs, [tuple([ids[code(t)] for t in f.graph]) for f in fs]
 
     @_Memo
     def tables(key):
-        """(dom, cod) -> graph -> its arrow's table; binds leave the probe set,
-        so each entry is computed on first lookup."""
-        ext = family.coded_extension(*key)
+        """(dom, cod) -> graph -> its arrow's table (binds leave the probe set)."""
+        prepare = family.coded_extension(*key)
 
         def table(graph):
             t = _Table()
-            t.ext, t.images, t.ids, t.values = ext, [*map(values.__getitem__, graph)], ids, values
+            t.ext, t.ids, t.values = prepare([*map(values.__getitem__, graph)]), ids, values
             return t
         return _Memo(table)
 
@@ -348,20 +357,15 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
                                    for gg in arrows[key][2]])
 
     def exhaustive_assoc(mid, right, far, gs, hs, ts):
-        composites = vectors[mid, far]
+        composites, hts = vectors[mid, far], h_tables[right, far]
         for g, (gimg, gvec) in zip(gs, g_getters[mid, right]):
-            held = 0
-            for h, th in zip(hs, h_tables[right, far]):
-                lhs, rhs = gvec(th), composites[gimg(th)]
-                if lhs == rhs:
-                    held += len(ts)
-                    continue
-                yield held
-                held = 0
-                gd, hd = atom_repr(g.as_dict()), atom_repr(h.as_dict())
-                for t, got, want in zip(ts, lhs, rhs):
-                    yield None if got == want else f"g={gd} h={hd} t={atom_repr(t)}"
-            yield held
+            if [*map(gvec, hts)] == [*map(composites.__getitem__, map(gimg, hts))]:
+                yield len(hs) * len(ts)
+                continue
+            for h, th in zip(hs, hts):
+                for t, got, want in zip(ts, gvec(th), composites[gimg(th)]):
+                    yield None if got == want else (
+                        f"g={atom_repr(g.as_dict())} h={atom_repr(h.as_dict())} t={atom_repr(t)}")
 
     def sampled_assoc(mid, right, far, gs, hs, ts):
         ggs, hgs, tc = arrows[mid, right][2], arrows[right, far][2], tids[mid]

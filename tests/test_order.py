@@ -654,7 +654,7 @@ def test_a_pickled_poset_keeps_no_hash_of_another_seed():
 ATOM_MESSAGES = """
 from fractions import Fraction
 from finsem.kernel import Distribution, FinSet
-from finsem.order import FinPoset, make_poset
+from finsem.order import FinPoset, SubsetOf, make_poset, powerset_lattice
 a, b, c = frozenset("abc"), frozenset("def"), frozenset("ghi")
 half = Fraction(1, 2)
 d = Distribution(FinSet([a, b]), ((a, half), (b, half)))
@@ -665,7 +665,9 @@ for call in (lambda: Distribution(FinSet([a]), ((a, -1),)),
              lambda: FinPoset([a, b], [(a, b), (b, a)]),
              lambda: FinPoset([a, b, c], [(a, b), (b, c)]),
              lambda: make_poset([a], [(a, a)]),
-             lambda: make_poset([a, b], [(a, b), (b, a)])):
+             lambda: make_poset([a, b], [(a, b), (b, a)]),
+             lambda: SubsetOf(powerset_lattice(FinSet("abc")), frozenset([frozenset("ab")]),
+                              "upset")):
     try:
         call()
     except Exception as err:
@@ -676,7 +678,7 @@ for call in (lambda: Distribution(FinSet([a]), ((a, -1),)),
 def test_messages_naming_atoms_are_hash_seed_independent():
     first, *others = (run_under_seed(seed, ATOM_MESSAGES) for seed in ("1", "2", "3"))
     assert others == [first, first]
-    a, b, c = (atom_repr(frozenset(s)) for s in ("abc", "def", "ghi"))
+    a, b, c, ab = (atom_repr(frozenset(s)) for s in ("abc", "def", "ghi", "ab"))
     assert first.splitlines() == [
         f"NotNormalized negative weight -1 at {a}",
         f"NotNormalized repeated atom {a}",
@@ -686,6 +688,7 @@ def test_messages_naming_atoms_are_hash_seed_independent():
         f"NotTransitive order is not transitive at {b} <= {c}",
         f"CycleError cover {a} < {a} is not strict",
         f"CycleError covers induce a cycle through {b} and {a}",
+        f"StructureNotPreserved members [{ab}] do not form an upset",
     ]
 
 

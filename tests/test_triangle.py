@@ -210,7 +210,7 @@ class TestTrustedArrows:
         with pytest.raises(UnknownElement):
             iter_kleisli_arrows(family, dom, cod, targets=targets)
         with pytest.raises(UnknownElement):
-            random_kleisli_arrow(family, dom, cod, random.Random(0), (bad,))
+            random_kleisli_arrow(family, dom, cod, random.Random(0), (bad,), 1)
 
     @pytest.mark.parametrize("family", FAMILIES.values(), ids=lambda f: f.name)
     def test_enumerated_arrows_are_listed_without_a_second_walk(self, monkeypatch, family):
@@ -253,15 +253,37 @@ class TestTrustedArrows:
                 continue
         raise TooLarge("could not sample a monotone arrow; space too sparse")
 
-    @pytest.mark.parametrize("family", (SMYTH, PLOTKIN), ids=lambda f: f.name)
+    @pytest.mark.parametrize("family", [f for f in FAMILIES.values() if f.base == "poset"],
+                             ids=lambda f: f.name)
     @pytest.mark.parametrize("p", [p for p in all_posets(3) if len(p) == 3], ids=repr)
     def test_sampler_draws_what_validating_each_draw_drew(self, family, p):
         targets = family.elements(p)
         fast, slow = random.Random(11), random.Random(11)
-        for _ in range(50):
-            f = random_kleisli_arrow(family, p, p, fast, targets)
+        for f in random_kleisli_arrow(family, p, p, fast, targets, 50):
             assert f == self.draw_then_validate(family, p, p, slow, targets)
         assert fast.getstate() == slow.getstate()
+
+    @pytest.mark.parametrize("family", FAMILIES.values(), ids=lambda f: f.name)
+    def test_one_draw_checks_each_target_once_and_builds_every_arrow_trusted(
+            self, monkeypatch, family):
+        dom, cod, other = ((X2, FinSet("abc"), FinSet(["zz"])) if family.base == "set"
+                           else (chain("ab"), antichain("ab"), chain(["zz"])))
+        targets = family.elements(cod) if family.enumerable else family.probe_elements(cod, 2)
+        built, asked = [], []
+        contains = type(family).contains
+        monkeypatch.setattr(KleisliArrow, "__post_init__", lambda f: built.append(f))
+        monkeypatch.setattr(type(family), "contains", lambda fam, obj, t: (
+            asked.append(t) or contains(fam, obj, t)))
+        arrows = random_kleisli_arrow(family, dom, cod, random.Random(5), targets, 30)
+        assert built == [] and len(arrows) == 30
+        assert Counter(map(id, asked)) == Counter(map(id, targets))
+        monkeypatch.undo()
+        for f in arrows:
+            assert KleisliArrow(family, dom, cod, f.graph) == f
+        # a foreign target is refused whether or not a draw picks it
+        with pytest.raises(UnknownElement):
+            random_kleisli_arrow(family, dom, cod, random.Random(5),
+                                 (*targets, family.unit(other, "zz")), 1)
 
 
 def box_with(**changes):
@@ -277,14 +299,16 @@ class MovesMass(type(DIST)):
     name = "moves-mass"
 
     def coded_extension(self, dom, cod):
-        extension = super().coded_extension(dom, cod)
+        prepare = super().coded_extension(dom, cod)
 
-        def moved(graph, row):
-            support = row[0]
-            if len(support) > 1:
-                graph = list(graph)
-                graph[support[0]] = graph[support[1]]
-            return extension(graph, row)
+        def moved(graph):
+            def extension(row):
+                support, images = row[0], graph
+                if len(support) > 1:
+                    images = list(graph)
+                    images[support[0]] = graph[support[1]]
+                return prepare(images)(row)
+            return extension
         return moved
 
 
@@ -545,31 +569,40 @@ class TestLawSuiteMachinery:
         assert report.summary().splitlines()[0] == (
             "monad drops-on-pair: FAIL (21813 instances, seed 20240401)")
 
-    # two suites exhaustive in every case, and the distinct (arrow, element)
-    # pairs the neighbourhood suite extends
-    @pytest.mark.parametrize("family, objects, instances, extensions", [
-        (NEIGHBOURHOOD, (FinSet(["a", "b"]),), 1_049_104, 4_096),
-        (DIST, (FinSet([1]), FinSet([1, 2])), 17_680, None),
-    ], ids=["neighbourhood", "dist"])
+    # two suites exhaustive in every case and one sampled, and the distinct
+    # (arrow, element) pairs the neighbourhood and plotkin suites extend
+    @pytest.mark.parametrize("family, objects, instances, extensions, modes", [
+        (NEIGHBOURHOOD, (FinSet(["a", "b"]),), 1_049_104, 4_096, {"exhaustive"}),
+        (DIST, (FinSet([1]), FinSet([1, 2])), 17_680, None, {"exhaustive"}),
+        (PLOTKIN, (antichain("abc"),), 1_637, 3_236,
+         {"exhaustive", "sampled", "sampled(400)"}),
+    ], ids=["neighbourhood", "dist", "plotkin-sampled"])
     def test_no_arrow_is_extended_twice_at_one_element(
-            self, monkeypatch, family, objects, instances, extensions):
-        calls = Counter()
+            self, monkeypatch, family, objects, instances, extensions, modes):
+        calls, prepares = Counter(), Counter()
         coded_extension = type(family).coded_extension
 
         def counted(fam, dom, cod):
-            extend = coded_extension(fam, dom, cod)
+            prepare = coded_extension(fam, dom, cod)
 
-            def extension(graph, c):
-                calls[dom, cod, tuple(graph), c] += 1
-                return extend(graph, c)
-            return extension
+            def prepared(graph):
+                extend, key = prepare(graph), tuple(graph)
+                prepares[dom, cod, key] += 1
+
+                def extension(c):
+                    calls[dom, cod, key, c] += 1
+                    return extend(c)
+                return extension
+            return prepared
 
         monkeypatch.setattr(type(family), "coded_extension", counted)
         report = check_monad_laws(family, objects)
         assert report.ok and report.checked_total() == instances
-        assert {c.mode for c in report.cases} == {"exhaustive"}
+        assert {c.mode for c in report.cases} == modes
         assert max(calls.values()) == 1
         assert extensions in (None, len(calls))
+        # each arrow's extension is prepared once per suite
+        assert max(prepares.values()) == 1
 
     def test_probe_suite_totals(self, monkeypatch):
         # a bind of probe arrows can leave the probe set; the walk computes
@@ -579,8 +612,12 @@ class TestLawSuiteMachinery:
         coded_extension = type(DIST).coded_extension
 
         def recorded(family, dom, cod):
-            extend = coded_extension(family, dom, cod)
-            return lambda graph, t: extended.append(t) or extend(graph, t)
+            prepare = coded_extension(family, dom, cod)
+
+            def prepared(graph):
+                extend = prepare(graph)
+                return lambda t: extended.append(t) or extend(t)
+            return prepared
 
         monkeypatch.setattr(type(DIST), "coded_extension", recorded)
         report = check_monad_laws(DIST, (FinSet(range(2)),), probe_max_den=2)
@@ -604,11 +641,10 @@ class TestCodedExtension:
             ts, targets = family.probe_elements(dom, den), family.probe_elements(cod, den)
             probes = set(map(family.code, targets))
             extension = family.coded_extension(dom, cod)
-            for _ in range(10):
-                f = random_kleisli_arrow(family, dom, cod, rng, targets)
+            for f in random_kleisli_arrow(family, dom, cod, rng, targets, 10):
                 graph = tuple(map(family.code, f.graph))
                 for t in ts:
-                    got = extension(graph, family.code(t))
+                    got = extension(graph)(family.code(t))
                     assert got == family.code(family.extend(dom, cod, f.graph, t))
                     left_probes = left_probes or got not in probes
         assert left_probes
@@ -626,15 +662,14 @@ class TestCodedExtension:
             ts, targets = (family.elements(obj) if family.enumerable
                            else family.probe_elements(obj, 2) for obj in (dom, cod))
             extension = family.coded_extension(dom, cod)
-            for _ in range(6):
-                f = random_kleisli_arrow(family, dom, cod, rng, targets)
+            for f in random_kleisli_arrow(family, dom, cod, rng, targets, 6):
                 coded = tuple(map(family.code, f.graph))
                 for x in dom.carrier.elements:
                     assert family.extend(dom, cod, f.graph, family.unit(dom, x)) == f(x)
                 for t in ts:
                     got = family.extend(dom, cod, f.graph, t)
                     assert got == bind_apply(f, t)
-                    assert extension(coded, family.code(t)) == family.code(got)
+                    assert extension(coded)(family.code(t)) == family.code(got)
 
     def test_a_mass_moving_extension_fails_with_element_witnesses(self):
         xs = (FinSet(["x1", "x2"]), FinSet(["y1", "y2", "y3"]))
