@@ -500,7 +500,7 @@ def right_adjoint(m):
     is then verified exhaustively before returning.
     """
     if not has_structure(m, "join-preserving"):
-        raise NotJoinPreserving(f"{m.as_dict()!r} does not preserve joins")
+        raise NotJoinPreserving(f"{atom_repr(m.as_dict())} does not preserve joins")
     dom, cod = m.dom, m.cod
     adj = MonotoneMap.from_callable(
         cod, dom, lambda b: dom.bigjoin(x for x in dom if cod.leq(m(x), b))
@@ -676,16 +676,16 @@ _LATTICE_SELECTORS = {
 
 def _keeps_vector(dom, cod, v, selector):
     """Does the index vector v keep what the lattice selector names: all of
-    its half, and the dual half's unit or operation where the selector says so?"""
+    its half, and the dual half's unit or operation where the selector says
+    so?  The unit tests run first, then the pair walks."""
     half, keeps_unit, keeps_op = _LATTICE_SELECTORS[selector]
     dual = _MEET if half is _JOIN else _JOIN
     di, ci = dom.carrier.rank(), cod.carrier.rank()
     return (
         v[di[half.unit(dom)]] == ci[half.unit(cod)]
-        and _commutes(v, dom._table(half.op), cod._table(half.op))
         and (not keeps_unit or v[di[dual.unit(dom)]] == ci[dual.unit(cod)])
-        and (not keeps_op or _commutes(v, dom._table(dual.op), cod._table(dual.op)))
-    )
+        and _commutes(v, dom._table(half.op), cod._table(half.op))
+        and (not keeps_op or _commutes(v, dom._table(dual.op), cod._table(dual.op))))
 
 
 def has_structure(m, selector):

@@ -59,7 +59,7 @@ from .order import (
     powerset_lattice,
     upsets,
 )
-from .triangle import KleisliArrow, iter_kleisli_arrows
+from .triangle import KleisliArrow, _Memo, iter_kleisli_arrows
 
 THREE = chain((0, 1, 2))
 BOT3, MID3, TOP3 = 0, 1, 2
@@ -415,25 +415,25 @@ def _mismatches(law, mode, trials):
 
 
 def round_trip_report(corr, x, y, budget=300_000, sample=None, seed=0):
-    """Check both composites of a correspondence on enumerated inputs.
-
+    """Check both composites of a correspondence on enumerated inputs, item by
+    item on both sides, transposing each item once per call in each direction.
     With sample=None both sides are walked exhaustively; otherwise that many
     items are drawn from each enumerated side with the given seed.
     """
     comps = list(corr.iter_computations(x, y, budget))
     trans = list(corr.iter_transformers(x, y, budget))
-    mode = "exhaustive"
+    mode = "exhaustive" if sample is None else f"sampled({sample}, seed={seed})"
     if sample is not None:
         rng = random.Random(seed)
         if len(comps) > sample:
             comps = [comps[i] for i in sorted(rng.sample(range(len(comps)), sample))]
         if len(trans) > sample:
             trans = [trans[i] for i in sorted(rng.sample(range(len(trans)), sample))]
-        mode = f"sampled({sample}, seed={seed})"
-    sides = (("computation", comps, corr.forward, corr.backward),
-             ("transformer", trans, corr.backward, corr.forward))
+    fwd = _Memo(lambda item: corr.forward(item, x, y))
+    bwd = _Memo(lambda item: corr.backward(item, x, y))
+    sides = ("computation", comps, fwd, bwd), ("transformer", trans, bwd, fwd)
     return _mismatches(f"{corr.id} round trip", mode, (
-        ((kind, item), back(step(item, x, y), x, y) == item)
+        ((kind, item), back[step[item]] == item)
         for kind, items, step, back in sides for item in items))
 
 

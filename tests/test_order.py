@@ -654,10 +654,17 @@ def test_a_pickled_poset_keeps_no_hash_of_another_seed():
 ATOM_MESSAGES = """
 from fractions import Fraction
 from finsem.kernel import Distribution, FinSet
-from finsem.order import FinPoset, SubsetOf, make_poset, powerset_lattice
+from finsem.order import (FinPoset, MonotoneMap, SubsetOf, make_poset, powerset_lattice,
+                          right_adjoint, upsets)
+from finsem.transformers import RECIPES, _outside_failing, backward, forward
+from finsem.triangle import KleisliArrow
 a, b, c = frozenset("abc"), frozenset("def"), frozenset("ghi")
 half = Fraction(1, 2)
 d = Distribution(FinSet([a, b]), ((a, half), (b, half)))
+L = upsets(make_poset(["a", "b", "c"], []))
+box = RECIPES[0]
+g = KleisliArrow.from_dict(box.family, FinSet([a, b]), FinSet([0, 1]),
+                           {a: frozenset({0}), b: frozenset()})
 for call in (lambda: Distribution(FinSet([a]), ((a, -1),)),
              lambda: Distribution(FinSet([a]), ((a, half), (a, half))),
              lambda: d.bind(lambda x: None),
@@ -667,7 +674,11 @@ for call in (lambda: Distribution(FinSet([a]), ((a, -1),)),
              lambda: make_poset([a], [(a, a)]),
              lambda: make_poset([a, b], [(a, b), (b, a)]),
              lambda: SubsetOf(powerset_lattice(FinSet("abc")), frozenset([frozenset("ab")]),
-                              "upset")):
+                              "upset"),
+             lambda: right_adjoint(MonotoneMap.from_callable(L, L, lambda v: L.top())),
+             # a box recipe reading columns as diamond does
+             lambda: backward(box._replace(read=_outside_failing), forward(box, g),
+                              g.dom, g.cod)):
     try:
         call()
     except Exception as err:
@@ -679,6 +690,9 @@ def test_messages_naming_atoms_are_hash_seed_independent():
     first, *others = (run_under_seed(seed, ATOM_MESSAGES) for seed in ("1", "2", "3"))
     assert others == [first, first]
     a, b, c, ab = (atom_repr(frozenset(s)) for s in ("abc", "def", "ghi", "ab"))
+    lattice = upsets(make_poset(["a", "b", "c"], []))
+    top = atom_repr(MonotoneMap.from_callable(lattice, lattice, lambda v: lattice.top())
+                    .as_dict())
     assert first.splitlines() == [
         f"NotNormalized negative weight -1 at {a}",
         f"NotNormalized repeated atom {a}",
@@ -689,6 +703,8 @@ def test_messages_naming_atoms_are_hash_seed_independent():
         f"CycleError cover {a} < {a} is not strict",
         f"CycleError covers induce a cycle through {b} and {a}",
         f"StructureNotPreserved members [{ab}] do not form an upset",
+        f"NotJoinPreserving {top} does not preserve joins",
+        f"SideConditionViolated no powerset element has the column of {b}",
     ]
 
 

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from finsem.errors import (
     Incomparable,
     NotJoinPreserving,
     NotMeetPreserving,
+    SideConditionViolated,
     StructureNotPreserved,
     TooLarge,
 )
+from finsem.kernel import atom_repr
 from finsem.monads import DIST, DOWNSET, HOARE, POWERSET, SMYTH, LensPair
 from finsem.order import (
     TWO,
@@ -46,6 +49,8 @@ from finsem.transformers import (
     THREE_CORR,
     TOP3,
     _holding,
+    _mismatches,
+    _outside_failing,
     backward,
     columns,
     comparison_column,
@@ -66,7 +71,7 @@ from finsem.triangle import (
     iter_kleisli_arrows,
 )
 from test_order import bigmeet
-from test_triangle import unit_arrow
+from test_triangle import replaced, unit_arrow
 
 X2 = FinSet(["x1", "x2"])
 Y2 = FinSet(["y1", "y2"])
@@ -639,3 +644,104 @@ def test_a_copy_of_a_verified_map_is_the_same_map_and_is_walked_again(walks, rec
         walks.clear()
         assert has_structure(twin, recipe.selector) and has_structure(twin, recipe.selector)
         assert walks == [recipe.selector]
+
+
+def test_backward_names_the_point_whose_column_no_element_has():
+    # a box recipe reading columns as diamond does: it reads a subset of y,
+    # which the comparison map then refuses at the second point
+    box = RECIPES[0]
+    a, b = frozenset("abc"), frozenset("def")
+    g = KleisliArrow.from_dict(POWERSET, FinSet([a, b]), FinSet([0, 1]),
+                               {a: frozenset({0}), b: frozenset()})
+    with pytest.raises(SideConditionViolated) as info:
+        backward(box._replace(read=_outside_failing), forward(box, g), g.dom, g.cod)
+    assert str(info.value) == f"no powerset element has the column of {atom_repr(b)}"
+
+
+# -- round trips: one table of transposes per call ---------------------------------------
+
+
+def reference_round_trip(corr, x, y, budget=300_000, sample=None, seed=0):
+    """round_trip_report without tables: every composite recomputes both of
+    its transposes, so an item can be transposed twice in one direction."""
+    comps = list(corr.iter_computations(x, y, budget))
+    trans = list(corr.iter_transformers(x, y, budget))
+    mode = "exhaustive"
+    if sample is not None:
+        rng = random.Random(seed)
+        if len(comps) > sample:
+            comps = [comps[i] for i in sorted(rng.sample(range(len(comps)), sample))]
+        if len(trans) > sample:
+            trans = [trans[i] for i in sorted(rng.sample(range(len(trans)), sample))]
+        mode = f"sampled({sample}, seed={seed})"
+    sides = (("computation", comps, corr.forward, corr.backward),
+             ("transformer", trans, corr.backward, corr.forward))
+    return _mismatches(f"{corr.id} round trip", mode, (
+        ((kind, item), back(step(item, x, y), x, y) == item)
+        for kind, items, step, back in sides for item in items))
+
+
+def counted(corr):
+    """corr with forward and backward counting their calls per item."""
+    calls = {"forward": Counter(), "backward": Counter()}
+
+    def wrap(name):
+        step = getattr(corr, name)
+        return lambda item, x, y: calls[name].update([item]) or step(item, x, y)
+
+    return replaced(corr, forward=wrap("forward"), backward=wrap("backward")), calls
+
+
+ROUND_TRIP_CASES = [(r.id, *recipe_objects(r)) for r in RECIPES] + [
+    ("three", chain("ab"), None), ("plotkin-hom", chain("ab"), antichain("a"))]
+
+
+@pytest.mark.parametrize("cid,x,y", ROUND_TRIP_CASES, ids=[c[0] for c in ROUND_TRIP_CASES])
+def test_a_round_trip_transposes_each_item_once(cid, x, y):
+    corr, calls = counted(REGISTRY[cid])
+    report = round_trip_report(corr, x, y)
+    assert report.ok and report == round_trip_report(REGISTRY[cid], x, y)
+    for direction, counts in calls.items():
+        assert counts and set(counts.values()) == {1}, direction
+    # a bijection: the images of one side are exactly the items of the other
+    assert set(calls["forward"]) == set(corr.iter_computations(x, y, 300_000))
+    assert set(calls["backward"]) == set(corr.iter_transformers(x, y, 300_000))
+
+
+def outcome(run, corr, sample):
+    """The Check's fields, or the type and message of what the run raised."""
+    try:
+        check = run(corr, X2, Y2, sample=sample, seed=5)
+    except Exception as err:
+        return type(err), str(err)
+    return check.law, check.mode, check.checked, check.mismatches, check.witness
+
+
+def raising_on(later, step):
+    """step, except that it raises on the one item later."""
+    def raising(item, x, y):
+        if item == later:
+            raise SideConditionViolated(f"no transpose of {item!r}")
+        return step(item, x, y)
+    return raising
+
+
+BOX_ARROWS = iter_kleisli_arrows(POWERSET, X2, Y2)
+BROKEN = {
+    "non-injective forward": replaced(
+        BOX, forward=lambda g, x, y: BOX.forward(BOX_ARROWS[3], x, y)),
+    "backward to one arrow": replaced(BOX, backward=lambda m, x, y: BOX_ARROWS[6]),
+    "forward raising later": replaced(BOX, forward=raising_on(BOX_ARROWS[9], BOX.forward)),
+}
+
+
+@pytest.mark.parametrize("sample", [None, 3])
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_a_broken_round_trip_reports_what_the_table_free_walk_reports(name, sample):
+    corr = BROKEN[name]
+    expected = outcome(reference_round_trip, corr, sample)
+    assert outcome(round_trip_report, corr, sample) == expected
+    if name == "forward raising later" and sample is None:
+        assert expected[0] is SideConditionViolated
+    elif sample is None:
+        assert expected[3] > 0 and expected[4] is not None

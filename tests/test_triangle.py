@@ -286,9 +286,14 @@ class TestTrustedArrows:
                                  (*targets, family.unit(other, "zz")), 1)
 
 
+def replaced(corr, **changes):
+    """The correspondence with the given fields changed, built by keyword."""
+    return Correspondence(**{f: changes.get(f, getattr(corr, f)) for f in Correspondence._fields})
+
+
 def box_with(**changes):
-    """The box correspondence with the given fields changed, built by keyword."""
-    return Correspondence(**{f: changes.get(f, getattr(BOX, f)) for f in Correspondence._fields})
+    """The box correspondence with the given fields changed."""
+    return replaced(BOX, **changes)
 
 
 class MovesMass(type(DIST)):
