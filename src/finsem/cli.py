@@ -5,8 +5,8 @@ lives in its own module (``cli_wp``, ``cli_run``, ...), which ``_handler``
 imports only when that subcommand runs, so a process compiles the parser,
 one handler and the layers that handler drives.  Exit codes: 0 success, 1
 verification failure, 2 usage error (bad arguments, unreadable files,
-malformed input), with a one-line message on stderr; argparse prints its
-usage lines before the message for an error in the flags themselves.
+malformed input).  A handler raises ``Usage``; ``cli_main`` alone prints it as
+it is, or another FinsemError as ``error: ...``, and returns 2.
 """
 
 import argparse
@@ -22,6 +22,10 @@ MONAD_NAMES = ("dist", "downset", "filter", "giry", "hoare", "monotone-neighbour
                "neighbourhood", "plotkin", "powerset", "smyth", "ultrafilter")
 CORRESPONDENCE_NAMES = ("box", "diamond", "expectation", "filter", "hoare",
                         "monotone-nbhd", "plotkin-hom", "smyth", "three")
+
+
+class Usage(FinsemError):
+    """A usage error found by a handler, its message printed as it is."""
 
 
 def _print_table(rows, header=None):
@@ -132,19 +136,16 @@ def _handler(command):
 
 
 def cli_main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     handler = _handler(args.command)  # outside the try: a failed import is no usage error
     try:
         return handler(args)
-    except OSError as exc:
-        print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
-    except FinsemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, FinsemError) as exc:
+        print(f"cannot read {exc.filename}: {exc.strerror}" if isinstance(exc, OSError)
+              else exc if isinstance(exc, Usage) else f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,9 +1,8 @@
 """``finsem enumerate``: a monad's structure space over an object literal."""
 
 import json
-import sys
 
-from .cli import _emit
+from .cli import Usage, _emit
 from .errors import FinsemError
 from .jsonio import atom_token, element_to_json, parse_object_literal, poset_to_json
 from .kernel import FinSet
@@ -15,8 +14,7 @@ def cmd_enumerate(args):
     obj = parse_object_literal(args.object)
     family = FAMILIES.get(args.monad)
     if family is None:
-        print(f"unknown monad {args.monad!r}", file=sys.stderr)
-        return 2
+        raise Usage(f"unknown monad {args.monad!r}")
     if family.base == "poset" and isinstance(obj, FinSet):
         obj = discrete(obj)
     if family.base == "set":
@@ -24,8 +22,7 @@ def cmd_enumerate(args):
     try:
         elements = family.elements(obj)
     except FinsemError as exc:
-        print(f"cannot enumerate: {exc}", file=sys.stderr)
-        return 2
+        raise Usage(f"cannot enumerate: {exc}")
     payload = {
         "monad": family.name,
         "object": poset_to_json(obj) if isinstance(obj, FinPoset) else {

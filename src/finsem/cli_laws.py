@@ -1,7 +1,6 @@
 """``finsem laws``: the monad law suites, and the effect-algebra axioms."""
 
-import sys
-
+from .cli import Usage
 from .kernel import FinSet
 from .monads import FAMILIES
 from .order import all_posets
@@ -19,9 +18,7 @@ def cmd_laws(args):
     reports = []
     for name in names:
         if name not in FAMILIES:
-            print(f"unknown monad {name!r}; known: {', '.join(sorted(FAMILIES))}",
-                  file=sys.stderr)
-            return 2
+            raise Usage(f"unknown monad {name!r}; known: {', '.join(sorted(FAMILIES))}")
         family = FAMILIES[name]
         max_size = min(args.max_size, family.cap)
         if family.name in ("neighbourhood", "monotone-neighbourhood"):
@@ -29,9 +26,7 @@ def cmd_laws(args):
         objects = _law_objects(family, max_size)
         report = check_monad_laws(family, objects, seed=args.seed)
         if not report.checked_total():
-            print(f"--max-size {args.max_size} leaves nothing to check for {name}",
-                  file=sys.stderr)
-            return 2
+            raise Usage(f"--max-size {args.max_size} leaves nothing to check for {name}")
         reports.append(report)
     for report in reports:
         print(report.summary())

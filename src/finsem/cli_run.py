@@ -1,9 +1,7 @@
 """``finsem run``: a program's denotation applied to a start state or distribution."""
 
-import sys
-
 from . import gcl
-from .cli import _emit, _read
+from .cli import Usage, _emit, _read
 from .jsonio import element_to_json
 from .kernel import Distribution, format_rat, parse_rat
 
@@ -32,25 +30,18 @@ def cmd_run(args):
     space = gcl.StateSpace(program.decls)
     if args.init_dist is not None:
         if args.mode != "dist":
-            print("an initial distribution needs --mode dist", file=sys.stderr)
-            return 2
+            raise Usage("an initial distribution needs --mode dist")
         weights = {}
         text = args.init_dist.strip()
         if not (text.startswith("{") and text.endswith("}")):
-            print("init distribution must look like {x=0: 1/2, x=1: 1/2}",
-                  file=sys.stderr)
-            return 2
+            raise Usage("init distribution must look like {x=0: 1/2, x=1: 1/2}")
         for item in _dist_entries(text[1:-1]):
             key, colon, value = item.rpartition(":")
             if not colon:
-                print(f"entry {item.strip()!r} of the initial distribution has no weight",
-                      file=sys.stderr)
-                return 2
+                raise Usage(f"entry {item.strip()!r} of the initial distribution has no weight")
             state = space.parse_state(key)
             if state in weights:
-                print(f"state {space.render(state)} given twice in the initial distribution",
-                      file=sys.stderr)
-                return 2
+                raise Usage(f"state {space.render(state)} given twice in the initial distribution")
             weights[state] = parse_rat(value)
         start = Distribution(space.states(args.state_cap), tuple(weights.items()))
     else:

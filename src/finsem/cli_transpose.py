@@ -3,7 +3,7 @@
 import json
 import sys
 
-from .cli import _emit, _read
+from .cli import Usage, _emit, _read
 from .errors import FinsemError, UnknownElement
 from .jsonio import atom_token, element_to_json
 from .kernel import Distribution, FinSet, atom_repr, format_rat, parse_rat
@@ -23,34 +23,27 @@ def _poset_from_json(data):
 def cmd_transpose(args):
     corr = REGISTRY.get(args.correspondence)
     if corr is None:
-        print(f"unknown correspondence {args.correspondence!r}", file=sys.stderr)
-        return 2
+        raise Usage(f"unknown correspondence {args.correspondence!r}")
     if corr.family is None and corr.id != "three":
-        print(f"transpose is not wired for {corr.id}", file=sys.stderr)
-        return 2
+        raise Usage(f"transpose is not wired for {corr.id}")
     try:
         data = json.loads(sys.stdin.read() if args.input == "-" else _read(args.input))
     except json.JSONDecodeError as exc:
-        print(f"transpose payload is not JSON: {exc}", file=sys.stderr)
-        return 2
+        raise Usage(f"transpose payload is not JSON: {exc}")
     if not isinstance(data, dict):
-        print("transpose payload must be a JSON object", file=sys.stderr)
-        return 2
+        raise Usage("transpose payload must be a JSON object")
     direction = data.get("direction", "forward")
     # expectation has no backward codec
     directions = ("forward",) if corr.id == "expectation" else ("forward", "backward")
     if direction not in directions:
-        print(f"transpose direction for {corr.id} must be {' or '.join(directions)}, "
-              f"not {direction!r}", file=sys.stderr)
-        return 2
+        raise Usage(f"transpose direction for {corr.id} must be {' or '.join(directions)}, "
+                    f"not {direction!r}")
     try:
         value, x, y, key, encode = _decode_transpose(corr, direction, data)
     except KeyError as exc:
-        print(f"transpose payload is missing {atom_repr(exc.args[0])}", file=sys.stderr)
-        return 2
+        raise Usage(f"transpose payload is missing {atom_repr(exc.args[0])}")
     except (FinsemError, LookupError, TypeError, ValueError, AttributeError) as exc:
-        print(f"transpose payload: {exc}", file=sys.stderr)
-        return 2
+        raise Usage(f"transpose payload: {exc}")
     # one runner for every payload kind: the transpose out, then the round trip back
     step, back = corr.forward, corr.backward
     if direction == "backward":

@@ -1,29 +1,20 @@
 """``finsem wp``: the weakest-precondition table of a program."""
 
-import sys
 from fractions import Fraction
 
 from . import gcl
-from .cli import _emit, _read
+from .cli import Usage, _emit, _read
 from .kernel import format_rat
 
 
 def cmd_wp(args):
     program = gcl.parse(_read(args.program))
-    flavor = args.flavor
-    if flavor is None:
-        flavor = "expectation" if args.mode == "dist" else "demonic"
+    flavor = args.flavor or ("expectation" if args.mode == "dist" else "demonic")
     if gcl.mode_of_flavor(flavor) != args.mode:
-        print(f"flavor {flavor} does not run in mode {args.mode}", file=sys.stderr)
-        return 2
-    if args.post is not None:
-        post = args.post
-    elif program.post is not None:
-        post = program.post
-    else:
-        print("no post-condition: give one with --post or a post: clause",
-              file=sys.stderr)
-        return 2
+        raise Usage(f"flavor {flavor} does not run in mode {args.mode}")
+    post = args.post if args.post is not None else program.post
+    if post is None:
+        raise Usage("no post-condition: give one with --post or a post: clause")
     table = gcl.wp(program, post, flavor, state_cap=args.state_cap)
     space = gcl.StateSpace(program.decls)
     # a bool of pow mode prints as 0 or 1, a rational of dist mode as num/den

@@ -68,10 +68,11 @@ class FuzzyPredicate(Frozen):
     def __post_init__(self):
         if len(self.values) != len(self.carrier):
             raise CarrierMismatch("one value per carrier element is required")
-        vals = tuple(Fraction(v) for v in self.values)
-        for v in vals:
+        for v in self.values:
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise ScalarOutOfRange(f"predicate value {v!r} is not an int or a Fraction")
             _check_unit_interval(v, "predicate value")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(map(Fraction, self.values)))
 
     @classmethod
     def from_dict(cls, carrier, mapping):
@@ -79,7 +80,7 @@ class FuzzyPredicate(Frozen):
 
     @classmethod
     def constant(cls, carrier, value):
-        return cls(carrier, tuple(Fraction(value) for _ in carrier.elements))
+        return cls(carrier, (value,) * len(carrier))
 
     @classmethod
     def indicator(cls, carrier, members):

@@ -13,6 +13,10 @@ class NotTransitive(FinsemError, ValueError):
     """The order relation given is not transitive."""
 
 
+class UnknownName(FinsemError, ValueError):
+    """A selector or kind names none of the ones this package knows."""
+
+
 class UnknownElement(FinsemError):
     """An element does not belong to the carrier it is used with."""
 

@@ -163,15 +163,16 @@ def checked_weights(carrier, weights, error):
     """Probability weights in kernel form, or ``error`` if they are not.
 
     Every atom must lie in the carrier, appear once and carry a nonnegative
-    weight; zero weights are dropped and the rest must sum to 1.  Returns the
-    support's positions in the carrier, ascending, its integer numerators and
-    their one common denominator, reduced: the least common multiple of the
-    reduced weights' denominators.
+    int or Fraction; zero weights are dropped and the rest must sum to 1.
+    Returns the support's positions in the carrier, ascending, its integer
+    numerators and their one common denominator, reduced: the least common
+    multiple of the reduced weights' denominators.
     """
     seen = {}
     for atom, w in weights:
         i = carrier.index(atom)
-        w = Fraction(w)
+        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+            raise error(f"weight {w!r} at {atom_repr(atom)} is not an int or a Fraction")
         if w < 0:
             raise error(f"negative weight {w} at {atom_repr(atom)}")
         if i in seen:

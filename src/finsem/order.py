@@ -20,6 +20,7 @@ from .errors import (
     StructureNotPreserved,
     TooLarge,
     UnknownElement,
+    UnknownName,
 )
 from .kernel import FinSet, _require_small, atom_key, atom_repr
 
@@ -368,16 +369,12 @@ class SubsetOf(Frozen):
         for x in self.members:
             self.ambient.carrier.require(x)
         if self.kind not in ("plain", "upset", "downset"):
-            raise ValueError(f"unknown subset kind {self.kind!r}")
+            raise UnknownName(f"unknown subset kind {self.kind!r}")
         if self.kind != "plain":
             if not isinstance(self.ambient, FinPoset):
                 raise StructureNotPreserved("kinded subsets need a poset ambient")
-            ok = (
-                self.ambient.is_upset(self.members)
-                if self.kind == "upset"
-                else self.ambient.is_downset(self.members)
-            )
-            if not ok:
+            closed = self.ambient.is_upset if self.kind == "upset" else self.ambient.is_downset
+            if not closed(self.members):
                 members = ", ".join(map(atom_repr, sorted(self.members, key=atom_key)))
                 kind = "an upset" if self.kind == "upset" else "a downset"
                 raise StructureNotPreserved(f"members [{members}] do not form {kind}")
@@ -716,7 +713,7 @@ def enumerate_structure_maps(dom, cod, selector, budget=DEFAULT_MAP_BUDGET):
     raised when it exceeds the budget.
     """
     if selector not in STRUCTURE_SELECTORS:
-        raise ValueError(f"unknown selector {selector!r}")
+        raise UnknownName(f"unknown selector {selector!r}")
 
     if selector == "plotkin-hom":
         if not isinstance(dom, PlotkinAlgebra) or not isinstance(cod, PlotkinAlgebra):

@@ -128,8 +128,11 @@ def _holding(predicates, column):
 @lru_cache(maxsize=1 << 12)
 def comparison_column(recipe, cod, t):
     """The comparison map T(cod) -> (predicates -> 2) at t: whether
-    alpha(T(chi_v)(t)) = 1, for each predicate v in lattice order."""
+    alpha(T(chi_v)(t)) = 1, for each predicate v in lattice order, or None
+    when t is not an element of T(cod)."""
     family, alpha = recipe.family, recipe.alpha
+    if not family.contains(cod, t):
+        return None
     omega = OMEGA[family.base]
     return tuple(
         alpha(family.functor_map(cod, omega, lambda y, v=v: int(y in v), t)) == 1
@@ -154,7 +157,7 @@ def forward(recipe, arrow):
 def backward(recipe, m, x, y):
     """The arrow sending each point p of x to the element of T(y) whose column
     is p's column in m: the recipe reads it off the column, and the
-    comparison map confirms it."""
+    comparison map confirms it, which no non-element of T(y) passes."""
     if not has_structure(m, recipe.selector):
         error = NotJoinPreserving if "join" in recipe.selector else NotMeetPreserving
         raise error(f"input transformer must be {recipe.selector}")

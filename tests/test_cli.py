@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -986,6 +987,24 @@ class TestUsageErrors:
                 "certify": ["certify", "--correspondence", "c", "--sizes", "1"]}[command]
         with pytest.raises(ImportError, match=f"finsem.cli_{command}"):
             cli_main(argv)
+
+
+def test_only_cli_main_turns_a_usage_error_into_exit_2():
+    # a handler raises cli.Usage; the one stderr line left in a handler is
+    # transpose's failed check, which exits 1
+    found = {"return 2": [], "stderr": []}
+    for path in sorted(Path(finsem.__file__).parent.glob("cli_*.py")):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                    and node.value.value == 2):
+                found["return 2"].append((path.name, node.lineno))
+            elif (isinstance(node, ast.Call)
+                  and any(isinstance(n, ast.Attribute) and n.attr == "stderr"
+                          for n in ast.walk(node))):
+                found["stderr"].append((path.name, ast.get_source_segment(source, node)))
+    assert found == {"return 2": [], "stderr": [
+        ("cli_transpose.py", 'print(f"transpose failed: {exc}", file=sys.stderr)')]}
 
 
 def usage_error(capsys, argv):

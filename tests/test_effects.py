@@ -90,6 +90,20 @@ class TestFuzzyPredicates:
         with pytest.raises(ScalarOutOfRange):
             FuzzyPredicate.constant(S2, Fraction(7, 6))
 
+    @pytest.mark.parametrize("value", [0.1, True, "abc", "1/2", None])
+    def test_a_value_is_an_int_or_a_fraction(self, value):
+        # a float would be read as its binary expansion: 0.1 is not 1/10
+        for build in (lambda: FuzzyPredicate(FinSet([1]), (value,)),
+                      lambda: FuzzyPredicate.constant(FinSet([1]), value)):
+            with pytest.raises(ScalarOutOfRange) as info:
+                build()
+            assert str(info.value) == f"predicate value {value!r} is not an int or a Fraction"
+
+    def test_int_values_are_held_as_fractions(self):
+        p = FuzzyPredicate(S2, (0, 1))
+        assert p == FuzzyPredicate.indicator(S2, {"s1"})
+        assert all(type(v) is Fraction for v in p.values)
+
 
 class TestMvOps:
     def test_truncation(self):
@@ -259,6 +273,23 @@ class TestWeightKernel:
             Distribution(self.A, ((0, Fraction(1, 2)), (0, Fraction(1, 2))))
         with pytest.raises(StructureNotPreserved, match="repeated atom 0"):
             FiniteMeasure(self.A, ((0, Fraction(1, 2)), (0, Fraction(1, 2))))
+
+    @pytest.mark.parametrize("weight", [0.1, True, "abc", "1/2", None])
+    def test_a_weight_is_an_int_or_a_fraction(self, weight):
+        from finsem.errors import StructureNotPreserved
+        from finsem.monads import FiniteMeasure
+
+        # 0.1 and 0.9 are not exactly 1/10 and 9/10, so they would not sum to 1
+        for cls, error in ((Distribution, NotNormalized),
+                           (FiniteMeasure, StructureNotPreserved)):
+            with pytest.raises(error) as info:
+                cls(self.A, ((0, weight), (1, 0.9)))
+            assert str(info.value) == f"weight {weight!r} at 0 is not an int or a Fraction"
+
+    def test_int_weights_are_exact(self):
+        d = Distribution(self.A, ((0, 0), (1, 1)))
+        assert d == Distribution.point(self.A, 1)
+        assert d.weights == ((1, Fraction(1)),)
 
     def test_reprs(self):
         from finsem.monads import FiniteMeasure

@@ -18,6 +18,7 @@ from finsem.errors import (
     StructureNotPreserved,
     TooLarge,
     UnknownElement,
+    UnknownName,
 )
 from finsem.kernel import MAX_POSET_SIZE
 from finsem.monads import NEIGHBOURHOOD
@@ -168,6 +169,16 @@ class TestClosures:
             SubsetOf(p, {"a"}, "upset")
         with pytest.raises(UnknownElement):
             SubsetOf(p, {"z"})
+
+    def test_an_unknown_name_is_a_typed_value_error(self):
+        # a selector or subset kind that names nothing is still a ValueError
+        for call, message in (
+                (lambda: enumerate_structure_maps(TWO, TWO, "nope"), "unknown selector 'nope'"),
+                (lambda: SubsetOf(chain("ab"), {"b"}, "up"), "unknown subset kind 'up'")):
+            with pytest.raises(UnknownName) as info:
+                call()
+            assert isinstance(info.value, ValueError)
+            assert str(info.value) == message
 
 
 class TestMonotoneMap:

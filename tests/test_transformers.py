@@ -658,6 +658,18 @@ def test_backward_names_the_point_whose_column_no_element_has():
     assert str(info.value) == f"no powerset element has the column of {atom_repr(b)}"
 
 
+def test_backward_refuses_a_read_element_outside_the_family():
+    # a box recipe reading columns as filter does: it reads a set of
+    # predicates, no subset of y, which has no comparison column at all
+    box = RECIPES[0]
+    a, b = frozenset("abc"), frozenset("def")
+    g = KleisliArrow.from_dict(POWERSET, FinSet([a, b]), FinSet([0, 1]),
+                               {a: frozenset({0}), b: frozenset()})
+    with pytest.raises(SideConditionViolated) as info:
+        backward(box._replace(read=_holding), forward(box, g), g.dom, g.cod)
+    assert str(info.value) == f"no powerset element has the column of {atom_repr(a)}"
+
+
 # -- round trips: one table of transposes per call ---------------------------------------
 
 
