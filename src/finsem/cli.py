@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from .errors import FinsemError
+from .kernel import read_int
 
 # The parser's choices, held here so that building it loads no other module;
 # tests/test_cli.py pins each to its source.
@@ -28,23 +29,19 @@ class Usage(FinsemError):
     """A usage error found by a handler, its message printed as it is."""
 
 
-def _print_table(rows, header=None):
-    if header:
-        print("\t".join(header))
-    for row in rows:
-        print("\t".join(str(c) for c in row))
-
-
 def _emit(payload, fmt, table_rows=None, table_header=None):
-    if fmt == "table" and table_rows:
-        _print_table(table_rows, table_header)
-        return
-    import json
+    """payload as indented JSON, or as its table rows (one JSON line if it has none)."""
+    if fmt != "table" or not table_rows:
+        import json
 
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        _print_table([[json.dumps(payload, sort_keys=True)]], table_header)
+        if fmt == "json":
+            print(json.dumps(payload, sort_keys=True, indent=2))
+            return
+        table_rows = [[json.dumps(payload, sort_keys=True)]]
+    if table_header:
+        print("\t".join(table_header))
+    for row in table_rows:
+        print("\t".join(map(str, row)))
 
 
 def _read(path):
@@ -55,10 +52,16 @@ def _read(path):
         raise FinsemError(f"cannot read {path}: not UTF-8 text") from None
 
 
+def integer(text):
+    """An integer argument, read by ``kernel.read_int``."""
+    if (n := read_int(text)) is None:
+        raise ValueError(f"{text!r} is no integer")
+    return n
+
+
 def count(text):
     """A non-negative integer argument."""
-    n = int(text)
-    if n < 0:
+    if (n := integer(text)) < 0:
         raise ValueError(f"{text} is negative")
     return n
 
@@ -76,7 +79,7 @@ def build_parser():
     p.add_argument("--mode", choices=("pow", "dist"), default="pow")
     p.add_argument("--flavor", choices=FLAVORS, default=None)
     p.add_argument("--post", default=None, help="overrides the post: clause")
-    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--state-cap", type=integer, default=DEFAULT_STATE_CAP)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("run", help="apply the denotation to an initial state")
@@ -85,13 +88,13 @@ def build_parser():
     start = p.add_mutually_exclusive_group(required=True)
     start.add_argument("--init", help="e.g. x=0,y=1")
     start.add_argument("--init-dist", help="e.g. {x=0: 1/2, x=1: 1/2} (dist mode)")
-    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--state-cap", type=integer, default=DEFAULT_STATE_CAP)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("laws", help="run the monad/effect-algebra law suites")
     p.add_argument("--monad", default=None, help="one of: " + ", ".join(MONAD_NAMES))
     p.add_argument("--max-size", type=count, default=3)
-    p.add_argument("--seed", type=int, default=20_240_401)
+    p.add_argument("--seed", type=integer, default=20_240_401)
     p.add_argument("--effects", action="store_true",
                    help="also validate the stock effect algebras")
 
@@ -112,7 +115,7 @@ def build_parser():
     p.add_argument("--sizes", required=True, help="e.g. 2,2")
     p.add_argument("--instances", type=count, default=200,
                    help="sampled instances for the expectation correspondence")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--format", choices=("table", "json"), default="json")
 
     return parser

@@ -5,7 +5,7 @@ import sys
 
 from .cli import Usage, _emit, _read
 from .errors import FinsemError, UnknownElement
-from .jsonio import atom_token, element_to_json
+from .jsonio import atom_token, element_to_json, read_atom
 from .kernel import Distribution, FinSet, atom_repr, format_rat, parse_rat
 from .monads import LensPair
 from .order import MonotoneMap, make_poset
@@ -14,10 +14,8 @@ from .triangle import KleisliArrow
 
 
 def _poset_from_json(data):
-    return make_poset(
-        [tuple(e) if isinstance(e, list) else e for e in data["elements"]],
-        [tuple(c) for c in data.get("covers", [])],
-    )
+    return make_poset(list(map(read_atom, data["elements"])),
+                      [tuple(map(read_atom, c)) for c in data.get("covers", [])])
 
 
 def cmd_transpose(args):
@@ -82,13 +80,13 @@ def _decode_transpose(corr, direction, data):
     # the arrow-style correspondences and expectation, between finite sets or posets
     family = corr.family
     decode = _poset_from_json if family.base == "poset" else (
-        lambda items: FinSet(map(_maybe_int, items)))
+        lambda items: FinSet(map(read_atom, items)))
     dom, cod = decode(data["dom"]), decode(data["cod"])
     if corr.id == "expectation":
         from .effects import FuzzyPredicate
 
         arrow = KleisliArrow.from_dict(family, dom, cod, {
-            x: Distribution(cod, tuple((_maybe_int(y), parse_rat(w)) for y, w in row.items()))
+            x: Distribution(cod, tuple((read_atom(y), parse_rat(w)) for y, w in row.items()))
             for x, row in _entries(data, "arrow", dom, "the domain").items()
         })
         q = FuzzyPredicate.from_dict(cod, {
@@ -117,16 +115,7 @@ def _decode_transpose(corr, direction, data):
         atom_token(x): element_to_json(arrow(x)) for x in arrow.dom.carrier.elements}
 
 
-def _maybe_int(text):
-    if isinstance(text, int):
-        return text
-    try:
-        return int(text)
-    except (TypeError, ValueError):
-        return text
-
-
-def _entries(data, key, dom, where, decode=_maybe_int):
+def _entries(data, key, dom, where, decode=read_atom):
     """The JSON object data[key] with its keys decoded, by default as atoms.
 
     The transposes read only the entries of dom's elements, so an entry for
@@ -152,7 +141,7 @@ def _parse_set_token(token):
 
 
 def _subset_from_json_atoms(items):
-    return frozenset(_maybe_int(a) for a in items)
+    return frozenset(map(read_atom, items))
 
 
 def _element_from_json(family, value):

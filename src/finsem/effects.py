@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .check import Frozen, Report, first_counterexample
 from .errors import CarrierMismatch, NotNormalized, ScalarOutOfRange
-from .kernel import ONE, ZERO, Distribution, FinSet, atom_repr
+from .kernel import ONE, ZERO, Distribution, FinSet, atom_repr, is_exact
 
 Rat = Fraction
 
@@ -52,9 +52,18 @@ def farey_grid(max_den):
     return tuple(sorted(grid))
 
 
+def _exact(value, what="value"):
+    """value as a Fraction; ScalarOutOfRange unless ``kernel.is_exact`` holds of it."""
+    if not is_exact(value):
+        raise ScalarOutOfRange(f"{what} {value!r} is not an int or a Fraction")
+    return Fraction(value)
+
+
 def _check_unit_interval(value, what="value"):
-    if not (ZERO <= value <= ONE):
+    """value as a Fraction in [0, 1]; ScalarOutOfRange unless it is one."""
+    if not (ZERO <= (exact := _exact(value, what)) <= ONE):
         raise ScalarOutOfRange(f"{what} {value} lies outside [0, 1]")
+    return exact
 
 
 # -- fuzzy predicates ---------------------------------------------------------
@@ -68,11 +77,8 @@ class FuzzyPredicate(Frozen):
     def __post_init__(self):
         if len(self.values) != len(self.carrier):
             raise CarrierMismatch("one value per carrier element is required")
-        for v in self.values:
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                raise ScalarOutOfRange(f"predicate value {v!r} is not an int or a Fraction")
-            _check_unit_interval(v, "predicate value")
-        object.__setattr__(self, "values", tuple(map(Fraction, self.values)))
+        object.__setattr__(self, "values", tuple(
+            _check_unit_interval(v, "predicate value") for v in self.values))
 
     @classmethod
     def from_dict(cls, carrier, mapping):
@@ -116,8 +122,7 @@ def pred_orth(p):
 
 
 def pred_scalar(r, p):
-    r = Fraction(r)
-    _check_unit_interval(r, "scalar")
+    r = _check_unit_interval(r, "scalar")
     return FuzzyPredicate(p.carrier, tuple(r * v for v in p.values))
 
 
@@ -129,11 +134,11 @@ class MvOps(Frozen):
 
 
 def truncated_add(a, b):
-    return min(ONE, Fraction(a) + Fraction(b))
+    return min(ONE, _exact(a) + _exact(b))
 
 
 def truncated_sub(a, b):
-    return max(ZERO, Fraction(a) - Fraction(b))
+    return max(ZERO, _exact(a) - _exact(b))
 
 
 def mv_ops(a, b):
@@ -142,9 +147,7 @@ def mv_ops(a, b):
     The total addition is x (+) (x' /\\ y) for x' = 1 - x, and subtraction is
     its De Morgan dual; both collapse to truncation on the unit interval.
     """
-    a, b = Fraction(a), Fraction(b)
-    _check_unit_interval(a)
-    _check_unit_interval(b)
+    a, b = _check_unit_interval(a), _check_unit_interval(b)
     plus = truncated_add(a, b)
     via_ovee = a + min(ONE - a, b)
     if plus != via_ovee:

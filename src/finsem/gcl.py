@@ -47,7 +47,7 @@ from .errors import (
     UndeclaredVariable,
     located,
 )
-from .kernel import ONE, ZERO, Distribution, FinSet, bind_rows
+from .kernel import ONE, ZERO, Distribution, FinSet, bind_rows, is_exact, read_int
 
 DEFAULT_STATE_CAP = 512
 # random boolean posts that check_roundtrip adds when given a seed
@@ -113,7 +113,7 @@ class Prob(_Node):
     __slots__ = _fields = ("chance", "left", "right")
 
     def __post_init__(self):
-        if isinstance(self.chance, bool) or not isinstance(self.chance, (int, Fraction)):
+        if not is_exact(self.chance):
             raise RangeError(f"branch probability {self.chance!r} is not an int or a Fraction")
         if not (ZERO <= self.chance <= ONE):
             raise RangeError(f"branch probability {self.chance} outside [0, 1]")
@@ -181,7 +181,7 @@ class Program(_Node):
 _TOKEN_RE = re.compile(
     r"""
     [^\S\n]*
-    (?: (?P<int>\d+)
+    (?: (?P<int>[0-9]+)
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<op>:=|==|!=|<=|>=|&&|\|\||\[\]|\.\.|[-+*/<>!;:,{}()\[\]=]) )
     """,
@@ -481,27 +481,19 @@ class StateSpace(Frozen):
         # the product of ascending ranges is already in atom_key order
         return FinSet.presorted(itertools.product(*ranges))
 
-    def env(self, state):
-        return dict(zip(self.names, state))
-
     def render(self, state):
         return ",".join(f"{n}={v}" for n, v in zip(self.names, state))
 
     def parse_state(self, text):
         values, given = {}, []
-        for part in re.split(r"[,\s]+", text.strip()):
-            if not part:
-                continue
-            if "=" not in part:
+        for part in text.replace(",", " ").split():
+            name, eq, value = part.partition("=")
+            value = read_int(value)
+            if not eq or value is None:
                 raise RangeError(f"bad state component {part!r}")
-            name, value = part.split("=", 1)
-            try:
-                values[name.strip()] = int(value)
-            except ValueError:
-                raise RangeError(f"bad state component {part!r}") from None
-            given.append(name.strip())
-        missing = set(self.names) - set(values)
-        if missing:
+            values[name] = value
+            given.append(name)
+        if missing := set(self.names) - set(values):
             raise RangeError(f"state is missing variables {sorted(missing)}")
         state = tuple(values[n] for n in self.names)
         for d, v in zip(self.decls, state):
@@ -978,14 +970,9 @@ def default_posts(space, flavor, rng=None):
 
         for _ in range(RANDOM_POSTS):
             posts.append(random_bool_expr(rng, space.decls, depth=2))
-    if flavor == "expectation":
-        out = []
-        for i, p in enumerate(posts):
-            if i % 3 == 2:
-                out.append(Bin("*", Lit(Fraction(1, 2)), Iverson(p)))
-            else:
-                out.append(Iverson(p))
-        return out
+    if flavor == "expectation":  # each post as 0 or 1, every third halved
+        return [Bin("*", Lit(Fraction(1, 2)), Iverson(p)) if i % 3 == 2 else Iverson(p)
+                for i, p in enumerate(posts)]
     return posts
 
 

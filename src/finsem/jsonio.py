@@ -1,8 +1,8 @@
 """JSON and text-literal wire formats.
 
-Conventions: rationals are "num/den" strings, subsets are sorted lists,
-lens pairs are two sorted lists, and every exported mapping uses sorted
-keys so output is reproducible byte for byte.
+Conventions: atoms are ints and strings (``read_atom``), rationals are
+"num/den" strings, subsets are sorted lists, lens pairs are two sorted lists,
+and exported mappings use sorted keys, so output repeats byte for byte.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ import re
 from fractions import Fraction
 
 from .check import Frozen
-from .errors import ParseError
-from .kernel import FinSet, Weighting, atom_key, format_rat
+from .errors import ParseError, UnknownElement
+from .kernel import FinSet, Weighting, atom_key, format_rat, read_int
 
 
 def render_subset(members):
@@ -28,6 +28,16 @@ def atom_token(value):
     if isinstance(value, Fraction):
         return format_rat(value)
     return str(value)
+
+
+def read_atom(value):
+    """The atom a JSON value or a literal token names: an int as it is, a string
+    that ``kernel.read_int`` reads as that int, any other string as written."""
+    if isinstance(value, str):
+        return value if (n := read_int(value)) is None else n
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UnknownElement(f"atom {value!r} is not an int or a string")
+    return value
 
 
 def poset_to_json(poset):
@@ -65,13 +75,6 @@ _LITERAL_RE = re.compile(
 )
 
 
-def _parse_atom_token(text):
-    text = text.strip()
-    if re.fullmatch(r"-?\d+", text):
-        return int(text)
-    return text
-
-
 def parse_object_literal(text):
     """Parse `poset N { elems a b; covers a<b; }` or `set N { elems a b; }`.
 
@@ -90,13 +93,13 @@ def parse_object_literal(text):
         head, _, rest = clause.partition(" ")
         if head == "elems":
             saw_elems = True
-            elems.extend(_parse_atom_token(t) for t in rest.split())
+            elems.extend(map(read_atom, rest.split()))
         elif head == "covers":
             for pair in rest.split():
                 if "<" not in pair:
                     raise ParseError(f"bad cover {pair!r}; use a<b", 1, 1)
                 a, b = pair.split("<", 1)
-                covers.append((_parse_atom_token(a), _parse_atom_token(b)))
+                covers.append((read_atom(a), read_atom(b)))
         else:
             raise ParseError(f"unknown clause {head!r}", 1, 1)
     if not saw_elems:

@@ -1,11 +1,11 @@
-"""The kernel under every layer: atoms and finite sets, rationals on the wire,
-and finite probability weights.
+"""The kernel under every layer: atoms and finite sets, integers and rationals
+on the wire, exact scalars and finite probability weights.
 
 A ``Weighting`` is one row ``(positions, numerators, denominator)``, its
 support's positions in the carrier and integers over one reduced denominator;
 ``bind_rows`` is the one integer Kleisli extension on such rows, under
 ``Weighting.bind``, the law suites and the wp engine, and atoms and weights
-appear only at the boundary (``weights``, ``support``, ``__call__``, JSON).
+appear only at the boundary (``weights``, ``__call__``, JSON).
 This module imports only ``check`` and ``errors``, so the wp engine runs
 without the poset substrate or the monad zoo.
 """
@@ -140,14 +140,25 @@ def _require_small(obj):
         raise TooLarge(f"{kind} has {len(obj)} elements; substrate cap is {MAX_POSET_SIZE}")
 
 
+def read_int(text):
+    """The one reader of an integer in outside text: docs/grammar.ebnf's ``signed``,
+    an optional "-" and ASCII digits, with blanks around it; None for anything else."""
+    digits = (body := text.strip()).removeprefix("-")
+    return int(body) if digits.isascii() and digits.isdigit() else None
+
+
+def is_exact(value):
+    """Whether value is an int or a Fraction and no bool: the one exact scalar."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 def parse_rat(text):
     """Parse "num/den" or a bare integer string into an exact rational."""
     text = text.strip()
     num, slash, den = text.partition("/")
-    try:
-        num, den = int(num), int(den) if slash else 1
-    except ValueError:
-        raise ParseError(f"bad rational {text!r}; write num/den", 1, 1) from None
+    num, den = read_int(num), read_int(den) if slash else 1
+    if num is None or den is None:
+        raise ParseError(f"bad rational {text!r}; write num/den", 1, 1)
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}", 1, 1)
     return Fraction(num, den)
@@ -171,7 +182,7 @@ def checked_weights(carrier, weights, error):
     seen = {}
     for atom, w in weights:
         i = carrier.index(atom)
-        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+        if not is_exact(w):
             raise error(f"weight {w!r} at {atom_repr(atom)} is not an int or a Fraction")
         if w < 0:
             raise error(f"negative weight {w} at {atom_repr(atom)}")
@@ -269,10 +280,6 @@ class Weighting:
             atoms = self._carrier.elements
             self._weights = tuple((atoms[i], Fraction(n, den)) for i, n in zip(support, nums))
         return self._weights
-
-    @property
-    def support(self):
-        return frozenset(map(self._carrier.elements.__getitem__, self._kernel[0]))
 
     def as_dict(self):
         return dict(self.weights)

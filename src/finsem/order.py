@@ -138,9 +138,6 @@ class FinPoset:
                 if y in self._up[x])
         return self._cache["leq_pairs"]
 
-    def lt(self, x, y):
-        return x != y and self.leq(x, y)
-
     def up_set(self, x):
         """Principal upset of x."""
         self.carrier.require(x)
@@ -152,15 +149,9 @@ class FinPoset:
         return self._down[x]
 
     def cover_pairs(self):
-        """Pairs (x, y) where y covers x, sorted canonically."""
-        pairs = []
-        for x in self:
-            for y in self._up[x]:
-                if x == y:
-                    continue
-                between = [z for z in self._up[x] & self._down[y] if z not in (x, y)]
-                if not between:
-                    pairs.append((x, y))
+        """Pairs (x, y) where y covers x, sorted canonically: x < y with nothing between."""
+        pairs = [(x, y) for x in self for y in self._up[x]
+                 if x != y and self._up[x] & self._down[y] == {x, y}]
         return sorted(pairs, key=lambda p: (atom_key(p[0]), atom_key(p[1])))
 
     def linear_extension(self):
@@ -168,11 +159,6 @@ class FinPoset:
         return tuple(
             sorted(self.elements, key=lambda x: (len(self._down[x]), atom_key(x)))
         )
-
-    def op(self):
-        """Same carrier with the order reversed."""
-        pairs = [(y, x) for y, below in self._down.items() for x in below]
-        return FinPoset(self.carrier, pairs)
 
     # -- subsets -----------------------------------------------------------
 

@@ -1120,6 +1120,115 @@ class TestInputFailures:
         assert f"must be {allowed}, not {direction!r}" in err
 
 
+# One row per reading of outside text: (argv, the program or payload file's
+# text, and the outcome), with "FILE" in argv standing for that file.  An
+# integer is an optional "-" and ASCII digits (kernel.read_int); a JSON atom
+# is an int, or a string that is read as that int or else kept as written
+# (jsonio.read_atom).  So each row is refused with one typed line on stderr
+# (argparse prints its usage lines before it), or keeps a string atom as it
+# was written, which the output then shows.
+BOX_ARGV, DIAMOND_ARGV, THREE_ARGV = (
+    ["transpose", "--correspondence", corr, "--input", "FILE"]
+    for corr in ("box", "diamond", "three"))
+RANGE_10 = "vars x in 0..10; body: skip; post: x == 0;"
+
+
+def refused(message):
+    return "refused", message
+
+
+def kept(text):
+    return "kept", json.dumps(text)
+
+
+READINGS = {
+    "payload-float": (BOX_ARGV, {"dom": [1.9], "cod": [0], "arrow": {"1": [0]}},
+                      refused("transpose payload: atom 1.9 is not an int or a string")),
+    "payload-bool": (BOX_ARGV, {"dom": ["x"], "cod": [1], "arrow": {"x": [True]}},
+                     refused("transpose payload: atom True is not an int or a string")),
+    "payload-underscore": (BOX_ARGV, {"dom": ["1_0"], "cod": [0], "arrow": {"1_0": [0]}},
+                           kept("1_0")),
+    "payload-plus": (BOX_ARGV, {"dom": ["+1"], "cod": [0], "arrow": {"+1": [0]}}, kept("+1")),
+    "payload-arabic": (BOX_ARGV, {"dom": ["٣"], "cod": [0], "arrow": {"٣": [0]}}, kept("٣")),
+    "poset-digits": (DIAMOND_ARGV, {"dom": {"elements": ["1"]}, "cod": {"elements": ["c"]},
+                               "arrow": {"1": ["c"]}}, kept("1")),
+    "poset-plus": (DIAMOND_ARGV, {"dom": {"elements": ["+1"]}, "cod": {"elements": ["c"]},
+                             "arrow": {"+1": ["c"]}}, kept("+1")),
+    "poset-bool": (THREE_ARGV, {"poset": {"elements": [True]}, "direction": "backward",
+                           "outer": [], "inner": []},
+                   refused("transpose payload: atom True is not an int or a string")),
+    "poset-list": (THREE_ARGV, {"poset": {"elements": [[0, 1]]}, "direction": "backward",
+                           "outer": [], "inner": []},
+                   refused("transpose payload: atom [0, 1] is not an int or a string")),
+    "payload-weight": (
+        ["transpose", "--correspondence", "expectation", "--input", "FILE"],
+        {"dom": ["a"], "cod": [0], "arrow": {"a": {"0": "+1"}}, "predicate": {"0": "1"}},
+        refused("transpose payload: 1:1: bad rational '+1'; write num/den")),
+    "literal-plus": (["enumerate", "--monad", "powerset", "--object", "set S { elems +1 1; }"],
+                     None, kept("+1")),
+    "literal-arabic": (["enumerate", "--monad", "powerset", "--object", "set S { elems ٣; }"],
+                       None, kept("٣")),
+    "program-arabic": (["wp", "FILE"], "vars x in 0..3; body: x := ٣; post: x == 0;",
+                       refused("error: 1:28: unexpected character '٣'")),
+    "post-arabic": (["wp", "FILE", "--post", "x == ٣"], RANGE_10,
+                    refused("error: 1:6: unexpected character '٣'")),
+    "init-underscore": (["run", "FILE", "--init", "x=1_0"], RANGE_10,
+                        refused("error: bad state component 'x=1_0'")),
+    "init-arabic": (["run", "FILE", "--init", "x=٣"], RANGE_10,
+                    refused("error: bad state component 'x=٣'")),
+    "init-plus": (["run", "FILE", "--init", "x=+1"], RANGE_10,
+                  refused("error: bad state component 'x=+1'")),
+    "init-dist-weight": (["run", "FILE", "--mode", "dist", "--init-dist", "{x=0: 1_0/1_0}"],
+                         RANGE_10, refused("error: 1:1: bad rational '1_0/1_0'; write num/den")),
+    "max-size": (["laws", "--monad", "powerset", "--max-size", "١"], None,
+                 refused("argument --max-size: invalid count value: '١'")),
+    "sizes": (["certify", "--correspondence", "box", "--sizes", "+1"], None,
+              refused("--sizes takes one or two integers such as 2,2, not '+1'")),
+    "instances": (["certify", "--correspondence", "expectation", "--sizes", "1",
+                   "--instances", "1_0"], None,
+                  refused("argument --instances: invalid count value: '1_0'")),
+    "seed": (["laws", "--monad", "powerset", "--max-size", "1", "--seed", "1_0"], None,
+             refused("argument --seed: invalid integer value: '1_0'")),
+    "state-cap": (["wp", "FILE", "--state-cap", "٣٢"], RANGE_10,
+                  refused("argument --state-cap: invalid integer value: '٣٢'")),
+}
+
+
+@pytest.mark.parametrize("argv, text, outcome", READINGS.values(), ids=READINGS)
+def test_every_reader_reads_integers_and_atoms_alike(capsys, tmp_path, argv, text, outcome):
+    f = tmp_path / "input"
+    f.write_text(text if isinstance(text, str) else json.dumps(text), encoding="utf-8")
+    code, out, err = run(capsys, [str(f) if arg == "FILE" else arg for arg in argv])
+    kind, expected = outcome
+    assert "Traceback" not in err
+    if kind == "kept":
+        assert (code, err) == (0, "") and expected in out
+    elif expected.startswith("argument "):  # argparse prints its usage lines first
+        assert (code, out) == (2, "") and err.splitlines()[-1].endswith(expected)
+    else:
+        assert (code, out, err) == (2, "", expected + "\n")
+
+
+@pytest.mark.parametrize("value, atom", [
+    (0, 0), (-2, -2), ("3", 3), (" -4 ", -4), ("007", 7), ("a", "a"), ("", ""),
+    ("1_0", "1_0"), ("+1", "+1"), ("٣", "٣"), ("1.5", "1.5"),
+])
+def test_read_atom_keeps_ints_and_reads_integer_strings(value, atom):
+    from finsem.jsonio import read_atom
+
+    assert read_atom(value) == atom and type(read_atom(value)) is type(atom)
+
+
+@pytest.mark.parametrize("value", [1.5, True, False, None, [0, 1], {"a": 1}])
+def test_read_atom_refuses_what_is_no_int_or_string(value):
+    from finsem.errors import UnknownElement
+    from finsem.jsonio import read_atom
+
+    with pytest.raises(UnknownElement) as info:
+        read_atom(value)
+    assert str(info.value) == f"atom {value!r} is not an int or a string"
+
+
 def test_parser_choices_match_their_sources():
     from finsem import cli, gcl, monads, transformers
 

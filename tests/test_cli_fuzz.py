@@ -29,7 +29,10 @@ from finsem.transformers import REGISTRY
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150,
                 suppress_health_check=[HealthCheck.too_slow])
 
-ATOMS = st.sampled_from(["a", "b", "c", "x1", "y1", "0", "1"]) | st.integers(0, 2)
+# besides ints and plain strings, strings that int() would read but the wire
+# does not ("1_0", "٣", "+1"), and JSON values that are no atom at all
+ATOMS = (st.sampled_from(["a", "b", "c", "x1", "y1", "0", "1", "1_0", "٣", "+1", 1.5, True])
+         | st.integers(0, 2))
 ATOM_KEYS = ATOMS.map(str)
 RATIONALS = st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "3/2", "-1", "1/0", "x"])
 ANY_JSON = st.recursive(
@@ -115,7 +118,7 @@ def test_transpose_payloads(case):
     run_cli(["transpose", "--correspondence", corr, "--input", "-"], payload)
 
 
-COUNTS = st.sampled_from(["0", "1", "2", "-1", "-3", "x", "", "1.5"])
+COUNTS = st.sampled_from(["0", "1", "2", "-1", "-3", "x", "", "1.5", "1_0", "٣"])
 SIZES = st.lists(COUNTS, min_size=1, max_size=3).map(",".join)
 
 
@@ -191,7 +194,7 @@ def test_wp_inputs(program_file, program, mode, fmt, flavor, post):
 
 @FUZZ
 @given(program=program_texts(), mode=MODES, fmt=FORMATS,
-       init=st.sampled_from(["x=0", "x=1,y=0", "x=9,y=0", "x=a", "y", ""])
+       init=st.sampled_from(["x=0", "x=1,y=0", "x=9,y=0", "x=a", "y", "", "x=1_0", "x=٣"])
        | st.none() | st.text(max_size=4),
        init_dist=st.none() | st.sampled_from(
            ["{x=0: 1/2, x=1: 1/2}", "{x=0,y=1: 1}", "{x=0: 1/0}", "{x=0: 2}", "{}"])

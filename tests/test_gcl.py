@@ -184,7 +184,7 @@ class TestProbChance:
 ORACLE_TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<int>\d+)
+  | (?P<int>[0-9]+)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>:=|==|!=|<=|>=|&&|\|\||\[\]|\.\.|[-+*/<>!;:,{}()\[\]=])
     """,
@@ -225,7 +225,7 @@ class TestTokenizer:
               "||", "[]", "..", "-", "+", "*", "/", "<", "!", ";", ":", ",", "{", "}",
               "(", ")", "[", "]", "=", " ", "  ", "\t", "\n", "\r", "\r\n", "\n\n \t",
               "\f", "\v", "\u00a0",
-              "@", "#", "$", "?", "'", '"', "\\", "é", "λ", "\x00", "~", "^"]
+              "@", "#", "$", "?", "'", '"', "\\", "é", "λ", "\x00", "~", "^", "٣"]
 
     @staticmethod
     def outcome(tokenize, source):
@@ -815,7 +815,7 @@ class TestDemonicThroughSaturatedSets:
             )
             q = gcl_random.random_bool_expr(rng, prog.decls, 2)
             post = frozenset(
-                s for s in states if expr_oracle(q, space.env(s)) is True
+                s for s in states if expr_oracle(q, state_env(space, s)) is True
             )
             m = SMYTH_CORR.forward(smyth_arrow, disc, disc)
             table = gcl.wp(prog, q, "demonic")
@@ -909,6 +909,11 @@ ORACLE_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                  "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
                  ">": operator.gt, ">=": operator.ge,
                  "&&": lambda a, b: a and b, "||": lambda a, b: a or b}
+
+
+def state_env(space, state):
+    """A state of space as a dict from variable name to value."""
+    return dict(zip(space.names, state))
 
 
 def expr_oracle(expr, env):
@@ -1039,7 +1044,7 @@ class TestColumns:
         states = space.states()
         columns = [list(c) for c in zip(*states)]
         fn, kind = gcl.compile_expr(expr, space.names)
-        want = [expr_oracle(expr, space.env(s)) for s in states]
+        want = [expr_oracle(expr, state_env(space, s)) for s in states]
         assert column_values(fn(columns), kind) == want, expr
         return kind
 
@@ -1089,7 +1094,7 @@ class TestColumns:
         for _ in range(20):
             expr = self.random_rational_expr(rng, space.decls)
             for s in space.states():
-                env = space.env(s)
+                env = state_env(space, s)
                 assert gcl.eval_expr(expr, env) == expr_oracle(expr, env)
 
 
@@ -1251,7 +1256,7 @@ def expectation_oracle(stmt, post, space, states):
     if isinstance(stmt, gcl.Assign):
         i = space.names.index(stmt.var)
         d = space.decls[i]
-        moved = {s: d.lo + int(expr_oracle(stmt.expr, space.env(s)) - d.lo) % d.span
+        moved = {s: d.lo + int(expr_oracle(stmt.expr, state_env(space, s)) - d.lo) % d.span
                  for s in states}
         return {s: post[s[:i] + (moved[s],) + s[i + 1:]] for s in states}
     if isinstance(stmt, gcl.Seq):
@@ -1260,7 +1265,7 @@ def expectation_oracle(stmt, post, space, states):
     if isinstance(stmt, gcl.If):
         then, orelse = (expectation_oracle(sub, post, space, states)
                         for sub in (stmt.then, stmt.orelse))
-        return {s: then[s] if expr_oracle(stmt.cond, space.env(s)) else orelse[s]
+        return {s: then[s] if expr_oracle(stmt.cond, state_env(space, s)) else orelse[s]
                 for s in states}
     left, right = (expectation_oracle(sub, post, space, states)
                    for sub in (stmt.left, stmt.right))
@@ -1298,7 +1303,7 @@ class TestIntegerExpectations:
             states = space.states()
             for post in gcl.default_posts(space, "expectation", random.Random(i)):
                 want = expectation_oracle(
-                    prog.body, {s: Fraction(expr_oracle(post, space.env(s))) for s in states},
+                    prog.body, {s: Fraction(expr_oracle(post, state_env(space, s))) for s in states},
                     space, states)
                 got = gcl.wp(prog, post, "expectation")
                 assert list(got.items()) == list(want.items())
@@ -1338,7 +1343,7 @@ class TestIntegerExpectations:
         states = space.states()
         posts = [gcl.parse_expression(source, space.names)
                  for source in ("1/2 * [x <= 3]", "1/2 * [x == 1] + 1/3 * [y == 0]")]
-        want = [[expr_oracle(post, space.env(s)) for s in states] for post in posts]
+        want = [[expr_oracle(post, state_env(space, s)) for s in states] for post in posts]
         made = []
         new = Fraction.__new__
         monkeypatch.setattr(Fraction, "__new__",

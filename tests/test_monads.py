@@ -50,6 +50,7 @@ from finsem.order import (
     powerset_lattice,
     upsets,
 )
+from test_effects import support
 
 
 class TestNeighbourhoodFamily:
@@ -327,7 +328,7 @@ class TestGiryFinite:
             again = expectation_embed(measure_of_functional(i, atoms))
             for probe in iter_distributions(atoms, 3):
                 pred = FuzzyPredicate.from_dict(atoms, probe.as_dict() | {
-                    a: ZERO for a in atoms if a not in probe.support})
+                    a: ZERO for a in atoms if a not in support(probe)})
                 assert again(pred) == i(pred)
             assert Distribution(phi.atoms, phi.weights) == d
 
@@ -348,7 +349,7 @@ class TestExpectationEmbedding:
             eta = expectation_unit(xs, x)
             for probe in iter_distributions(xs, 3):
                 pred = FuzzyPredicate.from_dict(xs, probe.as_dict() | {
-                    a: ZERO for a in xs if a not in probe.support})
+                    a: ZERO for a in xs if a not in support(probe)})
                 assert sigma(pred) == eta(pred) == pred(x)
 
     def test_normalization(self):

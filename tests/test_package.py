@@ -116,12 +116,12 @@ MODULES = {
 # compiles on every start: a module that grows, or a subcommand that loads
 # one more module, must raise its budget here
 LINE_BUDGET = {
-    "wp": 1900,
+    "wp": 1897,
     "run": 2042,
-    "laws": 2829,
-    "enumerate": 2486,
-    "transpose": 3512,
-    "certify": 3292,
+    "laws": 2825,
+    "enumerate": 2485,
+    "transpose": 3500,
+    "certify": 3288,
 }
 # standard-library modules that no subcommand loads
 UNUSED = ("dataclasses", "inspect")

@@ -69,6 +69,11 @@ def unit_arrow(family, obj):
     return KleisliArrow.from_callable(family, obj, obj, lambda x: family.unit(obj, x))
 
 
+def lt(poset, x, y):
+    """The strict order of poset: x <= y and x != y."""
+    return x != y and poset.leq(x, y)
+
+
 def rel_arrow(dom, cod, pairs):
     pairs = set(pairs)
     return KleisliArrow.from_callable(
@@ -423,7 +428,7 @@ class TestEmAlgebras:
         def pick(d):
             if not d:
                 return "o"
-            maxima = [x for x in d if all(not vee.lt(x, y) for y in d)]
+            maxima = [x for x in d if all(not lt(vee, x, y) for y in d)]
             return sorted(maxima)[-1]
 
         alpha = {d: pick(d) for d in DOWNSET.elements(vee)}
