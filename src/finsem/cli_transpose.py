@@ -69,7 +69,8 @@ def _decode_transpose(corr, direction, data):
     if corr.id == "three":
         poset = _poset_from_json(data["poset"])
         if direction == "forward":
-            m = MonotoneMap.from_dict(poset, THREE, _entries(data, "map", poset, "the poset"))
+            m = MonotoneMap.from_dict(poset, THREE, {
+                x: read_atom(v) for x, v in _entries(data, "map", poset, "the poset").items()})
             return m, poset, None, "lens", lambda lens: {
                 "outer": sorted(map(atom_token, lens.outer)),
                 "inner": sorted(map(atom_token, lens.inner))}

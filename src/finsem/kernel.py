@@ -153,10 +153,10 @@ def is_exact(value):
 
 
 def parse_rat(text):
-    """Parse "num/den" or a bare integer string into an exact rational."""
+    """Parse "num/den", den unsigned (docs/grammar.ebnf), or an integer into an exact rational."""
     text = text.strip()
     num, slash, den = text.partition("/")
-    num, den = read_int(num), read_int(den) if slash else 1
+    num, den = read_int(num), None if "-" in den else read_int(den) if slash else 1
     if num is None or den is None:
         raise ParseError(f"bad rational {text!r}; write num/den", 1, 1)
     if den == 0:

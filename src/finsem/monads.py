@@ -23,7 +23,7 @@ from .errors import (
     UnknownElement,
 )
 from .kernel import ZERO, Distribution, FinSet, Weighting, bind_rows
-from .order import FinPoset, filter_violation, powerset_lattice
+from .order import FinPoset, filter_violation, powerset_lattice, require_kind
 
 
 class MonadFamily:
@@ -35,11 +35,7 @@ class MonadFamily:
     enumerable = True  # False: law suites draw from probe_elements instead
 
     def check_object(self, obj):
-        want = FinSet if self.base == "set" else FinPoset
-        if not isinstance(obj, want):
-            raise UnknownElement(
-                f"{self.name} acts on {want.__name__} objects, got {type(obj).__name__}"
-            )
+        require_kind(obj, FinSet if self.base == "set" else FinPoset, self.name)
 
     def check_cap(self, obj, cap=None):
         self.check_object(obj)

@@ -323,6 +323,13 @@ def powerset_lattice(finset):
     return _inclusion_order(finset.subsets())
 
 
+def require_kind(obj, kind, user):
+    """obj, if it is a ``kind`` object (FinSet or FinPoset); else UnknownElement."""
+    if not isinstance(obj, kind):
+        raise UnknownElement(f"{user} acts on {kind.__name__} objects, got {type(obj).__name__}")
+    return obj
+
+
 def _inclusion_order(family):
     """A family of subsets ordered by inclusion."""
     fam = list(family)
@@ -332,13 +339,13 @@ def _inclusion_order(family):
 @lru_cache(maxsize=None)
 def upsets(poset):
     """The poset of all upsets ordered by inclusion (a complete lattice)."""
-    return _inclusion_order(poset.iter_upsets())
+    return _inclusion_order(require_kind(poset, FinPoset, "upsets").iter_upsets())
 
 
 @lru_cache(maxsize=None)
 def downsets(poset):
     """The poset of all downsets ordered by inclusion."""
-    return _inclusion_order(poset.iter_downsets())
+    return _inclusion_order(require_kind(poset, FinPoset, "downsets").iter_downsets())
 
 
 # -- subsets with a declared kind ---------------------------------------------

@@ -50,6 +50,7 @@ from .monads import (
 )
 from .order import (
     TWO,
+    FinPoset,
     MonotoneMap,
     PlotkinAlgebra,
     chain,
@@ -57,6 +58,7 @@ from .order import (
     has_structure,
     plotkin_law_violation,
     powerset_lattice,
+    require_kind,
     upsets,
 )
 from .triangle import KleisliArrow, _Memo, iter_kleisli_arrows
@@ -339,9 +341,9 @@ THREE_CORR = Correspondence(
     forward=lambda m, p, _q: three_forward(m),
     backward=lambda lens, p, _q: three_backward(lens),
     iter_computations=lambda p, _y, budget: enumerate_structure_maps(
-        p, THREE, "monotone", budget
+        require_kind(p, FinPoset, "three"), THREE, "monotone", budget
     ),
-    iter_transformers=lambda p, _y, budget: all_lens_pairs(p),
+    iter_transformers=lambda p, _y, budget: all_lens_pairs(require_kind(p, FinPoset, "three")),
 )
 
 

@@ -288,11 +288,14 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     checked.  Codes are hash-consed to int ids once per suite.  Each arrow,
     named by (dom, cod, its images' ids), prepares ``family.coded_extension``
     once and has one table, its extension as id -> id, read by both unit laws
-    and by each associativity role (g, h, or a composite h after g).  Each g is
-    decided by one comparison over all its (h, t); only a failing g walks its
-    instances, for the counts and the first witness.  An id carries no carrier,
-    sound as only ids of values on one object are compared: the law's two sides
-    on ``far``, and image lookups on ``right``.
+    and by each associativity role (g, h, or a composite h after g).  Each h is
+    decided for every g at once: h's table, read at the ids of all g's images and
+    extensions, concatenated, gives both sides of every (g, t), the composites'
+    graphs cut from the gathered images.  While the suite holds fewer than 255
+    ids, each gather is one ``bytes.translate``; else one ``itemgetter``.  Only
+    a failing h is searched, for the first failing (g, h, t) and its count.  An
+    id carries no carrier, sound as only ids of values on one object are
+    compared: the law's two sides on ``far``, and image lookups on ``right``.
     """
     rng = random.Random(seed)
     report = Report(f"monad {family.name}", seed)
@@ -301,26 +304,27 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     ids = _Memo(lambda c: values.append(c) or len(values) - 1)
 
     # T(obj), or its probe set, built once per suite, and the ids of its codes
-    structures = {obj: _structure_elements(family, obj, probe_max_den) for obj in objects}
-    tids = {obj: tuple([ids[code(t)] for t in ts]) for obj, ts in structures.items()}
-    units = {obj: tuple([ids[code(family.unit(obj, x))] for x in obj.carrier.elements])
-             for obj in objects}
+    # objects are named by their positions, as int keys hash fastest
+    objects = tuple(objects)
+    structures = [_structure_elements(family, obj, probe_max_den) for obj in objects]
+    tids = [tuple([ids[code(t)] for t in ts]) for ts in structures]
+    units = [tuple([ids[code(family.unit(obj, x))] for x in obj.carrier.elements])
+             for obj in objects]
 
     @_Memo
     def arrows(key):
         """(dom, cod) -> the mode, the arrows dom -> T(cod) and their graphs as ids."""
-        dom, cod = key
+        (dom, cod), targets = map(objects.__getitem__, key), structures[key[1]]
         try:
-            mode, fs = "exhaustive", iter_kleisli_arrows(family, dom, cod, targets=structures[cod])
+            mode, fs = "exhaustive", iter_kleisli_arrows(family, dom, cod, targets=targets)
         except TooLarge:
-            mode, fs = "sampled", random_kleisli_arrow(
-                family, dom, cod, rng, structures[cod], LAW_SAMPLES)
+            mode, fs = "sampled", random_kleisli_arrow(family, dom, cod, rng, targets, LAW_SAMPLES)
         return mode, fs, [tuple([ids[code(t)] for t in f.graph]) for f in fs]
 
     @_Memo
     def tables(key):
         """(dom, cod) -> graph -> its arrow's table (binds leave the probe set)."""
-        prepare = family.coded_extension(*key)
+        prepare = family.coded_extension(*map(objects.__getitem__, key))
 
         def table(graph):
             t = _Table()
@@ -333,39 +337,68 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
         lambda graph: tuple(map(tables[key][graph].__getitem__, tids[key[0]]))))
 
     # unit laws -----------------------------------------------------------
-    for dom, cod in itertools.product(objects, repeat=2):
+    places, sizes = range(len(objects)), [*map(len, objects)]
+    for dom, cod in itertools.product(places, repeat=2):
         mode, fs, graphs = arrows[dom, cod]
-        elems, tabs = dom.carrier.elements, tables[dom, cod]
+        elems, tabs = objects[dom].carrier.elements, tables[dom, cod]
         report.cases.append(first_counterexample("extend(f)(unit(x)) = f(x)", (
             None if tab[u] == image else f"f={atom_repr(f.as_dict())} x={atom_repr(x)}"
             for f, graph, tab in zip(fs, graphs, map(tabs.__getitem__, graphs))
             for x, u, image in zip(elems, units[dom], graph)),
-            mode, (len(dom), len(cod))))
+            mode, (sizes[dom], sizes[cod])))
 
-    for obj in objects:
+    for obj in places:
         eta = tables[obj, obj][units[obj]]
         report.cases.append(first_counterexample("extend(unit)(t) = t", (
             None if eta[i] == i else f"t={atom_repr(t)}"
             for t, i in zip(structures[obj], tids[obj])),
-            "exhaustive", (len(obj),)))
+            "exhaustive", (sizes[obj],)))
 
     # associativity ---------------------------------------------------------
-    # per (right, far), each h's table; per (mid, right), getters at each g's
-    # images and at its extension over T(mid), which read an h's table
-    h_tables = _Memo(lambda key: [*map(tables[key].__getitem__, arrows[key][2])])
-    g_getters = _Memo(lambda key: [(_getter(gg), _getter(vectors[key][gg]))
-                                   for gg in arrows[key][2]])
+    def witness(g, h, t):
+        return f"g={atom_repr(g.as_dict())} h={atom_repr(h.as_dict())} t={atom_repr(t)}"
+
+    @_Memo
+    def g_rows(key):
+        """(mid, right) -> ``need``, the ids that every g's images and its extension
+        over T(mid) hold, ascending; both, concatenated in g order, as positions
+        in need; and the cuts of the images into graphs."""
+        graphs, n = arrows[key][2], sizes[key[0]]
+        vecs = [*itertools.chain(*map(vectors[key].__getitem__, graphs))]
+        imgs = [*itertools.chain(*graphs)]
+        at = dict(zip(need := sorted({*vecs, *imgs}), itertools.count()))
+        return (need, [*map(at.__getitem__, vecs)], [*map(at.__getitem__, imgs)],
+                [slice(i * n, i * n + n) for i in range(len(graphs))])
 
     def exhaustive_assoc(mid, right, far, gs, hs, ts):
-        composites, hts = vectors[mid, far], h_tables[right, far]
-        for g, (gimg, gvec) in zip(gs, g_getters[mid, right]):
-            if [*map(gvec, hts)] == [*map(composites.__getitem__, map(gimg, hts))]:
-                yield len(hs) * len(ts)
-                continue
-            for h, th in zip(hs, hts):
-                for t, got, want in zip(ts, gvec(th), composites[gimg(th)]):
-                    yield None if got == want else (
-                        f"g={atom_repr(g.as_dict())} h={atom_repr(h.as_dict())} t={atom_repr(t)}")
+        need, vecs, imgs, cuts = g_rows[mid, right]
+        # each h's table at need, which both gathers read
+        hts = map(tables[right, far].__getitem__, arrows[right, far][2])
+        outs = [*map(_getter(need), hts)]
+        composites = vectors[mid, far]
+        if len(values) < 255:
+            # ids and positions as bytes: an id a composite adds equals no
+            # gathered id, nor does 255, which stands for any such id past 254
+            vecs, imgs = (partial(bytes.translate, bytes(seq)) for seq in (vecs, imgs))
+            outs, join = [bytes(out).ljust(256) for out in outs], b"".join
+            composites = _Memo(lambda graph, vector=composites.__getitem__: bytes(
+                [min(i, 255) for i in vector(tuple(graph))]))
+        else:
+            vecs, imgs = map(_getter, (vecs, imgs))
+            join = lambda parts: (*itertools.chain(*parts),)
+        fails = []  # each failing h's first failing (g, h, t), as indices
+        for j, out in enumerate(outs):
+            got = vecs(out)
+            want = join(map(composites.__getitem__, map(imgs(out).__getitem__, cuts)))
+            if got != want:
+                p = next(p for p, (a, b) in enumerate(zip(got, want)) if a != b)
+                fails.append((p // len(ts), j, p % len(ts)))
+        if fails:
+            i, j, k = min(fails)
+            yield (i * len(hs) + j) * len(ts) + k
+            yield witness(gs[i], hs[j], ts[k])
+        else:
+            yield len(gs) * len(hs) * len(ts)
 
     def sampled_assoc(mid, right, far, gs, hs, ts):
         ggs, hgs, tc = arrows[mid, right][2], arrows[right, far][2], tids[mid]
@@ -374,10 +407,9 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
             i, j, k = rng.randrange(len(gs)), rng.randrange(len(hs)), rng.randrange(len(ts))
             th, gg, c = htabs[hgs[j]], ggs[i], tc[k]
             yield None if th[gtabs[gg][c]] == ctabs[tuple(map(th.__getitem__, gg))][c] else (
-                f"g={atom_repr(gs[i].as_dict())} h={atom_repr(hs[j].as_dict())} "
-                f"t={atom_repr(ts[k])}")
+                witness(gs[i], hs[j], ts[k]))
 
-    for mid, right, far in itertools.product(objects, repeat=3):
+    for mid, right, far in itertools.product(places, repeat=3):
         gmode, gs, _ = arrows[mid, right]
         hmode, hs, _ = arrows[right, far]
         ts = structures[mid]
@@ -391,7 +423,7 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
             "extend(h)(extend(g)(t)) = extend(h after g)(t)",
             walk(mid, right, far, gs, hs, ts),
             "exhaustive" if exhaustive else f"sampled({LAW_SAMPLES})",
-            (len(mid), len(right), len(far))))
+            (sizes[mid], sizes[right], sizes[far])))
 
     return report
 

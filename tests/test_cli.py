@@ -1160,6 +1160,8 @@ READINGS = {
     "poset-list": (THREE_ARGV, {"poset": {"elements": [[0, 1]]}, "direction": "backward",
                            "outer": [], "inner": []},
                    refused("transpose payload: atom [0, 1] is not an int or a string")),
+    "three-values": (THREE_ARGV, {"poset": {"elements": ["a", "b"]}, "map": {"a": True, "b": 1.0}},
+                     refused("transpose payload: atom True is not an int or a string")),
     "payload-weight": (
         ["transpose", "--correspondence", "expectation", "--input", "FILE"],
         {"dom": ["a"], "cod": [0], "arrow": {"a": {"0": "+1"}}, "predicate": {"0": "1"}},
@@ -1180,6 +1182,8 @@ READINGS = {
                   refused("error: bad state component 'x=+1'")),
     "init-dist-weight": (["run", "FILE", "--mode", "dist", "--init-dist", "{x=0: 1_0/1_0}"],
                          RANGE_10, refused("error: 1:1: bad rational '1_0/1_0'; write num/den")),
+    "init-dist-signed-den": (["run", "FILE", "--mode", "dist", "--init-dist", "{x=0: -1/-1}"],
+                             RANGE_10, refused("error: 1:1: bad rational '-1/-1'; write num/den")),
     "max-size": (["laws", "--monad", "powerset", "--max-size", "١"], None,
                  refused("argument --max-size: invalid count value: '١'")),
     "sizes": (["certify", "--correspondence", "box", "--sizes", "+1"], None,

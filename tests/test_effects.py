@@ -56,7 +56,7 @@ def test_rat_wire_format():
 
 
 @pytest.mark.parametrize("text", ["1/0", "0/0", "abc", "1/", "1/x", "", "+1", "1_0", "٣/2",
-                                  "1/+2", "1.5"])
+                                  "1/+2", "1.5", "-1/-2", "1/-2"])
 def test_bad_rational_is_parse_error(text):
     with pytest.raises(ParseError):
         parse_rat(text)

@@ -769,3 +769,10 @@ def test_structure_map_enumeration_is_pinned():
     algebras = [PlotkinAlgebra.over(upsets(p)) for p in all_posets(2) if len(p)]
     pairs = itertools.product(algebras, repeat=2)
     assert _maps_digest(pairs, ["plotkin-hom"]) == (PINNED_PLOTKIN_MAPS, 96)
+
+
+@pytest.mark.parametrize("build", [upsets, downsets])
+def test_a_lattice_of_closed_subsets_refuses_a_set_with_a_typed_error(build):
+    with pytest.raises(UnknownElement) as info:
+        build(FinSet([1]))
+    assert str(info.value) == f"{build.__name__} acts on FinPoset objects, got FinSet"

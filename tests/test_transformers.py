@@ -16,6 +16,7 @@ from finsem.errors import (
     SideConditionViolated,
     StructureNotPreserved,
     TooLarge,
+    UnknownElement,
 )
 from finsem.kernel import atom_repr
 from finsem.monads import DIST, DOWNSET, HOARE, POWERSET, SMYTH, LensPair
@@ -757,3 +758,12 @@ def test_a_broken_round_trip_reports_what_the_table_free_walk_reports(name, samp
         assert expected[0] is SideConditionViolated
     elif sample is None:
         assert expected[3] > 0 and expected[4] is not None
+
+
+
+@pytest.mark.parametrize("cid, y, who", [("three", None, "three"),
+                                         ("diamond", FinSet([1]), "downset")])
+def test_a_poset_correspondence_refuses_a_set_with_a_typed_error(cid, y, who):
+    with pytest.raises(UnknownElement) as info:
+        round_trip_report(REGISTRY[cid], FinSet([1]), y)
+    assert str(info.value) == f"{who} acts on FinPoset objects, got FinSet"

@@ -19,7 +19,7 @@ from finsem.errors import (
     TooLarge,
     UnknownElement,
 )
-from finsem.kernel import MAX_POSET_SIZE
+from finsem.kernel import MAX_POSET_SIZE, atom_repr
 from finsem.monads import (
     DIST,
     DOWNSET,
@@ -27,6 +27,7 @@ from finsem.monads import (
     GIRY,
     HOARE,
     NEIGHBOURHOOD,
+    MonadFamily,
     PLOTKIN,
     POWERSET,
     SMYTH,
@@ -481,6 +482,60 @@ class TestCertify:
         assert report.bijection
 
 
+ASSOCIATIVITY = "extend(h)(extend(g)(t)) = extend(h after g)(t)"
+
+
+def oracle_associativity(family, mid, right, far, probe_max_den):
+    """One exhaustive associativity Check, walked (g, h, t) by (g, h, t) through
+    family.extend: no tables, ids or gathers."""
+    def structure(obj):
+        if family.enumerable:
+            return family.elements(obj)
+        return family.probe_elements(obj, probe_max_den)
+
+    gs = iter_kleisli_arrows(family, mid, right, targets=structure(right))
+    hs = iter_kleisli_arrows(family, right, far, targets=structure(far))
+    ext, checked, sizes = family.extend, 0, (len(mid), len(right), len(far))
+    for g, h, t in itertools.product(gs, hs, structure(mid)):
+        checked += 1
+        after = tuple(ext(right, far, h.graph, image) for image in g.graph)
+        if ext(right, far, h.graph, ext(mid, right, g.graph, t)) != ext(mid, far, after, t):
+            witness = f"g={atom_repr(g.as_dict())} h={atom_repr(h.as_dict())} t={atom_repr(t)}"
+            return Check(ASSOCIATIVITY, "exhaustive", checked, 1, witness, sizes)
+    return Check(ASSOCIATIVITY, "exhaustive", checked, 0, None, sizes)
+
+
+def associativity_and_its_oracle(family, objects, probe_max_den):
+    """The suite's associativity Checks, every case exhaustive, and the oracle's."""
+    report = check_monad_laws(family, objects, probe_max_den=probe_max_den)
+    cases = [c for c in report.cases if c.law == ASSOCIATIVITY]
+    assert {c.mode for c in cases} == {"exhaustive"}
+    return cases, [oracle_associativity(family, *triple, probe_max_den)
+                   for triple in itertools.product(objects, repeat=3)]
+
+
+class SkewAtTheLastPair(MonadFamily):
+    """One-point objects acting on T = (0, 1, 2, 3) by t * g(x): a product with
+    identity 0, every other product 1 but for 2 * 3 = 3 * 3 = 2.  The unit laws
+    hold, and associativity fails only at the last g and in its last h, at
+    t = 2 and t = 3."""
+
+    name = "skew-at-the-last-pair"
+
+    def elements(self, obj):
+        return (0, 1, 2, 3)
+
+    def contains(self, obj, t):
+        return t in (0, 1, 2, 3)
+
+    def unit(self, obj, x):
+        return 0
+
+    def extend(self, dom, cod, graph, t):
+        g = graph[0]
+        return g if t == 0 else t if g == 0 else 2 if (t, g) in ((2, 3), (3, 3)) else 1
+
+
 class TestLawSuiteMachinery:
     def test_powerset_small_suite(self):
         report = check_monad_laws(
@@ -578,6 +633,44 @@ class TestLawSuiteMachinery:
         ]
         assert report.summary().splitlines()[0] == (
             "monad drops-on-pair: FAIL (21813 instances, seed 20240401)")
+
+    @pytest.mark.parametrize("family", FAMILIES.values(), ids=lambda f: f.name)
+    def test_associativity_matches_the_per_instance_oracle(self, family):
+        # each family's one- and two-point objects; neighbourhood's two-point
+        # suite is a million instances, too many for the oracle
+        sizes = (1,) if family is NEIGHBOURHOOD else (1, 2)
+        objects = tuple(FinSet(range(n)) if family.base == "set" else antichain("ab"[:n])
+                        for n in sizes)
+        cases, oracle = associativity_and_its_oracle(family, objects, 2)
+        assert cases == oracle
+
+    def test_a_suite_past_255_ids_matches_the_oracle(self, monkeypatch):
+        # every id the suite hash-conses is a code or an extension's value
+        seen = set()
+        code, coded_extension = DIST.code, type(DIST).coded_extension
+
+        def recorded(value):
+            seen.add(value)
+            return value
+
+        def recording(family, dom, cod):
+            prepare = coded_extension(family, dom, cod)
+
+            def prepared(graph):
+                extend = prepare(graph)
+                return lambda c: recorded(extend(c))
+            return prepared
+
+        monkeypatch.setattr(type(DIST), "code", staticmethod(lambda t: recorded(code(t))))
+        monkeypatch.setattr(type(DIST), "coded_extension", recording)
+        cases, oracle = associativity_and_its_oracle(DIST, (FinSet(range(2)),), 4)
+        assert len(seen) > 255 and cases == oracle
+
+    def test_a_failure_at_the_last_g_and_its_last_h_matches_the_oracle(self):
+        cases, oracle = associativity_and_its_oracle(SkewAtTheLastPair(), (FinSet(["x"]),), 2)
+        assert cases == oracle == [Check(ASSOCIATIVITY, "exhaustive", (3 * 4 + 3) * 4 + 3, 1,
+                                         "g={'x': 3} h={'x': 3} t=2", (1, 1, 1))]
+        assert check_monad_laws(SkewAtTheLastPair(), (FinSet(["x"]),)).cases[0].ok
 
     # two suites exhaustive in every case and one sampled, and the distinct
     # (arrow, element) pairs the neighbourhood and plotkin suites extend
