@@ -317,9 +317,7 @@ def discrete(finset):
 @lru_cache(maxsize=None)
 def powerset_lattice(finset):
     """All subsets of a FinSet ordered by inclusion."""
-    if not isinstance(finset, FinSet):
-        raise TypeError("powerset_lattice expects a FinSet")
-    _require_small(finset)
+    _require_small(require_kind(finset, FinSet, "powerset_lattice"))
     return _inclusion_order(finset.subsets())
 
 

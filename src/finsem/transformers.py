@@ -343,7 +343,7 @@ THREE_CORR = Correspondence(
     iter_computations=lambda p, _y, budget: enumerate_structure_maps(
         require_kind(p, FinPoset, "three"), THREE, "monotone", budget
     ),
-    iter_transformers=lambda p, _y, budget: all_lens_pairs(require_kind(p, FinPoset, "three")),
+    iter_transformers=lambda p, _y, budget: all_lens_pairs(p),
 )
 
 

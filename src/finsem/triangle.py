@@ -276,6 +276,15 @@ def _getter(ids):
     return lambda seq: tuple([seq[i] for i in ids])
 
 
+def _as_bytes(ids):
+    """ids as bytes, any id past 255 read as 255; sound where the bytes are
+    compared only with ids below 255."""
+    try:
+        return bytes(ids)
+    except ValueError:
+        return bytes([min(i, 255) for i in ids])
+
+
 def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     """Exhaustive-or-sampled verification of the unit and associativity laws.
 
@@ -304,27 +313,26 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
     ids = _Memo(lambda c: values.append(c) or len(values) - 1)
 
     # T(obj), or its probe set, built once per suite, and the ids of its codes
-    # objects are named by their positions, as int keys hash fastest
-    objects = tuple(objects)
-    structures = [_structure_elements(family, obj, probe_max_den) for obj in objects]
-    tids = [tuple([ids[code(t)] for t in ts]) for ts in structures]
-    units = [tuple([ids[code(family.unit(obj, x))] for x in obj.carrier.elements])
-             for obj in objects]
+    structures = {obj: _structure_elements(family, obj, probe_max_den) for obj in objects}
+    tids = {obj: tuple([ids[code(t)] for t in ts]) for obj, ts in structures.items()}
+    units = {obj: tuple([ids[code(family.unit(obj, x))] for x in obj.carrier.elements])
+             for obj in objects}
 
     @_Memo
     def arrows(key):
         """(dom, cod) -> the mode, the arrows dom -> T(cod) and their graphs as ids."""
-        (dom, cod), targets = map(objects.__getitem__, key), structures[key[1]]
+        dom, cod = key
         try:
-            mode, fs = "exhaustive", iter_kleisli_arrows(family, dom, cod, targets=targets)
+            mode, fs = "exhaustive", iter_kleisli_arrows(family, dom, cod, targets=structures[cod])
         except TooLarge:
-            mode, fs = "sampled", random_kleisli_arrow(family, dom, cod, rng, targets, LAW_SAMPLES)
+            mode, fs = "sampled", random_kleisli_arrow(
+                family, dom, cod, rng, structures[cod], LAW_SAMPLES)
         return mode, fs, [tuple([ids[code(t)] for t in f.graph]) for f in fs]
 
     @_Memo
     def tables(key):
         """(dom, cod) -> graph -> its arrow's table (binds leave the probe set)."""
-        prepare = family.coded_extension(*map(objects.__getitem__, key))
+        prepare = family.coded_extension(*key)
 
         def table(graph):
             t = _Table()
@@ -337,22 +345,21 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
         lambda graph: tuple(map(tables[key][graph].__getitem__, tids[key[0]]))))
 
     # unit laws -----------------------------------------------------------
-    places, sizes = range(len(objects)), [*map(len, objects)]
-    for dom, cod in itertools.product(places, repeat=2):
+    for dom, cod in itertools.product(objects, repeat=2):
         mode, fs, graphs = arrows[dom, cod]
-        elems, tabs = objects[dom].carrier.elements, tables[dom, cod]
+        elems, tabs = dom.carrier.elements, tables[dom, cod]
         report.cases.append(first_counterexample("extend(f)(unit(x)) = f(x)", (
             None if tab[u] == image else f"f={atom_repr(f.as_dict())} x={atom_repr(x)}"
             for f, graph, tab in zip(fs, graphs, map(tabs.__getitem__, graphs))
             for x, u, image in zip(elems, units[dom], graph)),
-            mode, (sizes[dom], sizes[cod])))
+            mode, (len(dom), len(cod))))
 
-    for obj in places:
+    for obj in objects:
         eta = tables[obj, obj][units[obj]]
         report.cases.append(first_counterexample("extend(unit)(t) = t", (
             None if eta[i] == i else f"t={atom_repr(t)}"
             for t, i in zip(structures[obj], tids[obj])),
-            "exhaustive", (sizes[obj],)))
+            "exhaustive", (len(obj),)))
 
     # associativity ---------------------------------------------------------
     def witness(g, h, t):
@@ -360,32 +367,32 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
 
     @_Memo
     def g_rows(key):
-        """(mid, right) -> ``need``, the ids that every g's images and its extension
-        over T(mid) hold, ascending; both, concatenated in g order, as positions
-        in need; and the cuts of the images into graphs."""
-        graphs, n = arrows[key][2], sizes[key[0]]
+        """(mid, right) -> a getter at ``need``, the ids that every g's images and
+        its extension over T(mid) hold; both, concatenated in g order, as
+        positions in need; and the cuts of the images into graphs."""
+        graphs, n = arrows[key][2], len(key[0])
         vecs = [*itertools.chain(*map(vectors[key].__getitem__, graphs))]
         imgs = [*itertools.chain(*graphs)]
-        at = dict(zip(need := sorted({*vecs, *imgs}), itertools.count()))
-        return (need, [*map(at.__getitem__, vecs)], [*map(at.__getitem__, imgs)],
+        at = dict(zip(need := [*{*vecs, *imgs}], itertools.count()))
+        return (_getter(need), [*map(at.__getitem__, vecs)], [*map(at.__getitem__, imgs)],
                 [slice(i * n, i * n + n) for i in range(len(graphs))])
 
+    # (mid, far) -> graph as bytes -> its extension vector as bytes, for the byte
+    # gather, where every gathered id is below 255
+    byte_vectors = _Memo(lambda key: _Memo(
+        lambda graph, vector=vectors[key].__getitem__: _as_bytes(vector(tuple(graph)))))
+
     def exhaustive_assoc(mid, right, far, gs, hs, ts):
-        need, vecs, imgs, cuts = g_rows[mid, right]
+        at_need, vecs, imgs, cuts = g_rows[mid, right]
         # each h's table at need, which both gathers read
-        hts = map(tables[right, far].__getitem__, arrows[right, far][2])
-        outs = [*map(_getter(need), hts)]
-        composites = vectors[mid, far]
-        if len(values) < 255:
-            # ids and positions as bytes: an id a composite adds equals no
-            # gathered id, nor does 255, which stands for any such id past 254
-            vecs, imgs = (partial(bytes.translate, bytes(seq)) for seq in (vecs, imgs))
-            outs, join = [bytes(out).ljust(256) for out in outs], b"".join
-            composites = _Memo(lambda graph, vector=composites.__getitem__: bytes(
-                [min(i, 255) for i in vector(tuple(graph))]))
+        outs = [*map(at_need, map(tables[right, far].__getitem__, arrows[right, far][2]))]
+        if len(values) < 255:  # every id and position fits in a byte
+            composites, join = byte_vectors[mid, far], b"".join
+            vecs, imgs = bytes(vecs).translate, bytes(imgs).translate
+            outs = [bytes(out).ljust(256) for out in outs]
         else:
-            vecs, imgs = map(_getter, (vecs, imgs))
-            join = lambda parts: (*itertools.chain(*parts),)
+            composites, join = vectors[mid, far], lambda parts: (*itertools.chain(*parts),)
+            vecs, imgs = _getter(vecs), _getter(imgs)
         fails = []  # each failing h's first failing (g, h, t), as indices
         for j, out in enumerate(outs):
             got = vecs(out)
@@ -409,7 +416,7 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
             yield None if th[gtabs[gg][c]] == ctabs[tuple(map(th.__getitem__, gg))][c] else (
                 witness(gs[i], hs[j], ts[k]))
 
-    for mid, right, far in itertools.product(places, repeat=3):
+    for mid, right, far in itertools.product(objects, repeat=3):
         gmode, gs, _ = arrows[mid, right]
         hmode, hs, _ = arrows[right, far]
         ts = structures[mid]
@@ -423,7 +430,7 @@ def check_monad_laws(family, objects, *, seed=20_240_401, probe_max_den=4):
             "extend(h)(extend(g)(t)) = extend(h after g)(t)",
             walk(mid, right, far, gs, hs, ts),
             "exhaustive" if exhaustive else f"sampled({LAW_SAMPLES})",
-            (sizes[mid], sizes[right], sizes[far])))
+            (len(mid), len(right), len(far))))
 
     return report
 

@@ -776,3 +776,9 @@ def test_a_lattice_of_closed_subsets_refuses_a_set_with_a_typed_error(build):
     with pytest.raises(UnknownElement) as info:
         build(FinSet([1]))
     assert str(info.value) == f"{build.__name__} acts on FinPoset objects, got FinSet"
+
+
+def test_a_powerset_lattice_refuses_a_poset_with_a_typed_error():
+    with pytest.raises(UnknownElement) as info:
+        powerset_lattice(antichain("ab"))
+    assert str(info.value) == "powerset_lattice acts on FinSet objects, got FinPoset"

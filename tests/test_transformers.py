@@ -760,7 +760,6 @@ def test_a_broken_round_trip_reports_what_the_table_free_walk_reports(name, samp
         assert expected[3] > 0 and expected[4] is not None
 
 
-
 @pytest.mark.parametrize("cid, y, who", [("three", None, "three"),
                                          ("diamond", FinSet([1]), "downset")])
 def test_a_poset_correspondence_refuses_a_set_with_a_typed_error(cid, y, who):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import finsem
+from finsem import triangle
 from finsem.check import Check
 from finsem.effects import Distribution, random_distribution
 from finsem.errors import (
@@ -536,6 +537,28 @@ class SkewAtTheLastPair(MonadFamily):
         return g if t == 0 else t if g == 0 else 2 if (t, g) in ((2, 3), (3, 3)) else 1
 
 
+class WriterUpTo15(MonadFamily):
+    """One-point objects acting on the words a^0 .. a^15 by appending g's word:
+    a writer monad while that word has at most 15 letters, and a fresh value
+    past that, which only a composite h after g appends.  The suite holds
+    the 46 words a^0 .. a^45 when its byte gather starts, and its composites
+    add 240 fresh values."""
+
+    name = "writer-up-to-15"
+
+    def elements(self, obj):
+        return tuple("a" * n for n in range(16))
+
+    def contains(self, obj, t):
+        return t in self.elements(obj)
+
+    def unit(self, obj, x):
+        return ""
+
+    def extend(self, dom, cod, graph, t):
+        return t + graph[0] if len(graph[0]) < 16 else ("past", graph[0], t)
+
+
 class TestLawSuiteMachinery:
     def test_powerset_small_suite(self):
         report = check_monad_laws(
@@ -645,7 +668,9 @@ class TestLawSuiteMachinery:
         assert cases == oracle
 
     def test_a_suite_past_255_ids_matches_the_oracle(self, monkeypatch):
-        # every id the suite hash-conses is a code or an extension's value
+        # every id the suite hash-conses is a code or an extension's value; with
+        # no bytes in triangle, only the itemgetter gather can decide a case
+        monkeypatch.setattr(triangle, "bytes", None, raising=False)
         seen = set()
         code, coded_extension = DIST.code, type(DIST).coded_extension
 
@@ -665,6 +690,14 @@ class TestLawSuiteMachinery:
         monkeypatch.setattr(type(DIST), "coded_extension", recording)
         cases, oracle = associativity_and_its_oracle(DIST, (FinSet(range(2)),), 4)
         assert len(seen) > 255 and cases == oracle
+
+    def test_composites_past_255_ids_in_a_byte_gather_match_the_oracle(self, monkeypatch):
+        # ids past 255, which the composites add after the gather starts, are
+        # read as 255 and so fail against every gathered id
+        read, as_bytes = [], triangle._as_bytes
+        monkeypatch.setattr(triangle, "_as_bytes", lambda ids: read.extend(ids) or as_bytes(ids))
+        cases, oracle = associativity_and_its_oracle(WriterUpTo15(), (FinSet(["x"]),), 2)
+        assert max(read) > 255 and cases == oracle and not cases[0].ok
 
     def test_a_failure_at_the_last_g_and_its_last_h_matches_the_oracle(self):
         cases, oracle = associativity_and_its_oracle(SkewAtTheLastPair(), (FinSet(["x"]),), 2)
