@@ -17,7 +17,7 @@ import importlib
 
 # defining module -> the names it exports here
 _EXPORTS = {
-    "effects": "FuzzyPredicate Rat UNDEFINED dist_bind dist_make farey_grid mv_ops "
+    "effects": "FuzzyPredicate dist_bind dist_make farey_grid mv_ops "
                "pred_orth pred_ovee pred_scalar validate_effect_algebra",
     "errors": "FinsemError",
     "gcl": "check_roundtrip denote parse wp",

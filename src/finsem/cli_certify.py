@@ -39,16 +39,10 @@ def cmd_certify(args):
         raise Usage(f"--sizes {args.sizes} leaves nothing to check: "
                     f"{corr.id} needs posets of at least one point")
     reports = [certify_full_faithful(corr, x, y) for x, y in cases]
-    ok = all(rep.bijection for rep in reports)
-    payload = {
-        "correspondence": corr.id,
-        "kleisli_count": sum(rep.kleisli_count for rep in reports),
-        "transformer_count": sum(rep.transformer_count for rep in reports),
-        "bijection": ok,
-        "cases": [rep.to_json_dict() for rep in reports],
-    }
-    counterexamples = [rep.counterexample for rep in reports if rep.counterexample is not None]
-    if counterexamples:
-        payload["counterexample"] = counterexamples[0]
-    _emit(payload, args.format)
-    return 0 if ok else 1
+    summed = CertifyReport(
+        corr.id, sum(rep.kleisli_count for rep in reports),
+        sum(rep.transformer_count for rep in reports), all(rep.bijection for rep in reports),
+        next((rep.counterexample for rep in reports if rep.counterexample is not None), None))
+    _emit(summed.to_json_dict() | {"cases": [rep.to_json_dict() for rep in reports]},
+          args.format)
+    return 0 if summed.bijection else 1

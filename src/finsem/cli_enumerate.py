@@ -7,7 +7,7 @@ from .errors import FinsemError
 from .jsonio import atom_token, element_to_json, parse_object_literal, poset_to_json
 from .kernel import FinSet
 from .monads import FAMILIES
-from .order import FinPoset, discrete
+from .order import FinPoset, antichain
 
 
 def cmd_enumerate(args):
@@ -16,7 +16,7 @@ def cmd_enumerate(args):
     if family is None:
         raise Usage(f"unknown monad {args.monad!r}")
     if family.base == "poset" and isinstance(obj, FinSet):
-        obj = discrete(obj)
+        obj = antichain(obj.elements)
     if family.base == "set":
         obj = obj.carrier
     try:

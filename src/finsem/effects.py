@@ -20,28 +20,6 @@ from .check import Frozen, Report, first_counterexample
 from .errors import CarrierMismatch, NotNormalized, ScalarOutOfRange
 from .kernel import ONE, ZERO, Distribution, FinSet, atom_repr, is_exact
 
-Rat = Fraction
-
-
-class _Undefined:
-    """Marker for a partial sum that falls outside the algebra."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Undefined"
-
-    def __bool__(self):
-        return False
-
-
-UNDEFINED = _Undefined()
-
 
 def farey_grid(max_den):
     """All rationals in [0, 1] with denominator at most max_den, sorted."""
@@ -108,11 +86,11 @@ def _same_carrier(p, q):
 
 
 def pred_ovee(p, q):
-    """Partial pointwise sum; UNDEFINED when it exceeds 1 anywhere."""
+    """Partial pointwise sum; None when it exceeds 1 anywhere."""
     _same_carrier(p, q)
     sums = tuple(a + b for a, b in zip(p.values, q.values))
     if any(s > ONE for s in sums):
-        return UNDEFINED
+        return None
     return FuzzyPredicate(p.carrier, sums)
 
 
@@ -261,7 +239,7 @@ def powerset_effect_algebra(carrier):
 
     return EffectAlgebraInstance(
         name=f"powerset({len(carrier)})",
-        elements=tuple(carrier.subsets()),
+        elements=carrier.subsets(),
         ovee=ovee,
         orth=lambda a: universe - a,
         zero=frozenset(),

@@ -113,16 +113,11 @@ class FinSet:
         return self._rank
 
     def subsets(self):
-        """All subsets as frozensets, in deterministic mask order."""
-        n = len(self.elements)
-        for mask in range(1 << n):
-            yield frozenset(self.elements[i] for i in range(n) if mask >> i & 1)
-
-    def subset_tuple(self):
-        """subsets() as one tuple in mask order, built on first use and kept."""
+        """All subsets as one tuple of frozensets in mask order, built on first use and kept."""
         if self._subsets is None:
-            _require_small(self)
-            self._subsets = tuple(self.subsets())
+            elems, n = self.elements, len(self.elements)
+            self._subsets = tuple(frozenset(elems[i] for i in range(n) if mask >> i & 1)
+                                  for mask in range(1 << n))
         return self._subsets
 
     def as_frozenset(self):

@@ -137,7 +137,7 @@ class PowersetMonad(SubsetMonad):
 
     def elements(self, obj):
         self.check_cap(obj)
-        return tuple(obj.subsets())
+        return obj.subsets()
 
     def contains(self, obj, t):
         return isinstance(t, frozenset) and t <= obj.as_frozenset()
@@ -163,7 +163,7 @@ class NeighbourhoodMonad(MonadFamily):
 
     def elements(self, obj):
         self.check_cap(obj)
-        families = _iter_two_valued_maps(tuple(obj.subsets()))
+        families = _iter_two_valued_maps(obj.subsets())
         return tuple(t for t in families if self.admits(obj, t))
 
     def contains(self, obj, t):
@@ -184,11 +184,11 @@ class NeighbourhoodMonad(MonadFamily):
     def coded_extension(self, dom, cod):
         # double dual: B is accepted iff its preimage is; each arrow's pairs are built once
         def prepared(graph):
-            masks, pres = {}, dom.subset_tuple()
+            masks, pres = {}, dom.subsets()
             for i, image in enumerate(graph):
                 for b in image:
                     masks[b] = masks.get(b, 0) | 1 << i
-            pairs = [(b, pres[masks.get(b, 0)]) for b in cod.subset_tuple()]
+            pairs = [(b, pres[masks.get(b, 0)]) for b in cod.subsets()]
             return lambda t: frozenset([b for b, pre in pairs if pre in t])
         return prepared
 
@@ -523,7 +523,7 @@ def boolean_algebra_maps_to_two(x):
     """
     ULTRAFILTER.check_cap(x)
     u = x.as_frozenset()
-    subs = tuple(x.subsets())
+    subs = x.subsets()
     out = []
     for fam in _iter_two_valued_maps(subs):
         if u not in fam or frozenset() in fam:
@@ -544,7 +544,7 @@ def complete_ba_maps_to_two(x):
     """Maps preserving complement and arbitrary unions (all unions are finite here)."""
     ULTRAFILTER.check_cap(x, COMPLETE_BA_CAP)
     u = x.as_frozenset()
-    subs = tuple(x.subsets())
+    subs = x.subsets()
     out = []
     for fam in _iter_two_valued_maps(subs):
         ok = all((u - s in fam) != (s in fam) for s in subs)

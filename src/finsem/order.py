@@ -309,11 +309,6 @@ def antichain(labels):
     return make_poset(tuple(labels), [])
 
 
-def discrete(finset):
-    """A FinSet viewed as a discrete poset."""
-    return antichain(finset.elements if isinstance(finset, FinSet) else finset)
-
-
 @lru_cache(maxsize=None)
 def powerset_lattice(finset):
     """All subsets of a FinSet ordered by inclusion."""

@@ -61,7 +61,7 @@ from .order import (
     require_kind,
     upsets,
 )
-from .triangle import KleisliArrow, _Memo, iter_kleisli_arrows
+from .triangle import DEFAULT_ARROW_BUDGET, KleisliArrow, _Memo, iter_kleisli_arrows
 
 THREE = chain((0, 1, 2))
 BOT3, MID3, TOP3 = 0, 1, 2
@@ -419,7 +419,7 @@ def _mismatches(law, mode, trials):
     return Check(law, mode, checked, bad, witness)
 
 
-def round_trip_report(corr, x, y, budget=300_000, sample=None, seed=0):
+def round_trip_report(corr, x, y, budget=DEFAULT_ARROW_BUDGET, sample=None, seed=0):
     """Check both composites of a correspondence on enumerated inputs, item by
     item on both sides, transposing each item once per call in each direction.
     With sample=None both sides are walked exhaustively; otherwise that many

@@ -964,6 +964,38 @@ class TestCertifyCommand:
         assert code == 0
         assert json.loads(out)["bijection"] is True
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_a_broken_correspondence_sums_its_cases(self, capsys, monkeypatch, fmt):
+        # hoare whose forward sends every arrow to the first transformer: the
+        # one-arrow case 1 -> 1 passes and both 1 -> 2 cases collide
+        from finsem.order import all_posets
+        from finsem.transformers import REGISTRY, Correspondence
+        from finsem.triangle import certify_full_faithful
+
+        hoare = REGISTRY["hoare"]
+        fields = {f: getattr(hoare, f) for f in Correspondence._fields}
+        broken = Correspondence(**fields | {
+            "forward": lambda c, x, y: hoare.iter_transformers(x, y, 1000)[0]})
+        monkeypatch.setitem(REGISTRY, "hoare", broken)
+        code, out, err = run(capsys, ["certify", "--correspondence", "hoare",
+                                      "--sizes", "1,2", "--format", fmt])
+        assert (code, err) == (1, "")
+        assert fmt == "json" or out.count("\n") == 1
+        payload = json.loads(out)
+        one, two = all_posets(1)[1], all_posets(2)
+        reports = [certify_full_faithful(broken, one, q) for q in two if len(q)]
+        assert [rep.bijection for rep in reports] == [True, False, False]
+        assert payload == {
+            "correspondence": "hoare",
+            "kleisli_count": 6,
+            "transformer_count": 6,
+            "bijection": False,
+            "counterexample": reports[1].counterexample,
+            "cases": [rep.to_json_dict() for rep in reports],
+        }
+        assert payload["counterexample"].startswith("transpose collision on KleisliArrow(")
+        assert "counterexample" not in payload["cases"][0]
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from finsem.effects import (
     ONE,
-    UNDEFINED,
     ZERO,
     Distribution,
     EffectAlgebraInstance,
@@ -76,11 +75,17 @@ class TestFuzzyPredicates:
     def test_partial_sum_undefined(self):
         p = FuzzyPredicate.constant(S2, Fraction(1, 2))
         q = FuzzyPredicate.constant(S2, Fraction(2, 3))
-        assert pred_ovee(p, q) is UNDEFINED
+        assert pred_ovee(p, q) is None
 
     def test_orthosupplement_sums_to_one(self):
         p = FuzzyPredicate.from_dict(S2, {"s0": Fraction(1, 3), "s1": Fraction(3, 4)})
         assert pred_ovee(p, pred_orth(p)) == FuzzyPredicate.constant(S2, ONE)
+
+    def test_as_dict_inverts_from_dict(self):
+        values = {"s0": Fraction(1, 3), "s1": ONE}
+        p = FuzzyPredicate.from_dict(S2, values)
+        assert p.as_dict() == values and list(p.as_dict()) == ["s0", "s1"]
+        assert FuzzyPredicate.from_dict(S2, p.as_dict()) == p
 
     def test_orth_of_zero(self):
         assert pred_orth(FuzzyPredicate.constant(S2, ZERO)) == FuzzyPredicate.constant(S2, ONE)
@@ -178,7 +183,7 @@ def fuzzy_predicate_effect_algebra(carrier, max_den):
         name=f"fuzzy-predicates({len(carrier)} points, den<={max_den})",
         elements=tuple(FuzzyPredicate(carrier, values)
                        for values in itertools.product(grid, repeat=len(carrier))),
-        ovee=lambda p, q: None if (r := pred_ovee(p, q)) is UNDEFINED else r,
+        ovee=pred_ovee,
         orth=pred_orth, zero=FuzzyPredicate.constant(carrier, ZERO),
         scalar=pred_scalar, scalar_grid=farey_grid(3))
 
@@ -217,6 +222,18 @@ class TestEffectAlgebraValidation:
         inst = fuzzy_predicate_effect_algebra(S2, 3)
         report = validate_effect_algebra(inst)
         assert report.ok, report.summary()
+
+    def test_associativity_is_sampled_past_the_budget(self, monkeypatch):
+        # 5 probes make 125 triples: past a budget of 100, 100 seeded triples run
+        monkeypatch.setattr("finsem.effects.ASSOC_BUDGET", 100)
+        report = validate_effect_algebra(unit_interval_effect_algebra(farey_grid(3)))
+        assert report.ok, report.summary()
+        case = report.cases[1]
+        assert (case.law, case.mode, case.checked) == (
+            "ovee associative (sampled seed=0)", "sampled seed=0", 100)
+        assert report.seed == 0
+        broken = validate_effect_algebra(truncated_total_instance(farey_grid(3)))
+        assert broken.cases[1].mode == "sampled seed=0" and not broken.ok
 
 
 # an instance over the subsets of three strings whose sum is undefined on the

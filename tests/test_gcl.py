@@ -794,7 +794,7 @@ class TestDemonicThroughSaturatedSets:
         # observed: over a discrete state space the saturated-set transformer
         # produces the same tables as the subset one
         from finsem.monads import SMYTH
-        from finsem.order import discrete
+        from finsem.order import antichain
         from finsem.transformers import SMYTH_CORR
         from finsem.triangle import KleisliArrow
 
@@ -809,7 +809,7 @@ class TestDemonicThroughSaturatedSets:
             states = space.states()
             if any(not arrow(s) for s in states):
                 continue  # aborting programs leave the saturated-set reading
-            disc = discrete(states)
+            disc = antichain(states)
             smyth_arrow = KleisliArrow.from_dict(
                 SMYTH, disc, disc, {s: arrow(s) for s in states}
             )

@@ -13,10 +13,11 @@ from finsem.effects import (
     iter_distributions,
     random_distribution,
 )
-from finsem.errors import LensViolation, StructureNotPreserved, TooLarge
+from finsem.errors import LensViolation, StructureNotPreserved, TooLarge, UnknownElement
 from finsem.monads import (
     DOWNSET,
     FILTER,
+    GIRY,
     HOARE,
     MONOTONE_NEIGHBOURHOOD,
     PLOTKIN,
@@ -28,10 +29,12 @@ from finsem.monads import (
     cba_collapse_check,
     complete_ba_maps_to_two,
     distribution_to_measure,
+    downset_monad,
     expectation_bind,
     expectation_embed,
     expectation_unit,
     filter_monad,
+    giry_finite,
     hoare_monad,
     measure_of_functional,
     monotone_neighbourhood,
@@ -153,6 +156,16 @@ class TestDownsetAndHoare:
     def test_hoare_cardinalities(self):
         assert hoare_monad(chain("ab")).cardinality() == 2
         assert hoare_monad(antichain("ab")).cardinality() == 3
+
+    def test_downset_instance_keeps_the_empty_downset(self):
+        inst = downset_monad(chain("ab"))
+        assert inst.family is DOWNSET
+        assert inst.elements() == (frozenset(), frozenset("a"), frozenset("ab"))
+        assert inst.unit("b") == frozenset("ab")
+        assert inst.contains(frozenset()) and not inst.contains(frozenset("b"))
+        with pytest.raises(TooLarge) as info:
+            downset_monad(antichain(range(DOWNSET.cap + 1)))
+        assert str(info.value) == f"downset is capped at objects of size {DOWNSET.cap}"
 
     def test_hoare_algebra_join_witness(self):
         # every valid algebra turns the structure map into a binary join
@@ -377,3 +390,17 @@ class TestExpectationEmbedding:
             assert table == tuple(omega(a) for a in xs)
             assert table not in seen
             seen[table] = omega
+
+
+def test_giry_instance_binds_a_finite_set_and_enumerates_nothing():
+    x = FinSet(["a", "b"])
+    inst = giry_finite(x)
+    assert (inst.family, inst.obj) == (GIRY, x)
+    assert inst.unit("a").weights == (("a", ONE),)
+    assert inst.contains(inst.unit("b"))
+    with pytest.raises(TooLarge) as info:
+        inst.cardinality()
+    assert str(info.value) == "giry does not enumerate its structure space"
+    with pytest.raises(UnknownElement) as info:
+        giry_finite(chain("ab"))
+    assert str(info.value) == "giry acts on FinSet objects, got FinPoset"

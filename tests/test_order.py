@@ -162,6 +162,18 @@ class TestClosures:
         q = antichain("ab")
         assert down_closure(q, {"b"}).members == frozenset("b")
 
+    def test_down_closure_of_a_subset_closes_its_members(self):
+        p = chain("abc")
+        closed = down_closure(p, SubsetOf(p, {"c", "a"}))
+        assert closed == SubsetOf(p, frozenset("abc"), "downset")
+        assert down_closure(p, closed) == closed
+
+    def test_a_subset_iterates_its_members_in_atom_order(self):
+        p = antichain([2, "b", 10, "a"])
+        sub = SubsetOf(p, {"b", 10, "a", 2})
+        assert list(sub) == [2, 10, "a", "b"] and len(sub) == 4
+        assert (list(SubsetOf(p, set())), len(SubsetOf(p, set()))) == ([], 0)
+
     def test_subset_kind_validation(self):
         p = chain("ab")
         SubsetOf(p, {"b"}, "upset")

@@ -437,10 +437,10 @@ class TestExpectation:
         t = expectation_pred(f)
         q1 = FuzzyPredicate.from_dict(Y2, {"y1": Fraction(1, 4), "y2": Fraction(1, 2)})
         q2 = FuzzyPredicate.from_dict(Y2, {"y1": Fraction(1, 4), "y2": Fraction(1, 3)})
-        from finsem.effects import UNDEFINED, pred_orth, pred_ovee, pred_scalar
+        from finsem.effects import pred_orth, pred_ovee, pred_scalar
 
         total = pred_ovee(q1, q2)
-        assert total is not UNDEFINED
+        assert total is not None
         assert t(total) == pred_ovee(t(q1), t(q2))
         assert t(pred_orth(q1)) == pred_orth(t(q1))
         assert t(pred_scalar(Fraction(2, 5), q1)) == pred_scalar(Fraction(2, 5), t(q1))
@@ -766,3 +766,71 @@ def test_a_poset_correspondence_refuses_a_set_with_a_typed_error(cid, y, who):
     with pytest.raises(UnknownElement) as info:
         round_trip_report(REGISTRY[cid], FinSet([1]), y)
     assert str(info.value) == f"{who} acts on FinPoset objects, got FinSet"
+
+
+# -- the side-condition raises, each with its type and message --------------------------
+
+
+def test_forward_refuses_an_arrow_whose_transpose_lacks_the_selector():
+    # box's transposes keep meets; asked for joins, an arrow sending a point
+    # to two points fails
+    join_box = RECIPES[0]._replace(selector="join-preserving")
+    arrow = KleisliArrow.from_dict(POWERSET, X2, Y2, {"x1": frozenset(Y2), "x2": frozenset()})
+    with pytest.raises(StructureNotPreserved) as info:
+        forward(join_box, arrow)
+    assert str(info.value) == "box transpose is not join-preserving"
+
+
+def test_backward_refuses_a_transformer_over_other_objects():
+    m = BOX.forward(unit_arrow(POWERSET, X2), X2, X2)
+    with pytest.raises(SideConditionViolated) as info:
+        backward(RECIPES[0], m, Y2, Y2)
+    assert str(info.value) == "transformer does not match the stated objects"
+
+
+def test_three_forward_refuses_a_map_into_another_chain():
+    m = MonotoneMap.from_callable(chain("ab"), chain((0, 1)), lambda x: 0)
+    with pytest.raises(SideConditionViolated) as info:
+        three_forward(m)
+    assert str(info.value) == "map must land in the three-element chain"
+
+
+def test_plotkin_forward_refuses_a_map_between_other_algebras():
+    alg, other = (PlotkinAlgebra.over(upsets(p)) for p in (chain("ab"), antichain("a")))
+    ident = MonotoneMap.from_callable(alg.poset, alg.poset, lambda t: t)
+    with pytest.raises(SideConditionViolated) as info:
+        plotkin_hom_forward(ident, other, other)
+    assert str(info.value) == "map does not match the stated algebras"
+
+
+@pytest.mark.parametrize("side, message", [
+    ("left", "left component must preserve joins and top"),
+    ("right", "right component must preserve meets and bottom"),
+])
+def test_plotkin_backward_refuses_a_component_without_its_structure(side, message):
+    from finsem.transformers import plotkin_hom_backward
+
+    alg = PlotkinAlgebra.over(upsets(chain("ab")))
+    frame = alg.frame
+    ident = MonotoneMap.from_callable(frame, frame, lambda x: x)
+    # the constant bottom keeps no top, the constant top no bottom
+    bottom = MonotoneMap.from_callable(frame, frame, lambda x: frame.bottom())
+    top = MonotoneMap.from_callable(frame, frame, lambda x: frame.top())
+    g1, g2 = (bottom, ident) if side == "left" else (ident, top)
+    with pytest.raises(StructureNotPreserved) as info:
+        plotkin_hom_backward(g1, g2, alg, alg)
+    assert str(info.value) == message
+
+
+def test_an_expectation_refuses_a_predicate_on_another_carrier():
+    arrow = unit_arrow(DIST, X2)
+    with pytest.raises(SideConditionViolated) as info:
+        expectation_pred(arrow)(FuzzyPredicate.constant(Y2, 1))
+    assert str(info.value) == "post-expectation lives on the wrong carrier"
+
+
+@pytest.mark.parametrize("side", ["iter_computations", "iter_transformers"])
+def test_the_expectation_correspondence_enumerates_nothing(side):
+    with pytest.raises(TooLarge) as info:
+        getattr(REGISTRY["expectation"], side)(X2, Y2, 300_000)
+    assert str(info.value) == "expectation transformers form an infinite space; use probes"
